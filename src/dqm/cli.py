@@ -8,6 +8,7 @@ validation error.  Complex parameters are given as repeated --a flags with
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -182,14 +183,24 @@ def cmd_table(args) -> int:
     return 0
 
 
-def validate_report(doc: dict) -> None:
+@functools.cache
+def _report_validator():
+    """Validator for report_schema.json, read once per process.
+
+    The schema is not checked against its meta-schema here, as
+    jsonschema.validate would on every call; a test does that once.
+    """
     import jsonschema
 
     with resources.files("dqm.data").joinpath("report_schema.json").open(
         "r", encoding="utf-8"
     ) as fh:
         schema = json.load(fh)
-    jsonschema.validate(doc, schema)
+    return jsonschema.validators.validator_for(schema)(schema)
+
+
+def validate_report(doc: dict) -> None:
+    _report_validator().validate(doc)
 
 
 def cmd_verify(args) -> int:

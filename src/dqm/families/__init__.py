@@ -54,6 +54,7 @@ __all__ = [
     "ground_state",
     "eval_poly_hypergeometric",
     "eval_poly_recurrence",
+    "eval_polys_recurrence",
     "aw_to_wilson_scaled",
 ]
 
@@ -149,13 +150,13 @@ def eval_poly_hypergeometric(family, p: ParamSet, n: int, eta_point) -> complex:
     return fam.series_eval_x(p, n, x)
 
 
-def eval_poly_recurrence(family, p: ParamSet, n: int) -> EtaPolynomial:
-    """Coefficient vector of P_n built by the three-term recurrence."""
-    fam = get_family(family)
+def _monic_ascent(fam: Family, p: ParamSet, n: int):
+    """Yield the monic coefficient lists of P_0 .. P_n, ascending once."""
     if n < 0:
         raise ValidationError(f"level must be >= 0, got {n}")
     prev = [complex(0.0)]          # monic P_{-1} = 0
     cur = [complex(1.0)]           # monic P_0 = 1
+    yield cur
     for k in range(n):
         c_k = fam.c_n(p, k)
         c_k1 = fam.c_n(p, k + 1)
@@ -170,7 +171,25 @@ def eval_poly_recurrence(family, p: ParamSet, n: int) -> EtaPolynomial:
         for i, c in enumerate(prev):
             nxt[i] -= b_k * c        # -b_k P_{k-1}
         prev, cur = cur, nxt
+        yield cur
+
+
+def _scaled(fam: Family, p: ParamSet, n: int, monic: list) -> EtaPolynomial:
     c_n = fam.c_n(p, n)
-    return EtaPolynomial(
-        tuple(c * c_n for c in cur), fam.spec.id, p, n
-    )
+    return EtaPolynomial(tuple(c * c_n for c in monic), fam.spec.id, p, n)
+
+
+def eval_poly_recurrence(family, p: ParamSet, n: int) -> EtaPolynomial:
+    """Coefficient vector of P_n built by the three-term recurrence."""
+    fam = get_family(family)
+    for monic in _monic_ascent(fam, p, n):
+        pass
+    return _scaled(fam, p, n, monic)
+
+
+def eval_polys_recurrence(family, p: ParamSet, n_max: int) -> list[EtaPolynomial]:
+    """P_0 .. P_{n_max} from one recurrence ascent; entry n equals
+    eval_poly_recurrence(family, p, n) exactly."""
+    fam = get_family(family)
+    return [_scaled(fam, p, n, monic)
+            for n, monic in enumerate(_monic_ascent(fam, p, n_max))]

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..specfun import log_gamma
-
 __all__ = [
     "FamilyId",
     "ParamSet",
@@ -25,7 +23,6 @@ __all__ = [
     "SingularityError",
     "Family",
     "qpoch_inf_vec",
-    "log_qpoch_inf_abs",
 ]
 
 
@@ -164,17 +161,6 @@ def qpoch_inf_vec(a_vals, q: float, rel_eps: float = 1e-16):
     return out
 
 
-def log_qpoch_inf_abs(a_vals, q: float, rel_eps: float = 1e-16):
-    """log |(a;q)_inf| elementwise; -inf where a factor vanishes."""
-    with np.errstate(divide="ignore"):
-        return np.log(np.abs(qpoch_inf_vec(a_vals, q, rel_eps)))
-
-
-def real_log_gamma(z):
-    """Re log Gamma(z) for arrays, valid on Re z >= 0.5."""
-    return np.real(log_gamma(z))
-
-
 # ------------------------------------------------------------------- family
 
 class Family:
@@ -231,9 +217,6 @@ class Family:
         if kind == "x^2":
             return 2.0 * complex(w)
         return 2.0 * np.sin(complex(w))
-
-    def eta_from_x(self, x):
-        return self.eta(x)
 
     def x_from_eta(self, eta_point):
         """Principal inverse of the coordinate map."""

@@ -7,6 +7,13 @@ analytically continued), so operators compose: the output of one application
 is again a callable evaluable at complex arguments.  Functions of the
 Hamiltonian are never inverted numerically; on eigenfunction data they
 reduce to spectral scalars.
+
+Composed operators revisit the same points many times (H-tilde of a ladder
+output evaluates the ladder at x and x +/- i*gamma, and each of those
+evaluates the operand at its own shifted points), so the operands built here
+are memoised per point with `memo`: each value is computed once, by the same
+arithmetic, and the memo is freed with the callable that owns it.  The
+quadrature integrands are not memoised, since their nodes never repeat.
 """
 
 from __future__ import annotations
@@ -21,7 +28,6 @@ from .polynomials import EtaPolynomial
 
 __all__ = [
     "OperatorContext",
-    "ShiftedEvaluation",
     "LadderContext",
     "SingularPointError",
     "sample_points",
@@ -32,6 +38,7 @@ __all__ = [
     "apply_ladder",
     "lambda_shift_X",
     "rodrigues_polynomial",
+    "memo",
 ]
 
 SINGULAR_MARGIN = 1e-8
@@ -41,19 +48,22 @@ class SingularPointError(ZeroDivisionError):
     """Evaluation point too close to a potential pole or a zero of phi."""
 
 
-@dataclass(frozen=True)
-class ShiftedEvaluation:
-    """An operand sampled at x and at x -/+ i*gamma.
+def memo(f):
+    """f with its values kept per point, in a dict the returned callable owns.
 
-    For the cos-x group the shifts act on z = e^{ix} as z -> q^{+/-1} z;
-    evaluating at the literally shifted argument is the same thing, since
-    the coordinate functions are entire.
+    For pure f only: a repeated point returns the value computed the first
+    time, so the arithmetic is unchanged and only repeated work is removed.
     """
+    values = {}
 
-    x: complex
-    minus_shift: complex   # value at x + i*gamma (e^{-gamma p} direction)
-    plus_shift: complex    # value at x - i*gamma (e^{+gamma p} direction)
-    center: complex
+    def memoised(w):
+        try:
+            return values[w]
+        except KeyError:
+            out = values[w] = f(w)
+            return out
+
+    return memoised
 
 
 @dataclass(frozen=True)
@@ -78,9 +88,8 @@ class OperatorContext:
         self.gamma = self.family.gamma(params)
         self.kappa = self.family.kappa(params)
         self.closure = self.family.closure(params)
-
-    def eta(self, w) -> complex:
-        return self.family.eta(w)
+        self.eta = memo(self.family.eta)
+        self._ladder = {}
 
     def phi_aux(self, w) -> complex:
         return self.family.phi_aux(w)
@@ -98,49 +107,46 @@ class OperatorContext:
         return OperatorContext(self.family, self.family.shifted(self.p, k))
 
     def poly_fn(self, poly: EtaPolynomial):
-        return lambda w: poly.eval(self.family.eta(w))
+        eta = self.eta
+        return memo(lambda w: poly.eval(eta(w)))
 
     def eigen_fn(self, n: int):
         from .families import eval_poly_recurrence
 
         return self.poly_fn(eval_poly_recurrence(self.family, self.p, n))
 
-    def shifted_eval(self, f, w) -> ShiftedEvaluation:
-        g = self.gamma
-        w = complex(w)
-        return ShiftedEvaluation(
-            x=w,
-            minus_shift=f(w + 1j * g),
-            plus_shift=f(w - 1j * g),
-            center=f(w),
-        )
-
     def ladder_context(self, n: int) -> LadderContext:
-        e_n = self.energy(n)
-        e_up = self.energy(n + 1)
-        e_dn = self.energy(n - 1)
-        return LadderContext(
-            n=n,
-            E_n=e_n,
-            E_n_plus=e_up,
-            E_n_minus=e_dn,
-            alpha_plus=e_up - e_n,
-            alpha_minus=e_dn - e_n,
-            Rm1_at_En=self.closure.Rm1(e_n),
-        )
+        lc = self._ladder.get(n)
+        if lc is None:
+            e_n = self.energy(n)
+            e_up = self.energy(n + 1)
+            e_dn = self.energy(n - 1)
+            lc = self._ladder[n] = LadderContext(
+                n=n,
+                E_n=e_n,
+                E_n_plus=e_up,
+                E_n_minus=e_dn,
+                alpha_plus=e_up - e_n,
+                alpha_minus=e_dn - e_n,
+                Rm1_at_En=self.closure.Rm1(e_n),
+            )
+        return lc
 
     # -- core difference operators ------------------------------------------
     def H_tilde(self, f, w) -> complex:
         """V(x)(f(x-ig) - f(x)) + V*(x)(f(x+ig) - f(x))."""
         w = complex(w)
         self._check_regular(w)
-        ev = self.shifted_eval(f, w)
-        return self.V(w) * (ev.plus_shift - ev.center) + self.V_star(w) * (
-            ev.minus_shift - ev.center
+        # for the cos-x group the shifts act on z = e^{ix} as z -> q^{+/-1} z;
+        # evaluating at the literally shifted argument is the same thing,
+        # since the coordinate functions are entire
+        g = self.gamma
+        minus_shift = f(w + 1j * g)   # e^{-gamma p} direction
+        plus_shift = f(w - 1j * g)    # e^{+gamma p} direction
+        center = f(w)
+        return self.V(w) * (plus_shift - center) + self.V_star(w) * (
+            minus_shift - center
         )
-
-    def H_tilde_fn(self, f):
-        return lambda w: self.H_tilde(f, w)
 
     def comm_H_eta(self, f, w) -> complex:
         """[H-tilde, eta] f at w."""
@@ -283,7 +289,9 @@ def rodrigues_polynomial(family, params: ParamSet, n: int):
         ctx_j = OperatorContext(fam, fam.shifted(params, j))
         b = fam.b_shift(fam.shifted(params, j), n - 1 - j)
         prev = f
-        f = (lambda g, c, bb: (lambda w: c.backward(g, w) / bb))(prev, ctx_j, b)
+        # memoised: the two branches of each backward shift meet again at
+        # the same points, so unmemoised the chain costs 2^n evaluations
+        f = memo((lambda g, c, bb: (lambda w: c.backward(g, w) / bb))(prev, ctx_j, b))
     return f
 
 
@@ -356,6 +364,6 @@ def _dual_hahn_Xdag(ctx: OperatorContext, n: int, f, w: complex) -> complex:
     scalar = 1.0 / (
         ctx.kappa * fam.energy(p_shift, n) + ctx.energy(1)
     )
-    b_out = lambda u: ctx.backward(f, u)  # level n+1 data at lambda
+    b_out = memo(lambda u: ctx.backward(f, u))  # level n+1 data at lambda
     val = ladder_action(ctx, "-", n + 1, b_out, w)
     return scalar * val

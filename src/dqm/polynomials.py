@@ -67,11 +67,6 @@ class EtaPolynomial:
             out = out * eta + c
         return out
 
-    def times_eta(self) -> "EtaPolynomial":
-        return EtaPolynomial(
-            (0.0,) + self.coeffs, self.family_id, self.params, None
-        )
-
     def scaled(self, factor: complex) -> "EtaPolynomial":
         return EtaPolynomial(
             tuple(c * factor for c in self.coeffs),

@@ -299,8 +299,10 @@ def hermiticity_forms(family, p: ParamSet, P: EtaPolynomial, Q: EtaPolynomial,
     fam = get_family(family)
     ctx = OperatorContext(fam, p)
     a, b = weight_window(fam, p, spec)
-    fP = ctx.poly_fn(P)
-    fQ = ctx.poly_fn(Q)
+    # not ctx.poly_fn: quadrature nodes are never revisited, so a per-point
+    # memo would only hold every node's values until the forms return
+    fP = lambda w: P.eval(fam.eta(w))
+    fQ = lambda w: Q.eval(fam.eta(w))
 
     def h_applied(f, x):
         # nodes exponentially close to an interval end can sit inside the

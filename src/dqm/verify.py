@@ -17,10 +17,10 @@ from .families import (
     FamilyId,
     ParamSet,
     aw_to_wilson_scaled,
-    eval_poly_recurrence,
+    eval_polys_recurrence,
     get_family,
 )
-from .operators import OperatorContext, ladder_action, rodrigues_polynomial, sample_points
+from .operators import OperatorContext, ladder_action, memo, rodrigues_polynomial, sample_points
 from .polynomials import monomial
 from .quadrature import QuadratureSpec, hermiticity_forms, orthogonality_matrix
 from .specfun import basic_hypergeometric_phi, hypergeometric_F, q_pochhammer_inf
@@ -97,6 +97,15 @@ class CoherentStateEval:
     tail_estimate: float
 
 
+def _worst(worst: float, residual: float) -> float:
+    """max(worst, residual), except that a NaN on either side wins.
+
+    max() drops a NaN residual (max(0.0, nan) is 0.0), which would let a
+    check pass on a value that is not a number.
+    """
+    return residual if residual > worst or residual != residual else worst
+
+
 def _rel(diff: float, scale: float) -> float:
     return diff / (1.0 + scale)
 
@@ -114,13 +123,12 @@ def check_eigen(family, p: ParamSet, config: VerifyConfig = VerifyConfig()):
     xs = sample_points(fam, p, config.samples, config.seed)
     tol = _tol(config, 1e-9)
     worst = 0.0
-    for n in range(config.n_max + 1):
-        poly = eval_poly_recurrence(fam, p, n)
+    for n, poly in enumerate(eval_polys_recurrence(fam, p, config.n_max)):
         f = ctx.poly_fn(poly)
         e_n = ctx.energy(n)
         for x in xs:
             target = e_n * poly.eval(ctx.eta(x))
-            worst = max(worst, _rel(abs(ctx.H_tilde(f, x) - target), abs(target)))
+            worst = _worst(worst, _rel(abs(ctx.H_tilde(f, x) - target), abs(target)))
     results = [
         CheckResult.build(
             "eigen.eigenvalue_equation", fam, p, (0, config.n_max), worst, tol,
@@ -143,7 +151,7 @@ def check_eigen(family, p: ParamSet, config: VerifyConfig = VerifyConfig()):
         vander = np.vander(etas, n, increasing=True)
         coef, *_ = np.linalg.lstsq(vander, rem, rcond=None)
         resid = float(np.max(np.abs(vander @ coef - rem)))
-        worst_tri = max(worst_tri, _rel(resid, scale))
+        worst_tri = _worst(worst_tri, _rel(resid, scale))
     results.append(
         CheckResult.build(
             "eigen.lower_triangularity", fam, p, (1, config.n_max), worst_tri,
@@ -176,11 +184,11 @@ def check_shape_invariance(family, p: ParamSet, x_samples=None,
         lhs1 = v_m * np.conj(v_p)
         rhs1 = kappa**2 * ctx_s.V(x) * np.conj(ctx_s.V(x + 1j * g))
         scale1 = abs(lhs1) + abs(rhs1)
-        worst = max(worst, _rel(abs(lhs1 - rhs1), scale1))
+        worst = _worst(worst, _rel(abs(lhs1 - rhs1), scale1))
         lhs2 = 2.0 * complex(v_p).real
         rhs2 = kappa * 2.0 * complex(ctx_s.V(x)).real - e1
         scale2 = abs(lhs2) + abs(rhs2)
-        worst = max(worst, _rel(abs(lhs2 - rhs2), scale2))
+        worst = _worst(worst, _rel(abs(lhs2 - rhs2), scale2))
     results = [
         CheckResult.build(
             "shape_invariance.potential_identities", fam, p, (0, 1), worst,
@@ -199,10 +207,10 @@ def check_shape_invariance(family, p: ParamSet, x_samples=None,
             * ctx.phi_aux(x - 0.5j * g) ** 2
             * fam.weight_square(p, x)
         )
-        worst_gs = max(worst_gs, _rel(abs(lhs - rhs), abs(lhs) + abs(rhs)))
+        worst_gs = _worst(worst_gs, _rel(abs(lhs - rhs), abs(lhs) + abs(rhs)))
         # the continuation agrees with the modulus form on the real axis
         direct = fam.phi0(p, x) ** 2
-        worst_gs = max(
+        worst_gs = _worst(
             worst_gs,
             _rel(abs(fam.weight_square(p, x) - direct), abs(direct)),
         )
@@ -220,7 +228,7 @@ def check_shape_invariance(family, p: ParamSet, x_samples=None,
         for s in range(n):
             total += kappa**s * fam.energy(pp, 1)
             pp = fam.shifted(pp)
-        worst_sg = max(worst_sg, _rel(abs(total - fam.energy(p, n)),
+        worst_sg = _worst(worst_sg, _rel(abs(total - fam.energy(p, n)),
                                       abs(fam.energy(p, n))))
     results.append(
         CheckResult.build(
@@ -243,11 +251,10 @@ def check_closure(family, p: ParamSet, config: VerifyConfig = VerifyConfig()):
     tol = _tol(config, 1e-9)
 
     worst_dc = 0.0
-    for n in range(config.n_max + 1):
-        poly = eval_poly_recurrence(fam, p, n)
+    for n, poly in enumerate(eval_polys_recurrence(fam, p, config.n_max)):
         f = ctx.poly_fn(poly)
         e_n = ctx.energy(n)
-        comm = lambda w: ctx.comm_H_eta(f, w)
+        comm = memo(lambda w: ctx.comm_H_eta(f, w))
         for x in xs:
             lhs = ctx.H_tilde(comm, x) - e_n * comm(x)
             rhs = (
@@ -255,7 +262,7 @@ def check_closure(family, p: ParamSet, config: VerifyConfig = VerifyConfig()):
                 + comm(x) * cp.R1(e_n)
                 + cp.Rm1(e_n) * f(x)
             )
-            worst_dc = max(worst_dc, _rel(abs(lhs - rhs), abs(lhs) + abs(rhs)))
+            worst_dc = _worst(worst_dc, _rel(abs(lhs - rhs), abs(lhs) + abs(rhs)))
     results = [
         CheckResult.build(
             "closure.double_commutator", fam, p, (0, config.n_max), worst_dc,
@@ -284,10 +291,10 @@ def check_closure(family, p: ParamSet, config: VerifyConfig = VerifyConfig()):
         # condition 1 and its mirror
         lhs = eta_mm - 2 * eta_m + eta0
         rhs = r0_2 * eta0 + rm1_2 + r1_1 * (eta_m - eta0)
-        worst_cond = max(worst_cond, _rel(abs(lhs - rhs), abs(lhs) + abs(rhs)))
+        worst_cond = _worst(worst_cond, _rel(abs(lhs - rhs), abs(lhs) + abs(rhs)))
         lhs = eta_pp - 2 * eta_p + eta0
         rhs = r0_2 * eta0 + rm1_2 + r1_1 * (eta_p - eta0)
-        worst_cond = max(worst_cond, _rel(abs(lhs - rhs), abs(lhs) + abs(rhs)))
+        worst_cond = _worst(worst_cond, _rel(abs(lhs - rhs), abs(lhs) + abs(rhs)))
 
         # condition 2 and its mirror
         lhs = (eta_m - eta0) * (Vm + Vps - V0 - V0s)
@@ -298,7 +305,7 @@ def check_closure(family, p: ParamSet, config: VerifyConfig = VerifyConfig()):
             + rm1_1
             + r1_0 * (eta_m - eta0)
         )
-        worst_cond = max(worst_cond, _rel(abs(lhs - rhs), abs(lhs) + abs(rhs)))
+        worst_cond = _worst(worst_cond, _rel(abs(lhs - rhs), abs(lhs) + abs(rhs)))
         lhs = (eta_p - eta0) * (Vms + Vp - V0s - V0)
         rhs = (
             -(r0_2 * eta0 + rm1_2) * (Vms + Vp + V0s + V0)
@@ -307,7 +314,7 @@ def check_closure(family, p: ParamSet, config: VerifyConfig = VerifyConfig()):
             + rm1_1
             + r1_0 * (eta_p - eta0)
         )
-        worst_cond = max(worst_cond, _rel(abs(lhs - rhs), abs(lhs) + abs(rhs)))
+        worst_cond = _worst(worst_cond, _rel(abs(lhs - rhs), abs(lhs) + abs(rhs)))
 
         # condition 3
         lhs = (
@@ -323,7 +330,7 @@ def check_closure(family, p: ParamSet, config: VerifyConfig = VerifyConfig()):
             + r0_0 * eta0
             + rm1_0
         )
-        worst_cond = max(worst_cond, _rel(abs(lhs - rhs), abs(lhs) + abs(rhs)))
+        worst_cond = _worst(worst_cond, _rel(abs(lhs - rhs), abs(lhs) + abs(rhs)))
     results.append(
         CheckResult.build(
             "closure.expanded_conditions", fam, p, (0, 0), worst_cond, tol,
@@ -338,7 +345,7 @@ def check_closure(family, p: ParamSet, config: VerifyConfig = VerifyConfig()):
             - (2.0 + r1_1) * ctx.eta(x)
             + ctx.eta(x + 1j * g)
         )
-        worst_cc = max(worst_cc, abs(lhs - rm1_2))
+        worst_cc = _worst(worst_cc, abs(lhs - rm1_2))
     results.append(
         CheckResult.build(
             "closure.coordinate_condition", fam, p, (0, 0), worst_cc,
@@ -369,14 +376,13 @@ def check_dual_closure(family, p: ParamSet, config: VerifyConfig = VerifyConfig(
         )
 
     worst = 0.0
-    for n in range(config.n_max + 1):
-        poly = eval_poly_recurrence(fam, p, n)
+    for poly in eval_polys_recurrence(fam, p, config.n_max):
         f = ctx.poly_fn(poly)
-        eta_f = lambda w: ctx.eta(w) * f(w)
-        eta2_f = lambda w: ctx.eta(w) ** 2 * f(w)
-        r0_f = lambda w: r0_dual(w) * f(w)
-        r1_f = lambda w: r1_dual(w) * f(w)
-        eta_r1_f = lambda w: ctx.eta(w) * r1_dual(w) * f(w)
+        eta_f = memo(lambda w: ctx.eta(w) * f(w))
+        eta2_f = memo(lambda w: ctx.eta(w) ** 2 * f(w))
+        r0_f = memo(lambda w: r0_dual(w) * f(w))
+        r1_f = memo(lambda w: r1_dual(w) * f(w))
+        eta_r1_f = memo(lambda w: ctx.eta(w) * r1_dual(w) * f(w))
         for x in xs:
             eta0 = ctx.eta(x)
             rm1d = 2.0 * complex(ctx.V(x)).real * r0_dual(x)
@@ -391,7 +397,7 @@ def check_dual_closure(family, p: ParamSet, config: VerifyConfig = VerifyConfig(
                 - ctx.H_tilde(eta_r1_f, x)
                 + rm1d * f(x)
             )
-            worst = max(worst, _rel(abs(lhs - rhs), abs(lhs) + abs(rhs)))
+            worst = _worst(worst, _rel(abs(lhs - rhs), abs(lhs) + abs(rhs)))
     return [
         CheckResult.build(
             "dual_closure.double_commutator", fam, p, (0, config.n_max),
@@ -415,8 +421,8 @@ def check_shifts(family, p: ParamSet, config: VerifyConfig = VerifyConfig()):
     n_max = min(config.n_max, 8)
     tol = _tol(config, 1e-9)
 
-    polys = [eval_poly_recurrence(fam, p, n) for n in range(n_max + 2)]
-    polys_s = [eval_poly_recurrence(fam, p_s, n) for n in range(n_max + 2)]
+    polys = eval_polys_recurrence(fam, p, n_max + 1)
+    polys_s = eval_polys_recurrence(fam, p_s, n_max + 1)
 
     worst_f = 0.0
     worst_b = 0.0
@@ -431,17 +437,17 @@ def check_shifts(family, p: ParamSet, config: VerifyConfig = VerifyConfig()):
             if n >= 1:
                 target = f_n * polys_s[n - 1].eval(ctx.eta(x))
                 got = ctx.forward(f_lam, x)
-                worst_f = max(worst_f, _rel(abs(got - target), abs(target)))
+                worst_f = _worst(worst_f, _rel(abs(got - target), abs(target)))
             else:
-                worst_f = max(worst_f, abs(ctx.forward(f_lam, x)))
+                worst_f = _worst(worst_f, abs(ctx.forward(f_lam, x)))
             target = b_n * polys[n + 1].eval(ctx.eta(x))
             got = ctx.backward(f_lam_s, x)
-            worst_b = max(worst_b, _rel(abs(got - target), abs(target)))
+            worst_b = _worst(worst_b, _rel(abs(got - target), abs(target)))
             # F(lambda) B(lambda) on (lambda+delta)-data
-            b_out = lambda w: ctx.backward(f_lam_s, w)
+            b_out = memo(lambda w: ctx.backward(f_lam_s, w))
             got = ctx.forward(b_out, x)
             target = fac_scalar * polys_s[n].eval(ctx.eta(x))
-            worst_fac = max(worst_fac, _rel(abs(got - target), abs(target)))
+            worst_fac = _worst(worst_fac, _rel(abs(got - target), abs(target)))
     results = [
         CheckResult.build("shifts.forward_action", fam, p, (0, n_max),
                           worst_f, tol, len(xs)),
@@ -454,7 +460,7 @@ def check_shifts(family, p: ParamSet, config: VerifyConfig = VerifyConfig()):
     worst_e = 0.0
     for n in range(1, n_max + 1):
         lhs = fam.f_shift(p, n) * fam.b_shift(p, n - 1)
-        worst_e = max(worst_e, _rel(abs(lhs - fam.energy(p, n)),
+        worst_e = _worst(worst_e, _rel(abs(lhs - fam.energy(p, n)),
                                     abs(fam.energy(p, n))))
     results.append(
         CheckResult.build("shifts.energy_factorization", fam, p, (1, n_max),
@@ -466,7 +472,7 @@ def check_shifts(family, p: ParamSet, config: VerifyConfig = VerifyConfig()):
         chain = rodrigues_polynomial(fam, p, n)
         for x in xs[: max(4, len(xs) // 4)]:
             target = polys[n].eval(ctx.eta(x))
-            worst_r = max(worst_r, _rel(abs(chain(x) - target), abs(target)))
+            worst_r = _worst(worst_r, _rel(abs(chain(x) - target), abs(target)))
     results.append(
         CheckResult.build("shifts.rodrigues_chain", fam, p, (0, n_max),
                           worst_r, tol, max(4, len(xs) // 4))
@@ -488,7 +494,7 @@ def check_shifts(family, p: ParamSet, config: VerifyConfig = VerifyConfig()):
                     target = 0.5 * polys_s[n].eval(ctx.eta(x))
                 else:
                     target = polys_s[n].eval(ctx.eta(x))
-                worst_x = max(worst_x, _rel(abs(got - target), abs(target)))
+                worst_x = _worst(worst_x, _rel(abs(got - target), abs(target)))
                 got = lambda_shift_X(fam, p, "Xdag", n, polys_s[n], x)
                 if mp_at_half_pi:
                     a = p.a[0].real
@@ -499,7 +505,7 @@ def check_shifts(family, p: ParamSet, config: VerifyConfig = VerifyConfig()):
                         for j in range(i + 1, 3):
                             factor *= n + p.a[i] + p.a[j]
                     target = factor.real * polys[n].eval(ctx.eta(x))
-                worst_x = max(worst_x, _rel(abs(got - target), abs(target)))
+                worst_x = _worst(worst_x, _rel(abs(got - target), abs(target)))
         results.append(
             CheckResult.build("shifts.lambda_shift_x", fam, p, (0, n_x),
                               worst_x, tol, 8)
@@ -517,37 +523,39 @@ def check_ladder(family, p: ParamSet, config: VerifyConfig = VerifyConfig()):
     xs = sample_points(fam, p, config.samples, config.seed)
     n_max = config.n_max
     tol = _tol(config, 1e-10)
-    polys = [eval_poly_recurrence(fam, p, n) for n in range(n_max + 2)]
+    # one memoised operand per level, shared by every block below, so each
+    # P_n is evaluated once per point
+    fs = [ctx.poly_fn(P) for P in eval_polys_recurrence(fam, p, n_max + 1)]
 
     worst_act = 0.0
     worst_comm = 0.0
     worst_pair = 0.0
     for n in range(n_max + 1):
-        f = ctx.poly_fn(polys[n])
+        f = fs[n]
         bundle = fam.coefficients(p, n)
-        up = lambda w: ladder_action(ctx, "+", n, f, w)
-        dn = lambda w: ladder_action(ctx, "-", n, f, w)
+        up = memo(lambda w: ladder_action(ctx, "+", n, f, w))
+        dn = memo(lambda w: ladder_action(ctx, "-", n, f, w))
         e_up = ctx.energy(n + 1)
         e_dn = ctx.energy(n - 1)
         b_next = complex(fam.b_rec(p, n + 1)).real
         b_this = complex(fam.b_rec(p, n)).real
         for x in xs:
-            target = bundle.A_n * polys[n + 1].eval(ctx.eta(x))
-            worst_act = max(worst_act, _rel(abs(up(x) - target), abs(target)))
+            target = bundle.A_n * fs[n + 1](x)
+            worst_act = _worst(worst_act, _rel(abs(up(x) - target), abs(target)))
             if n >= 1:
-                target = bundle.C_n * polys[n - 1].eval(ctx.eta(x))
-                worst_act = max(worst_act, _rel(abs(dn(x) - target), abs(target)))
+                target = bundle.C_n * fs[n - 1](x)
+                worst_act = _worst(worst_act, _rel(abs(dn(x) - target), abs(target)))
             else:
-                worst_act = max(worst_act, abs(dn(x)))
+                worst_act = _worst(worst_act, abs(dn(x)))
             # [H, a^(pm)] phi_n = (E_{n pm 1} - E_n) a^(pm) phi_n, i.e. the
             # ladder output is an eigenfunction at the neighbouring level
             got = ctx.H_tilde(up, x)
             target = e_up * up(x)
-            worst_comm = max(worst_comm, _rel(abs(got - target), abs(target)))
+            worst_comm = _worst(worst_comm, _rel(abs(got - target), abs(target)))
             if n >= 1:
                 got = ctx.H_tilde(dn, x)
                 target = e_dn * dn(x)
-                worst_comm = max(worst_comm, _rel(abs(got - target), abs(target)))
+                worst_comm = _worst(worst_comm, _rel(abs(got - target), abs(target)))
             # [a-, a+] phi_n = (b_{n+1} - b_n) phi_n
             a_minus_a_plus = ladder_action(ctx, "-", n + 1, up, x)
             a_plus_a_minus = (
@@ -555,7 +563,7 @@ def check_ladder(family, p: ParamSet, config: VerifyConfig = VerifyConfig()):
             )
             got = a_minus_a_plus - a_plus_a_minus
             target = (b_next - b_this) * f(x)
-            worst_pair = max(worst_pair, _rel(abs(got - target), abs(target)))
+            worst_pair = _worst(worst_pair, _rel(abs(got - target), abs(target)))
     results = [
         CheckResult.build("ladder.level_actions", fam, p, (0, n_max),
                           worst_act, tol, len(xs)),
@@ -576,14 +584,14 @@ def check_ladder(family, p: ParamSet, config: VerifyConfig = VerifyConfig()):
     ):
         worst_def = 0.0
         for n in range(n_max + 1):
-            f = ctx.poly_fn(polys[n])
+            f = fs[n]
             e_n = ctx.energy(n)
             for sign, defq in (("+", 1.0 / q), ("-", q)):
-                lad = lambda w: ladder_action(ctx, sign, n, f, w)
+                lad = memo(lambda w: ladder_action(ctx, sign, n, f, w))
                 for x in xs[:10]:
                     got = ctx.H_tilde(lad, x) - defq * e_n * lad(x)
                     target = (defq - 1.0) * lad(x)
-                    worst_def = max(
+                    worst_def = _worst(
                         worst_def, _rel(abs(got - target), abs(target))
                     )
         results.append(
@@ -595,39 +603,39 @@ def check_ladder(family, p: ParamSet, config: VerifyConfig = VerifyConfig()):
     if fam.spec.name in ("continuous-big-q-hermite", "continuous-q-hermite"):
         worst_osc = 0.0
         for n in range(n_max + 1):
-            f = ctx.poly_fn(polys[n])
-            up = lambda w: ladder_action(ctx, "+", n, f, w)
-            dn = lambda w: ladder_action(ctx, "-", n, f, w)
+            f = fs[n]
+            up = memo(lambda w: ladder_action(ctx, "+", n, f, w))
+            dn = memo(lambda w: ladder_action(ctx, "-", n, f, w))
             for x in xs[:10]:
                 ama = ladder_action(ctx, "-", n + 1, up, x)
                 apa = ladder_action(ctx, "+", n - 1, dn, x) if n >= 1 else 0j
                 got = ama - q * apa
                 target = 0.25 * (1.0 - q) * f(x)
-                worst_osc = max(worst_osc, _rel(abs(got - target), abs(target)))
+                worst_osc = _worst(worst_osc, _rel(abs(got - target), abs(target)))
         results.append(
             CheckResult.build("ladder.q_oscillator_pair", fam, p, (0, n_max),
                               worst_osc, tol, 10)
         )
 
     if fam.spec.name == "continuous-q-hermite":
-        results.extend(_qhermite_special(fam, p, ctx, polys, xs, n_max, tol))
+        results.extend(_qhermite_special(fam, p, ctx, fs, xs, n_max, tol))
     return results
 
 
-def _qhermite_special(fam, p, ctx, polys, xs, n_max, tol):
+def _qhermite_special(fam, p, ctx, fs, xs, n_max, tol):
     """Shape-invariance q-oscillator and the explicit level-diagonal
     operator special to continuous q-Hermite."""
     q = p.q
     worst = 0.0
     for n in range(n_max + 1):
-        f = ctx.poly_fn(polys[n])
+        f = fs[n]
         # A A^dag - q^{-1} A^dag A = q^{-1} - 1 transcribed to F/B level
-        fb = lambda w: ctx.forward(lambda u: ctx.backward(f, u), w)
-        bf = lambda w: ctx.backward(lambda u: ctx.forward(f, u), w)
+        fb = memo(lambda w: ctx.forward(lambda u: ctx.backward(f, u), w))
+        bf = memo(lambda w: ctx.backward(lambda u: ctx.forward(f, u), w))
         for x in xs[:10]:
             got = fb(x) - bf(x) / q
             target = (1.0 / q - 1.0) * f(x)
-            worst = max(worst, _rel(abs(got - target), abs(target)))
+            worst = _worst(worst, _rel(abs(got - target), abs(target)))
     results = [
         CheckResult.build("ladder.shape_invariance_q_oscillator", fam, p,
                           (0, n_max), worst, tol, 10)
@@ -646,18 +654,18 @@ def _qhermite_special(fam, p, ctx, polys, xs, n_max, tol):
 
     worst_x = 0.0
     for n in range(n_max + 1):
-        f = ctx.poly_fn(polys[n])
+        f = fs[n]
         for x in xs[:10]:
             got = x_tilde(n, f, x)
             target = 0.5 * q ** (0.5 * (n + 1)) * f(x)
-            worst_x = max(worst_x, _rel(abs(got - target), abs(target)))
+            worst_x = _worst(worst_x, _rel(abs(got - target), abs(target)))
             # (2 q^{-1/2} X (H+1))^2 = H + 1 on level-n data
             m1 = lambda w: 2.0 * q ** (-0.5) * x_tilde(n, f, w) * (
                 ctx.energy(n) + 1.0
             )
             got = 2.0 * q ** (-0.5) * x_tilde(n, m1, x) * (ctx.energy(n) + 1.0)
             target = (ctx.energy(n) + 1.0) * f(x)
-            worst_x = max(worst_x, _rel(abs(got - target), abs(target)))
+            worst_x = _worst(worst_x, _rel(abs(got - target), abs(target)))
     results.append(
         CheckResult.build("ladder.level_diagonal_operator", fam, p,
                           (0, n_max), worst_x, tol, 10)
@@ -712,7 +720,7 @@ def check_coherent(family, p: ParamSet, alpha=None, x_samples=None, N=None,
         # tail terms beyond degree 30 carry coefficients ~1e-14 of the sum,
         # so their reduced pointwise accuracy cannot surface in the result
         _warnings.simplefilter("ignore", ConditioningWarning)
-        polys = [eval_poly_recurrence(fam, p, n) for n in range(cap + 1)]
+        polys = eval_polys_recurrence(fam, p, cap)
 
     def partial_sum_terms(x):
         eta = ctx.eta(x)
@@ -758,9 +766,9 @@ def check_coherent(family, p: ParamSet, alpha=None, x_samples=None, N=None,
         target = alpha * s
         if target == 0:
             # alpha = 0: the state is the ground state and must be killed
-            worst_ann = max(worst_ann, abs(lowered))
+            worst_ann = _worst(worst_ann, abs(lowered))
         else:
-            worst_ann = max(worst_ann, abs(lowered - target) / abs(target))
+            worst_ann = _worst(worst_ann, abs(lowered - target) / abs(target))
 
     closed0 = None
     worst_closed = None
@@ -773,7 +781,7 @@ def check_coherent(family, p: ParamSet, alpha=None, x_samples=None, N=None,
             cval = closed_fn(x)
             if closed0 is None:
                 closed0 = cval
-            worst_closed = max(worst_closed, abs(s - cval) / (1.0 + abs(cval)))
+            worst_closed = _worst(worst_closed, abs(s - cval) / (1.0 + abs(cval)))
 
     return CoherentStateEval(
         alpha=alpha,
@@ -874,10 +882,12 @@ def check_orthogonality(family, p: ParamSet, config: VerifyConfig = VerifyConfig
     fam = get_family(family)
     n_max = min(config.n_max, 6)
     m = orthogonality_matrix(fam, p, n_max, QuadratureSpec())
-    worst_diag = max(
-        abs(m.entries[n, n] - m.expected_diag[n]) / m.expected_diag[n]
-        for n in range(n_max + 1)
-    )
+    worst_diag = 0.0
+    for n in range(n_max + 1):
+        worst_diag = _worst(
+            worst_diag,
+            abs(m.entries[n, n] - m.expected_diag[n]) / m.expected_diag[n],
+        )
     return [
         CheckResult.build("orthogonality.diagonal_norms", fam, p, (0, n_max),
                           worst_diag, _tol(config, 1e-5), (n_max + 1) ** 2),
@@ -893,10 +903,8 @@ def check_hermiticity(family, p: ParamSet, config: VerifyConfig = VerifyConfig()
     # asymmetry is not swamped by cancellation inside each integral
     h0 = fam.h0(p)
     polys = [
-        eval_poly_recurrence(fam, p, n).scaled(
-            math.sqrt(fam.h0_over_hn(p, n) / h0)
-        )
-        for n in range(5)
+        poly.scaled(math.sqrt(fam.h0_over_hn(p, n) / h0))
+        for n, poly in enumerate(eval_polys_recurrence(fam, p, 4))
     ]
     pairs = [
         (polys[0], polys[0]),
@@ -908,7 +916,7 @@ def check_hermiticity(family, p: ParamSet, config: VerifyConfig = VerifyConfig()
     worst = 0.0
     for P, Q in pairs:
         lhs, rhs = hermiticity_forms(fam, p, P, Q)
-        worst = max(worst, abs(lhs - rhs) / (1.0 + abs(lhs)))
+        worst = _worst(worst, abs(lhs - rhs) / (1.0 + abs(lhs)))
     return [
         CheckResult.build("hermiticity.symmetric_form", fam, p, (0, 4),
                           worst, _tol(config, 1e-6), len(pairs)),
@@ -965,7 +973,7 @@ def check_limit_aw_wilson(wilson_params: ParamSet, L_sequence=(20.0, 40.0, 80.0)
         devs = [abs(v[key][0] - v[key][1]) / (1.0 + abs(v[key][1]))
                 for v in values]
         for cur, nxt in zip(devs, devs[1:]):
-            monotone_worst = max(
+            monotone_worst = _worst(
                 monotone_worst, nxt / cur if cur > 0 else math.inf
             )
         got_last, target = values[-1][key]
@@ -974,7 +982,7 @@ def check_limit_aw_wilson(wilson_params: ParamSet, L_sequence=(20.0, 40.0, 80.0)
         extrapolated = got_last + (got_last - got_prev) * l_prev / (
             l_last - l_prev
         )
-        extrap_worst = max(
+        extrap_worst = _worst(
             extrap_worst, abs(extrapolated - target) / (1.0 + abs(target))
         )
     return [
@@ -999,7 +1007,7 @@ def check_number_operator(family, p: ParamSet, n_range=range(0, 11),
     for n in n_range:
         e_n = fam.energy(p, n)
         got = fam.level_from_energy(p, e_n)
-        worst = max(worst, abs(got - n) / (1.0 + n))
+        worst = _worst(worst, abs(got - n) / (1.0 + n))
     return CheckResult.build(
         "number_operator.inversion", fam, p,
         (min(n_range), max(n_range)), worst, _tol(config, 1e-10),

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import json
 import math
+from importlib import resources
 
+import jsonschema
 import pytest
 
-from dqm.cli import main
+from dqm.cli import main, validate_report
 
 
 def run_cli(capsys, *argv):
@@ -194,3 +196,15 @@ def test_complex_literal_parsing():
     assert parse_complex("1.2-0.2i") == 1.2 - 0.2j
     assert parse_complex("-0.55") == -0.55
     assert parse_complex("0.3+0.5j") == 0.3 + 0.5j
+
+
+def test_report_schema_is_valid_and_enforced():
+    # validate_report skips the meta-schema check, so it is made here once
+    schema = json.loads(
+        resources.files("dqm.data").joinpath("report_schema.json").read_text(
+            encoding="utf-8"
+        )
+    )
+    jsonschema.validators.validator_for(schema).check_schema(schema)
+    with pytest.raises(jsonschema.ValidationError):
+        validate_report({"version": 1, "config": {}})

@@ -20,6 +20,7 @@ from dqm.families import (
     energy,
     eval_poly_hypergeometric,
     eval_poly_recurrence,
+    eval_polys_recurrence,
     get_family,
     ground_state,
     potential,
@@ -288,6 +289,14 @@ def test_recurrence_leading_coefficient(family, name):
         poly = eval_poly_recurrence(family, p, n)
         assert poly.degree == n
         assert abs(poly.leading() - fam.c_n(p, n)) <= 1e-12 * abs(fam.c_n(p, n))
+
+@pytest.mark.parametrize("family", [FAMILIES[fid].spec.name for fid in ALL_IDS])
+def test_one_ascent_equals_per_level_ascents(family):
+    p = fixture_params(family, "default")
+    polys = eval_polys_recurrence(family, p, 30)
+    assert [poly.level for poly in polys] == list(range(31))
+    for n, poly in enumerate(polys):
+        assert poly.coeffs == eval_poly_recurrence(family, p, n).coeffs
 
 @pytest.mark.parametrize("family,name", all_fixtures())
 def test_dual_path_equivalence(family, name):

@@ -9,6 +9,7 @@ import pytest
 
 from dqm.families import FAMILIES, FamilyId, ParamSet, get_family
 from dqm.fixtures import fixture_params
+from dqm.polynomials import EtaPolynomial
 from dqm.verify import (
     SUITES,
     CheckResult,
@@ -297,3 +298,37 @@ def test_weight_square_continues_phi0():
             direct = fam.phi0(p, x) ** 2
             assert abs(w2 - direct) <= 1e-12 * (1 + abs(direct))
             assert abs(complex(w2).imag) <= 1e-12 * (1 + abs(direct))
+
+
+def test_nan_residual_fails_its_check(monkeypatch):
+    # max(worst, nan) returns worst; the residual fold must keep the NaN
+    fam = get_family("continuous-q-hermite")
+    p = fixture_params("continuous-q-hermite")
+    exact = type(fam).level_from_energy
+
+    def nan_at_level_five(self, params, e_n):
+        n = exact(self, params, e_n)
+        return math.nan if round(n) == 5 else n
+
+    monkeypatch.setattr(type(fam), "level_from_energy", nan_at_level_five)
+    r = check_number_operator(fam, p)
+    assert math.isnan(r.max_residual)
+    assert not r.passed
+
+
+def test_ladder_evaluates_each_polynomial_once_per_point(monkeypatch):
+    calls = []
+    plain_eval = EtaPolynomial.eval
+
+    def counting_eval(self, eta):
+        calls.append((self.coeffs, complex(eta)))
+        return plain_eval(self, eta)
+
+    monkeypatch.setattr(EtaPolynomial, "eval", counting_eval)
+    # q-Hermite runs every block of the ladder suite
+    results = run_suite("ladder", "continuous-q-hermite",
+                        fixture_params("continuous-q-hermite"),
+                        VerifyConfig(seed=54))
+    assert len(results) == 7
+    assert calls
+    assert len(calls) <= len(set(calls))
