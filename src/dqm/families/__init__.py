@@ -23,15 +23,7 @@ from .base import (
 from .limits import aw_to_wilson_scaled
 from .linear import ContinuousHahn, MeixnerPollaczek
 from .quadratic import ContinuousDualHahn, Wilson
-from .trig import (
-    AlSalamChihara,
-    AskeyWilson,
-    ContinuousBigQHermite,
-    ContinuousDualQHahn,
-    ContinuousQHermite,
-    ContinuousQJacobi,
-    ContinuousQLaguerre,
-)
+from .trig import RESTRICTIONS, AskeyWilson
 
 __all__ = [
     "FamilyId",
@@ -65,13 +57,7 @@ FAMILIES: dict[FamilyId, Family] = {
         MeixnerPollaczek(),
         Wilson(),
         ContinuousDualHahn(),
-        AskeyWilson(),
-        ContinuousDualQHahn(),
-        AlSalamChihara(),
-        ContinuousBigQHermite(),
-        ContinuousQHermite(),
-        ContinuousQJacobi(),
-        ContinuousQLaguerre(),
+        *(AskeyWilson(row) for row in RESTRICTIONS),
     )
 }
 

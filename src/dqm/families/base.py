@@ -10,6 +10,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -22,6 +23,7 @@ __all__ = [
     "ValidationError",
     "SingularityError",
     "Family",
+    "elementary_symmetric",
     "qpoch_inf_vec",
 ]
 
@@ -31,7 +33,8 @@ class ValidationError(ValueError):
 
 
 class SingularityError(ZeroDivisionError):
-    """Evaluation requested at (or too close to) a potential singularity."""
+    """Evaluation requested at (or too close to) a pole of the potential or
+    a zero of the auxiliary factor phi."""
 
 
 class FamilyId(enum.Enum):
@@ -142,6 +145,19 @@ class ClosurePolys:
 
     def Rm1(self, y):
         return (self.rm1[0] * y + self.rm1[1]) * y + self.rm1[2]
+
+
+# --------------------------------------------------------- parameter algebra
+
+def elementary_symmetric(values, k):
+    """Elementary symmetric polynomial of order k."""
+    out = complex(0.0)
+    for combo in combinations(values, k):
+        term = complex(1.0)
+        for v in combo:
+            term *= v
+        out += term
+    return out
 
 
 # ------------------------------------------------------------ q-product help

@@ -18,21 +18,11 @@ from .base import (
     ParamSet,
     SingularityError,
     conjugate_closed,
+    elementary_symmetric,
     require,
 )
 
 __all__ = ["Wilson", "ContinuousDualHahn"]
-
-
-def _sym(values, k):
-    """Elementary symmetric polynomial of order k."""
-    out = complex(0.0)
-    for combo in combinations(values, k):
-        term = complex(1.0)
-        for v in combo:
-            term *= v
-        out += term
-    return out
 
 
 class _GammaRatioFamily(Family):
@@ -96,17 +86,14 @@ class Wilson(_GammaRatioFamily):
         param_names=("a1", "a2", "a3", "a4"),
     )
 
-    def _b(self, p: ParamSet, k: int) -> complex:
-        return _sym(p.a, k)
-
     def energy(self, p: ParamSet, n: int) -> float:
-        b1 = self._b(p, 1).real
+        b1 = elementary_symmetric(p.a, 1).real
         return n * (n + b1 - 1.0)
 
     def closure(self, p: ParamSet) -> ClosurePolys:
-        b1 = self._b(p, 1).real
-        b2 = self._b(p, 2).real
-        b3 = self._b(p, 3).real
+        b1 = elementary_symmetric(p.a, 1).real
+        b2 = elementary_symmetric(p.a, 2).real
+        b3 = elementary_symmetric(p.a, 3).real
         return ClosurePolys(
             r1=(0.0, 2.0),
             r0=(0.0, 4.0, b1 * (b1 - 2.0)),
@@ -114,12 +101,12 @@ class Wilson(_GammaRatioFamily):
         )
 
     def c_n(self, p: ParamSet, n: int):
-        b1 = self._b(p, 1).real
+        b1 = elementary_symmetric(p.a, 1).real
         return (-1.0) ** n * pochhammer(n + b1 - 1.0, n).real
 
     def a_rec(self, p: ParamSet, n: int):
         a1, a2, a3, a4 = p.a
-        b1 = self._b(p, 1)
+        b1 = elementary_symmetric(p.a, 1)
         t1 = complex(n + b1 - 1)
         for aj in (a2, a3, a4):
             t1 *= n + a1 + aj
@@ -133,7 +120,7 @@ class Wilson(_GammaRatioFamily):
     def b_rec(self, p: ParamSet, n: int):
         if n == 0:
             return 0.0  # multiplies P_{-1}; avoids 0/0 when b1 = 3
-        b1 = self._b(p, 1)
+        b1 = elementary_symmetric(p.a, 1)
         prod = complex(1.0)
         for aj, ak in combinations(p.a, 2):
             prod *= n + aj + ak - 1
@@ -143,21 +130,21 @@ class Wilson(_GammaRatioFamily):
         )
 
     def f_shift(self, p: ParamSet, n: int):
-        b1 = self._b(p, 1).real
+        b1 = elementary_symmetric(p.a, 1).real
         return -n * (n + b1 - 1.0)
 
     def b_shift(self, p: ParamSet, n: int):
         return -1.0
 
     def h0(self, p: ParamSet) -> float:
-        b1 = self._b(p, 1)
+        b1 = elementary_symmetric(p.a, 1)
         prod = complex(1.0)
         for aj, ak in combinations(p.a, 2):
             prod *= complex_gamma(aj + ak)
         return (2.0 * math.pi * prod / complex_gamma(b1)).real
 
     def h0_over_hn(self, p: ParamSet, n: int) -> float:
-        b1 = self._b(p, 1)
+        b1 = elementary_symmetric(p.a, 1)
         prod = complex(1.0)
         for aj, ak in combinations(p.a, 2):
             prod *= pochhammer(aj + ak, n)
@@ -170,14 +157,14 @@ class Wilson(_GammaRatioFamily):
         return complex(val).real
 
     def level_from_energy(self, p: ParamSet, energy: float) -> float:
-        b1 = self._b(p, 1).real
+        b1 = elementary_symmetric(p.a, 1).real
         if not b1 > 1.0:
             raise ValueError(f"number-operator inversion needs b1 > 1, got {b1}")
         return math.sqrt(energy + 0.25 * (b1 - 1.0) ** 2) - 0.5 * (b1 - 1.0)
 
     def series_eval_x(self, p: ParamSet, n: int, x) -> complex:
         a1, a2, a3, a4 = p.a
-        b1 = self._b(p, 1)
+        b1 = elementary_symmetric(p.a, 1)
         pref = (
             pochhammer(a1 + a2, n)
             * pochhammer(a1 + a3, n)
@@ -207,15 +194,12 @@ class ContinuousDualHahn(_GammaRatioFamily):
         param_names=("a1", "a2", "a3"),
     )
 
-    def _b(self, p: ParamSet, k: int) -> complex:
-        return _sym(p.a, k)
-
     def energy(self, p: ParamSet, n: int) -> float:
         return float(n)
 
     def closure(self, p: ParamSet) -> ClosurePolys:
-        b1 = self._b(p, 1).real
-        b2 = self._b(p, 2).real
+        b1 = elementary_symmetric(p.a, 1).real
+        b2 = elementary_symmetric(p.a, 2).real
         return ClosurePolys(
             r1=(0.0, 0.0),
             r0=(0.0, 0.0, 1.0),

@@ -1,13 +1,49 @@
-"""Families with eta(x) = cos x on (0, pi): the Askey-Wilson system and its
-restrictions, plus continuous q-Jacobi/q-Laguerre.  gamma = log q < 0,
-kappa = 1/q, auxiliary factor 2 sin x.  All shifted evaluations act on
-z = e^{ix} as z -> q^s z.
+"""Families with eta(x) = cos x on (0, pi): the Askey-Wilson system and the
+six families obtained from it.  gamma = log q < 0, kappa = 1/q, auxiliary
+factor 2 sin x.  All shifted evaluations act on z = e^{ix} as z -> q^s z.
+
+One class, `AskeyWilson`, holds every closed form, written once in the four
+Askey-Wilson parameters a1..a4 (KS 3.1) and their elementary symmetric
+functions e1..e4.  Each family is one row of `RESTRICTIONS`: its FamilySpec,
+the map from its own parameters to a1..a4, its validation rule and whether
+its polynomials carry the normalisation k_n below.
+
+    continuous dual q-Hahn    (a1, a2, a3)  -> (a1, a2, a3, 0)      KS 3.3
+    Al-Salam-Chihara          (a1, a2)      -> (a1, a2, 0, 0)       KS 3.8
+    continuous big q-Hermite  (a,)          -> (a, 0, 0, 0)         KS 3.18
+    continuous q-Hermite      ()            -> (0, 0, 0, 0)         KS 3.26
+    continuous q-Jacobi       (alpha, beta) -> (s, s q^{1/2}, -t, -t q^{1/2}) KS 3.10
+    continuous q-Laguerre     (alpha,)      -> (s, s q^{1/2}, 0, 0)         KS 3.19
+
+with s = q^{(alpha+1/2)/2} and t = q^{(beta+1/2)/2}.
+
+A zero parameter drops out of every product: its factors (0; q)_k are 1.
+So the closed forms run over the non-zero a_i and the non-zero pair products
+only, and with e4 = 0 the e4 factors vanish (c_n = 2^n, E_n = q^{-n} - 1).
+
+The continuous q-Jacobi and q-Laguerre polynomials are the Askey-Wilson ones
+at the mapped parameters times
+
+    k_n = a1^n / (q, a1 a3, a1 a4; q)_n.
+
+The monic recurrence (a_n, b_n), E_n, the closure, phi0 and h0 do not
+change under k_n; the rest do:
+
+    c_n -> c_n k_n,    h0/h_n -> (h0/h_n) / k_n^2,
+    f_n -> f_n k_n(lambda) / k_{n-1}(lambda + delta),
+    b_n -> b_n k_n(lambda + delta) / k_{n+1}(lambda).
+
+Their parameters are exponents, so lambda + delta adds 1 to alpha and beta;
+through the map that is a_i -> q^{1/2} a_i, the Askey-Wilson shift.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from dataclasses import dataclass
 from itertools import combinations
+from typing import Callable
 
 import numpy as np
 
@@ -20,65 +56,180 @@ from .base import (
     ParamSet,
     SingularityError,
     conjugate_closed,
+    elementary_symmetric,
     qpoch_inf_vec,
     require,
 )
 
-__all__ = [
-    "AskeyWilson",
-    "ContinuousDualQHahn",
-    "AlSalamChihara",
-    "ContinuousBigQHermite",
-    "ContinuousQHermite",
-    "ContinuousQJacobi",
-    "ContinuousQLaguerre",
-]
-
-
-def _sym(values, k):
-    out = complex(0.0)
-    for combo in combinations(values, k):
-        term = complex(1.0)
-        for v in combo:
-            term *= v
-        out += term
-    return out
-
-
-def _s2(q: float) -> float:
-    """(q^{-1/2} - q^{1/2})^2 = q^{-1} - 2 + q."""
-    return 1.0 / q - 2.0 + q
+__all__ = ["AskeyWilson", "Restriction", "RESTRICTIONS"]
 
 
 def _z_of(w) -> complex:
     return np.exp(1j * complex(w))
 
 
-class _AskeyWilsonChain(Family):
-    """Shared forms for Askey-Wilson and its parameter restrictions."""
+# ----------------------------------------------------------- the restrictions
 
-    real_params_only = False
+def _require_q(p: ParamSet) -> None:
+    require(p.q is not None, "q is required")
+    require(0.0 < p.q < 1.0, f"q must lie in (0,1), got {p.q}")
+
+
+def _inside_disc(spec: FamilySpec, p: ParamSet, real: bool = False) -> None:
+    """a_i inside the unit disc; real, or closed under conjugation."""
+    m = spec.n_params
+    require(len(p.a) == m, f"{spec.name} needs {m} parameters, got {len(p.a)}")
+    _require_q(p)
+    for i, ai in enumerate(p.a, start=1):
+        require(abs(ai) < 1.0, f"|a{i}| >= 1 violated (|{ai}| = {abs(ai):.6g})")
+    if real:
+        for i, ai in enumerate(p.a, start=1):
+            require(abs(ai.imag) < 1e-12, f"a{i} must be real, got {ai}")
+    else:
+        require(
+            conjugate_closed(p.a),
+            "parameter set must be closed under complex conjugation (as a set)",
+        )
+
+
+def _exponents(arity: str):
+    """Real exponents >= -1/2, named by the spec; `arity` opens the count message."""
+
+    def check(spec: FamilySpec, p: ParamSet) -> None:
+        require(len(p.a) == spec.n_params, f"{arity}, got {len(p.a)}")
+        _require_q(p)
+        for name, v in zip(spec.param_names, p.a):
+            require(abs(v.imag) < 1e-12, f"{name} must be real, got {v}")
+            require(v.real >= -0.5, f"{name} >= -1/2 violated ({name} = {v.real})")
+
+    return check
+
+
+def _padded(a: tuple, q: float) -> tuple:
+    return a + (0.0,) * (4 - len(a))
+
+
+def _from_exponents(a: tuple, q: float) -> tuple:
+    """(alpha[, beta]) -> (s, s q^{1/2}[, -t, -t q^{1/2}]), zeros padded."""
+    out = ()
+    for sign, v in zip((1.0, -1.0), a):
+        out += (sign * q ** (0.5 * (v.real + 0.5)), sign * q ** (0.5 * (v.real + 1.5)))
+    return _padded(out, q)
+
+
+@dataclass(frozen=True)
+class Restriction:
+    """One cos-x family as a parameter map into Askey-Wilson."""
+
+    spec: FamilySpec
+    to_aw: Callable       # (a, q) of the family -> (a1, a2, a3, a4)
+    validate: Callable    # (spec, ParamSet) -> None; raises ValidationError
+    exponents: bool = False  # (alpha, beta): delta adds 1 and P_n carries k_n
+
+
+def _spec(fid: FamilyId, ks_tag: str, names: tuple) -> FamilySpec:
+    return FamilySpec(
+        id=fid,
+        ks_tag=ks_tag,
+        eta_kind="cos x",
+        interval=(0.0, math.pi),
+        n_params=len(names),
+        uses_q=True,
+        uses_phi=False,
+        param_names=names,
+    )
+
+
+RESTRICTIONS = (
+    Restriction(_spec(FamilyId.ASKEY_WILSON, "KS3.1", ("a1", "a2", "a3", "a4")),
+                _padded, _inside_disc),
+    Restriction(_spec(FamilyId.CONTINUOUS_DUAL_Q_HAHN, "KS3.3", ("a1", "a2", "a3")),
+                _padded, _inside_disc),
+    Restriction(_spec(FamilyId.AL_SALAM_CHIHARA, "KS3.8", ("a1", "a2")),
+                _padded, _inside_disc),
+    Restriction(_spec(FamilyId.CONTINUOUS_BIG_Q_HERMITE, "KS3.18", ("a",)),
+                _padded, functools.partial(_inside_disc, real=True)),
+    Restriction(_spec(FamilyId.CONTINUOUS_Q_HERMITE, "KS3.26", ()),
+                _padded, _inside_disc),
+    Restriction(_spec(FamilyId.CONTINUOUS_Q_JACOBI, "KS3.10", ("alpha", "beta")),
+                _from_exponents, _exponents("continuous q-Jacobi needs (alpha, beta)"),
+                exponents=True),
+    Restriction(_spec(FamilyId.CONTINUOUS_Q_LAGUERRE, "KS3.19", ("alpha",)),
+                _from_exponents, _exponents("continuous q-Laguerre needs alpha"),
+                exponents=True),
+)
+
+
+@dataclass(frozen=True)
+class _AW:
+    """One parameter set in Askey-Wilson terms, derived once."""
+
+    a: tuple        # the non-zero a_i, in order
+    pairs: tuple    # the non-zero products a_j a_k, j < k
+    e1: float
+    e3: float
+    e4: float
+    # k_n = k_a1^n / (q, k_pairs; q)_n on the rows that carry it (else None),
+    # k_den = (1 - a1 a3)(1 - a1 a4): what its ratios in f_n and b_n keep
+    k_a1: float | None = None
+    k_pairs: tuple = ()
+    k_den: float = 1.0
+
+
+# ------------------------------------------------------------------- family
+
+class AskeyWilson(Family):
+    """The Askey-Wilson forms, at the parameters a restriction maps to."""
+
+    def __init__(self, row: Restriction):
+        self.row = row
+        self.spec = row.spec
+        self._key = f"_aw {row.spec.name}"  # never a field name: it has a space
 
     def validate(self, p: ParamSet) -> None:
-        m = self.spec.n_params
-        require(len(p.a) == m, f"{self.spec.name} needs {m} parameters, got {len(p.a)}")
-        require(p.q is not None, "q is required")
-        require(0.0 < p.q < 1.0, f"q must lie in (0,1), got {p.q}")
-        for i, ai in enumerate(p.a, start=1):
-            require(abs(ai) < 1.0, f"|a{i}| >= 1 violated (|{ai}| = {abs(ai):.6g})")
-        if self.real_params_only:
-            for i, ai in enumerate(p.a, start=1):
-                require(abs(ai.imag) < 1e-12, f"a{i} must be real, got {ai}")
-        else:
-            require(
-                conjugate_closed(p.a),
-                "parameter set must be closed under complex conjugation (as a set)",
-            )
+        self.row.validate(self.spec, p)
 
     def shifted(self, p: ParamSet, k: int = 1) -> ParamSet:
+        if self.row.exponents:
+            return ParamSet(a=tuple(v.real + k for v in p.a), q=p.q)
         factor = p.q ** (0.5 * k)
         return ParamSet(a=tuple(ai * factor for ai in p.a), q=p.q)
 
+    def _aw(self, p: ParamSet) -> _AW:
+        # derived once per ParamSet and kept in its __dict__, as
+        # functools.cached_property does: the dataclass fields, and with them
+        # its equality, hash and repr, do not see it
+        d = vars(p).get(self._key)
+        if d is None:
+            d = vars(p)[self._key] = self._derive(p)
+        return d
+
+    def _derive(self, p: ParamSet) -> _AW:
+        full = self.row.to_aw(p.a, p.q)
+        nz = tuple(ai for ai in full if ai != 0)
+        k = {}
+        if self.row.exponents:
+            a1 = full[0]
+            prods = tuple(a1 * aj for aj in full[2:] if aj != 0)
+            k = dict(k_a1=a1, k_pairs=prods,
+                     k_den=math.prod(1.0 - ajk for ajk in prods))
+        return _AW(
+            a=nz,
+            pairs=tuple(aj * ak for aj, ak in combinations(nz, 2)),
+            e1=elementary_symmetric(nz, 1).real,
+            e3=elementary_symmetric(nz, 3).real,
+            e4=elementary_symmetric(nz, 4).real,
+            **k,
+        )
+
+    def _k_n(self, d: _AW, q: float, n: int) -> float:
+        """k_n = a1^n / (q, a1 a3, a1 a4; q)_n."""
+        den = q_pochhammer(q, q, n)
+        for ajk in d.k_pairs:
+            den *= q_pochhammer(ajk, q, n)
+        return (d.k_a1**n / den).real
+
+    # -- potential and ground state ------------------------------------------
     def V(self, p: ParamSet, w) -> complex:
         z = _z_of(w)
         z2 = z * z
@@ -86,7 +237,7 @@ class _AskeyWilsonChain(Family):
         if den == 0:
             raise SingularityError(f"potential singular at x = {w}")
         num = complex(1.0)
-        for ai in p.a:
+        for ai in self._aw(p).a:
             num *= 1.0 - ai * z
         return num / den
 
@@ -95,7 +246,7 @@ class _AskeyWilsonChain(Family):
         z = np.exp(1j * x)
         num = np.abs(qpoch_inf_vec(z * z, p.q))
         den = np.ones_like(num)
-        for ai in p.a:
+        for ai in self._aw(p).a:
             den = den * np.abs(qpoch_inf_vec(ai * z, p.q))
         out = num / den
         return float(out) if out.ndim == 0 else out
@@ -104,142 +255,20 @@ class _AskeyWilsonChain(Family):
         q = p.q
         z = _z_of(w)
         out = q_pochhammer_inf(z * z, q) * q_pochhammer_inf(1.0 / (z * z), q)
-        for ai in p.a:
+        for ai in self._aw(p).a:
             out /= q_pochhammer_inf(ai * z, q) * q_pochhammer_inf(ai / z, q)
         return out
 
-    # E_n = q^{-n} - 1 for every restriction below Askey-Wilson
+    # -- spectrum and closure --------------------------------------------------
     def energy(self, p: ParamSet, n: int) -> float:
-        return p.q ** (-n) - 1.0
-
-    def f_shift(self, p: ParamSet, n: int):
-        return p.q ** (0.5 * n) * (p.q ** (-n) - 1.0)
-
-    def b_shift(self, p: ParamSet, n: int):
-        return p.q ** (-0.5 * (n + 1))
-
-    def level_from_energy(self, p: ParamSet, energy: float) -> float:
-        # E_n = q^{-n} - 1  =>  q^N = (E+1)^{-1}
-        return -math.log(energy + 1.0) / math.log(p.q)
-
-    def _pivot(self, p: ParamSet):
-        """Parameter used as 'a1' in the series; the largest one, by symmetry."""
-        if not p.a:
-            return None
-        best = max(p.a, key=abs)
-        return best if abs(best) > 0 else None
-
-    def _series_qh_style(self, p: ParamSet, n: int, z: complex) -> complex:
-        # all parameters vanish: continuous q-Hermite form
-        return z**n * basic_hypergeometric_phi(
-            [p.q ** (-n), 0.0], [], p.q, p.q**n / (z * z), n
-        )
-
-
-class AskeyWilson(_AskeyWilsonChain):
-    """The four-parameter system; everything else in this group restricts it."""
-
-    spec = FamilySpec(
-        id=FamilyId.ASKEY_WILSON,
-        ks_tag="KS3.1",
-        eta_kind="cos x",
-        interval=(0.0, math.pi),
-        n_params=4,
-        uses_q=True,
-        uses_phi=False,
-        param_names=("a1", "a2", "a3", "a4"),
-    )
-
-    def _b(self, p: ParamSet, k: int) -> complex:
-        return _sym(p.a, k)
-
-    def energy(self, p: ParamSet, n: int) -> float:
-        b4 = self._b(p, 4).real
-        return (p.q ** (-n) - 1.0) * (1.0 - b4 * p.q ** (n - 1))
-
-    def closure(self, p: ParamSet) -> ClosurePolys:
-        q = p.q
-        s2 = _s2(q)
-        b1 = self._b(p, 1).real
-        b3 = self._b(p, 3).real
-        b4 = self._b(p, 4).real
-        u = 1.0 + b4 / q
-        lin = b1 + b3 / q
-        const = (1.0 + 1.0 / q) * (b3 + b1 * b4 / q)
-        return ClosurePolys(
-            r1=(s2, s2 * u),
-            r0=(s2, 2.0 * s2 * u, s2 * (u * u - (1.0 + 1.0 / q) ** 2 * b4)),
-            rm1=(0.0, -0.5 * s2 * lin, -0.5 * s2 * (lin * u - const)),
-        )
-
-    def c_n(self, p: ParamSet, n: int):
-        b4 = self._b(p, 4).real
-        return 2.0**n * q_pochhammer(b4 * p.q ** (n - 1), p.q, n).real
-
-    def a_rec(self, p: ParamSet, n: int):
-        q = p.q
-        a1 = self._pivot(p)
-        rest = list(p.a)
-        rest.remove(a1)
-        b4 = self._b(p, 4)
-        qn = q**n
-        t1 = 1.0 - b4 * q ** (n - 1)
-        for aj in rest:
-            t1 *= 1.0 - a1 * aj * qn
-        t1 /= a1 * (1.0 - b4 * q ** (2 * n - 1)) * (1.0 - b4 * q ** (2 * n))
-        t2 = a1 * (1.0 - qn)
-        for aj, ak in combinations(rest, 2):
-            t2 *= 1.0 - aj * ak * q ** (n - 1)
-        t2 /= (1.0 - b4 * q ** (2 * n - 2)) * (1.0 - b4 * q ** (2 * n - 1))
-        return 0.5 * (a1 + 1.0 / a1 - t1 - t2)
-
-    def b_rec(self, p: ParamSet, n: int):
-        q = p.q
-        b4 = self._b(p, 4)
-        qn = q**n
-        prod = complex(1.0)
-        for aj, ak in combinations(p.a, 2):
-            prod *= 1.0 - aj * ak * q ** (n - 1)
-        return (
-            (1.0 - qn)
-            * (1.0 - b4 * q ** (n - 2))
-            * prod
-            / (
-                4.0
-                * (1.0 - b4 * q ** (2 * n - 3))
-                * (1.0 - b4 * q ** (2 * n - 2)) ** 2
-                * (1.0 - b4 * q ** (2 * n - 1))
-            )
-        )
-
-    def f_shift(self, p: ParamSet, n: int):
-        return p.q ** (0.5 * n) * self.energy(p, n)
-
-    def h0(self, p: ParamSet) -> float:
-        q = p.q
-        b4 = self._b(p, 4).real
-        den = q_pochhammer_inf(q, q)
-        for aj, ak in combinations(p.a, 2):
-            den *= q_pochhammer_inf(aj * ak, q)
-        return (2.0 * math.pi * q_pochhammer_inf(b4, q) / den).real
-
-    def h0_over_hn(self, p: ParamSet, n: int) -> float:
-        q = p.q
-        b4 = self._b(p, 4).real
-        den = q_pochhammer(q, q, n)
-        for aj, ak in combinations(p.a, 2):
-            den *= q_pochhammer(aj * ak, q, n)
-        val = (
-            (1.0 - b4 * q ** (2 * n - 1))
-            / (1.0 - b4 * q ** (n - 1))
-            * q_pochhammer(b4, q, n)
-            / den
-        )
-        return complex(val).real
+        return (p.q ** (-n) - 1.0) * (1.0 - self._aw(p).e4 * p.q ** (n - 1))
 
     def level_from_energy(self, p: ParamSet, energy: float) -> float:
         q = p.q
-        b4 = self._b(p, 4).real
+        b4 = self._aw(p).e4
+        if b4 == 0:
+            # E_n = q^{-n} - 1  =>  q^N = (E+1)^{-1}
+            return -math.log(energy + 1.0) / math.log(q)
         if not (0.0 < b4 < q):
             raise ValueError(
                 f"number-operator inversion needs 0 < b4 < q, got b4={b4}, q={q}"
@@ -248,654 +277,123 @@ class AskeyWilson(_AskeyWilsonChain):
         qn = q / (2.0 * b4) * (hp - math.sqrt(hp * hp - 4.0 * b4 / q))
         return math.log(qn) / math.log(q)
 
+    def closure(self, p: ParamSet) -> ClosurePolys:
+        q = p.q
+        d = self._aw(p)
+        s2 = 1.0 / q - 2.0 + q    # (q^{-1/2} - q^{1/2})^2
+        u = 1.0 + d.e4 / q
+        lin = d.e1 + d.e3 / q
+        const = (1.0 + 1.0 / q) * (d.e3 + d.e1 * d.e4 / q)
+        return ClosurePolys(
+            r1=(s2, s2 * u),
+            r0=(s2, 2.0 * s2 * u, s2 * (u * u - (1.0 + 1.0 / q) ** 2 * d.e4)),
+            rm1=(0.0, -0.5 * s2 * lin, -0.5 * s2 * (lin * u - const)),
+        )
+
+    # -- recurrence, shifts and norms ------------------------------------------
+    def c_n(self, p: ParamSet, n: int):
+        d = self._aw(p)
+        c = 2.0**n
+        if d.e4:
+            c *= q_pochhammer(d.e4 * p.q ** (n - 1), p.q, n).real
+        return c if d.k_a1 is None else c * self._k_n(d, p.q, n)
+
+    def a_rec(self, p: ParamSet, n: int):
+        # (a1 + 1/a1 - A_n - C_n)/2 of KS 3.1.5 with the 1/a1 pivot cancelled
+        # in closed form: the plain form loses up to 1e-6 relative as a_n -> 0
+        q = p.q
+        d = self._aw(p)
+        e1, e3, e4 = d.e1, d.e3, d.e4
+        qn = q**n
+        num = (
+            q * q * e1
+            + q * e3
+            - qn * (q * q * e3 + q * e1 * e4 + q * e3 + e1 * e4)
+            + qn * qn * (q * e1 * e4 + e3 * e4)
+        ) / ((1.0 - e4 * q ** (2 * n - 2)) * (1.0 - e4 * q ** (2 * n)))
+        return 0.5 * qn * num / (q * q)
+
+    def b_rec(self, p: ParamSet, n: int):
+        q = p.q
+        d = self._aw(p)
+        prod = complex(1.0)
+        for ajk in d.pairs:
+            prod *= 1.0 - ajk * q ** (n - 1)
+        b4 = d.e4
+        if not b4:
+            return (1.0 - q**n) * prod / 4.0
+        return (1.0 - q**n) * (1.0 - b4 * q ** (n - 2)) * prod / (
+            4.0
+            * (1.0 - b4 * q ** (2 * n - 3))
+            * (1.0 - b4 * q ** (2 * n - 2)) ** 2
+            * (1.0 - b4 * q ** (2 * n - 1))
+        )
+
+    def f_shift(self, p: ParamSet, n: int):
+        d = self._aw(p)
+        if d.k_a1 is None:
+            return p.q ** (0.5 * n) * self.energy(p, n)
+        # q^{n/2} E_n k_n(lambda) / k_{n-1}(lambda+delta), (1 - q^n) cancelled
+        q = p.q
+        return d.k_a1 * q ** (0.5 - n) * (1.0 - d.e4 * q ** (n - 1)) / d.k_den
+
+    def b_shift(self, p: ParamSet, n: int):
+        d = self._aw(p)
+        if d.k_a1 is None:
+            return p.q ** (-0.5 * (n + 1))
+        # q^{-(n+1)/2} k_n(lambda+delta) / k_{n+1}(lambda)
+        return (1.0 - p.q ** (n + 1)) * d.k_den / (d.k_a1 * math.sqrt(p.q))
+
+    def h0(self, p: ParamSet) -> float:
+        q = p.q
+        d = self._aw(p)
+        den = q_pochhammer_inf(q, q)
+        for ajk in d.pairs:
+            den *= q_pochhammer_inf(ajk, q)
+        return (2.0 * math.pi * q_pochhammer_inf(d.e4, q) / den).real
+
+    def h0_over_hn(self, p: ParamSet, n: int) -> float:
+        q = p.q
+        d = self._aw(p)
+        b4 = d.e4
+        den = q_pochhammer(q, q, n)
+        for ajk in d.pairs:
+            den *= q_pochhammer(ajk, q, n)
+        val = complex(
+            (1.0 - b4 * q ** (2 * n - 1))
+            / (1.0 - b4 * q ** (n - 1))
+            * q_pochhammer(b4, q, n)
+            / den
+        ).real
+        return val if d.k_a1 is None else val / self._k_n(d, q, n) ** 2
+
+    # -- the definitional series ----------------------------------------------
     def series_eval_x(self, p: ParamSet, n: int, x) -> complex:
         q = p.q
-        a1 = self._pivot(p)
+        d = self._aw(p)
         z = _z_of(x)
-        if a1 is None:
-            return self._series_qh_style(p, n, z)
-        rest = list(p.a)
+        if not d.a:
+            # all parameters vanish: continuous q-Hermite form
+            return z**n * basic_hypergeometric_phi(
+                [q ** (-n), 0.0], [], q, q**n / (z * z), n
+            )
+        a1 = max(d.a, key=abs)  # the series' 'a1': the largest, by symmetry
+        rest = list(d.a)
         rest.remove(a1)
-        b4 = self._b(p, 4)
         pref = a1 ** (-n)
         den_params = []
         for aj in rest:
             pref *= q_pochhammer(a1 * aj, q, n)
             den_params.append(a1 * aj)
-        f = basic_hypergeometric_phi(
-            [q ** (-n), b4 * q ** (n - 1), a1 * z, a1 / z],
-            den_params,
-            q,
-            q,
-            n,
-        )
-        return pref * f
-
-
-class ContinuousDualQHahn(_AskeyWilsonChain):
-    """Askey-Wilson restricted by a4 = 0."""
-
-    spec = FamilySpec(
-        id=FamilyId.CONTINUOUS_DUAL_Q_HAHN,
-        ks_tag="KS3.3",
-        eta_kind="cos x",
-        interval=(0.0, math.pi),
-        n_params=3,
-        uses_q=True,
-        uses_phi=False,
-        param_names=("a1", "a2", "a3"),
-    )
-
-    def _b(self, p: ParamSet, k: int) -> complex:
-        return _sym(p.a, k)
-
-    def closure(self, p: ParamSet) -> ClosurePolys:
-        q = p.q
-        s2 = _s2(q)
-        b1 = self._b(p, 1).real
-        b3 = self._b(p, 3).real
-        lin = b1 + b3 / q
-        const = (1.0 + 1.0 / q) * b3
-        return ClosurePolys(
-            r1=(s2, s2),
-            r0=(s2, 2.0 * s2, s2),
-            rm1=(0.0, -0.5 * s2 * lin, -0.5 * s2 * (lin - const)),
-        )
-
-    def c_n(self, p: ParamSet, n: int):
-        return 2.0**n
-
-    def a_rec(self, p: ParamSet, n: int):
-        q = p.q
-        a1 = self._pivot(p)
-        rest = list(p.a)
-        rest.remove(a1)
-        a2, a3 = rest
-        qn = q**n
-        return 0.5 * (
-            a1
-            + 1.0 / a1
-            - (1.0 - a1 * a2 * qn) * (1.0 - a1 * a3 * qn) / a1
-            - a1 * (1.0 - qn) * (1.0 - a2 * a3 * q ** (n - 1))
-        )
-
-    def b_rec(self, p: ParamSet, n: int):
-        q = p.q
-        prod = complex(1.0 - q**n)
-        for aj, ak in combinations(p.a, 2):
-            prod *= 1.0 - aj * ak * q ** (n - 1)
-        return prod / 4.0
-
-    def h0(self, p: ParamSet) -> float:
-        q = p.q
-        den = q_pochhammer_inf(q, q)
-        for aj, ak in combinations(p.a, 2):
-            den *= q_pochhammer_inf(aj * ak, q)
-        return (2.0 * math.pi / den).real
-
-    def h0_over_hn(self, p: ParamSet, n: int) -> float:
-        q = p.q
-        den = q_pochhammer(q, q, n)
-        for aj, ak in combinations(p.a, 2):
-            den *= q_pochhammer(aj * ak, q, n)
-        return (1.0 / den).real
-
-    def series_eval_x(self, p: ParamSet, n: int, x) -> complex:
-        q = p.q
-        a1 = self._pivot(p)
-        z = _z_of(x)
-        if a1 is None:
-            return self._series_qh_style(p, n, z)
-        rest = list(p.a)
-        rest.remove(a1)
-        a2, a3 = rest
-        pref = a1 ** (-n) * q_pochhammer(a1 * a2, q, n) * q_pochhammer(a1 * a3, q, n)
-        f = basic_hypergeometric_phi(
-            [q ** (-n), a1 * z, a1 / z],
-            [a1 * a2, a1 * a3],
-            q,
-            q,
-            n,
-        )
-        return pref * f
-
-
-class AlSalamChihara(_AskeyWilsonChain):
-    """Askey-Wilson restricted by a3 = a4 = 0."""
-
-    spec = FamilySpec(
-        id=FamilyId.AL_SALAM_CHIHARA,
-        ks_tag="KS3.8",
-        eta_kind="cos x",
-        interval=(0.0, math.pi),
-        n_params=2,
-        uses_q=True,
-        uses_phi=False,
-        param_names=("a1", "a2"),
-    )
-
-    def closure(self, p: ParamSet) -> ClosurePolys:
-        q = p.q
-        s2 = _s2(q)
-        lin = (p.a[0] + p.a[1]).real
-        return ClosurePolys(
-            r1=(s2, s2),
-            r0=(s2, 2.0 * s2, s2),
-            rm1=(0.0, -0.5 * s2 * lin, -0.5 * s2 * lin),
-        )
-
-    def c_n(self, p: ParamSet, n: int):
-        return 2.0**n
-
-    def a_rec(self, p: ParamSet, n: int):
-        return 0.5 * (p.a[0] + p.a[1]) * p.q**n
-
-    def b_rec(self, p: ParamSet, n: int):
-        q = p.q
-        return 0.25 * (1.0 - q**n) * (1.0 - p.a[0] * p.a[1] * q ** (n - 1))
-
-    def h0(self, p: ParamSet) -> float:
-        q = p.q
-        a12 = p.a[0] * p.a[1]
-        return (
-            2.0 * math.pi / (q_pochhammer_inf(q, q) * q_pochhammer_inf(a12, q))
-        ).real
-
-    def h0_over_hn(self, p: ParamSet, n: int) -> float:
-        q = p.q
-        a12 = p.a[0] * p.a[1]
-        return (1.0 / (q_pochhammer(q, q, n) * q_pochhammer(a12, q, n))).real
-
-    def series_eval_x(self, p: ParamSet, n: int, x) -> complex:
-        q = p.q
-        a1 = self._pivot(p)
-        z = _z_of(x)
-        if a1 is None:
-            return self._series_qh_style(p, n, z)
-        rest = list(p.a)
-        rest.remove(a1)
-        a2 = rest[0]
-        pref = a1 ** (-n) * q_pochhammer(a1 * a2, q, n)
-        f = basic_hypergeometric_phi(
-            [q ** (-n), a1 * z, a1 / z],
-            [a1 * a2, 0.0],
-            q,
-            q,
-            n,
-        )
-        return pref * f
-
-
-class ContinuousBigQHermite(_AskeyWilsonChain):
-    """Al-Salam-Chihara restricted by a2 = 0; one real parameter -1 < a < 1."""
-
-    spec = FamilySpec(
-        id=FamilyId.CONTINUOUS_BIG_Q_HERMITE,
-        ks_tag="KS3.18",
-        eta_kind="cos x",
-        interval=(0.0, math.pi),
-        n_params=1,
-        uses_q=True,
-        uses_phi=False,
-        param_names=("a",),
-    )
-    real_params_only = True
-
-    def closure(self, p: ParamSet) -> ClosurePolys:
-        q = p.q
-        s2 = _s2(q)
-        a = p.a[0].real
-        return ClosurePolys(
-            r1=(s2, s2),
-            r0=(s2, 2.0 * s2, s2),
-            rm1=(0.0, -0.5 * s2 * a, -0.5 * s2 * a),
-        )
-
-    def c_n(self, p: ParamSet, n: int):
-        return 2.0**n
-
-    def a_rec(self, p: ParamSet, n: int):
-        return 0.5 * p.a[0].real * p.q**n
-
-    def b_rec(self, p: ParamSet, n: int):
-        return 0.25 * (1.0 - p.q**n)
-
-    def h0(self, p: ParamSet) -> float:
-        return 2.0 * math.pi / q_pochhammer_inf(p.q, p.q).real
-
-    def h0_over_hn(self, p: ParamSet, n: int) -> float:
-        return (1.0 / q_pochhammer(p.q, p.q, n)).real
-
-    def series_eval_x(self, p: ParamSet, n: int, x) -> complex:
-        q = p.q
-        a = p.a[0]
-        z = _z_of(x)
-        if a == 0:
-            return self._series_qh_style(p, n, z)
-        f = basic_hypergeometric_phi(
-            [q ** (-n), a * z, a / z],
-            [0.0, 0.0],
-            q,
-            q,
-            n,
-        )
-        return a ** (-n) * f
-
-
-class ContinuousQHermite(_AskeyWilsonChain):
-    """No parameters beyond q itself."""
-
-    spec = FamilySpec(
-        id=FamilyId.CONTINUOUS_Q_HERMITE,
-        ks_tag="KS3.26",
-        eta_kind="cos x",
-        interval=(0.0, math.pi),
-        n_params=0,
-        uses_q=True,
-        uses_phi=False,
-        param_names=(),
-    )
-
-    def shifted(self, p: ParamSet, k: int = 1) -> ParamSet:
-        return p
-
-    def closure(self, p: ParamSet) -> ClosurePolys:
-        s2 = _s2(p.q)
-        return ClosurePolys(
-            r1=(s2, s2),
-            r0=(s2, 2.0 * s2, s2),
-            rm1=(0.0, 0.0, 0.0),
-        )
-
-    def c_n(self, p: ParamSet, n: int):
-        return 2.0**n
-
-    def a_rec(self, p: ParamSet, n: int):
-        return 0.0
-
-    def b_rec(self, p: ParamSet, n: int):
-        return 0.25 * (1.0 - p.q**n)
-
-    def h0(self, p: ParamSet) -> float:
-        return 2.0 * math.pi / q_pochhammer_inf(p.q, p.q).real
-
-    def h0_over_hn(self, p: ParamSet, n: int) -> float:
-        return (1.0 / q_pochhammer(p.q, p.q, n)).real
-
-    def series_eval_x(self, p: ParamSet, n: int, x) -> complex:
-        return self._series_qh_style(p, n, _z_of(x))
-
-
-class ContinuousQJacobi(Family):
-    """Two real exponent parameters alpha, beta >= -1/2; delta = (1, 1)."""
-
-    spec = FamilySpec(
-        id=FamilyId.CONTINUOUS_Q_JACOBI,
-        ks_tag="KS3.10",
-        eta_kind="cos x",
-        interval=(0.0, math.pi),
-        n_params=2,
-        uses_q=True,
-        uses_phi=False,
-        param_names=("alpha", "beta"),
-    )
-
-    def validate(self, p: ParamSet) -> None:
-        require(len(p.a) == 2, f"continuous q-Jacobi needs (alpha, beta), got {len(p.a)}")
-        require(p.q is not None, "q is required")
-        require(0.0 < p.q < 1.0, f"q must lie in (0,1), got {p.q}")
-        for name, v in zip(("alpha", "beta"), p.a):
-            require(abs(v.imag) < 1e-12, f"{name} must be real, got {v}")
-            require(v.real >= -0.5, f"{name} >= -1/2 violated ({name} = {v.real})")
-
-    def shifted(self, p: ParamSet, k: int = 1) -> ParamSet:
-        al, be = self._ab(p)
-        return ParamSet(a=(al + k, be + k), q=p.q)
-
-    def _ab(self, p: ParamSet):
-        return p.a[0].real, p.a[1].real
-
-    def _aw_params(self, p: ParamSet):
-        """The four equivalent Askey-Wilson parameters."""
-        al, be = self._ab(p)
-        q = p.q
-        return (
-            q ** (0.5 * (al + 0.5)),
-            q ** (0.5 * (al + 1.5)),
-            -(q ** (0.5 * (be + 0.5))),
-            -(q ** (0.5 * (be + 1.5))),
-        )
-
-    def V(self, p: ParamSet, w) -> complex:
-        z = _z_of(w)
-        z2 = z * z
-        den = (1.0 - z2) * (1.0 - p.q * z2)
-        if den == 0:
-            raise SingularityError(f"potential singular at x = {w}")
-        num = complex(1.0)
-        for ai in self._aw_params(p):
-            num *= 1.0 - ai * z
-        return num / den
-
-    def energy(self, p: ParamSet, n: int) -> float:
-        al, be = self._ab(p)
-        q = p.q
-        return (q ** (-n) - 1.0) * (1.0 - q ** (n + al + be + 1))
-
-    def closure(self, p: ParamSet) -> ClosurePolys:
-        al, be = self._ab(p)
-        q = p.q
-        s2 = _s2(q)
-        u = 1.0 + q ** (al + be + 1)
-        lead = (
-            -0.5
-            * s2
-            * q**0.25
-            * (1.0 + q**0.5)
-            * (q ** (0.5 * al) - q ** (0.5 * be))
-            * (1.0 - q ** (0.5 * (al + be)))
-        )
-        shift = u + (1.0 + q) * q ** (0.5 * (al + be))
-        return ClosurePolys(
-            r1=(s2, s2 * u),
-            r0=(s2, 2.0 * s2 * u, s2 * (u * u - (1.0 + q) ** 2 * q ** (al + be))),
-            rm1=(0.0, lead, lead * shift),
-        )
-
-    def c_n(self, p: ParamSet, n: int):
-        al, be = self._ab(p)
-        q = p.q
-        num = 2.0**n * q ** (0.5 * (al + 0.5) * n) * q_pochhammer(
-            q ** (n + al + be + 1), q, n
-        )
-        den = (
-            q_pochhammer(q, q, n)
-            * q_pochhammer(-(q ** (0.5 * (al + be + 1))), q, n)
-            * q_pochhammer(-(q ** (0.5 * (al + be + 2))), q, n)
-        )
-        return (num / den).real
-
-    def a_rec(self, p: ParamSet, n: int):
-        al, be = self._ab(p)
-        q = p.q
-        k = q ** (0.5 * (al + 0.5))
-        t1 = (
-            (1.0 - q ** (n + al + 1))
-            * (1.0 - q ** (n + al + be + 1))
-            * (1.0 + q ** (n + 0.5 * (al + be + 1)))
-            * (1.0 + q ** (n + 0.5 * (al + be + 2)))
-            / (k * (1.0 - q ** (2 * n + al + be + 1)) * (1.0 - q ** (2 * n + al + be + 2)))
-        )
-        t2 = (
-            k
-            * (1.0 - q**n)
-            * (1.0 - q ** (n + be))
-            * (1.0 + q ** (n + 0.5 * (al + be)))
-            * (1.0 + q ** (n + 0.5 * (al + be + 1)))
-            / ((1.0 - q ** (2 * n + al + be)) * (1.0 - q ** (2 * n + al + be + 1)))
-        )
-        return 0.5 * (k + 1.0 / k - t1 - t2)
-
-    def b_rec(self, p: ParamSet, n: int):
-        al, be = self._ab(p)
-        q = p.q
-        num = (
-            (1.0 - q**n)
-            * (1.0 - q ** (n + al))
-            * (1.0 - q ** (n + be))
-            * (1.0 - q ** (n + al + be))
-            * (1.0 + q ** (n + 0.5 * (al + be - 1)))
-            * (1.0 + q ** (n + 0.5 * (al + be))) ** 2
-            * (1.0 + q ** (n + 0.5 * (al + be + 1)))
-        )
-        den = (
-            4.0
-            * (1.0 - q ** (2 * n + al + be - 1))
-            * (1.0 - q ** (2 * n + al + be)) ** 2
-            * (1.0 - q ** (2 * n + al + be + 1))
-        )
-        return num / den
-
-    def f_shift(self, p: ParamSet, n: int):
-        al, be = self._ab(p)
-        q = p.q
-        return (
-            q ** (0.5 * (al + 1.5))
-            * q ** (-n)
-            * (1.0 - q ** (n + al + be + 1))
-            / ((1.0 + q ** (0.5 * (al + be + 1))) * (1.0 + q ** (0.5 * (al + be + 2))))
-        )
-
-    def b_shift(self, p: ParamSet, n: int):
-        al, be = self._ab(p)
-        q = p.q
-        return (
-            q ** (-0.5 * (al + 1.5))
-            * q ** (n + 1)
-            * (q ** (-(n + 1)) - 1.0)
-            * (1.0 + q ** (0.5 * (al + be + 1)))
-            * (1.0 + q ** (0.5 * (al + be + 2)))
-        )
-
-    def h0(self, p: ParamSet) -> float:
-        al, be = self._ab(p)
-        q = p.q
-        num = q_pochhammer_inf(q ** (0.5 * (al + be + 2)), q) * q_pochhammer_inf(
-            q ** (0.5 * (al + be + 3)), q
-        )
-        den = (
-            q_pochhammer_inf(q, q)
-            * q_pochhammer_inf(q ** (al + 1), q)
-            * q_pochhammer_inf(q ** (be + 1), q)
-            * q_pochhammer_inf(-(q ** (0.5 * (al + be + 1))), q)
-            * q_pochhammer_inf(-(q ** (0.5 * (al + be + 2))), q)
-        )
-        return (2.0 * math.pi * num / den).real
-
-    def h0_over_hn(self, p: ParamSet, n: int) -> float:
-        al, be = self._ab(p)
-        q = p.q
-        num = (
-            (1.0 - q ** (2 * n + al + be + 1))
-            * q_pochhammer(q, q, n)
-            * q_pochhammer(q ** (al + be + 1), q, n)
-            * q_pochhammer(-(q ** (0.5 * (al + be + 1))), q, n)
-        )
-        den = (
-            (1.0 - q ** (al + be + 1))
-            * q_pochhammer(q ** (al + 1), q, n)
-            * q_pochhammer(q ** (be + 1), q, n)
-            * q_pochhammer(-(q ** (0.5 * (al + be + 3))), q, n)
-        )
-        return (num / den).real * q ** (-(al + 0.5) * n)
-
-    def phi0(self, p: ParamSet, x):
-        al, be = self._ab(p)
-        q = p.q
-        sq = math.sqrt(q)
-        x = np.asarray(x, dtype=float)
-        z = np.exp(1j * x)
-        num = np.abs(qpoch_inf_vec(z * z, q))
-        den = np.abs(qpoch_inf_vec(q ** (0.5 * (al + 0.5)) * z, sq)) * np.abs(
-            qpoch_inf_vec(-(q ** (0.5 * (be + 0.5))) * z, sq)
-        )
-        out = num / den
-        return float(out) if out.ndim == 0 else out
-
-    def weight_square(self, p: ParamSet, w) -> complex:
-        al, be = self._ab(p)
-        q = p.q
-        sq = math.sqrt(q)
-        z = _z_of(w)
-        out = q_pochhammer_inf(z * z, q) * q_pochhammer_inf(1.0 / (z * z), q)
-        for base in (q ** (0.5 * (al + 0.5)), -(q ** (0.5 * (be + 0.5)))):
-            out /= q_pochhammer_inf(base * z, sq) * q_pochhammer_inf(base / z, sq)
-        return out
-
-    def level_from_energy(self, p: ParamSet, energy: float) -> float:
-        al, be = self._ab(p)
-        q = p.q
-        b = q ** (al + be + 1)
-        if not (0.0 < b < 1.0):
-            raise ValueError(
-                f"number-operator inversion needs 0 < q^(alpha+beta+1) < 1, got {b}"
-            )
-        hp = energy + 1.0 + b
-        qn = 0.5 / b * (hp - math.sqrt(hp * hp - 4.0 * b))
-        return math.log(qn) / math.log(q)
-
-    def series_eval_x(self, p: ParamSet, n: int, x) -> complex:
-        al, be = self._ab(p)
-        q = p.q
-        k = q ** (0.5 * (al + 0.5))
-        z = _z_of(x)
-        pref = q_pochhammer(q ** (al + 1), q, n) / q_pochhammer(q, q, n)
-        f = basic_hypergeometric_phi(
-            [q ** (-n), q ** (n + al + be + 1), k * z, k / z],
-            [
-                q ** (al + 1),
-                -(q ** (0.5 * (al + be + 1))),
-                -(q ** (0.5 * (al + be + 2))),
-            ],
-            q,
-            q,
-            n,
-        )
-        return pref * f
-
-
-class ContinuousQLaguerre(Family):
-    """q-Jacobi with beta -> infinity; one real parameter alpha >= -1/2."""
-
-    spec = FamilySpec(
-        id=FamilyId.CONTINUOUS_Q_LAGUERRE,
-        ks_tag="KS3.19",
-        eta_kind="cos x",
-        interval=(0.0, math.pi),
-        n_params=1,
-        uses_q=True,
-        uses_phi=False,
-        param_names=("alpha",),
-    )
-
-    def validate(self, p: ParamSet) -> None:
-        require(len(p.a) == 1, f"continuous q-Laguerre needs alpha, got {len(p.a)}")
-        require(p.q is not None, "q is required")
-        require(0.0 < p.q < 1.0, f"q must lie in (0,1), got {p.q}")
-        v = p.a[0]
-        require(abs(v.imag) < 1e-12, f"alpha must be real, got {v}")
-        require(v.real >= -0.5, f"alpha >= -1/2 violated (alpha = {v.real})")
-
-    def shifted(self, p: ParamSet, k: int = 1) -> ParamSet:
-        return ParamSet(a=(p.a[0].real + k,), q=p.q)
-
-    def _al(self, p: ParamSet) -> float:
-        return p.a[0].real
-
-    def V(self, p: ParamSet, w) -> complex:
-        al = self._al(p)
-        q = p.q
-        z = _z_of(w)
-        z2 = z * z
-        den = (1.0 - z2) * (1.0 - q * z2)
-        if den == 0:
-            raise SingularityError(f"potential singular at x = {w}")
-        return (
-            (1.0 - q ** (0.5 * (al + 0.5)) * z)
-            * (1.0 - q ** (0.5 * (al + 1.5)) * z)
-            / den
-        )
-
-    def energy(self, p: ParamSet, n: int) -> float:
-        return p.q ** (-n) - 1.0
-
-    def closure(self, p: ParamSet) -> ClosurePolys:
-        al = self._al(p)
-        q = p.q
-        s2 = _s2(q)
-        lead = -0.5 * s2 * q ** (0.5 * (al + 0.5)) * (1.0 + q**0.5)
-        return ClosurePolys(
-            r1=(s2, s2),
-            r0=(s2, 2.0 * s2, s2),
-            rm1=(0.0, lead, lead),
-        )
-
-    def c_n(self, p: ParamSet, n: int):
-        al = self._al(p)
-        q = p.q
-        return 2.0**n * q ** (0.5 * (al + 0.5) * n) / q_pochhammer(q, q, n).real
-
-    def a_rec(self, p: ParamSet, n: int):
-        al = self._al(p)
-        q = p.q
-        return 0.5 * q ** (n + 0.5 * (al + 0.5)) * (1.0 + q**0.5)
-
-    def b_rec(self, p: ParamSet, n: int):
-        al = self._al(p)
-        q = p.q
-        return 0.25 * (1.0 - q**n) * (1.0 - q ** (n + al))
-
-    def f_shift(self, p: ParamSet, n: int):
-        al = self._al(p)
-        return p.q ** (0.5 * (al + 1.5)) * p.q ** (-n)
-
-    def b_shift(self, p: ParamSet, n: int):
-        al = self._al(p)
-        q = p.q
-        return q ** (-0.5 * (al + 1.5)) * q ** (n + 1) * (q ** (-(n + 1)) - 1.0)
-
-    def h0(self, p: ParamSet) -> float:
-        al = self._al(p)
-        q = p.q
-        return (
-            2.0
-            * math.pi
-            / (q_pochhammer_inf(q, q) * q_pochhammer_inf(q ** (al + 1), q))
-        ).real
-
-    def h0_over_hn(self, p: ParamSet, n: int) -> float:
-        al = self._al(p)
-        q = p.q
-        return (
-            q_pochhammer(q, q, n) / q_pochhammer(q ** (al + 1), q, n)
-        ).real * q ** (-(al + 0.5) * n)
-
-    def phi0(self, p: ParamSet, x):
-        al = self._al(p)
-        q = p.q
-        sq = math.sqrt(q)
-        x = np.asarray(x, dtype=float)
-        z = np.exp(1j * x)
-        num = np.abs(qpoch_inf_vec(z * z, q))
-        den = np.abs(qpoch_inf_vec(q ** (0.5 * (al + 0.5)) * z, sq))
-        out = num / den
-        return float(out) if out.ndim == 0 else out
-
-    def weight_square(self, p: ParamSet, w) -> complex:
-        al = self._al(p)
-        q = p.q
-        sq = math.sqrt(q)
-        base = q ** (0.5 * (al + 0.5))
-        z = _z_of(w)
-        out = q_pochhammer_inf(z * z, q) * q_pochhammer_inf(1.0 / (z * z), q)
-        return out / (
-            q_pochhammer_inf(base * z, sq) * q_pochhammer_inf(base / z, sq)
-        )
-
-    def level_from_energy(self, p: ParamSet, energy: float) -> float:
-        return -math.log(energy + 1.0) / math.log(p.q)
-
-    def series_eval_x(self, p: ParamSet, n: int, x) -> complex:
-        al = self._al(p)
-        q = p.q
-        k = q ** (0.5 * (al + 0.5))
-        z = _z_of(x)
-        pref = q_pochhammer(q ** (al + 1), q, n) / q_pochhammer(q, q, n)
-        f = basic_hypergeometric_phi(
-            [q ** (-n), k * z, k / z],
-            [q ** (al + 1), 0.0],
-            q,
-            q,
-            n,
-        )
+        num_params = [q ** (-n), a1 * z, a1 / z]
+        zeros = 4 - len(d.a)
+        if zeros:
+            # each zero a_j gives a denominator 0; the first of them cancels
+            # the numerator e4 q^{n-1} = 0, and (0; q)_k = 1 in pref
+            den_params += [0.0] * (zeros - 1)
+        else:
+            num_params.insert(1, d.e4 * q ** (n - 1))
+        f = basic_hypergeometric_phi(num_params, den_params, q, q, n)
+        if d.k_a1 is not None:
+            pref *= self._k_n(d, q, n)
         return pref * f

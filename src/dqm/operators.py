@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .families import ParamSet, get_family
+from .families import ParamSet, SingularityError, get_family
 from .polynomials import EtaPolynomial
 
 __all__ = [
@@ -44,8 +44,8 @@ __all__ = [
 SINGULAR_MARGIN = 1e-8
 
 
-class SingularPointError(ZeroDivisionError):
-    """Evaluation point too close to a potential pole or a zero of phi."""
+# a second name for the families' exception, for callers that import it here
+SingularPointError = SingularityError
 
 
 def memo(f):
@@ -110,11 +110,6 @@ class OperatorContext:
         eta = self.eta
         return memo(lambda w: poly.eval(eta(w)))
 
-    def eigen_fn(self, n: int):
-        from .families import eval_poly_recurrence
-
-        return self.poly_fn(eval_poly_recurrence(self.family, self.p, n))
-
     def ladder_context(self, n: int) -> LadderContext:
         lc = self._ladder.get(n)
         if lc is None:
@@ -159,7 +154,7 @@ class OperatorContext:
         g = self.gamma
         phi = self.phi_aux(w)
         if abs(phi) < SINGULAR_MARGIN:
-            raise SingularPointError(f"phi(x) vanishes at x = {w}")
+            raise SingularityError(f"phi(x) vanishes at x = {w}")
         return 1j / phi * (f(w - 0.5j * g) - f(w + 0.5j * g))
 
     def backward(self, f, w) -> complex:
@@ -177,10 +172,10 @@ class OperatorContext:
         if kind == "cos x":
             # poles of V at z^2 = 1, i.e. x = 0 mod pi
             if abs(math.sin(w.real)) < SINGULAR_MARGIN and abs(w.imag) < SINGULAR_MARGIN:
-                raise SingularPointError(f"potential singular near x = {w}")
+                raise SingularityError(f"potential singular near x = {w}")
         elif kind == "x^2":
             if abs(w) < SINGULAR_MARGIN:
-                raise SingularPointError(f"potential singular near x = {w}")
+                raise SingularityError(f"potential singular near x = {w}")
 
 
 def sample_points(family, params: ParamSet, count: int = 20, seed: int = 0):
@@ -343,7 +338,7 @@ def _dual_hahn_X(ctx: OperatorContext, f, w: complex) -> complex:
     c_minus = w + 1j * V(w - 0.5j) + corr
     phi = ctx.phi_aux(w)
     if abs(phi) < SINGULAR_MARGIN:
-        raise SingularPointError(f"phi(x) vanishes at x = {w}")
+        raise SingularityError(f"phi(x) vanishes at x = {w}")
     return (
         -1j * V(w - 0.5j) * f(w - 1.5j)
         + c_plus * f(w - 0.5j)

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .families import ParamSet, get_family
+from .families import ParamSet, SingularityError, get_family
 from .operators import OperatorContext
 from .polynomials import EtaPolynomial
 
@@ -294,8 +294,6 @@ def hermiticity_forms(family, p: ParamSet, P: EtaPolynomial, Q: EtaPolynomial,
     Both are computed through the polynomial-level Hamiltonian:
     (g, Hf) = int phi0^2 conj(Q) (H-tilde P) and its mirror image.
     """
-    from .operators import SingularPointError
-
     fam = get_family(family)
     ctx = OperatorContext(fam, p)
     a, b = weight_window(fam, p, spec)
@@ -306,13 +304,13 @@ def hermiticity_forms(family, p: ParamSet, P: EtaPolynomial, Q: EtaPolynomial,
 
     def h_applied(f, x):
         # nodes exponentially close to an interval end can sit inside the
-        # operator's singularity guard; the weight has already crushed the
-        # contribution there, so count it as zero
+        # operator's singularity guard, or on the pole of V itself; the weight
+        # has already crushed the contribution there, so count it as zero
         out = np.empty(x.shape, dtype=complex)
         for i, v in enumerate(x):
             try:
                 out[i] = ctx.H_tilde(f, float(v))
-            except SingularPointError:
+            except SingularityError:
                 out[i] = 0.0
         return out
 

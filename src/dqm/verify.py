@@ -37,21 +37,6 @@ __all__ = [
     "check_limit_aw_wilson",
 ]
 
-SUITES = (
-    "eigen",
-    "shape_invariance",
-    "closure",
-    "dual_closure",
-    "shifts",
-    "ladder",
-    "coherent",
-    "orthogonality",
-    "hermiticity",
-    "limit",
-    "number_operator",
-)
-
-
 @dataclass(frozen=True)
 class VerifyConfig:
     n_max: int = 8
@@ -722,14 +707,15 @@ def check_coherent(family, p: ParamSet, alpha=None, x_samples=None, N=None,
         _warnings.simplefilter("ignore", ConditioningWarning)
         polys = eval_polys_recurrence(fam, p, cap)
 
-    def partial_sum_terms(x):
-        eta = ctx.eta(x)
-        return [coeffs[n] * polys[n].eval(eta) for n in range(cap + 1)]
+    # one memoised operand per level, shared by the partial sums and the
+    # lowering operator, so each P_n is evaluated once per point
+    fs = [ctx.poly_fn(poly) for poly in polys]
+    terms_at = [[coeffs[n] * fs[n](x) for n in range(cap + 1)] for x in xs]
 
     # choose the truncation where the terms dip below 1e-14 of the sum; two
     # consecutive small terms are required, since a single term can vanish
     # through a zero of its polynomial factor
-    terms0 = partial_sum_terms(xs[0])
+    terms0 = terms_at[0]
     running = 0j
     n_trunc = cap
     for n, t in enumerate(terms0):
@@ -752,17 +738,12 @@ def check_coherent(family, p: ParamSet, alpha=None, x_samples=None, N=None,
             stacklevel=2,
         )
 
+    sums = [sum(terms[: n_trunc + 1]) for terms in terms_at]
     worst_ann = 0.0
-    psi0 = None
-    for x in xs:
-        terms = partial_sum_terms(x)[: n_trunc + 1]
-        s = sum(terms)
-        if psi0 is None:
-            psi0 = s
+    for x, s in zip(xs, sums):
         lowered = 0j
         for n in range(1, n_trunc + 1):
-            f = ctx.poly_fn(polys[n])
-            lowered += coeffs[n] * ladder_action(ctx, "-", n, f, x)
+            lowered += coeffs[n] * ladder_action(ctx, "-", n, fs[n], x)
         target = alpha * s
         if target == 0:
             # alpha = 0: the state is the ground state and must be killed
@@ -775,9 +756,7 @@ def check_coherent(family, p: ParamSet, alpha=None, x_samples=None, N=None,
     closed_fn = _coherent_closed_form(fam, p, alpha)
     if closed_fn is not None:
         worst_closed = 0.0
-        for x in xs:
-            terms = partial_sum_terms(x)[: n_trunc + 1]
-            s = sum(terms)
+        for x, s in zip(xs, sums):
             cval = closed_fn(x)
             if closed0 is None:
                 closed0 = cval
@@ -786,7 +765,7 @@ def check_coherent(family, p: ParamSet, alpha=None, x_samples=None, N=None,
     return CoherentStateEval(
         alpha=alpha,
         truncation_N=n_trunc,
-        partial_sum=psi0,
+        partial_sum=sums[0],
         closed_form=closed0,
         annihilation_residual=worst_ann,
         tail_estimate=float(tail),
@@ -1017,33 +996,36 @@ def check_number_operator(family, p: ParamSet, n_range=range(0, 11),
 
 # --------------------------------------------------------------- dispatch
 
+def _limit_suite(fam, params: ParamSet, config: VerifyConfig):
+    if fam.spec.id is not FamilyId.WILSON:
+        return []  # the limit dictionary targets the Wilson system
+    return check_limit_aw_wilson(params, config.L_sequence, config)
+
+
+_SUITE_RUNNERS = {
+    "eigen": check_eigen,
+    "shape_invariance": lambda fam, p, config: check_shape_invariance(
+        fam, p, config=config),
+    "closure": check_closure,
+    "dual_closure": check_dual_closure,
+    "shifts": check_shifts,
+    "ladder": check_ladder,
+    "coherent": coherent_results,
+    "orthogonality": check_orthogonality,
+    "hermiticity": check_hermiticity,
+    "limit": _limit_suite,
+    "number_operator": lambda fam, p, config: [
+        check_number_operator(fam, p, config=config)],
+}
+SUITES = tuple(_SUITE_RUNNERS)
+
+
 def run_suite(suite_id: str, family, params: ParamSet,
               config: VerifyConfig = VerifyConfig()):
     """Run one named suite; deterministic for a fixed config."""
     fam = get_family(family)
     fam.validate(params)
-    if suite_id == "eigen":
-        return check_eigen(fam, params, config)
-    if suite_id == "shape_invariance":
-        return check_shape_invariance(fam, params, config=config)
-    if suite_id == "closure":
-        return check_closure(fam, params, config)
-    if suite_id == "dual_closure":
-        return check_dual_closure(fam, params, config)
-    if suite_id == "shifts":
-        return check_shifts(fam, params, config)
-    if suite_id == "ladder":
-        return check_ladder(fam, params, config)
-    if suite_id == "coherent":
-        return coherent_results(fam, params, config)
-    if suite_id == "orthogonality":
-        return check_orthogonality(fam, params, config)
-    if suite_id == "hermiticity":
-        return check_hermiticity(fam, params, config)
-    if suite_id == "limit":
-        if fam.spec.id is not FamilyId.WILSON:
-            return []  # the limit dictionary targets the Wilson system
-        return check_limit_aw_wilson(params, config.L_sequence, config)
-    if suite_id == "number_operator":
-        return [check_number_operator(fam, params, config=config)]
-    raise ValueError(f"unknown suite {suite_id!r}; known: {', '.join(SUITES)}")
+    runner = _SUITE_RUNNERS.get(suite_id)
+    if runner is None:
+        raise ValueError(f"unknown suite {suite_id!r}; known: {', '.join(SUITES)}")
+    return runner(fam, params, config)

@@ -554,3 +554,94 @@ def test_limit_polynomial_and_phi0():
     target = fam.phi0(p, x)
     got = aw_to_wilson_scaled("phi0", p, 640.0, x=x)
     assert abs(got - target) / (1 + abs(target)) < 2e-2
+
+
+# ------------------------------------------------ the Askey-Wilson restrictions
+
+# a_n (= B_n) at n = 0, 5, 10, 20, 30: KS 3.1.5 evaluated once in mpmath at
+# 60 digits, at each fixture's double-precision parameters; continuous
+# q-Jacobi and q-Laguerre through their Askey-Wilson parameter maps
+_GOLDEN_A_N = {
+    ("askey-wilson", "default"): (6.4148936170212764585e-1, 3.6469157943882452186e-2, 1.1651778120758081615e-3, 1.1386863343436546034e-6, 1.1119991533284703779e-9),
+    ("askey-wilson", "real"): (3.4288537549407113832e-1, 6.5957517101438285862e-3, 2.0132692631936959453e-4, 1.964570570635109824e-7, 1.9185245051182157615e-10),
+    ("continuous-dual-q-hahn", "default"): (5.8750000000000001943e-1, 2.4035644531250000859e-2, 7.5665712356567385522e-4, 7.3909742468458719405e-7, 7.2177499516436554959e-10),
+    ("continuous-dual-q-hahn", "real"): (4.4387500000000002316e-1, 9.8863525390625006368e-3, 3.0505716800689699247e-4, 2.9778492501009170271e-7, 2.9080547403784967416e-10),
+    ("al-salam-chihara", "default"): (2.999999999999999889e-1, 9.3749999999999996531e-3, 2.9296874999999998916e-4, 2.8610229492187498941e-7, 2.7939677238464354435e-10),
+    ("al-salam-chihara", "real"): (3.9999999999999999445e-1, 1.2499999999999999827e-2, 3.9062499999999999458e-4, 3.8146972656249999471e-7, 3.7252902984619140108e-10),
+    ("continuous-big-q-hermite", "default"): (2.000000000000000111e-1, 6.2500000000000003469e-3, 1.9531250000000001084e-4, 1.9073486328125001059e-7, 1.8626451492309571346e-10),
+    ("continuous-big-q-hermite", "negative"): (-2.750000000000000222e-1, -8.5937500000000006939e-3, -2.6855468750000002168e-4, -2.6226043701171877118e-7, -2.5611370801925661248e-10),
+    ("continuous-q-hermite", "default"): (0.0, 0.0, 0.0, 0.0, 0.0),
+    ("continuous-q-hermite", "high-q"): (0.0, 0.0, 0.0, 0.0, 0.0),
+    ("continuous-q-jacobi", "default"): (-1.8123353333444278347e-1, -1.3322447194398260681e-3, -4.0392994961681323039e-5, -3.9408207195317041374e-8, -3.8484541053464241259e-11),
+    ("continuous-q-jacobi", "steep"): (-1.5125595117908381812e-1, -2.0548759018099880992e-3, -6.2906342618203890533e-5, -6.1391469762179382675e-8, -5.995256858045167314e-11),
+    ("continuous-q-laguerre", "default"): (5.6313522557742542751e-1, 1.759797579929454461e-2, 5.4993674372795451905e-4, 5.3704760129683058501e-7, 5.2446054814143611817e-10),
+    ("continuous-q-laguerre", "edge"): (8.535533905932737622e-1, 2.6673543456039805069e-2, 8.335482330012439084e-4, 8.140119462902772543e-7, 7.9493354129909888115e-10),
+}
+
+
+@pytest.mark.parametrize("family,name", sorted(_GOLDEN_A_N))
+def test_recurrence_a_n_golden(family, name):
+    p = fixture_params(family, name)
+    for n, exact in zip((0, 5, 10, 20, 30), _GOLDEN_A_N[family, name]):
+        got = coefficients(family, p, n).a_n_rec
+        assert abs(got - exact) <= 1e-14 * abs(exact), (n, got, exact)
+
+
+def test_cos_x_families_share_one_implementation():
+    from dqm.families.trig import AskeyWilson
+
+    cos_x = [fam for fam in FAMILIES.values() if fam.spec.eta_kind == "cos x"]
+    assert len(cos_x) == 7
+    assert {type(fam) for fam in cos_x} == {AskeyWilson}
+
+
+def _ks_q_jacobi(p, n):
+    """KS 3.10 for the normalised continuous q-Jacobi polynomials."""
+    from dqm.specfun import q_pochhammer as qp
+
+    al, be = (v.real for v in p.a)
+    q = p.q
+    s1, s2 = q ** (0.5 * (al + be + 1)), q ** (0.5 * (al + be + 2))
+    return {
+        "c_n": 2.0**n * q ** (0.5 * (al + 0.5) * n) * qp(q ** (n + al + be + 1), q, n)
+        / (qp(q, q, n) * qp(-s1, q, n) * qp(-s2, q, n)),
+        "f_n": q ** (0.5 * (al + 1.5)) * q ** (-n) * (1 - q ** (n + al + be + 1))
+        / ((1 + s1) * (1 + s2)),
+        "b_n_shift": q ** (-0.5 * (al + 1.5)) * (1 - q ** (n + 1)) * (1 + s1) * (1 + s2),
+        "h0_over_hn": (1 - q ** (2 * n + al + be + 1)) * qp(q, q, n)
+        * qp(q ** (al + be + 1), q, n) * qp(-s1, q, n)
+        / ((1 - q ** (al + be + 1)) * qp(q ** (al + 1), q, n)
+           * qp(q ** (be + 1), q, n) * qp(-(q ** (0.5 * (al + be + 3))), q, n))
+        * q ** (-(al + 0.5) * n),
+    }
+
+
+def _ks_q_laguerre(p, n):
+    """KS 3.19 for the normalised continuous q-Laguerre polynomials."""
+    from dqm.specfun import q_pochhammer as qp
+
+    al = p.a[0].real
+    q = p.q
+    return {
+        "c_n": 2.0**n * q ** (0.5 * (al + 0.5) * n) / qp(q, q, n),
+        "f_n": q ** (0.5 * (al + 1.5)) * q ** (-n),
+        "b_n_shift": q ** (-0.5 * (al + 1.5)) * (1 - q ** (n + 1)),
+        "h0_over_hn": qp(q, q, n) / qp(q ** (al + 1), q, n) * q ** (-(al + 0.5) * n),
+    }
+
+
+@pytest.mark.parametrize("family,name,closed", [
+    ("continuous-q-jacobi", "default", _ks_q_jacobi),
+    ("continuous-q-jacobi", "steep", _ks_q_jacobi),
+    ("continuous-q-laguerre", "default", _ks_q_laguerre),
+    ("continuous-q-laguerre", "edge", _ks_q_laguerre),
+])
+def test_normalisation_k_n_matches_closed_forms(family, name, closed):
+    # the Askey-Wilson forms times the ratios of k_n reproduce the families'
+    # own normalisation, level 0 included (f_0 is a limit there)
+    p = fixture_params(family, name)
+    for n in range(16):
+        c = coefficients(family, p, n)
+        for field, want in closed(p, n).items():
+            want = complex(want).real
+            assert abs(getattr(c, field) - want) <= 1e-13 * abs(want), (field, n)

@@ -366,3 +366,9 @@ def test_sample_points_deterministic_and_interior():
     assert xs1 == xs2
     assert all(1e-3 <= x <= math.pi - 1e-3 for x in xs1)
     assert len(set(xs1)) == 20
+
+
+def test_one_singularity_exception():
+    from dqm.families import SingularityError
+
+    assert SingularPointError is SingularityError

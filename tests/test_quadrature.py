@@ -184,3 +184,26 @@ def test_hermiticity_cross_eigenpolynomials():
     P1 = eval_poly_recurrence(fam, p, 1)
     P2 = eval_poly_recurrence(fam, p, 2)
     assert hermiticity_check(fam, p, P1, P2) <= 1e-6
+
+
+def test_hermiticity_forms_count_a_pole_of_V_at_a_node_as_zero(monkeypatch):
+    from dqm.families import SingularityError
+
+    fam = get_family("continuous-q-hermite")
+    plain_V = type(fam).V
+    hits = []
+
+    def V_pole_at_first_node(self, p, w):
+        # as V raises when a node lands exactly on its pole
+        if not hits:
+            hits.append(w)
+            raise SingularityError(f"potential singular at x = {w}")
+        return plain_V(self, p, w)
+
+    monkeypatch.setattr(type(fam), "V", V_pole_at_first_node)
+    p = fixture_params("continuous-q-hermite")
+    P = eval_poly_recurrence(fam, p, 2)
+    Q = eval_poly_recurrence(fam, p, 3)
+    lhs, rhs = hermiticity_forms(fam, p, P, Q)
+    assert hits
+    assert np.isfinite(lhs) and np.isfinite(rhs)

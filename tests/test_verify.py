@@ -316,6 +316,22 @@ def test_nan_residual_fails_its_check(monkeypatch):
     assert not r.passed
 
 
+def test_coherent_evaluates_each_polynomial_once_per_point(monkeypatch):
+    calls = []
+    plain_eval = EtaPolynomial.eval
+
+    def counting_eval(self, eta):
+        calls.append((self.coeffs, complex(eta)))
+        return plain_eval(self, eta)
+
+    monkeypatch.setattr(EtaPolynomial, "eval", counting_eval)
+    results = run_suite("coherent", "meixner-pollaczek",
+                        fixture_params("meixner-pollaczek"), VerifyConfig())
+    assert len(results) == 2
+    assert calls
+    assert len(calls) <= len(set(calls))
+
+
 def test_ladder_evaluates_each_polynomial_once_per_point(monkeypatch):
     calls = []
     plain_eval = EtaPolynomial.eval
