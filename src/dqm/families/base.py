@@ -25,6 +25,8 @@ __all__ = [
     "Family",
     "elementary_symmetric",
     "qpoch_inf_vec",
+    "as_complex",
+    "any_zero",
 ]
 
 
@@ -147,6 +149,28 @@ class ClosurePolys:
         return (self.rm1[0] * y + self.rm1[1]) * y + self.rm1[2]
 
 
+# ------------------------------------------------------ scalars and arrays
+
+def as_complex(w):
+    """w as a Python complex, or as a complex ndarray when w is an array.
+
+    The pointwise methods take either through one expression: a scalar call
+    runs exactly the scalar arithmetic, and an array stays numpy arithmetic.
+    """
+    if type(w) is complex:  # the common case, and complex(w) is w itself
+        return w
+    if isinstance(w, np.ndarray):
+        return w.astype(complex, copy=False)
+    return complex(w)
+
+
+def any_zero(v) -> bool:
+    """v == 0 for a scalar; whether any entry is 0 for an ndarray."""
+    if type(v) is np.ndarray:  # cheaper than isinstance on the scalar path
+        return bool((v == 0).any())
+    return v == 0
+
+
 # --------------------------------------------------------- parameter algebra
 
 def elementary_symmetric(values, k):
@@ -205,14 +229,14 @@ class Family:
         return 1.0
 
     def eta(self, w):
-        """Sinusoidal coordinate at (possibly complex) w."""
+        """Sinusoidal coordinate at (possibly complex) w, scalar or array."""
         kind = self.spec.eta_kind
+        w = as_complex(w)
         if kind == "x":
-            return complex(w)
+            return w
         if kind == "x^2":
-            w = complex(w)
             return w * w
-        z = np.exp(1j * complex(w))
+        z = np.exp(1j * w)
         return (z + 1.0 / z) / 2.0
 
     def eta_vec(self, x):
@@ -228,11 +252,12 @@ class Family:
     def phi_aux(self, w):
         """Auxiliary factor in the shift operators: 1, 2x or 2 sin x."""
         kind = self.spec.eta_kind
+        w = as_complex(w)
         if kind == "x":
-            return complex(1.0)
+            return np.ones_like(w) if isinstance(w, np.ndarray) else complex(1.0)
         if kind == "x^2":
-            return 2.0 * complex(w)
-        return 2.0 * np.sin(complex(w))
+            return 2.0 * w
+        return 2.0 * np.sin(w)
 
     def x_from_eta(self, eta_point):
         """Principal inverse of the coordinate map."""
@@ -248,11 +273,12 @@ class Family:
 
     # -- potential ----------------------------------------------------------
     def V(self, p: ParamSet, w) -> complex:
+        """Potential at (possibly complex) w, scalar or array."""
         raise NotImplementedError
 
     def V_star(self, p: ParamSet, w) -> complex:
         """Analytic continuation of x -> V(x)^*: conj(V(conj(w)))."""
-        return np.conj(self.V(p, np.conj(complex(w))))
+        return np.conj(self.V(p, as_complex(w).conjugate()))
 
     # -- spectral data ------------------------------------------------------
     def energy(self, p: ParamSet, n: int) -> float:

@@ -16,6 +16,7 @@ from .base import (
     FamilyId,
     FamilySpec,
     ParamSet,
+    as_complex,
     require,
 )
 
@@ -58,7 +59,7 @@ class ContinuousHahn(Family):
 
     def V(self, p: ParamSet, w) -> complex:
         a1, a2 = p.a
-        w = complex(w)
+        w = as_complex(w)
         return (a1 + 1j * w) * (a2 + 1j * w)
 
     def energy(self, p: ParamSet, n: int) -> float:
@@ -206,7 +207,7 @@ class MeixnerPollaczek(Family):
 
     def V(self, p: ParamSet, w) -> complex:
         a = p.a[0].real
-        return cmath.exp(1j * (math.pi / 2 - p.phi)) * (a + 1j * complex(w))
+        return cmath.exp(1j * (math.pi / 2 - p.phi)) * (a + 1j * as_complex(w))
 
     def energy(self, p: ParamSet, n: int) -> float:
         return 2.0 * n * math.sin(p.phi)

@@ -17,6 +17,8 @@ from .base import (
     FamilySpec,
     ParamSet,
     SingularityError,
+    any_zero,
+    as_complex,
     conjugate_closed,
     elementary_symmetric,
     require,
@@ -42,9 +44,9 @@ class _GammaRatioFamily(Family):
         return ParamSet(a=tuple(ai + 0.5 * k for ai in p.a))
 
     def V(self, p: ParamSet, w) -> complex:
-        w = complex(w)
+        w = as_complex(w)
         den = 2j * w * (2j * w + 1.0)
-        if den == 0:
+        if any_zero(den):
             raise SingularityError(f"potential singular at x = {w}")
         num = complex(1.0)
         for ai in p.a:

@@ -55,6 +55,8 @@ from .base import (
     FamilySpec,
     ParamSet,
     SingularityError,
+    any_zero,
+    as_complex,
     conjugate_closed,
     elementary_symmetric,
     qpoch_inf_vec,
@@ -65,7 +67,7 @@ __all__ = ["AskeyWilson", "Restriction", "RESTRICTIONS"]
 
 
 def _z_of(w) -> complex:
-    return np.exp(1j * complex(w))
+    return np.exp(1j * as_complex(w))
 
 
 # ----------------------------------------------------------- the restrictions
@@ -234,7 +236,7 @@ class AskeyWilson(Family):
         z = _z_of(w)
         z2 = z * z
         den = (1.0 - z2) * (1.0 - p.q * z2)
-        if den == 0:
+        if any_zero(den):
             raise SingularityError(f"potential singular at x = {w}")
         num = complex(1.0)
         for ai in self._aw(p).a:
@@ -264,17 +266,18 @@ class AskeyWilson(Family):
         return (p.q ** (-n) - 1.0) * (1.0 - self._aw(p).e4 * p.q ** (n - 1))
 
     def level_from_energy(self, p: ParamSet, energy: float) -> float:
+        # E + 1 + b4/q = q^{-N} + (b4/q) q^N =: hp, a quadratic in q^N whose
+        # smaller root is q^N; taken in the conjugate form, which does not
+        # cancel as hp^2 >> 4 b4/q.  For b4 >= q the smaller root at level 0
+        # is q/b4, not 1, so that range is rejected.
         q = p.q
         b4 = self._aw(p).e4
-        if b4 == 0:
-            # E_n = q^{-n} - 1  =>  q^N = (E+1)^{-1}
-            return -math.log(energy + 1.0) / math.log(q)
-        if not (0.0 < b4 < q):
+        if not b4 < q:
             raise ValueError(
-                f"number-operator inversion needs 0 < b4 < q, got b4={b4}, q={q}"
+                f"number-operator inversion needs b4 < q, got b4={b4}, q={q}"
             )
         hp = energy + 1.0 + b4 / q
-        qn = q / (2.0 * b4) * (hp - math.sqrt(hp * hp - 4.0 * b4 / q))
+        qn = 2.0 / (hp + math.sqrt(hp * hp - 4.0 * b4 / q))
         return math.log(qn) / math.log(q)
 
     def closure(self, p: ParamSet) -> ClosurePolys:

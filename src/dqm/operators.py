@@ -8,12 +8,15 @@ is again a callable evaluable at complex arguments.  Functions of the
 Hamiltonian are never inverted numerically; on eigenfunction data they
 reduce to spectral scalars.
 
+H-tilde also acts on arrays: at an ndarray w, with f returning one row per
+level, it returns the (levels, points) array of the actions, and V(w)
+broadcasts over the levels.  A scalar w runs the scalar arithmetic.
+
 Composed operators revisit the same points many times (H-tilde of a ladder
 output evaluates the ladder at x and x +/- i*gamma, and each of those
 evaluates the operand at its own shifted points), so the operands built here
 are memoised per point with `memo`: each value is computed once, by the same
-arithmetic, and the memo is freed with the callable that owns it.  The
-quadrature integrands are not memoised, since their nodes never repeat.
+arithmetic, and the memo is freed with the callable that owns it.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .families import ParamSet, SingularityError, get_family
+from .families.base import as_complex
 from .polynomials import EtaPolynomial
 
 __all__ = [
@@ -129,8 +133,9 @@ class OperatorContext:
 
     # -- core difference operators ------------------------------------------
     def H_tilde(self, f, w) -> complex:
-        """V(x)(f(x-ig) - f(x)) + V*(x)(f(x+ig) - f(x))."""
-        w = complex(w)
+        """V(x)(f(x-ig) - f(x)) + V*(x)(f(x+ig) - f(x)), at a scalar or an
+        array w; f returns a scalar, or (levels, points) at an array."""
+        w = as_complex(w)
         self._check_regular(w)
         # for the cos-x group the shifts act on z = e^{ix} as z -> q^{+/-1} z;
         # evaluating at the literally shifted argument is the same thing,
@@ -167,15 +172,27 @@ class OperatorContext:
             - self.V_star(w) * self.phi_aux(w + 0.5j * g) * f(w + 0.5j * g)
         )
 
-    def _check_regular(self, w: complex) -> None:
+    def inside_guard(self, w):
+        """True where w lies within SINGULAR_MARGIN of a pole of V on the
+        real line; a bool for a scalar w, a boolean array for an array."""
         kind = self.family.spec.eta_kind
         if kind == "cos x":
             # poles of V at z^2 = 1, i.e. x = 0 mod pi
-            if abs(math.sin(w.real)) < SINGULAR_MARGIN and abs(w.imag) < SINGULAR_MARGIN:
-                raise SingularityError(f"potential singular near x = {w}")
-        elif kind == "x^2":
-            if abs(w) < SINGULAR_MARGIN:
-                raise SingularityError(f"potential singular near x = {w}")
+            s = np.sin(w.real) if isinstance(w, np.ndarray) else math.sin(w.real)
+            return (abs(s) < SINGULAR_MARGIN) & (abs(w.imag) < SINGULAR_MARGIN)
+        if kind == "x^2":
+            return abs(w) < SINGULAR_MARGIN
+        return np.zeros(w.shape, dtype=bool) if isinstance(w, np.ndarray) else False
+
+    def _check_regular(self, w) -> None:
+        inside = self.inside_guard(w)
+        if inside is False:  # a scalar outside the guard, the common case
+            return
+        if isinstance(inside, np.ndarray):
+            if not inside.any():
+                return
+            w = w[inside][0]
+        raise SingularityError(f"potential singular near x = {w}")
 
 
 def sample_points(family, params: ParamSet, count: int = 20, seed: int = 0):

@@ -6,6 +6,18 @@ weight is below truncation_threshold times its maximum, then integrated
 with a tanh-sinh (double-exponential) rule; (0, pi) uses composite
 Gauss-Legendre with panel doubling by default.  Both rules report an error
 estimate from their final refinement step.
+
+Each refinement level is one node set, shared by every integral computed on
+it: the Gram matrix takes all its entries from one evaluation of phi0^2 and
+of P_0..P_n per level, and `hermiticity_forms` takes both forms of all its
+pairs from one phi0^2 per level and one application of H-tilde to the
+(polynomials, nodes) array.  A level is accepted when every one of its
+integrals passes the per-integral stopping test.  The hermiticity sums run
+over blocks of at most NODE_BLOCK nodes, so the transient arrays stay small
+at any depth.  Nodes inside the operator's singularity guard around the
+poles of V (exponentially close to an interval end) are masked out of the
+hermiticity sums, that is, counted as zero: the weight has crushed the
+integrand there.
 """
 
 from __future__ import annotations
@@ -16,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .families import ParamSet, SingularityError, get_family
+from .families import ParamSet, get_family
 from .operators import OperatorContext
 from .polynomials import EtaPolynomial
 
@@ -61,16 +73,20 @@ class QuadratureSpec:
 
 DEFAULT_SPEC = QuadratureSpec()
 
+# nodes per block of the hermiticity sums: bounds the transient
+# (polynomials, nodes) arrays whatever the refinement depth
+NODE_BLOCK = 1024
+
 
 def _call_vectorized(f, x: np.ndarray) -> np.ndarray:
-    try:
-        out = f(x)
-        out = np.asarray(out, dtype=complex)
-        if out.shape == x.shape:
-            return out
-    except Exception:
-        pass
-    return np.array([f(float(v)) for v in x], dtype=complex)
+    """f at the nodes x as a complex array of x's shape; f must be vectorised."""
+    out = np.asarray(f(x), dtype=complex)
+    if out.shape != x.shape:
+        raise ValueError(
+            f"integrand returned shape {out.shape} at nodes of shape {x.shape}; "
+            "it must take and return arrays"
+        )
+    return out
 
 
 @lru_cache(maxsize=32)
@@ -85,59 +101,58 @@ def _tanh_sinh_nodes(level: int, t_max: float = 3.6):
     return x[keep], w[keep]
 
 
-def _integrate_tanh_sinh(f, a: float, b: float, spec: QuadratureSpec):
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    prev = None
-    value = 0j
-    err = math.inf
-    for level in range(2, 11):
-        xs, ws = _tanh_sinh_nodes(level)
-        vals = _call_vectorized(f, mid + half * xs)
-        value = half * np.sum(ws * vals)
-        if prev is not None:
-            err = abs(value - prev)
-            # the L1 mass sets the cancellation floor reachable in doubles
-            floor = 1e-14 * abs(half) * float(np.sum(ws * np.abs(vals)))
-            if err <= max(spec.abs_tol * max(1.0, abs(value)), floor):
-                return complex(value), float(err)
-        prev = value
-    raise ToleranceNotMet(
-        f"tanh-sinh stalled at estimated error {err:.3e} > {spec.abs_tol:.3e}",
-        float(err),
-    )
-
-
 @lru_cache(maxsize=8)
 def _gl_nodes(order: int = 32):
     return np.polynomial.legendre.leggauss(order)
 
 
-def _integrate_gl_composite(f, a: float, b: float, spec: QuadratureSpec):
-    xs0, ws0 = _gl_nodes()
+def _node_levels(use_gl: bool, a: float, b: float, first_ts_level: int = 2):
+    """(nodes, weights) on [a, b] at each refinement level of one rule.
+
+    Composite Gauss-Legendre doubles its panels from 2 to 512; tanh-sinh
+    halves its step from level first_ts_level to level 10.
+    """
+    if use_gl:
+        xs0, ws0 = _gl_nodes()
+        panels = 2
+        for _ in range(9):
+            edges = np.linspace(a, b, panels + 1)
+            mids = 0.5 * (edges[:-1] + edges[1:])
+            halves = 0.5 * np.diff(edges)
+            yield (
+                (mids[:, None] + halves[:, None] * xs0[None, :]).ravel(),
+                (halves[:, None] * ws0[None, :]).ravel(),
+            )
+            panels *= 2
+    else:
+        mid = 0.5 * (a + b)
+        half = 0.5 * (b - a)
+        for level in range(first_ts_level, 11):
+            xs, ws = _tanh_sinh_nodes(level)
+            yield mid + half * xs, half * ws
+
+
+def _converged(err, value, l1, spec: QuadratureSpec):
+    """The per-integral stopping test, elementwise over arrays of integrals:
+    |delta| <= abs_tol max(1, |value|), or below the cancellation floor
+    1e-14 L1 that the integrand's L1 mass sets in doubles."""
+    return err <= np.maximum(spec.abs_tol * np.maximum(1.0, np.abs(value)), 1e-14 * l1)
+
+
+def _integrate(f, levels, spec: QuadratureSpec):
     prev = None
-    value = 0j
     err = math.inf
-    panels = 2
-    for _ in range(9):
-        edges = np.linspace(a, b, panels + 1)
-        total = 0j
-        l1 = 0.0
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            mid = 0.5 * (lo + hi)
-            half = 0.5 * (hi - lo)
-            vals = _call_vectorized(f, mid + half * xs0)
-            total += half * np.sum(ws0 * vals)
-            l1 += half * float(np.sum(ws0 * np.abs(vals)))
-        value = total
+    for nodes, weights in levels:
+        vals = _call_vectorized(f, nodes)
+        value = np.sum(weights * vals)
         if prev is not None:
             err = abs(value - prev)
-            if err <= max(spec.abs_tol * max(1.0, abs(value)), 1e-14 * l1):
+            l1 = float(np.sum(np.abs(weights) * np.abs(vals)))
+            if _converged(err, value, l1, spec):
                 return complex(value), float(err)
         prev = value
-        panels *= 2
     raise ToleranceNotMet(
-        f"Gauss-Legendre refinement stalled at {err:.3e} > {spec.abs_tol:.3e}",
+        f"quadrature refinement stalled at estimated error {err:.3e} > {spec.abs_tol:.3e}",
         float(err),
     )
 
@@ -152,9 +167,8 @@ def _use_gl(family, spec: QuadratureSpec) -> bool:
 
 def integrate(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_SPEC):
     """Integrate a (vectorised) callable over [a, b]; returns (value, err)."""
-    if spec.rule == "gauss-legendre-composite":
-        return _integrate_gl_composite(f, a, b, spec)
-    return _integrate_tanh_sinh(f, a, b, spec)
+    use_gl = spec.rule == "gauss-legendre-composite"
+    return _integrate(f, _node_levels(use_gl, a, b), spec)
 
 
 def weight_window(family, p: ParamSet, spec: QuadratureSpec = DEFAULT_SPEC,
@@ -200,10 +214,7 @@ def inner_product(family, p: ParamSet, F, G,
     def integrand(x):
         return np.conj(_call_vectorized(F, x)) * _call_vectorized(G, x)
 
-    if _use_gl(fam, spec):
-        value, _err = _integrate_gl_composite(integrand, a, b, spec)
-    else:
-        value, _err = _integrate_tanh_sinh(integrand, a, b, spec)
+    value, _err = _integrate(integrand, _node_levels(_use_gl(fam, spec), a, b), spec)
     return value
 
 
@@ -228,7 +239,6 @@ def orthogonality_matrix(family, p: ParamSet, n_max: int = 6,
     polys = [eval_poly_recurrence(fam, p, n) for n in range(n_max + 1)]
     h0 = fam.h0(p)
     expected = tuple(h0 / fam.h0_over_hn(p, n) for n in range(n_max + 1))
-    use_gl = _use_gl(fam, spec)
 
     def gram_at(nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
         w2 = np.asarray(fam.phi0(p, nodes), dtype=float) ** 2
@@ -239,43 +249,16 @@ def orthogonality_matrix(family, p: ParamSet, n_max: int = 6,
         return 0.5 * (g + g.T)  # the form is symmetric; remove summation noise
 
     prev = None
-    gram = None
     err = math.inf
-    if use_gl:
-        xs0, ws0 = _gl_nodes()
-        panels = 2
-        for _ in range(9):
-            edges = np.linspace(a, b, panels + 1)
-            mids = 0.5 * (edges[:-1] + edges[1:])
-            halves = 0.5 * np.diff(edges)
-            nodes = (mids[:, None] + halves[:, None] * xs0[None, :]).ravel()
-            weights = (halves[:, None] * ws0[None, :]).ravel()
-            gram = gram_at(nodes, weights)
-            if prev is not None:
-                err = float(np.max(np.abs(gram - prev)))
-                if err <= spec.abs_tol * max(1.0, float(np.max(np.abs(gram)))):
-                    break
-            prev = gram
-            panels *= 2
-        else:
-            raise ToleranceNotMet(
-                f"Gram refinement stalled at {err:.3e}", err
-            )
+    for nodes, weights in _node_levels(_use_gl(fam, spec), a, b, first_ts_level=3):
+        gram = gram_at(nodes, weights)
+        if prev is not None:
+            err = float(np.max(np.abs(gram - prev)))
+            if err <= spec.abs_tol * max(1.0, float(np.max(np.abs(gram)))):
+                break
+        prev = gram
     else:
-        mid = 0.5 * (a + b)
-        half = 0.5 * (b - a)
-        for level in range(3, 11):
-            xs, ws = _tanh_sinh_nodes(level)
-            gram = gram_at(mid + half * xs, half * ws)
-            if prev is not None:
-                err = float(np.max(np.abs(gram - prev)))
-                if err <= spec.abs_tol * max(1.0, float(np.max(np.abs(gram)))):
-                    break
-            prev = gram
-        else:
-            raise ToleranceNotMet(
-                f"Gram refinement stalled at {err:.3e}", err
-            )
+        raise ToleranceNotMet(f"Gram refinement stalled at {err:.3e}", err)
 
     scale = np.sqrt(np.outer(expected, expected))
     off = np.abs(gram) / scale
@@ -287,50 +270,61 @@ def orthogonality_matrix(family, p: ParamSet, n_max: int = 6,
     )
 
 
-def hermiticity_forms(family, p: ParamSet, P: EtaPolynomial, Q: EtaPolynomial,
+def hermiticity_forms(family, p: ParamSet, P, Q,
                       spec: QuadratureSpec = DEFAULT_SPEC):
     """The two sesquilinear forms ((g, Hf), (Hg, f)) with f = phi0 P, g = phi0 Q.
 
-    Both are computed through the polynomial-level Hamiltonian:
-    (g, Hf) = int phi0^2 conj(Q) (H-tilde P) and its mirror image.
+    P and Q are two EtaPolynomials, or two equal-length sequences of them;
+    for sequences the forms of every pair (P[i], Q[i]) come back as two
+    arrays.  Both forms go through the polynomial-level Hamiltonian:
+    (g, Hf) = int phi0^2 conj(Q) (H-tilde P), and its mirror image.
     """
+    one = isinstance(P, EtaPolynomial)
+    Ps, Qs = ((P,), (Q,)) if one else (tuple(P), tuple(Q))
+    if len(Ps) != len(Qs):
+        raise ValueError(f"{len(Ps)} polynomials P against {len(Qs)} Q")
+    # each distinct polynomial is one row of the (polynomials, nodes) arrays
+    polys = tuple({id(poly): poly for poly in Ps + Qs}.values())
+    row = {id(poly): i for i, poly in enumerate(polys)}
+    ip = [row[id(poly)] for poly in Ps]
+    iq = [row[id(poly)] for poly in Qs]
+
     fam = get_family(family)
     ctx = OperatorContext(fam, p)
     a, b = weight_window(fam, p, spec)
-    # not ctx.poly_fn: quadrature nodes are never revisited, so a per-point
-    # memo would only hold every node's values until the forms return
-    fP = lambda w: P.eval(fam.eta(w))
-    fQ = lambda w: Q.eval(fam.eta(w))
 
-    def h_applied(f, x):
-        # nodes exponentially close to an interval end can sit inside the
-        # operator's singularity guard, or on the pole of V itself; the weight
-        # has already crushed the contribution there, so count it as zero
-        out = np.empty(x.shape, dtype=complex)
-        for i, v in enumerate(x):
-            try:
-                out[i] = ctx.H_tilde(f, float(v))
-            except SingularityError:
-                out[i] = 0.0
-        return out
+    def rows(eta):
+        return np.array([poly.eval(eta) for poly in polys])
 
-    def lhs(x):
-        w2 = np.asarray(fam.phi0(p, x), dtype=float) ** 2
-        eta = fam.eta_vec(x)
-        return w2 * np.conj(Q.eval(eta)) * h_applied(fP, x)
-
-    def rhs(x):
-        w2 = np.asarray(fam.phi0(p, x), dtype=float) ** 2
-        eta = fam.eta_vec(x)
-        return w2 * np.conj(h_applied(fQ, x)) * P.eval(eta)
-
-    if _use_gl(fam, spec):
-        v_lhs, _ = _integrate_gl_composite(lhs, a, b, spec)
-        v_rhs, _ = _integrate_gl_composite(rhs, a, b, spec)
-    else:
-        v_lhs, _ = _integrate_tanh_sinh(lhs, a, b, spec)
-        v_rhs, _ = _integrate_tanh_sinh(rhs, a, b, spec)
-    return v_lhs, v_rhs
+    prev = None
+    err = math.inf
+    for nodes, weights in _node_levels(_use_gl(fam, spec), a, b):
+        # nodes inside the operator's singularity guard count as zero
+        keep = ~ctx.inside_guard(nodes)
+        nodes = nodes[keep]
+        wp = weights[keep] * np.asarray(fam.phi0(p, nodes), dtype=float) ** 2
+        value = np.zeros((2, len(Ps)), dtype=complex)
+        l1 = np.zeros((2, len(Ps)))
+        for lo in range(0, nodes.size, NODE_BLOCK):
+            x = nodes[lo:lo + NODE_BLOCK]
+            wx = wp[lo:lo + NODE_BLOCK]
+            vals = rows(fam.eta_vec(x))
+            h = ctx.H_tilde(lambda w: rows(fam.eta(w)), x)
+            terms = np.stack([np.conj(vals[iq]) * h[ip], np.conj(h[iq]) * vals[ip]])
+            value += terms @ wx
+            l1 += np.abs(terms) @ np.abs(wx)
+        if prev is not None:
+            delta = np.abs(value - prev)
+            err = float(delta.max())
+            if _converged(delta, value, l1, spec).all():
+                if one:
+                    return complex(value[0, 0]), complex(value[1, 0])
+                return value[0], value[1]
+        prev = value
+    raise ToleranceNotMet(
+        f"hermiticity forms stalled at estimated error {err:.3e} > {spec.abs_tol:.3e}",
+        err,
+    )
 
 
 def hermiticity_check(family, p: ParamSet, P: EtaPolynomial, Q: EtaPolynomial,

@@ -892,9 +892,9 @@ def check_hermiticity(family, p: ParamSet, config: VerifyConfig = VerifyConfig()
         (polys[3], polys[0]),
         (polys[2], polys[4]),
     ]
+    Ps, Qs = zip(*pairs)
     worst = 0.0
-    for P, Q in pairs:
-        lhs, rhs = hermiticity_forms(fam, p, P, Q)
+    for lhs, rhs in zip(*hermiticity_forms(fam, p, Ps, Qs)):
         worst = _worst(worst, abs(lhs - rhs) / (1.0 + abs(lhs)))
     return [
         CheckResult.build("hermiticity.symmetric_form", fam, p, (0, 4),
@@ -978,7 +978,7 @@ def check_limit_aw_wilson(wilson_params: ParamSet, L_sequence=(20.0, 40.0, 80.0)
 
 # --------------------------------------------------------- number operator
 
-def check_number_operator(family, p: ParamSet, n_range=range(0, 11),
+def check_number_operator(family, p: ParamSet, n_range=range(0, 31),
                           config: VerifyConfig = VerifyConfig()):
     """The level recovered from its energy through the stated inversion."""
     fam = get_family(family)

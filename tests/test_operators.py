@@ -96,6 +96,45 @@ def test_H_singularity_guard():
         apply_tilde_H(_const("wilson", p), 1e-12)
 
 
+@pytest.mark.parametrize("family,name", all_fixtures())
+def test_array_operators_match_the_scalar_ones(family, name):
+    # one expression serves both; numpy's array arithmetic may round the
+    # last bits differently from the scalar path, hence the 1e-13
+    import numpy as np
+
+    p = fixture_params(family, name)
+    fam = get_family(family)
+    ctx = OperatorContext(fam, p)
+    xs = sample_points(fam, p, 7)
+    ws = np.array(xs + [x + 0.3j for x in xs] + [x - 0.2j for x in xs])
+    for method in (fam.eta, fam.phi_aux, lambda w: fam.V(p, w), lambda w: fam.V_star(p, w)):
+        got = method(ws)
+        assert got.shape == ws.shape
+        for g, w in zip(got, ws):
+            want = method(complex(w))
+            assert abs(g - want) <= 1e-13 * (1 + abs(want))
+    polys = [eval_poly_recurrence(fam, p, n) for n in range(4)]
+    rows = lambda w: np.array([poly.eval(fam.eta(w)) for poly in polys])
+    got = ctx.H_tilde(rows, np.array(xs))
+    assert got.shape == (4, len(xs))
+    for n, poly in enumerate(polys):
+        f = ctx.poly_fn(poly)
+        for g, x in zip(got[n], xs):
+            want = ctx.H_tilde(f, x)
+            assert abs(g - want) <= 1e-13 * (1 + abs(want))
+
+
+def test_array_H_guards_every_point():
+    import numpy as np
+
+    p = fixture_params("wilson")
+    ctx = OperatorContext(get_family("wilson"), p)
+    f = lambda w: np.array([np.ones_like(w)])
+    assert ctx.H_tilde(f, np.array([0.5, 1.5])).shape == (1, 2)
+    with pytest.raises(SingularPointError, match="1e-12"):
+        ctx.H_tilde(f, np.array([0.5, 1e-12, 1.5]))
+
+
 # ---------------------------------------------------------------- shifts
 
 @pytest.mark.parametrize("family,name", all_fixtures())

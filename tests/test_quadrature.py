@@ -8,8 +8,15 @@ import math
 import numpy as np
 import pytest
 
-from dqm.families import FAMILIES, FamilyId, ParamSet, eval_poly_recurrence, get_family
-from dqm.fixtures import fixture_params
+from dqm.families import (
+    FAMILIES,
+    FamilyId,
+    ParamSet,
+    eval_poly_recurrence,
+    eval_polys_recurrence,
+    get_family,
+)
+from dqm.fixtures import fixture_names, fixture_params
 from dqm.quadrature import (
     QuadratureSpec,
     ToleranceNotMet,
@@ -187,23 +194,78 @@ def test_hermiticity_cross_eigenpolynomials():
 
 
 def test_hermiticity_forms_count_a_pole_of_V_at_a_node_as_zero(monkeypatch):
+    # on (-pi, pi) the tanh-sinh rule puts its centre node exactly on x = 0,
+    # the pole of the q-Hermite V; the integrand is even in x
+    import dqm.quadrature as quadrature
     from dqm.families import SingularityError
+    from dqm.quadrature import _tanh_sinh_nodes
 
     fam = get_family("continuous-q-hermite")
-    plain_V = type(fam).V
-    hits = []
-
-    def V_pole_at_first_node(self, p, w):
-        # as V raises when a node lands exactly on its pole
-        if not hits:
-            hits.append(w)
-            raise SingularityError(f"potential singular at x = {w}")
-        return plain_V(self, p, w)
-
-    monkeypatch.setattr(type(fam), "V", V_pole_at_first_node)
     p = fixture_params("continuous-q-hermite")
     P = eval_poly_recurrence(fam, p, 2)
     Q = eval_poly_recurrence(fam, p, 3)
-    lhs, rhs = hermiticity_forms(fam, p, P, Q)
-    assert hits
-    assert np.isfinite(lhs) and np.isfinite(rhs)
+    spec = QuadratureSpec(rule="double-exponential")
+    plain = hermiticity_forms(fam, p, P, Q, spec)
+
+    monkeypatch.setattr(quadrature, "weight_window", lambda *args: (-math.pi, math.pi))
+    assert 0.0 in 0.0 + math.pi * _tanh_sinh_nodes(2)[0]
+    with pytest.raises(SingularityError):
+        fam.V(p, 0.0)
+    doubled = hermiticity_forms(fam, p, P, Q, spec)
+    for got, want in zip(doubled, plain):
+        assert np.isfinite(got)
+        assert abs(0.5 * got - want) <= 1e-10 * (1 + abs(want))
+
+
+FIXTURES = [(name, fx) for name in ALL_FAMILIES for fx in fixture_names(name)]
+
+
+@pytest.mark.parametrize("family,fixture", FIXTURES)
+def test_hermiticity_forms_reproduce_the_spectrum(family, fixture):
+    # phi0 P_n / sqrt(h_n) are orthonormal eigenfunctions: both forms of the
+    # pair (P_n, P_m) equal E_n delta_nm; the pairs are check_hermiticity's
+    fam = get_family(family)
+    p = fixture_params(family, fixture)
+    h0 = fam.h0(p)
+    polys = [
+        poly.scaled(math.sqrt(fam.h0_over_hn(p, n) / h0))
+        for n, poly in enumerate(eval_polys_recurrence(fam, p, 4))
+    ]
+    levels = [(0, 0), (1, 1), (1, 2), (3, 0), (2, 4)]
+    lhs, rhs = hermiticity_forms(
+        fam, p, [polys[n] for n, _ in levels], [polys[m] for _, m in levels])
+    for (n, m), gHf, Hgf in zip(levels, lhs, rhs):
+        e_n = fam.energy(p, n)
+        want = e_n if n == m else 0.0
+        assert abs(gHf - want) <= 1e-11 * (1 + e_n)
+        assert abs(Hgf - want) <= 1e-11 * (1 + e_n)
+
+
+@pytest.mark.parametrize("family,fixture", FIXTURES)
+def test_hermiticity_evaluates_phi0_once_per_level(family, fixture, monkeypatch):
+    from dqm.verify import check_hermiticity
+
+    fam = get_family(family)
+    p = fixture_params(family, fixture)
+    plain_phi0 = type(fam).phi0
+    sizes = []
+
+    def counted(self, params, x):
+        sizes.append(np.size(x))
+        return plain_phi0(self, params, x)
+
+    monkeypatch.setattr(type(fam), "phi0", counted)
+    assert check_hermiticity(fam, p)[0].passed
+    if fam.spec.interval != (0.0, math.pi):
+        assert sizes.pop(0) in (4801, 6001)  # the integration window's grid
+    # one call per refinement level, each on more nodes than the last: a
+    # level evaluated twice (per pair or per form) would repeat a size
+    assert len(sizes) >= 2
+    assert all(a < b for a, b in zip(sizes, sizes[1:]))
+
+
+def test_integrand_that_is_not_vectorised_raises():
+    with pytest.raises(ValueError, match="shape"):
+        integrate(lambda x: 1.0, 0.0, 1.0)
+    with pytest.raises(TypeError):
+        integrate(lambda x: math.exp(x), 0.0, 1.0)

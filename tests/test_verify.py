@@ -194,15 +194,31 @@ def test_number_operator_level_zero():
 
 
 def test_number_operator_regime_error():
-    # Askey-Wilson inversion needs 0 < b4 < q
-    p = fixture_params("askey-wilson", "real")  # b4 < 0 there
+    # the Askey-Wilson inversion holds for every b4 < q, negative b4 included
     fam = get_family("askey-wilson")
-    b4 = 1.0
-    for v in p.a:
-        b4 *= v
-    assert b4.real < 0
-    with pytest.raises(ValueError, match="b4"):
+    p = fixture_params("askey-wilson", "real")
+    assert math.prod(p.a).real < 0
+    for n in range(31):
+        assert fam.level_from_energy(p, fam.energy(p, n)) == pytest.approx(n, abs=1e-13)
+    # for b4 >= q the smaller root at level 0 is q/b4, not 1: rejected by name
+    p = ParamSet(a=(0.95, 0.9, 0.9, 0.9), q=0.5)
+    fam.validate(p)
+    assert math.prod(p.a).real >= p.q
+    with pytest.raises(ValueError, match="needs b4 < q"):
         fam.level_from_energy(p, fam.energy(p, 1))
+
+
+@pytest.mark.parametrize("family,fixture", [
+    ("askey-wilson", "default"),
+    ("continuous-q-jacobi", "default"),
+    ("continuous-q-jacobi", "steep"),
+])
+def test_number_operator_inverts_high_levels(family, fixture):
+    # the conjugate root does not cancel as hp^2 >> 4 b4/q
+    fam = get_family(family)
+    p = fixture_params(family, fixture)
+    for n in range(31):
+        assert abs(fam.level_from_energy(p, fam.energy(p, n)) - n) <= 1e-14 * (1 + n)
 
 
 def test_number_operator_meixner_pollaczek_linear():
