@@ -25,7 +25,6 @@ from .families import (
     get_family,
 )
 from .fixtures import fixture_params, parse_complex
-from .operators import OperatorContext
 from .verify import SUITES, VerifyConfig, run_suite
 
 REPORT_VERSION = 1
@@ -117,8 +116,7 @@ def cmd_eval(args) -> int:
     p = _params_from_args(args)
     n = args.n
     x = args.x
-    ctx = OperatorContext(fam, p)
-    eta = ctx.eta(x)
+    eta = fam.eta(x)
     poly = eval_poly_recurrence(fam, p, n)
     v_rec = poly.eval(eta)
     v_hyp = eval_poly_hypergeometric(fam, p, n, eta)

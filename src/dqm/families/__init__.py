@@ -137,14 +137,15 @@ def eval_poly_hypergeometric(family, p: ParamSet, n: int, eta_point) -> complex:
 
 
 def _monic_ascent(fam: Family, p: ParamSet, n: int):
-    """Yield the monic coefficient lists of P_0 .. P_n, ascending once."""
+    """Yield (monic coefficient list, c_k) for P_0 .. P_n, ascending once;
+    each c_k is computed once and carried up to the next level."""
     if n < 0:
         raise ValidationError(f"level must be >= 0, got {n}")
     prev = [complex(0.0)]          # monic P_{-1} = 0
     cur = [complex(1.0)]           # monic P_0 = 1
-    yield cur
+    c_k = fam.c_n(p, 0)
+    yield cur, c_k
     for k in range(n):
-        c_k = fam.c_n(p, k)
         c_k1 = fam.c_n(p, k + 1)
         if c_k1 == 0 or c_k / c_k1 == 0:
             raise DegeneracyError(f"A_{k} vanished while ascending to n={n}")
@@ -156,26 +157,25 @@ def _monic_ascent(fam: Family, p: ParamSet, n: int):
             nxt[i] -= a_k * c        # -a_k P_k
         for i, c in enumerate(prev):
             nxt[i] -= b_k * c        # -b_k P_{k-1}
-        prev, cur = cur, nxt
-        yield cur
+        prev, cur, c_k = cur, nxt, c_k1
+        yield cur, c_k
 
 
-def _scaled(fam: Family, p: ParamSet, n: int, monic: list) -> EtaPolynomial:
-    c_n = fam.c_n(p, n)
+def _scaled(fam: Family, p: ParamSet, n: int, monic: list, c_n) -> EtaPolynomial:
     return EtaPolynomial(tuple(c * c_n for c in monic), fam.spec.id, p, n)
 
 
 def eval_poly_recurrence(family, p: ParamSet, n: int) -> EtaPolynomial:
     """Coefficient vector of P_n built by the three-term recurrence."""
     fam = get_family(family)
-    for monic in _monic_ascent(fam, p, n):
+    for monic, c_n in _monic_ascent(fam, p, n):
         pass
-    return _scaled(fam, p, n, monic)
+    return _scaled(fam, p, n, monic, c_n)
 
 
 def eval_polys_recurrence(family, p: ParamSet, n_max: int) -> list[EtaPolynomial]:
     """P_0 .. P_{n_max} from one recurrence ascent; entry n equals
     eval_poly_recurrence(family, p, n) exactly."""
     fam = get_family(family)
-    return [_scaled(fam, p, n, monic)
-            for n, monic in enumerate(_monic_ascent(fam, p, n_max))]
+    return [_scaled(fam, p, n, monic, c_n)
+            for n, (monic, c_n) in enumerate(_monic_ascent(fam, p, n_max))]

@@ -1,48 +1,53 @@
-"""Pointwise application of the similarity-transformed Hamiltonian, the
-forward/backward shift operators, commutators, ladder operators and the
-explicit parameter-shift operators.
+"""Difference operators on the shift lattice: the similarity-transformed
+Hamiltonian, the forward/backward shift operators, the commutator
+[H-tilde, eta], the ladder operators and the explicit parameter-shift
+operators.
 
-Everything acts on callables w -> complex (the polynomial part of a state,
-analytically continued), so operators compose: the output of one application
-is again a callable evaluable at complex arguments.  Functions of the
-Hamiltonian are never inverted numerically; on eigenfunction data they
-reduce to spectral scalars.
+Every operator of the framework shifts its operand's argument by multiples
+of i*gamma/2.  So an operand is evaluated once, as an array, on the lattice
+w + k*i*gamma/2 (k = -K..K) over real points w (`Lattice`), and each
+operator is a weighted sum of slices of that array.  Its output lives on the
+lattice shrunk by the shifts it takes, two rows at each end for H-tilde and
+one for F and B, so a composed operator is a composed array expression.
+Arrays are laid out (..., 2K+1, points): the lattice rows, then the points,
+with any leading axes (one row per level, say) broadcast through.
 
-H-tilde also acts on arrays: at an ndarray w, with f returning one row per
-level, it returns the (levels, points) array of the actions, and V(w)
-broadcasts over the levels.  A scalar w runs the scalar arithmetic.
+Every value carries the magnitude of the terms summed into it (`Terms`):
+the same expression with |.| on every factor, which is running error
+analysis in its simplest form (Higham, Accuracy and Stability of Numerical
+Algorithms, 2nd ed., s. 3.3).  Round-off in a value is a few units of the
+last place of its magnitude, however much its terms cancel.
 
-Composed operators revisit the same points many times (H-tilde of a ladder
-output evaluates the ladder at x and x +/- i*gamma, and each of those
-evaluates the operand at its own shifted points), so the operands built here
-are memoised per point with `memo`: each value is computed once, by the same
-arithmetic, and the memo is freed with the callable that owns it.
+The pointwise functions (apply_tilde_H, ...) take a scalar x as a one-point
+lattice and return the scalar value.  Functions of the Hamiltonian are never
+inverted numerically; on eigenfunction data they reduce to spectral scalars.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .families import ParamSet, SingularityError, get_family
-from .families.base import as_complex
 from .polynomials import EtaPolynomial
 
 __all__ = [
     "OperatorContext",
-    "LadderContext",
+    "Lattice",
+    "Terms",
     "SingularPointError",
+    "per_level",
     "sample_points",
     "apply_tilde_H",
     "apply_forward_shift",
     "apply_backward_shift",
     "commutator_H_eta",
+    "ladder_action",
     "apply_ladder",
     "lambda_shift_X",
     "rodrigues_polynomial",
-    "memo",
 ]
 
 SINGULAR_MARGIN = 1e-8
@@ -52,35 +57,126 @@ SINGULAR_MARGIN = 1e-8
 SingularPointError = SingularityError
 
 
-def memo(f):
-    """f with its values kept per point, in a dict the returned callable owns.
+def _rows(a, k: int, half: int):
+    """The rows of a (axis -2, centred) at lattice offsets k-half .. k+half."""
+    c = (a.shape[-2] - 1) // 2
+    return a[..., c + k - half:c + k + half + 1, :]
 
-    For pure f only: a repeated point returns the value computed the first
-    time, so the arithmetic is unchanged and only repeated work is removed.
+
+class Terms:
+    """Values together with the magnitude of the terms summed into them.
+
+    Arithmetic carries the magnitude as the same expression with |.| on
+    every factor: a sum or a difference adds the magnitudes, a product
+    multiplies them.  A plain number or array is a factor whose magnitude is
+    its modulus.
     """
-    values = {}
 
-    def memoised(w):
-        try:
-            return values[w]
-        except KeyError:
-            out = values[w] = f(w)
-            return out
+    __slots__ = ("val", "mag")
+    __array_ufunc__ = None  # so that ndarray * Terms defers to Terms
 
-    return memoised
+    def __init__(self, val, mag=None):
+        self.val = val
+        self.mag = np.abs(val) if mag is None else mag
+
+    @property
+    def half(self) -> int:
+        return (self.val.shape[-2] - 1) // 2
+
+    def at(self, k: int, half: int = 0) -> "Terms":
+        """The lattice rows at offsets k-half .. k+half of the centre."""
+        return Terms(_rows(self.val, k, half), _rows(self.mag, k, half))
+
+    def __getitem__(self, index) -> "Terms":
+        return Terms(self.val[index], self.mag[index])
+
+    def __add__(self, other) -> "Terms":
+        other = _terms(other)
+        return Terms(self.val + other.val, self.mag + other.mag)
+
+    __radd__ = __add__
+
+    def __sub__(self, other) -> "Terms":
+        other = _terms(other)
+        return Terms(self.val - other.val, self.mag + other.mag)
+
+    def __rsub__(self, other) -> "Terms":
+        return _terms(other) - self
+
+    def __neg__(self) -> "Terms":
+        return Terms(-self.val, self.mag)
+
+    def __mul__(self, other) -> "Terms":
+        other = _terms(other)
+        return Terms(self.val * other.val, self.mag * other.mag)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other) -> "Terms":
+        other = _terms(other)
+        return Terms(self.val / other.val, self.mag / np.abs(other.val))
+
+    def conj(self) -> "Terms":
+        return Terms(np.conj(self.val), self.mag)
+
+    @property
+    def real(self) -> "Terms":
+        return Terms(np.real(self.val), self.mag)
+
+    def sum(self, axis: int) -> "Terms":
+        return Terms(self.val.sum(axis=axis), self.mag.sum(axis=axis))
 
 
-@dataclass(frozen=True)
-class LadderContext:
-    """Spectral scalars entering the ladder action at one level."""
+def _terms(x) -> Terms:
+    return x if isinstance(x, Terms) else Terms(x)
 
-    n: int
-    E_n: float
-    E_n_plus: float
-    E_n_minus: float
-    alpha_plus: float      # E_{n+1} - E_n
-    alpha_minus: float     # E_{n-1} - E_n
-    Rm1_at_En: float
+
+def per_level(values):
+    """One value per level as a (levels, 1, 1) array, which broadcasts
+    against (levels, rows, points) operands."""
+    return np.reshape(np.asarray(values), (-1, 1, 1))
+
+
+class Lattice:
+    """The points w + k*i*gamma/2, k = -half..half, over real points w.
+
+    `w` is the (2*half+1, points) array of the lattice; its centre row holds
+    the real points.  eta and phi are evaluated on it once.
+    """
+
+    def __init__(self, family, gamma: float, xs, half: int):
+        self.family = get_family(family)
+        self.half = half
+        k = np.arange(-half, half + 1)[:, None]
+        self.w = np.asarray(xs, dtype=complex)[None, :] + (0.5j * gamma) * k
+
+    def rows(self, half: int, k: int = 0):
+        """w at the offsets k-half .. k+half."""
+        return _rows(self.w, k, half)
+
+    @cached_property
+    def eta(self) -> Terms:
+        return Terms(self.family.eta(self.w))
+
+    @cached_property
+    def phi(self) -> Terms:
+        return Terms(self.family.phi_aux(self.w))
+
+    def operand(self, polys, half: int | None = None) -> Terms:
+        """The polynomials on the rows -half..half: one evaluation each, as a
+        (polynomials, 2*half+1, points) array."""
+        eta = _rows(self.eta.val, 0, self.half if half is None else half)
+        return Terms(np.array([poly.eval(eta) for poly in polys]))
+
+
+def _nonzero_phi(lat: Lattice, h: int) -> Terms:
+    """phi on the rows -h..h, once no row point is within SINGULAR_MARGIN of
+    a zero of phi."""
+    phi = lat.phi.at(0, h)
+    small = np.abs(phi.val) < SINGULAR_MARGIN
+    if small.any():
+        raise SingularityError(f"phi(x) vanishes at x = {lat.rows(h)[small][0]}")
+    return phi
 
 
 class OperatorContext:
@@ -92,11 +188,6 @@ class OperatorContext:
         self.gamma = self.family.gamma(params)
         self.kappa = self.family.kappa(params)
         self.closure = self.family.closure(params)
-        self.eta = memo(self.family.eta)
-        self._ladder = {}
-
-    def phi_aux(self, w) -> complex:
-        return self.family.phi_aux(w)
 
     def V(self, w) -> complex:
         return self.family.V(self.p, w)
@@ -110,89 +201,63 @@ class OperatorContext:
     def shifted(self, k: int = 1) -> "OperatorContext":
         return OperatorContext(self.family, self.family.shifted(self.p, k))
 
-    def poly_fn(self, poly: EtaPolynomial):
-        eta = self.eta
-        return memo(lambda w: poly.eval(eta(w)))
-
-    def ladder_context(self, n: int) -> LadderContext:
-        lc = self._ladder.get(n)
-        if lc is None:
-            e_n = self.energy(n)
-            e_up = self.energy(n + 1)
-            e_dn = self.energy(n - 1)
-            lc = self._ladder[n] = LadderContext(
-                n=n,
-                E_n=e_n,
-                E_n_plus=e_up,
-                E_n_minus=e_dn,
-                alpha_plus=e_up - e_n,
-                alpha_minus=e_dn - e_n,
-                Rm1_at_En=self.closure.Rm1(e_n),
-            )
-        return lc
+    def lattice(self, xs, half: int) -> Lattice:
+        return Lattice(self.family, self.gamma, xs, half)
 
     # -- core difference operators ------------------------------------------
-    def H_tilde(self, f, w) -> complex:
-        """V(x)(f(x-ig) - f(x)) + V*(x)(f(x+ig) - f(x)), at a scalar or an
-        array w; f returns a scalar, or (levels, points) at an array."""
-        w = as_complex(w)
-        self._check_regular(w)
+    # f is a Terms on a lattice of `lat`'s points; the result is a Terms on
+    # the rows the shifts leave.
+    def H_tilde(self, f: Terms, lat: Lattice) -> Terms:
+        """V(w)(f(w - i gamma) - f(w)) + V*(w)(f(w + i gamma) - f(w))."""
         # for the cos-x group the shifts act on z = e^{ix} as z -> q^{+/-1} z;
         # evaluating at the literally shifted argument is the same thing,
         # since the coordinate functions are entire
-        g = self.gamma
-        minus_shift = f(w + 1j * g)   # e^{-gamma p} direction
-        plus_shift = f(w - 1j * g)    # e^{+gamma p} direction
-        center = f(w)
-        return self.V(w) * (plus_shift - center) + self.V_star(w) * (
-            minus_shift - center
-        )
+        h = f.half - 2
+        V, V_star = self._potential(lat, h)
+        center = f.at(0, h)
+        return V * (f.at(-2, h) - center) + V_star * (f.at(2, h) - center)
 
-    def comm_H_eta(self, f, w) -> complex:
-        """[H-tilde, eta] f at w."""
-        eta_f = lambda u: self.eta(u) * f(u)
-        return self.H_tilde(eta_f, w) - self.eta(w) * self.H_tilde(f, w)
+    def comm_H_eta(self, f: Terms, lat: Lattice) -> Terms:
+        """[H-tilde, eta] f = V (eta(w - i gamma) - eta) f(w - i gamma) + mirror;
+        the f(w) terms of H-tilde(eta f) - eta H-tilde f cancel exactly."""
+        h = f.half - 2
+        V, V_star = self._potential(lat, h)
+        eta = lat.eta
+        center = eta.at(0, h)
+        return (V * (eta.at(-2, h) - center) * f.at(-2, h)
+                + V_star * (eta.at(2, h) - center) * f.at(2, h))
 
-    def forward(self, f, w) -> complex:
+    def forward(self, f: Terms, lat: Lattice) -> Terms:
         """Forward shift F(lambda): maps lambda-data down one level."""
-        w = complex(w)
-        g = self.gamma
-        phi = self.phi_aux(w)
-        if abs(phi) < SINGULAR_MARGIN:
-            raise SingularityError(f"phi(x) vanishes at x = {w}")
-        return 1j / phi * (f(w - 0.5j * g) - f(w + 0.5j * g))
+        h = f.half - 1
+        return 1j * (f.at(-1, h) - f.at(1, h)) / _nonzero_phi(lat, h)
 
-    def backward(self, f, w) -> complex:
+    def backward(self, f: Terms, lat: Lattice) -> Terms:
         """Backward shift B(lambda): acts on data at lambda+delta."""
-        w = complex(w)
-        self._check_regular(w)
-        g = self.gamma
-        return -1j * (
-            self.V(w) * self.phi_aux(w - 0.5j * g) * f(w - 0.5j * g)
-            - self.V_star(w) * self.phi_aux(w + 0.5j * g) * f(w + 0.5j * g)
-        )
+        h = f.half - 1
+        V, V_star = self._potential(lat, h)
+        phi = lat.phi
+        return -1j * (V * phi.at(-1, h) * f.at(-1, h)
+                      - V_star * phi.at(1, h) * f.at(1, h))
 
-    def inside_guard(self, w):
-        """True where w lies within SINGULAR_MARGIN of a pole of V on the
-        real line; a bool for a scalar w, a boolean array for an array."""
+    def _potential(self, lat: Lattice, h: int):
+        """V and V* on the rows -h..h, once no row point is inside the guard."""
+        w = lat.rows(h)
+        inside = self.inside_guard(w)
+        if inside.any():
+            raise SingularityError(f"potential singular near x = {w[inside][0]}")
+        return Terms(self.V(w)), Terms(self.V_star(w))
+
+    def inside_guard(self, w: np.ndarray) -> np.ndarray:
+        """Where the points w lie within SINGULAR_MARGIN of a pole of V on
+        the real line."""
         kind = self.family.spec.eta_kind
         if kind == "cos x":
             # poles of V at z^2 = 1, i.e. x = 0 mod pi
-            s = np.sin(w.real) if isinstance(w, np.ndarray) else math.sin(w.real)
-            return (abs(s) < SINGULAR_MARGIN) & (abs(w.imag) < SINGULAR_MARGIN)
+            return (np.abs(np.sin(w.real)) < SINGULAR_MARGIN) & (np.abs(w.imag) < SINGULAR_MARGIN)
         if kind == "x^2":
-            return abs(w) < SINGULAR_MARGIN
-        return np.zeros(w.shape, dtype=bool) if isinstance(w, np.ndarray) else False
-
-    def _check_regular(self, w) -> None:
-        inside = self.inside_guard(w)
-        if inside is False:  # a scalar outside the guard, the common case
-            return
-        if isinstance(inside, np.ndarray):
-            if not inside.any():
-                return
-            w = w[inside][0]
-        raise SingularityError(f"potential singular near x = {w}")
+            return np.abs(w) < SINGULAR_MARGIN
+        return np.zeros(w.shape, dtype=bool)
 
 
 def sample_points(family, params: ParamSet, count: int = 20, seed: int = 0):
@@ -226,24 +291,31 @@ def sample_points(family, params: ParamSet, count: int = 20, seed: int = 0):
 
 # ------------------------------------------------------------- spec surface
 
-def _context_for(poly: EtaPolynomial, shift_back: int = 0) -> OperatorContext:
+def _at_point(poly: EtaPolynomial, x, half: int, shift_back: int = 0):
+    """(context, one-point lattice at x, the polynomial on it)."""
     if poly.family_id is None or poly.params is None:
         raise ValueError("polynomial carries no family context")
     fam = get_family(poly.family_id)
     p = fam.shifted(poly.params, shift_back) if shift_back else poly.params
-    return OperatorContext(fam, p)
+    ctx = OperatorContext(fam, p)
+    lat = ctx.lattice([x], half)
+    return ctx, lat, lat.operand([poly])
+
+
+def _value(t: Terms) -> complex:
+    return complex(t.val.flat[0])
 
 
 def apply_tilde_H(poly: EtaPolynomial, x) -> complex:
     """H-tilde applied to a polynomial, evaluated at x."""
-    ctx = _context_for(poly)
-    return ctx.H_tilde(ctx.poly_fn(poly), x)
+    ctx, lat, f = _at_point(poly, x, 2)
+    return _value(ctx.H_tilde(f, lat))
 
 
 def apply_forward_shift(poly: EtaPolynomial, x) -> complex:
     """F(lambda) on lambda-data: f_n P_{n-1}(eta; lambda+delta)."""
-    ctx = _context_for(poly)
-    return ctx.forward(ctx.poly_fn(poly), x)
+    ctx, lat, f = _at_point(poly, x, 1)
+    return _value(ctx.forward(f, lat))
 
 
 def apply_backward_shift(poly_at_shifted_params: EtaPolynomial, x) -> complex:
@@ -252,119 +324,132 @@ def apply_backward_shift(poly_at_shifted_params: EtaPolynomial, x) -> complex:
     The operator parameters are recovered by undoing one delta-shift of the
     polynomial's own parameter set.
     """
-    ctx = _context_for(poly_at_shifted_params, shift_back=-1)
-    return ctx.backward(ctx.poly_fn(poly_at_shifted_params), x)
+    ctx, lat, f = _at_point(poly_at_shifted_params, x, 1, shift_back=-1)
+    return _value(ctx.backward(f, lat))
 
 
 def commutator_H_eta(poly: EtaPolynomial, x) -> complex:
-    ctx = _context_for(poly)
-    return ctx.comm_H_eta(ctx.poly_fn(poly), x)
+    ctx, lat, f = _at_point(poly, x, 2)
+    return _value(ctx.comm_H_eta(f, lat))
 
 
-def ladder_action(ctx: OperatorContext, sign: str, level: int, f, w) -> complex:
-    """Annihilation/creation action on level-`level` eigen-data.
+def ladder_action(ctx: OperatorContext, sign: str, level, f: Terms,
+                  lat: Lattice) -> Terms:
+    """Annihilation/creation action on eigen-data at `level`: an int, or one
+    level per leading row of f.
 
     The Heisenberg-solution form: a combination of [H,eta], eta and the
-    closure polynomial R_{-1} evaluated at the level's energy.
+    closure polynomial R_{-1} evaluated at the level's energy.  a^(-) gives
+    exact zeros at level 0, where C_0 multiplies P_{-1} = 0.
     """
     if sign not in ("+", "-"):
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
-    if sign == "-" and level == 0:
-        return 0j  # C_0 multiplies P_{-1} = 0
-    lc = ctx.ladder_context(level)
-    comm = ctx.comm_H_eta(f, w)
-    eta_w = ctx.eta(w)
-    fw = f(w)
-    span = lc.E_n_plus - lc.E_n_minus
+    n = np.ravel(level)
+    e_dn, e_n, e_up = (np.array([ctx.energy(int(m)) for m in n + k], dtype=float)
+                       for k in (-1, 0, 1))
+    rm1 = ctx.closure.Rm1(e_n)
     if sign == "+":
-        val = comm - lc.alpha_minus * eta_w * fw + lc.Rm1_at_En / lc.alpha_plus * fw
-        return val / span
-    val = comm - lc.alpha_plus * eta_w * fw + lc.Rm1_at_En / lc.alpha_minus * fw
-    return -val / span
+        other, r, sgn = e_dn - e_n, rm1 / (e_up - e_n), 1.0
+    else:
+        live = n != 0
+        other = e_up - e_n
+        r = np.divide(rm1, e_dn - e_n, out=np.zeros_like(e_n), where=live)
+        sgn = -1.0 * live
+    shape = np.shape(level) + (1, 1)
+    comm = ctx.comm_H_eta(f, lat)
+    h = comm.half
+    fw = f.at(0, h)
+    return np.reshape(sgn / (e_up - e_dn), shape) * (
+        comm - np.reshape(other, shape) * lat.eta.at(0, h) * fw + np.reshape(r, shape) * fw
+    )
 
 
 def apply_ladder(sign: str, n: int, poly: EtaPolynomial, x) -> complex:
     """a^(+) P_n -> A_n P_{n+1}, a^(-) P_n -> C_n P_{n-1} (pointwise)."""
-    ctx = _context_for(poly)
-    return ladder_action(ctx, sign, n, ctx.poly_fn(poly), x)
+    ctx, lat, f = _at_point(poly, x, 2)
+    return _value(ladder_action(ctx, sign, n, f, lat))
 
 
-def rodrigues_polynomial(family, params: ParamSet, n: int):
-    """P_n(.;lambda) reconstructed by the n-fold backward-shift chain.
-
-    Returns a callable built from B(lambda) ... B(lambda+(n-1)delta) acting
-    on the constant 1, divided by the product of the b-constants.
-    """
+def rodrigues_polynomial(family, params: ParamSet, n: int, xs) -> Terms:
+    """P_n(.;lambda) at the points xs, reconstructed by the n-fold
+    backward-shift chain B(lambda) ... B(lambda+(n-1)delta) acting on the
+    constant 1, divided by the product of the b-constants.  A (1, points)
+    Terms."""
     fam = get_family(family)
-    f = lambda w: 1.0 + 0j
+    lat = OperatorContext(fam, params).lattice(xs, n)
+    f = Terms(np.ones(lat.w.shape, dtype=complex))
     for j in range(n - 1, -1, -1):
-        ctx_j = OperatorContext(fam, fam.shifted(params, j))
-        b = fam.b_shift(fam.shifted(params, j), n - 1 - j)
-        prev = f
-        # memoised: the two branches of each backward shift meet again at
-        # the same points, so unmemoised the chain costs 2^n evaluations
-        f = memo((lambda g, c, bb: (lambda w: c.backward(g, w) / bb))(prev, ctx_j, b))
+        p_j = fam.shifted(params, j)
+        f = OperatorContext(fam, p_j).backward(f, lat) / fam.b_shift(p_j, n - 1 - j)
     return f
 
 
 # --------------------------------------------------- lambda-shift operators
 
-def lambda_shift_X(family, params: ParamSet, kind: str, n: int,
-                   poly: EtaPolynomial, x) -> complex:
+def lambda_shift_X(family, params: ParamSet, kind: str, n, poly, x):
     """Action of the explicit parameter-shift operators X / X-dagger.
 
     Supported: Meixner-Pollaczek at phi = pi/2 and the continuous dual Hahn
     family, the two cases with explicit difference-operator realisations.
     ``kind`` is "X" (operand at lambda) or "Xdag" (operand at lambda+delta).
+    At a scalar x, with one polynomial at level n, the value; at an array of
+    points, with a sequence of polynomials and their levels, a
+    (levels, 1, points) Terms.
     """
     fam = get_family(family)
     name = fam.spec.name
-    ctx = OperatorContext(fam, params)
-    f = ctx.poly_fn(poly)
     if name == "meixner-pollaczek":
         if abs(params.phi - math.pi / 2) > 1e-12:
             raise ValueError(
                 f"explicit X for Meixner-Pollaczek needs phi = pi/2, got {params.phi}"
             )
-        w = complex(x)
-        if kind == "X":
-            return 0.25 * (f(w - 0.5j) + f(w + 0.5j))
-        if kind == "Xdag":
-            return 0.25 * (ctx.V(w) * f(w - 0.5j) + ctx.V_star(w) * f(w + 0.5j))
+        half = 1
+    elif name == "continuous-dual-hahn":
+        half = 3
+    else:
+        raise ValueError(
+            f"no explicit lambda-shift operator implemented for {name}"
+        )
+    if kind not in ("X", "Xdag"):
         raise ValueError(f"kind must be 'X' or 'Xdag', got {kind!r}")
-    if name == "continuous-dual-hahn":
+    scalar = np.ndim(x) == 0
+    polys = [poly] if scalar else list(poly)
+    ctx = OperatorContext(fam, params)
+    lat = ctx.lattice(np.atleast_1d(x), half)
+    f = lat.operand(polys)
+    if name == "meixner-pollaczek":
         if kind == "X":
-            return _dual_hahn_X(ctx, f, complex(x))
-        if kind == "Xdag":
-            return _dual_hahn_Xdag(ctx, n, f, complex(x))
-        raise ValueError(f"kind must be 'X' or 'Xdag', got {kind!r}")
-    raise ValueError(
-        f"no explicit lambda-shift operator implemented for {name}"
-    )
+            out = 0.25 * (f.at(-1) + f.at(1))
+        else:
+            V, V_star = ctx._potential(lat, 0)
+            out = 0.25 * (V * f.at(-1) + V_star * f.at(1))
+    elif kind == "X":
+        out = _dual_hahn_X(ctx, f, lat)
+    else:
+        out = _dual_hahn_Xdag(ctx, n, f, lat)
+    return _value(out) if scalar else out
 
 
-def _dual_hahn_X(ctx: OperatorContext, f, w: complex) -> complex:
+def _dual_hahn_X(ctx: OperatorContext, f: Terms, lat: Lattice) -> Terms:
     """Similarity-transformed explicit X for continuous dual Hahn."""
-    V = ctx.V
-    Vs = ctx.V_star
     pi3 = complex(1.0)
     for aj in ctx.p.a:
         pi3 *= 2.0 * aj - 1.0
-    corr = 1j * pi3 / (8.0 * (1.0 + w * w))
-    c_plus = w - 1j * np.conj(V(np.conj(w) - 0.5j)) - corr
-    c_minus = w + 1j * V(w - 0.5j) + corr
-    phi = ctx.phi_aux(w)
-    if abs(phi) < SINGULAR_MARGIN:
-        raise SingularityError(f"phi(x) vanishes at x = {w}")
+    w = lat.rows(0)
+    corr = Terms(1j * pi3 / (8.0 * (1.0 + w * w)))
+    v_m = Terms(ctx.V(lat.rows(0, -1)))            # V(w - i/2)
+    v_star_p = Terms(ctx.V_star(lat.rows(0, 1)))   # V*(w + i/2)
+    c_plus = Terms(w) - 1j * v_star_p - corr
+    c_minus = Terms(w) + 1j * v_m + corr
     return (
-        -1j * V(w - 0.5j) * f(w - 1.5j)
-        + c_plus * f(w - 0.5j)
-        + 1j * Vs(w + 0.5j) * f(w + 1.5j)
-        + c_minus * f(w + 0.5j)
-    ) / phi
+        -1j * v_m * f.at(-3)
+        + c_plus * f.at(-1)
+        + 1j * v_star_p * f.at(3)
+        + c_minus * f.at(1)
+    ) / _nonzero_phi(lat, 0)
 
 
-def _dual_hahn_Xdag(ctx: OperatorContext, n: int, f, w: complex) -> complex:
+def _dual_hahn_Xdag(ctx: OperatorContext, n, f: Terms, lat: Lattice) -> Terms:
     """X-dagger action via its spectral decomposition.
 
     X-dagger = a^(-) B(lambda) (kappa H(lambda+delta) + E_1)^{-1}; the
@@ -373,9 +458,8 @@ def _dual_hahn_Xdag(ctx: OperatorContext, n: int, f, w: complex) -> complex:
     """
     fam = ctx.family
     p_shift = fam.shifted(ctx.p)
-    scalar = 1.0 / (
-        ctx.kappa * fam.energy(p_shift, n) + ctx.energy(1)
-    )
-    b_out = memo(lambda u: ctx.backward(f, u))  # level n+1 data at lambda
-    val = ladder_action(ctx, "-", n + 1, b_out, w)
-    return scalar * val
+    levels = np.ravel(n)
+    scalar = per_level([
+        1.0 / (ctx.kappa * fam.energy(p_shift, m) + ctx.energy(1)) for m in levels
+    ])
+    return scalar * ladder_action(ctx, "-", levels + 1, ctx.backward(f, lat), lat)

@@ -11,7 +11,7 @@ Each refinement level is one node set, shared by every integral computed on
 it: the Gram matrix takes all its entries from one evaluation of phi0^2 and
 of P_0..P_n per level, and `hermiticity_forms` takes both forms of all its
 pairs from one phi0^2 per level and one application of H-tilde to the
-(polynomials, nodes) array.  A level is accepted when every one of its
+polynomials on the shift lattice of the nodes.  A level is accepted when every one of its
 integrals passes the per-integral stopping test.  The hermiticity sums run
 over blocks of at most NODE_BLOCK nodes, so the transient arrays stay small
 at any depth.  Nodes inside the operator's singularity guard around the
@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .families import ParamSet, get_family
+from .families import ParamSet, eval_polys_recurrence, get_family
 from .operators import OperatorContext
 from .polynomials import EtaPolynomial
 
@@ -74,8 +74,8 @@ class QuadratureSpec:
 DEFAULT_SPEC = QuadratureSpec()
 
 # nodes per block of the hermiticity sums: bounds the transient
-# (polynomials, nodes) arrays whatever the refinement depth
-NODE_BLOCK = 1024
+# (polynomials, lattice rows, nodes) arrays whatever the refinement depth
+NODE_BLOCK = 512
 
 
 def _call_vectorized(f, x: np.ndarray) -> np.ndarray:
@@ -230,13 +230,11 @@ class OrthoMatrix:
 def orthogonality_matrix(family, p: ParamSet, n_max: int = 6,
                          spec: QuadratureSpec = DEFAULT_SPEC) -> OrthoMatrix:
     """Quadrature Gram matrix for levels 0..n_max on shared nodes."""
-    from .families import eval_poly_recurrence
-
     fam = get_family(family)
     if n_max > 8:
         raise ValueError(f"n_max <= 8 (quadrature accuracy budget), got {n_max}")
     a, b = weight_window(fam, p, spec)
-    polys = [eval_poly_recurrence(fam, p, n) for n in range(n_max + 1)]
+    polys = eval_polys_recurrence(fam, p, n_max)
     h0 = fam.h0(p)
     expected = tuple(h0 / fam.h0_over_hn(p, n) for n in range(n_max + 1))
 
@@ -293,9 +291,6 @@ def hermiticity_forms(family, p: ParamSet, P, Q,
     ctx = OperatorContext(fam, p)
     a, b = weight_window(fam, p, spec)
 
-    def rows(eta):
-        return np.array([poly.eval(eta) for poly in polys])
-
     prev = None
     err = math.inf
     for nodes, weights in _node_levels(_use_gl(fam, spec), a, b):
@@ -308,8 +303,10 @@ def hermiticity_forms(family, p: ParamSet, P, Q,
         for lo in range(0, nodes.size, NODE_BLOCK):
             x = nodes[lo:lo + NODE_BLOCK]
             wx = wp[lo:lo + NODE_BLOCK]
-            vals = rows(fam.eta_vec(x))
-            h = ctx.H_tilde(lambda w: rows(fam.eta(w)), x)
+            lat = ctx.lattice(x, 2)
+            f = lat.operand(polys)
+            vals = f.val[:, 2]
+            h = ctx.H_tilde(f, lat).val[:, 0]
             terms = np.stack([np.conj(vals[iq]) * h[ip], np.conj(h[iq]) * vals[ip]])
             value += terms @ wx
             l1 += np.abs(terms) @ np.abs(wx)

@@ -298,6 +298,31 @@ def test_one_ascent_equals_per_level_ascents(family):
     for n, poly in enumerate(polys):
         assert poly.coeffs == eval_poly_recurrence(family, p, n).coeffs
 
+
+@pytest.mark.parametrize("family", ["continuous-q-jacobi", "askey-wilson", "wilson"])
+def test_ascent_computes_each_c_n_once(family, monkeypatch):
+    # c_{k+1} is carried up to the next level and into the scaling, so an
+    # ascent to n makes n + 1 c_n calls on either entry point
+    fam = get_family(family)
+    p = fixture_params(family)
+    n = 12
+    want = [poly.coeffs for poly in eval_polys_recurrence(fam, p, n)]
+    calls = []
+    exact = fam.c_n
+
+    def counting_c_n(params, k):
+        calls.append(k)
+        return exact(params, k)
+
+    monkeypatch.setattr(fam, "c_n", counting_c_n)
+    got = eval_polys_recurrence(fam, p, n)
+    assert sorted(calls) == list(range(n + 1))
+    calls.clear()
+    top = eval_poly_recurrence(fam, p, n)
+    assert sorted(calls) == list(range(n + 1))
+    assert [poly.coeffs for poly in got] == want
+    assert top.coeffs == want[n]
+
 @pytest.mark.parametrize("family,name", all_fixtures())
 def test_dual_path_equivalence(family, name):
     p = fixture_params(family, name)

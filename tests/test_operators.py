@@ -6,6 +6,7 @@ from __future__ import annotations
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from dqm.families import (
@@ -71,17 +72,14 @@ def test_eigen_equation(family, name):
 def test_H_triangular_on_monomials():
     # H eta^n = E_n eta^n + lower orders: subtracting the top term leaves
     # something a degree-(n-1) interpolant reproduces
-    import numpy as np
-
     p = fixture_params("askey-wilson")
     fam = get_family("askey-wilson")
-    ctx = OperatorContext(fam, p)
     xs = sample_points(fam, p, 14)
     for n in (2, 5, 8):
         mono = monomial(n, fam.spec.id, p)
-        etas = np.array([ctx.eta(x) for x in xs])
+        etas = np.array([fam.eta(x) for x in xs])
         rem = np.array(
-            [apply_tilde_H(mono, x) - fam.energy(p, n) * ctx.eta(x) ** n for x in xs]
+            [apply_tilde_H(mono, x) - fam.energy(p, n) * fam.eta(x) ** n for x in xs]
         )
         vander = np.vander(etas, n, increasing=True)
         coef, *_ = np.linalg.lstsq(vander, rem, rcond=None)
@@ -100,8 +98,6 @@ def test_H_singularity_guard():
 def test_array_operators_match_the_scalar_ones(family, name):
     # one expression serves both; numpy's array arithmetic may round the
     # last bits differently from the scalar path, hence the 1e-13
-    import numpy as np
-
     p = fixture_params(family, name)
     fam = get_family(family)
     ctx = OperatorContext(fam, p)
@@ -114,25 +110,24 @@ def test_array_operators_match_the_scalar_ones(family, name):
             want = method(complex(w))
             assert abs(g - want) <= 1e-13 * (1 + abs(want))
     polys = [eval_poly_recurrence(fam, p, n) for n in range(4)]
-    rows = lambda w: np.array([poly.eval(fam.eta(w)) for poly in polys])
-    got = ctx.H_tilde(rows, np.array(xs))
-    assert got.shape == (4, len(xs))
+    lat = ctx.lattice(xs, 2)
+    got = ctx.H_tilde(lat.operand(polys), lat).val
+    assert got.shape == (4, 1, len(xs))
     for n, poly in enumerate(polys):
-        f = ctx.poly_fn(poly)
-        for g, x in zip(got[n], xs):
-            want = ctx.H_tilde(f, x)
+        for g, x in zip(got[n, 0], xs):
+            want = apply_tilde_H(poly, x)
             assert abs(g - want) <= 1e-13 * (1 + abs(want))
 
 
 def test_array_H_guards_every_point():
-    import numpy as np
-
     p = fixture_params("wilson")
     ctx = OperatorContext(get_family("wilson"), p)
-    f = lambda w: np.array([np.ones_like(w)])
-    assert ctx.H_tilde(f, np.array([0.5, 1.5])).shape == (1, 2)
+    one = [_const("wilson", p)]
+    lat = ctx.lattice([0.5, 1.5], 2)
+    assert ctx.H_tilde(lat.operand(one), lat).val.shape == (1, 1, 2)
+    lat = ctx.lattice([0.5, 1e-12, 1.5], 2)
     with pytest.raises(SingularPointError, match="1e-12"):
-        ctx.H_tilde(f, np.array([0.5, 1e-12, 1.5]))
+        ctx.H_tilde(lat.operand(one), lat)
 
 
 # ---------------------------------------------------------------- shifts
@@ -189,25 +184,27 @@ def test_backward_then_forward_is_H(family, name):
     p = fixture_params(family, name)
     fam = get_family(family)
     ctx = OperatorContext(fam, p)
+    xs = sample_points(fam, p, 5)
+    lat = ctx.lattice(xs, 2)
     for n in (1, 4):
         poly = eval_poly_recurrence(fam, p, n)
-        f = ctx.poly_fn(poly)
         e_n = fam.energy(p, n)
-        for x in sample_points(fam, p, 5):
-            got = ctx.backward(lambda w: ctx.forward(f, w), x)
-            target = e_n * poly.eval(ctx.eta(x))
-            assert abs(got - target) <= 1e-9 * (1 + abs(target))
+        got = ctx.backward(ctx.forward(lat.operand([poly]), lat), lat).val[0, 0]
+        for g, x in zip(got, xs):
+            target = e_n * poly.eval(fam.eta(x))
+            assert abs(g - target) <= 1e-9 * (1 + abs(target))
 
 @pytest.mark.parametrize("family,name", all_fixtures())
 def test_rodrigues_chain(family, name):
     p = fixture_params(family, name)
     fam = get_family(family)
+    xs = sample_points(fam, p, 4)
     for n in (0, 1, 4, 7):
-        chain = rodrigues_polynomial(fam, p, n)
+        chain = rodrigues_polynomial(fam, p, n, xs).val[0]
         poly = eval_poly_recurrence(fam, p, n)
-        for x in sample_points(fam, p, 4):
+        for got, x in zip(chain, xs):
             target = poly.eval(fam.eta(x))
-            assert abs(chain(x) - target) <= 1e-9 * (1 + abs(target))
+            assert abs(got - target) <= 1e-9 * (1 + abs(target))
 
 def test_forward_singular_at_phi_zero():
     p = fixture_params("wilson")
@@ -225,9 +222,9 @@ def test_commutator_on_constants():
     ctx = OperatorContext(fam, p)
     g = ctx.gamma
     for x in sample_points(fam, p, 6):
-        expected = ctx.V(x) * (ctx.eta(x - 1j * g) - ctx.eta(x)) + ctx.V_star(
+        expected = ctx.V(x) * (fam.eta(x - 1j * g) - fam.eta(x)) + ctx.V_star(
             x
-        ) * (ctx.eta(x + 1j * g) - ctx.eta(x))
+        ) * (fam.eta(x + 1j * g) - fam.eta(x))
         got = commutator_H_eta(_const("al-salam-chihara", p), x)
         assert cmath.isclose(got, expected, rel_tol=1e-12, abs_tol=1e-12)
 
@@ -272,16 +269,15 @@ def test_ladder_spectral_commutator():
     p = fixture_params("continuous-dual-q-hahn")
     fam = get_family("continuous-dual-q-hahn")
     ctx = OperatorContext(fam, p)
+    lat = ctx.lattice(sample_points(fam, p, 5), 4)
     for n in (1, 4):
-        poly = eval_poly_recurrence(fam, p, n)
-        f = ctx.poly_fn(poly)
+        f = lat.operand([eval_poly_recurrence(fam, p, n)])
         for sign, m in (("+", n + 1), ("-", n - 1)):
-            lad = lambda w: ladder_action(ctx, sign, n, f, w)
+            lad = ladder_action(ctx, sign, n, f, lat)
             e_m = fam.energy(p, m)
-            for x in sample_points(fam, p, 5):
-                got = ctx.H_tilde(lad, x)
-                target = e_m * lad(x)
-                assert abs(got - target) <= 1e-10 * (1 + abs(target))
+            got = ctx.H_tilde(lad, lat).val[0, 0]
+            for g, target in zip(got, e_m * lad.val[0, 2]):
+                assert abs(g - target) <= 1e-10 * (1 + abs(target))
 
 def test_meixner_pollaczek_explicit_ladder_form():
     # a^(pm) = pm [H,eta]/(4 sin phi) + eta/2 + cos phi (H + 2a sin phi)/(4 sin^2 phi)
@@ -290,21 +286,24 @@ def test_meixner_pollaczek_explicit_ladder_form():
     ctx = OperatorContext(fam, p)
     a = p.a[0].real
     s, c = math.sin(p.phi), math.cos(p.phi)
+    xs = sample_points(fam, p, 5)
+    lat = ctx.lattice(xs, 2)
     for n in (0, 2, 5):
         poly = eval_poly_recurrence(fam, p, n)
-        f = ctx.poly_fn(poly)
+        f = lat.operand([poly])
         e_n = fam.energy(p, n)
-        for x in sample_points(fam, p, 5):
-            comm = ctx.comm_H_eta(f, x)
-            base = 0.5 * ctx.eta(x) * f(x) + c / (4 * s * s) * (
-                e_n + 2 * a * s
-            ) * f(x)
-            for sign, expl in (("+", base + comm / (4 * s)),
-                               ("-", base - comm / (4 * s))):
-                got = ladder_action(ctx, sign, n, f, x)
-                if sign == "-" and n == 0:
-                    continue
-                assert cmath.isclose(got, expl, rel_tol=1e-10, abs_tol=1e-12)
+        comm = ctx.comm_H_eta(f, lat).val[0, 0]
+        f_x = f.val[0, 2]
+        base = 0.5 * fam.eta(np.array(xs)) * f_x + c / (4 * s * s) * (
+            e_n + 2 * a * s
+        ) * f_x
+        for sign, expl in (("+", base + comm / (4 * s)),
+                           ("-", base - comm / (4 * s))):
+            got = ladder_action(ctx, sign, n, f, lat).val[0, 0]
+            if sign == "-" and n == 0:
+                continue
+            for g, e in zip(got, expl):
+                assert cmath.isclose(g, e, rel_tol=1e-10, abs_tol=1e-12)
 
 def test_continuous_dual_hahn_explicit_ladder_form():
     # a^(pm) = pm [H,eta]/2 + eta/2 - H^2 - (b1 - 1/2) H - b2/2
@@ -313,18 +312,23 @@ def test_continuous_dual_hahn_explicit_ladder_form():
     ctx = OperatorContext(fam, p)
     b1 = sum(p.a).real
     b2 = (p.a[0] * p.a[1] + p.a[0] * p.a[2] + p.a[1] * p.a[2]).real
+    xs = sample_points(fam, p, 5)
+    lat = ctx.lattice(xs, 2)
     for n in (1, 3):
         poly = eval_poly_recurrence(fam, p, n)
-        f = ctx.poly_fn(poly)
+        f = lat.operand([poly])
         e_n = fam.energy(p, n)
         scalar = -e_n * e_n - (b1 - 0.5) * e_n - 0.5 * b2
-        for x in sample_points(fam, p, 5):
-            comm = ctx.comm_H_eta(f, x)
-            base = 0.5 * ctx.eta(x) * f(x) + scalar * f(x)
-            got_p = ladder_action(ctx, "+", n, f, x)
-            got_m = ladder_action(ctx, "-", n, f, x)
-            assert cmath.isclose(got_p, base + 0.5 * comm, rel_tol=1e-10, abs_tol=1e-10)
-            assert cmath.isclose(got_m, base - 0.5 * comm, rel_tol=1e-10, abs_tol=1e-10)
+        comm = ctx.comm_H_eta(f, lat).val[0, 0]
+        f_x = f.val[0, 2]
+        base = 0.5 * fam.eta(np.array(xs)) * f_x + scalar * f_x
+        got_p = ladder_action(ctx, "+", n, f, lat).val[0, 0]
+        got_m = ladder_action(ctx, "-", n, f, lat).val[0, 0]
+        for i in range(len(xs)):
+            assert cmath.isclose(got_p[i], base[i] + 0.5 * comm[i],
+                                 rel_tol=1e-10, abs_tol=1e-10)
+            assert cmath.isclose(got_m[i], base[i] - 0.5 * comm[i],
+                                 rel_tol=1e-10, abs_tol=1e-10)
 
 def test_q_oscillator_on_big_q_hermite():
     # a- a+ - q a+ a- = (1-q)/4 on every level
@@ -332,17 +336,17 @@ def test_q_oscillator_on_big_q_hermite():
     fam = get_family("continuous-big-q-hermite")
     ctx = OperatorContext(fam, p)
     q = p.q
+    lat = ctx.lattice(sample_points(fam, p, 4), 4)
     for n in (0, 2, 5):
-        poly = eval_poly_recurrence(fam, p, n)
-        f = ctx.poly_fn(poly)
-        up = lambda w: ladder_action(ctx, "+", n, f, w)
-        dn = lambda w: ladder_action(ctx, "-", n, f, w)
-        for x in sample_points(fam, p, 4):
-            ama = ladder_action(ctx, "-", n + 1, up, x)
-            apa = ladder_action(ctx, "+", n - 1, dn, x) if n >= 1 else 0j
-            got = ama - q * apa
-            target = 0.25 * (1 - q) * f(x)
-            assert abs(got - target) <= 1e-10 * (1 + abs(target))
+        f = lat.operand([eval_poly_recurrence(fam, p, n)])
+        up = ladder_action(ctx, "+", n, f, lat)
+        dn = ladder_action(ctx, "-", n, f, lat)
+        ama = ladder_action(ctx, "-", n + 1, up, lat).val[0, 0]
+        apa = ladder_action(ctx, "+", n - 1, dn, lat).val[0, 0] if n >= 1 else 0j
+        got = ama - q * apa
+        target = 0.25 * (1 - q) * f.val[0, 4]
+        for g, t in zip(got, target):
+            assert abs(g - t) <= 1e-10 * (1 + abs(t))
 
 
 # ------------------------------------------------------ lambda-shift X ops

@@ -104,6 +104,30 @@ def test_gram_matrix(family):
     assert np.allclose(m.entries, m.entries.T, rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("family", ["askey-wilson", "wilson", "meixner-pollaczek"])
+def test_gram_matrix_takes_its_polynomials_from_one_ascent(family, monkeypatch):
+    import dqm.quadrature as quadrature
+
+    fam = get_family(family)
+    p = fixture_params(family)
+    ascents = []
+
+    def one_ascent(family, params, n_max):
+        ascents.append(n_max)
+        return eval_polys_recurrence(family, params, n_max)
+
+    def per_level_ascents(family, params, n_max):
+        return [eval_poly_recurrence(family, params, n) for n in range(n_max + 1)]
+
+    monkeypatch.setattr(quadrature, "eval_polys_recurrence", one_ascent)
+    gram = orthogonality_matrix(fam, p, 6).entries
+    assert ascents == [6]
+    # the entries of the one ascent equal the per-level polynomials exactly,
+    # so the Gram matrix is bit-identical to the one built level by level
+    monkeypatch.setattr(quadrature, "eval_polys_recurrence", per_level_ascents)
+    assert np.array_equal(gram, orthogonality_matrix(fam, p, 6).entries)
+
+
 def test_gram_diag_level_zero_matches_h0():
     p = fixture_params("meixner-pollaczek")
     fam = get_family("meixner-pollaczek")

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from dqm.families import FAMILIES, FamilyId, ParamSet, get_family
@@ -332,15 +333,21 @@ def test_nan_residual_fails_its_check(monkeypatch):
     assert not r.passed
 
 
-def test_coherent_evaluates_each_polynomial_once_per_point(monkeypatch):
+def _count_evaluations(monkeypatch):
+    """One (polynomial, point) pair per element of every array evaluated."""
     calls = []
     plain_eval = EtaPolynomial.eval
 
     def counting_eval(self, eta):
-        calls.append((self.coeffs, complex(eta)))
+        calls.extend((self.coeffs, complex(e)) for e in np.ravel(eta))
         return plain_eval(self, eta)
 
     monkeypatch.setattr(EtaPolynomial, "eval", counting_eval)
+    return calls
+
+
+def test_coherent_evaluates_each_polynomial_once_per_point(monkeypatch):
+    calls = _count_evaluations(monkeypatch)
     results = run_suite("coherent", "meixner-pollaczek",
                         fixture_params("meixner-pollaczek"), VerifyConfig())
     assert len(results) == 2
@@ -349,14 +356,7 @@ def test_coherent_evaluates_each_polynomial_once_per_point(monkeypatch):
 
 
 def test_ladder_evaluates_each_polynomial_once_per_point(monkeypatch):
-    calls = []
-    plain_eval = EtaPolynomial.eval
-
-    def counting_eval(self, eta):
-        calls.append((self.coeffs, complex(eta)))
-        return plain_eval(self, eta)
-
-    monkeypatch.setattr(EtaPolynomial, "eval", counting_eval)
+    calls = _count_evaluations(monkeypatch)
     # q-Hermite runs every block of the ladder suite
     results = run_suite("ladder", "continuous-q-hermite",
                         fixture_params("continuous-q-hermite"),
@@ -364,3 +364,48 @@ def test_ladder_evaluates_each_polynomial_once_per_point(monkeypatch):
     assert len(results) == 7
     assert calls
     assert len(calls) <= len(set(calls))
+
+
+POINTWISE_SUITES = ("eigen", "shape_invariance", "closure", "dual_closure",
+                    "shifts", "ladder", "coherent")
+
+
+@pytest.mark.parametrize("family,fixture,seed,suites", [
+    # residuals scaled by the target instead of the cancelling terms missed
+    # here: closure and shifts at seed 43, the ladder near x = 0 at seed 54
+    ("continuous-hahn", "real", 43, POINTWISE_SUITES),
+    ("wilson", "real", 43, POINTWISE_SUITES),
+    ("continuous-dual-hahn", "real", 54, ("ladder",)),
+    ("continuous-dual-q-hahn", "default", 54, ("ladder",)),
+    ("continuous-dual-q-hahn", "real", 54, ("ladder",)),
+    ("al-salam-chihara", "default", 54, ("ladder",)),
+    ("al-salam-chihara", "real", 54, ("ladder",)),
+    ("continuous-big-q-hermite", "default", 54, ("ladder",)),
+    ("continuous-big-q-hermite", "negative", 54, ("ladder",)),
+    ("continuous-q-hermite", "default", 54, ("ladder",)),
+    ("continuous-q-hermite", "high-q", 54, ("ladder",)),
+])
+def test_pointwise_suites_pass_at_the_seeds_that_missed(family, fixture, seed, suites):
+    p = fixture_params(family, fixture)
+    for suite in suites:
+        for r in run_suite(suite, family, p, VerifyConfig(seed=seed)):
+            assert r.passed, (suite, r.check_id, r.max_residual, r.tolerance)
+
+
+@pytest.mark.parametrize("family", ["askey-wilson", "wilson", "continuous-q-jacobi",
+                                    "continuous-hahn"])
+def test_pointwise_suites_flag_a_perturbed_recurrence(family, monkeypatch):
+    # b_n (1 + 1e-9) for n >= 2 rebuilds P_n slightly wrong: no longer an
+    # eigenpolynomial, nor the image of its neighbours under the shifts
+    fam = get_family(family)
+    p = fixture_params(family)
+    exact = fam.b_rec
+
+    def perturbed(params, n):
+        v = exact(params, n)
+        return v * (1 + 1e-9) if n >= 2 else v
+
+    monkeypatch.setattr(fam, "b_rec", perturbed)
+    failed = [r.check_id for suite in POINTWISE_SUITES
+              for r in run_suite(suite, fam, p, VerifyConfig()) if not r.passed]
+    assert failed
