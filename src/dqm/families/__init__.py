@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import warnings
 
-from ..polynomials import DEGREE_SOFT_CAP, DegeneracyError, EtaPolynomial
+from ..polynomials import DegeneracyError, EtaPolynomial
 from ..specfun import ConditioningWarning
 from .base import (
     ClosurePolys,
@@ -46,7 +46,6 @@ __all__ = [
     "ground_state",
     "eval_poly_hypergeometric",
     "eval_poly_recurrence",
-    "eval_polys_recurrence",
     "aw_to_wilson_scaled",
 ]
 
@@ -118,6 +117,10 @@ def ground_state(family, p: ParamSet, x):
     return get_family(family).phi0(p, x)
 
 
+# the series loses digits to cancellation beyond this degree
+SERIES_SOFT_CAP = 30
+
+
 def eval_poly_hypergeometric(family, p: ParamSet, n: int, eta_point) -> complex:
     """P_n at a point of the eta plane, via the definitional series.
 
@@ -125,9 +128,9 @@ def eval_poly_hypergeometric(family, p: ParamSet, n: int, eta_point) -> complex:
     the principal inverse of the coordinate map first.
     """
     fam = get_family(family)
-    if n > DEGREE_SOFT_CAP:
+    if n > SERIES_SOFT_CAP:
         warnings.warn(
-            f"series degree {n} exceeds {DEGREE_SOFT_CAP}; double precision "
+            f"series degree {n} exceeds {SERIES_SOFT_CAP}; double precision "
             "cancellation may dominate",
             ConditioningWarning,
             stacklevel=2,
@@ -136,46 +139,19 @@ def eval_poly_hypergeometric(family, p: ParamSet, n: int, eta_point) -> complex:
     return fam.series_eval_x(p, n, x)
 
 
-def _monic_ascent(fam: Family, p: ParamSet, n: int):
-    """Yield (monic coefficient list, c_k) for P_0 .. P_n, ascending once;
-    each c_k is computed once and carried up to the next level."""
+def eval_poly_recurrence(family, p: ParamSet, n: int) -> EtaPolynomial:
+    """P_n, with P_0 .. P_{n-1}, as its three-term recurrence data from one
+    ascent; each c_k is computed once.  `eval` gives P_n at a point and
+    `eval_levels` every level."""
+    fam = get_family(family)
     if n < 0:
         raise ValidationError(f"level must be >= 0, got {n}")
-    prev = [complex(0.0)]          # monic P_{-1} = 0
-    cur = [complex(1.0)]           # monic P_0 = 1
-    c_k = fam.c_n(p, 0)
-    yield cur, c_k
+    a, b, c = [], [], [complex(fam.c_n(p, 0))]
     for k in range(n):
-        c_k1 = fam.c_n(p, k + 1)
-        if c_k1 == 0 or c_k / c_k1 == 0:
+        c_k1 = complex(fam.c_n(p, k + 1))
+        if c_k1 == 0 or c[k] / c_k1 == 0:
             raise DegeneracyError(f"A_{k} vanished while ascending to n={n}")
-        a_k = complex(fam.a_rec(p, k))
-        b_k = complex(fam.b_rec(p, k))
-        nxt = [complex(0.0)] * (k + 2)
-        for i, c in enumerate(cur):
-            nxt[i + 1] += c          # eta * P_k
-            nxt[i] -= a_k * c        # -a_k P_k
-        for i, c in enumerate(prev):
-            nxt[i] -= b_k * c        # -b_k P_{k-1}
-        prev, cur, c_k = cur, nxt, c_k1
-        yield cur, c_k
-
-
-def _scaled(fam: Family, p: ParamSet, n: int, monic: list, c_n) -> EtaPolynomial:
-    return EtaPolynomial(tuple(c * c_n for c in monic), fam.spec.id, p, n)
-
-
-def eval_poly_recurrence(family, p: ParamSet, n: int) -> EtaPolynomial:
-    """Coefficient vector of P_n built by the three-term recurrence."""
-    fam = get_family(family)
-    for monic, c_n in _monic_ascent(fam, p, n):
-        pass
-    return _scaled(fam, p, n, monic, c_n)
-
-
-def eval_polys_recurrence(family, p: ParamSet, n_max: int) -> list[EtaPolynomial]:
-    """P_0 .. P_{n_max} from one recurrence ascent; entry n equals
-    eval_poly_recurrence(family, p, n) exactly."""
-    fam = get_family(family)
-    return [_scaled(fam, p, n, monic, c_n)
-            for n, (monic, c_n) in enumerate(_monic_ascent(fam, p, n_max))]
+        a.append(complex(fam.a_rec(p, k)))
+        b.append(complex(fam.b_rec(p, k)))
+        c.append(c_k1)
+    return EtaPolynomial(tuple(a), tuple(b), tuple(c), fam.spec.id, p)

@@ -7,6 +7,7 @@ of (params, arguments).
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass
@@ -236,18 +237,7 @@ class Family:
             return w
         if kind == "x^2":
             return w * w
-        z = np.exp(1j * w)
-        return (z + 1.0 / z) / 2.0
-
-    def eta_vec(self, x):
-        """Vectorised eta over a real numpy array."""
-        kind = self.spec.eta_kind
-        x = np.asarray(x, dtype=float)
-        if kind == "x":
-            return x.astype(complex)
-        if kind == "x^2":
-            return (x * x).astype(complex)
-        return np.cos(x).astype(complex)
+        return np.cos(w) if isinstance(w, np.ndarray) else cmath.cos(w)
 
     def phi_aux(self, w):
         """Auxiliary factor in the shift operators: 1, 2x or 2 sin x."""
@@ -261,8 +251,6 @@ class Family:
 
     def x_from_eta(self, eta_point):
         """Principal inverse of the coordinate map."""
-        import cmath
-
         kind = self.spec.eta_kind
         eta_point = complex(eta_point)
         if kind == "x":

@@ -6,7 +6,9 @@ operators.
 Every operator of the framework shifts its operand's argument by multiples
 of i*gamma/2.  So an operand is evaluated once, as an array, on the lattice
 w + k*i*gamma/2 (k = -K..K) over real points w (`Lattice`), and each
-operator is a weighted sum of slices of that array.  Its output lives on the
+operator is a weighted sum of slices of that array.  The eigenpolynomials
+P_0 .. P_n come from one pass of their three-term recurrence over every
+level and lattice point (`Lattice.operand`).  Its output lives on the
 lattice shrunk by the shifts it takes, two rows at each end for H-tilde and
 one for F and B, so a composed operator is a composed array expression.
 Arrays are laid out (..., 2K+1, points): the lattice rows, then the points,
@@ -162,11 +164,11 @@ class Lattice:
     def phi(self) -> Terms:
         return Terms(self.family.phi_aux(self.w))
 
-    def operand(self, polys, half: int | None = None) -> Terms:
-        """The polynomials on the rows -half..half: one evaluation each, as a
-        (polynomials, 2*half+1, points) array."""
+    def operand(self, poly: EtaPolynomial, half: int | None = None) -> Terms:
+        """P_0 .. P_n of `poly` on the rows -half..half, from one pass of its
+        recurrence: a (levels, 2*half+1, points) array."""
         eta = _rows(self.eta.val, 0, self.half if half is None else half)
-        return Terms(np.array([poly.eval(eta) for poly in polys]))
+        return Terms(poly.eval_levels(eta))
 
 
 def _nonzero_phi(lat: Lattice, h: int) -> Terms:
@@ -292,14 +294,14 @@ def sample_points(family, params: ParamSet, count: int = 20, seed: int = 0):
 # ------------------------------------------------------------- spec surface
 
 def _at_point(poly: EtaPolynomial, x, half: int, shift_back: int = 0):
-    """(context, one-point lattice at x, the polynomial on it)."""
+    """(context, one-point lattice at x, P_n alone on it)."""
     if poly.family_id is None or poly.params is None:
         raise ValueError("polynomial carries no family context")
     fam = get_family(poly.family_id)
     p = fam.shifted(poly.params, shift_back) if shift_back else poly.params
     ctx = OperatorContext(fam, p)
     lat = ctx.lattice([x], half)
-    return ctx, lat, lat.operand([poly])
+    return ctx, lat, lat.operand(poly)[-1:]
 
 
 def _value(t: Terms) -> complex:
@@ -392,9 +394,9 @@ def lambda_shift_X(family, params: ParamSet, kind: str, n, poly, x):
     Supported: Meixner-Pollaczek at phi = pi/2 and the continuous dual Hahn
     family, the two cases with explicit difference-operator realisations.
     ``kind`` is "X" (operand at lambda) or "Xdag" (operand at lambda+delta).
-    At a scalar x, with one polynomial at level n, the value; at an array of
-    points, with a sequence of polynomials and their levels, a
-    (levels, 1, points) Terms.
+    The operand is level n of `poly`'s recurrence (P_0 .. P_m, m >= n).  At a
+    scalar x and an int n, the value; at an array of points and a sequence
+    of levels, a (levels, 1, points) Terms.
     """
     fam = get_family(family)
     name = fam.spec.name
@@ -413,10 +415,9 @@ def lambda_shift_X(family, params: ParamSet, kind: str, n, poly, x):
     if kind not in ("X", "Xdag"):
         raise ValueError(f"kind must be 'X' or 'Xdag', got {kind!r}")
     scalar = np.ndim(x) == 0
-    polys = [poly] if scalar else list(poly)
     ctx = OperatorContext(fam, params)
     lat = ctx.lattice(np.atleast_1d(x), half)
-    f = lat.operand(polys)
+    f = lat.operand(poly)[np.atleast_1d(n)]
     if name == "meixner-pollaczek":
         if kind == "X":
             out = 0.25 * (f.at(-1) + f.at(1))

@@ -1,23 +1,24 @@
-"""Dense polynomial-in-eta representation of the eigenpolynomials.
+"""The eigenpolynomials as their three-term recurrence.
 
-Coefficients are stored in ascending powers of eta; evaluation is Horner's
-scheme at arbitrary complex eta.  Degree is capped softly at 30: beyond
-that a ConditioningWarning is attached, since double precision cancellation
-in the high-degree terminating series grows quickly.
+An EtaPolynomial P_n holds the recurrence data of P_0 .. P_n and evaluates
+them on the values themselves: the monic P^_k obey
+
+    P^_{k+1} = (eta - a_k) P^_k - b_k P^_{k-1},   P^_0 = 1,  P^_{-1} = 0,
+
+and P_k = c_k P^_k.  Stepping the values keeps the error at a few units of
+round-off in the size of the terms (Gautschi, SIAM Rev. 9 (1967) 24), at
+any degree; expanding into powers of eta instead would cancel digits.  One
+pass yields every level P_0 .. P_n at once.  eta is a Python complex (plain
+scalar arithmetic) or an ndarray.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .specfun import ConditioningWarning
-
-__all__ = ["EtaPolynomial", "DEGREE_SOFT_CAP", "DegeneracyError"]
-
-DEGREE_SOFT_CAP = 30
+__all__ = ["EtaPolynomial", "DegeneracyError"]
 
 
 class DegeneracyError(ArithmeticError):
@@ -26,59 +27,45 @@ class DegeneracyError(ArithmeticError):
 
 @dataclass(frozen=True)
 class EtaPolynomial:
-    """Polynomial in the sinusoidal coordinate, with its family context."""
+    """P_n in the sinusoidal coordinate as its recurrence data
+    a_0 .. a_{n-1}, b_0 .. b_{n-1} and the scales c_0 .. c_n, with its
+    family context."""
 
-    coeffs: tuple
+    a: tuple
+    b: tuple
+    c: tuple
     family_id: object = None
     params: object = None
-    level: int | None = None
-
-    def __post_init__(self):
-        coeffs = tuple(complex(c) for c in self.coeffs)
-        # normalise the degree: drop trailing (near-)zeros beyond an exact zero
-        while len(coeffs) > 1 and coeffs[-1] == 0:
-            coeffs = coeffs[:-1]
-        object.__setattr__(self, "coeffs", coeffs)
-        if self.degree > DEGREE_SOFT_CAP:
-            warnings.warn(
-                f"degree {self.degree} exceeds {DEGREE_SOFT_CAP}; double "
-                "precision cancellation may dominate",
-                ConditioningWarning,
-                stacklevel=2,
-            )
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.a)
 
-    def __call__(self, eta):
-        return self.eval(eta)
-
-    def eval(self, eta):
-        """Horner evaluation at scalar or ndarray eta (complex allowed)."""
+    def _monic_values(self, eta):
+        """Yield P^_0 .. P^_n at eta."""
         if isinstance(eta, np.ndarray):
-            out = np.full(eta.shape, self.coeffs[-1], dtype=complex)
-            for c in reversed(self.coeffs[:-1]):
-                out = out * eta + c
-            return out
-        eta = complex(eta)
-        out = self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
-            out = out * eta + c
+            cur = np.ones(eta.shape, dtype=complex)
+        else:
+            eta, cur = complex(eta), 1.0
+        prev = 0.0
+        yield cur
+        for a_k, b_k in zip(self.a, self.b):
+            prev, cur = cur, (eta - a_k) * cur - b_k * prev
+            yield cur
+
+    def eval_levels(self, eta) -> np.ndarray:
+        """P_0 .. P_n at eta, as a (n+1, *shape(eta)) array."""
+        out = np.empty((self.degree + 1,) + np.shape(eta), dtype=complex)
+        for k, value in enumerate(self._monic_values(eta)):
+            out[k] = self.c[k] * value
         return out
 
+    def eval(self, eta):
+        """P_n at eta: a complex at a scalar eta, an array at an ndarray."""
+        for value in self._monic_values(eta):
+            pass
+        return self.c[-1] * value
+
     def scaled(self, factor: complex) -> "EtaPolynomial":
-        return EtaPolynomial(
-            tuple(c * factor for c in self.coeffs),
-            self.family_id,
-            self.params,
-            self.level,
-        )
-
-    def leading(self) -> complex:
-        return self.coeffs[-1]
-
-
-def monomial(power: int, family_id=None, params=None) -> EtaPolynomial:
-    """eta^power as an EtaPolynomial."""
-    return EtaPolynomial((0.0,) * power + (1.0,), family_id, params, None)
+        """Every level multiplied by factor."""
+        return replace(self, c=tuple(c * factor for c in self.c))

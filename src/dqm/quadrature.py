@@ -9,9 +9,10 @@ estimate from their final refinement step.
 
 Each refinement level is one node set, shared by every integral computed on
 it: the Gram matrix takes all its entries from one evaluation of phi0^2 and
-of P_0..P_n per level, and `hermiticity_forms` takes both forms of all its
-pairs from one phi0^2 per level and one application of H-tilde to the
-polynomials on the shift lattice of the nodes.  A level is accepted when every one of its
+one pass of the three-term recurrence for P_0..P_n per level, and
+`hermiticity_forms` takes both forms of all its pairs from one phi0^2 per
+level and one application of H-tilde to the polynomials' values on the
+shift lattice of the nodes.  A level is accepted when every one of its
 integrals passes the per-integral stopping test.  The hermiticity sums run
 over blocks of at most NODE_BLOCK nodes, so the transient arrays stay small
 at any depth.  Nodes inside the operator's singularity guard around the
@@ -28,8 +29,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .families import ParamSet, eval_polys_recurrence, get_family
-from .operators import OperatorContext
+from .families import ParamSet, eval_poly_recurrence, get_family
+from .operators import OperatorContext, Terms
 from .polynomials import EtaPolynomial
 
 __all__ = [
@@ -188,7 +189,7 @@ def weight_window(family, p: ParamSet, spec: QuadratureSpec = DEFAULT_SPEC,
     else:
         grid = np.linspace(0.0, 150.0, 6001)
     w = np.asarray(fam.phi0(p, grid), dtype=float) ** 2
-    eta2 = np.abs(fam.eta_vec(grid)) ** 2
+    eta2 = np.abs(fam.eta(grid)) ** 2
     with np.errstate(divide="ignore"):
         log_bound = np.log(w) + poly_degree * np.log1p(eta2)
     top = float(np.max(log_bound))
@@ -234,14 +235,13 @@ def orthogonality_matrix(family, p: ParamSet, n_max: int = 6,
     if n_max > 8:
         raise ValueError(f"n_max <= 8 (quadrature accuracy budget), got {n_max}")
     a, b = weight_window(fam, p, spec)
-    polys = eval_polys_recurrence(fam, p, n_max)
+    poly = eval_poly_recurrence(fam, p, n_max)
     h0 = fam.h0(p)
     expected = tuple(h0 / fam.h0_over_hn(p, n) for n in range(n_max + 1))
 
     def gram_at(nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
         w2 = np.asarray(fam.phi0(p, nodes), dtype=float) ** 2
-        eta = fam.eta_vec(nodes)
-        vals = np.array([poly.eval(eta) for poly in polys])
+        vals = poly.eval_levels(fam.eta(nodes))
         wp = weights * w2
         g = np.real(np.einsum("k,ik,jk->ij", wp, np.conj(vals), vals))
         return 0.5 * (g + g.T)  # the form is symmetric; remove summation noise
@@ -272,13 +272,12 @@ def hermiticity_forms(family, p: ParamSet, P, Q,
                       spec: QuadratureSpec = DEFAULT_SPEC):
     """The two sesquilinear forms ((g, Hf), (Hg, f)) with f = phi0 P, g = phi0 Q.
 
-    P and Q are two EtaPolynomials, or two equal-length sequences of them;
-    for sequences the forms of every pair (P[i], Q[i]) come back as two
-    arrays.  Both forms go through the polynomial-level Hamiltonian:
-    (g, Hf) = int phi0^2 conj(Q) (H-tilde P), and its mirror image.
+    P and Q are two equal-length sequences of EtaPolynomials; the forms of
+    every pair (P[i], Q[i]) come back as two arrays.  Both forms go through
+    the polynomial-level Hamiltonian: (g, Hf) = int phi0^2 conj(Q) (H-tilde P),
+    and its mirror image.
     """
-    one = isinstance(P, EtaPolynomial)
-    Ps, Qs = ((P,), (Q,)) if one else (tuple(P), tuple(Q))
+    Ps, Qs = tuple(P), tuple(Q)
     if len(Ps) != len(Qs):
         raise ValueError(f"{len(Ps)} polynomials P against {len(Qs)} Q")
     # each distinct polynomial is one row of the (polynomials, nodes) arrays
@@ -304,7 +303,7 @@ def hermiticity_forms(family, p: ParamSet, P, Q,
             x = nodes[lo:lo + NODE_BLOCK]
             wx = wp[lo:lo + NODE_BLOCK]
             lat = ctx.lattice(x, 2)
-            f = lat.operand(polys)
+            f = Terms(np.array([poly.eval(lat.eta.val) for poly in polys]))
             vals = f.val[:, 2]
             h = ctx.H_tilde(f, lat).val[:, 0]
             terms = np.stack([np.conj(vals[iq]) * h[ip], np.conj(h[iq]) * vals[ip]])
@@ -314,8 +313,6 @@ def hermiticity_forms(family, p: ParamSet, P, Q,
             delta = np.abs(value - prev)
             err = float(delta.max())
             if _converged(delta, value, l1, spec).all():
-                if one:
-                    return complex(value[0, 0]), complex(value[1, 0])
                 return value[0], value[1]
         prev = value
     raise ToleranceNotMet(
@@ -327,5 +324,5 @@ def hermiticity_forms(family, p: ParamSet, P, Q,
 def hermiticity_check(family, p: ParamSet, P: EtaPolynomial, Q: EtaPolynomial,
                       spec: QuadratureSpec = DEFAULT_SPEC) -> float:
     """|(g,Hf) - (Hg,f)| / (1 + |(g,Hf)|)."""
-    v_lhs, v_rhs = hermiticity_forms(family, p, P, Q, spec)
-    return abs(v_lhs - v_rhs) / (1.0 + abs(v_lhs))
+    (v_lhs,), (v_rhs,) = hermiticity_forms(family, p, [P], [Q], spec)
+    return float(abs(v_lhs - v_rhs) / (1.0 + abs(v_lhs)))

@@ -44,7 +44,7 @@ class ConvergenceError(RuntimeError):
 
 
 class ConditioningWarning(UserWarning):
-    """High-degree evaluation where double precision cancellation grows."""
+    """High-degree series evaluation where double precision cancellation grows."""
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,10 @@ ground states, both polynomial evaluation paths and their invariants."""
 from __future__ import annotations
 
 import cmath
+import functools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +23,6 @@ from dqm.families import (
     energy,
     eval_poly_hypergeometric,
     eval_poly_recurrence,
-    eval_polys_recurrence,
     get_family,
     ground_state,
     potential,
@@ -272,41 +274,62 @@ def test_series_meixner_pollaczek_level_one():
 
 def test_recurrence_level_zero():
     poly = eval_poly_recurrence("continuous-q-hermite", ParamSet(q=0.5), 0)
-    assert poly.coeffs == (1 + 0j,)
+    assert poly.degree == 0
+    etas = np.array([-0.9, 0.2, 0.7 + 0.3j])
+    assert [poly.eval(complex(eta)) for eta in etas] == [1 + 0j] * 3
+    assert np.array_equal(poly.eval(etas), np.ones(3, dtype=complex))
 
 def test_recurrence_q_hermite_level_two():
+    # P_2 = 4 eta^2 - (1 - q)
     q = 0.5
     poly = eval_poly_recurrence("continuous-q-hermite", ParamSet(q=q), 2)
-    assert poly.coeffs[2] == pytest.approx(4.0)
-    assert poly.coeffs[1] == pytest.approx(0.0, abs=1e-15)
-    assert poly.coeffs[0] == pytest.approx(-(1 - q))
+    for eta in (-0.8, 0.0, 0.35, 1.0, 0.4 - 0.6j):
+        assert poly.eval(eta) == pytest.approx(4.0 * eta * eta - (1 - q), abs=1e-15)
 
 @pytest.mark.parametrize("family,name", all_fixtures())
 def test_recurrence_leading_coefficient(family, name):
+    # the coefficients of P_n in powers of eta from n + 2 values on a circle
+    # of radius r (a discrete Fourier transform): eta^n carries c_n and
+    # eta^{n+1} nothing; r above the zeros keeps the transform well conditioned
     p = fixture_params(family, name)
     fam = get_family(family)
     for n in range(9):
         poly = eval_poly_recurrence(family, p, n)
         assert poly.degree == n
-        assert abs(poly.leading() - fam.c_n(p, n)) <= 1e-12 * abs(fam.c_n(p, n))
+        r = 4.0 * (1.0 + max((abs(v) for v in poly.a + poly.b), default=0.0))
+        etas = r * np.exp(2j * np.pi * np.arange(n + 2) / (n + 2))
+        coef = np.fft.fft(poly.eval(etas)) / (n + 2) / r ** np.arange(n + 2)
+        c_n = fam.c_n(p, n)
+        assert abs(coef[n] - c_n) <= 1e-12 * abs(c_n)
+        assert abs(coef[n + 1]) <= 1e-12 * abs(c_n)
+
+def _etas(family):
+    fam = get_family(family)
+    xs = np.array(sample_points(fam, fixture_params(family), 5))
+    return fam.eta(np.concatenate([xs, xs + 0.3j]))
 
 @pytest.mark.parametrize("family", [FAMILIES[fid].spec.name for fid in ALL_IDS])
 def test_one_ascent_equals_per_level_ascents(family):
+    # level n of one pass to 30 is bit-identical to P_n from its own ascent
     p = fixture_params(family, "default")
-    polys = eval_polys_recurrence(family, p, 30)
-    assert [poly.level for poly in polys] == list(range(31))
-    for n, poly in enumerate(polys):
-        assert poly.coeffs == eval_poly_recurrence(family, p, n).coeffs
+    top = eval_poly_recurrence(family, p, 30)
+    assert top.degree == 30
+    etas = _etas(family)
+    levels = top.eval_levels(etas)
+    assert levels.shape == (31, etas.size)
+    for n in range(31):
+        assert np.array_equal(levels[n], eval_poly_recurrence(family, p, n).eval(etas))
 
 
 @pytest.mark.parametrize("family", ["continuous-q-jacobi", "askey-wilson", "wilson"])
 def test_ascent_computes_each_c_n_once(family, monkeypatch):
     # c_{k+1} is carried up to the next level and into the scaling, so an
-    # ascent to n makes n + 1 c_n calls on either entry point
+    # ascent to n makes n + 1 c_n calls
     fam = get_family(family)
     p = fixture_params(family)
     n = 12
-    want = [poly.coeffs for poly in eval_polys_recurrence(fam, p, n)]
+    etas = _etas(family)
+    want = eval_poly_recurrence(fam, p, n).eval_levels(etas)
     calls = []
     exact = fam.c_n
 
@@ -315,13 +338,36 @@ def test_ascent_computes_each_c_n_once(family, monkeypatch):
         return exact(params, k)
 
     monkeypatch.setattr(fam, "c_n", counting_c_n)
-    got = eval_polys_recurrence(fam, p, n)
+    got = eval_poly_recurrence(fam, p, n)
     assert sorted(calls) == list(range(n + 1))
-    calls.clear()
-    top = eval_poly_recurrence(fam, p, n)
-    assert sorted(calls) == list(range(n + 1))
-    assert [poly.coeffs for poly in got] == want
-    assert top.coeffs == want[n]
+    assert np.array_equal(got.eval_levels(etas), want)
+
+ORACLE_FILE = Path(__file__).resolve().parents[1] / "perfbench" / "oracle_data.json"
+
+
+@functools.cache
+def _oracle():
+    with open(ORACLE_FILE, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("family,name", all_fixtures())
+def test_recurrence_matches_the_oracle(family, name):
+    # the committed 60-digit values at every pool point: levels 0, 5, 10, 20
+    # and 30 of the default fixtures, 0 .. 8 of the others
+    doc = _oracle()
+    raw = doc["inputs"]["fixtures"][family][name]
+    p = fixture_params(family, name)
+    assert [complex(*v) for v in raw["a"]] == list(p.a)
+    assert (raw["q"], raw["phi"]) == (p.q, p.phi)
+    levels = (0, 5, 10, 20, 30) if name == "default" else range(9)
+    etas = doc["inputs"]["pool"][family]
+    for n in levels:
+        exact = [complex(*v) for v in doc["P"][family][name][n]]
+        bound = 1e-12 * (1.0 + max(abs(o) for o in exact))
+        poly = eval_poly_recurrence(family, p, n)
+        for eta, o in zip(etas, exact, strict=True):
+            assert abs(poly.eval(eta) - o) <= bound, (n, eta)
 
 @pytest.mark.parametrize("family,name", all_fixtures())
 def test_dual_path_equivalence(family, name):
@@ -336,11 +382,33 @@ def test_dual_path_equivalence(family, name):
             v2 = poly.eval(eta)
             assert abs(v1 - v2) <= 1e-9 * (1 + abs(v2))
 
-def test_degree_cap_warning():
+@pytest.mark.parametrize("family", [FAMILIES[fid].spec.name for fid in ALL_IDS])
+def test_recurrence_at_degree_60_is_silent_and_accurate(family):
+    # the value recurrence cancels no digits, so it needs no degree cap: at
+    # n = 60 it matches the same recurrence run at 60 digits
+    import warnings
+
     from dqm.specfun import ConditioningWarning
 
-    with pytest.warns(ConditioningWarning):
-        eval_poly_recurrence("continuous-q-hermite", ParamSet(q=0.5), 31)
+    mpmath = pytest.importorskip("mpmath")
+    fam = get_family(family)
+    p = fixture_params(family)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ConditioningWarning)
+        poly = eval_poly_recurrence(family, p, 60)
+    etas = [complex(eta) for eta in _etas(family)]
+    got = [poly.eval(eta) for eta in etas]
+    with mpmath.workdps(60):
+        exact = []
+        for eta in etas:
+            prev, cur = mpmath.mpc(0), mpmath.mpc(1)
+            for k in range(60):
+                a_k, b_k = mpmath.mpc(fam.a_rec(p, k)), mpmath.mpc(fam.b_rec(p, k))
+                prev, cur = cur, (mpmath.mpc(eta) - a_k) * cur - b_k * prev
+            exact.append(complex(mpmath.mpc(fam.c_n(p, 60)) * cur))
+    scale = 1.0 + max(abs(v) for v in exact)
+    for g, e in zip(got, exact):
+        assert abs(g - e) <= 1e-13 * scale
 
 
 # --------------------------------------------------------------- symmetry

@@ -13,7 +13,6 @@ from dqm.families import (
     FamilyId,
     ParamSet,
     eval_poly_recurrence,
-    eval_polys_recurrence,
     get_family,
 )
 from dqm.fixtures import fixture_names, fixture_params
@@ -66,7 +65,7 @@ def test_inner_product_orthogonality():
     P1 = eval_poly_recurrence(fam, p, 1)
 
     def f(x):
-        return fam.phi0(p, x) * P1.eval(fam.eta_vec(x))
+        return fam.phi0(p, x) * P1.eval(fam.eta(x))
 
     phi0 = lambda x: fam.phi0(p, x)
     assert abs(inner_product(fam, p, f, phi0)) < 1e-9
@@ -85,7 +84,7 @@ def test_positivity_of_norm():
     P2 = eval_poly_recurrence(fam, p, 2)
 
     def f(x):
-        return fam.phi0(p, x) * P2.eval(fam.eta_vec(x))
+        return fam.phi0(p, x) * P2.eval(fam.eta(x))
 
     assert inner_product(fam, p, f, f).real > 0
 
@@ -114,17 +113,23 @@ def test_gram_matrix_takes_its_polynomials_from_one_ascent(family, monkeypatch):
 
     def one_ascent(family, params, n_max):
         ascents.append(n_max)
-        return eval_polys_recurrence(family, params, n_max)
+        return eval_poly_recurrence(family, params, n_max)
 
-    def per_level_ascents(family, params, n_max):
-        return [eval_poly_recurrence(family, params, n) for n in range(n_max + 1)]
+    class PerLevelAscents:
+        """P_0 .. P_n, each from its own ascent and its own evaluation."""
 
-    monkeypatch.setattr(quadrature, "eval_polys_recurrence", one_ascent)
+        def __init__(self, family, params, n_max):
+            self.polys = [eval_poly_recurrence(family, params, n) for n in range(n_max + 1)]
+
+        def eval_levels(self, eta):
+            return np.array([poly.eval(eta) for poly in self.polys])
+
+    monkeypatch.setattr(quadrature, "eval_poly_recurrence", one_ascent)
     gram = orthogonality_matrix(fam, p, 6).entries
     assert ascents == [6]
-    # the entries of the one ascent equal the per-level polynomials exactly,
-    # so the Gram matrix is bit-identical to the one built level by level
-    monkeypatch.setattr(quadrature, "eval_polys_recurrence", per_level_ascents)
+    # every level of the one pass equals its polynomial's own evaluation
+    # exactly, so the Gram matrix is bit-identical to the one built level by level
+    monkeypatch.setattr(quadrature, "eval_poly_recurrence", PerLevelAscents)
     assert np.array_equal(gram, orthogonality_matrix(fam, p, 6).entries)
 
 
@@ -193,7 +198,7 @@ def test_hermiticity_diagonal_form_is_real():
     p = fixture_params("askey-wilson")
     fam = get_family("askey-wilson")
     P2 = eval_poly_recurrence(fam, p, 2)
-    lhs, rhs = hermiticity_forms(fam, p, P2, P2)
+    (lhs,), (rhs,) = hermiticity_forms(fam, p, [P2], [P2])
     assert abs(lhs - rhs) <= 1e-6 * (1 + abs(lhs))
     assert abs(lhs.imag) <= 1e-8 * (1 + abs(lhs))
 
@@ -203,7 +208,7 @@ def test_hermiticity_on_ground_state_is_zero():
     p = fixture_params("continuous-q-hermite")
     fam = get_family("continuous-q-hermite")
     one = eval_poly_recurrence(fam, p, 0)
-    lhs, rhs = hermiticity_forms(fam, p, one, one)
+    (lhs,), (rhs,) = hermiticity_forms(fam, p, [one], [one])
     assert abs(lhs) <= 1e-10
     assert abs(rhs) <= 1e-10
 
@@ -229,13 +234,13 @@ def test_hermiticity_forms_count_a_pole_of_V_at_a_node_as_zero(monkeypatch):
     P = eval_poly_recurrence(fam, p, 2)
     Q = eval_poly_recurrence(fam, p, 3)
     spec = QuadratureSpec(rule="double-exponential")
-    plain = hermiticity_forms(fam, p, P, Q, spec)
+    plain = hermiticity_forms(fam, p, [P], [Q], spec)
 
     monkeypatch.setattr(quadrature, "weight_window", lambda *args: (-math.pi, math.pi))
     assert 0.0 in 0.0 + math.pi * _tanh_sinh_nodes(2)[0]
     with pytest.raises(SingularityError):
         fam.V(p, 0.0)
-    doubled = hermiticity_forms(fam, p, P, Q, spec)
+    doubled = hermiticity_forms(fam, p, [P], [Q], spec)
     for got, want in zip(doubled, plain):
         assert np.isfinite(got)
         assert abs(0.5 * got - want) <= 1e-10 * (1 + abs(want))
@@ -252,8 +257,8 @@ def test_hermiticity_forms_reproduce_the_spectrum(family, fixture):
     p = fixture_params(family, fixture)
     h0 = fam.h0(p)
     polys = [
-        poly.scaled(math.sqrt(fam.h0_over_hn(p, n) / h0))
-        for n, poly in enumerate(eval_polys_recurrence(fam, p, 4))
+        eval_poly_recurrence(fam, p, n).scaled(math.sqrt(fam.h0_over_hn(p, n) / h0))
+        for n in range(5)
     ]
     levels = [(0, 0), (1, 1), (1, 2), (3, 0), (2, 4)]
     lhs, rhs = hermiticity_forms(

@@ -334,15 +334,19 @@ def test_nan_residual_fails_its_check(monkeypatch):
 
 
 def _count_evaluations(monkeypatch):
-    """One (polynomial, point) pair per element of every array evaluated."""
+    """One (polynomial, point) pair for every level the recurrence steps
+    through at every element of every array it runs on; level k is named by
+    its parameters and its data a_0 .. a_{k-1}, b_0 .. b_{k-1}."""
     calls = []
-    plain_eval = EtaPolynomial.eval
+    plain_steps = EtaPolynomial._monic_values
 
-    def counting_eval(self, eta):
-        calls.extend((self.coeffs, complex(e)) for e in np.ravel(eta))
-        return plain_eval(self, eta)
+    def counting_steps(self, eta):
+        for k, value in enumerate(plain_steps(self, eta)):
+            level = (self.params, self.a[:k], self.b[:k])
+            calls.extend((level, complex(e)) for e in np.ravel(eta))
+            yield value
 
-    monkeypatch.setattr(EtaPolynomial, "eval", counting_eval)
+    monkeypatch.setattr(EtaPolynomial, "_monic_values", counting_steps)
     return calls
 
 
