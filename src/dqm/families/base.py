@@ -25,7 +25,6 @@ __all__ = [
     "SingularityError",
     "Family",
     "elementary_symmetric",
-    "qpoch_inf_vec",
     "as_complex",
     "any_zero",
 ]
@@ -185,23 +184,6 @@ def elementary_symmetric(values, k):
     return out
 
 
-# ------------------------------------------------------------ q-product help
-
-def qpoch_inf_vec(a_vals, q: float, rel_eps: float = 1e-16):
-    """(a;q)_inf elementwise over an array of a-values (complex ok)."""
-    a_vals = np.asarray(a_vals, dtype=complex)
-    amax = float(np.max(np.abs(a_vals))) if a_vals.size else 0.0
-    out = np.ones_like(a_vals)
-    if amax == 0.0:
-        return out
-    n_terms = max(1, int(math.ceil(math.log(rel_eps / amax) / math.log(q))) + 1)
-    qk = 1.0
-    for _ in range(n_terms):
-        out = out * (1.0 - a_vals * qk)
-        qk *= q
-    return out
-
-
 # ------------------------------------------------------------------- family
 
 class Family:
@@ -298,17 +280,30 @@ class Family:
         raise NotImplementedError
 
     # -- eigenfunctions ------------------------------------------------------
-    def phi0(self, p: ParamSet, x):
-        """Ground-state weight function, vectorised over real x."""
+    def log_amplitude(self, p: ParamSet, w):
+        """A logarithm of g(w), the closed form of the ground state: phi0(x)
+        = |g(x)| on the real axis, and g continues off it.  Scalar or array
+        w; only exp() and the real part are used, so any branch will do."""
         raise NotImplementedError
 
-    def weight_square(self, p: ParamSet, w) -> complex:
-        """Analytic continuation of phi0(x)^2 to complex arguments.
+    def phi0(self, p: ParamSet, x):
+        """Ground-state weight function |g(x)|, vectorised over real x; a
+        float at a scalar x."""
+        x = np.asarray(x, dtype=float)
+        out = np.exp(np.real(self.log_amplitude(p, x)))
+        return float(out) if out.ndim == 0 else out
+
+    def weight_square(self, p: ParamSet, w):
+        """Analytic continuation of phi0(x)^2 to complex w, scalar or array:
+        g(w) g*(w) with g*(w) = conj(g(conj w)).
 
         phi0 itself is a modulus and does not continue; its square does,
         which is what the shifted ground-state identity needs.
         """
-        raise NotImplementedError
+        w = np.asarray(w, dtype=complex)
+        out = np.exp(self.log_amplitude(p, w)
+                     + np.conj(self.log_amplitude(p, np.conj(w))))
+        return complex(out) if out.ndim == 0 else out
 
     def series_eval_x(self, p: ParamSet, n: int, x) -> complex:
         """Definitional hypergeometric series for P_n, evaluated at x."""

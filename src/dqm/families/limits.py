@@ -15,12 +15,11 @@ L -> infinity limit equals the corresponding Wilson quantity:
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
 
-from ..specfun import SeriesTolerance, _log_q_pochhammer_inf
+from ..specfun import log_q_pochhammer_inf
 from .base import FamilyId, ParamSet, ValidationError
 
 __all__ = ["aw_to_wilson_scaled", "LIMIT_QUANTITIES"]
@@ -71,11 +70,7 @@ def aw_to_wilson_scaled(quantity: str, wilson_params: ParamSet, L: float,
         return poly.eval(aw.eta(x_aw)) / one_minus_q ** (3 * n)
     # phi0: composed in log space, since every q-product underflows as q -> 1
     sum_ap = sum(aj.real for aj in wilson_params.a)
-    tol = SeriesTolerance(rel_eps=1e-16, max_terms=2_000_000)
-    z = cmath.exp(1j * x_aw)
-    log_val = _log_q_pochhammer_inf(z * z, q, tol).real
-    for aj in p.a:
-        log_val -= _log_q_pochhammer_inf(aj * z, q, tol).real
-    log_val += 3.0 * _log_q_pochhammer_inf(q, q, tol).real
-    log_val += (3.0 - sum_ap) * math.log(one_minus_q)
+    log_val = (aw.log_amplitude(p, x_aw).real
+               + 3.0 * log_q_pochhammer_inf(q, q).real
+               + (3.0 - sum_ap) * math.log(one_minus_q))
     return math.exp(log_val)

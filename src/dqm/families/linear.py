@@ -7,8 +7,6 @@ from __future__ import annotations
 import cmath
 import math
 
-import numpy as np
-
 from ..specfun import complex_gamma, hypergeometric_F, log_gamma, pochhammer
 from .base import (
     ClosurePolys,
@@ -137,23 +135,10 @@ class ContinuousHahn(Family):
         )
         return complex(val).real
 
-    def phi0(self, p: ParamSet, x):
+    def log_amplitude(self, p: ParamSet, w):
         a1, a2 = p.a
-        x = np.asarray(x, dtype=float)
-        ix = 1j * x
-        logs = np.real(log_gamma(a1 + ix)) + np.real(log_gamma(a2 + ix))
-        out = np.exp(logs)
-        return float(out) if out.ndim == 0 else out
-
-    def weight_square(self, p: ParamSet, w) -> complex:
-        a1, a2, a3, a4 = self._abcd(p)
-        w = complex(w)
-        return (
-            complex_gamma(a1 + 1j * w)
-            * complex_gamma(a2 + 1j * w)
-            * complex_gamma(a3 - 1j * w)
-            * complex_gamma(a4 - 1j * w)
-        )
+        iw = 1j * as_complex(w)
+        return log_gamma(a1 + iw) + log_gamma(a2 + iw)
 
     def level_from_energy(self, p: ParamSet, energy: float) -> float:
         # E_n = n(n + b1 - 1)  =>  N = sqrt(E + (b1-1)^2/4) - (b1-1)/2
@@ -251,21 +236,9 @@ class MeixnerPollaczek(Family):
         a = p.a[0].real
         return math.factorial(n) / pochhammer(2 * a, n).real
 
-    def phi0(self, p: ParamSet, x):
-        a = p.a[0].real
-        x = np.asarray(x, dtype=float)
-        logs = (p.phi - math.pi / 2) * x + np.real(log_gamma(a + 1j * x))
-        out = np.exp(logs)
-        return float(out) if out.ndim == 0 else out
-
-    def weight_square(self, p: ParamSet, w) -> complex:
-        a = p.a[0].real
-        w = complex(w)
-        return (
-            cmath.exp((2.0 * p.phi - math.pi) * w)
-            * complex_gamma(a + 1j * w)
-            * complex_gamma(a - 1j * w)
-        )
+    def log_amplitude(self, p: ParamSet, w):
+        w = as_complex(w)
+        return (p.phi - math.pi / 2) * w + log_gamma(p.a[0].real + 1j * w)
 
     def level_from_energy(self, p: ParamSet, energy: float) -> float:
         return energy / (2.0 * math.sin(p.phi))

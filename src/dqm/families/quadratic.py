@@ -53,24 +53,14 @@ class _GammaRatioFamily(Family):
             num *= ai + 1j * w
         return num / den
 
-    def phi0(self, p: ParamSet, x):
-        x = np.asarray(x, dtype=float)
-        ix = 1j * x
-        logs = np.zeros_like(x)
+    def log_amplitude(self, p: ParamSet, w):
+        # prod Gamma(a_i + iw) / Gamma(2iw), with 1/Gamma(2iw) = 2iw /
+        # Gamma(1 + 2iw): regular at w = 0, where it vanishes
+        iw = 1j * as_complex(w)
+        with np.errstate(divide="ignore"):
+            out = np.log(2.0 * iw) - log_gamma(1.0 + 2.0 * iw)
         for ai in p.a:
-            logs = logs + np.real(log_gamma(ai + ix))
-        # 1/Gamma(2ix) = 2ix / Gamma(1+2ix): regular at x = 0, vanishes there
-        logs = logs - np.real(log_gamma(1.0 + 2.0 * ix))
-        out = 2.0 * np.abs(x) * np.exp(logs)
-        return float(out) if out.ndim == 0 else out
-
-    def weight_square(self, p: ParamSet, w) -> complex:
-        w = complex(w)
-        out = 4.0 * w * w / (
-            complex_gamma(1.0 + 2j * w) * complex_gamma(1.0 - 2j * w)
-        )
-        for ai in p.a:
-            out *= complex_gamma(ai + 1j * w) * complex_gamma(ai - 1j * w)
+            out = out + log_gamma(ai + iw)
         return out
 
 

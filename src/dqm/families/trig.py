@@ -47,7 +47,12 @@ from typing import Callable
 
 import numpy as np
 
-from ..specfun import basic_hypergeometric_phi, q_pochhammer, q_pochhammer_inf
+from ..specfun import (
+    basic_hypergeometric_phi,
+    log_q_pochhammer_inf,
+    q_pochhammer,
+    q_pochhammer_inf,
+)
 from .base import (
     ClosurePolys,
     Family,
@@ -59,7 +64,6 @@ from .base import (
     as_complex,
     conjugate_closed,
     elementary_symmetric,
-    qpoch_inf_vec,
     require,
 )
 
@@ -243,22 +247,12 @@ class AskeyWilson(Family):
             num *= 1.0 - ai * z
         return num / den
 
-    def phi0(self, p: ParamSet, x):
-        x = np.asarray(x, dtype=float)
-        z = np.exp(1j * x)
-        num = np.abs(qpoch_inf_vec(z * z, p.q))
-        den = np.ones_like(num)
-        for ai in self._aw(p).a:
-            den = den * np.abs(qpoch_inf_vec(ai * z, p.q))
-        out = num / den
-        return float(out) if out.ndim == 0 else out
-
-    def weight_square(self, p: ParamSet, w) -> complex:
-        q = p.q
+    def log_amplitude(self, p: ParamSet, w):
+        # (e^{2iw}; q)_inf / prod_i (a_i e^{iw}; q)_inf
         z = _z_of(w)
-        out = q_pochhammer_inf(z * z, q) * q_pochhammer_inf(1.0 / (z * z), q)
+        out = log_q_pochhammer_inf(z * z, p.q)
         for ai in self._aw(p).a:
-            out /= q_pochhammer_inf(ai * z, q) * q_pochhammer_inf(ai / z, q)
+            out = out - log_q_pochhammer_inf(ai * z, p.q)
         return out
 
     # -- spectrum and closure --------------------------------------------------

@@ -2,8 +2,11 @@
 terminating (q-)hypergeometric sums and the q-gamma function.
 
 Everything here is a pure function of its arguments.  Scalar inputs give
-scalar outputs; ``log_gamma`` additionally broadcasts over numpy arrays,
-which the quadrature weights rely on.
+scalar outputs.  The two log kernels, ``log_gamma`` and
+``log_q_pochhammer_inf``, also take numpy arrays elementwise; the families'
+ground states are built from them.  They return *a* logarithm: the real
+part is log|value|, the imaginary part is right only modulo 2 pi, so use
+them through exp() or their real part.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ __all__ = [
     "pochhammer",
     "q_pochhammer",
     "q_pochhammer_inf",
+    "log_q_pochhammer_inf",
     "log_gamma",
     "complex_gamma",
     "hypergeometric_F",
@@ -134,25 +138,30 @@ _LANCZOS_C = (
 )
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+_LOG_PI = math.log(math.pi)
 
 
 def log_gamma(z):
-    """Principal log-gamma for Re z >= 0.5 (scalar complex or ndarray).
+    """A logarithm of gamma(z) on the whole plane, scalar complex or ndarray.
 
-    Used directly for the log-space weight accumulation; only the strip
-    Re z >= 0.5 is needed there.  No reflection is attempted, so values with
-    Re z < 0.5 are outside this function's contract (use complex_gamma).
+    Lanczos where Re z >= 0.5; the reflection gamma(z) gamma(1-z) =
+    pi / sin(pi z) elsewhere, done only when some entry needs it.  The real
+    part is log|gamma(z)|, but left of Re z = 0.5 the imaginary part is not
+    the principal branch: use the value through exp() or its real part.  The
+    poles are not checked (complex_gamma does that).
     """
     z = np.asarray(z, dtype=complex)
-    w = z - 1.0
+    left = z.real < 0.5
+    reflect = left.any()
+    w = np.where(left, -z, z - 1.0) if reflect else z - 1.0  # at z or 1 - z
     series = np.full_like(w, _LANCZOS_C[0])
     for k in range(1, len(_LANCZOS_C)):
         series = series + _LANCZOS_C[k] / (w + k)
     t = w + _LANCZOS_G + 0.5
-    out = _LOG_SQRT_2PI + (w + 0.5) * np.log(t) - t + np.log(series)
-    if out.ndim == 0:
-        return complex(out)
-    return out
+    out = np.asarray(_LOG_SQRT_2PI + (w + 0.5) * np.log(t) - t + np.log(series))
+    if reflect:
+        out[left] = _LOG_PI - np.log(np.sin(np.pi * z[left])) - out[left]
+    return complex(out) if out.ndim == 0 else out
 
 
 def complex_gamma(z: complex) -> complex:
@@ -163,12 +172,6 @@ def complex_gamma(z: complex) -> complex:
     z = complex(z)
     if z.imag == 0.0 and z.real <= 0.0 and z.real == round(z.real):
         raise PoleError(f"gamma pole at z={z}")
-    if z.real < 0.5:
-        # Reflection: gamma(z) = pi / (sin(pi z) gamma(1-z)).
-        s = cmath.sin(cmath.pi * z)
-        if s == 0:
-            raise PoleError(f"gamma pole at z={z}")
-        return cmath.pi / (s * cmath.exp(log_gamma(1.0 - z)))
     return cmath.exp(log_gamma(z))
 
 
@@ -363,37 +366,65 @@ def basic_hypergeometric_phi(num, den, q: float, z: complex, n_terms: int) -> co
     return _cdd_value(total)
 
 
-def _log_q_pochhammer_inf(a: complex, q: float, tol: SeriesTolerance) -> complex:
-    """log (a;q)_inf with the same truncation rule as q_pochhammer_inf.
+# log (a;q)_inf multiplies its factors in runs and takes one log per run: a
+# log per factor costs several times the product.  A factor's modulus is at
+# most 1 + |a|max and, away from a zero of the product, about 1 - q or more,
+# so a run of _RUN_LOG / max(log(1 + |a|max), -log(1 - q)) factors keeps its
+# product within about e^(+-_RUN_LOG), far inside double range, as q -> 1
+# or at large |a| alike
+_RUN_LOG = 300.0
+# the log form is the one for q near 1, which takes ~35 / (1 - q) factors
+_LOG_TOL = SeriesTolerance(max_terms=2_000_000)
 
-    Needed for q near 1, where the product itself underflows double range.
+
+def log_q_pochhammer_inf(a, q: float, tol: SeriesTolerance = _LOG_TOL):
+    """A logarithm of (a;q)_inf, elementwise over a scalar or an ndarray.
+
+    Truncated as q_pochhammer_inf is, once |a|max q^k < tol.rel_eps.  The
+    real part is log|(a;q)_inf|, -inf at a vanishing factor; the imaginary
+    part is a sum of principal logs of partial products, so use the value
+    through exp() or its real part.  For q near 1 the product itself
+    underflows double range while its log does not.
     """
-    a = complex(a)
-    total = complex(0.0)
+    q = _check_q(q)
+    a = np.asarray(a, dtype=complex)
+    amax = float(np.abs(a).max()) if a.size else 0.0
+    n_factors = 0
     qk = 1.0
-    for _ in range(tol.max_terms):
-        if abs(a) * qk < tol.rel_eps:
-            return total
-        factor = 1.0 - a * qk
-        if factor == 0:
-            raise PoleError(f"(a;q)_inf has a vanishing factor: a={a}, q={q}")
-        total += cmath.log(factor)
+    while not amax * qk < tol.rel_eps:  # a NaN never converges
+        n_factors += 1
+        if n_factors >= tol.max_terms:
+            raise ConvergenceError(
+                f"log (a;q)_inf with |a| up to {amax}, q={q} did not reach "
+                f"|a q^k| < {tol.rel_eps} within {tol.max_terms} factors"
+            )
         qk *= q
-    raise ConvergenceError(
-        f"log (a;q)_inf with a={a}, q={q} did not reach |a q^k| < {tol.rel_eps} "
-        f"within {tol.max_terms} factors"
-    )
+    run = max(1, int(_RUN_LOG / max(math.log1p(amax), -math.log1p(-q))))
+    out = np.zeros_like(a)
+    prod = np.ones_like(a)
+    qk = 1.0
+    with np.errstate(divide="ignore"):
+        for k in range(1, n_factors + 1):
+            prod *= 1.0 - a * qk
+            qk *= q
+            if k % run == 0 or k == n_factors:
+                out += np.log(prod)
+                prod[...] = 1.0
+    return complex(out) if out.ndim == 0 else out
 
 
 def q_gamma(z: complex, q: float, tol: SeriesTolerance = DEFAULT_TOL) -> complex:
     """q-gamma function (q;q)_inf / (q^z;q)_inf * (1-q)^(1-z).
 
     The two infinite products are combined in log space; for q close to 1
-    each underflows on its own while the ratio stays finite.
+    each underflows on its own while the ratio stays finite.  A vanishing
+    factor of (q^z;q)_inf, at z = 0, -1, -2, ..., raises PoleError.
     """
     q = _check_q(q)
     z = complex(z)
     qz = cmath.exp(z * math.log(q))
-    log_num = _log_q_pochhammer_inf(q, q, tol)
-    log_den = _log_q_pochhammer_inf(qz, q, tol)
+    log_num = log_q_pochhammer_inf(q, q, tol)
+    log_den = log_q_pochhammer_inf(qz, q, tol)
+    if log_den.real == -math.inf:
+        raise PoleError(f"q-gamma pole at z={z}: (q^z;q)_inf has a vanishing factor")
     return cmath.exp(log_num - log_den + (1.0 - z) * math.log(1.0 - q))

@@ -30,6 +30,7 @@ from .families import (
     eval_poly_recurrence,
     get_family,
 )
+from .families.base import _as_real
 from .operators import (
     Lattice,
     OperatorContext,
@@ -239,8 +240,8 @@ def check_shape_invariance(family, p: ParamSet, x_samples=None,
     #   = V(x; lambda) phi(x - ig/2)^2 phi0^2(x; lambda),
     # and the continuation agrees with the modulus form on the real axis
     p_s = fam.shifted(p)
-    weight = Terms(np.array([fam.weight_square(p, x) for x in xs]))
-    shifted = Terms(np.array([fam.weight_square(p_s, w) for w in lat.rows(0, -1)[0]]))
+    weight = Terms(fam.weight_square(p, xs))
+    shifted = Terms(fam.weight_square(p_s, lat.rows(0, -1)[0]))
     phi_m = lat.phi.at(-1)[0]
     ground = (
         (shifted, weight),
@@ -432,13 +433,14 @@ def check_ladder(family, p: ParamSet, config: VerifyConfig = VerifyConfig()):
     prev = np.maximum(lv - 1, 0)   # level 0 pairs with a zero factor
     lat = ctx.lattice(xs, 4)
     # P_0 .. P_{n_max+1} on the lattice, shared by every block below
-    f = lat.operand(eval_poly_recurrence(fam, p, n_max + 1))
+    poly = eval_poly_recurrence(fam, p, n_max + 1)
+    f = lat.operand(poly)
     at_x = f.at(0)
     f_n = f[: n_max + 1]
     up = ladder_action(ctx, "+", lv, f_n, lat)
     dn = ladder_action(ctx, "-", lv, f_n, lat)      # zero at level 0
     up0, dn0 = up.at(0), dn.at(0)
-    bundles = [fam.coefficients(p, n) for n in lv]
+    A_n, C_n = _ladder_ratios(poly)
     H_up, H_dn = ctx.H_tilde(up, lat), ctx.H_tilde(dn, lat)
     # [a-, a+] phi_n = (b_{n+1} - b_n) phi_n
     a_minus_a_plus = ladder_action(ctx, "-", lv + 1, up, lat)
@@ -446,8 +448,7 @@ def check_ladder(family, p: ParamSet, config: VerifyConfig = VerifyConfig()):
     b_rec = [complex(fam.b_rec(p, n)).real for n in range(n_max + 2)]
     checks = [
         ("ladder.level_actions", (0, n_max), len(xs), (up0, dn0),
-         (per_level([b.A_n for b in bundles]) * at_x[1:],
-          per_level([b.C_n for b in bundles]) * at_x[prev])),
+         (per_level(A_n) * at_x[1:], per_level(C_n) * at_x[prev])),
         # [H, a^(pm)] phi_n = (E_{n pm 1} - E_n) a^(pm) phi_n, i.e. the
         # ladder output is an eigenfunction at the neighbouring level
         ("ladder.hamiltonian_commutator", (0, n_max), len(xs), (H_up, H_dn),
@@ -474,6 +475,15 @@ def check_ladder(family, p: ParamSet, config: VerifyConfig = VerifyConfig()):
     if fam.spec.name == "continuous-q-hermite":
         checks.extend(_qhermite_special(ctx, lat, f_n.at(0, 2), n_max))
     return _judge(fam, p, config, checks)
+
+
+def _ladder_ratios(poly):
+    """A_n = c_n / c_{n+1} and C_n = b_n c_n / c_{n-1} (C_0 = 0) for n below
+    the degree of the ascent `poly`, real as `Family.coefficients` gives them."""
+    c, b = poly.c, poly.b
+    A_n = [_as_real(c[n] / c[n + 1]) for n in range(poly.degree)]
+    C_n = [0.0] + [_as_real(c[n] / c[n - 1] * b[n]) for n in range(1, poly.degree)]
+    return A_n, C_n
 
 
 def _x_tilde(ctx: OperatorContext, lat: Lattice, g: Terms, e_plus_1) -> Terms:
@@ -539,20 +549,21 @@ def check_coherent(family, p: ParamSet, alpha=None, x_samples=None, N=None,
         fam, p, 6, config.seed
     )
 
-    # coefficients alpha^n / prod_{k<=n} C_k
+    # coefficients alpha^n / prod_{k<=n} C_k, C_cap from one level more
     cap = N if N is not None else _COHERENT_CAP
+    poly = eval_poly_recurrence(fam, p, cap + 1)
+    _, C_n = _ladder_ratios(poly)
     coeffs = [complex(1.0)]
     prod_c = complex(1.0)
     for k in range(1, cap + 1):
-        bundle = fam.coefficients(p, k)
-        prod_c *= bundle.C_n
+        prod_c *= C_n[k]
         coeffs.append(alpha**k / prod_c)
     coeffs = per_level(coeffs)
 
     # every level on the lattice at once, shared by the partial sums and
     # the lowering operator
     lat = ctx.lattice(xs, 2)
-    f = lat.operand(eval_poly_recurrence(fam, p, cap))
+    f = lat.operand(poly)[: cap + 1]
     terms = coeffs * f.at(0)
 
     # choose the truncation where the terms dip below 1e-14 of the sum; two

@@ -231,6 +231,19 @@ def test_ground_state_q_hermite_value():
     assert got == pytest.approx(oracle, rel=1e-12)
     assert got == pytest.approx(4.7684620580, abs=1e-9)
 
+def test_ground_state_near_q_one():
+    # q = 0.999 takes ~35 000 factors of (e^{2ix}; q)_inf; oracle = the
+    # plain sum of log|1 - e^{2ix} q^k| over the same truncation
+    q, x = 0.999, 1.0
+    z2 = cmath.exp(2j * x)
+    log_oracle = 0.0
+    k = 0
+    while q**k >= 1e-15:
+        log_oracle += math.log(abs(1.0 - z2 * q**k))
+        k += 1
+    got = ground_state("continuous-q-hermite", ParamSet(q=q), x)
+    assert math.log(got) == pytest.approx(log_oracle, rel=1e-13)
+
 @pytest.mark.parametrize(
     "family", ["askey-wilson", "continuous-q-hermite", "continuous-q-jacobi"]
 )
@@ -248,6 +261,34 @@ def test_ground_state_positive_inside(family, name):
     fam = get_family(family)
     for x in sample_points(fam, p, 8):
         assert ground_state(family, p, x) > 0.0
+
+
+GOLDEN_WEIGHTS_FILE = Path(__file__).resolve().parent / "golden_weights.json"
+
+
+@functools.lru_cache(maxsize=1)
+def _golden_weights():
+    with open(GOLDEN_WEIGHTS_FILE, encoding="utf-8") as fh:
+        return json.load(fh)["entries"]
+
+
+@pytest.mark.parametrize("family,name", all_fixtures())
+def test_weights_match_the_golden_values(family, name):
+    # phi0 at 5 sample points, and the continued square at the shifted
+    # parameters one half-step below them, against mpmath at 40 digits
+    # (tools/golden_weights.py); phi0 and weight_square share one closed
+    # form per family, so only these constants pin it independently
+    fam = get_family(family)
+    p = fixture_params(family, name)
+    entries = [e for e in _golden_weights()
+               if (e["family"], e["fixture"]) == (family, name)]
+    assert len(entries) == 5
+    for e in entries:
+        x = e["x"]
+        assert abs(fam.phi0(p, x) - e["phi0"]) <= 1e-13 * abs(e["phi0"])
+        target = complex(*e["weight_square_shifted"])
+        got = fam.weight_square(fam.shifted(p), x - 0.5j * fam.gamma(p))
+        assert abs(got - target) <= 1e-13 * abs(target)
 
 
 # ------------------------------------------------------- evaluation paths

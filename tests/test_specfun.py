@@ -8,6 +8,7 @@ import cmath
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from dqm.specfun import (
@@ -18,6 +19,8 @@ from dqm.specfun import (
     basic_hypergeometric_phi,
     complex_gamma,
     hypergeometric_F,
+    log_gamma,
+    log_q_pochhammer_inf,
     pochhammer,
     q_gamma,
     q_pochhammer,
@@ -131,6 +134,19 @@ def test_gamma_reflection_check(x):
     assert val == pytest.approx(math.pi * x, rel=1e-10)
 
 
+def test_log_gamma_on_an_array_across_the_reflection_line():
+    # one array with entries on both sides of Re z = 1/2: each agrees with
+    # the scalar gamma, and gamma(z+1) = z gamma(z) holds entrywise
+    z = np.array([-3.7 + 0.4j, -0.3 - 2.0j, 0.2 + 1.1j, 0.49, 0.5 + 0.3j,
+                  0.51 - 0.2j, 2.0 + 7.7j, 14.5 - 3.0j])
+    lg = log_gamma(z)
+    assert lg.shape == z.shape
+    for zi, v in zip(z, lg):
+        assert cmath.isclose(cmath.exp(v), complex_gamma(zi), rel_tol=1e-14)
+    up = np.exp(log_gamma(z + 1))
+    assert np.all(np.abs(up - z * np.exp(lg)) <= 1e-12 * np.abs(up))
+
+
 # ------------------------------------------------------------ hypergeometric
 
 def test_2f1_two_term_truncation():
@@ -197,6 +213,37 @@ def test_terminating_2phi1_exact_rational_oracle():
     assert got == pytest.approx(float(exact), rel=1e-12)
 
 
+def test_log_q_pochhammer_inf_on_an_array():
+    a = np.array([0.3 + 0.4j, 0.3 - 0.4j, -0.55, 0.9, 1.7 - 0.2j, 0.05j, 0.0])
+    got = np.exp(log_q_pochhammer_inf(a, 0.5))
+    for ai, g in zip(a, got):
+        want = q_pochhammer_inf(ai, 0.5)
+        assert abs(g - want) <= 1e-14 * abs(want)
+
+def test_log_q_pochhammer_inf_vanishing_factor():
+    # 1 - a q^k = 0 at k = 0 and k = 2: the log's real part is -inf
+    got = log_q_pochhammer_inf(np.array([1.0, 4.0, 0.5]), 0.5)
+    assert got.real[0] == got.real[1] == -math.inf
+    assert math.isfinite(got.real[2])
+
+def test_log_q_pochhammer_inf_where_the_product_underflows():
+    # (a;q)_inf at q = 0.999 is below the double range (|log| ~ 1e3); the
+    # runs of factors must add up to the plain sum of the factors' logs
+    q = 0.999
+    a = np.array([q, 0.5 + 0.5j, -0.9])
+    got = log_q_pochhammer_inf(a, q, SeriesTolerance(max_terms=100_000))
+    for ai, g in zip(a, got):
+        want = 0j
+        k = 0
+        while abs(a).max() * q**k >= 1e-15:
+            want += cmath.log(1.0 - ai * q**k)
+            k += 1
+        assert abs(g.real - want.real) <= 1e-12 * abs(want.real)
+        # the imaginary parts may differ by a multiple of 2 pi
+        assert abs(cmath.exp(1j * (g.imag - want.imag)) - 1.0) <= 1e-10
+    assert got.real[0] < -1000.0
+
+
 # ------------------------------------------------------------------ q-gamma
 
 def test_q_gamma_at_one():
@@ -212,6 +259,11 @@ def test_q_gamma_functional_equation(z, q):
     lhs = q_gamma(z + 1, q)
     rhs = (1 - q**z) / (1 - q) * q_gamma(z, q)
     assert cmath.isclose(lhs, rhs, rel_tol=1e-12)
+
+@pytest.mark.parametrize("z", [0, -1, -2])
+def test_q_gamma_poles(z):
+    with pytest.raises(PoleError):
+        q_gamma(z, 0.5)
 
 def test_q_gamma_classical_limit():
     tol = SeriesTolerance(rel_eps=1e-12, max_terms=200_000)
