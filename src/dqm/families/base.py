@@ -10,6 +10,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -311,6 +312,7 @@ class Family:
 
     # -- assembled views ------------------------------------------------------
     def coefficients(self, p: ParamSet, n: int) -> CoefficientBundle:
+        n = operator.index(n)  # a numpy integer would run b_rec in numpy arithmetic
         if n < 0:
             raise ValidationError(f"level must be >= 0, got {n}")
         c_n = self.c_n(p, n)

@@ -39,6 +39,7 @@ through the map that is a_i -> q^{1/2} a_i, the Askey-Wilson shift.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -51,7 +52,6 @@ from ..specfun import (
     basic_hypergeometric_phi,
     log_q_pochhammer_inf,
     q_pochhammer,
-    q_pochhammer_inf,
 )
 from .base import (
     ClosurePolys,
@@ -342,12 +342,10 @@ class AskeyWilson(Family):
         return (1.0 - p.q ** (n + 1)) * d.k_den / (d.k_a1 * math.sqrt(p.q))
 
     def h0(self, p: ParamSet) -> float:
-        q = p.q
+        # 2 pi (e4; q)_inf / ((q; q)_inf prod_{j<k} (a_j a_k; q)_inf)
         d = self._aw(p)
-        den = q_pochhammer_inf(q, q)
-        for ajk in d.pairs:
-            den *= q_pochhammer_inf(ajk, q)
-        return (2.0 * math.pi * q_pochhammer_inf(d.e4, q) / den).real
+        logs = log_q_pochhammer_inf(np.array([d.e4, p.q, *d.pairs]), p.q)
+        return (2.0 * math.pi * cmath.exp(logs[0] - logs[1:].sum())).real
 
     def h0_over_hn(self, p: ParamSet, n: int) -> float:
         q = p.q

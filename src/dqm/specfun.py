@@ -4,9 +4,15 @@ terminating (q-)hypergeometric sums and the q-gamma function.
 Everything here is a pure function of its arguments.  Scalar inputs give
 scalar outputs.  The two log kernels, ``log_gamma`` and
 ``log_q_pochhammer_inf``, also take numpy arrays elementwise; the families'
-ground states are built from them.  They return *a* logarithm: the real
-part is log|value|, the imaginary part is right only modulo 2 pi, so use
-them through exp() or their real part.
+ground states, h0 and the coherent closed forms are built from them.  They
+return *a* logarithm: the real part is log|value|, the imaginary part is
+right only modulo 2 pi, so use them through exp() or their real part.
+There is one infinite q-product kernel: ``q_pochhammer_inf`` is the
+exponential of ``log_q_pochhammer_inf`` at a scalar.
+
+The terminating sums ``hypergeometric_F`` and ``basic_hypergeometric_phi``
+run in double-double arithmetic; they serve the families' series path, the
+independent cross-check of the recurrence.
 """
 
 from __future__ import annotations
@@ -101,24 +107,13 @@ def q_pochhammer(a: complex, q: float, n: int) -> complex:
 
 
 def q_pochhammer_inf(a: complex, q: float, tol: SeriesTolerance = DEFAULT_TOL) -> complex:
-    """Infinite q-product (a;q)_inf, truncated once |a q^k| < tol.rel_eps.
+    """Infinite q-product (a;q)_inf at a scalar a: the exponential of
+    log_q_pochhammer_inf, truncated by the same rule, once |a q^k| < tol.rel_eps.
 
     The omitted tail multiplies the result by factors within rel_eps of 1,
     so the relative error is bounded by ~ rel_eps / (1-q).
     """
-    q = _check_q(q)
-    a = complex(a)
-    result = complex(1.0)
-    qk = 1.0
-    for _ in range(tol.max_terms):
-        if abs(a) * qk < tol.rel_eps:
-            return result
-        result *= 1.0 - a * qk
-        qk *= q
-    raise ConvergenceError(
-        f"(a;q)_inf with a={a}, q={q} did not reach |a q^k| < {tol.rel_eps} "
-        f"within {tol.max_terms} factors"
-    )
+    return cmath.exp(log_q_pochhammer_inf(complex(a), q, tol))
 
 
 # Lanczos rational approximation, g = 7 with 9 coefficients.  Gives gamma to

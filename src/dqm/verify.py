@@ -42,7 +42,7 @@ from .operators import (
     sample_points,
 )
 from .quadrature import QuadratureSpec, hermiticity_forms, orthogonality_matrix
-from .specfun import basic_hypergeometric_phi, hypergeometric_F, q_pochhammer_inf
+from .specfun import log_q_pochhammer_inf
 
 __all__ = [
     "SUITES",
@@ -553,12 +553,7 @@ def check_coherent(family, p: ParamSet, alpha=None, x_samples=None, N=None,
     cap = N if N is not None else _COHERENT_CAP
     poly = eval_poly_recurrence(fam, p, cap + 1)
     _, C_n = _ladder_ratios(poly)
-    coeffs = [complex(1.0)]
-    prod_c = complex(1.0)
-    for k in range(1, cap + 1):
-        prod_c *= C_n[k]
-        coeffs.append(alpha**k / prod_c)
-    coeffs = per_level(coeffs)
+    coeffs = per_level(np.cumprod([1.0, *(alpha / np.array(C_n[1: cap + 1]))]))
 
     # every level on the lattice at once, shared by the partial sums and
     # the lowering operator
@@ -566,22 +561,7 @@ def check_coherent(family, p: ParamSet, alpha=None, x_samples=None, N=None,
     f = lat.operand(poly)[: cap + 1]
     terms = coeffs * f.at(0)
 
-    # choose the truncation where the terms dip below 1e-14 of the sum; two
-    # consecutive small terms are required, since a single term can vanish
-    # through a zero of its polynomial factor
-    terms0 = terms.val[:, 0, 0]
-    running = 0j
-    n_trunc = cap
-    for n, t in enumerate(terms0):
-        running += t
-        if (
-            n >= 10
-            and abs(t) < 1e-14 * abs(running)
-            and abs(terms0[n - 1]) < 1e-14 * abs(running)
-        ):
-            n_trunc = n
-            break
-    tail = abs(terms0[n_trunc]) / max(abs(running), 1e-300)
+    n_trunc, tail = _truncation(terms.val[:, 0, 0])
     if tail > 1e-12:
         warnings.warn(
             f"coherent series truncated at N={n_trunc} with relative tail "
@@ -596,55 +576,78 @@ def check_coherent(family, p: ParamSet, alpha=None, x_samples=None, N=None,
                * ladder_action(ctx, "-", levels, f[1: n_trunc + 1], lat)).sum(axis=0)
     worst_ann = _residual(lowered, alpha * sums)
 
-    closed = [_coherent_closed_form(fam, p, alpha, x) for x in xs]
-    worst_closed = None
-    if closed[0] is not None:
-        worst_closed = _residual(sums, Terms(np.array(closed)[None, :]))
+    closed = _coherent_closed_form(fam, p, alpha, xs)
+    worst_closed = None if closed is None else _residual(sums, closed)
 
     return CoherentStateEval(
         alpha=alpha,
         truncation_N=n_trunc,
         partial_sum=complex(sums.val[0, 0]),
-        closed_form=closed[0],
+        closed_form=None if closed is None else complex(closed.val[0]),
         annihilation_residual=worst_ann,
         tail_estimate=float(tail),
     ), worst_closed
 
 
-def _coherent_closed_form(fam, p: ParamSet, alpha: complex, x):
-    """phi0-stripped closed form of the coherent series at x, where known;
-    None for the families without one."""
+def _truncation(terms):
+    """The truncation index N of a coherent series and its relative tail
+    |t_N| / |sum_{n<=N} t_n|: the first N >= 10 where t_N and t_{N-1} are
+    both below 1e-14 of the running sum through N, else the last index.  Two
+    small terms are required, since a single term can vanish through a zero
+    of its polynomial factor."""
+    running = np.cumsum(terms)
+    small = np.abs(terms) < 1e-14 * np.abs(running)
+    small[1:] &= np.abs(terms[:-1]) < 1e-14 * np.abs(running[1:])
+    small[:10] = False
+    n = int(np.argmax(small)) if small.any() else len(terms) - 1
+    return n, abs(terms[n]) / max(abs(running[n]), 1e-300)
+
+
+def _series_terms(ratios) -> Terms:
+    """Sum over axis 0 of the series 1 + r_0 + r_0 r_1 + ... whose term
+    ratios are the rows of `ratios`, in plain double, with the sum of the
+    terms' moduli as its magnitude."""
+    t = np.cumprod(ratios, axis=0)
+    return Terms(1.0 + t.sum(axis=0), 1.0 + np.abs(t).sum(axis=0))
+
+
+def _coherent_closed_form(fam, p: ParamSet, alpha: complex, xs):
+    """phi0-stripped closed form of the coherent series at the points xs, as
+    Terms carrying the magnitude of its hypergeometric sum; None for the
+    families without one.  The 2phi1 and 1F1 are summed through k = 200 and
+    k = 80."""
     name = fam.spec.name
+    xs = np.asarray(xs, dtype=float)
     if name == "meixner-pollaczek":
         a = p.a[0].real
         phi = p.phi
         pref = cmath.exp(1j * alpha * (1.0 - cmath.exp(2j * phi)))
-        return pref * hypergeometric_F(
-            [a + 1j * x], [2 * a], -4j * alpha * math.sin(phi) ** 2, 80
+        k = np.arange(80.0)[:, None]
+        # 1F1(a + ix; 2a; -4i alpha sin^2 phi)
+        return pref * _series_terms(
+            (a + 1j * xs + k) / ((2 * a + k) * (k + 1))
+            * (-4j * alpha * math.sin(phi) ** 2)
         )
     if name not in ("al-salam-chihara", "continuous-big-q-hermite",
                     "continuous-q-hermite", "continuous-q-laguerre"):
         return None
     q = p.q
-    z = cmath.exp(1j * x)
+    z = np.exp(1j * xs)
+    if name in ("continuous-q-hermite", "continuous-big-q-hermite"):
+        # (2 alpha a; q)_inf / ((2 alpha z, 2 alpha / z; q)_inf), a = 0 for q-Hermite
+        a = p.a[0] if p.a else 0.0
+        log_den = log_q_pochhammer_inf(np.stack([2 * alpha * z, 2 * alpha / z]), q)
+        return Terms(np.exp(log_q_pochhammer_inf(2 * alpha * a, q) - log_den.sum(axis=0)))
     if name == "al-salam-chihara":
-        a1, a2 = p.a
-        return basic_hypergeometric_phi(
-            [a1 * z, a2 * z], [a1 * a2], q, 2 * alpha / z, 200
-        ) / q_pochhammer_inf(2 * alpha * z, q)
-    if name == "continuous-big-q-hermite":
-        return q_pochhammer_inf(2 * alpha * p.a[0], q) / (
-            q_pochhammer_inf(2 * alpha * z, q) * q_pochhammer_inf(2 * alpha / z, q)
-        )
-    if name == "continuous-q-hermite":
-        return 1.0 / (
-            q_pochhammer_inf(2 * alpha * z, q) * q_pochhammer_inf(2 * alpha / z, q)
-        )
-    al = p.a[0].real
-    k = q ** (0.5 * (al + 0.5))
-    return basic_hypergeometric_phi(
-        [k * z, k * math.sqrt(q) * z], [q ** (al + 1)], q, 2 * alpha / z, 200,
-    ) / q_pochhammer_inf(2 * alpha * z, q)
+        num, den = p.a, p.a[0] * p.a[1]
+    else:
+        k = q ** (0.5 * (p.a[0].real + 0.5))
+        num, den = (k, k * math.sqrt(q)), q ** (p.a[0].real + 1)
+    # 2phi1(num_1 z, num_2 z; den; q; 2 alpha / z) / (2 alpha z; q)_inf
+    qk = q ** np.arange(200.0)[:, None]
+    ratios = ((1.0 - num[0] * z * qk) * (1.0 - num[1] * z * qk)
+              / ((1.0 - den * qk) * (1.0 - q * qk)) * (2 * alpha / z))
+    return np.exp(-log_q_pochhammer_inf(2 * alpha * z, q)) * _series_terms(ratios)
 
 
 def coherent_results(family, p: ParamSet, config: VerifyConfig = VerifyConfig()):

@@ -176,6 +176,17 @@ def test_coefficients_wilson_shift_constants():
         )
 
 @pytest.mark.parametrize("family,name", all_fixtures())
+def test_coefficients_at_a_numpy_integer_level(family, name):
+    # a numpy level must give the bits of the Python int, not run the
+    # recurrence coefficients in numpy complex arithmetic
+    p = fixture_params(family, name)
+    fam = get_family(family)
+    for n in range(9):
+        bundle = fam.coefficients(p, np.int64(n))
+        assert type(bundle.n) is int
+        assert bundle == fam.coefficients(p, n)
+
+@pytest.mark.parametrize("family,name", all_fixtures())
 def test_energy_factorization(family, name):
     p = fixture_params(family, name)
     fam = get_family(family)

@@ -217,7 +217,7 @@ def test_log_q_pochhammer_inf_on_an_array():
     a = np.array([0.3 + 0.4j, 0.3 - 0.4j, -0.55, 0.9, 1.7 - 0.2j, 0.05j, 0.0])
     got = np.exp(log_q_pochhammer_inf(a, 0.5))
     for ai, g in zip(a, got):
-        want = q_pochhammer_inf(ai, 0.5)
+        want = _qpoch_inf_oracle(ai, 0.5)
         assert abs(g - want) <= 1e-14 * abs(want)
 
 def test_log_q_pochhammer_inf_vanishing_factor():

@@ -3,14 +3,17 @@ dictionary and the number-operator inversions."""
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
 import pytest
 
 from dqm.families import FAMILIES, FamilyId, ParamSet, get_family
-from dqm.fixtures import fixture_params
+from dqm.fixtures import fixture_names, fixture_params
+from dqm.operators import sample_points
 from dqm.polynomials import EtaPolynomial
+from dqm.specfun import basic_hypergeometric_phi, hypergeometric_F, q_pochhammer_inf
 from dqm.verify import (
     SUITES,
     CheckResult,
@@ -20,6 +23,9 @@ from dqm.verify import (
     check_number_operator,
     check_shape_invariance,
     run_suite,
+    _coherent_closed_form,
+    _default_alpha,
+    _truncation,
 )
 
 ALL_FAMILIES = [FAMILIES[fid].spec.name for fid in FamilyId]
@@ -121,6 +127,66 @@ def test_coherent_closed_forms(family):
     ev, worst_closed = check_coherent(family, p)
     assert ev.closed_form is not None
     assert worst_closed is not None and worst_closed <= 1e-8
+
+
+def _truncation_by_a_loop(terms):
+    running = 0j
+    for n, t in enumerate(terms):
+        running += t
+        if (n >= 10 and abs(t) < 1e-14 * abs(running)
+                and abs(terms[n - 1]) < 1e-14 * abs(running)):
+            return n, abs(t) / max(abs(running), 1e-300)
+    return len(terms) - 1, abs(terms[-1]) / max(abs(running), 1e-300)
+
+
+def test_coherent_truncation_matches_the_loop():
+    rng = np.random.default_rng(3)
+    k = np.arange(61)
+    series = [
+        0.3**k * np.exp(1j * rng.uniform(0, 6, 61)),
+        0.5**k * rng.uniform(-1, 1, 61),
+        0.9**k + 0j,  # never small enough: the last index
+        np.where(k == 15, 0.0, 0.2**k),  # one vanishing term does not stop it
+    ]
+    for terms in series:
+        terms = terms.astype(complex)
+        assert _truncation(terms) == _truncation_by_a_loop(terms)
+
+
+def _closed_form_by_the_series_kernels(name, p, alpha, x):
+    """The closed form at one point from the double-double series and the
+    scalar q-product."""
+    if name == "meixner-pollaczek":
+        a, phi = p.a[0].real, p.phi
+        pref = cmath.exp(1j * alpha * (1.0 - cmath.exp(2j * phi)))
+        return pref * hypergeometric_F([a + 1j * x], [2 * a],
+                                       -4j * alpha * math.sin(phi) ** 2, 80)
+    q, z = p.q, cmath.exp(1j * x)
+    if name == "al-salam-chihara":
+        num, den = [p.a[0] * z, p.a[1] * z], [p.a[0] * p.a[1]]
+    else:
+        k = q ** (0.5 * (p.a[0].real + 0.5))
+        num, den = [k * z, k * math.sqrt(q) * z], [q ** (p.a[0].real + 1)]
+    return (basic_hypergeometric_phi(num, den, q, 2 * alpha / z, 200)
+            / q_pochhammer_inf(2 * alpha * z, q))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize(
+    "family,fixture",
+    [(f, fx) for f in ("meixner-pollaczek", "al-salam-chihara", "continuous-q-laguerre")
+     for fx in fixture_names(get_family(f))],
+)
+def test_coherent_closed_form_matches_the_series_kernels(family, fixture, seed):
+    # the plain-double array sums against the double-double series, point
+    # by point, relative to the magnitude of the sum's terms
+    fam = get_family(family)
+    p = fixture_params(family, fixture)
+    alpha = _default_alpha(fam)
+    xs = sample_points(fam, p, 6, seed)
+    closed = _coherent_closed_form(fam, p, alpha, xs)
+    dd = np.array([_closed_form_by_the_series_kernels(family, p, alpha, x) for x in xs])
+    assert np.max(np.abs(closed.val - dd) / (1.0 + closed.mag)) <= 1e-14
 
 
 def test_coherent_alpha_zero_reduces_to_ground_state():
