@@ -39,7 +39,6 @@ from .operators import (
 )
 from .quadrature import (
     OrthoMatrix,
-    QuadratureSpec,
     hermiticity_check,
     inner_product,
     orthogonality_matrix,

@@ -274,8 +274,14 @@ class Family:
     def b_shift(self, p: ParamSet, n: int) -> float:
         raise NotImplementedError
 
-    def h0(self, p: ParamSet) -> float:
+    def log_h0(self, p: ParamSet) -> float:
+        """log h0, h0 = (phi0, phi0): finite where h0 leaves the double range."""
         raise NotImplementedError
+
+    def h0(self, p: ParamSet) -> float:
+        """h0 = (phi0, phi0); inf past the double range."""
+        with np.errstate(over="ignore"):
+            return float(np.exp(self.log_h0(p)))
 
     def h0_over_hn(self, p: ParamSet, n: int) -> float:
         raise NotImplementedError

@@ -7,7 +7,9 @@ from __future__ import annotations
 import cmath
 import math
 
-from ..specfun import complex_gamma, hypergeometric_F, log_gamma, pochhammer
+import numpy as np
+
+from ..specfun import hypergeometric_F, log_gamma, pochhammer
 from .base import (
     ClosurePolys,
     Family,
@@ -110,14 +112,11 @@ class ContinuousHahn(Family):
     def b_shift(self, p: ParamSet, n: int):
         return float(n + 1)
 
-    def h0(self, p: ParamSet) -> float:
+    def log_h0(self, p: ParamSet) -> float:
         a1, a2, a3, a4 = self._abcd(p)
-        b1 = self._b1(p)
-        prod = complex(1.0)
-        for aj in (a1, a2):
-            for ak in (a3, a4):
-                prod *= complex_gamma(aj + ak)
-        return (2.0 * math.pi * prod / complex_gamma(b1)).real
+        sums = np.array([aj + ak for aj in (a1, a2) for ak in (a3, a4)])
+        return (math.log(2.0 * math.pi) + log_gamma(sums).real.sum()
+                - log_gamma(self._b1(p)).real)
 
     def h0_over_hn(self, p: ParamSet, n: int) -> float:
         a1, a2, a3, a4 = self._abcd(p)
@@ -223,14 +222,10 @@ class MeixnerPollaczek(Family):
     def b_shift(self, p: ParamSet, n: int):
         return float(n + 1)
 
-    def h0(self, p: ParamSet) -> float:
+    def log_h0(self, p: ParamSet) -> float:
         a = p.a[0].real
-        return (
-            2.0
-            * math.pi
-            * complex_gamma(2 * a).real
-            / (2.0 * math.sin(p.phi)) ** (2 * a)
-        )
+        return (math.log(2.0 * math.pi) + log_gamma(2 * a).real
+                - 2 * a * math.log(2.0 * math.sin(p.phi)))
 
     def h0_over_hn(self, p: ParamSet, n: int) -> float:
         a = p.a[0].real

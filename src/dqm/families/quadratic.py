@@ -9,7 +9,7 @@ from itertools import combinations
 
 import numpy as np
 
-from ..specfun import complex_gamma, hypergeometric_F, log_gamma, pochhammer
+from ..specfun import hypergeometric_F, log_gamma, pochhammer
 from .base import (
     ClosurePolys,
     Family,
@@ -62,6 +62,13 @@ class _GammaRatioFamily(Family):
         for ai in p.a:
             out = out + log_gamma(ai + iw)
         return out
+
+    @staticmethod
+    def _log_2pi_gamma_pairs(p: ParamSet) -> float:
+        """log(2 pi prod_{j<k} Gamma(a_j + a_k)): the pairs come in conjugate
+        pairs or are real and positive, so the product is positive."""
+        sums = np.array([aj + ak for aj, ak in combinations(p.a, 2)])
+        return math.log(2.0 * math.pi) + log_gamma(sums).real.sum()
 
 
 class Wilson(_GammaRatioFamily):
@@ -128,12 +135,9 @@ class Wilson(_GammaRatioFamily):
     def b_shift(self, p: ParamSet, n: int):
         return -1.0
 
-    def h0(self, p: ParamSet) -> float:
-        b1 = elementary_symmetric(p.a, 1)
-        prod = complex(1.0)
-        for aj, ak in combinations(p.a, 2):
-            prod *= complex_gamma(aj + ak)
-        return (2.0 * math.pi * prod / complex_gamma(b1)).real
+    def log_h0(self, p: ParamSet) -> float:
+        b1 = elementary_symmetric(p.a, 1).real
+        return self._log_2pi_gamma_pairs(p) - log_gamma(b1).real
 
     def h0_over_hn(self, p: ParamSet, n: int) -> float:
         b1 = elementary_symmetric(p.a, 1)
@@ -217,11 +221,8 @@ class ContinuousDualHahn(_GammaRatioFamily):
     def b_shift(self, p: ParamSet, n: int):
         return -1.0
 
-    def h0(self, p: ParamSet) -> float:
-        prod = complex(1.0)
-        for aj, ak in combinations(p.a, 2):
-            prod *= complex_gamma(aj + ak)
-        return (2.0 * math.pi * prod).real
+    def log_h0(self, p: ParamSet) -> float:
+        return self._log_2pi_gamma_pairs(p)
 
     def h0_over_hn(self, p: ParamSet, n: int) -> float:
         prod = complex(1.0)

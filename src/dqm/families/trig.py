@@ -39,7 +39,6 @@ through the map that is a_i -> q^{1/2} a_i, the Askey-Wilson shift.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -341,11 +340,11 @@ class AskeyWilson(Family):
         # q^{-(n+1)/2} k_n(lambda+delta) / k_{n+1}(lambda)
         return (1.0 - p.q ** (n + 1)) * d.k_den / (d.k_a1 * math.sqrt(p.q))
 
-    def h0(self, p: ParamSet) -> float:
+    def log_h0(self, p: ParamSet) -> float:
         # 2 pi (e4; q)_inf / ((q; q)_inf prod_{j<k} (a_j a_k; q)_inf)
         d = self._aw(p)
         logs = log_q_pochhammer_inf(np.array([d.e4, p.q, *d.pairs]), p.q)
-        return (2.0 * math.pi * cmath.exp(logs[0] - logs[1:].sum())).real
+        return math.log(2.0 * math.pi) + (logs[0] - logs[1:].sum()).real
 
     def h0_over_hn(self, p: ParamSet, n: int) -> float:
         q = p.q

@@ -1,24 +1,34 @@
 """Inner products against the ground-state weight, orthogonality matrices
 and the numerical hermiticity check.
 
-Infinite intervals are reduced to a finite window outside of which the
-weight is below truncation_threshold times its maximum, then integrated
-with a tanh-sinh (double-exponential) rule; (0, pi) uses composite
-Gauss-Legendre with panel doubling by default.  Both rules report an error
-estimate from their final refinement step.
+Each interval has one rule, refined level by level until two successive
+levels agree.  (0, pi) takes composite Gauss-Legendre, its panels doubling
+from 2 to 512.  The two unbounded intervals take double-exponential rules
+(Takahasi & Mori 1974, Publ. RIMS 9:721; Mori & Sugihara 2001, J. Comput.
+Appl. Math. 127:287) centred on the peak c of the weight w = phi0^2 and
+scaled by its width s (`weight_window`):
+
+    (-inf, inf)   sinh-sinh   x = c + s sinh(pi/2 sinh t)
+    (0, inf)      tanh-sinh on [0, c] plus exp-sinh x = c + s e^{pi/2 sinh t}
+
+with t in [-T_MAX, T_MAX] and the step halving from 0.5.  The weight enters
+as log w - log h0 from `Family.log_amplitude` and `Family.log_h0`, so a
+weight or a norm beyond the double range costs nothing: the Gram matrix and
+the forms come out in units of h0.  Nodes where the node weight times w/h0
+underflows to zero are dropped.
 
 Each refinement level is one node set, shared by every integral computed on
-it: the Gram matrix takes all its entries from one evaluation of phi0^2 and
-one pass of the three-term recurrence for P_0..P_n per level, and
-`hermiticity_forms` takes both forms of all its pairs from one phi0^2 per
-level and one application of H-tilde to the polynomials' values on the
-shift lattice of the nodes.  A level is accepted when every one of its
-integrals passes the per-integral stopping test.  The hermiticity sums run
-over blocks of at most NODE_BLOCK nodes, so the transient arrays stay small
-at any depth.  Nodes inside the operator's singularity guard around the
-poles of V (exponentially close to an interval end) are masked out of the
-hermiticity sums, that is, counted as zero: the weight has crushed the
-integrand there.
+it: the Gram matrix takes all its entries from one evaluation of the weight
+and one pass of the three-term recurrence for P_0..P_n per level, and
+`hermiticity_forms` takes both forms of all its pairs from one weight
+evaluation per level and one application of H-tilde to the polynomials'
+values on the shift lattice of the nodes.  A level is accepted when every
+one of its integrals passes the per-integral stopping test.  The
+hermiticity sums run over blocks of at most NODE_BLOCK nodes, so the
+transient arrays stay small at any depth.  Nodes inside the operator's
+singularity guard around the poles of V (exponentially close to an interval
+end) are masked out of the hermiticity sums, that is, counted as zero: the
+weight has crushed the integrand there.
 """
 
 from __future__ import annotations
@@ -34,11 +44,11 @@ from .operators import OperatorContext, Terms
 from .polynomials import EtaPolynomial
 
 __all__ = [
-    "QuadratureSpec",
     "ToleranceNotMet",
     "OrthoMatrix",
     "integrate",
     "inner_product",
+    "weight_window",
     "orthogonality_matrix",
     "hermiticity_check",
     "hermiticity_forms",
@@ -53,26 +63,9 @@ class ToleranceNotMet(RuntimeError):
         self.achieved = achieved
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Rule selection and tolerances.
-
-    rule "auto" follows the per-interval default: double-exponential for the
-    two unbounded intervals, composite Gauss-Legendre on (0, pi).
-    """
-
-    rule: str = "auto"
-    abs_tol: float = 1e-10        # relative beyond order-one magnitudes
-    truncation_threshold: float = 1e-18
-
-    def __post_init__(self):
-        if self.abs_tol <= 0:
-            raise ValueError(f"abs_tol must be positive, got {self.abs_tol}")
-        if self.rule not in ("auto", "double-exponential", "gauss-legendre-composite"):
-            raise ValueError(f"unknown quadrature rule {self.rule!r}")
-
-
-DEFAULT_SPEC = QuadratureSpec()
+ABS_TOL = 1e-10       # the stopping tolerance, relative beyond order-one magnitudes
+LEVELS = 9            # refinement levels of every rule
+T_MAX = 4.0           # the double-exponential rules run over t in [-T_MAX, T_MAX]
 
 # nodes per block of the hermiticity sums: bounds the transient
 # (polynomials, lattice rows, nodes) arrays whatever the refinement depth
@@ -90,57 +83,99 @@ def _call_vectorized(f, x: np.ndarray) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=32)
-def _tanh_sinh_nodes(level: int, t_max: float = 3.6):
-    h = 1.0 / 2**level
-    k = np.arange(-int(t_max / h), int(t_max / h) + 1)
-    t = k * h
-    u = 0.5 * math.pi * np.sinh(t)
-    x = np.tanh(u)                       # in (-1, 1)
-    w = h * 0.5 * math.pi * np.cosh(t) / np.cosh(u) ** 2
-    keep = w > 1e-300
-    return x[keep], w[keep]
+@lru_cache(maxsize=16)
+def _de_grid(level: int):
+    """u = pi/2 sinh t and the step times du/dt on the t grid of one level."""
+    h = 0.5 / 2**level
+    t = h * np.arange(-round(T_MAX / h), round(T_MAX / h) + 1)
+    return 0.5 * math.pi * np.sinh(t), h * 0.5 * math.pi * np.cosh(t)
 
 
-@lru_cache(maxsize=8)
-def _gl_nodes(order: int = 32):
-    return np.polynomial.legendre.leggauss(order)
+def _tanh_sinh(a: float, b: float, level: int):
+    """Tanh-sinh (nodes, weights) on [a, b]; the nodes keep their full
+    relative accuracy near both ends."""
+    u, du = _de_grid(level)
+    d = (b - a) / (1.0 + np.exp(2.0 * np.abs(u)))  # distance to the nearer end
+    return np.where(u < 0.0, a + d, b - d), 0.5 * (b - a) * du / np.cosh(u) ** 2
 
 
-def _node_levels(use_gl: bool, a: float, b: float, first_ts_level: int = 2):
-    """(nodes, weights) on [a, b] at each refinement level of one rule.
+@lru_cache(maxsize=16)
+def _gauss_legendre(level: int):
+    """Composite 32-point Gauss-Legendre on (0, pi) with 2^(level+1) panels."""
+    xs, ws = np.polynomial.legendre.leggauss(32)
+    edges = np.linspace(0.0, math.pi, 2 ** (level + 1) + 1)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    halves = 0.5 * np.diff(edges)
+    return ((mids[:, None] + halves[:, None] * xs[None, :]).ravel(),
+            (halves[:, None] * ws[None, :]).ravel())
 
-    Composite Gauss-Legendre doubles its panels from 2 to 512; tanh-sinh
-    halves its step from level first_ts_level to level 10.
+
+def weight_window(family, p: ParamSet):
+    """(c, s): the peak c of log w = 2 Re log_amplitude on an unbounded
+    interval and the width s = (-(log w)''(c))^(-1/2) there.
+
+    The peak is the largest of log w on a geometric grid +-(1e-3 .. 1e5)
+    and 0, refined three times on 33 points between the neighbours of the
+    best one.  The width is a second difference, taken first at the grid
+    step around the peak and then at the width it gives.
     """
-    if use_gl:
-        xs0, ws0 = _gl_nodes()
-        panels = 2
-        for _ in range(9):
-            edges = np.linspace(a, b, panels + 1)
-            mids = 0.5 * (edges[:-1] + edges[1:])
-            halves = 0.5 * np.diff(edges)
-            yield (
-                (mids[:, None] + halves[:, None] * xs0[None, :]).ravel(),
-                (halves[:, None] * ws0[None, :]).ravel(),
-            )
-            panels *= 2
-    else:
-        mid = 0.5 * (a + b)
-        half = 0.5 * (b - a)
-        for level in range(first_ts_level, 11):
-            xs, ws = _tanh_sinh_nodes(level)
-            yield mid + half * xs, half * ws
+    fam = get_family(family)
+    lo, hi = fam.spec.interval
+    if hi != math.inf:
+        raise ValueError(f"{fam.spec.name}: the window is for unbounded intervals")
+
+    def log_w(x):
+        return 2.0 * np.real(fam.log_amplitude(p, x))
+
+    def around_peak(x):
+        k = int(np.nanargmax(log_w(x)))
+        return np.linspace(x[max(k - 1, 0)], x[min(k + 1, x.size - 1)], 33)
+
+    pos = np.geomspace(1e-3, 1e5, 161)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = around_peak(np.concatenate(
+            [-pos[::-1], [0.0], pos] if lo == -math.inf else [[0.0], pos]))
+        s = 0.5 * float(x[-1] - x[0])
+        for _ in range(3):
+            x = around_peak(x)
+        c = float(x[16])
+        for _ in range(2):
+            h = s if lo == -math.inf else min(s, 0.5 * c)
+            f = log_w(np.array([c - h, c, c + h]))
+            s = float(h / np.sqrt(2.0 * f[1] - f[0] - f[2]))
+    return c, s
 
 
-def _converged(err, value, l1, spec: QuadratureSpec):
+def _levels(fam, p: ParamSet):
+    """Per refinement level of the family's rule: the nodes, their
+    quadrature weights and log w - log h0 there."""
+    lo, hi = fam.spec.interval
+    if hi == math.inf:
+        c, s = weight_window(fam, p)
+    log_h0 = fam.log_h0(p)
+    for level in range(LEVELS):
+        u, du = _de_grid(level)
+        if hi != math.inf:
+            x, dx = _gauss_legendre(level)
+        elif lo == -math.inf:
+            x, dx = c + s * np.sinh(u), s * np.cosh(u) * du
+        else:
+            e = s * np.exp(u)
+            x0, dx0 = _tanh_sinh(0.0, c, level)
+            x, dx = np.concatenate([x0, c + e]), np.concatenate([dx0, e * du])
+        log_w = 2.0 * np.real(fam.log_amplitude(p, x)) - log_h0
+        keep = dx * np.exp(log_w) != 0.0  # a NaN stays, and fails the level
+        yield x[keep], dx[keep], log_w[keep]
+
+
+def _converged(err, value, l1):
     """The per-integral stopping test, elementwise over arrays of integrals:
-    |delta| <= abs_tol max(1, |value|), or below the cancellation floor
+    |delta| <= ABS_TOL max(1, |value|), or below the cancellation floor
     1e-14 L1 that the integrand's L1 mass sets in doubles."""
-    return err <= np.maximum(spec.abs_tol * np.maximum(1.0, np.abs(value)), 1e-14 * l1)
+    return err <= np.maximum(ABS_TOL * np.maximum(1.0, np.abs(value)), 1e-14 * l1)
 
 
-def _integrate(f, levels, spec: QuadratureSpec):
+def _integrate(f, levels):
     prev = None
     err = math.inf
     for nodes, weights in levels:
@@ -149,132 +184,80 @@ def _integrate(f, levels, spec: QuadratureSpec):
         if prev is not None:
             err = abs(value - prev)
             l1 = float(np.sum(np.abs(weights) * np.abs(vals)))
-            if _converged(err, value, l1, spec):
+            if _converged(err, value, l1):
                 return complex(value), float(err)
         prev = value
     raise ToleranceNotMet(
-        f"quadrature refinement stalled at estimated error {err:.3e} > {spec.abs_tol:.3e}",
+        f"quadrature refinement stalled at estimated error {err:.3e} > {ABS_TOL:.3e}",
         float(err),
     )
 
 
-def _use_gl(family, spec: QuadratureSpec) -> bool:
-    if spec.rule == "gauss-legendre-composite":
-        return True
-    if spec.rule == "double-exponential":
-        return False
-    return get_family(family).spec.interval == (0.0, math.pi)
+def integrate(f, a: float, b: float):
+    """Integrate a (vectorised) callable over [a, b] by tanh-sinh; returns
+    (value, err)."""
+    return _integrate(f, (_tanh_sinh(a, b, level) for level in range(LEVELS)))
 
 
-def integrate(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_SPEC):
-    """Integrate a (vectorised) callable over [a, b]; returns (value, err)."""
-    use_gl = spec.rule == "gauss-legendre-composite"
-    return _integrate(f, _node_levels(use_gl, a, b), spec)
+def inner_product(family, p: ParamSet, F, G) -> complex:
+    """(F, G) = integral of conj(F(x)) G(x) over the family's interval, on
+    the nodes of its rule.
 
-
-def weight_window(family, p: ParamSet, spec: QuadratureSpec = DEFAULT_SPEC,
-                  poly_degree: int = 8):
-    """Finite [a, b] outside of which the weight times a degree bound on the
-    polynomial factor drops below truncation_threshold of its maximum.
-
-    The polynomial growth matters: phi0^2 alone can be negligible at a point
-    where phi0^2 eta^{2n} still contributes at the working accuracy.
+    The integrands must be dominated by the ground-state weight's decay:
+    the nodes where the weight underflows are left out.
     """
     fam = get_family(family)
-    lo, hi = fam.spec.interval
-    if lo == 0.0 and hi == math.pi:
-        return 0.0, math.pi
-    if lo == -math.inf:
-        grid = np.linspace(-120.0, 120.0, 4801)
-    else:
-        grid = np.linspace(0.0, 150.0, 6001)
-    w = np.asarray(fam.phi0(p, grid), dtype=float) ** 2
-    eta2 = np.abs(fam.eta(grid)) ** 2
-    with np.errstate(divide="ignore"):
-        log_bound = np.log(w) + poly_degree * np.log1p(eta2)
-    top = float(np.max(log_bound))
-    keep = np.nonzero(log_bound >= top + math.log(spec.truncation_threshold))[0]
-    pad = 2.0
-    a = float(grid[keep[0]]) - pad
-    b = float(grid[keep[-1]]) + pad
-    if lo == 0.0:
-        a = max(a, 0.0)
-    return a, b
-
-
-def inner_product(family, p: ParamSet, F, G,
-                  spec: QuadratureSpec = DEFAULT_SPEC) -> complex:
-    """(F, G) = integral of conj(F(x)) G(x) over the family's interval.
-
-    The integrands must be dominated by the ground-state weight's decay;
-    the integration window is truncated accordingly.
-    """
-    fam = get_family(family)
-    a, b = weight_window(fam, p, spec)
 
     def integrand(x):
         return np.conj(_call_vectorized(F, x)) * _call_vectorized(G, x)
 
-    value, _err = _integrate(integrand, _node_levels(_use_gl(fam, spec), a, b), spec)
+    value, _err = _integrate(integrand, ((x, dx) for x, dx, _ in _levels(fam, p)))
     return value
 
 
 @dataclass(frozen=True)
 class OrthoMatrix:
-    """Gram matrix of phi_0 P_n against phi_0 P_m, with the expected norms."""
+    """Unit-normalised Gram matrix of phi_0 P_n against phi_0 P_m:
+    entries N_nm = (phi0 P_n, phi0 P_m) / sqrt(h_n h_m), the identity in
+    exact arithmetic."""
 
     entries: np.ndarray          # (n_max+1, n_max+1), real
-    expected_diag: tuple         # h_n values from the closed forms
-    max_offdiag_rel: float       # max |entry_nm| / sqrt(h_n h_m), n != m
+    log_norms: tuple             # log h_n from the closed forms
 
 
-def orthogonality_matrix(family, p: ParamSet, n_max: int = 6,
-                         spec: QuadratureSpec = DEFAULT_SPEC) -> OrthoMatrix:
+def orthogonality_matrix(family, p: ParamSet, n_max: int = 6) -> OrthoMatrix:
     """Quadrature Gram matrix for levels 0..n_max on shared nodes."""
     fam = get_family(family)
     if n_max > 8:
         raise ValueError(f"n_max <= 8 (quadrature accuracy budget), got {n_max}")
-    a, b = weight_window(fam, p, spec)
     poly = eval_poly_recurrence(fam, p, n_max)
-    h0 = fam.h0(p)
-    expected = tuple(h0 / fam.h0_over_hn(p, n) for n in range(n_max + 1))
-
-    def gram_at(nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        w2 = np.asarray(fam.phi0(p, nodes), dtype=float) ** 2
-        vals = poly.eval_levels(fam.eta(nodes))
-        wp = weights * w2
-        g = np.real(np.einsum("k,ik,jk->ij", wp, np.conj(vals), vals))
-        return 0.5 * (g + g.T)  # the form is symmetric; remove summation noise
+    ratios = np.array([fam.h0_over_hn(p, n) for n in range(n_max + 1)])
+    unit = np.sqrt(ratios)  # sqrt(h0/h_n): the weight is already over h0
 
     prev = None
     err = math.inf
-    for nodes, weights in _node_levels(_use_gl(fam, spec), a, b, first_ts_level=3):
-        gram = gram_at(nodes, weights)
+    for nodes, weights, log_w in _levels(fam, p):
+        vals = unit[:, None] * poly.eval_levels(fam.eta(nodes))
+        g = np.real(np.einsum("k,ik,jk->ij", weights * np.exp(log_w), np.conj(vals), vals))
+        gram = 0.5 * (g + g.T)  # the form is symmetric; remove summation noise
         if prev is not None:
             err = float(np.max(np.abs(gram - prev)))
-            if err <= spec.abs_tol * max(1.0, float(np.max(np.abs(gram)))):
+            if err <= ABS_TOL * max(1.0, float(np.max(np.abs(gram)))):
                 break
         prev = gram
     else:
         raise ToleranceNotMet(f"Gram refinement stalled at {err:.3e}", err)
-
-    scale = np.sqrt(np.outer(expected, expected))
-    off = np.abs(gram) / scale
-    np.fill_diagonal(off, 0.0)
-    return OrthoMatrix(
-        entries=gram,
-        expected_diag=expected,
-        max_offdiag_rel=float(off.max()),
-    )
+    return OrthoMatrix(entries=gram, log_norms=tuple(fam.log_h0(p) - np.log(ratios)))
 
 
-def hermiticity_forms(family, p: ParamSet, P, Q,
-                      spec: QuadratureSpec = DEFAULT_SPEC):
-    """The two sesquilinear forms ((g, Hf), (Hg, f)) with f = phi0 P, g = phi0 Q.
+def hermiticity_forms(family, p: ParamSet, P, Q):
+    """The two sesquilinear forms ((g, Hf), (Hg, f)) with f = phi0 P, g = phi0 Q,
+    in units of h0.
 
     P and Q are two equal-length sequences of EtaPolynomials; the forms of
-    every pair (P[i], Q[i]) come back as two arrays.  Both forms go through
-    the polynomial-level Hamiltonian: (g, Hf) = int phi0^2 conj(Q) (H-tilde P),
+    every pair (P[i], Q[i]) come back as two Terms over the pairs, each with
+    the l1 sum of its integrand as its magnitude.  Both forms go through the
+    polynomial-level Hamiltonian: (g, Hf) = int phi0^2 conj(Q) (H-tilde P),
     and its mirror image.
     """
     Ps, Qs = tuple(P), tuple(Q)
@@ -288,15 +271,14 @@ def hermiticity_forms(family, p: ParamSet, P, Q,
 
     fam = get_family(family)
     ctx = OperatorContext(fam, p)
-    a, b = weight_window(fam, p, spec)
 
     prev = None
     err = math.inf
-    for nodes, weights in _node_levels(_use_gl(fam, spec), a, b):
+    for nodes, weights, log_w in _levels(fam, p):
         # nodes inside the operator's singularity guard count as zero
         keep = ~ctx.inside_guard(nodes)
         nodes = nodes[keep]
-        wp = weights[keep] * np.asarray(fam.phi0(p, nodes), dtype=float) ** 2
+        wp = (weights * np.exp(log_w))[keep]
         value = np.zeros((2, len(Ps)), dtype=complex)
         l1 = np.zeros((2, len(Ps)))
         for lo in range(0, nodes.size, NODE_BLOCK):
@@ -312,17 +294,16 @@ def hermiticity_forms(family, p: ParamSet, P, Q,
         if prev is not None:
             delta = np.abs(value - prev)
             err = float(delta.max())
-            if _converged(delta, value, l1, spec).all():
-                return value[0], value[1]
+            if _converged(delta, value, l1).all():
+                return Terms(value[0], l1[0]), Terms(value[1], l1[1])
         prev = value
     raise ToleranceNotMet(
-        f"hermiticity forms stalled at estimated error {err:.3e} > {spec.abs_tol:.3e}",
+        f"hermiticity forms stalled at estimated error {err:.3e} > {ABS_TOL:.3e}",
         err,
     )
 
 
-def hermiticity_check(family, p: ParamSet, P: EtaPolynomial, Q: EtaPolynomial,
-                      spec: QuadratureSpec = DEFAULT_SPEC) -> float:
-    """|(g,Hf) - (Hg,f)| / (1 + |(g,Hf)|)."""
-    (v_lhs,), (v_rhs,) = hermiticity_forms(family, p, [P], [Q], spec)
-    return float(abs(v_lhs - v_rhs) / (1.0 + abs(v_lhs)))
+def hermiticity_check(family, p: ParamSet, P: EtaPolynomial, Q: EtaPolynomial) -> float:
+    """|(g,Hf) - (Hg,f)| / (1 + mag(g,Hf) + mag(Hg,f)), the forms in units of h0."""
+    lhs, rhs = hermiticity_forms(family, p, [P], [Q])
+    return float(abs(lhs.val[0] - rhs.val[0]) / (1.0 + lhs.mag[0] + rhs.mag[0]))

@@ -155,7 +155,18 @@ def log_gamma(z):
     t = w + _LANCZOS_G + 0.5
     out = np.asarray(_LOG_SQRT_2PI + (w + 0.5) * np.log(t) - t + np.log(series))
     if reflect:
-        out[left] = _LOG_PI - np.log(np.sin(np.pi * z[left])) - out[left]
+        zl = z[left]
+        far = np.abs(zl.imag) > 20.0
+        if far.any():
+            # sin(pi z) overflows past |Im z| ~ 226; beyond |Im z| = 20 its
+            # log is log(i s/2) - i s pi z with s = sign(Im z), up to the
+            # factor 1 - e^{2 pi i s z}, which is 1 within e^{-40 pi}
+            s = np.where(zl.imag < 0.0, -1.0, 1.0)
+            log_sin = np.where(far, np.log(0.5j * s) - 1j * s * np.pi * zl,
+                               np.log(np.sin(np.pi * np.where(far, 0.5, zl))))
+        else:
+            log_sin = np.log(np.sin(np.pi * zl))
+        out[left] = _LOG_PI - log_sin - out[left]
     return complex(out) if out.ndim == 0 else out
 
 

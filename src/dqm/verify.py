@@ -41,7 +41,7 @@ from .operators import (
     rodrigues_polynomial,
     sample_points,
 )
-from .quadrature import QuadratureSpec, hermiticity_forms, orthogonality_matrix
+from .quadrature import hermiticity_forms, orthogonality_matrix
 from .specfun import log_q_pochhammer_inf
 
 __all__ = [
@@ -105,9 +105,12 @@ class CoherentStateEval:
 # The tolerance of every check.  A pointwise check's tolerance is 10 times
 # the largest residual it reads over verify seeds 0-99 on the bundled
 # fixtures, rounded up to two figures, or an earlier, tighter value; a
-# tolerance is never loosened.  `python3 tools/sweep_tolerances.py` prints
-# those residuals.  None may be looser than its entry in perfbench/checks.py,
-# which fails a report with a looser one.
+# tolerance is never loosened.  The quadrature checks (orthogonality and
+# hermiticity) take the same rule over the fixtures and the random parameter
+# sets of tools/sweep_domain.py.  `python3 tools/sweep_tolerances.py` and
+# `python3 tools/sweep_domain.py` print those residuals.  None may be looser
+# than its entry in perfbench/checks.py, which fails a report with a looser
+# one.
 TOLERANCES = {
     "eigen.eigenvalue_equation": 2.5e-13,
     "eigen.lower_triangularity": 7.8e-12,
@@ -133,9 +136,10 @@ TOLERANCES = {
     "ladder.level_diagonal_operator": 7e-14,
     "coherent.annihilation_eigenvector": 2.1e-13,
     "coherent.closed_form": 4.6e-11,
-    "orthogonality.diagonal_norms": 1e-5,
-    "orthogonality.off_diagonal": 1e-6,
-    "hermiticity.symmetric_form": 1e-6,
+    "orthogonality.diagonal_norms": 3.1e-12,
+    "orthogonality.off_diagonal": 2.5e-12,
+    "hermiticity.symmetric_form": 4.3e-13,
+    "hermiticity.diagonal_energy": 2.6e-13,
     "limit.monotone_decrease": 1.0,
     "limit.extrapolated_deviation": 1e-2,
     "number_operator.inversion": 1e-10,
@@ -672,46 +676,33 @@ def coherent_results(family, p: ParamSet, config: VerifyConfig = VerifyConfig())
 def check_orthogonality(family, p: ParamSet, config: VerifyConfig = VerifyConfig()):
     fam = get_family(family)
     n_max = min(config.n_max, 6)
-    m = orthogonality_matrix(fam, p, n_max, QuadratureSpec())
-    worst_diag = 0.0
-    for n in range(n_max + 1):
-        worst_diag = _worst(
-            worst_diag,
-            abs(m.entries[n, n] - m.expected_diag[n]) / m.expected_diag[n],
-        )
+    # the unit-normalised Gram matrix against the identity; a NaN propagates
+    dev = np.abs(orthogonality_matrix(fam, p, n_max).entries - np.eye(n_max + 1))
+    diag = np.diag(dev)
     return [
         CheckResult.build("orthogonality.diagonal_norms", fam, p, (0, n_max),
-                          worst_diag, _tol(config, "orthogonality.diagonal_norms"), (n_max + 1) ** 2),
+                          np.max(diag), _tol(config, "orthogonality.diagonal_norms"),
+                          (n_max + 1) ** 2),
         CheckResult.build("orthogonality.off_diagonal", fam, p, (0, n_max),
-                          m.max_offdiag_rel, _tol(config, "orthogonality.off_diagonal"),
+                          np.max(dev - np.diag(diag)), _tol(config, "orthogonality.off_diagonal"),
                           (n_max + 1) ** 2),
     ]
 
 
 def check_hermiticity(family, p: ParamSet, config: VerifyConfig = VerifyConfig()):
     fam = get_family(family)
-    # unit-norm scaling keeps the two forms at order one, so the reported
-    # asymmetry is not swamped by cancellation inside each integral
-    h0 = fam.h0(p)
-    polys = [
-        eval_poly_recurrence(fam, p, n).scaled(math.sqrt(fam.h0_over_hn(p, n) / h0))
-        for n in range(5)
-    ]
-    pairs = [
-        (polys[0], polys[0]),
-        (polys[1], polys[1]),
-        (polys[1], polys[2]),
-        (polys[3], polys[0]),
-        (polys[2], polys[4]),
-    ]
-    Ps, Qs = zip(*pairs)
-    worst = 0.0
-    for lhs, rhs in zip(*hermiticity_forms(fam, p, Ps, Qs)):
-        worst = _worst(worst, abs(lhs - rhs) / (1.0 + abs(lhs)))
-    return [
-        CheckResult.build("hermiticity.symmetric_form", fam, p, (0, 4),
-                          worst, _tol(config, "hermiticity.symmetric_form"), len(pairs)),
-    ]
+    # phi0 P_n sqrt(h0/h_n) is unit-normed in the forms' units of h0, so the
+    # forms stay at order one and each diagonal pair gives E_n
+    polys = [eval_poly_recurrence(fam, p, n).scaled(math.sqrt(fam.h0_over_hn(p, n)))
+             for n in range(5)]
+    pairs = [(0, 0), (1, 1), (1, 2), (3, 0), (2, 4)]
+    lhs, rhs = hermiticity_forms(fam, p, [polys[n] for n, _ in pairs],
+                                 [polys[m] for _, m in pairs])
+    energy = Terms(np.array([fam.energy(p, 0), fam.energy(p, 1)]))
+    return _judge(fam, p, config, [
+        ("hermiticity.symmetric_form", (0, 4), len(pairs), lhs, rhs),
+        ("hermiticity.diagonal_energy", (0, 1), 2, (lhs[:2], rhs[:2]), (energy, energy)),
+    ])
 
 
 # ------------------------------------------------------------------- limit

@@ -93,6 +93,18 @@ def test_table_norms_q_hermite(capsys):
         assert got == pytest.approx(q_pochhammer(0.5, 0.5, n).real, rel=1e-12)
 
 
+def test_table_norms_wilson_beyond_the_gamma_range(capsys):
+    # h0 = 2 pi Gamma(60)^6 / Gamma(120): the gamma factors overflow one by
+    # one, h0 itself does not; mpmath at 40 digits gives 8.0187903898989154e284
+    rc, out = run_cli(
+        capsys, "table", "norms", "wilson", "--a", "30", "--a", "30", "--a", "30",
+        "--a", "30", "--n-max", "0", "--output", "csv",
+    )
+    assert rc == 0
+    h0 = float(out.strip().splitlines()[1].split(",")[1])
+    assert h0 == pytest.approx(8.0187903898989154427e284, rel=1e-13)
+
+
 def test_table_recurrence_marks_unused_C0(capsys):
     rc, out = run_cli(
         capsys, "table", "recurrence", "q-hermite", "--q", "0.5",

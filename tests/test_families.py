@@ -208,6 +208,41 @@ def test_three_term_coefficients_consistent(family, name):
         )
         assert c.N_n == pytest.approx(math.sqrt(c.h0_over_hn), rel=1e-14)
 
+# h0 on the bundled fixtures as the linear-space products of complex gamma
+# values and q-products gave it, before h0 became exp(log_h0)
+H0_LINEAR = {
+    ("continuous-hahn", "default"): 1.0716929464360079,
+    ("continuous-hahn", "real"): 1.7603400288145816,
+    ("meixner-pollaczek", "default"): 2.583733769335142,
+    ("meixner-pollaczek", "half-pi"): 1.570796326794898,
+    ("wilson", "default"): 0.9197612387943049,
+    ("wilson", "real"): 1.708634883094391,
+    ("continuous-dual-hahn", "default"): 4.576868589074101,
+    ("continuous-dual-hahn", "real"): 5.427337566223708,
+    ("askey-wilson", "default"): 173.0280323626452,
+    ("askey-wilson", "real"): 19.824291273620698,
+    ("continuous-dual-q-hahn", "default"): 85.26593096664648,
+    ("continuous-dual-q-hahn", "real"): 22.380703914743574,
+    ("al-salam-chihara", "default"): 47.31605691096632,
+    ("al-salam-chihara", "real"): 29.855759360120597,
+    ("continuous-big-q-hermite", "default"): 21.7570786818458,
+    ("continuous-big-q-hermite", "negative"): 21.7570786818458,
+    ("continuous-q-hermite", "default"): 21.7570786818458,
+    ("continuous-q-hermite", "high-q"): 1865.550590614061,
+    ("continuous-q-jacobi", "default"): 7.075918772633673,
+    ("continuous-q-jacobi", "steep"): 9.681401316284143,
+    ("continuous-q-laguerre", "default"): 43.50747107121379,
+    ("continuous-q-laguerre", "edge"): 167.49346876124255,
+}
+
+
+@pytest.mark.parametrize("family,name", all_fixtures())
+def test_h0_from_its_logarithm(family, name):
+    fam = get_family(family)
+    p = fixture_params(family, name)
+    assert fam.h0(p) == pytest.approx(H0_LINEAR[(family, name)], rel=1e-14)
+
+
 @pytest.mark.parametrize("family,name", all_fixtures())
 def test_measure_positivity(family, name):
     p = fixture_params(family, name)

@@ -17,8 +17,8 @@ from dqm.families import (
 )
 from dqm.fixtures import fixture_names, fixture_params
 from dqm.quadrature import (
-    QuadratureSpec,
     ToleranceNotMet,
+    _levels,
     hermiticity_check,
     hermiticity_forms,
     inner_product,
@@ -27,24 +27,15 @@ from dqm.quadrature import (
     weight_window,
 )
 from dqm.specfun import q_pochhammer_inf
+from dqm.verify import VerifyConfig, run_suite
 
 
-def test_quadrature_spec_validation():
-    with pytest.raises(ValueError):
-        QuadratureSpec(abs_tol=-1.0)
-    with pytest.raises(ValueError):
-        QuadratureSpec(rule="monte-carlo")
-
-
-def test_integrate_polynomial_both_rules():
+def test_integrate_polynomial():
     # oracle: exact antiderivative of x^3 - 2x on [0, 2]
     exact = 2.0**4 / 4 - 2.0**2
-    for rule in ("double-exponential", "gauss-legendre-composite"):
-        val, err = integrate(
-            lambda x: x**3 - 2 * x, 0.0, 2.0, QuadratureSpec(rule=rule)
-        )
-        assert val.real == pytest.approx(exact, abs=1e-11)
-        assert err < 1e-9
+    val, err = integrate(lambda x: x**3 - 2 * x, 0.0, 2.0)
+    assert val.real == pytest.approx(exact, abs=1e-11)
+    assert err < 1e-9
 
 
 def test_inner_product_q_hermite_norm():
@@ -96,11 +87,9 @@ ALL_FAMILIES = [FAMILIES[fid].spec.name for fid in FamilyId]
 def test_gram_matrix(family):
     p = fixture_params(family)
     m = orthogonality_matrix(family, p, 6)
-    for n in range(7):
-        rel = abs(m.entries[n, n] - m.expected_diag[n]) / m.expected_diag[n]
-        assert rel <= 1e-5
-    assert m.max_offdiag_rel <= 1e-6
-    assert np.allclose(m.entries, m.entries.T, rtol=1e-12, atol=1e-12)
+    # unit-normalised: the identity, to round-off
+    assert np.max(np.abs(m.entries - np.eye(7))) <= 1e-12
+    assert np.array_equal(m.entries, m.entries.T)
 
 
 @pytest.mark.parametrize("family", ["askey-wilson", "wilson", "meixner-pollaczek"])
@@ -134,24 +123,29 @@ def test_gram_matrix_takes_its_polynomials_from_one_ascent(family, monkeypatch):
 
 
 def test_gram_diag_level_zero_matches_h0():
+    # the quadrature of phi0^2 in units of h0 is 1, and log_norms[0] is log h0
     p = fixture_params("meixner-pollaczek")
     fam = get_family("meixner-pollaczek")
     m = orthogonality_matrix(fam, p, 2)
-    assert m.entries[0, 0] == pytest.approx(fam.h0(p), rel=1e-6)
+    assert m.entries[0, 0] == pytest.approx(1.0, rel=1e-12)
+    assert m.log_norms[0] == pytest.approx(math.log(fam.h0(p)), rel=1e-14)
+    phi0 = lambda x: fam.phi0(p, x)
+    assert inner_product(fam, p, phi0, phi0).real == pytest.approx(fam.h0(p), rel=1e-12)
 
 
 def test_meixner_pollaczek_norm_ratios():
-    # h_0/h_n = n!/(2a)_n, so successive diagonal ratios follow (2a+n-1)/n
+    # h_0/h_n = n!/(2a)_n, so successive norms follow (2a+n-1)/n
     p = fixture_params("meixner-pollaczek")
     fam = get_family("meixner-pollaczek")
     a = p.a[0].real
-    m = orthogonality_matrix(fam, p, 6)
+    norms = []
+    for n in range(7):
+        P = eval_poly_recurrence(fam, p, n)
+        f = lambda x, P=P: fam.phi0(p, x) * P.eval(fam.eta(x))
+        norms.append(inner_product(fam, p, f, f).real)
     for n in range(1, 7):
-        got = m.entries[n, n] / m.entries[n - 1, n - 1]
-        expected = (2 * a + n - 1) / n
-        assert got == pytest.approx(expected, rel=1e-5)
-    got01 = m.entries[0, 0] / m.entries[1, 1]
-    assert got01 == pytest.approx(1.0 / (2 * a), rel=1e-5)
+        assert norms[n] / norms[n - 1] == pytest.approx((2 * a + n - 1) / n, rel=1e-12)
+    assert norms[0] == pytest.approx(fam.h0(p), rel=1e-12)
 
 
 def test_gram_level_budget():
@@ -160,27 +154,73 @@ def test_gram_level_budget():
 
 
 def test_quadrature_self_consistency():
-    # doubling the node budget moves the result by less than the estimate
-    fam = get_family("al-salam-chihara")
-    p = fixture_params("al-salam-chihara")
-    a, b = weight_window(fam, p)
-    phi2 = lambda x: np.asarray(fam.phi0(p, x)) ** 2
-    v1, err = integrate(phi2, a, b, QuadratureSpec(rule="gauss-legendre-composite"))
-    v2, _ = integrate(
-        phi2, a, b, QuadratureSpec(rule="gauss-legendre-composite", abs_tol=1e-13)
-    )
-    assert abs(v1 - v2) <= max(err, 1e-12)
+    # the weight's integral in units of h0 is 1 on each interval's rule: once
+    # two levels agree to the stopping tolerance, every finer level stays there
+    for family in ("al-salam-chihara", "wilson", "meixner-pollaczek"):
+        fam = get_family(family)
+        p = fixture_params(family)
+        sums = np.array([np.sum(dx * np.exp(log_w)) for _, dx, log_w in _levels(fam, p)])
+        accepted = int(np.argmax(np.abs(np.diff(sums)) <= 1e-10)) + 1
+        assert accepted < len(sums) - 1
+        assert np.all(np.abs(sums[accepted:] - 1.0) <= 1e-13)
 
 
 def test_rules_agree_on_finite_interval():
+    # tanh-sinh on [0, pi] against the composite Gauss-Legendre nodes of the
+    # cos-x families, which inner_product runs on
     fam = get_family("continuous-q-hermite")
     p = ParamSet(q=0.5)
     phi2 = lambda x: np.asarray(fam.phi0(p, x)) ** 2
-    vd, _ = integrate(phi2, 0.0, math.pi, QuadratureSpec(rule="double-exponential"))
-    vg, _ = integrate(
-        phi2, 0.0, math.pi, QuadratureSpec(rule="gauss-legendre-composite")
-    )
-    assert vd.real == pytest.approx(vg.real, rel=1e-10)
+    vd, _ = integrate(phi2, 0.0, math.pi)
+    phi0 = lambda x: fam.phi0(p, x)
+    vg = inner_product(fam, p, phi0, phi0)
+    assert vd.real == pytest.approx(vg.real, rel=1e-12)
+
+
+def test_weight_window_finds_a_peak_off_any_fixed_grid():
+    # Meixner-Pollaczek: log w ~ -2 phi |x| + (2a - 1) log|x| as x -> -inf,
+    # a peak near -(2a - 1)/(2 phi) of width about |c|/sqrt(2a - 1)
+    fam = get_family("meixner-pollaczek")
+    c, s = weight_window(fam, ParamSet(a=(40.0,), phi=0.01))
+    assert c == pytest.approx(-79 / 0.02, rel=1e-3)
+    assert s == pytest.approx(abs(c) / math.sqrt(79), rel=1e-2)
+    with pytest.raises(ValueError, match="unbounded"):
+        weight_window("continuous-q-hermite", ParamSet(q=0.5))
+
+
+# Parameter sets whose weight peaks far out, narrowly, or beyond the double
+# range (Wilson a = 30: phi0^2 ~ 1e282; Meixner-Pollaczek a = 200: h0 ~ 1e873),
+# and the sets of the domain sweep that failed a fixed-window rule
+HARD_SETS = [
+    ("wilson", ParamSet(a=(30, 30, 30, 30))),
+    ("continuous-hahn", ParamSet(a=(0.01, 0.01))),
+    ("meixner-pollaczek", ParamSet(a=(40,), phi=0.01)),
+    ("meixner-pollaczek", ParamSet(a=(200,), phi=0.5)),
+    ("meixner-pollaczek", ParamSet(a=(0.3,), phi=3.09)),
+    ("continuous-hahn", ParamSet(a=(0.9354905404881151 + 0.7471068907925238j,
+                                    0.06553264846844545 + 0.6424568367655326j))),
+    ("meixner-pollaczek", ParamSet(a=(0.22661737992930092,), phi=1.6152620136249658)),
+    ("meixner-pollaczek", ParamSet(a=(2.357719825360181,), phi=2.838190030506271)),
+    ("continuous-dual-hahn",
+     ParamSet(a=(3.388043567454484, 3.782545276022669, 3.620471313373911))),
+]
+
+
+@pytest.mark.parametrize("family,p", HARD_SETS)
+@pytest.mark.parametrize("suite", ["orthogonality", "hermiticity"])
+def test_quadrature_suites_pass_where_the_weight_is_hard(family, p, suite):
+    results = run_suite(suite, family, p, VerifyConfig())
+    assert results and all(r.passed for r in results), [
+        (r.check_id, r.max_residual) for r in results]
+
+
+def test_two_equal_peaks_raise_and_never_pass():
+    # continuous Hahn a = (0.05 + i, 0.05 - i): two peaks about 0.05 wide at
+    # x = -1 and 1; a rule centred on one of them stalls on the other
+    p = ParamSet(a=(0.05 + 1j, 0.05 - 1j))
+    for suite in ("orthogonality", "hermiticity"):
+        with pytest.raises(ToleranceNotMet):
+            run_suite(suite, "continuous-hahn", p, VerifyConfig())
 
 
 # -------------------------------------------------------------- hermiticity
@@ -198,9 +238,9 @@ def test_hermiticity_diagonal_form_is_real():
     p = fixture_params("askey-wilson")
     fam = get_family("askey-wilson")
     P2 = eval_poly_recurrence(fam, p, 2)
-    (lhs,), (rhs,) = hermiticity_forms(fam, p, [P2], [P2])
-    assert abs(lhs - rhs) <= 1e-6 * (1 + abs(lhs))
-    assert abs(lhs.imag) <= 1e-8 * (1 + abs(lhs))
+    lhs, rhs = (form.val[0] for form in hermiticity_forms(fam, p, [P2], [P2]))
+    assert abs(lhs - rhs) <= 1e-12 * (1 + abs(lhs))
+    assert abs(lhs.imag) <= 1e-12 * (1 + abs(lhs))
 
 
 def test_hermiticity_on_ground_state_is_zero():
@@ -208,9 +248,9 @@ def test_hermiticity_on_ground_state_is_zero():
     p = fixture_params("continuous-q-hermite")
     fam = get_family("continuous-q-hermite")
     one = eval_poly_recurrence(fam, p, 0)
-    (lhs,), (rhs,) = hermiticity_forms(fam, p, [one], [one])
-    assert abs(lhs) <= 1e-10
-    assert abs(rhs) <= 1e-10
+    lhs, rhs = hermiticity_forms(fam, p, [one], [one])
+    assert abs(lhs.val[0]) <= 1e-10
+    assert abs(rhs.val[0]) <= 1e-10
 
 
 def test_hermiticity_cross_eigenpolynomials():
@@ -223,27 +263,33 @@ def test_hermiticity_cross_eigenpolynomials():
 
 
 def test_hermiticity_forms_count_a_pole_of_V_at_a_node_as_zero(monkeypatch):
-    # on (-pi, pi) the tanh-sinh rule puts its centre node exactly on x = 0,
-    # the pole of the q-Hermite V; the integrand is even in x
+    # a node exactly on x = 0, the pole of the q-Hermite V, with an order-one
+    # weight, added to every level: inside the guard it counts as zero
     import dqm.quadrature as quadrature
     from dqm.families import SingularityError
-    from dqm.quadrature import _tanh_sinh_nodes
+    from dqm.operators import OperatorContext
 
     fam = get_family("continuous-q-hermite")
     p = fixture_params("continuous-q-hermite")
     P = eval_poly_recurrence(fam, p, 2)
     Q = eval_poly_recurrence(fam, p, 3)
-    spec = QuadratureSpec(rule="double-exponential")
-    plain = hermiticity_forms(fam, p, [P], [Q], spec)
+    plain = hermiticity_forms(fam, p, [P], [Q])
+    levels = quadrature._levels
 
-    monkeypatch.setattr(quadrature, "weight_window", lambda *args: (-math.pi, math.pi))
-    assert 0.0 in 0.0 + math.pi * _tanh_sinh_nodes(2)[0]
+    def with_pole(fam, p):
+        for x, dx, log_w in levels(fam, p):
+            yield np.append(x, 0.0), np.append(dx, 1.0), np.append(log_w, 0.0)
+
+    monkeypatch.setattr(quadrature, "_levels", with_pole)
     with pytest.raises(SingularityError):
         fam.V(p, 0.0)
-    doubled = hermiticity_forms(fam, p, [P], [Q], spec)
-    for got, want in zip(doubled, plain):
-        assert np.isfinite(got)
-        assert abs(0.5 * got - want) <= 1e-10 * (1 + abs(want))
+    for got, want in zip(hermiticity_forms(fam, p, [P], [Q]), plain):
+        assert np.isfinite(got.val[0])
+        assert abs(got.val[0] - want.val[0]) <= 1e-14 * (1 + abs(want.val[0]))
+    # on (0, inf) the tanh-sinh nodes next to x = 0 fall inside the guard
+    wilson = get_family("wilson")
+    x, _, _ = next(levels(wilson, fixture_params("wilson")))
+    assert OperatorContext(wilson, fixture_params("wilson")).inside_guard(x).any()
 
 
 FIXTURES = [(name, fx) for name in ALL_FAMILIES for fx in fixture_names(name)]
@@ -255,15 +301,14 @@ def test_hermiticity_forms_reproduce_the_spectrum(family, fixture):
     # pair (P_n, P_m) equal E_n delta_nm; the pairs are check_hermiticity's
     fam = get_family(family)
     p = fixture_params(family, fixture)
-    h0 = fam.h0(p)
     polys = [
-        eval_poly_recurrence(fam, p, n).scaled(math.sqrt(fam.h0_over_hn(p, n) / h0))
+        eval_poly_recurrence(fam, p, n).scaled(math.sqrt(fam.h0_over_hn(p, n)))
         for n in range(5)
     ]
     levels = [(0, 0), (1, 1), (1, 2), (3, 0), (2, 4)]
     lhs, rhs = hermiticity_forms(
         fam, p, [polys[n] for n, _ in levels], [polys[m] for _, m in levels])
-    for (n, m), gHf, Hgf in zip(levels, lhs, rhs):
+    for (n, m), gHf, Hgf in zip(levels, lhs.val, rhs.val):
         e_n = fam.energy(p, n)
         want = e_n if n == m else 0.0
         assert abs(gHf - want) <= 1e-11 * (1 + e_n)
@@ -272,23 +317,25 @@ def test_hermiticity_forms_reproduce_the_spectrum(family, fixture):
 
 @pytest.mark.parametrize("family,fixture", FIXTURES)
 def test_hermiticity_evaluates_phi0_once_per_level(family, fixture, monkeypatch):
+    import dqm.quadrature as quadrature
     from dqm.verify import check_hermiticity
 
     fam = get_family(family)
     p = fixture_params(family, fixture)
-    plain_phi0 = type(fam).phi0
+    if fam.spec.interval[1] == math.inf:
+        window = weight_window(fam, p)  # its own weight evaluations are not counted
+        monkeypatch.setattr(quadrature, "weight_window", lambda *args: window)
+    plain = type(fam).log_amplitude
     sizes = []
 
     def counted(self, params, x):
         sizes.append(np.size(x))
-        return plain_phi0(self, params, x)
+        return plain(self, params, x)
 
-    monkeypatch.setattr(type(fam), "phi0", counted)
-    assert check_hermiticity(fam, p)[0].passed
-    if fam.spec.interval != (0.0, math.pi):
-        assert sizes.pop(0) in (4801, 6001)  # the integration window's grid
-    # one call per refinement level, each on more nodes than the last: a
-    # level evaluated twice (per pair or per form) would repeat a size
+    monkeypatch.setattr(type(fam), "log_amplitude", counted)
+    assert all(r.passed for r in check_hermiticity(fam, p))
+    # one weight evaluation per refinement level, each on more nodes than the
+    # last: a level evaluated twice (per pair or per form) would repeat a size
     assert len(sizes) >= 2
     assert all(a < b for a, b in zip(sizes, sizes[1:]))
 

@@ -147,6 +147,29 @@ def test_log_gamma_on_an_array_across_the_reflection_line():
     assert np.all(np.abs(up - z * np.exp(lg)) <= 1e-12 * np.abs(up))
 
 
+# log|gamma(z)| left of Re z = 1/2 and far off the real axis, from mpmath's
+# loggamma at 40 digits; sin(pi z) of the reflection overflows past |Im z| ~ 226
+LOG_ABS_GAMMA_FAR = [
+    (0.066 + 230j, -362.72434296540450024),
+    (-20.0 + 25.0j, -106.27871017322305252),
+    (-19.999999 - 300j, -587.26341671889633314),
+    (-7.5 + 21j, -56.608915877070702308),
+    (-3.0000001 + 1000j, -1594.0545394288810614),
+    (0.49 - 2000j, -3140.7497240810798616),
+    (-0.5 + 226.5j, -360.2891768672968712),
+    (-12.25 - 20.5j, -70.53289771885484854),
+    (0.0 + 500j, -787.58652891345473275),
+    (-1.0 - 60j, -99.470496787424612372),
+]
+
+
+def test_log_gamma_far_from_the_real_axis_left_of_one_half(recwarn):
+    z, ref = (np.array(v) for v in zip(*LOG_ABS_GAMMA_FAR))
+    for got in (log_gamma(z).real, np.array([log_gamma(zi).real for zi in z])):
+        assert np.all(np.abs(got - ref) <= 1e-14 * (1 + np.abs(ref)))
+    assert not recwarn.list
+
+
 # ------------------------------------------------------------ hypergeometric
 
 def test_2f1_two_term_truncation():

@@ -14,9 +14,11 @@ with at most 60 tries; the draws are
       continuous q-Jacobi and q-Laguerre   a_j = U(-0.45, 3)
 
 Each set then runs all 11 suites at VerifyConfig(seed=1).  For each
-(family, check) the sweep prints the worst residual and the number of
-misses; then every miss and every suite that raised, with its parameters.
-It exits 1 on any miss or exception.
+(family, check) the sweep prints the worst residual, ten times that worst
+rounded up to two figures and the current tolerance, as
+`sweep_tolerances.py` does, and the number of misses; then every miss and
+every suite that raised, with its parameters.  It exits 1 on any miss or
+exception.
 
     python3 tools/sweep_domain.py
 """
@@ -32,7 +34,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from dqm.families import ParamSet, ValidationError, family_names, get_family  # noqa: E402
-from dqm.verify import SUITES, VerifyConfig, run_suite  # noqa: E402
+from dqm.verify import SUITES, TOLERANCES, VerifyConfig, run_suite  # noqa: E402
+from sweep_tolerances import two_figures_up  # noqa: E402
 
 SETS = 6
 TRIES = 60
@@ -92,9 +95,10 @@ def main() -> int:
                     if not r.passed:
                         misses.append((family, r.check_id, p, r.max_residual, r.tolerance))
 
-    print(f"{'family':26s} {'check':40s} {'worst':>9s} misses")
+    print(f"{'family':26s} {'check':40s} {'worst':>9s} {'10x worst':>9s} {'tolerance':>9s} misses")
     for (family, check_id), w in worst.items():
-        print(f"{family:26s} {check_id:40s} {w:9.2g} {n_miss[(family, check_id)]:6d}")
+        print(f"{family:26s} {check_id:40s} {w:9.2g} {two_figures_up(10 * w):9.2g} "
+              f"{TOLERANCES[check_id]:9.2g} {n_miss[(family, check_id)]:6d}")
     for family, check_id, p, residual, tol in misses:
         print(f"MISS {family} {p.as_dict()}: {check_id} {residual:.3g} > {tol:.3g}")
     for family, suite, p, message in errors:
