@@ -13,7 +13,10 @@ import json
 import math
 import sys
 from dataclasses import asdict
+from decimal import Decimal
 from importlib import resources
+
+import numpy as np
 
 from .families import (
     FAMILIES,
@@ -39,6 +42,31 @@ def _fmt(v) -> str:
         sign = "+" if v.imag >= 0 else "-"
         return _FMT.format(v.real) + sign + _FMT.format(abs(v.imag)) + "i"
     return _FMT.format(float(v))
+
+
+def _fmt_scaled(value, log_scale: float, unit=1.0) -> str:
+    """_fmt(value) for value = exp(log_scale) * unit.  Where a part of value
+    left the double range (inf, or 0 from a nonzero part of unit), that part
+    is printed as exp(log_scale) * (part of unit) in decimal arithmetic, a
+    mantissa and a decimal exponent."""
+    value, unit = complex(value), complex(unit)
+
+    def lost(v: float, u: float) -> bool:
+        return u != 0.0 and not (math.isfinite(v) and v != 0.0)
+
+    def part(v: float, u: float) -> str:
+        if not lost(v, u):
+            return _FMT.format(v)
+        return _FMT.format(Decimal(log_scale).exp() * Decimal(u))
+
+    if not math.isfinite(log_scale) or not (
+        lost(value.real, unit.real) or lost(value.imag, unit.imag)
+    ):
+        return _fmt(value)
+    if unit.imag == 0:
+        return part(value.real, unit.real)
+    im = part(value.imag, unit.imag)
+    return part(value.real, unit.real) + ("" if im.startswith("-") else "+") + im + "i"
 
 
 def _family_row(fam) -> dict:
@@ -120,7 +148,9 @@ def cmd_eval(args) -> int:
     poly = eval_poly_recurrence(fam, p, n)
     v_rec = poly.eval(eta)
     v_hyp = eval_poly_hypergeometric(fam, p, n, eta)
-    phi0 = fam.phi0(p, x)
+    with np.errstate(over="ignore"):  # printed from its log past the double range
+        phi0 = fam.phi0(p, x)
+    log_phi0 = float(np.real(fam.log_amplitude(p, x)))
     record = {
         "family": fam.spec.name,
         "n": n,
@@ -129,8 +159,8 @@ def cmd_eval(args) -> int:
         "P_n_recurrence": _fmt(v_rec),
         "P_n_hypergeometric": _fmt(v_hyp),
         "path_discrepancy": _fmt(abs(v_rec - v_hyp)),
-        "phi0": _fmt(phi0),
-        "phi_n": _fmt(phi0 * v_rec),
+        "phi0": _fmt_scaled(phi0, log_phi0),
+        "phi_n": _fmt_scaled(phi0 * v_rec, log_phi0, v_rec),
         "E_n": _fmt(fam.energy(p, n)),
     }
     if args.output == "json":
@@ -166,9 +196,11 @@ def cmd_table(args) -> int:
             ])
     elif args.kind == "norms":
         header = ["n", "h0", "hn_over_h0", "N_n"]
+        log_h0 = fam.log_h0(p)
         for n in range(n_max + 1):
             c = fam.coefficients(p, n)
-            rows.append([n, _fmt(c.h0), _fmt(1.0 / c.h0_over_hn), _fmt(c.N_n)])
+            rows.append([n, _fmt_scaled(c.h0, log_h0), _fmt(1.0 / c.h0_over_hn),
+                         _fmt(c.N_n)])
     else:  # pragma: no cover - argparse restricts choices
         raise ValidationError(f"unknown table kind {args.kind}")
     if args.output == "json":

@@ -8,7 +8,9 @@ ground states, h0 and the coherent closed forms are built from them.  They
 return *a* logarithm: the real part is log|value|, the imaginary part is
 right only modulo 2 pi, so use them through exp() or their real part.
 There is one infinite q-product kernel: ``q_pochhammer_inf`` is the
-exponential of ``log_q_pochhammer_inf`` at a scalar.
+exponential of ``log_q_pochhammer_inf`` at a scalar.  It forms each run of
+factors 1 - a q^k as one (factors x points) array, at most _BLOCK elements
+at a time, so its memory stays O(a.size).
 
 The terminating sums ``hypergeometric_F`` and ``basic_hypergeometric_phi``
 run in double-double arithmetic; they serve the families' series path, the
@@ -381,6 +383,10 @@ def basic_hypergeometric_phi(num, den, q: float, z: complex, n_terms: int) -> co
 _RUN_LOG = 300.0
 # the log form is the one for q near 1, which takes ~35 / (1 - q) factors
 _LOG_TOL = SeriesTolerance(max_terms=2_000_000)
+# a run's factors are formed as blocks of (factors x points) of at most this
+# many elements (1 MiB of complex), so memory stays O(a.size) however many
+# factors a run has
+_BLOCK = 1 << 16
 
 
 def log_q_pochhammer_inf(a, q: float, tol: SeriesTolerance = _LOG_TOL):
@@ -391,6 +397,12 @@ def log_q_pochhammer_inf(a, q: float, tol: SeriesTolerance = _LOG_TOL):
     part is a sum of principal logs of partial products, so use the value
     through exp() or its real part.  For q near 1 the product itself
     underflows double range while its log does not.
+
+    Each run of factors is one (factors x points) array 1 - q^k a, reduced
+    by a product over the factors and one log; a run longer than _BLOCK /
+    a.size factors is split over blocks, the running product multiplied
+    into the next block's first row.  The arithmetic is that of the loop
+    prod *= 1 - a q^k, in the same order.
     """
     q = _check_q(q)
     a = np.asarray(a, dtype=complex)
@@ -405,17 +417,26 @@ def log_q_pochhammer_inf(a, q: float, tol: SeriesTolerance = _LOG_TOL):
                 f"|a q^k| < {tol.rel_eps} within {tol.max_terms} factors"
             )
         qk *= q
+    # q^0 .. q^(n-1) as the same running product
+    qpow = np.full(n_factors, q)
+    qpow[:1] = 1.0
+    qpow = np.multiply.accumulate(qpow)
     run = max(1, int(_RUN_LOG / max(math.log1p(amax), -math.log1p(-q))))
-    out = np.zeros_like(a)
-    prod = np.ones_like(a)
-    qk = 1.0
+    flat = a.ravel()
+    rows = max(1, _BLOCK // max(flat.size, 1))
+    out = np.zeros_like(flat)
     with np.errstate(divide="ignore"):
-        for k in range(1, n_factors + 1):
-            prod *= 1.0 - a * qk
-            qk *= q
-            if k % run == 0 or k == n_factors:
-                out += np.log(prod)
-                prod[...] = 1.0
+        for start in range(0, n_factors, run):
+            stop = min(start + run, n_factors)
+            prod = None
+            for lo in range(start, stop, rows):
+                block = np.multiply.outer(qpow[lo:min(lo + rows, stop)], flat)
+                np.subtract(1.0, block, out=block)
+                if prod is not None:
+                    np.multiply(prod, block[0], out=block[0])
+                prod = np.multiply.reduce(block, axis=0)
+            out += np.log(prod)
+    out = out.reshape(a.shape)
     return complex(out) if out.ndim == 0 else out
 
 

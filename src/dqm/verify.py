@@ -559,14 +559,17 @@ def check_coherent(family, p: ParamSet, alpha=None, x_samples=None, N=None,
     _, C_n = _ladder_ratios(poly)
     coeffs = per_level(np.cumprod([1.0, *(alpha / np.array(C_n[1: cap + 1]))]))
 
-    # every level on the lattice at once, shared by the partial sums and
-    # the lowering operator
+    # N from every level at the first sample point, then the rest of the
+    # lattice only through N, shared by the partial sums and the lowering
+    # operator.  Levels past N may overflow (Wilson a = 30: P_56 .. P_61)
+    # and are never used; a non-finite tail at N is warned of
     lat = ctx.lattice(xs, 2)
-    f = lat.operand(poly)[: cap + 1]
-    terms = coeffs * f.at(0)
-
-    n_trunc, tail = _truncation(terms.val[:, 0, 0])
-    if tail > 1e-12:
+    eta = lat.eta.val.ravel()
+    i0 = lat.half * len(xs)  # the first sample point on the centre row
+    with np.errstate(over="ignore", invalid="ignore"):
+        at_x0 = poly.eval_levels(eta[i0: i0 + 1])[: cap + 1]
+        n_trunc, tail = _truncation(coeffs[:, 0, 0] * at_x0[:, 0])
+    if not tail <= 1e-12:
         warnings.warn(
             f"coherent series truncated at N={n_trunc} with relative tail "
             f"{tail:.2e} > 1e-12",
@@ -574,10 +577,13 @@ def check_coherent(family, p: ParamSet, alpha=None, x_samples=None, N=None,
             stacklevel=2,
         )
 
-    sums = terms[: n_trunc + 1].sum(axis=0)
+    rest = poly.truncated(n_trunc).eval_levels(np.delete(eta, i0))
+    f = Terms(np.insert(rest, i0, at_x0[: n_trunc + 1, 0], axis=1)
+              .reshape((n_trunc + 1,) + lat.eta.val.shape))
+    sums = (coeffs[: n_trunc + 1] * f.at(0)).sum(axis=0)
     levels = range(1, n_trunc + 1)
     lowered = (coeffs[1: n_trunc + 1]
-               * ladder_action(ctx, "-", levels, f[1: n_trunc + 1], lat)).sum(axis=0)
+               * ladder_action(ctx, "-", levels, f[1:], lat)).sum(axis=0)
     worst_ann = _residual(lowered, alpha * sums)
 
     closed = _coherent_closed_form(fam, p, alpha, xs)

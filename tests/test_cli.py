@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from decimal import Decimal
 from importlib import resources
 
 import jsonschema
@@ -103,6 +104,41 @@ def test_table_norms_wilson_beyond_the_gamma_range(capsys):
     assert rc == 0
     h0 = float(out.strip().splitlines()[1].split(",")[1])
     assert h0 == pytest.approx(8.0187903898989154427e284, rel=1e-13)
+
+
+def test_eval_prints_phi_beyond_the_double_range(capsys):
+    # phi0 = e^{(phi - pi/2) x} |Gamma(a + ix)| at a = 200, phi = 0.5,
+    # x = -365 is ~2e436; mpmath at 30 digits gives the constant below
+    rc, out = run_cli(
+        capsys, "eval", "meixner-pollaczek", "--a", "200", "--phi", "0.5",
+        "--n", "1", "--x", "-365", "--output", "json",
+    )
+    assert rc == 0
+    rec = json.loads(out)
+    phi0 = Decimal(rec["phi0"])
+    assert abs(phi0 / Decimal("1.95906021846702176397559266347e436") - 1) < Decimal("1e-12")
+    phi_n = Decimal(rec["phi_n"])  # P_1 is real here
+    assert abs(phi_n / (phi0 * Decimal(rec["P_n_recurrence"])) - 1) < Decimal("1e-15")
+    # and the other way, below the double range: ~3e-2748 at x = 3000
+    rc, out = run_cli(
+        capsys, "eval", "meixner-pollaczek", "--a", "200", "--phi", "0.5",
+        "--n", "1", "--x", "3000", "--output", "json",
+    )
+    assert rc == 0
+    assert Decimal(json.loads(out)["phi0"]).adjusted() == -2748
+
+
+def test_table_norms_beyond_the_double_range(capsys):
+    # h0 = 2 pi Gamma(2a) / (2 sin phi)^{2a} at a = 200, phi = 0.5;
+    # mpmath at 30 digits gives the constant below
+    rc, out = run_cli(
+        capsys, "table", "norms", "meixner-pollaczek", "--a", "200", "--phi",
+        "0.5", "--n-max", "1", "--output", "csv",
+    )
+    assert rc == 0
+    for line in out.strip().splitlines()[1:]:
+        h0 = Decimal(line.split(",")[1])
+        assert abs(h0 / Decimal("2.00479448828058869534399292006e874") - 1) < Decimal("1e-13")
 
 
 def test_table_recurrence_marks_unused_C0(capsys):

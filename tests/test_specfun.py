@@ -6,11 +6,13 @@ from __future__ import annotations
 
 import cmath
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from dqm import specfun
 from dqm.specfun import (
     ConvergenceError,
     DomainError,
@@ -265,6 +267,100 @@ def test_log_q_pochhammer_inf_where_the_product_underflows():
         # the imaginary parts may differ by a multiple of 2 pi
         assert abs(cmath.exp(1j * (g.imag - want.imag)) - 1.0) <= 1e-10
     assert got.real[0] < -1000.0
+
+
+def _log_q_pochhammer_inf_by_a_loop(a, q, tol=SeriesTolerance(max_terms=2_000_000)):
+    """The factor loop the block kernel replaced, kept as its reference:
+    one prod *= 1 - a q^k per factor, one log per run of factors."""
+    a = np.asarray(a, dtype=complex)
+    amax = float(np.abs(a).max()) if a.size else 0.0
+    n_factors = 0
+    qk = 1.0
+    while not amax * qk < tol.rel_eps:
+        n_factors += 1
+        if n_factors >= tol.max_terms:
+            raise ConvergenceError("no convergence")
+        qk *= q
+    run = max(1, int(300.0 / max(math.log1p(amax), -math.log1p(-q))))
+    out = np.zeros_like(a)
+    prod = np.ones_like(a)
+    qk = 1.0
+    with np.errstate(divide="ignore"):
+        for k in range(1, n_factors + 1):
+            prod *= 1.0 - a * qk
+            qk *= q
+            if k % run == 0 or k == n_factors:
+                out += np.log(prod)
+                prod[...] = 1.0
+    return complex(out) if out.ndim == 0 else out
+
+
+def _same_bits(got, want):
+    assert type(got) is type(want)
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("block", [None, 7, 1])
+def test_log_q_pochhammer_inf_matches_the_factor_loop_bit_for_bit(block, monkeypatch):
+    # block: the kernel's element cap, small enough at 7 and 1 that each run
+    # is split over blocks
+    if block is not None:
+        monkeypatch.setattr(specfun, "_BLOCK", block)
+    rng = np.random.default_rng(11)
+    shapes = [(), (0,), (1,), (9,), (3, 4), (2, 1, 5)]
+    for i in range(120):
+        q = float(np.exp(rng.uniform(math.log(0.05), math.log(0.995))))
+        if i == 0 and block is None:
+            q = 0.9995  # ~70 000 factors in ~1 800 runs
+        shape = shapes[i % len(shapes)]
+        a = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * rng.choice([0.1, 1.0, 5.0])
+        if i % 5 == 0:
+            a = a.real + 0j
+        if shape == ():
+            a = complex(a)
+        _same_bits(log_q_pochhammer_inf(a, q), _log_q_pochhammer_inf_by_a_loop(a, q))
+
+
+def test_log_q_pochhammer_inf_runs_per_call():
+    # several runs per call, through large |a| and at q near 1
+    for a, q in ((np.array([1e6, -2.0 + 1j]), 0.5), (np.array([0.5, 0.9j]), 0.99)):
+        run = int(300.0 / max(math.log1p(np.abs(a).max()), -math.log1p(-q)))
+        n = math.ceil(math.log(1e-15 / np.abs(a).max()) / math.log(q))
+        assert n > 3 * run
+        _same_bits(log_q_pochhammer_inf(a, q), _log_q_pochhammer_inf_by_a_loop(a, q))
+
+
+def test_log_q_pochhammer_inf_vanishing_factor_matches_the_loop(monkeypatch):
+    monkeypatch.setattr(specfun, "_BLOCK", 3)  # the zero lands inside a split run
+    a = np.array([[1.0, 4.0], [0.5 + 0j, 0.25j]])
+    got = log_q_pochhammer_inf(a, 0.5)
+    _same_bits(got, _log_q_pochhammer_inf_by_a_loop(a, 0.5))
+    assert got.real[0, 0] == got.real[0, 1] == -math.inf
+    assert np.isfinite(got.real[1]).all()
+    assert log_q_pochhammer_inf(1.0, 0.3).real == -math.inf
+
+
+def test_log_q_pochhammer_inf_never_converges_on_nan():
+    with pytest.raises(ConvergenceError):
+        log_q_pochhammer_inf(np.array([0.5, complex(0.2, math.nan)]), 0.5)
+    with pytest.raises(ConvergenceError):
+        log_q_pochhammer_inf(math.nan, 0.5)
+
+
+def test_log_q_pochhammer_inf_memory_stays_linear_in_the_points():
+    # 10^5 points at q = 0.9: ~330 factors in runs of ~130; unblocked, one
+    # run's (factors x points) array would be ~200 MB.  The factor loop
+    # peaked at 6.4 MB.
+    rng = np.random.default_rng(5)
+    a = rng.uniform(0.0, 0.9, 100_000) * np.exp(1j * rng.uniform(0.0, 6.3, 100_000))
+    tracemalloc.start()
+    try:
+        log_q_pochhammer_inf(a, 0.9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 6.4e6
 
 
 # ------------------------------------------------------------------ q-gamma

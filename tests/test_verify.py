@@ -9,9 +9,9 @@ import math
 import numpy as np
 import pytest
 
-from dqm.families import FAMILIES, FamilyId, ParamSet, get_family
+from dqm.families import FAMILIES, FamilyId, ParamSet, eval_poly_recurrence, get_family
 from dqm.fixtures import fixture_names, fixture_params
-from dqm.operators import sample_points
+from dqm.operators import OperatorContext, ladder_action, per_level, sample_points
 from dqm.polynomials import EtaPolynomial
 from dqm.specfun import basic_hypergeometric_phi, hypergeometric_F, q_pochhammer_inf
 from dqm.verify import (
@@ -25,10 +25,13 @@ from dqm.verify import (
     run_suite,
     _coherent_closed_form,
     _default_alpha,
+    _ladder_ratios,
+    _residual,
     _truncation,
 )
 
 ALL_FAMILIES = [FAMILIES[fid].spec.name for fid in FamilyId]
+ALL_FIXTURES = [(f, fx) for f in ALL_FAMILIES for fx in fixture_names(get_family(f))]
 
 
 def test_unknown_suite():
@@ -151,6 +154,48 @@ def test_coherent_truncation_matches_the_loop():
     for terms in series:
         terms = terms.astype(complex)
         assert _truncation(terms) == _truncation_by_a_loop(terms)
+
+
+def _coherent_by_all_levels(fam, p, seed):
+    """check_coherent as it was before N was found first: every level
+    P_0 .. P_60 on the whole shift lattice, N read off the centre row at the
+    first point.  (N, tail, partial sum at the first point, annihilation
+    residual, closed-form residual)."""
+    ctx = OperatorContext(fam, p)
+    alpha = complex(_default_alpha(fam))
+    xs = sample_points(fam, p, 6, seed)
+    poly = eval_poly_recurrence(fam, p, 61)
+    _, C_n = _ladder_ratios(poly)
+    coeffs = per_level(np.cumprod([1.0, *(alpha / np.array(C_n[1:61]))]))
+    lat = ctx.lattice(xs, 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = lat.operand(poly)[:61]
+        terms = coeffs * f.at(0)
+    n, tail = _truncation(terms.val[:, 0, 0])
+    sums = terms[: n + 1].sum(axis=0)
+    lowered = (coeffs[1: n + 1]
+               * ladder_action(ctx, "-", range(1, n + 1), f[1: n + 1], lat)).sum(axis=0)
+    closed = _coherent_closed_form(fam, p, alpha, xs)
+    return (n, tail, complex(sums.val[0, 0]), _residual(lowered, alpha * sums),
+            None if closed is None else _residual(sums, closed))
+
+
+@pytest.mark.parametrize("family,fixture", ALL_FIXTURES)
+def test_coherent_truncation_first_matches_all_levels(family, fixture):
+    fam = get_family(family)
+    p = fixture_params(family, fixture)
+    for seed in range(5):
+        ev, worst_closed = check_coherent(fam, p, config=VerifyConfig(seed=seed))
+        got = (ev.truncation_N, ev.tail_estimate, ev.partial_sum,
+               ev.annihilation_residual, worst_closed)
+        assert got == _coherent_by_all_levels(fam, p, seed)
+
+
+def test_coherent_wilson_large_parameters_warn_of_nothing(recwarn):
+    # P_56 .. P_61 overflow on the lattice; N = 10 never reaches them
+    results = run_suite("coherent", "wilson", ParamSet(a=(30, 30, 30, 30)))
+    assert [r.passed for r in results] == [True]
+    assert not [w for w in recwarn.list if issubclass(w.category, RuntimeWarning)]
 
 
 def _closed_form_by_the_series_kernels(name, p, alpha, x):
