@@ -44,7 +44,6 @@ from .quadrature import (
     orthogonality_matrix,
 )
 from .specfun import (
-    SeriesTolerance,
     basic_hypergeometric_phi,
     complex_gamma,
     hypergeometric_F,
@@ -53,16 +52,6 @@ from .specfun import (
     q_pochhammer,
     q_pochhammer_inf,
 )
-from .verify import (
-    SUITES,
-    CheckResult,
-    CoherentStateEval,
-    VerifyConfig,
-    check_coherent,
-    check_limit_aw_wilson,
-    check_number_operator,
-    check_shape_invariance,
-    run_suite,
-)
+from .verify import SUITES, CheckResult, VerifyConfig, run_suite
 
 __version__ = "0.1.0"

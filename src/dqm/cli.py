@@ -327,7 +327,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--suite", action="append",
                     help="suite id or 'all'; repeatable")
     sp.add_argument("--n-max", type=int, default=8, dest="n_max")
-    sp.add_argument("--tol", type=float, help="override every tolerance")
+    sp.add_argument("--tol", type=float,
+                    help="override every tolerance but the ratio bound of "
+                         "limit.monotone_decrease")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--report", help="write the JSON report to this path")
     sp.add_argument("--output", choices=("human", "json", "csv"), default="human")

@@ -21,12 +21,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "SeriesTolerance",
     "DomainError",
     "PoleError",
     "ConvergenceError",
@@ -57,23 +55,6 @@ class ConvergenceError(RuntimeError):
 
 class ConditioningWarning(UserWarning):
     """High-degree series evaluation where double precision cancellation grows."""
-
-
-@dataclass(frozen=True)
-class SeriesTolerance:
-    """Truncation control for infinite products and series."""
-
-    rel_eps: float = 1e-15
-    max_terms: int = 10_000
-
-    def __post_init__(self):
-        if not (0.0 < self.rel_eps < 1.0):
-            raise DomainError(f"rel_eps must be in (0,1), got {self.rel_eps}")
-        if self.max_terms < 1:
-            raise DomainError(f"max_terms must be >= 1, got {self.max_terms}")
-
-
-DEFAULT_TOL = SeriesTolerance()
 
 
 def _check_q(q: float) -> float:
@@ -108,14 +89,14 @@ def q_pochhammer(a: complex, q: float, n: int) -> complex:
     return result
 
 
-def q_pochhammer_inf(a: complex, q: float, tol: SeriesTolerance = DEFAULT_TOL) -> complex:
+def q_pochhammer_inf(a: complex, q: float) -> complex:
     """Infinite q-product (a;q)_inf at a scalar a: the exponential of
-    log_q_pochhammer_inf, truncated by the same rule, once |a q^k| < tol.rel_eps.
+    log_q_pochhammer_inf, truncated by its rule, once |a q^k| < _REL_EPS.
 
-    The omitted tail multiplies the result by factors within rel_eps of 1,
-    so the relative error is bounded by ~ rel_eps / (1-q).
+    The omitted tail multiplies the result by factors within _REL_EPS of 1,
+    so the relative error is bounded by ~ _REL_EPS / (1-q).
     """
-    return cmath.exp(log_q_pochhammer_inf(complex(a), q, tol))
+    return cmath.exp(log_q_pochhammer_inf(complex(a), q))
 
 
 # Lanczos rational approximation, g = 7 with 9 coefficients.  Gives gamma to
@@ -381,18 +362,47 @@ def basic_hypergeometric_phi(num, den, q: float, z: complex, n_terms: int) -> co
 # product within about e^(+-_RUN_LOG), far inside double range, as q -> 1
 # or at large |a| alike
 _RUN_LOG = 300.0
-# the log form is the one for q near 1, which takes ~35 / (1 - q) factors
-_LOG_TOL = SeriesTolerance(max_terms=2_000_000)
+# the one truncation rule of (a;q)_inf: stop once |a|max q^k < _REL_EPS.
+# The log form is the one for q near 1, which takes ~35 / (1 - q) factors,
+# so up to _MAX_FACTORS of them (q = 1 - 1.75e-5 at |a| = 1)
+_REL_EPS = 1e-15
+_MAX_FACTORS = 2_000_000
 # a run's factors are formed as blocks of (factors x points) of at most this
 # many elements (1 MiB of complex), so memory stays O(a.size) however many
 # factors a run has
 _BLOCK = 1 << 16
 
 
-def log_q_pochhammer_inf(a, q: float, tol: SeriesTolerance = _LOG_TOL):
+def _qpow(amax: float, q: float):
+    """q^0 .. q^(n-1) as the running product 1, q, q*q, ..., n the number of
+    factors of (a;q)_inf at |a| <= amax: the first k with amax q^k < _REL_EPS.
+
+    n is read off the same running product, formed to the log estimate of n
+    plus a margin: the product is within ~k 1.1e-16 of q^k, and one factor
+    moves it by 1 - q >= 1.75e-5 here, so the estimate is off by under one."""
+    if not math.isfinite(amax):
+        raise ConvergenceError(f"log (a;q)_inf with |a| up to {amax}: not a finite number")
+    if amax < _REL_EPS:
+        return np.ones(0)
+    estimate = math.log(_REL_EPS / amax) / math.log(q)
+    if estimate < _MAX_FACTORS + 2:
+        qpow = np.full(min(int(estimate) + 4, _MAX_FACTORS), q)
+        qpow[0] = 1.0
+        qpow = np.multiply.accumulate(qpow)
+        small = amax * qpow < _REL_EPS
+        if small.any():
+            return qpow[: np.argmax(small)]
+    raise ConvergenceError(
+        f"log (a;q)_inf with |a| up to {amax}, q={q} did not reach "
+        f"|a q^k| < {_REL_EPS} within {_MAX_FACTORS} factors"
+    )
+
+
+def log_q_pochhammer_inf(a, q: float):
     """A logarithm of (a;q)_inf, elementwise over a scalar or an ndarray.
 
-    Truncated as q_pochhammer_inf is, once |a|max q^k < tol.rel_eps.  The
+    Truncated once |a|max q^k < _REL_EPS, at most _MAX_FACTORS factors; a
+    product that needs more, or a non-finite |a|, raises ConvergenceError.  The
     real part is log|(a;q)_inf|, -inf at a vanishing factor; the imaginary
     part is a sum of principal logs of partial products, so use the value
     through exp() or its real part.  For q near 1 the product itself
@@ -407,20 +417,8 @@ def log_q_pochhammer_inf(a, q: float, tol: SeriesTolerance = _LOG_TOL):
     q = _check_q(q)
     a = np.asarray(a, dtype=complex)
     amax = float(np.abs(a).max()) if a.size else 0.0
-    n_factors = 0
-    qk = 1.0
-    while not amax * qk < tol.rel_eps:  # a NaN never converges
-        n_factors += 1
-        if n_factors >= tol.max_terms:
-            raise ConvergenceError(
-                f"log (a;q)_inf with |a| up to {amax}, q={q} did not reach "
-                f"|a q^k| < {tol.rel_eps} within {tol.max_terms} factors"
-            )
-        qk *= q
-    # q^0 .. q^(n-1) as the same running product
-    qpow = np.full(n_factors, q)
-    qpow[:1] = 1.0
-    qpow = np.multiply.accumulate(qpow)
+    qpow = _qpow(amax, q)
+    n_factors = len(qpow)
     run = max(1, int(_RUN_LOG / max(math.log1p(amax), -math.log1p(-q))))
     flat = a.ravel()
     rows = max(1, _BLOCK // max(flat.size, 1))
@@ -440,7 +438,7 @@ def log_q_pochhammer_inf(a, q: float, tol: SeriesTolerance = _LOG_TOL):
     return complex(out) if out.ndim == 0 else out
 
 
-def q_gamma(z: complex, q: float, tol: SeriesTolerance = DEFAULT_TOL) -> complex:
+def q_gamma(z: complex, q: float) -> complex:
     """q-gamma function (q;q)_inf / (q^z;q)_inf * (1-q)^(1-z).
 
     The two infinite products are combined in log space; for q close to 1
@@ -450,8 +448,8 @@ def q_gamma(z: complex, q: float, tol: SeriesTolerance = DEFAULT_TOL) -> complex
     q = _check_q(q)
     z = complex(z)
     qz = cmath.exp(z * math.log(q))
-    log_num = log_q_pochhammer_inf(q, q, tol)
-    log_den = log_q_pochhammer_inf(qz, q, tol)
+    log_num = log_q_pochhammer_inf(q, q)
+    log_den = log_q_pochhammer_inf(qz, q)
     if log_den.real == -math.inf:
         raise PoleError(f"q-gamma pole at z={z}: (q^z;q)_inf has a vanishing factor")
     return cmath.exp(log_num - log_den + (1.0 - z) * math.log(1.0 - q))

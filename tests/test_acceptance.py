@@ -20,7 +20,7 @@ from dqm.families import (
 from dqm.fixtures import fixture_params
 from dqm.operators import sample_points
 from dqm.specfun import complex_gamma, q_pochhammer_inf
-from dqm.verify import VerifyConfig, run_suite, check_limit_aw_wilson
+from dqm.verify import VerifyConfig, run_suite
 
 ALL_FAMILIES = [FAMILIES[fid].spec.name for fid in FamilyId]
 
@@ -207,7 +207,7 @@ def test_criterion_10_lambda_shift_operators():
 
 
 def test_criterion_11_q_to_1_limit():
-    results = check_limit_aw_wilson(fixture_params("wilson"), (20.0, 40.0, 80.0))
+    results = run_suite("limit", "wilson", fixture_params("wilson"))
     by_id = {r.check_id: r for r in results}
     mono = by_id["limit.monotone_decrease"]
     ext = by_id["limit.extrapolated_deviation"]

@@ -180,6 +180,30 @@ def test_verify_all_suites_exit_zero(capsys):
     assert rc == 0
 
 
+def test_verify_n_max_zero_exits_zero(capsys):
+    # every suite runs on the level range 0..0, shifts.energy_factorization
+    # on the empty range 1..0, which reads 0
+    rc, out = run_cli(
+        capsys, "verify", "wilson", "--fixture", "default", "--n-max", "0",
+        "--suite", "all", "--output", "json",
+    )
+    assert rc == 0
+    results = {r["check_id"]: r for r in json.loads(out)["results"]}
+    assert all(r["passed"] for r in results.values())
+    assert results["shifts.energy_factorization"]["max_residual"] == 0.0
+
+
+def test_verify_tol_spares_the_limit_ratio_bound(capsys):
+    # limit.monotone_decrease bounds a ratio of deviations by 1, not a residual
+    rc, out = run_cli(
+        capsys, "verify", "wilson", "--fixture", "default", "--suite", "limit",
+        "--tol", "1e-3", "--output", "json",
+    )
+    tols = {r["check_id"]: r["tolerance"] for r in json.loads(out)["results"]}
+    assert tols == {"limit.monotone_decrease": 1.0, "limit.extrapolated_deviation": 1e-3}
+    assert rc == 1  # the extrapolated deviation reads 5.6e-3
+
+
 def test_verify_invalid_params_exit_two(capsys):
     rc, _ = run_cli(
         capsys, "verify", "askey-wilson", "--a", "1.2", "--a", "0.1",

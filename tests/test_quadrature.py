@@ -298,7 +298,7 @@ FIXTURES = [(name, fx) for name in ALL_FAMILIES for fx in fixture_names(name)]
 @pytest.mark.parametrize("family,fixture", FIXTURES)
 def test_hermiticity_forms_reproduce_the_spectrum(family, fixture):
     # phi0 P_n / sqrt(h_n) are orthonormal eigenfunctions: both forms of the
-    # pair (P_n, P_m) equal E_n delta_nm; the pairs are check_hermiticity's
+    # pair (P_n, P_m) equal E_n delta_nm; the pairs are the hermiticity suite's
     fam = get_family(family)
     p = fixture_params(family, fixture)
     polys = [
@@ -318,7 +318,7 @@ def test_hermiticity_forms_reproduce_the_spectrum(family, fixture):
 @pytest.mark.parametrize("family,fixture", FIXTURES)
 def test_hermiticity_evaluates_phi0_once_per_level(family, fixture, monkeypatch):
     import dqm.quadrature as quadrature
-    from dqm.verify import check_hermiticity
+    from dqm.verify import run_suite
 
     fam = get_family(family)
     p = fixture_params(family, fixture)
@@ -333,7 +333,7 @@ def test_hermiticity_evaluates_phi0_once_per_level(family, fixture, monkeypatch)
         return plain(self, params, x)
 
     monkeypatch.setattr(type(fam), "log_amplitude", counted)
-    assert all(r.passed for r in check_hermiticity(fam, p))
+    assert all(r.passed for r in run_suite("hermiticity", fam, p))
     # one weight evaluation per refinement level, each on more nodes than the
     # last: a level evaluated twice (per pair or per form) would repeat a size
     assert len(sizes) >= 2

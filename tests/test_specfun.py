@@ -17,7 +17,6 @@ from dqm.specfun import (
     ConvergenceError,
     DomainError,
     PoleError,
-    SeriesTolerance,
     basic_hypergeometric_phi,
     complex_gamma,
     hypergeometric_F,
@@ -94,8 +93,14 @@ def test_q_pochhammer_inf_shift_property(a, q):
     assert lhs == pytest.approx(1 - a, rel=1e-12)
 
 def test_q_pochhammer_inf_nonconvergence():
+    # ~3.5e9 factors, past the 2 000 000 of the truncation rule
     with pytest.raises(ConvergenceError):
-        q_pochhammer_inf(1.0, 0.999999, SeriesTolerance(rel_eps=1e-15, max_terms=50))
+        q_pochhammer_inf(1.0, 1 - 1e-8)
+
+
+def test_q_pochhammer_inf_is_the_exponential_of_the_log_kernel():
+    # one truncation rule: q = 0.999 takes ~35 000 factors on both paths
+    assert q_pochhammer_inf(0.5, 0.999) == cmath.exp(log_q_pochhammer_inf(0.5, 0.999))
 
 
 # -------------------------------------------------------------------- gamma
@@ -256,7 +261,7 @@ def test_log_q_pochhammer_inf_where_the_product_underflows():
     # runs of factors must add up to the plain sum of the factors' logs
     q = 0.999
     a = np.array([q, 0.5 + 0.5j, -0.9])
-    got = log_q_pochhammer_inf(a, q, SeriesTolerance(max_terms=100_000))
+    got = log_q_pochhammer_inf(a, q)
     for ai, g in zip(a, got):
         want = 0j
         k = 0
@@ -269,16 +274,17 @@ def test_log_q_pochhammer_inf_where_the_product_underflows():
     assert got.real[0] < -1000.0
 
 
-def _log_q_pochhammer_inf_by_a_loop(a, q, tol=SeriesTolerance(max_terms=2_000_000)):
+def _log_q_pochhammer_inf_by_a_loop(a, q):
     """The factor loop the block kernel replaced, kept as its reference:
+    factors counted one by one until |a|max q^k < 1e-15 (at most 2 000 000),
     one prod *= 1 - a q^k per factor, one log per run of factors."""
     a = np.asarray(a, dtype=complex)
     amax = float(np.abs(a).max()) if a.size else 0.0
     n_factors = 0
     qk = 1.0
-    while not amax * qk < tol.rel_eps:
+    while not amax * qk < 1e-15:
         n_factors += 1
-        if n_factors >= tol.max_terms:
+        if n_factors >= 2_000_000:
             raise ConvergenceError("no convergence")
         qk *= q
     run = max(1, int(300.0 / max(math.log1p(amax), -math.log1p(-q))))
@@ -346,6 +352,18 @@ def test_log_q_pochhammer_inf_never_converges_on_nan():
         log_q_pochhammer_inf(np.array([0.5, complex(0.2, math.nan)]), 0.5)
     with pytest.raises(ConvergenceError):
         log_q_pochhammer_inf(math.nan, 0.5)
+    with pytest.raises(ConvergenceError):
+        log_q_pochhammer_inf(np.array([math.inf, 0.5]), 0.5)
+
+
+def test_log_q_pochhammer_inf_counts_the_factors_as_the_loop_does():
+    # |a| q^k at and next to 1e-15: the count taken from the log estimate is
+    # the loop's first k with |a| q^k < 1e-15, q^k as a running product
+    for q in (0.25, 0.5, 0.9, 0.995):
+        for k in (1, 2, 10, 100):
+            for s in (1 - 2**-52, 1.0, 1 + 2**-52):
+                a = 1e-15 / q**k * s
+                _same_bits(log_q_pochhammer_inf(a, q), _log_q_pochhammer_inf_by_a_loop(a, q))
 
 
 def test_log_q_pochhammer_inf_memory_stays_linear_in_the_points():
@@ -385,5 +403,4 @@ def test_q_gamma_poles(z):
         q_gamma(z, 0.5)
 
 def test_q_gamma_classical_limit():
-    tol = SeriesTolerance(rel_eps=1e-12, max_terms=200_000)
-    assert q_gamma(3, 0.999, tol) == pytest.approx(2.0, abs=1e-2)
+    assert q_gamma(3, 0.999) == pytest.approx(2.0, abs=1e-2)

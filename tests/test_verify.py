@@ -16,14 +16,12 @@ from dqm.polynomials import EtaPolynomial
 from dqm.specfun import basic_hypergeometric_phi, hypergeometric_F, q_pochhammer_inf
 from dqm.verify import (
     SUITES,
+    TOLERANCES,
     CheckResult,
     VerifyConfig,
-    check_coherent,
-    check_limit_aw_wilson,
-    check_number_operator,
-    check_shape_invariance,
     run_suite,
     _coherent_closed_form,
+    _coherent_series,
     _default_alpha,
     _ladder_ratios,
     _residual,
@@ -53,7 +51,7 @@ def test_closure_suite_wilson():
 @pytest.mark.parametrize("family", ALL_FAMILIES)
 def test_fast_suites_pass(family):
     p = fixture_params(family)
-    cfg = VerifyConfig(n_max=5, samples=8)
+    cfg = VerifyConfig(n_max=5)
     for suite in ("eigen", "shape_invariance", "closure", "dual_closure",
                   "shifts", "ladder", "number_operator"):
         for r in run_suite(suite, family, p, cfg):
@@ -61,7 +59,7 @@ def test_fast_suites_pass(family):
 
 
 def test_determinism_bit_identical():
-    cfg = VerifyConfig(n_max=4, samples=6, seed=3)
+    cfg = VerifyConfig(n_max=4, seed=3)
     a = run_suite("closure", "askey-wilson", fixture_params("askey-wilson"), cfg)
     b = run_suite("closure", "askey-wilson", fixture_params("askey-wilson"), cfg)
     assert a == b
@@ -80,13 +78,21 @@ def test_suite_ids_unique_across_suites():
     p = fixture_params("continuous-q-hermite")
     seen = {}
     for suite in SUITES:
-        for r in run_suite(suite, "continuous-q-hermite", p, VerifyConfig(n_max=3, samples=4)):
+        for r in run_suite(suite, "continuous-q-hermite", p, VerifyConfig(n_max=3)):
             assert r.check_id not in seen, (r.check_id, suite, seen.get(r.check_id))
             seen[r.check_id] = suite
         # limit runs only on wilson
-    results = check_limit_aw_wilson(fixture_params("wilson"))
+    results = run_suite("limit", "wilson", fixture_params("wilson"))
     for r in results:
         assert r.check_id.startswith("limit.")
+
+
+def test_every_tolerance_judges_an_emitted_check():
+    # at the default config the bundled fixtures emit every check of
+    # TOLERANCES, and no check without an entry there
+    emitted = {r.check_id for family, fixture in ALL_FIXTURES for suite in SUITES
+               for r in run_suite(suite, family, fixture_params(family, fixture))}
+    assert emitted == set(TOLERANCES)
 
 
 # --------------------------------------------------------- shape invariance
@@ -96,7 +102,7 @@ def test_shape_invariance_q_hermite_constants():
     p = ParamSet(q=0.5)
     assert fam.kappa(p) == pytest.approx(2.0)
     assert fam.energy(p, 1) == pytest.approx(1.0)
-    results = check_shape_invariance(fam, p)
+    results = run_suite("shape_invariance", fam, p)
     assert all(r.passed for r in results)
 
 
@@ -105,7 +111,7 @@ def test_shape_invariance_meixner_pollaczek_constants():
     p = fixture_params("meixner-pollaczek")
     assert fam.kappa(p) == 1.0
     assert fam.energy(p, 1) == pytest.approx(2 * math.sin(p.phi))
-    results = check_shape_invariance(fam, p)
+    results = run_suite("shape_invariance", fam, p)
     assert all(r.passed for r in results)
 
 
@@ -113,11 +119,15 @@ def test_shape_invariance_meixner_pollaczek_constants():
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)
 def test_coherent_annihilation(family):
+    fam = get_family(family)
     p = fixture_params(family)
-    ev, _ = check_coherent(family, p)
-    assert ev.truncation_N >= 10
-    assert ev.tail_estimate < 1e-12
-    assert ev.annihilation_residual <= 1e-7
+    n, tail, _, _ = _coherent_series(fam, p, _default_alpha(fam), sample_points(fam, p, 6, 0))
+    assert n >= 10
+    assert tail < 1e-12
+    ann = run_suite("coherent", family, p)[0]
+    assert ann.check_id == "coherent.annihilation_eigenvector"
+    assert ann.level_range == (0, n)
+    assert ann.max_residual <= 1e-7
 
 
 @pytest.mark.parametrize(
@@ -127,9 +137,9 @@ def test_coherent_annihilation(family):
 )
 def test_coherent_closed_forms(family):
     p = fixture_params(family)
-    ev, worst_closed = check_coherent(family, p)
-    assert ev.closed_form is not None
-    assert worst_closed is not None and worst_closed <= 1e-8
+    closed = run_suite("coherent", family, p)[1]
+    assert closed.check_id == "coherent.closed_form"
+    assert closed.max_residual <= 1e-8
 
 
 def _truncation_by_a_loop(terms):
@@ -157,7 +167,7 @@ def test_coherent_truncation_matches_the_loop():
 
 
 def _coherent_by_all_levels(fam, p, seed):
-    """check_coherent as it was before N was found first: every level
+    """The coherent suite as it was before N was found first: every level
     P_0 .. P_60 on the whole shift lattice, N read off the centre row at the
     first point.  (N, tail, partial sum at the first point, annihilation
     residual, closed-form residual)."""
@@ -185,9 +195,13 @@ def test_coherent_truncation_first_matches_all_levels(family, fixture):
     fam = get_family(family)
     p = fixture_params(family, fixture)
     for seed in range(5):
-        ev, worst_closed = check_coherent(fam, p, config=VerifyConfig(seed=seed))
-        got = (ev.truncation_N, ev.tail_estimate, ev.partial_sum,
-               ev.annihilation_residual, worst_closed)
+        n, tail, sums, _ = _coherent_series(fam, p, _default_alpha(fam),
+                                            sample_points(fam, p, 6, seed))
+        results = run_suite("coherent", fam, p, VerifyConfig(seed=seed))
+        assert {r.level_range for r in results} == {(0, n)}
+        residuals = [r.max_residual for r in results]
+        got = (n, tail, complex(sums.val[0, 0]), residuals[0],
+               residuals[1] if len(residuals) > 1 else None)
         assert got == _coherent_by_all_levels(fam, p, seed)
 
 
@@ -235,9 +249,10 @@ def test_coherent_closed_form_matches_the_series_kernels(family, fixture, seed):
 
 
 def test_coherent_alpha_zero_reduces_to_ground_state():
+    fam = get_family("continuous-q-hermite")
     p = fixture_params("continuous-q-hermite")
-    ev, _ = check_coherent("continuous-q-hermite", p, alpha=0.0)
-    assert ev.partial_sum == pytest.approx(1.0)
+    _, _, sums, _ = _coherent_series(fam, p, 0.0, sample_points(fam, p, 6, 0))
+    assert complex(sums.val[0, 0]) == pytest.approx(1.0)
 
 
 def test_coherent_q_hermite_golden_value():
@@ -248,40 +263,32 @@ def test_coherent_q_hermite_golden_value():
     for k in range(60):
         prod *= (1 - 2 * alpha * 1j * q**k) * (1 + 2 * alpha * 1j * q**k)
     expected = 1.0 / prod
-    ev, worst = check_coherent(
-        "continuous-q-hermite", ParamSet(q=q), alpha=alpha,
-        x_samples=[math.pi / 2],
-    )
-    assert ev.closed_form == pytest.approx(expected, rel=1e-10)
-    assert ev.partial_sum == pytest.approx(expected, rel=1e-8)
+    fam, p = get_family("continuous-q-hermite"), ParamSet(q=q)
+    assert _default_alpha(fam) == alpha
+    _, _, sums, _ = _coherent_series(fam, p, alpha, [math.pi / 2])
+    closed = _coherent_closed_form(fam, p, alpha, [math.pi / 2])
+    assert complex(closed.val[0]) == pytest.approx(expected, rel=1e-10)
+    assert complex(sums.val[0, 0]) == pytest.approx(expected, rel=1e-8)
 
 
 def test_coherent_al_salam_chihara_symmetric():
     p = fixture_params("al-salam-chihara")
     p_swapped = ParamSet(a=(p.a[1], p.a[0]), q=p.q)
-    ev1, _ = check_coherent("al-salam-chihara", p, x_samples=[1.1])
-    ev2, _ = check_coherent("al-salam-chihara", p_swapped, x_samples=[1.1])
-    assert ev1.closed_form == pytest.approx(ev2.closed_form, rel=1e-10)
-
-
-def test_coherent_alpha_bound():
-    with pytest.raises(ValueError, match="convergence"):
-        check_coherent("continuous-q-hermite", ParamSet(q=0.5), alpha=0.5)
+    fam = get_family("al-salam-chihara")
+    alpha = _default_alpha(fam)
+    c1 = _coherent_closed_form(fam, p, alpha, [1.1]).val[0]
+    c2 = _coherent_closed_form(fam, p_swapped, alpha, [1.1]).val[0]
+    assert c1 == pytest.approx(c2, rel=1e-10)
 
 
 # -------------------------------------------------------------------- limit
 
 def test_limit_results():
-    results = check_limit_aw_wilson(fixture_params("wilson"))
+    results = run_suite("limit", "wilson", fixture_params("wilson"))
     assert [r.check_id for r in results] == [
         "limit.monotone_decrease", "limit.extrapolated_deviation",
     ]
     assert all(r.passed for r in results)
-
-
-def test_limit_needs_three_points():
-    with pytest.raises(ValueError, match="at least 3"):
-        check_limit_aw_wilson(fixture_params("wilson"), (20.0, 40.0))
 
 
 def test_limit_suite_skips_non_wilson():
@@ -293,7 +300,7 @@ def test_limit_suite_skips_non_wilson():
 @pytest.mark.parametrize("family", ALL_FAMILIES)
 def test_number_operator_all_families(family):
     p = fixture_params(family)
-    r = check_number_operator(family, p)
+    [r] = run_suite("number_operator", family, p)
     assert r.passed
 
 
@@ -387,7 +394,7 @@ def test_report_bit_identical_across_runs(tmp_path):
 def test_identity_suites_at_generic_q():
     # the operator identities do not depend on the dyadic default q
     p = ParamSet(a=(0.3 + 0.4j, 0.3 - 0.4j, 0.6, 0.4), q=0.8)
-    cfg = VerifyConfig(n_max=4, samples=6)
+    cfg = VerifyConfig(n_max=4)
     for suite in ("eigen", "closure", "ladder", "shifts"):
         for r in run_suite(suite, "askey-wilson", p, cfg):
             assert r.passed, (r.check_id, r.max_residual)
@@ -439,7 +446,7 @@ def test_nan_residual_fails_its_check(monkeypatch):
         return math.nan if round(n) == 5 else n
 
     monkeypatch.setattr(type(fam), "level_from_energy", nan_at_level_five)
-    r = check_number_operator(fam, p)
+    [r] = run_suite("number_operator", fam, p)
     assert math.isnan(r.max_residual)
     assert not r.passed
 
