@@ -148,8 +148,7 @@ def cmd_eval(args) -> int:
     poly = eval_poly_recurrence(fam, p, n)
     v_rec = poly.eval(eta)
     v_hyp = eval_poly_hypergeometric(fam, p, n, eta)
-    with np.errstate(over="ignore"):  # printed from its log past the double range
-        phi0 = fam.phi0(p, x)
+    phi0 = fam.phi0(p, x)  # inf past the double range, printed from its log
     log_phi0 = float(np.real(fam.log_amplitude(p, x)))
     record = {
         "family": fam.spec.name,

@@ -295,9 +295,10 @@ class Family:
 
     def phi0(self, p: ParamSet, x):
         """Ground-state weight function |g(x)|, vectorised over real x; a
-        float at a scalar x."""
+        float at a scalar x; inf past the double range."""
         x = np.asarray(x, dtype=float)
-        out = np.exp(np.real(self.log_amplitude(p, x)))
+        with np.errstate(over="ignore"):
+            out = np.exp(np.real(self.log_amplitude(p, x)))
         return float(out) if out.ndim == 0 else out
 
     def weight_square(self, p: ParamSet, w):

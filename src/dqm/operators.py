@@ -373,17 +373,29 @@ def apply_ladder(sign: str, n: int, poly: EtaPolynomial, x) -> complex:
 
 
 def rodrigues_polynomial(family, params: ParamSet, n: int, xs) -> Terms:
-    """P_n(.;lambda) at the points xs, reconstructed by the n-fold
-    backward-shift chain B(lambda) ... B(lambda+(n-1)delta) acting on the
-    constant 1, divided by the product of the b-constants.  A (1, points)
-    Terms."""
+    """P_0 .. P_n(.;lambda) at the points xs, reconstructed by the backward-
+    shift chains B(lambda) ... B(lambda+(m-1)delta) acting on the constant 1,
+    each divided by the product of its b-constants.  A (n+1, 1, points)
+    Terms.
+
+    B(lambda+j*delta) is the same step of every chain longer than j, so the
+    chains run as one stack: at step j the chain of level j+1 joins it with
+    ones on the rows -(j+1)..(j+1), where every live chain then sits, and
+    one backward shift acts on them all."""
     fam = get_family(family)
     lat = OperatorContext(fam, params).lattice(xs, n)
-    f = Terms(np.ones(lat.w.shape, dtype=complex))
+    f = Terms(np.ones((0,) + lat.w.shape, dtype=complex))
     for j in range(n - 1, -1, -1):
         p_j = fam.shifted(params, j)
-        f = OperatorContext(fam, p_j).backward(f, lat) / fam.b_shift(p_j, n - 1 - j)
-    return f
+        f = OperatorContext(fam, p_j).backward(_ones_first(f), lat) / per_level(
+            [fam.b_shift(p_j, k) for k in range(n - j)])
+    return _ones_first(f)
+
+
+def _ones_first(f: Terms) -> Terms:
+    """The stack f with one chain of ones on its rows put in front."""
+    one = np.ones((1,) + f.val.shape[1:])
+    return Terms(np.concatenate((one, f.val)), np.concatenate((one, f.mag)))
 
 
 # --------------------------------------------------- lambda-shift operators

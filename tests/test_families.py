@@ -7,6 +7,7 @@ import cmath
 import functools
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -241,6 +242,17 @@ def test_h0_from_its_logarithm(family, name):
     fam = get_family(family)
     p = fixture_params(family, name)
     assert fam.h0(p) == pytest.approx(H0_LINEAR[(family, name)], rel=1e-14)
+
+
+def test_phi0_is_inf_past_the_double_range_without_a_warning():
+    # phi0 ~ 2e436 at a = 200, phi = 0.5, x = -365 (see test_cli), as h0 is
+    # inf past the range: silently, at a scalar and on an array
+    fam = get_family("meixner-pollaczek")
+    p = ParamSet(a=(200.0,), phi=0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert fam.phi0(p, -365.0) == math.inf
+        assert np.isinf(fam.phi0(p, np.array([-365.0, -400.0]))).all()
 
 
 @pytest.mark.parametrize("family,name", all_fixtures())

@@ -199,12 +199,40 @@ def test_rodrigues_chain(family, name):
     p = fixture_params(family, name)
     fam = get_family(family)
     xs = sample_points(fam, p, 4)
+    chains = rodrigues_polynomial(fam, p, 7, xs)
+    assert chains.val.shape == (8, 1, 4)
     for n in (0, 1, 4, 7):
-        chain = rodrigues_polynomial(fam, p, n, xs).val[0]
         poly = eval_poly_recurrence(fam, p, n)
-        for got, x in zip(chain, xs):
+        for got, x in zip(chains.val[n, 0], xs):
             target = poly.eval(fam.eta(x))
             assert abs(got - target) <= 1e-9 * (1 + abs(target))
+
+
+def _rodrigues_one_level(fam, p, n, xs):
+    """P_n alone by its own chain B(lambda) ... B(lambda+(n-1)delta) 1: the
+    reference the stacked chains must reproduce bit for bit."""
+    lat = OperatorContext(fam, p).lattice(xs, n)
+    f = Terms(np.ones(lat.w.shape, dtype=complex))
+    for j in range(n - 1, -1, -1):
+        p_j = fam.shifted(p, j)
+        f = OperatorContext(fam, p_j).backward(f, lat) / fam.b_shift(p_j, n - 1 - j)
+    return f
+
+
+@pytest.mark.parametrize("family,name,n_max",
+                         [(f, x, 8) for f, x in all_fixtures()]
+                         + [(f, x, 30) for f, x in all_fixtures() if x == "default"])
+def test_rodrigues_stack_is_bit_identical_to_one_chain_per_level(family, name, n_max):
+    fam = get_family(family)
+    p = fixture_params(family, name)
+    xs = sample_points(fam, p, 5, seed=1)
+    chains = rodrigues_polynomial(fam, p, n_max, xs)
+    assert chains.val.shape == (n_max + 1, 1, 5)
+    for n in range(n_max + 1):
+        one = _rodrigues_one_level(fam, p, n, xs)
+        assert np.array_equal(chains.val[n], one.val)
+        assert np.array_equal(chains.mag[n], one.mag)
+
 
 def test_forward_singular_at_phi_zero():
     p = fixture_params("wilson")

@@ -115,6 +115,34 @@ def test_shape_invariance_meixner_pollaczek_constants():
     assert all(r.passed for r in results)
 
 
+# ------------------------------------------------------------------- shifts
+
+@pytest.mark.parametrize("family,fixture",
+                         [(f, "default") for f in ALL_FAMILIES]
+                         + [("meixner-pollaczek", "half-pi")])
+def test_shifts_suite_covers_levels_to_n_max_30(family, fixture):
+    # every check, the Rodrigues chain and the explicit X (Meixner-Pollaczek
+    # at pi/2, continuous dual Hahn) included, covers levels 0..30
+    results = run_suite("shifts", family, fixture_params(family, fixture),
+                        VerifyConfig(n_max=30))
+    assert "shifts.rodrigues_chain" in {r.check_id for r in results}
+    if fixture == "half-pi" or family == "continuous-dual-hahn":
+        assert "shifts.lambda_shift_x" in {r.check_id for r in results}
+    for r in results:
+        assert r.passed, (r.check_id, r.max_residual, r.tolerance)
+        assert r.level_range[1] == 30, (r.check_id, r.level_range)
+
+
+def test_lambda_shift_x_stops_at_level_30():
+    # above level 30 the explicit X misses its tolerance (2.2e-14 against
+    # 1.7e-14 at level 40 here); the other shifts checks run to n_max
+    p = fixture_params("continuous-dual-hahn", "real")
+    results = run_suite("shifts", "continuous-dual-hahn", p, VerifyConfig(n_max=40, seed=1))
+    for r in results:
+        assert r.passed, (r.check_id, r.max_residual, r.tolerance)
+        assert r.level_range[1] == (30 if r.check_id == "shifts.lambda_shift_x" else 40)
+
+
 # ----------------------------------------------------------------- coherent
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)

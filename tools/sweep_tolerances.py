@@ -7,12 +7,14 @@ number_operator) run once per fixture.  For each check the sweep prints its
 worst residual, ten times that worst rounded up to two figures (the rule
 behind the pointwise entries of dqm.verify.TOLERANCES) and the current
 tolerance.  It exits 1 if any check misses its tolerance or any suite raises.
+Every suite runs at --n-max levels (default 8, the verify default).
 
-    python3 tools/sweep_tolerances.py
+    python3 tools/sweep_tolerances.py [--n-max N]
 """
 
 from __future__ import annotations
 
+import argparse
 import math
 import os
 import sys
@@ -39,6 +41,10 @@ def two_figures_up(x: float) -> float:
 
 
 def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--n-max", type=int, default=8, metavar="N",
+                        help="levels 0..N (default 8)")
+    n_max = parser.parse_args().n_max
     worst: dict[str, tuple] = {}
     misses, errors = [], []
     runs = [(suite, seed) for seed in SEEDS for suite in POINTWISE]
@@ -50,7 +56,7 @@ def main() -> int:
         for suite, seed in runs:
             where = (family, fx, suite, seed)
             try:
-                results = run_suite(suite, family, p, VerifyConfig(seed=seed))
+                results = run_suite(suite, family, p, VerifyConfig(n_max=n_max, seed=seed))
             except Exception as exc:  # a suite that cannot run is reported
                 errors.append((*where, f"{type(exc).__name__}: {exc}"))
                 continue
