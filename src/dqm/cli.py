@@ -1,8 +1,10 @@
 """Command-line front end: list | eval | table | verify.
 
 Exit codes: 0 success, 1 at least one check failed, 2 usage or parameter
-validation error.  Complex parameters are given as repeated --a flags with
-'re+imi' literals; a named --fixture overrides inline parameters.
+validation error.  A verify report that fails report_schema.json is a
+fault in dqm: ReportSchemaError escapes main.  Complex parameters are given
+as repeated --a flags with 're+imi' literals; a named --fixture overrides
+inline parameters.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import argparse
 import functools
 import json
 import math
+import numbers
 import sys
 from dataclasses import asdict
 from decimal import Decimal
@@ -212,24 +215,86 @@ def cmd_table(args) -> int:
     return 0
 
 
+class ReportSchemaError(Exception):
+    """A report that does not match report_schema.json.  That is a fault in
+    dqm, not a usage error, so this is neither a ValueError nor a
+    ValidationError, which main maps to exit code 2."""
+
+
+# The JSON Schema 2020-12 types as jsonschema checks them: a bool is no
+# number, 1.0 is an integer, NaN and +-inf are numbers.
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "null": lambda v: v is None,
+    "number": lambda v: isinstance(v, numbers.Number) and not isinstance(v, bool),
+    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool))
+    or (isinstance(v, float) and v.is_integer()),
+}
+# The keywords report_schema.json uses, annotations first; _check_schema
+# refuses any other, so a schema the checker does not understand never passes.
+_KEYWORDS = {"$schema", "title", "description", "type", "required", "properties",
+             "additionalProperties", "items", "minimum", "minItems", "maxItems"}
+
+
+def _check_schema(schema) -> None:
+    """Raise on any keyword the report checker does not implement."""
+    if not isinstance(schema, dict) or set(schema) - _KEYWORDS or (
+        schema.get("additionalProperties", False) is not False
+    ):
+        raise ReportSchemaError(f"unsupported schema {schema!r}")
+    for sub in schema.get("properties", {}).values():
+        _check_schema(sub)
+    if "items" in schema:
+        _check_schema(schema["items"])
+
+
+def _conform(schema: dict, v, path: str = "report") -> None:
+    """Raise ReportSchemaError where v does not match schema."""
+    def fail(why: str):
+        raise ReportSchemaError(f"{path}: {why}")
+
+    types = schema.get("type", ())
+    types = [types] if isinstance(types, str) else types
+    if types and not any(_TYPES[t](v) for t in types):
+        fail(f"{v!r} is not of type {' or '.join(types)}")
+    if isinstance(v, dict):
+        props = schema.get("properties", {})
+        if missing := [k for k in schema.get("required", ()) if k not in v]:
+            fail(f"missing {missing}")
+        if "additionalProperties" in schema and (extra := v.keys() - props.keys()):
+            fail(f"unexpected {sorted(extra)}")
+        for k in props.keys() & v.keys():
+            _conform(props[k], v[k], f"{path}.{k}")
+    if isinstance(v, list):
+        if not schema.get("minItems", 0) <= len(v) <= schema.get("maxItems", math.inf):
+            fail(f"{len(v)} items")
+        for i, item in enumerate(v):
+            _conform(schema.get("items", {}), item, f"{path}[{i}]")
+    if "minimum" in schema and _TYPES["number"](v) and v < schema["minimum"]:
+        fail(f"{v!r} is less than {schema['minimum']!r}")
+
+
 @functools.cache
-def _report_validator():
-    """Validator for report_schema.json, read once per process.
+def _report_schema() -> dict:
+    """report_schema.json, read and checked for keywords once per process.
 
-    The schema is not checked against its meta-schema here, as
-    jsonschema.validate would on every call; a test does that once.
+    The schema is not checked against its meta-schema here.  The tests do
+    that with jsonschema and compare its verdicts with _conform's.
     """
-    import jsonschema
-
     with resources.files("dqm.data").joinpath("report_schema.json").open(
         "r", encoding="utf-8"
     ) as fh:
         schema = json.load(fh)
-    return jsonschema.validators.validator_for(schema)(schema)
+    _check_schema(schema)
+    return schema
 
 
 def validate_report(doc: dict) -> None:
-    _report_validator().validate(doc)
+    """Raise ReportSchemaError unless doc matches report_schema.json."""
+    _conform(_report_schema(), doc)
 
 
 def cmd_verify(args) -> int:

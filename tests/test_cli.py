@@ -2,15 +2,23 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import math
+import os
+import random
+import subprocess
+import sys
 from decimal import Decimal
 from importlib import resources
 
 import jsonschema
 import pytest
 
-from dqm.cli import main, validate_report
+import dqm
+from dqm import cli
+from dqm.cli import ReportSchemaError, main, validate_report
+from dqm.fixtures import load_fixtures
 
 
 def run_cli(capsys, *argv):
@@ -270,13 +278,149 @@ def test_complex_literal_parsing():
     assert parse_complex("0.3+0.5j") == 0.3 + 0.5j
 
 
-def test_report_schema_is_valid_and_enforced():
-    # validate_report skips the meta-schema check, so it is made here once
-    schema = json.loads(
+def _report_schema() -> dict:
+    return json.loads(
         resources.files("dqm.data").joinpath("report_schema.json").read_text(
             encoding="utf-8"
         )
     )
+
+
+def test_report_schema_is_valid_and_enforced():
+    # validate_report skips the meta-schema check, so it is made here once
+    schema = _report_schema()
     jsonschema.validators.validator_for(schema).check_schema(schema)
-    with pytest.raises(jsonschema.ValidationError):
+    with pytest.raises(ReportSchemaError):
         validate_report({"version": 1, "config": {}})
+
+
+def _keywords(schema: dict):
+    yield from schema
+    for sub in schema.get("properties", {}).values():
+        yield from _keywords(sub)
+    if "items" in schema:
+        yield from _keywords(schema["items"])
+
+
+def test_report_checker_supports_every_schema_keyword():
+    schema = _report_schema()
+    assert set(_keywords(schema)) <= cli._KEYWORDS
+    cli._check_schema(schema)
+    # a keyword the checker does not implement is refused, never ignored
+    patterned = copy.deepcopy(schema)
+    patterned["properties"]["results"]["items"]["properties"]["check_id"][
+        "pattern"] = "^[a-z_]+[.][a-z_]+$"
+    with pytest.raises(ReportSchemaError):
+        cli._check_schema(patterned)
+    opened = copy.deepcopy(schema)
+    opened["properties"]["config"]["additionalProperties"] = {"type": "string"}
+    with pytest.raises(ReportSchemaError):
+        cli._check_schema(opened)
+
+
+def test_report_failing_the_schema_is_no_usage_error(monkeypatch):
+    # a bad report is a fault in dqm: it escapes main rather than exit 2
+    monkeypatch.setattr(cli, "REPORT_VERSION", 0)  # violates minimum: 1
+    with pytest.raises(ReportSchemaError):
+        main(["verify", "continuous-q-hermite", "--q", "0.5", "--suite", "eigen"])
+    assert not issubclass(ReportSchemaError, (ValueError, cli.ValidationError))
+
+
+def test_verify_does_not_import_jsonschema():
+    script = (
+        "import sys\n"
+        "from dqm.cli import main\n"
+        "rc = main(['verify', 'continuous-q-hermite', '--q', '0.5', '--suite', 'eigen'])\n"
+        "assert rc == 0 and 'jsonschema' not in sys.modules, rc\n"
+    )
+    src = os.path.dirname(os.path.dirname(dqm.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.fixture(scope="module")
+def eigen_reports(tmp_path_factory) -> list:
+    """The eigen report of every bundled fixture (22)."""
+    path = tmp_path_factory.mktemp("reports") / "report.json"
+    reports = []
+    for family, table in load_fixtures()["families"].items():
+        for fixture in sorted(table):
+            main(["verify", family, "--fixture", fixture, "--suite", "eigen",
+                  "--report", str(path)])
+            reports.append(json.loads(path.read_text(encoding="utf-8")))
+    assert len(reports) == 22
+    return reports
+
+
+_DROP = object()
+
+
+def _mutants(reports: list, rng: random.Random):
+    """Seeded edits of real reports, valid and invalid, one per case.  A path
+    starts at the report ("doc") or at one of its results ("result")."""
+    def edit(path, value=_DROP):
+        doc = copy.deepcopy(rng.choice(reports))
+        root, *keys, last = path
+        target = rng.choice(doc["results"]) if root == "result" else doc
+        for key in keys:
+            target = target[key]
+        if value is _DROP:
+            del target[last]
+        else:
+            target[last] = value
+        return doc
+
+    schema = _report_schema()
+    objects = {
+        ("doc",): schema,
+        ("doc", "config"): schema["properties"]["config"],
+        ("result",): schema["properties"]["results"]["items"],
+    }
+    for prefix, sub in objects.items():  # each key removed, required or not
+        for key in sub["properties"]:
+            yield edit([*prefix, key])
+    for prefix in (*objects, ("doc", "config", "params"), ("result", "params")):
+        yield edit([*prefix, "extra"], 1)
+    values = {
+        "int": [True, False, 1.0, -0.0, 2.5, -1, 0, 3, "1", None, float("nan")],
+        "num": [float("nan"), float("inf"), -float("inf"), True, None, 0, 1e-3, "0.1", [1.0]],
+    }
+    slots = [
+        (["doc", "version"], "int"), (["doc", "config", "n_max"], "int"),
+        (["doc", "config", "seed"], "int"), (["doc", "config", "tol"], "num"),
+        (["result", "samples_used"], "int"), (["result", "level_range", 0], "int"),
+        (["result", "level_range", 1], "int"), (["result", "max_residual"], "num"),
+        (["result", "tolerance"], "num"), (["result", "params", "q"], "num"),
+        (["result", "passed"], "num"), (["result", "check_id"], "num"),
+        (["doc", "config", "families"], "num"),
+    ]
+    for path, kind in slots:
+        for value in values[kind]:
+            yield edit(path, value)
+    for size in range(5):
+        yield edit(["result", "level_range"], list(range(size)))
+    others = [None, {}, [], "x", 1, [1], [{}], {"a": 1}, ["0.5"], True]
+    paths = [["doc", "config"], ["doc", "results"], ["doc", "config", "params"],
+             ["doc", "config", "suites"], ["doc", "config", "fixture"],
+             ["result", "params"], ["result", "params", "a"], ["result", "family"]]
+    for _ in range(300):
+        yield edit(rng.choice(paths), rng.choice(others))
+    yield from copy.deepcopy(reports)
+
+
+def test_report_checker_agrees_with_jsonschema(eigen_reports):
+    schema = _report_schema()
+    oracle = jsonschema.validators.validator_for(schema)(schema)
+    verdicts = {True: 0, False: 0}
+    for doc in _mutants(eigen_reports, random.Random(17)):
+        try:
+            validate_report(doc)
+            valid = True
+        except ReportSchemaError:
+            valid = False
+        assert valid == oracle.is_valid(doc), doc
+        verdicts[valid] += 1
+    assert verdicts[True] >= 50 and verdicts[False] >= 200, verdicts
