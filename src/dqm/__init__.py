@@ -27,22 +27,8 @@ from .families import (
     validate_params,
 )
 from .fixtures import fixture_names, fixture_params, parse_complex
-from .operators import (
-    OperatorContext,
-    apply_backward_shift,
-    apply_forward_shift,
-    apply_ladder,
-    apply_tilde_H,
-    commutator_H_eta,
-    lambda_shift_X,
-    sample_points,
-)
-from .quadrature import (
-    OrthoMatrix,
-    hermiticity_check,
-    inner_product,
-    orthogonality_matrix,
-)
+from .operators import OperatorContext, lambda_shift_X, sample_points
+from .quadrature import OrthoMatrix, orthogonality_matrix
 from .specfun import (
     basic_hypergeometric_phi,
     complex_gamma,

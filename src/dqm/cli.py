@@ -1,10 +1,12 @@
 """Command-line front end: list | eval | table | verify.
 
 Exit codes: 0 success, 1 at least one check failed, 2 usage or parameter
-validation error.  A verify report that fails report_schema.json is a
-fault in dqm: ReportSchemaError escapes main.  Complex parameters are given
-as repeated --a flags with 're+imi' literals; a named --fixture overrides
-inline parameters.
+validation error, 141 (128 + SIGPIPE, as a shell reports a process that
+SIGPIPE ended) when the reader of stdout closed it early, as `head` does.
+A verify report that fails report_schema.json is a fault in dqm:
+ReportSchemaError escapes main.  Complex parameters are given as repeated
+--a flags with 're+imi' literals; a named --fixture overrides inline
+parameters.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import functools
 import json
 import math
 import numbers
+import os
 import sys
 from dataclasses import asdict
 from decimal import Decimal
@@ -404,14 +407,23 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if getattr(args, "n_max", 0) and args.n_max > 30:
-        print("error: n_max must be <= 30", file=sys.stderr)
+    if not 0 <= getattr(args, "n_max", 0) <= 30:
+        print("error: n_max must be in 0..30", file=sys.stderr)
         return 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
     except (ValidationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull, so that the
+        # interpreter's final flush of what is still buffered cannot raise
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

@@ -154,4 +154,4 @@ def eval_poly_recurrence(family, p: ParamSet, n: int) -> EtaPolynomial:
         a.append(complex(fam.a_rec(p, k)))
         b.append(complex(fam.b_rec(p, k)))
         c.append(c_k1)
-    return EtaPolynomial(tuple(a), tuple(b), tuple(c), fam.spec.id, p)
+    return EtaPolynomial(tuple(a), tuple(b), tuple(c))

@@ -20,9 +20,8 @@ analysis in its simplest form (Higham, Accuracy and Stability of Numerical
 Algorithms, 2nd ed., s. 3.3).  Round-off in a value is a few units of the
 last place of its magnitude, however much its terms cancel.
 
-The pointwise functions (apply_tilde_H, ...) take a scalar x as a one-point
-lattice and return the scalar value.  Functions of the Hamiltonian are never
-inverted numerically; on eigenfunction data they reduce to spectral scalars.
+Functions of the Hamiltonian are never inverted numerically; on
+eigenfunction data they reduce to spectral scalars.
 """
 
 from __future__ import annotations
@@ -39,24 +38,14 @@ __all__ = [
     "OperatorContext",
     "Lattice",
     "Terms",
-    "SingularPointError",
     "per_level",
     "sample_points",
-    "apply_tilde_H",
-    "apply_forward_shift",
-    "apply_backward_shift",
-    "commutator_H_eta",
     "ladder_action",
-    "apply_ladder",
     "lambda_shift_X",
     "rodrigues_polynomial",
 ]
 
 SINGULAR_MARGIN = 1e-8
-
-
-# a second name for the families' exception, for callers that import it here
-SingularPointError = SingularityError
 
 
 def _rows(a, k: int, half: int):
@@ -291,49 +280,7 @@ def sample_points(family, params: ParamSet, count: int = 20, seed: int = 0):
     return pts
 
 
-# ------------------------------------------------------------- spec surface
-
-def _at_point(poly: EtaPolynomial, x, half: int, shift_back: int = 0):
-    """(context, one-point lattice at x, P_n alone on it)."""
-    if poly.family_id is None or poly.params is None:
-        raise ValueError("polynomial carries no family context")
-    fam = get_family(poly.family_id)
-    p = fam.shifted(poly.params, shift_back) if shift_back else poly.params
-    ctx = OperatorContext(fam, p)
-    lat = ctx.lattice([x], half)
-    return ctx, lat, lat.operand(poly)[-1:]
-
-
-def _value(t: Terms) -> complex:
-    return complex(t.val.flat[0])
-
-
-def apply_tilde_H(poly: EtaPolynomial, x) -> complex:
-    """H-tilde applied to a polynomial, evaluated at x."""
-    ctx, lat, f = _at_point(poly, x, 2)
-    return _value(ctx.H_tilde(f, lat))
-
-
-def apply_forward_shift(poly: EtaPolynomial, x) -> complex:
-    """F(lambda) on lambda-data: f_n P_{n-1}(eta; lambda+delta)."""
-    ctx, lat, f = _at_point(poly, x, 1)
-    return _value(ctx.forward(f, lat))
-
-
-def apply_backward_shift(poly_at_shifted_params: EtaPolynomial, x) -> complex:
-    """B(lambda) on (lambda+delta)-data: b_n P_{n+1}(eta; lambda).
-
-    The operator parameters are recovered by undoing one delta-shift of the
-    polynomial's own parameter set.
-    """
-    ctx, lat, f = _at_point(poly_at_shifted_params, x, 1, shift_back=-1)
-    return _value(ctx.backward(f, lat))
-
-
-def commutator_H_eta(poly: EtaPolynomial, x) -> complex:
-    ctx, lat, f = _at_point(poly, x, 2)
-    return _value(ctx.comm_H_eta(f, lat))
-
+# ------------------------------------------- ladder and Rodrigues chain
 
 def ladder_action(ctx: OperatorContext, sign: str, level, f: Terms,
                   lat: Lattice) -> Terms:
@@ -366,12 +313,6 @@ def ladder_action(ctx: OperatorContext, sign: str, level, f: Terms,
     )
 
 
-def apply_ladder(sign: str, n: int, poly: EtaPolynomial, x) -> complex:
-    """a^(+) P_n -> A_n P_{n+1}, a^(-) P_n -> C_n P_{n-1} (pointwise)."""
-    ctx, lat, f = _at_point(poly, x, 2)
-    return _value(ladder_action(ctx, sign, n, f, lat))
-
-
 def rodrigues_polynomial(family, params: ParamSet, n: int, xs) -> Terms:
     """P_0 .. P_n(.;lambda) at the points xs, reconstructed by the backward-
     shift chains B(lambda) ... B(lambda+(m-1)delta) acting on the constant 1,
@@ -400,15 +341,15 @@ def _ones_first(f: Terms) -> Terms:
 
 # --------------------------------------------------- lambda-shift operators
 
-def lambda_shift_X(family, params: ParamSet, kind: str, n, poly, x):
+def lambda_shift_X(family, params: ParamSet, kind: str, levels, poly, xs) -> Terms:
     """Action of the explicit parameter-shift operators X / X-dagger.
 
     Supported: Meixner-Pollaczek at phi = pi/2 and the continuous dual Hahn
     family, the two cases with explicit difference-operator realisations.
     ``kind`` is "X" (operand at lambda) or "Xdag" (operand at lambda+delta).
-    The operand is level n of `poly`'s recurrence (P_0 .. P_m, m >= n).  At a
-    scalar x and an int n, the value; at an array of points and a sequence
-    of levels, a (levels, 1, points) Terms.
+    The operands are the given levels of `poly`'s recurrence (P_0 .. P_m,
+    m >= every level), at the points xs; the result is a (levels, 1, points)
+    Terms.
     """
     fam = get_family(family)
     name = fam.spec.name
@@ -426,21 +367,18 @@ def lambda_shift_X(family, params: ParamSet, kind: str, n, poly, x):
         )
     if kind not in ("X", "Xdag"):
         raise ValueError(f"kind must be 'X' or 'Xdag', got {kind!r}")
-    scalar = np.ndim(x) == 0
+    levels = np.asarray(levels)
     ctx = OperatorContext(fam, params)
-    lat = ctx.lattice(np.atleast_1d(x), half)
-    f = lat.operand(poly)[np.atleast_1d(n)]
+    lat = ctx.lattice(xs, half)
+    f = lat.operand(poly)[levels]
     if name == "meixner-pollaczek":
         if kind == "X":
-            out = 0.25 * (f.at(-1) + f.at(1))
-        else:
-            V, V_star = ctx._potential(lat, 0)
-            out = 0.25 * (V * f.at(-1) + V_star * f.at(1))
-    elif kind == "X":
-        out = _dual_hahn_X(ctx, f, lat)
-    else:
-        out = _dual_hahn_Xdag(ctx, n, f, lat)
-    return _value(out) if scalar else out
+            return 0.25 * (f.at(-1) + f.at(1))
+        V, V_star = ctx._potential(lat, 0)
+        return 0.25 * (V * f.at(-1) + V_star * f.at(1))
+    if kind == "X":
+        return _dual_hahn_X(ctx, f, lat)
+    return _dual_hahn_Xdag(ctx, levels, f, lat)
 
 
 def _dual_hahn_X(ctx: OperatorContext, f: Terms, lat: Lattice) -> Terms:
@@ -462,7 +400,8 @@ def _dual_hahn_X(ctx: OperatorContext, f: Terms, lat: Lattice) -> Terms:
     ) / _nonzero_phi(lat, 0)
 
 
-def _dual_hahn_Xdag(ctx: OperatorContext, n, f: Terms, lat: Lattice) -> Terms:
+def _dual_hahn_Xdag(ctx: OperatorContext, levels: np.ndarray, f: Terms,
+                    lat: Lattice) -> Terms:
     """X-dagger action via its spectral decomposition.
 
     X-dagger = a^(-) B(lambda) (kappa H(lambda+delta) + E_1)^{-1}; the
@@ -471,7 +410,6 @@ def _dual_hahn_Xdag(ctx: OperatorContext, n, f: Terms, lat: Lattice) -> Terms:
     """
     fam = ctx.family
     p_shift = fam.shifted(ctx.p)
-    levels = np.ravel(n)
     scalar = per_level([
         1.0 / (ctx.kappa * fam.energy(p_shift, m) + ctx.energy(1)) for m in levels
     ])

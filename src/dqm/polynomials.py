@@ -28,14 +28,11 @@ class DegeneracyError(ArithmeticError):
 @dataclass(frozen=True)
 class EtaPolynomial:
     """P_n in the sinusoidal coordinate as its recurrence data
-    a_0 .. a_{n-1}, b_0 .. b_{n-1} and the scales c_0 .. c_n, with its
-    family context."""
+    a_0 .. a_{n-1}, b_0 .. b_{n-1} and the scales c_0 .. c_n."""
 
     a: tuple
     b: tuple
     c: tuple
-    family_id: object = None
-    params: object = None
 
     @property
     def degree(self) -> int:

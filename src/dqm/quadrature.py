@@ -1,5 +1,5 @@
-"""Inner products against the ground-state weight, orthogonality matrices
-and the numerical hermiticity check.
+"""Orthogonality matrices against the ground-state weight and the two
+sesquilinear forms of the hermiticity check.
 
 Each interval has one rule, refined level by level until two successive
 levels agree.  (0, pi) takes composite Gauss-Legendre, its panels doubling
@@ -41,16 +41,12 @@ import numpy as np
 
 from .families import ParamSet, eval_poly_recurrence, get_family
 from .operators import OperatorContext, Terms
-from .polynomials import EtaPolynomial
 
 __all__ = [
     "ToleranceNotMet",
     "OrthoMatrix",
-    "integrate",
-    "inner_product",
     "weight_window",
     "orthogonality_matrix",
-    "hermiticity_check",
     "hermiticity_forms",
 ]
 
@@ -72,6 +68,7 @@ T_MAX = 4.0           # the double-exponential rules run over t in [-T_MAX, T_MA
 NODE_BLOCK = 512
 
 
+# no dqm code calls this: its one reader is perfbench/spans.py, which traces it
 def _call_vectorized(f, x: np.ndarray) -> np.ndarray:
     """f at the nodes x as a complex array of x's shape; f must be vectorised."""
     out = np.asarray(f(x), dtype=complex)
@@ -175,46 +172,6 @@ def _converged(err, value, l1):
     return err <= np.maximum(ABS_TOL * np.maximum(1.0, np.abs(value)), 1e-14 * l1)
 
 
-def _integrate(f, levels):
-    prev = None
-    err = math.inf
-    for nodes, weights in levels:
-        vals = _call_vectorized(f, nodes)
-        value = np.sum(weights * vals)
-        if prev is not None:
-            err = abs(value - prev)
-            l1 = float(np.sum(np.abs(weights) * np.abs(vals)))
-            if _converged(err, value, l1):
-                return complex(value), float(err)
-        prev = value
-    raise ToleranceNotMet(
-        f"quadrature refinement stalled at estimated error {err:.3e} > {ABS_TOL:.3e}",
-        float(err),
-    )
-
-
-def integrate(f, a: float, b: float):
-    """Integrate a (vectorised) callable over [a, b] by tanh-sinh; returns
-    (value, err)."""
-    return _integrate(f, (_tanh_sinh(a, b, level) for level in range(LEVELS)))
-
-
-def inner_product(family, p: ParamSet, F, G) -> complex:
-    """(F, G) = integral of conj(F(x)) G(x) over the family's interval, on
-    the nodes of its rule.
-
-    The integrands must be dominated by the ground-state weight's decay:
-    the nodes where the weight underflows are left out.
-    """
-    fam = get_family(family)
-
-    def integrand(x):
-        return np.conj(_call_vectorized(F, x)) * _call_vectorized(G, x)
-
-    value, _err = _integrate(integrand, ((x, dx) for x, dx, _ in _levels(fam, p)))
-    return value
-
-
 @dataclass(frozen=True)
 class OrthoMatrix:
     """Unit-normalised Gram matrix of phi_0 P_n against phi_0 P_m:
@@ -301,9 +258,3 @@ def hermiticity_forms(family, p: ParamSet, P, Q):
         f"hermiticity forms stalled at estimated error {err:.3e} > {ABS_TOL:.3e}",
         err,
     )
-
-
-def hermiticity_check(family, p: ParamSet, P: EtaPolynomial, Q: EtaPolynomial) -> float:
-    """|(g,Hf) - (Hg,f)| / (1 + mag(g,Hf) + mag(Hg,f)), the forms in units of h0."""
-    lhs, rhs = hermiticity_forms(family, p, [P], [Q])
-    return float(abs(lhs.val[0] - rhs.val[0]) / (1.0 + lhs.mag[0] + rhs.mag[0]))

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import copy
+import errno
+import io
 import json
 import math
 import os
@@ -243,6 +245,69 @@ def test_unknown_suite_exit_two(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("command", [
+    ["table", "spectrum", "wilson", "--fixture", "default"],
+    ["verify", "wilson", "--fixture", "default", "--suite", "eigen"],
+])
+def test_n_max_outside_zero_to_thirty_is_a_usage_error(capsys, command):
+    for n_max, code in (("-1", 2), ("0", 0), ("30", 0), ("31", 2)):
+        rc = main([*command, "--n-max", n_max])
+        captured = capsys.readouterr()
+        assert rc == code, (n_max, captured.err)
+        if code == 2:
+            assert captured.out == ""
+            assert "n_max must be in 0..30" in captured.err
+
+
+class _ClosedPipe(io.TextIOBase):
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def __init__(self, fd: int):
+        self._fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    def fileno(self) -> int:
+        return self._fd
+
+
+def test_closed_stdout_exits_141_and_points_stdout_at_devnull(tmp_path, monkeypatch):
+    path = tmp_path / "stdout"
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT)
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe(fd))
+    try:
+        rc = main(["verify", "wilson", "--fixture", "default", "--suite", "eigen",
+                   "--output", "json"])
+        # what the interpreter would flush at exit now goes to devnull
+        os.write(fd, b"flushed at exit")
+    finally:
+        os.close(fd)
+    assert rc == 141
+    assert path.read_bytes() == b""
+
+
+def _env_with_src() -> dict:
+    """The environment with this checkout's dqm first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(dqm.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_closed_pipe_ends_the_process_without_a_traceback():
+    # `dqm list --output json | head -0`: the reader is gone before the first write
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "dqm.cli", "list", "--output", "json"],
+                              stdout=write_end, stderr=subprocess.PIPE, env=_env_with_src(),
+                              text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == ""
+
+
 def test_fixture_overrides_inline(capsys):
     rc, out = run_cli(
         capsys, "eval", "continuous-q-hermite", "--q", "0.9",
@@ -333,10 +398,7 @@ def test_verify_does_not_import_jsonschema():
         "rc = main(['verify', 'continuous-q-hermite', '--q', '0.5', '--suite', 'eigen'])\n"
         "assert rc == 0 and 'jsonschema' not in sys.modules, rc\n"
     )
-    src = os.path.dirname(os.path.dirname(dqm.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
+    proc = subprocess.run([sys.executable, "-c", script], env=_env_with_src(),
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
 

@@ -13,19 +13,14 @@ from dqm.families import (
     FAMILIES,
     FamilyId,
     ParamSet,
+    SingularityError,
     eval_poly_recurrence,
     get_family,
 )
 from dqm.fixtures import fixture_names, fixture_params
 from dqm.operators import (
     OperatorContext,
-    SingularPointError,
     Terms,
-    apply_backward_shift,
-    apply_forward_shift,
-    apply_ladder,
-    apply_tilde_H,
-    commutator_H_eta,
     ladder_action,
     lambda_shift_X,
     rodrigues_polynomial,
@@ -43,9 +38,18 @@ def all_fixtures():
     return out
 
 
-def _const(family, p):
-    fam = get_family(family)
-    return EtaPolynomial((), (), (1.0,), fam.spec.id, p)
+ONE = EtaPolynomial((), (), (1.0,))  # the constant 1 as a polynomial
+
+
+def _apply(op, family, p, poly, xs, half):
+    """The OperatorContext method op on P_0 .. P_n of poly at the points xs,
+    given on the lattice rows -half..half: a (levels, points) array."""
+    ctx = OperatorContext(family, p)
+    lat = ctx.lattice(xs, half)
+    return op(ctx, lat.operand(poly), lat).val[:, 0]
+
+
+_H, _F, _B = OperatorContext.H_tilde, OperatorContext.forward, OperatorContext.backward
 
 
 # -------------------------------------------------------------- H-tilde
@@ -54,21 +58,22 @@ def _const(family, p):
 def test_H_annihilates_constants(family, name):
     p = fixture_params(family, name)
     fam = get_family(family)
-    for x in sample_points(fam, p, 5):
-        assert abs(apply_tilde_H(_const(family, p), x)) <= 1e-12
+    got = _apply(_H, fam, p, ONE, sample_points(fam, p, 5), 2)
+    assert got.shape == (1, 5)
+    assert np.all(np.abs(got) <= 1e-12)
 
 @pytest.mark.parametrize("family,name", all_fixtures())
 def test_eigen_equation(family, name):
     p = fixture_params(family, name)
     fam = get_family(family)
     xs = sample_points(fam, p, 10)
+    got = _apply(_H, fam, p, eval_poly_recurrence(fam, p, 8), xs, 2)
     for n in range(0, 9, 2):
         poly = eval_poly_recurrence(fam, p, n)
         e_n = fam.energy(p, n)
-        for x in xs:
+        for g, x in zip(got[n], xs):
             target = e_n * poly.eval(fam.eta(x))
-            got = apply_tilde_H(poly, x)
-            assert abs(got - target) <= 1e-9 * (1 + abs(target))
+            assert abs(g - target) <= 1e-9 * (1 + abs(target))
 
 def test_H_triangular_on_monomials():
     # H eta^n = E_n eta^n + lower orders: subtracting the top term leaves
@@ -90,14 +95,16 @@ def test_H_triangular_on_monomials():
 
 def test_H_singularity_guard():
     p = fixture_params("wilson")
-    with pytest.raises(SingularPointError):
-        apply_tilde_H(_const("wilson", p), 1e-12)
+    with pytest.raises(SingularityError):
+        _apply(_H, "wilson", p, ONE, [1e-12], 2)
 
 
 @pytest.mark.parametrize("family,name", all_fixtures())
 def test_array_operators_match_the_scalar_ones(family, name):
-    # one expression serves both; numpy's array arithmetic may round the
-    # last bits differently from the scalar path, hence the 1e-13
+    # the family methods take a scalar or an array, and H-tilde of every
+    # level on many points is H-tilde of each level alone on one point;
+    # numpy's array arithmetic may round the last bits differently from
+    # the scalar path, hence the 1e-13
     p = fixture_params(family, name)
     fam = get_family(family)
     ctx = OperatorContext(fam, p)
@@ -115,19 +122,19 @@ def test_array_operators_match_the_scalar_ones(family, name):
     assert got.shape == (4, 1, len(xs))
     for n, poly in enumerate(polys):
         for g, x in zip(got[n, 0], xs):
-            want = apply_tilde_H(poly, x)
+            one = ctx.lattice([x], 2)
+            want = ctx.H_tilde(one.operand(poly)[-1:], one).val[0, 0, 0]
             assert abs(g - want) <= 1e-13 * (1 + abs(want))
 
 
 def test_array_H_guards_every_point():
     p = fixture_params("wilson")
     ctx = OperatorContext(get_family("wilson"), p)
-    one = _const("wilson", p)
     lat = ctx.lattice([0.5, 1.5], 2)
-    assert ctx.H_tilde(lat.operand(one), lat).val.shape == (1, 1, 2)
+    assert ctx.H_tilde(lat.operand(ONE), lat).val.shape == (1, 1, 2)
     lat = ctx.lattice([0.5, 1e-12, 1.5], 2)
-    with pytest.raises(SingularPointError, match="1e-12"):
-        ctx.H_tilde(lat.operand(one), lat)
+    with pytest.raises(SingularityError, match="1e-12"):
+        ctx.H_tilde(lat.operand(ONE), lat)
 
 
 # ---------------------------------------------------------------- shifts
@@ -136,8 +143,9 @@ def test_array_H_guards_every_point():
 def test_forward_kills_constants(family, name):
     p = fixture_params(family, name)
     fam = get_family(family)
-    for x in sample_points(fam, p, 4):
-        assert abs(apply_forward_shift(_const(family, p), x)) <= 1e-13
+    got = _apply(_F, fam, p, ONE, sample_points(fam, p, 4), 1)
+    assert got.shape == (1, 4)
+    assert np.all(np.abs(got) <= 1e-13)
 
 @pytest.mark.parametrize("family,name", all_fixtures())
 def test_forward_action(family, name):
@@ -145,14 +153,13 @@ def test_forward_action(family, name):
     fam = get_family(family)
     p_s = fam.shifted(p)
     xs = sample_points(fam, p, 6)
+    got = _apply(_F, fam, p, eval_poly_recurrence(fam, p, 6), xs, 1)
     for n in (1, 3, 6):
-        poly = eval_poly_recurrence(fam, p, n)
         down = eval_poly_recurrence(fam, p_s, n - 1)
         f_n = fam.f_shift(p, n)
-        for x in xs:
+        for g, x in zip(got[n], xs):
             target = f_n * down.eval(fam.eta(x))
-            got = apply_forward_shift(poly, x)
-            assert abs(got - target) <= 1e-9 * (1 + abs(target))
+            assert abs(g - target) <= 1e-9 * (1 + abs(target))
 
 def test_forward_q_hermite_level_one():
     # F H_1 = f_1 * 1 with f_1 = q^{1/2} (q^{-1} - 1)
@@ -160,8 +167,9 @@ def test_forward_q_hermite_level_one():
     p = ParamSet(q=q)
     poly = eval_poly_recurrence("continuous-q-hermite", p, 1)
     expected = math.sqrt(q) * (1 / q - 1)
-    for x in (0.4, 1.2, 2.6):
-        assert apply_forward_shift(poly, x) == pytest.approx(expected, rel=1e-12)
+    got = _apply(_F, "continuous-q-hermite", p, poly, [0.4, 1.2, 2.6], 1)[1]
+    for g in got:
+        assert g == pytest.approx(expected, rel=1e-12)
 
 @pytest.mark.parametrize("family,name", all_fixtures())
 def test_backward_action(family, name):
@@ -169,14 +177,14 @@ def test_backward_action(family, name):
     fam = get_family(family)
     p_s = fam.shifted(p)
     xs = sample_points(fam, p, 6)
+    # B(lambda) acts on the levels of lambda+delta
+    got = _apply(_B, fam, p, eval_poly_recurrence(fam, p_s, 5), xs, 1)
     for n in (0, 2, 5):
-        poly_s = eval_poly_recurrence(fam, p_s, n)
         up = eval_poly_recurrence(fam, p, n + 1)
         b_n = fam.b_shift(p, n)
-        for x in xs:
+        for g, x in zip(got[n], xs):
             target = b_n * up.eval(fam.eta(x))
-            got = apply_backward_shift(poly_s, x)
-            assert abs(got - target) <= 1e-9 * (1 + abs(target))
+            assert abs(g - target) <= 1e-9 * (1 + abs(target))
 
 @pytest.mark.parametrize("family,name", all_fixtures())
 def test_backward_then_forward_is_H(family, name):
@@ -237,8 +245,8 @@ def test_rodrigues_stack_is_bit_identical_to_one_chain_per_level(family, name, n
 def test_forward_singular_at_phi_zero():
     p = fixture_params("wilson")
     poly = eval_poly_recurrence("wilson", p, 2)
-    with pytest.raises(SingularPointError):
-        apply_forward_shift(poly, 0.0)
+    with pytest.raises(SingularityError):
+        _apply(_F, "wilson", p, poly, [0.0], 1)
 
 
 # ------------------------------------------------------------ commutators
@@ -249,30 +257,38 @@ def test_commutator_on_constants():
     fam = get_family("al-salam-chihara")
     ctx = OperatorContext(fam, p)
     g = ctx.gamma
-    for x in sample_points(fam, p, 6):
+    xs = sample_points(fam, p, 6)
+    [got] = _apply(OperatorContext.comm_H_eta, fam, p, ONE, xs, 2)
+    for x, c in zip(xs, got):
         expected = ctx.V(x) * (fam.eta(x - 1j * g) - fam.eta(x)) + ctx.V_star(
             x
         ) * (fam.eta(x + 1j * g) - fam.eta(x))
-        got = commutator_H_eta(_const("al-salam-chihara", p), x)
-        assert cmath.isclose(got, expected, rel_tol=1e-12, abs_tol=1e-12)
+        assert cmath.isclose(c, expected, rel_tol=1e-12, abs_tol=1e-12)
 
 
 # ----------------------------------------------------------------- ladder
 
+def _ladder(sign, level, family, p, poly, xs):
+    """a^(sign) on P_level of poly alone at the points xs."""
+    ctx = OperatorContext(family, p)
+    lat = ctx.lattice(xs, 2)
+    f = lat.operand(poly)[level:level + 1]
+    return ladder_action(ctx, sign, level, f, lat).val[0, 0]
+
+
 def test_annihilation_of_ground_state_is_exact_zero():
     p = fixture_params("continuous-q-hermite")
     poly = eval_poly_recurrence("continuous-q-hermite", p, 0)
-    for x in (0.3, 1.0, 2.9):
-        assert apply_ladder("-", 0, poly, x) == 0
+    got = _ladder("-", 0, "continuous-q-hermite", p, poly, [0.3, 1.0, 2.9])
+    assert np.all(got == 0)
 
 def test_creation_on_q_hermite_ground_state():
     # a^(+) 1 = A_0 H_1 = eta
     p = ParamSet(q=0.5)
     poly = eval_poly_recurrence("continuous-q-hermite", p, 0)
-    for x in (0.4, 1.3, 2.2):
-        assert apply_ladder("+", 0, poly, x) == pytest.approx(
-            math.cos(x), rel=1e-12
-        )
+    xs = [0.4, 1.3, 2.2]
+    for g, x in zip(_ladder("+", 0, "continuous-q-hermite", p, poly, xs), xs):
+        assert g == pytest.approx(math.cos(x), rel=1e-12)
 
 @pytest.mark.parametrize("family,name", all_fixtures())
 def test_ladder_actions(family, name):
@@ -284,13 +300,13 @@ def test_ladder_actions(family, name):
         up = eval_poly_recurrence(fam, p, n + 1)
         down = eval_poly_recurrence(fam, p, n - 1)
         c = fam.coefficients(p, n)
-        for x in xs:
+        raised = _ladder("+", n, fam, p, poly, xs)
+        lowered = _ladder("-", n, fam, p, poly, xs)
+        for x, got_up, got_down in zip(xs, raised, lowered):
             target = c.A_n * up.eval(fam.eta(x))
-            got = apply_ladder("+", n, poly, x)
-            assert abs(got - target) <= 1e-10 * (1 + abs(target))
+            assert abs(got_up - target) <= 1e-10 * (1 + abs(target))
             target = c.C_n * down.eval(fam.eta(x))
-            got = apply_ladder("-", n, poly, x)
-            assert abs(got - target) <= 1e-10 * (1 + abs(target))
+            assert abs(got_down - target) <= 1e-10 * (1 + abs(target))
 
 def test_ladder_spectral_commutator():
     # [H, a^(pm)] phi_n = (E_{n pm 1} - E_n) a^(pm) phi_n
@@ -381,48 +397,56 @@ def test_lambda_shift_unsupported_family():
     p = fixture_params("wilson")
     poly = eval_poly_recurrence("wilson", p, 1)
     with pytest.raises(ValueError, match="no explicit"):
-        lambda_shift_X("wilson", p, "X", 1, poly, 1.0)
+        lambda_shift_X("wilson", p, "X", [1], poly, [1.0])
 
 def test_lambda_shift_meixner_pollaczek_needs_right_angle():
     p = fixture_params("meixner-pollaczek")  # phi = pi/3
     poly = eval_poly_recurrence("meixner-pollaczek", p, 1)
     with pytest.raises(ValueError, match="pi/2"):
-        lambda_shift_X("meixner-pollaczek", p, "X", 1, poly, 1.0)
+        lambda_shift_X("meixner-pollaczek", p, "X", [1], poly, [1.0])
 
 def test_lambda_shift_meixner_pollaczek_actions():
     p = fixture_params("meixner-pollaczek", "half-pi")
     fam = get_family("meixner-pollaczek")
     p_s = fam.shifted(p)
     a = p.a[0].real
-    for n in range(7):
+    xs = [-1.8, 0.7, 2.3]
+    levels = range(7)
+    x_all = lambda_shift_X(fam, p, "X", levels, eval_poly_recurrence(fam, p, 6), xs)
+    xdag_all = lambda_shift_X(fam, p, "Xdag", levels,
+                              eval_poly_recurrence(fam, p_s, 6), xs)
+    assert x_all.val.shape == xdag_all.val.shape == (7, 1, 3)
+    for n in levels:
         poly = eval_poly_recurrence(fam, p, n)
         poly_s = eval_poly_recurrence(fam, p_s, n)
-        for x in (-1.8, 0.7, 2.3):
-            got = lambda_shift_X(fam, p, "X", n, poly, x)
+        for x, got_x, got_xdag in zip(xs, x_all.val[n, 0], xdag_all.val[n, 0]):
             target = 0.5 * poly_s.eval(x)
-            assert abs(got - target) <= 1e-9 * (1 + abs(target))
-            got = lambda_shift_X(fam, p, "Xdag", n, poly_s, x)
+            assert abs(got_x - target) <= 1e-9 * (1 + abs(target))
             target = 0.25 * (n + 2 * a) * poly.eval(x)
-            assert abs(got - target) <= 1e-9 * (1 + abs(target))
+            assert abs(got_xdag - target) <= 1e-9 * (1 + abs(target))
 
 def test_lambda_shift_dual_hahn_actions():
     p = fixture_params("continuous-dual-hahn")
     fam = get_family("continuous-dual-hahn")
     p_s = fam.shifted(p)
-    for n in range(7):
+    xs = [0.6, 1.4, 2.9]
+    levels = range(7)
+    x_all = lambda_shift_X(fam, p, "X", levels, eval_poly_recurrence(fam, p, 6), xs)
+    xdag_all = lambda_shift_X(fam, p, "Xdag", levels,
+                              eval_poly_recurrence(fam, p_s, 6), xs)
+    assert x_all.val.shape == xdag_all.val.shape == (7, 1, 3)
+    for n in levels:
         poly = eval_poly_recurrence(fam, p, n)
         poly_s = eval_poly_recurrence(fam, p_s, n)
         factor = complex(1.0)
         for i in range(3):
             for j in range(i + 1, 3):
                 factor *= n + p.a[i] + p.a[j]
-        for x in (0.6, 1.4, 2.9):
-            got = lambda_shift_X(fam, p, "X", n, poly, x)
+        for x, got_x, got_xdag in zip(xs, x_all.val[n, 0], xdag_all.val[n, 0]):
             target = poly_s.eval(fam.eta(x))
-            assert abs(got - target) <= 1e-9 * (1 + abs(target))
-            got = lambda_shift_X(fam, p, "Xdag", n, poly_s, x)
+            assert abs(got_x - target) <= 1e-9 * (1 + abs(target))
             target = factor.real * poly.eval(fam.eta(x))
-            assert abs(got - target) <= 1e-9 * (1 + abs(target))
+            assert abs(got_xdag - target) <= 1e-9 * (1 + abs(target))
 
 
 # ------------------------------------------------------------- sample set
@@ -435,9 +459,3 @@ def test_sample_points_deterministic_and_interior():
     assert xs1 == xs2
     assert all(1e-3 <= x <= math.pi - 1e-3 for x in xs1)
     assert len(set(xs1)) == 20
-
-
-def test_one_singularity_exception():
-    from dqm.families import SingularityError
-
-    assert SingularPointError is SingularityError

@@ -1,5 +1,5 @@
-"""Quadrature: inner products against the ground-state weight, Gram
-matrices vs the closed-form norms, and the hermiticity residual."""
+"""Quadrature: Gram matrices against the ground-state weight vs the
+closed-form norms, and the hermiticity forms."""
 
 from __future__ import annotations
 
@@ -19,10 +19,8 @@ from dqm.fixtures import fixture_names, fixture_params
 from dqm.quadrature import (
     ToleranceNotMet,
     _levels,
-    hermiticity_check,
+    _tanh_sinh,
     hermiticity_forms,
-    inner_product,
-    integrate,
     orthogonality_matrix,
     weight_window,
 )
@@ -30,54 +28,42 @@ from dqm.specfun import q_pochhammer_inf
 from dqm.verify import VerifyConfig, run_suite
 
 
-def test_integrate_polynomial():
-    # oracle: exact antiderivative of x^3 - 2x on [0, 2]
-    exact = 2.0**4 / 4 - 2.0**2
-    val, err = integrate(lambda x: x**3 - 2 * x, 0.0, 2.0)
-    assert val.real == pytest.approx(exact, abs=1e-11)
-    assert err < 1e-9
+def _norms(m):
+    """The Gram matrix's diagonal in absolute units: the quadrature of
+    (phi0 P_n, phi0 P_n)."""
+    return np.diag(m.entries) * np.exp(m.log_norms)
 
 
-def test_inner_product_q_hermite_norm():
+def test_gram_q_hermite_norm():
     # (phi0, phi0) = h_0 = 2 pi / (q;q)_inf at q = 1/2
     fam = get_family("continuous-q-hermite")
     p = ParamSet(q=0.5)
-    phi0 = lambda x: fam.phi0(p, x)
     expected = 2 * math.pi / q_pochhammer_inf(0.5, 0.5).real
-    got = inner_product(fam, p, phi0, phi0)
-    assert got.real == pytest.approx(expected, rel=1e-8)
-    assert got.real == pytest.approx(21.7570786818, rel=1e-9)
-    assert abs(got.imag) < 1e-12
+    [got] = _norms(orthogonality_matrix(fam, p, 0))
+    assert got == pytest.approx(expected, rel=1e-8)
+    assert got == pytest.approx(21.7570786818, rel=1e-9)
 
 
-def test_inner_product_orthogonality():
+def test_gram_orthogonality():
+    # (phi0 P_1, phi0) in absolute units
     fam = get_family("continuous-q-hermite")
     p = ParamSet(q=0.5)
-    P1 = eval_poly_recurrence(fam, p, 1)
-
-    def f(x):
-        return fam.phi0(p, x) * P1.eval(fam.eta(x))
-
-    phi0 = lambda x: fam.phi0(p, x)
-    assert abs(inner_product(fam, p, f, phi0)) < 1e-9
+    m = orthogonality_matrix(fam, p, 1)
+    assert abs(m.entries[1, 0]) * math.exp(0.5 * sum(m.log_norms)) < 1e-9
 
 
-def test_inner_product_zero():
+def test_hermiticity_forms_of_zero_are_zero():
     fam = get_family("continuous-q-hermite")
     p = ParamSet(q=0.5)
-    zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
-    assert inner_product(fam, p, zero, zero) == 0
+    zero = eval_poly_recurrence(fam, p, 2).scaled(0.0)
+    for form in hermiticity_forms(fam, p, [zero], [zero]):
+        assert form.val[0] == 0
 
 
 def test_positivity_of_norm():
     fam = get_family("meixner-pollaczek")
     p = fixture_params("meixner-pollaczek")
-    P2 = eval_poly_recurrence(fam, p, 2)
-
-    def f(x):
-        return fam.phi0(p, x) * P2.eval(fam.eta(x))
-
-    assert inner_product(fam, p, f, f).real > 0
+    assert orthogonality_matrix(fam, p, 2).entries[2, 2] > 0
 
 
 ALL_FAMILIES = [FAMILIES[fid].spec.name for fid in FamilyId]
@@ -129,8 +115,7 @@ def test_gram_diag_level_zero_matches_h0():
     m = orthogonality_matrix(fam, p, 2)
     assert m.entries[0, 0] == pytest.approx(1.0, rel=1e-12)
     assert m.log_norms[0] == pytest.approx(math.log(fam.h0(p)), rel=1e-14)
-    phi0 = lambda x: fam.phi0(p, x)
-    assert inner_product(fam, p, phi0, phi0).real == pytest.approx(fam.h0(p), rel=1e-12)
+    assert _norms(m)[0] == pytest.approx(fam.h0(p), rel=1e-12)
 
 
 def test_meixner_pollaczek_norm_ratios():
@@ -138,11 +123,7 @@ def test_meixner_pollaczek_norm_ratios():
     p = fixture_params("meixner-pollaczek")
     fam = get_family("meixner-pollaczek")
     a = p.a[0].real
-    norms = []
-    for n in range(7):
-        P = eval_poly_recurrence(fam, p, n)
-        f = lambda x, P=P: fam.phi0(p, x) * P.eval(fam.eta(x))
-        norms.append(inner_product(fam, p, f, f).real)
+    norms = _norms(orthogonality_matrix(fam, p, 6))
     for n in range(1, 7):
         assert norms[n] / norms[n - 1] == pytest.approx((2 * a + n - 1) / n, rel=1e-12)
     assert norms[0] == pytest.approx(fam.h0(p), rel=1e-12)
@@ -167,14 +148,13 @@ def test_quadrature_self_consistency():
 
 def test_rules_agree_on_finite_interval():
     # tanh-sinh on [0, pi] against the composite Gauss-Legendre nodes of the
-    # cos-x families, which inner_product runs on
+    # cos-x families, which the Gram matrix runs on
     fam = get_family("continuous-q-hermite")
     p = ParamSet(q=0.5)
-    phi2 = lambda x: np.asarray(fam.phi0(p, x)) ** 2
-    vd, _ = integrate(phi2, 0.0, math.pi)
-    phi0 = lambda x: fam.phi0(p, x)
-    vg = inner_product(fam, p, phi0, phi0)
-    assert vd.real == pytest.approx(vg.real, rel=1e-12)
+    x, dx = _tanh_sinh(0.0, math.pi, 5)
+    vd = np.sum(dx * np.asarray(fam.phi0(p, x)) ** 2)
+    [vg] = _norms(orthogonality_matrix(fam, p, 0))
+    assert vd == pytest.approx(vg, rel=1e-12)
 
 
 def test_weight_window_finds_a_peak_off_any_fixed_grid():
@@ -225,13 +205,19 @@ def test_two_equal_peaks_raise_and_never_pass():
 
 # -------------------------------------------------------------- hermiticity
 
+def _hermiticity_residual(fam, p, P, Q):
+    """|(g,Hf) - (Hg,f)| / (1 + mag(g,Hf) + mag(Hg,f)), the forms in units of h0."""
+    lhs, rhs = hermiticity_forms(fam, p, [P], [Q])
+    return abs(lhs.val[0] - rhs.val[0]) / (1.0 + lhs.mag[0] + rhs.mag[0])
+
+
 @pytest.mark.parametrize("family", ALL_FAMILIES)
 def test_hermiticity_residual(family):
     p = fixture_params(family)
     fam = get_family(family)
     P1 = eval_poly_recurrence(fam, p, 1)
     P2 = eval_poly_recurrence(fam, p, 2)
-    assert hermiticity_check(fam, p, P1, P2) <= 1e-6
+    assert _hermiticity_residual(fam, p, P1, P2) <= 1e-6
 
 
 def test_hermiticity_diagonal_form_is_real():
@@ -259,7 +245,7 @@ def test_hermiticity_cross_eigenpolynomials():
     fam = get_family("wilson")
     P1 = eval_poly_recurrence(fam, p, 1)
     P2 = eval_poly_recurrence(fam, p, 2)
-    assert hermiticity_check(fam, p, P1, P2) <= 1e-6
+    assert _hermiticity_residual(fam, p, P1, P2) <= 1e-6
 
 
 def test_hermiticity_forms_count_a_pole_of_V_at_a_node_as_zero(monkeypatch):
@@ -338,10 +324,3 @@ def test_hermiticity_evaluates_phi0_once_per_level(family, fixture, monkeypatch)
     # last: a level evaluated twice (per pair or per form) would repeat a size
     assert len(sizes) >= 2
     assert all(a < b for a, b in zip(sizes, sizes[1:]))
-
-
-def test_integrand_that_is_not_vectorised_raises():
-    with pytest.raises(ValueError, match="shape"):
-        integrate(lambda x: 1.0, 0.0, 1.0)
-    with pytest.raises(TypeError):
-        integrate(lambda x: math.exp(x), 0.0, 1.0)

@@ -482,13 +482,13 @@ def test_nan_residual_fails_its_check(monkeypatch):
 def _count_evaluations(monkeypatch):
     """One (polynomial, point) pair for every level the recurrence steps
     through at every element of every array it runs on; level k is named by
-    its parameters and its data a_0 .. a_{k-1}, b_0 .. b_{k-1}."""
+    its recurrence data a_0 .. a_{k-1}, b_0 .. b_{k-1}, c_0 .. c_k."""
     calls = []
     plain_steps = EtaPolynomial._monic_values
 
     def counting_steps(self, eta):
         for k, value in enumerate(plain_steps(self, eta)):
-            level = (self.params, self.a[:k], self.b[:k])
+            level = (self.a[:k], self.b[:k], self.c[:k + 1])
             calls.extend((level, complex(e)) for e in np.ravel(eta))
             yield value
 
