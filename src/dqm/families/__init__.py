@@ -70,6 +70,13 @@ _ALIASES = {
 }
 
 
+# every canonical name and alias, normalised, to its family
+_BY_NAME = {
+    **{fid.value: fam for fid, fam in FAMILIES.items()},
+    **{alias: FAMILIES[fid] for alias, fid in _ALIASES.items()},
+}
+
+
 def family_names() -> list[str]:
     return [fid.value for fid in FAMILIES]
 
@@ -80,15 +87,12 @@ def get_family(key) -> Family:
         return FAMILIES[key]
     if isinstance(key, Family):
         return key
-    name = str(key).strip().lower().replace("_", "-").replace(" ", "-")
-    for fid in FAMILIES:
-        if fid.value == name:
-            return FAMILIES[fid]
-    if name in _ALIASES:
-        return FAMILIES[_ALIASES[name]]
-    raise ValidationError(
-        f"unknown family {key!r}; known: {', '.join(family_names())}"
-    )
+    fam = _BY_NAME.get(str(key).strip().lower().replace("_", "-").replace(" ", "-"))
+    if fam is None:
+        raise ValidationError(
+            f"unknown family {key!r}; known: {', '.join(family_names())}"
+        )
+    return fam
 
 
 # ------------------------------------------------------- catalog operations
@@ -141,17 +145,13 @@ def eval_poly_hypergeometric(family, p: ParamSet, n: int, eta_point) -> complex:
 
 def eval_poly_recurrence(family, p: ParamSet, n: int) -> EtaPolynomial:
     """P_n, with P_0 .. P_{n-1}, as its three-term recurrence data from one
-    ascent; each c_k is computed once.  `eval` gives P_n at a point and
+    pass of `Family.recurrence`.  `eval` gives P_n at a point and
     `eval_levels` every level."""
     fam = get_family(family)
     if n < 0:
         raise ValidationError(f"level must be >= 0, got {n}")
-    a, b, c = [], [], [complex(fam.c_n(p, 0))]
+    a, b, c = fam.recurrence(p, n)
     for k in range(n):
-        c_k1 = complex(fam.c_n(p, k + 1))
-        if c_k1 == 0 or c[k] / c_k1 == 0:
+        if c[k + 1] == 0 or c[k] / c[k + 1] == 0:
             raise DegeneracyError(f"A_{k} vanished while ascending to n={n}")
-        a.append(complex(fam.a_rec(p, k)))
-        b.append(complex(fam.b_rec(p, k)))
-        c.append(c_k1)
-    return EtaPolynomial(tuple(a), tuple(b), tuple(c))
+    return EtaPolynomial(a, b, c)

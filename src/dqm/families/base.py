@@ -259,13 +259,11 @@ class Family:
         raise NotImplementedError
 
     # -- recurrence / normalisation ----------------------------------------
-    def c_n(self, p: ParamSet, n: int) -> float:
-        raise NotImplementedError
-
-    def a_rec(self, p: ParamSet, n: int) -> float:
-        raise NotImplementedError
-
-    def b_rec(self, p: ParamSet, n: int) -> float:
+    def recurrence(self, p: ParamSet, n: int) -> tuple:
+        """(a, b, c): the monic recurrence data a_0 .. a_{n-1} and
+        b_0 .. b_{n-1} and the scales c_0 .. c_n of P_0 .. P_n, as tuples of
+        complex, from one pass over the levels.  c_{k+1} = c_k r_k with the
+        closed-form ratio r_k, and c_1 taken closed, where r_0 may be 0/0."""
         raise NotImplementedError
 
     def f_shift(self, p: ParamSet, n: int) -> float:
@@ -319,27 +317,25 @@ class Family:
 
     # -- assembled views ------------------------------------------------------
     def coefficients(self, p: ParamSet, n: int) -> CoefficientBundle:
-        n = operator.index(n)  # a numpy integer would run b_rec in numpy arithmetic
+        n = operator.index(n)  # a numpy integer would run the closed forms in numpy arithmetic
         if n < 0:
             raise ValidationError(f"level must be >= 0, got {n}")
-        c_n = self.c_n(p, n)
-        c_np = self.c_n(p, n + 1)
-        A_n = c_n / c_np
-        B_n = self.a_rec(p, n)
+        a, b, c = self.recurrence(p, n + 1)
+        A_n = c[n] / c[n + 1]
         if n == 0:
             C_n = 0.0  # multiplies P_{-1} = 0
         else:
-            C_n = c_n / self.c_n(p, n - 1) * self.b_rec(p, n)
+            C_n = c[n] / c[n - 1] * b[n]
         h0 = self.h0(p)
         h0_over_hn = self.h0_over_hn(p, n)
         return CoefficientBundle(
             n=n,
             E_n=self.energy(p, n),
-            c_n=_as_real(c_n),
-            a_n_rec=_as_real(B_n),
-            b_n_rec=_as_real(self.b_rec(p, n)),
+            c_n=_as_real(c[n]),
+            a_n_rec=_as_real(a[n]),
+            b_n_rec=_as_real(b[n]),
             A_n=_as_real(A_n),
-            B_n=_as_real(B_n),
+            B_n=_as_real(a[n]),
             C_n=_as_real(C_n),
             f_n=_as_real(self.f_shift(p, n)),
             b_n_shift=_as_real(self.b_shift(p, n)),

@@ -76,35 +76,36 @@ class ContinuousHahn(Family):
             rm1=(0.0, 2.0 * im_sum, 2.0 * (b1 - 2.0) * im_prod),
         )
 
-    def c_n(self, p: ParamSet, n: int):
-        return pochhammer(n + self._b1(p) - 1.0, n).real / math.factorial(n)
-
-    def a_rec(self, p: ParamSet, n: int):
+    def recurrence(self, p: ParamSet, n: int) -> tuple:
         a1, a2, a3, a4 = self._abcd(p)
         b1 = self._b1(p)
-        term1 = (
-            (n + b1 - 1) * (n + a1 + a3) * (n + a1 + a4)
-            / ((2 * n + b1 - 1) * (2 * n + b1))
-        )
-        term2 = (
-            n * (n + a2 + a3 - 1) * (n + a2 + a4 - 1)
-            / ((2 * n + b1 - 2) * (2 * n + b1 - 1))
-        )
-        return 1j * (a1 - term1 + term2)
-
-    def b_rec(self, p: ParamSet, n: int):
-        if n == 0:
-            return 0.0  # multiplies P_{-1}; avoids 0/0 when b1 = 3
-        a1, a2, a3, a4 = self._abcd(p)
-        b1 = self._b1(p)
-        prod = complex(1.0)
-        for aj in (a1, a2):
-            for ak in (a3, a4):
-                prod *= n + aj + ak - 1
-        return (
-            n * (n + b1 - 2) * prod
-            / ((2 * n + b1 - 3) * (2 * n + b1 - 2) ** 2 * (2 * n + b1 - 1))
-        )
+        a, b, c = [], [], [1.0]
+        for k in range(n):
+            term1 = (
+                (k + b1 - 1) * (k + a1 + a3) * (k + a1 + a4)
+                / ((2 * k + b1 - 1) * (2 * k + b1))
+            )
+            term2 = (
+                k * (k + a2 + a3 - 1) * (k + a2 + a4 - 1)
+                / ((2 * k + b1 - 2) * (2 * k + b1 - 1))
+            )
+            a.append(1j * (a1 - term1 + term2))
+            if k == 0:
+                b.append(0j)  # multiplies P_{-1}; avoids 0/0 when b1 = 3
+                # c_k = (k + b1 - 1)_k / k!; its ratio reads 0/0 at k = 0
+                # when b1 = 1, so c_1 = b1 is taken closed
+                c.append(b1)
+                continue
+            prod = complex(1.0)
+            for aj in (a1, a2):
+                for ak in (a3, a4):
+                    prod *= k + aj + ak - 1
+            b.append(
+                k * (k + b1 - 2) * prod
+                / ((2 * k + b1 - 3) * (2 * k + b1 - 2) ** 2 * (2 * k + b1 - 1))
+            )
+            c.append(c[k] * (2 * k + b1 - 1) * (2 * k + b1) / ((k + b1 - 1) * (k + 1)))
+        return tuple(a), tuple(b), tuple(map(complex, c))
 
     def f_shift(self, p: ParamSet, n: int):
         return n + self._b1(p) - 1.0
@@ -205,16 +206,17 @@ class MeixnerPollaczek(Family):
             rm1=(0.0, 2.0 * math.cos(p.phi), 2.0 * a * math.sin(2.0 * p.phi)),
         )
 
-    def c_n(self, p: ParamSet, n: int):
-        return (2.0 * math.sin(p.phi)) ** n / math.factorial(n)
-
-    def a_rec(self, p: ParamSet, n: int):
-        a = p.a[0].real
-        return -(n + a) / math.tan(p.phi)
-
-    def b_rec(self, p: ParamSet, n: int):
-        a = p.a[0].real
-        return n * (n + 2 * a - 1) / (2.0 * math.sin(p.phi)) ** 2
+    def recurrence(self, p: ParamSet, n: int) -> tuple:
+        lam = p.a[0].real
+        tan = math.tan(p.phi)
+        two_sin = 2.0 * math.sin(p.phi)
+        two_sin_sq = two_sin**2
+        a, b, c = [], [], [1.0]  # c_k = (2 sin phi)^k / k!
+        for k in range(n):
+            a.append(-(k + lam) / tan)
+            b.append(k * (k + 2 * lam - 1) / two_sin_sq)
+            c.append(c[k] * two_sin / (k + 1))
+        return tuple(map(complex, a)), tuple(map(complex, b)), tuple(map(complex, c))
 
     def f_shift(self, p: ParamSet, n: int):
         return 2.0 * math.sin(p.phi)

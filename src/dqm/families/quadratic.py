@@ -99,34 +99,38 @@ class Wilson(_GammaRatioFamily):
             rm1=(-2.0, b1 - 2.0 * b2, (2.0 - b1) * b3),
         )
 
-    def c_n(self, p: ParamSet, n: int):
-        b1 = elementary_symmetric(p.a, 1).real
-        return (-1.0) ** n * pochhammer(n + b1 - 1.0, n).real
-
-    def a_rec(self, p: ParamSet, n: int):
+    def recurrence(self, p: ParamSet, n: int) -> tuple:
         a1, a2, a3, a4 = p.a
         b1 = elementary_symmetric(p.a, 1)
-        t1 = complex(n + b1 - 1)
-        for aj in (a2, a3, a4):
-            t1 *= n + a1 + aj
-        t1 /= (2 * n + b1 - 1) * (2 * n + b1)
-        t2 = complex(n)
-        for aj, ak in combinations((a2, a3, a4), 2):
-            t2 *= n + aj + ak - 1
-        t2 /= (2 * n + b1 - 2) * (2 * n + b1 - 1)
-        return t1 + t2 - a1 * a1
-
-    def b_rec(self, p: ParamSet, n: int):
-        if n == 0:
-            return 0.0  # multiplies P_{-1}; avoids 0/0 when b1 = 3
-        b1 = elementary_symmetric(p.a, 1)
-        prod = complex(1.0)
-        for aj, ak in combinations(p.a, 2):
-            prod *= n + aj + ak - 1
-        return (
-            n * (n + b1 - 2) * prod
-            / ((2 * n + b1 - 3) * (2 * n + b1 - 2) ** 2 * (2 * n + b1 - 1))
-        )
+        pairs = tuple(combinations(p.a, 2))
+        later_pairs = tuple(combinations((a2, a3, a4), 2))
+        b1_real = b1.real
+        a, b, c = [], [], [1.0]
+        for k in range(n):
+            t1 = complex(k + b1 - 1)
+            for aj in (a2, a3, a4):
+                t1 *= k + a1 + aj
+            t1 /= (2 * k + b1 - 1) * (2 * k + b1)
+            t2 = complex(k)
+            for aj, ak in later_pairs:
+                t2 *= k + aj + ak - 1
+            t2 /= (2 * k + b1 - 2) * (2 * k + b1 - 1)
+            a.append(t1 + t2 - a1 * a1)
+            if k == 0:
+                b.append(0j)  # multiplies P_{-1}; avoids 0/0 when b1 = 3
+                # c_k = (-1)^k (k + b1 - 1)_k; its ratio reads 0/0 at k = 0
+                # when b1 = 1, so c_1 = -b1 is taken closed
+                c.append(-b1_real)
+                continue
+            prod = complex(1.0)
+            for aj, ak in pairs:
+                prod *= k + aj + ak - 1
+            b.append(
+                k * (k + b1 - 2) * prod
+                / ((2 * k + b1 - 3) * (2 * k + b1 - 2) ** 2 * (2 * k + b1 - 1))
+            )
+            c.append(-c[k] * (2 * k + b1_real - 1) * (2 * k + b1_real) / (k + b1_real - 1))
+        return tuple(a), tuple(b), tuple(map(complex, c))
 
     def f_shift(self, p: ParamSet, n: int):
         b1 = elementary_symmetric(p.a, 1).real
@@ -202,18 +206,18 @@ class ContinuousDualHahn(_GammaRatioFamily):
             rm1=(-2.0, 1.0 - 2.0 * b1, -b2),
         )
 
-    def c_n(self, p: ParamSet, n: int):
-        return (-1.0) ** n
-
-    def a_rec(self, p: ParamSet, n: int):
+    def recurrence(self, p: ParamSet, n: int) -> tuple:
         a1, a2, a3 = p.a
-        return (n + a1 + a2) * (n + a1 + a3) + n * (n + a2 + a3 - 1) - a1 * a1
-
-    def b_rec(self, p: ParamSet, n: int):
-        prod = complex(n)
-        for aj, ak in combinations(p.a, 2):
-            prod *= n + aj + ak - 1
-        return prod
+        pairs = tuple(combinations(p.a, 2))
+        a, b = [], []
+        for k in range(n):
+            a.append((k + a1 + a2) * (k + a1 + a3) + k * (k + a2 + a3 - 1) - a1 * a1)
+            prod = complex(k)
+            for aj, ak in pairs:
+                prod *= k + aj + ak - 1
+            b.append(prod)
+        # c_k = (-1)^k
+        return tuple(a), tuple(b), tuple(complex((-1.0) ** k) for k in range(n + 1))
 
     def f_shift(self, p: ParamSet, n: int):
         return -float(n)

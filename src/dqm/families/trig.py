@@ -287,43 +287,51 @@ class AskeyWilson(Family):
         )
 
     # -- recurrence, shifts and norms ------------------------------------------
-    def c_n(self, p: ParamSet, n: int):
-        d = self._aw(p)
-        c = 2.0**n
-        if d.e4:
-            c *= q_pochhammer(d.e4 * p.q ** (n - 1), p.q, n).real
-        return c if d.k_a1 is None else c * self._k_n(d, p.q, n)
-
-    def a_rec(self, p: ParamSet, n: int):
-        # (a1 + 1/a1 - A_n - C_n)/2 of KS 3.1.5 with the 1/a1 pivot cancelled
-        # in closed form: the plain form loses up to 1e-6 relative as a_n -> 0
+    def recurrence(self, p: ParamSet, n: int) -> tuple:
         q = p.q
         d = self._aw(p)
         e1, e3, e4 = d.e1, d.e3, d.e4
-        qn = q**n
-        num = (
-            q * q * e1
-            + q * e3
-            - qn * (q * q * e3 + q * e1 * e4 + q * e3 + e1 * e4)
-            + qn * qn * (q * e1 * e4 + e3 * e4)
-        ) / ((1.0 - e4 * q ** (2 * n - 2)) * (1.0 - e4 * q ** (2 * n)))
-        return 0.5 * qn * num / (q * q)
-
-    def b_rec(self, p: ParamSet, n: int):
-        q = p.q
-        d = self._aw(p)
-        prod = complex(1.0)
-        for ajk in d.pairs:
-            prod *= 1.0 - ajk * q ** (n - 1)
-        b4 = d.e4
-        if not b4:
-            return (1.0 - q**n) * prod / 4.0
-        return (1.0 - q**n) * (1.0 - b4 * q ** (n - 2)) * prod / (
-            4.0
-            * (1.0 - b4 * q ** (2 * n - 3))
-            * (1.0 - b4 * q ** (2 * n - 2)) ** 2
-            * (1.0 - b4 * q ** (2 * n - 1))
-        )
+        a, b, c = [], [], [1.0]
+        qk = 1.0  # q^k stepped as q_pochhammer steps it
+        for k in range(n):
+            # (a1 + 1/a1 - A_k - C_k)/2 of KS 3.1.5 with the 1/a1 pivot
+            # cancelled in closed form: the plain form loses up to 1e-6
+            # relative as a_k -> 0
+            qn = q**k
+            num = (
+                q * q * e1
+                + q * e3
+                - qn * (q * q * e3 + q * e1 * e4 + q * e3 + e1 * e4)
+                + qn * qn * (q * e1 * e4 + e3 * e4)
+            ) / ((1.0 - e4 * q ** (2 * k - 2)) * (1.0 - e4 * q ** (2 * k)))
+            a.append(0.5 * qn * num / (q * q))
+            prod = complex(1.0)
+            for ajk in d.pairs:
+                prod *= 1.0 - ajk * q ** (k - 1)
+            # c_k = 2^k (e4 q^{k-1}; q)_k, carried by its ratio r; that
+            # reads 0/0 at k = 0 when e4 = q, so c_1 = 2 (1 - e4) is closed
+            if not e4:
+                b.append((1.0 - q**k) * prod / 4.0)
+                r = 2.0
+            else:
+                b.append((1.0 - q**k) * (1.0 - e4 * q ** (k - 2)) * prod / (
+                    4.0
+                    * (1.0 - e4 * q ** (2 * k - 3))
+                    * (1.0 - e4 * q ** (2 * k - 2)) ** 2
+                    * (1.0 - e4 * q ** (2 * k - 1))
+                ))
+                r = 2.0 * (1.0 - e4) if k == 0 else (
+                    2.0 * (1.0 - e4 * q ** (2 * k - 1)) * (1.0 - e4 * q ** (2 * k))
+                    / (1.0 - e4 * q ** (k - 1)))
+            if d.k_a1 is not None:
+                # times k_{k+1} / k_k = a1 / ((1 - q^{k+1}) prod (1 - a1 a_j q^k))
+                den = 1.0 - q * qk
+                for ajk in d.k_pairs:
+                    den *= 1.0 - ajk * qk
+                r *= d.k_a1 / den
+            c.append(c[k] * r)
+            qk *= q
+        return tuple(map(complex, a)), tuple(b), tuple(map(complex, c))
 
     def f_shift(self, p: ParamSet, n: int):
         d = self._aw(p)

@@ -411,7 +411,7 @@ def _ladder(fam, p: ParamSet, config: VerifyConfig):
     # [a-, a+] phi_n = (b_{n+1} - b_n) phi_n
     a_minus_a_plus = ladder_action(ctx, "-", lv + 1, up, lat)
     a_plus_a_minus = ladder_action(ctx, "+", prev, dn, lat)
-    b_rec = [complex(fam.b_rec(p, n)).real for n in range(n_max + 2)]
+    b_rec = [b_n.real for b_n in fam.recurrence(p, n_max + 2)[1]]
     checks = [
         ("ladder.level_actions", (0, n_max), len(xs),
          _residual((up0, dn0), (per_level(A_n) * at_x[1:], per_level(C_n) * at_x[prev]))),
@@ -627,8 +627,8 @@ def _orthogonality(fam, p: ParamSet, config: VerifyConfig):
 def _hermiticity(fam, p: ParamSet, config: VerifyConfig):
     # phi0 P_n sqrt(h0/h_n) is unit-normed in the forms' units of h0, so the
     # forms stay at order one and each diagonal pair gives E_n
-    polys = [eval_poly_recurrence(fam, p, n).scaled(math.sqrt(fam.h0_over_hn(p, n)))
-             for n in range(5)]
+    top = eval_poly_recurrence(fam, p, 4)
+    polys = [top.truncated(n).scaled(math.sqrt(fam.h0_over_hn(p, n))) for n in range(5)]
     pairs = [(0, 0), (1, 1), (1, 2), (3, 0), (2, 4)]
     lhs, rhs = hermiticity_forms(fam, p, [polys[n] for n, _ in pairs],
                                  [polys[m] for _, m in pairs])

@@ -199,12 +199,13 @@ def test_energy_factorization(family, name):
 def test_three_term_coefficients_consistent(family, name):
     p = fixture_params(family, name)
     fam = get_family(family)
+    a, b, c_k = fam.recurrence(p, 9)
     for n in range(1, 9):
         c = coefficients(family, p, n)
-        assert c.A_n == pytest.approx(fam.c_n(p, n) / fam.c_n(p, n + 1), rel=1e-12)
-        assert c.B_n == pytest.approx(complex(fam.a_rec(p, n)).real, rel=1e-12, abs=1e-14)
+        assert c.A_n == pytest.approx((c_k[n] / c_k[n + 1]).real, rel=1e-12)
+        assert c.B_n == pytest.approx(a[n].real, rel=1e-12, abs=1e-14)
         assert c.C_n == pytest.approx(
-            fam.c_n(p, n) / fam.c_n(p, n - 1) * complex(fam.b_rec(p, n)).real,
+            (c_k[n] / c_k[n - 1]).real * b[n].real,
             rel=1e-12,
         )
         assert c.N_n == pytest.approx(math.sqrt(c.h0_over_hn), rel=1e-14)
@@ -259,18 +260,20 @@ def test_phi0_is_inf_past_the_double_range_without_a_warning():
 def test_measure_positivity(family, name):
     p = fixture_params(family, name)
     fam = get_family(family)
+    b = fam.recurrence(p, 21)[1]
     for n in range(1, 21):
-        assert complex(fam.b_rec(p, n)).real > 0.0
+        assert b[n].real > 0.0
 
 @pytest.mark.parametrize("family,name", all_fixtures())
 def test_norm_recurrence_consistency(family, name):
     # b_n^rec = (c_{n-1}/c_n)^2 h_n/h_{n-1}, read off the h0_over_hn fields
     p = fixture_params(family, name)
     fam = get_family(family)
+    _, b, c = fam.recurrence(p, 11)
     for n in range(1, 11):
-        lhs = complex(fam.b_rec(p, n)).real
+        lhs = b[n].real
         rhs = (
-            (fam.c_n(p, n - 1) / fam.c_n(p, n)) ** 2
+            (c[n - 1].real / c[n].real) ** 2
             * fam.h0_over_hn(p, n - 1)
             / fam.h0_over_hn(p, n)
         )
@@ -391,14 +394,13 @@ def test_recurrence_leading_coefficient(family, name):
     # of radius r (a discrete Fourier transform): eta^n carries c_n and
     # eta^{n+1} nothing; r above the zeros keeps the transform well conditioned
     p = fixture_params(family, name)
-    fam = get_family(family)
     for n in range(9):
         poly = eval_poly_recurrence(family, p, n)
         assert poly.degree == n
         r = 4.0 * (1.0 + max((abs(v) for v in poly.a + poly.b), default=0.0))
         etas = r * np.exp(2j * np.pi * np.arange(n + 2) / (n + 2))
         coef = np.fft.fft(poly.eval(etas)) / (n + 2) / r ** np.arange(n + 2)
-        c_n = fam.c_n(p, n)
+        c_n = _c_direct(family, p, n)
         assert abs(coef[n] - c_n) <= 1e-12 * abs(c_n)
         assert abs(coef[n + 1]) <= 1e-12 * abs(c_n)
 
@@ -421,25 +423,67 @@ def test_one_ascent_equals_per_level_ascents(family):
 
 
 @pytest.mark.parametrize("family", ["continuous-q-jacobi", "askey-wilson", "wilson"])
-def test_ascent_computes_each_c_n_once(family, monkeypatch):
-    # c_{k+1} is carried up to the next level and into the scaling, so an
-    # ascent to n makes n + 1 c_n calls
+def test_ascent_makes_one_recurrence_call(family, monkeypatch):
+    # the data of every level of an ascent to n comes from one pass
     fam = get_family(family)
     p = fixture_params(family)
     n = 12
     etas = _etas(family)
     want = eval_poly_recurrence(fam, p, n).eval_levels(etas)
     calls = []
-    exact = fam.c_n
+    exact = fam.recurrence
 
-    def counting_c_n(params, k):
+    def counting_recurrence(params, k):
         calls.append(k)
         return exact(params, k)
 
-    monkeypatch.setattr(fam, "c_n", counting_c_n)
+    monkeypatch.setattr(fam, "recurrence", counting_recurrence)
     got = eval_poly_recurrence(fam, p, n)
-    assert sorted(calls) == list(range(n + 1))
+    assert calls == [n]
     assert np.array_equal(got.eval_levels(etas), want)
+
+
+def _c_direct(family, p, n):
+    """c_n as the direct product of its closed form (KS), independent of the
+    ratios that carry it from level to level in `Family.recurrence`."""
+    from dqm.specfun import pochhammer
+    from dqm.specfun import q_pochhammer as qp
+
+    if family == "continuous-hahn":
+        b1 = 2.0 * (p.a[0].real + p.a[1].real)
+        return pochhammer(n + b1 - 1, n).real / math.factorial(n)
+    if family == "meixner-pollaczek":
+        return (2.0 * math.sin(p.phi)) ** n / math.factorial(n)
+    if family == "wilson":
+        return (-1.0) ** n * pochhammer(n + sum(p.a).real - 1, n).real
+    if family == "continuous-dual-hahn":
+        return (-1.0) ** n
+    # the cos-x families: 2^n (e4 q^{n-1}; q)_n in the Askey-Wilson a_i,
+    # times k_n = a1^n / (q, a1 a3, a1 a4; q)_n for q-Jacobi and q-Laguerre
+    q = p.q
+    k_n = 1.0
+    if family in ("continuous-q-jacobi", "continuous-q-laguerre"):
+        aw = []
+        for sign, v in zip((1.0, -1.0), p.a):
+            aw += [sign * q ** (0.5 * (v.real + 0.5)), sign * q ** (0.5 * (v.real + 1.5))]
+        aw += [0.0] * (4 - len(aw))
+        k_n = aw[0] ** n / (qp(q, q, n) * qp(aw[0] * aw[2], q, n) * qp(aw[0] * aw[3], q, n))
+    else:
+        aw = list(p.a) + [0.0] * (4 - len(p.a))
+    e4 = (aw[0] * aw[1] * aw[2] * aw[3]).real
+    return (2.0**n * qp(e4 * q ** (n - 1), q, n) * k_n).real
+
+
+@pytest.mark.parametrize("family,name", all_fixtures())
+def test_recurrence_scales_match_their_direct_products(family, name):
+    # c_0 .. c_60 from one pass of ratios, against each c_n as a product
+    p = fixture_params(family, name)
+    c = get_family(family).recurrence(p, 60)[2]
+    assert len(c) == 61
+    for n in range(61):
+        want = _c_direct(family, p, n)
+        assert abs(c[n] - want) <= 4e-15 * abs(want), n
+
 
 ORACLE_FILE = Path(__file__).resolve().parents[1] / "perfbench" / "oracle_data.json"
 
@@ -497,14 +541,15 @@ def test_recurrence_at_degree_60_is_silent_and_accurate(family):
         poly = eval_poly_recurrence(family, p, 60)
     etas = [complex(eta) for eta in _etas(family)]
     got = [poly.eval(eta) for eta in etas]
+    a, b, c = fam.recurrence(p, 60)
     with mpmath.workdps(60):
         exact = []
         for eta in etas:
             prev, cur = mpmath.mpc(0), mpmath.mpc(1)
             for k in range(60):
-                a_k, b_k = mpmath.mpc(fam.a_rec(p, k)), mpmath.mpc(fam.b_rec(p, k))
+                a_k, b_k = mpmath.mpc(a[k]), mpmath.mpc(b[k])
                 prev, cur = cur, (mpmath.mpc(eta) - a_k) * cur - b_k * prev
-            exact.append(complex(mpmath.mpc(fam.c_n(p, 60)) * cur))
+            exact.append(complex(mpmath.mpc(c[60]) * cur))
     scale = 1.0 + max(abs(v) for v in exact)
     for g, e in zip(got, exact):
         assert abs(g - e) <= 1e-13 * scale
@@ -557,10 +602,11 @@ def test_al_salam_chihara_conjugate_pair_reality():
     p = ParamSet(a=(a * cmath.exp(1j * phi), a * cmath.exp(-1j * phi)), q=q)
     fam = get_family("al-salam-chihara")
     fam.validate(p)
+    a, b, _ = fam.recurrence(p, 11)
     for n in range(1, 11):
-        b_n = fam.a_rec(p, n)
+        b_n = a[n]
         assert abs(complex(b_n).imag) <= 1e-12 * (1 + abs(b_n))
-        prod = complex(fam.b_rec(p, n))  # = C_n A_{n-1}
+        prod = b[n]  # = C_n A_{n-1}
         assert abs(prod.imag) <= 1e-12 * (1 + abs(prod))
     # and the polynomials themselves are real on the interval
     poly = eval_poly_recurrence(fam, p, 5)
@@ -570,8 +616,13 @@ def test_al_salam_chihara_conjugate_pair_reality():
 
 # --------------------------------------------- commutator scalar expansions
 
+def _b_levels(fam, p, top):
+    """b_0 .. b_top of the recurrence, real."""
+    return [b_n.real for b_n in fam.recurrence(p, top + 1)[1]]
+
 def _b_diff(fam, p, n):
-    return complex(fam.b_rec(p, n + 1)).real - complex(fam.b_rec(p, n)).real
+    b = _b_levels(fam, p, n + 1)
+    return b[n + 1] - b[n]
 
 def test_pair_commutator_meixner_pollaczek():
     a, phi = 0.7, 1.1
@@ -621,10 +672,10 @@ def test_deformed_pair_commutators_al_salam_chihara():
     fam = get_family("al-salam-chihara")
     q = p.q
     a12 = (p.a[0] * p.a[1]).real
+    b = _b_levels(fam, p, 9)
     for n in range(9):
         qn = q**n
-        b_np = complex(fam.b_rec(p, n + 1)).real
-        b_n = complex(fam.b_rec(p, n)).real
+        b_np, b_n = b[n + 1], b[n]
         assert b_np - b_n == pytest.approx(
             0.25 * (1 / q - 1) * (-(1 + q) * a12 * qn**2 + (a12 + q) * qn),
             rel=1e-12,
@@ -643,9 +694,9 @@ def test_q_oscillator_scalar_relations(family):
     p = fixture_params(family)
     fam = get_family(family)
     q = p.q
+    b = _b_levels(fam, p, 9)
     for n in range(9):
-        b_np = complex(fam.b_rec(p, n + 1)).real
-        b_n = complex(fam.b_rec(p, n)).real
+        b_np, b_n = b[n + 1], b[n]
         assert b_np - b_n == pytest.approx(0.25 * (1 - q) * q**n, rel=1e-13)
         assert b_np - q * b_n == pytest.approx(0.25 * (1 - q), rel=1e-13)
 
@@ -654,10 +705,10 @@ def test_deformed_pair_commutators_q_laguerre():
     fam = get_family("continuous-q-laguerre")
     q = p.q
     al = p.a[0].real
+    b = _b_levels(fam, p, 9)
     for n in range(9):
         qn = q**n
-        b_np = complex(fam.b_rec(p, n + 1)).real
-        b_n = complex(fam.b_rec(p, n)).real
+        b_np, b_n = b[n + 1], b[n]
         assert b_np - b_n == pytest.approx(
             0.25 * (1 - q) * (-(1 + q) * q**al * qn**2 + (1 + q**al) * qn),
             rel=1e-12,

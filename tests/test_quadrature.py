@@ -239,15 +239,6 @@ def test_hermiticity_on_ground_state_is_zero():
     assert abs(rhs.val[0]) <= 1e-10
 
 
-def test_hermiticity_cross_eigenpolynomials():
-    # P = P_1, Q = P_2: both sides vanish by orthogonality
-    p = fixture_params("wilson")
-    fam = get_family("wilson")
-    P1 = eval_poly_recurrence(fam, p, 1)
-    P2 = eval_poly_recurrence(fam, p, 2)
-    assert _hermiticity_residual(fam, p, P1, P2) <= 1e-6
-
-
 def test_hermiticity_forms_count_a_pole_of_V_at_a_node_as_zero(monkeypatch):
     # a node exactly on x = 0, the pole of the q-Hermite V, with an order-one
     # weight, added to every level: inside the guard it counts as zero
