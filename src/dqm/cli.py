@@ -34,7 +34,6 @@ from .families import (
     get_family,
 )
 from .fixtures import fixture_params, parse_complex
-from .verify import SUITES, VerifyConfig, run_suite
 
 REPORT_VERSION = 1
 
@@ -301,6 +300,8 @@ def validate_report(doc: dict) -> None:
 
 
 def cmd_verify(args) -> int:
+    from .verify import SUITES, VerifyConfig, run_suite
+
     fam = get_family(args.family)
     p = _params_from_args(args)
     suites = args.suite or ["all"]

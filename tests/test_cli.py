@@ -403,6 +403,25 @@ def test_verify_does_not_import_jsonschema():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_list_eval_and_table_do_not_import_the_verifier():
+    verifier = ("dqm.verify", "dqm.operators", "dqm.quadrature")
+    script = (
+        "import sys\n"
+        "from dqm.cli import main\n"
+        f"verifier = {verifier!r}\n"
+        "assert main(['list']) == 0\n"
+        "assert main(['eval', 'wilson', '--fixture', 'default', '--n', '3', '--x', '0.5']) == 0\n"
+        "assert main(['table', 'spectrum', 'askey-wilson', '--fixture', 'default', '--n-max', '4']) == 0\n"
+        "loaded = [m for m in verifier if m in sys.modules]\n"
+        "assert loaded == [], loaded\n"
+        "assert main(['verify', 'continuous-q-hermite', '--q', '0.5', '--suite', 'eigen']) == 0\n"
+        "assert [m for m in verifier if m not in sys.modules] == []\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], env=_env_with_src(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.fixture(scope="module")
 def eigen_reports(tmp_path_factory) -> list:
     """The eigen report of every bundled fixture (22)."""
