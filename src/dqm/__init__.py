@@ -45,7 +45,6 @@ _LAZY = {
     "OperatorContext": "operators",
     "lambda_shift_X": "operators",
     "sample_points": "operators",
-    "OrthoMatrix": "quadrature",
     "orthogonality_matrix": "quadrature",
     "SUITES": "verify",
     "CheckResult": "verify",

@@ -1,5 +1,8 @@
-"""Orthogonality matrices against the ground-state weight and the two
-sesquilinear forms of the hermiticity check.
+"""The unit-normalised matrices (phi0 P_n, A phi0 P_m) / sqrt(h_n h_m)
+over every pair of levels 0..n_max: the Gram matrix G (A the identity) and
+K = (phi0 P_n, H phi0 P_m) (A = H, applied as H-tilde to the polynomials).
+The mirror form (H phi0 P_n, phi0 P_m) is conj(K_mn), so hermiticity is
+K = K^H and the spectrum is diag(K) = E_n.
 
 Each interval has one rule, refined level by level until two successive
 levels agree.  (0, pi) takes composite Gauss-Legendre, its panels doubling
@@ -13,38 +16,32 @@ scaled by its width s (`weight_window`):
 
 with t in [-T_MAX, T_MAX] and the step halving from 0.5.  The weight enters
 as log w - log h0 from `Family.log_amplitude` and `Family.log_h0`, so a
-weight or a norm beyond the double range costs nothing: the Gram matrix and
-the forms come out in units of h0.  Nodes where the node weight times w/h0
-underflows to zero are dropped.
+weight or a norm beyond the double range costs nothing.  Nodes where the
+node weight times w/h0 underflows to zero are dropped.
 
-Each refinement level is one node set, shared by every integral computed on
-it: the Gram matrix takes all its entries from one evaluation of the weight
-and one pass of the three-term recurrence for P_0..P_n per level, and
-`hermiticity_forms` takes both forms of all its pairs from one weight
-evaluation per level and one application of H-tilde to the polynomials'
-values on the shift lattice of the nodes.  A level is accepted when every
-one of its integrals passes the per-integral stopping test.  The
-hermiticity sums run over blocks of at most NODE_BLOCK nodes, so the
-transient arrays stay small at any depth.  Nodes inside the operator's
-singularity guard around the poles of V (exponentially close to an interval
-end) are masked out of the hermiticity sums, that is, counted as zero: the
-weight has crushed the integrand there.
+One routine, `_matrix`, computes both matrices.  Per refinement level it
+evaluates the weight once and P_0 .. P_n once, by one pass of their
+recurrence on the shift lattice of the nodes, and applies A to them as an
+array; every entry comes with the l1 sum of its integrand.  A level is
+accepted when every entry passes the stopping test `_converged`.  The sums
+run over blocks of at most NODE_BLOCK nodes, so the transient arrays stay
+small at any depth.  Nodes inside the operator's singularity guard around
+the poles of V (exponentially close to an interval end) are masked out,
+that is, counted as zero: the weight has crushed the integrand there.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .families import ParamSet, eval_poly_recurrence, get_family
-from .operators import OperatorContext, Terms
+from .operators import OperatorContext, Terms, per_level
 
 __all__ = [
     "ToleranceNotMet",
-    "OrthoMatrix",
     "weight_window",
     "orthogonality_matrix",
     "hermiticity_forms",
@@ -63,8 +60,8 @@ ABS_TOL = 1e-10       # the stopping tolerance, relative beyond order-one magnit
 LEVELS = 9            # refinement levels of every rule
 T_MAX = 4.0           # the double-exponential rules run over t in [-T_MAX, T_MAX]
 
-# nodes per block of the hermiticity sums: bounds the transient
-# (polynomials, lattice rows, nodes) arrays whatever the refinement depth
+# nodes per block of the sums: bounds the transient (levels, lattice rows,
+# nodes) arrays whatever the refinement depth
 NODE_BLOCK = 512
 
 
@@ -172,63 +169,17 @@ def _converged(err, value, l1):
     return err <= np.maximum(ABS_TOL * np.maximum(1.0, np.abs(value)), 1e-14 * l1)
 
 
-@dataclass(frozen=True)
-class OrthoMatrix:
-    """Unit-normalised Gram matrix of phi_0 P_n against phi_0 P_m:
-    entries N_nm = (phi0 P_n, phi0 P_m) / sqrt(h_n h_m), the identity in
-    exact arithmetic."""
+def _matrix(fam, p: ParamSet, n_max: int, half: int, act) -> Terms:
+    """(phi0 P_n, A phi0 P_m) / sqrt(h_n h_m) over levels n, m = 0..n_max,
+    with the l1 sum of its integrand as its magnitude.
 
-    entries: np.ndarray          # (n_max+1, n_max+1), real
-    log_norms: tuple             # log h_n from the closed forms
-
-
-def orthogonality_matrix(family, p: ParamSet, n_max: int = 6) -> OrthoMatrix:
-    """Quadrature Gram matrix for levels 0..n_max on shared nodes."""
-    fam = get_family(family)
-    if n_max > 8:
-        raise ValueError(f"n_max <= 8 (quadrature accuracy budget), got {n_max}")
-    poly = eval_poly_recurrence(fam, p, n_max)
-    ratios = np.array([fam.h0_over_hn(p, n) for n in range(n_max + 1)])
-    unit = np.sqrt(ratios)  # sqrt(h0/h_n): the weight is already over h0
-
-    prev = None
-    err = math.inf
-    for nodes, weights, log_w in _levels(fam, p):
-        vals = unit[:, None] * poly.eval_levels(fam.eta(nodes))
-        g = np.real(np.einsum("k,ik,jk->ij", weights * np.exp(log_w), np.conj(vals), vals))
-        gram = 0.5 * (g + g.T)  # the form is symmetric; remove summation noise
-        if prev is not None:
-            err = float(np.max(np.abs(gram - prev)))
-            if err <= ABS_TOL * max(1.0, float(np.max(np.abs(gram)))):
-                break
-        prev = gram
-    else:
-        raise ToleranceNotMet(f"Gram refinement stalled at {err:.3e}", err)
-    return OrthoMatrix(entries=gram, log_norms=tuple(fam.log_h0(p) - np.log(ratios)))
-
-
-def hermiticity_forms(family, p: ParamSet, P, Q):
-    """The two sesquilinear forms ((g, Hf), (Hg, f)) with f = phi0 P, g = phi0 Q,
-    in units of h0.
-
-    P and Q are two equal-length sequences of EtaPolynomials; the forms of
-    every pair (P[i], Q[i]) come back as two Terms over the pairs, each with
-    the l1 sum of its integrand as its magnitude.  Both forms go through the
-    polynomial-level Hamiltonian: (g, Hf) = int phi0^2 conj(Q) (H-tilde P),
-    and its mirror image.
-    """
-    Ps, Qs = tuple(P), tuple(Q)
-    if len(Ps) != len(Qs):
-        raise ValueError(f"{len(Ps)} polynomials P against {len(Qs)} Q")
-    # each distinct polynomial is one row of the (polynomials, nodes) arrays
-    polys = tuple({id(poly): poly for poly in Ps + Qs}.values())
-    row = {id(poly): i for i, poly in enumerate(polys)}
-    ip = [row[id(poly)] for poly in Ps]
-    iq = [row[id(poly)] for poly in Qs]
-
-    fam = get_family(family)
+    A is given on the polynomials: act(f, lat) maps their values f on the
+    rows -half..half of the lattice lat to the values of phi0^-1 A phi0 f
+    on its centre row."""
     ctx = OperatorContext(fam, p)
-
+    poly = eval_poly_recurrence(fam, p, n_max)
+    # sqrt(h0/h_n): the weight is already over h0
+    unit = per_level(np.sqrt([fam.h0_over_hn(p, n) for n in range(n_max + 1)]))
     prev = None
     err = math.inf
     for nodes, weights, log_w in _levels(fam, p):
@@ -236,25 +187,35 @@ def hermiticity_forms(family, p: ParamSet, P, Q):
         keep = ~ctx.inside_guard(nodes)
         nodes = nodes[keep]
         wp = (weights * np.exp(log_w))[keep]
-        value = np.zeros((2, len(Ps)), dtype=complex)
-        l1 = np.zeros((2, len(Ps)))
+        value = np.zeros((n_max + 1, n_max + 1), dtype=complex)
+        l1 = np.zeros((n_max + 1, n_max + 1))
         for lo in range(0, nodes.size, NODE_BLOCK):
-            x = nodes[lo:lo + NODE_BLOCK]
             wx = wp[lo:lo + NODE_BLOCK]
-            lat = ctx.lattice(x, 2)
-            f = Terms(np.array([poly.eval(lat.eta.val) for poly in polys]))
-            vals = f.val[:, 2]
-            h = ctx.H_tilde(f, lat).val[:, 0]
-            terms = np.stack([np.conj(vals[iq]) * h[ip], np.conj(h[iq]) * vals[ip]])
-            value += terms @ wx
-            l1 += np.abs(terms) @ np.abs(wx)
+            lat = ctx.lattice(nodes[lo:lo + NODE_BLOCK], half)
+            f = unit * lat.operand(poly)
+            g = act(f, lat).val[:, 0]
+            f0 = f.val[:, half]
+            value += np.conj(f0) @ (g * wx).T
+            l1 += np.abs(f0) @ (np.abs(g) * np.abs(wx)).T
         if prev is not None:
             delta = np.abs(value - prev)
             err = float(delta.max())
             if _converged(delta, value, l1).all():
-                return Terms(value[0], l1[0]), Terms(value[1], l1[1])
+                return Terms(value, l1)
         prev = value
     raise ToleranceNotMet(
-        f"hermiticity forms stalled at estimated error {err:.3e} > {ABS_TOL:.3e}",
-        err,
-    )
+        f"quadrature stalled at estimated error {err:.3e} > {ABS_TOL:.3e}", err)
+
+
+def orthogonality_matrix(family, p: ParamSet, n_max: int) -> Terms:
+    """The unit-normalised Gram matrix G_nm = (phi0 P_n, phi0 P_m) /
+    sqrt(h_n h_m), the identity in exact arithmetic."""
+    return _matrix(get_family(family), p, n_max, 0, lambda f, lat: f)
+
+
+def hermiticity_forms(family, p: ParamSet, n_max: int) -> Terms:
+    """K_nm = (phi0 P_n, H phi0 P_m) / sqrt(h_n h_m) = int phi0^2 conj(P_n)
+    (H-tilde P_m) / sqrt(h_n h_m), which is E_n delta_nm in exact arithmetic.
+    The mirror form (H phi0 P_n, phi0 P_m) is conj(K_mn)."""
+    fam = get_family(family)
+    return _matrix(fam, p, n_max, 2, OperatorContext(fam, p).H_tilde)

@@ -613,9 +613,9 @@ def _coherent_closed_form(fam, p: ParamSet, alpha: complex, xs):
 # ----------------------------------------------- orthogonality/hermiticity
 
 def _orthogonality(fam, p: ParamSet, config: VerifyConfig):
-    n_max = min(config.n_max, 6)
+    n_max = config.n_max
     # the unit-normalised Gram matrix against the identity; a NaN propagates
-    dev = np.abs(orthogonality_matrix(fam, p, n_max).entries - np.eye(n_max + 1))
+    dev = np.abs(orthogonality_matrix(fam, p, n_max).val - np.eye(n_max + 1))
     diag = np.diag(dev)
     return [
         ("orthogonality.diagonal_norms", (0, n_max), (n_max + 1) ** 2, np.max(diag)),
@@ -625,18 +625,19 @@ def _orthogonality(fam, p: ParamSet, config: VerifyConfig):
 
 
 def _hermiticity(fam, p: ParamSet, config: VerifyConfig):
-    # phi0 P_n sqrt(h0/h_n) is unit-normed in the forms' units of h0, so the
-    # forms stay at order one and each diagonal pair gives E_n
-    top = eval_poly_recurrence(fam, p, 4)
-    polys = [top.truncated(n).scaled(math.sqrt(fam.h0_over_hn(p, n))) for n in range(5)]
-    pairs = [(0, 0), (1, 1), (1, 2), (3, 0), (2, 4)]
-    lhs, rhs = hermiticity_forms(fam, p, [polys[n] for n, _ in pairs],
-                                 [polys[m] for _, m in pairs])
-    energy = Terms(np.array([fam.energy(p, 0), fam.energy(p, 1)]))
+    # K_nm = (phi0 P_n, H phi0 P_m) on unit-normed phi0 P_n; the mirror form
+    # (H phi0 P_n, phi0 P_m) is conj(K_mn), and diag(K) is the spectrum
+    n_max = config.n_max
+    K = hermiticity_forms(fam, p, n_max)
+    # diag(K) against E_n at levels 0 and 1 only: above them the round-off
+    # of H-tilde P_n can exceed the tolerance (Meixner-Pollaczek a = 40)
+    top = min(n_max, 1)
+    diag = Terms(np.diag(K.val), np.diag(K.mag))[:top + 1]
+    energy = np.array([fam.energy(p, n) for n in range(top + 1)])
     return [
-        ("hermiticity.symmetric_form", (0, 4), len(pairs), _residual(lhs, rhs)),
-        ("hermiticity.diagonal_energy", (0, 1), 2,
-         _residual((lhs[:2], rhs[:2]), (energy, energy))),
+        ("hermiticity.symmetric_form", (0, n_max), (n_max + 1) ** 2,
+         _residual(K, Terms(np.conj(K.val.T), K.mag.T))),
+        ("hermiticity.diagonal_energy", (0, top), top + 1, _residual(diag, energy)),
     ]
 
 

@@ -39,7 +39,6 @@ LAZY = {
     "OperatorContext": "operators",
     "lambda_shift_X": "operators",
     "sample_points": "operators",
-    "OrthoMatrix": "quadrature",
     "orthogonality_matrix": "quadrature",
     "SUITES": "verify",
     "CheckResult": "verify",

@@ -1,5 +1,5 @@
-"""Quadrature: Gram matrices against the ground-state weight vs the
-closed-form norms, and the hermiticity forms."""
+"""Quadrature: the Gram matrix against the ground-state weight vs the
+closed-form norms, and H-tilde's matrix K against the spectrum."""
 
 from __future__ import annotations
 
@@ -28,10 +28,16 @@ from dqm.specfun import q_pochhammer_inf
 from dqm.verify import VerifyConfig, run_suite
 
 
-def _norms(m):
+def _log_norms(fam, p, n_max):
+    """log h_n from the closed forms, n = 0..n_max."""
+    return fam.log_h0(p) - np.log([fam.h0_over_hn(p, n) for n in range(n_max + 1)])
+
+
+def _norms(fam, p, n_max):
     """The Gram matrix's diagonal in absolute units: the quadrature of
     (phi0 P_n, phi0 P_n)."""
-    return np.diag(m.entries) * np.exp(m.log_norms)
+    gram = orthogonality_matrix(fam, p, n_max).val
+    return np.real(np.diag(gram)) * np.exp(_log_norms(fam, p, n_max))
 
 
 def test_gram_q_hermite_norm():
@@ -39,7 +45,7 @@ def test_gram_q_hermite_norm():
     fam = get_family("continuous-q-hermite")
     p = ParamSet(q=0.5)
     expected = 2 * math.pi / q_pochhammer_inf(0.5, 0.5).real
-    [got] = _norms(orthogonality_matrix(fam, p, 0))
+    [got] = _norms(fam, p, 0)
     assert got == pytest.approx(expected, rel=1e-8)
     assert got == pytest.approx(21.7570786818, rel=1e-9)
 
@@ -48,22 +54,26 @@ def test_gram_orthogonality():
     # (phi0 P_1, phi0) in absolute units
     fam = get_family("continuous-q-hermite")
     p = ParamSet(q=0.5)
-    m = orthogonality_matrix(fam, p, 1)
-    assert abs(m.entries[1, 0]) * math.exp(0.5 * sum(m.log_norms)) < 1e-9
+    gram = orthogonality_matrix(fam, p, 1).val
+    assert abs(gram[1, 0]) * math.exp(0.5 * sum(_log_norms(fam, p, 1))) < 1e-9
 
 
-def test_hermiticity_forms_of_zero_are_zero():
+def test_hermiticity_forms_of_zero_are_zero(monkeypatch):
+    import dqm.quadrature as quadrature
+
     fam = get_family("continuous-q-hermite")
     p = ParamSet(q=0.5)
-    zero = eval_poly_recurrence(fam, p, 2).scaled(0.0)
-    for form in hermiticity_forms(fam, p, [zero], [zero]):
-        assert form.val[0] == 0
+    monkeypatch.setattr(quadrature, "eval_poly_recurrence",
+                        lambda *args: eval_poly_recurrence(*args).scaled(0.0))
+    for matrix in (orthogonality_matrix(fam, p, 2), hermiticity_forms(fam, p, 2)):
+        assert np.all(matrix.val == 0)
+        assert np.all(matrix.mag == 0)
 
 
 def test_positivity_of_norm():
     fam = get_family("meixner-pollaczek")
     p = fixture_params("meixner-pollaczek")
-    assert orthogonality_matrix(fam, p, 2).entries[2, 2] > 0
+    assert orthogonality_matrix(fam, p, 2).val[2, 2].real > 0
 
 
 ALL_FAMILIES = [FAMILIES[fid].spec.name for fid in FamilyId]
@@ -72,10 +82,13 @@ ALL_FAMILIES = [FAMILIES[fid].spec.name for fid in FamilyId]
 @pytest.mark.parametrize("family", ALL_FAMILIES)
 def test_gram_matrix(family):
     p = fixture_params(family)
-    m = orthogonality_matrix(family, p, 6)
+    gram = orthogonality_matrix(family, p, 6)
     # unit-normalised: the identity, to round-off
-    assert np.max(np.abs(m.entries - np.eye(7))) <= 1e-12
-    assert np.array_equal(m.entries, m.entries.T)
+    assert np.max(np.abs(gram.val - np.eye(7))) <= 1e-12
+    # hermitian, and the l1 sum of a diagonal entry's positive integrand is
+    # the entry itself
+    assert np.max(np.abs(gram.val - gram.val.conj().T)) <= 1e-15
+    assert np.allclose(np.diag(gram.mag), np.diag(gram.val).real, rtol=1e-14, atol=0)
 
 
 @pytest.mark.parametrize("family", ["askey-wilson", "wilson", "meixner-pollaczek"])
@@ -100,22 +113,21 @@ def test_gram_matrix_takes_its_polynomials_from_one_ascent(family, monkeypatch):
             return np.array([poly.eval(eta) for poly in self.polys])
 
     monkeypatch.setattr(quadrature, "eval_poly_recurrence", one_ascent)
-    gram = orthogonality_matrix(fam, p, 6).entries
+    gram = orthogonality_matrix(fam, p, 6).val
     assert ascents == [6]
     # every level of the one pass equals its polynomial's own evaluation
     # exactly, so the Gram matrix is bit-identical to the one built level by level
     monkeypatch.setattr(quadrature, "eval_poly_recurrence", PerLevelAscents)
-    assert np.array_equal(gram, orthogonality_matrix(fam, p, 6).entries)
+    assert np.array_equal(gram, orthogonality_matrix(fam, p, 6).val)
 
 
 def test_gram_diag_level_zero_matches_h0():
-    # the quadrature of phi0^2 in units of h0 is 1, and log_norms[0] is log h0
+    # the quadrature of phi0^2 in units of h0 is 1, and log h_0 is log h0
     p = fixture_params("meixner-pollaczek")
     fam = get_family("meixner-pollaczek")
-    m = orthogonality_matrix(fam, p, 2)
-    assert m.entries[0, 0] == pytest.approx(1.0, rel=1e-12)
-    assert m.log_norms[0] == pytest.approx(math.log(fam.h0(p)), rel=1e-14)
-    assert _norms(m)[0] == pytest.approx(fam.h0(p), rel=1e-12)
+    assert orthogonality_matrix(fam, p, 2).val[0, 0] == pytest.approx(1.0, rel=1e-12)
+    assert _log_norms(fam, p, 2)[0] == pytest.approx(math.log(fam.h0(p)), rel=1e-14)
+    assert _norms(fam, p, 2)[0] == pytest.approx(fam.h0(p), rel=1e-12)
 
 
 def test_meixner_pollaczek_norm_ratios():
@@ -123,15 +135,33 @@ def test_meixner_pollaczek_norm_ratios():
     p = fixture_params("meixner-pollaczek")
     fam = get_family("meixner-pollaczek")
     a = p.a[0].real
-    norms = _norms(orthogonality_matrix(fam, p, 6))
+    norms = _norms(fam, p, 6)
     for n in range(1, 7):
         assert norms[n] / norms[n - 1] == pytest.approx((2 * a + n - 1) / n, rel=1e-12)
     assert norms[0] == pytest.approx(fam.h0(p), rel=1e-12)
 
 
-def test_gram_level_budget():
-    with pytest.raises(ValueError, match="n_max"):
-        orthogonality_matrix("continuous-q-hermite", ParamSet(q=0.5), 9)
+@pytest.mark.parametrize("suite", ["orthogonality", "hermiticity"])
+def test_quadrature_suites_pass_at_n_max_30(suite):
+    # the CLI's ceiling, on every bundled fixture
+    for family in ALL_FAMILIES:
+        for fixture in fixture_names(family):
+            results = run_suite(suite, family, fixture_params(family, fixture),
+                                VerifyConfig(n_max=30))
+            assert all(r.passed for r in results), [
+                (family, fixture, r.check_id, r.max_residual) for r in results]
+
+
+def test_quadrature_checks_cover_every_level():
+    p = fixture_params("wilson")
+    ranges = {r.check_id: r.level_range for suite in ("orthogonality", "hermiticity")
+              for r in run_suite(suite, "wilson", p, VerifyConfig(n_max=12))}
+    assert ranges == {
+        "orthogonality.diagonal_norms": (0, 12),
+        "orthogonality.off_diagonal": (0, 12),
+        "hermiticity.symmetric_form": (0, 12),
+        "hermiticity.diagonal_energy": (0, 1),
+    }
 
 
 def test_quadrature_self_consistency():
@@ -153,7 +183,7 @@ def test_rules_agree_on_finite_interval():
     p = ParamSet(q=0.5)
     x, dx = _tanh_sinh(0.0, math.pi, 5)
     vd = np.sum(dx * np.asarray(fam.phi0(p, x)) ** 2)
-    [vg] = _norms(orthogonality_matrix(fam, p, 0))
+    [vg] = _norms(fam, p, 0)
     assert vd == pytest.approx(vg, rel=1e-12)
 
 
@@ -205,52 +235,43 @@ def test_two_equal_peaks_raise_and_never_pass():
 
 # -------------------------------------------------------------- hermiticity
 
-def _hermiticity_residual(fam, p, P, Q):
-    """|(g,Hf) - (Hg,f)| / (1 + mag(g,Hf) + mag(Hg,f)), the forms in units of h0."""
-    lhs, rhs = hermiticity_forms(fam, p, [P], [Q])
-    return abs(lhs.val[0] - rhs.val[0]) / (1.0 + lhs.mag[0] + rhs.mag[0])
+def _mirror_residual(K, n, m):
+    """|(phi0 P_n, H phi0 P_m) - (H phi0 P_n, phi0 P_m)| over 1 plus the l1
+    sums of both, read off K: the mirror form is conj(K_mn)."""
+    return abs(K.val[n, m] - np.conj(K.val[m, n])) / (1.0 + K.mag[n, m] + K.mag[m, n])
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)
 def test_hermiticity_residual(family):
     p = fixture_params(family)
-    fam = get_family(family)
-    P1 = eval_poly_recurrence(fam, p, 1)
-    P2 = eval_poly_recurrence(fam, p, 2)
-    assert _hermiticity_residual(fam, p, P1, P2) <= 1e-6
+    assert _mirror_residual(hermiticity_forms(family, p, 2), 2, 1) <= 1e-6
 
 
 def test_hermiticity_diagonal_form_is_real():
     p = fixture_params("askey-wilson")
-    fam = get_family("askey-wilson")
-    P2 = eval_poly_recurrence(fam, p, 2)
-    lhs, rhs = (form.val[0] for form in hermiticity_forms(fam, p, [P2], [P2]))
-    assert abs(lhs - rhs) <= 1e-12 * (1 + abs(lhs))
-    assert abs(lhs.imag) <= 1e-12 * (1 + abs(lhs))
+    k22 = hermiticity_forms("askey-wilson", p, 2).val[2, 2]
+    assert abs(k22 - np.conj(k22)) <= 1e-12 * (1 + abs(k22))
+    assert abs(k22.imag) <= 1e-12 * (1 + abs(k22))
 
 
 def test_hermiticity_on_ground_state_is_zero():
-    # P = Q = 1: both forms equal (phi0, H phi0) = 0
+    # P_0 = 1: (phi0, H phi0) = 0
     p = fixture_params("continuous-q-hermite")
-    fam = get_family("continuous-q-hermite")
-    one = eval_poly_recurrence(fam, p, 0)
-    lhs, rhs = hermiticity_forms(fam, p, [one], [one])
-    assert abs(lhs.val[0]) <= 1e-10
-    assert abs(rhs.val[0]) <= 1e-10
+    K = hermiticity_forms("continuous-q-hermite", p, 0)
+    assert abs(K.val[0, 0]) <= 1e-10
 
 
-def test_hermiticity_forms_count_a_pole_of_V_at_a_node_as_zero(monkeypatch):
+def test_quadrature_counts_a_pole_of_V_at_a_node_as_zero(monkeypatch):
     # a node exactly on x = 0, the pole of the q-Hermite V, with an order-one
-    # weight, added to every level: inside the guard it counts as zero
+    # weight, added to every level: inside the guard it counts as zero, in
+    # the Gram matrix as in K
     import dqm.quadrature as quadrature
     from dqm.families import SingularityError
     from dqm.operators import OperatorContext
 
     fam = get_family("continuous-q-hermite")
     p = fixture_params("continuous-q-hermite")
-    P = eval_poly_recurrence(fam, p, 2)
-    Q = eval_poly_recurrence(fam, p, 3)
-    plain = hermiticity_forms(fam, p, [P], [Q])
+    plain = [orthogonality_matrix(fam, p, 3), hermiticity_forms(fam, p, 3)]
     levels = quadrature._levels
 
     def with_pole(fam, p):
@@ -260,9 +281,10 @@ def test_hermiticity_forms_count_a_pole_of_V_at_a_node_as_zero(monkeypatch):
     monkeypatch.setattr(quadrature, "_levels", with_pole)
     with pytest.raises(SingularityError):
         fam.V(p, 0.0)
-    for got, want in zip(hermiticity_forms(fam, p, [P], [Q]), plain):
-        assert np.isfinite(got.val[0])
-        assert abs(got.val[0] - want.val[0]) <= 1e-14 * (1 + abs(want.val[0]))
+    got = [orthogonality_matrix(fam, p, 3), hermiticity_forms(fam, p, 3)]
+    for matrix, want in zip(got, plain):
+        assert np.all(np.isfinite(matrix.val))
+        assert np.max(np.abs(matrix.val - want.val) / (1 + np.abs(want.val))) <= 1e-14
     # on (0, inf) the tanh-sinh nodes next to x = 0 fall inside the guard
     wilson = get_family("wilson")
     x, _, _ = next(levels(wilson, fixture_params("wilson")))
@@ -274,26 +296,22 @@ FIXTURES = [(name, fx) for name in ALL_FAMILIES for fx in fixture_names(name)]
 
 @pytest.mark.parametrize("family,fixture", FIXTURES)
 def test_hermiticity_forms_reproduce_the_spectrum(family, fixture):
-    # phi0 P_n / sqrt(h_n) are orthonormal eigenfunctions: both forms of the
-    # pair (P_n, P_m) equal E_n delta_nm; the pairs are the hermiticity suite's
+    # phi0 P_n / sqrt(h_n) are orthonormal eigenfunctions: K_nm and the
+    # mirror form conj(K_mn) equal E_n delta_nm, on every pair of levels 0..4
     fam = get_family(family)
     p = fixture_params(family, fixture)
-    polys = [
-        eval_poly_recurrence(fam, p, n).scaled(math.sqrt(fam.h0_over_hn(p, n)))
-        for n in range(5)
-    ]
-    levels = [(0, 0), (1, 1), (1, 2), (3, 0), (2, 4)]
-    lhs, rhs = hermiticity_forms(
-        fam, p, [polys[n] for n, _ in levels], [polys[m] for _, m in levels])
-    for (n, m), gHf, Hgf in zip(levels, lhs.val, rhs.val):
+    K = hermiticity_forms(fam, p, 4).val
+    for n in range(5):
         e_n = fam.energy(p, n)
-        want = e_n if n == m else 0.0
-        assert abs(gHf - want) <= 1e-11 * (1 + e_n)
-        assert abs(Hgf - want) <= 1e-11 * (1 + e_n)
+        for m in range(5):
+            want = e_n if n == m else 0.0
+            assert abs(K[n, m] - want) <= 1e-11 * (1 + e_n)
+            assert abs(np.conj(K[m, n]) - want) <= 1e-11 * (1 + e_n)
 
 
 @pytest.mark.parametrize("family,fixture", FIXTURES)
-def test_hermiticity_evaluates_phi0_once_per_level(family, fixture, monkeypatch):
+@pytest.mark.parametrize("suite", ["orthogonality", "hermiticity"])
+def test_quadrature_evaluates_phi0_once_per_level(suite, family, fixture, monkeypatch):
     import dqm.quadrature as quadrature
     from dqm.verify import run_suite
 
@@ -310,8 +328,8 @@ def test_hermiticity_evaluates_phi0_once_per_level(family, fixture, monkeypatch)
         return plain(self, params, x)
 
     monkeypatch.setattr(type(fam), "log_amplitude", counted)
-    assert all(r.passed for r in run_suite("hermiticity", fam, p))
+    assert all(r.passed for r in run_suite(suite, fam, p))
     # one weight evaluation per refinement level, each on more nodes than the
-    # last: a level evaluated twice (per pair or per form) would repeat a size
+    # last: a level evaluated twice would repeat a size
     assert len(sizes) >= 2
     assert all(a < b for a, b in zip(sizes, sizes[1:]))

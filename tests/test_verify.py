@@ -559,3 +559,22 @@ def test_pointwise_suites_flag_a_perturbed_recurrence(family, monkeypatch):
     failed = [r.check_id for suite in POINTWISE_SUITES
               for r in run_suite(suite, fam, p, VerifyConfig()) if not r.passed]
     assert failed
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_orthogonality_flags_a_perturbed_top_recurrence_step(family, monkeypatch):
+    # b_{n_max-1} (1 + 1e-9) leaves P_0 .. P_{n_max-1} exact and makes
+    # P_{n_max} a slightly wrong combination of its neighbours: its overlap
+    # with P_{n_max-2} is no longer zero
+    fam = get_family(family)
+    p = fixture_params(family)
+    config = VerifyConfig()
+    top = config.n_max - 1
+    exact = fam.recurrence
+
+    def perturbed(params, n):
+        a, b, c = exact(params, n)
+        return a, tuple(v * (1 + 1e-9) if k == top else v for k, v in enumerate(b)), c
+
+    monkeypatch.setattr(fam, "recurrence", perturbed)
+    assert not all(r.passed for r in run_suite("orthogonality", fam, p, config))

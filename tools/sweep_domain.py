@@ -13,18 +13,20 @@ with at most 60 tries; the draws are
       continuous big q-Hermite    a_j = U(-0.9, 0.9)
       continuous q-Jacobi and q-Laguerre   a_j = U(-0.45, 3)
 
-Each set then runs all 11 suites at VerifyConfig(seed=1).  For each
+Each set then runs all 11 suites at VerifyConfig(n_max=--n-max, seed=1),
+--n-max defaulting to 8, the verify default.  For each
 (family, check) the sweep prints the worst residual, ten times that worst
 rounded up to two figures and the current tolerance, as
 `sweep_tolerances.py` does, and the number of misses; then every miss and
 every suite that raised, with its parameters.  It exits 1 on any miss or
 exception.
 
-    python3 tools/sweep_domain.py
+    python3 tools/sweep_domain.py [--n-max N]
 """
 
 from __future__ import annotations
 
+import argparse
 import os
 import sys
 
@@ -39,7 +41,6 @@ from sweep_tolerances import two_figures_up  # noqa: E402
 
 SETS = 6
 TRIES = 60
-CONFIG = VerifyConfig(seed=1)
 
 
 def draw(rng, fam) -> ParamSet:
@@ -72,6 +73,10 @@ def valid_sets(rng, fam) -> list:
 
 
 def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--n-max", type=int, default=8, metavar="N",
+                        help="levels 0..N (default 8)")
+    config = VerifyConfig(n_max=parser.parse_args().n_max, seed=1)
     rng = np.random.default_rng(7)
     worst: dict[tuple, float] = {}
     n_miss: dict[tuple, int] = {}
@@ -83,7 +88,7 @@ def main() -> int:
             for suite in SUITES:
                 calls += 1
                 try:
-                    results = run_suite(suite, fam, p, CONFIG)
+                    results = run_suite(suite, fam, p, config)
                 except Exception as exc:  # a suite that cannot run is reported
                     errors.append((family, suite, p, f"{type(exc).__name__}: {exc}"))
                     continue
