@@ -91,22 +91,38 @@ def _complex_str(v: complex) -> str:
     return f"{v.real!r}{sign}{abs(v.imag)!r}i"
 
 
+_INTERVALS = {"x": (-math.inf, math.inf), "x^2": (0.0, math.inf), "cos x": (0.0, math.pi)}
+
+
 @dataclass(frozen=True)
 class FamilySpec:
-    """Static description: coordinate kind, interval and shift structure."""
+    """Static description: coordinate kind, parameter names and shift
+    structure.  The interval, the number of parameters and the use of q
+    follow from the coordinate kind and the parameter names."""
 
     id: FamilyId
     ks_tag: str
     eta_kind: str            # "x", "x^2" or "cos x"
-    interval: tuple          # (0, inf) uses math.inf
-    n_params: int            # number of lambda entries
-    uses_q: bool
     uses_phi: bool
-    param_names: tuple
+    param_names: tuple       # the lambda entries
 
     @property
     def name(self) -> str:
         return self.id.value
+
+    @property
+    def interval(self) -> tuple:
+        """(lo, hi) of x; an unbounded end is math.inf."""
+        return _INTERVALS[self.eta_kind]
+
+    @property
+    def n_params(self) -> int:
+        return len(self.param_names)
+
+    @property
+    def uses_q(self) -> bool:
+        """Only the cos-x families have a base q."""
+        return self.eta_kind == "cos x"
 
 
 @dataclass(frozen=True)

@@ -33,9 +33,6 @@ class ContinuousHahn(Family):
         id=FamilyId.CONTINUOUS_HAHN,
         ks_tag="KS1.4",
         eta_kind="x",
-        interval=(-math.inf, math.inf),
-        n_params=2,
-        uses_q=False,
         uses_phi=False,
         param_names=("a1", "a2"),
     )
@@ -172,9 +169,6 @@ class MeixnerPollaczek(Family):
         id=FamilyId.MEIXNER_POLLACZEK,
         ks_tag="KS1.7",
         eta_kind="x",
-        interval=(-math.inf, math.inf),
-        n_params=1,
-        uses_q=False,
         uses_phi=True,
         param_names=("a",),
     )

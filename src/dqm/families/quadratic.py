@@ -78,9 +78,6 @@ class Wilson(_GammaRatioFamily):
         id=FamilyId.WILSON,
         ks_tag="KS1.1",
         eta_kind="x^2",
-        interval=(0.0, math.inf),
-        n_params=4,
-        uses_q=False,
         uses_phi=False,
         param_names=("a1", "a2", "a3", "a4"),
     )
@@ -187,9 +184,6 @@ class ContinuousDualHahn(_GammaRatioFamily):
         id=FamilyId.CONTINUOUS_DUAL_HAHN,
         ks_tag="KS1.3",
         eta_kind="x^2",
-        interval=(0.0, math.inf),
-        n_params=3,
-        uses_q=False,
         uses_phi=False,
         param_names=("a1", "a2", "a3"),
     )

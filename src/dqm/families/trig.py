@@ -137,9 +137,6 @@ def _spec(fid: FamilyId, ks_tag: str, names: tuple) -> FamilySpec:
         id=fid,
         ks_tag=ks_tag,
         eta_kind="cos x",
-        interval=(0.0, math.pi),
-        n_params=len(names),
-        uses_q=True,
         uses_phi=False,
         param_names=names,
     )

@@ -31,13 +31,12 @@ def parse_complex(text: str) -> complex:
         raise ValidationError(f"cannot parse complex literal {text!r}") from exc
 
 
-def load_fixtures(path: str | None = None) -> dict:
-    """Load the fixtures document (env override > explicit path > bundled)."""
+def load_fixtures() -> dict:
+    """Load the fixtures document: the file DQM_FIXTURES names, if set, or
+    the bundled one."""
     override = os.environ.get("DQM_FIXTURES")
-    if path is None and override:
-        path = override
-    if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
+    if override:
+        with open(override, "r", encoding="utf-8") as fh:
             return json.load(fh)
     with resources.files("dqm.data").joinpath("fixtures.json").open(
         "r", encoding="utf-8"
@@ -45,17 +44,15 @@ def load_fixtures(path: str | None = None) -> dict:
         return json.load(fh)
 
 
-def fixture_names(family, path: str | None = None) -> list[str]:
+def fixture_names(family) -> list[str]:
     fam = get_family(family)
-    doc = load_fixtures(path)
-    return sorted(doc["families"].get(fam.spec.name, {}))
+    return sorted(load_fixtures()["families"].get(fam.spec.name, {}))
 
 
-def fixture_params(family, name: str = "default", path: str | None = None) -> ParamSet:
+def fixture_params(family, name: str = "default") -> ParamSet:
     """The named ParamSet for a family, validated before returning."""
     fam = get_family(family)
-    doc = load_fixtures(path)
-    table = doc["families"].get(fam.spec.name, {})
+    table = load_fixtures()["families"].get(fam.spec.name, {})
     if name not in table:
         raise ValidationError(
             f"no fixture {name!r} for {fam.spec.name}; available: {sorted(table)}"

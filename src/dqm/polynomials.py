@@ -66,7 +66,3 @@ class EtaPolynomial:
     def truncated(self, n: int) -> "EtaPolynomial":
         """P_n of the same ascent, with P_0 .. P_{n-1}."""
         return replace(self, a=self.a[:n], b=self.b[:n], c=self.c[: n + 1])
-
-    def scaled(self, factor: complex) -> "EtaPolynomial":
-        """Every level multiplied by factor."""
-        return replace(self, c=tuple(c * factor for c in self.c))

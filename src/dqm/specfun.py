@@ -13,13 +13,15 @@ factors 1 - a q^k as one (factors x points) array, at most _BLOCK elements
 at a time, so its memory stays O(a.size).
 
 The terminating sums ``hypergeometric_F`` and ``basic_hypergeometric_phi``
-run in double-double arithmetic; they serve the families' series path, the
-independent cross-check of the recurrence.
+serve the families' series path, the independent cross-check of the
+recurrence.  Both are summed by one double-double loop, ``_dd_series``; each
+supplies only the factors of its term ratio.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -255,104 +257,90 @@ _CDD_ONE = (1.0, 0.0, 0.0, 0.0)
 _CDD_ZERO = (0.0, 0.0, 0.0, 0.0)
 
 
-def hypergeometric_F(num, den, z: complex, n_terms: int) -> complex:
-    """Truncated hypergeometric sum of the first n_terms+1 terms.
+def _dd_series(ratios, z: complex, n_terms: int) -> complex:
+    """Sum t_0 + ... + t_{n_terms} of t_0 = 1, t_{k+1} = t_k ratio_k z.
 
-    Terms are accumulated in ascending order; the terms and the running sum
-    are carried in compensated double-double precision so that the heavy
-    cancellation of terminating series does not erode the result.  A
-    vanishing denominator Pochhammer before termination raises PoleError.
+    ratios yields, for k = 0, 1, ..., the factors (num, den, tail) of
+    ratio_k as double-double complex tuples: the product of num, divided by
+    each den factor in order, times each tail factor.  Terms are accumulated
+    in ascending order; the terms and the running sum are carried in
+    compensated double-double precision so that the heavy cancellation of
+    terminating series does not erode the result.  A num factor that
+    vanishes exactly ends the series; a den factor that vanishes exactly
+    raises PoleError.
     """
     if n_terms < 0:
         raise DomainError(f"n_terms must be >= 0, got {n_terms}")
-    num = [complex(a) for a in num]
-    den = [complex(b) for b in den]
     zc = _cdd(z)
     term = _CDD_ONE
     total = _CDD_ZERO
-    for k in range(n_terms + 1):
+    for k, (num, den, tail) in zip(range(n_terms), ratios):
         total = _cdd_add(total, term)
-        if k == n_terms:
-            break
         ratio = _CDD_ONE
-        done = False
-        for a in num:
-            f = _cdd_add(_cdd(a), _cdd(k))
+        for f in num:
             if f[0] == 0.0 and f[2] == 0.0:
-                done = True  # a numerator parameter hit -k: series terminated
-                break
+                return _cdd_value(total)  # the series terminated
             ratio = _cdd_mul(ratio, f)
-        if done:
-            break
-        for b in den:
-            f = _cdd_add(_cdd(b), _cdd(k))
+        for f in den:
             if f[0] == 0.0 and f[2] == 0.0:
-                raise PoleError(
-                    f"denominator parameter {b} produced a zero Pochhammer "
-                    f"factor at term {k + 1}"
-                )
+                raise PoleError(f"a denominator factor vanishes at term {k + 1}")
             ratio = _cdd_div(ratio, f)
-        ratio = _cdd_div(ratio, _cdd(k + 1))
+        for f in tail:
+            ratio = _cdd_mul(ratio, f)
         term = _cdd_mul(_cdd_mul(term, ratio), zc)
-    return _cdd_value(total)
+    return _cdd_value(_cdd_add(total, term))
+
+
+def hypergeometric_F(num, den, z: complex, n_terms: int) -> complex:
+    """Truncated hypergeometric sum pFq of the first n_terms+1 terms.
+
+    The term ratio is prod (a + k) / (prod (b + k) (k + 1)), summed by
+    _dd_series.  A vanishing denominator Pochhammer before termination
+    raises PoleError.
+    """
+    num = [_cdd(a) for a in num]
+    den = [_cdd(b) for b in den]
+
+    def ratios():
+        for k in itertools.count():
+            kc = _cdd(k)
+            yield ([_cdd_add(a, kc) for a in num],
+                   [_cdd_add(b, kc) for b in den] + [_cdd(k + 1)], ())
+
+    return _dd_series(ratios(), z, n_terms)
 
 
 def basic_hypergeometric_phi(num, den, q: float, z: complex, n_terms: int) -> complex:
     """Basic hypergeometric sum r_phi_s through n_terms+1 terms.
 
-    Includes the ((-1)^k q^(k(k-1)/2))^(1+s-r) factor attached to each term,
-    so non-standard (r, s) combinations evaluate correctly.  Same ascending
-    double-double accumulation as hypergeometric_F.
+    The term ratio is prod (1 - a q^k) / (prod (1 - b q^k) (1 - q^(k+1)))
+    times (-q^k)^(1+s-r), the ratio of the ((-1)^k q^(k(k-1)/2))^(1+s-r)
+    factor attached to each term, so non-standard (r, s) combinations
+    evaluate correctly.  q^k is stepped in double-double; the sum is
+    _dd_series'.
     """
     q = _check_q(q)
-    if n_terms < 0:
-        raise DomainError(f"n_terms must be >= 0, got {n_terms}")
     num = [_cdd(a) for a in num]
     den = [_cdd(b) for b in den]
-    zc = _cdd(z)
     excess = 1 + len(den) - len(num)
-    term = _CDD_ONE
-    total = _CDD_ZERO
-    qk = (1.0, 0.0)  # q^k as a real double-double
-    for k in range(n_terms + 1):
-        total = _cdd_add(total, term)
-        if k == n_terms:
-            break
-        qk_c = (qk[0], qk[1], 0.0, 0.0)
-        ratio = _CDD_ONE
-        done = False
-        for a in num:
-            prod = _cdd_mul(a, qk_c)
-            f = _cdd_add(_CDD_ONE, (-prod[0], -prod[1], -prod[2], -prod[3]))
-            if f[0] == 0.0 and f[2] == 0.0:
-                done = True
-                break
-            ratio = _cdd_mul(ratio, f)
-        if done:
-            break
-        for b in den:
-            prod = _cdd_mul(b, qk_c)
-            f = _cdd_add(_CDD_ONE, (-prod[0], -prod[1], -prod[2], -prod[3]))
-            if f[0] == 0.0 and f[2] == 0.0:
-                raise PoleError(
-                    "a denominator parameter produced a zero q-Pochhammer "
-                    f"factor at term {k + 1}"
-                )
-            ratio = _cdd_div(ratio, f)
-        qq = _dd_mul(qk[0], qk[1], q, 0.0)  # q^{k+1}
-        f = _cdd_add(_CDD_ONE, (-qq[0], -qq[1], 0.0, 0.0))
-        ratio = _cdd_div(ratio, f)  # the (q;q)_k factor
-        if excess > 0:
+
+    def one_minus(x):
+        return _cdd_add(_CDD_ONE, (-x[0], -x[1], -x[2], -x[3]))
+
+    def ratios():
+        qk = _CDD_ONE  # q^k, real
+        while True:
+            qq = (*_dd_mul(qk[0], qk[1], q, 0.0), 0.0, 0.0)  # q^{k+1}
             neg_qk = (-qk[0], -qk[1], 0.0, 0.0)
-            for _ in range(excess):
-                ratio = _cdd_mul(ratio, neg_qk)
-        elif excess < 0:
-            neg_qk = (-qk[0], -qk[1], 0.0, 0.0)
-            for _ in range(-excess):
-                ratio = _cdd_div(ratio, neg_qk)
-        term = _cdd_mul(_cdd_mul(term, ratio), zc)
-        qk = qq
-    return _cdd_value(total)
+            # (-q^k)^excess: excess multiplications, or -excess divisions
+            # after the (q;q)_k divisor ([x] * m is empty for m <= 0)
+            yield ([one_minus(_cdd_mul(a, qk)) for a in num],
+                   [one_minus(_cdd_mul(b, qk)) for b in den] + [one_minus(qq)]
+                   + [neg_qk] * -excess,
+                   [neg_qk] * excess)
+            qk = qq
+
+    return _dd_series(ratios(), z, n_terms)
 
 
 # log (a;q)_inf multiplies its factors in runs and takes one log per run: a

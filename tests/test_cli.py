@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import csv
 import errno
 import io
 import json
@@ -43,6 +44,47 @@ def test_list_json(capsys):
     rows = json.loads(out)
     assert len(rows) == 11
     assert {"name", "ks_tag", "eta", "interval", "parameters"} <= set(rows[0])
+
+
+def test_list_formats_agree(capsys):
+    from dqm.families import FAMILIES, FamilyId
+
+    _, out = run_cli(capsys, "list", "--output", "json")
+    rows = json.loads(out)
+    rc, out = run_cli(capsys, "list", "--output", "csv")
+    assert rc == 0
+    table = list(csv.DictReader(io.StringIO(out)))
+    assert list(table[0]) == ["name", "ks_tag", "eta", "interval", "parameters"]
+    assert [{**r, "parameters": r["parameters"].split()} for r in table] == rows
+    rc, out = run_cli(capsys, "list")
+    assert rc == 0
+    for line, r, fid in zip(out.splitlines(), rows, FamilyId, strict=True):
+        spec = FAMILIES[fid].spec
+        assert r["name"] == spec.name and line.startswith(spec.name)
+        assert f"x in {r['interval']}" in line
+        assert r["interval"] == {"x": "(-inf, inf)", "x^2": "(0, inf)",
+                                 "cos x": "(0, pi)"}[spec.eta_kind]
+        assert len(r["parameters"]) == spec.n_params + spec.uses_q + spec.uses_phi
+
+
+EVAL_KEYS = ["family", "n", "x", "eta", "P_n_recurrence", "P_n_hypergeometric",
+             "path_discrepancy", "phi0", "phi_n", "E_n"]
+
+
+def test_eval_csv_and_human(capsys):
+    argv = ("eval", "wilson", "--fixture", "default", "--n", "3", "--x", "0.7")
+    _, out = run_cli(capsys, *argv, "--output", "json")
+    record = json.loads(out)
+    rc, out = run_cli(capsys, *argv, "--output", "csv")
+    assert rc == 0
+    (row,) = list(csv.DictReader(io.StringIO(out)))
+    assert list(row) == EVAL_KEYS
+    assert row == {k: str(v) for k, v in record.items()}
+    rc, out = run_cli(capsys, *argv)
+    assert rc == 0
+    lines = out.splitlines()
+    assert [line.split()[0] for line in lines] == EVAL_KEYS
+    assert dict(line.split(None, 1) for line in lines) == row
 
 
 def test_eval_q_hermite(capsys):
@@ -171,6 +213,36 @@ def test_csv_seventeen_digit_round_trip(capsys):
     lines = out.strip().splitlines()
     e6 = float(lines[-1].split(",")[1])
     assert e6 == 0.5**-6 - 1.0  # exact binary round-trip
+
+
+def test_table_json(capsys):
+    argv = ("table", "recurrence", "askey-wilson", "--fixture", "default", "--n-max", "3")
+    rc, out = run_cli(capsys, *argv, "--output", "json")
+    assert rc == 0
+    rows = json.loads(out)
+    _, out = run_cli(capsys, *argv, "--output", "csv")
+    table = list(csv.DictReader(io.StringIO(out)))
+    assert list(table[0]) == ["n", "A_n", "B_n", "C_n", "c_n", "a_n_rec", "b_n_rec",
+                              "f_n", "b_n_shift"]
+    assert [r["n"] for r in rows] == [0, 1, 2, 3]
+    assert [{k: str(v) for k, v in r.items()} for r in rows] == table
+
+
+def test_verify_csv(capsys):
+    rc, out = run_cli(
+        capsys, "verify", "continuous-q-hermite", "--fixture", "default",
+        "--suite", "eigen", "--suite", "orthogonality", "--output", "csv",
+    )
+    assert rc == 0
+    table = list(csv.DictReader(io.StringIO(out)))
+    assert list(table[0]) == ["check_id", "family", "n_min", "n_max", "max_residual",
+                              "tolerance", "passed", "samples_used"]
+    assert {r["check_id"].split(".")[0] for r in table} == {"eigen", "orthogonality"}
+    for r in table:
+        assert r["family"] == "continuous-q-hermite" and r["passed"] == "True"
+        assert int(r["n_min"]) <= int(r["n_max"]) <= 8
+        assert float(r["max_residual"]) <= float(r["tolerance"])
+        int(r["samples_used"])
 
 
 def test_verify_passes(capsys):

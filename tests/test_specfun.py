@@ -203,6 +203,10 @@ def test_hypergeometric_denominator_pole():
     with pytest.raises(PoleError):
         hypergeometric_F([-5, 1.0], [-2.0], 1.0, 5)
 
+def test_hypergeometric_negative_term_count():
+    with pytest.raises(DomainError):
+        hypergeometric_F([-2, 1.0], [3.0], 0.5, -1)
+
 
 # ---------------------------------------------------------------- basic phi
 
@@ -241,6 +245,38 @@ def test_terminating_2phi1_exact_rational_oracle():
         exact += qp(a, k) * qp(b, k) / (qp(c, k) * qp(q, k)) * z**k
     got = basic_hypergeometric_phi([float(a), float(b)], [float(c)], 0.5, 0.5, m)
     assert got == pytest.approx(float(exact), rel=1e-12)
+
+def test_terminating_1phi1_exact_rational_oracle():
+    # r < s + 1: each term carries ((-1)^k q^(k(k-1)/2))^(1+s-r), here to the
+    # power 1; summed term by term with exact rational q
+    q = Fraction(1, 2)
+    m = 4
+    a = q ** (-m)
+    b = Fraction(1, 8)
+    z = Fraction(3, 4)
+
+    def qp(val, k):
+        out = Fraction(1)
+        for j in range(k):
+            out *= 1 - val * q**j
+        return out
+
+    exact = Fraction(0)
+    for k in range(m + 1):
+        tail = (-1) ** k * q ** (k * (k - 1) // 2)
+        exact += qp(a, k) / (qp(b, k) * qp(q, k)) * tail * z**k
+    got = basic_hypergeometric_phi([float(a)], [float(b)], 0.5, 0.75, m)
+    assert got == pytest.approx(float(exact), rel=1e-14)
+
+def test_phi_denominator_pole():
+    # 1 - b q^k vanishes exactly at k = 1 for b = 1/q, before the numerator
+    # q^-3 ends the series
+    with pytest.raises(PoleError):
+        basic_hypergeometric_phi([8.0, 0.3], [2.0], 0.5, 0.5, 5)
+
+def test_phi_negative_term_count():
+    with pytest.raises(DomainError):
+        basic_hypergeometric_phi([0.4], [0.2], 0.5, 0.3, -1)
 
 
 def test_log_q_pochhammer_inf_on_an_array():
