@@ -6,10 +6,7 @@ public catalog surface; they dispatch to the family objects.
 
 from __future__ import annotations
 
-import warnings
-
 from ..polynomials import DegeneracyError, EtaPolynomial
-from ..specfun import ConditioningWarning
 from .base import (
     ClosurePolys,
     CoefficientBundle,
@@ -121,10 +118,6 @@ def ground_state(family, p: ParamSet, x):
     return get_family(family).phi0(p, x)
 
 
-# the series loses digits to cancellation beyond this degree
-SERIES_SOFT_CAP = 30
-
-
 def eval_poly_hypergeometric(family, p: ParamSet, n: int, eta_point) -> complex:
     """P_n at a point of the eta plane, via the definitional series.
 
@@ -132,13 +125,6 @@ def eval_poly_hypergeometric(family, p: ParamSet, n: int, eta_point) -> complex:
     the principal inverse of the coordinate map first.
     """
     fam = get_family(family)
-    if n > SERIES_SOFT_CAP:
-        warnings.warn(
-            f"series degree {n} exceeds {SERIES_SOFT_CAP}; double precision "
-            "cancellation may dominate",
-            ConditioningWarning,
-            stacklevel=2,
-        )
     x = fam.x_from_eta(eta_point)
     return fam.series_eval_x(p, n, x)
 

@@ -42,6 +42,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 from typing import Callable
 
@@ -374,7 +375,7 @@ class AskeyWilson(Family):
         if not d.a:
             # all parameters vanish: continuous q-Hermite form
             return z**n * basic_hypergeometric_phi(
-                [q ** (-n), 0.0], [], q, q**n / (z * z), n
+                [Fraction(q) ** -n, 0.0], [], q, q**n / (z * z), n
             )
         a1 = max(d.a, key=abs)  # the series' 'a1': the largest, by symmetry
         rest = list(d.a)
@@ -384,7 +385,8 @@ class AskeyWilson(Family):
         for aj in rest:
             pref *= q_pochhammer(a1 * aj, q, n)
             den_params.append(a1 * aj)
-        num_params = [q ** (-n), a1 * z, a1 / z]
+        # q^-n exact: the series' cancellation amplifies any error in it
+        num_params = [Fraction(q) ** -n, a1 * z, a1 / z]
         zeros = 4 - len(d.a)
         if zeros:
             # each zero a_j gives a denominator 0; the first of them cancels

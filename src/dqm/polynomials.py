@@ -14,7 +14,7 @@ scalar arithmetic) or an ndarray.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,7 +62,3 @@ class EtaPolynomial:
         for value in self._monic_values(eta):
             pass
         return self.c[-1] * value
-
-    def truncated(self, n: int) -> "EtaPolynomial":
-        """P_n of the same ascent, with P_0 .. P_{n-1}."""
-        return replace(self, a=self.a[:n], b=self.b[:n], c=self.c[: n + 1])

@@ -123,15 +123,6 @@ TOLERANCES = {
 }
 
 
-def _worst(worst: float, residual: float) -> float:
-    """max(worst, residual), except that a NaN on either side wins.
-
-    max() drops a NaN residual (max(0.0, nan) is 0.0), which would let a
-    check pass on a value that is not a number.
-    """
-    return residual if residual > worst or residual != residual else worst
-
-
 def _tol(config: VerifyConfig, check_id: str) -> float:
     """The check's entry in TOLERANCES, or the config's override.  The
     override spares limit.monotone_decrease: its bound of 1 is on the ratio
@@ -143,16 +134,15 @@ def _tol(config: VerifyConfig, check_id: str) -> float:
 
 def _residual(lhs, rhs) -> float:
     """max |lhs - rhs| / (1 + mag(lhs) + mag(rhs)) over the entries of two
-    Terms, or over each pair of two tuples of Terms; NaN if any entry is,
-    0 over no entries."""
+    Terms, or over each pair of two tuples of Terms; NaN if any entry is
+    (np.max keeps a NaN, where max() may drop it), 0 over no entries."""
     if not isinstance(lhs, tuple):
         lhs, rhs = (lhs,), (rhs,)
-    worst = 0.0
+    worst = []
     for a, b in zip(lhs, rhs):
         a, b = (t if isinstance(t, Terms) else Terms(t) for t in (a, b))
-        r = np.abs(a.val - b.val) / (1.0 + a.mag + b.mag)
-        worst = _worst(worst, float(np.max(r, initial=0.0)))
-    return worst
+        worst.append(np.max(np.abs(a.val - b.val) / (1.0 + a.mag + b.mag), initial=0.0))
+    return float(np.max(worst, initial=0.0))
 
 
 # ------------------------------------------------------------------- eigen
@@ -522,16 +512,14 @@ def _coherent_series(fam, p: ParamSet, alpha: complex, xs):
     _, C_n = _ladder_ratios(poly)
     coeffs = per_level(np.cumprod([1.0, *(alpha / np.array(C_n[1: _COHERENT_CAP + 1]))]))
 
-    # N from every level at the first sample point, then the rest of the
-    # lattice only through N, shared by the partial sums and the lowering
-    # operator.  Levels past N may overflow (Wilson a = 30: P_56 .. P_61)
-    # and are never used; a non-finite tail at N is warned of
+    # every level on the whole lattice in one pass, N from the first sample
+    # point, then the levels through N, shared by the partial sums and the
+    # lowering operator.  Levels past N may overflow (Wilson a = 30:
+    # P_56 .. P_61) and are never used; a non-finite tail at N is warned of
     lat = ctx.lattice(xs, 2)
-    eta = lat.eta.val.ravel()
-    i0 = lat.half * len(xs)  # the first sample point on the centre row
     with np.errstate(over="ignore", invalid="ignore"):
-        at_x0 = poly.eval_levels(eta[i0: i0 + 1])[: _COHERENT_CAP + 1]
-        n_trunc, tail = _truncation(coeffs[:, 0, 0] * at_x0[:, 0])
+        levels = poly.eval_levels(lat.eta.val)[: _COHERENT_CAP + 1]
+        n_trunc, tail = _truncation(coeffs[:, 0, 0] * levels[:, lat.half, 0])
     if not tail <= 1e-12:
         warnings.warn(
             f"coherent series truncated at N={n_trunc} with relative tail "
@@ -540,9 +528,7 @@ def _coherent_series(fam, p: ParamSet, alpha: complex, xs):
             stacklevel=2,
         )
 
-    rest = poly.truncated(n_trunc).eval_levels(np.delete(eta, i0))
-    f = Terms(np.insert(rest, i0, at_x0[: n_trunc + 1, 0], axis=1)
-              .reshape((n_trunc + 1,) + lat.eta.val.shape))
+    f = Terms(levels[: n_trunc + 1])
     sums = (coeffs[: n_trunc + 1] * f.at(0)).sum(axis=0)
     lowered = (coeffs[1: n_trunc + 1]
                * ladder_action(ctx, "-", range(1, n_trunc + 1), f[1:], lat)).sum(axis=0)
@@ -679,27 +665,24 @@ def _limit(fam, p: ParamSet, config: VerifyConfig):
 
     values = [scaled_batch(L) for L in _L_SEQUENCE]
     keys = values[0].keys()
-    monotone_worst = 0.0
-    extrap_worst = 0.0
+    ratios, extrap = [], []
     for key in keys:
         devs = [abs(v[key][0] - v[key][1]) / (1.0 + abs(v[key][1]))
                 for v in values]
-        for cur, nxt in zip(devs, devs[1:]):
-            monotone_worst = _worst(
-                monotone_worst, nxt / cur if cur > 0 else math.inf
-            )
+        ratios += [nxt / cur if cur > 0 else math.inf
+                   for cur, nxt in zip(devs, devs[1:])]
         got_last, target = values[-1][key]
         got_prev, _ = values[-2][key]
         l_last, l_prev = _L_SEQUENCE[-1], _L_SEQUENCE[-2]
         extrapolated = got_last + (got_last - got_prev) * l_prev / (
             l_last - l_prev
         )
-        extrap_worst = _worst(
-            extrap_worst, abs(extrapolated - target) / (1.0 + abs(target))
-        )
+        extrap.append(abs(extrapolated - target) / (1.0 + abs(target)))
     return [
-        ("limit.monotone_decrease", (1, 3), len(_L_SEQUENCE), monotone_worst),
-        ("limit.extrapolated_deviation", (1, 3), len(_L_SEQUENCE), extrap_worst),
+        ("limit.monotone_decrease", (1, 3), len(_L_SEQUENCE),
+         float(np.max(ratios, initial=0.0))),
+        ("limit.extrapolated_deviation", (1, 3), len(_L_SEQUENCE),
+         float(np.max(extrap, initial=0.0))),
     ]
 
 
@@ -707,12 +690,10 @@ def _limit(fam, p: ParamSet, config: VerifyConfig):
 
 def _number_operator(fam, p: ParamSet, config: VerifyConfig):
     """The level recovered from its energy through the stated inversion."""
-    worst = 0.0
-    for n in _LEVELS:
-        e_n = fam.energy(p, n)
-        got = fam.level_from_energy(p, e_n)
-        worst = _worst(worst, abs(got - n) / (1.0 + n))
-    return [("number_operator.inversion", (_LEVELS[0], _LEVELS[-1]), len(_LEVELS), worst)]
+    worst = np.max([abs(fam.level_from_energy(p, fam.energy(p, n)) - n) / (1.0 + n)
+                    for n in _LEVELS], initial=0.0)
+    return [("number_operator.inversion", (_LEVELS[0], _LEVELS[-1]), len(_LEVELS),
+             float(worst))]
 
 
 # --------------------------------------------------------------- dispatch

@@ -120,6 +120,17 @@ def test_eval_meixner_pollaczek(capsys):
     assert float(rec["P_n_recurrence"]) == pytest.approx(4.0, rel=1e-12)
 
 
+def test_eval_series_path_agrees_past_q_level_twelve(capsys):
+    # the Askey-Wilson series cancels past 1e100 here; summed in doubles it
+    # once printed P_n_hypergeometric 1296.13 against -0.2495
+    rc, out = run_cli(capsys, "eval", "askey-wilson", "--fixture", "default",
+                      "--n", "15", "--x", "1.3", "--output", "json")
+    assert rc == 0
+    rec = json.loads(out)
+    p_n = complex(rec["P_n_recurrence"].replace("i", "j"))
+    assert float(rec["path_discrepancy"]) <= 1e-12 * (1 + abs(p_n))
+
+
 def test_table_spectrum(capsys):
     rc, out = run_cli(
         capsys, "table", "spectrum", "meixner-pollaczek", "--a", "1",

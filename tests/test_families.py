@@ -512,32 +512,43 @@ def test_recurrence_matches_the_oracle(family, name):
         for eta, o in zip(etas, exact, strict=True):
             assert abs(poly.eval(eta) - o) <= bound, (n, eta)
 
-@pytest.mark.parametrize("family,name", all_fixtures())
+# parameter sets off the fixtures' dyadic grid: q^-n, q^k and the products
+# a_j a_k are not doubles, and the q-series cancel past 1e100 by n = 30
+NON_DYADIC = {
+    ("askey-wilson", "q0.37"): ParamSet(a=(0.3, -0.45, 0.2 + 0.1j, 0.2 - 0.1j), q=0.37),
+    ("askey-wilson", "q0.83"): ParamSet(a=(0.6, 0.1, -0.7, 0.33), q=0.83),
+    ("continuous-dual-q-hahn", "q0.71"): ParamSet(a=(0.3, 0.55, -0.2), q=0.71),
+    ("al-salam-chihara", "q0.29"): ParamSet(a=(0.3, -0.65), q=0.29),
+    ("continuous-big-q-hermite", "q0.61"): ParamSet(a=(0.7,), q=0.61),
+    ("continuous-q-jacobi", "q0.43"): ParamSet(a=(0.7, 1.3), q=0.43),
+}
+
+
+@pytest.mark.parametrize("family,name", all_fixtures() + list(NON_DYADIC))
 def test_dual_path_equivalence(family, name):
-    p = fixture_params(family, name)
+    # the series agrees with the recurrence at every level 0..30, to 5e-14
+    # of the level's largest value on the points
+    p = NON_DYADIC.get((family, name)) or fixture_params(family, name)
+    validate_params(family, p)
     fam = get_family(family)
-    xs = sample_points(fam, p, 8)
-    for n in range(0, 11, 2):
-        poly = eval_poly_recurrence(family, p, n)
-        for x in xs:
-            eta = fam.eta(x)
+    etas = [fam.eta(x) for x in sample_points(fam, p, 8)]
+    levels = eval_poly_recurrence(family, p, 30).eval_levels(np.array(etas))
+    for n, values in enumerate(levels):
+        bound = 5e-14 * (1 + np.abs(values).max())
+        for eta, v2 in zip(etas, values):
             v1 = eval_poly_hypergeometric(family, p, n, eta)
-            v2 = poly.eval(eta)
-            assert abs(v1 - v2) <= 1e-9 * (1 + abs(v2))
+            assert abs(v1 - v2) <= min(bound, 1e-9 * (1 + abs(v2))), (n, eta)
 
 @pytest.mark.parametrize("family", [FAMILIES[fid].spec.name for fid in ALL_IDS])
 def test_recurrence_at_degree_60_is_silent_and_accurate(family):
     # the value recurrence cancels no digits, so it needs no degree cap: at
-    # n = 60 it matches the same recurrence run at 60 digits
-    import warnings
-
-    from dqm.specfun import ConditioningWarning
-
+    # n = 60 it matches the same recurrence run at 60 digits; any warning
+    # is an error
     mpmath = pytest.importorskip("mpmath")
     fam = get_family(family)
     p = fixture_params(family)
     with warnings.catch_warnings():
-        warnings.simplefilter("error", ConditioningWarning)
+        warnings.simplefilter("error")
         poly = eval_poly_recurrence(family, p, 60)
     etas = [complex(eta) for eta in _etas(family)]
     got = [poly.eval(eta) for eta in etas]

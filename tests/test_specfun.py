@@ -6,6 +6,9 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -277,6 +280,40 @@ def test_phi_denominator_pole():
 def test_phi_negative_term_count():
     with pytest.raises(DomainError):
         basic_hypergeometric_phi([0.4], [0.2], 0.5, 0.3, -1)
+
+@pytest.mark.parametrize("series,args", [
+    (hypergeometric_F, ([-2, math.nan], [1.0], 0.5, 2)),
+    (hypergeometric_F, ([-2, 0.5], [math.inf], 0.5, 2)),
+    (hypergeometric_F, ([-2, 0.5], [1.0], complex(math.inf, 0.0), 2)),
+    (basic_hypergeometric_phi, ([0.25, math.nan], [0.3], 0.5, 0.5, 2)),
+    (basic_hypergeometric_phi, ([-math.inf, 0.3], [0.3], 0.5, 0.5, 2)),
+    (basic_hypergeometric_phi, ([0.25, 0.3], [0.3], 0.5, math.nan, 2)),
+])
+def test_non_finite_input_sums_to_complex_nan(series, args):
+    got = series(*args)
+    assert math.isnan(got.real) and math.isnan(got.imag)
+
+def test_a_sum_that_cancels_to_zero_stops_at_a_bounded_precision():
+    # 1 - 0.3 / 0.3 is 0 exactly at any precision, and 1 - 2 (1/3) / (2/3)
+    # is rounding noise at each: the precision rises only until the rounding
+    # bound is below the smallest positive double.  A child process runs
+    # them under a 512 MiB address-space limit and a 60 s timeout, which a
+    # precision growing without end exhausts
+    script = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))\n"
+        "from fractions import Fraction\n"
+        "from dqm.specfun import hypergeometric_F\n"
+        "print(hypergeometric_F([-1, 0.3], [0.3], 1.0, 1))\n"
+        "print(hypergeometric_F([-1, Fraction(1, 3)], [Fraction(2, 3)], 2.0, 1))\n"
+    )
+    src = os.path.dirname(os.path.dirname(specfun.__file__))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0j", "0j"]
 
 
 def test_log_q_pochhammer_inf_on_an_array():

@@ -241,8 +241,8 @@ def test_coherent_wilson_large_parameters_warn_of_nothing(recwarn):
 
 
 def _closed_form_by_the_series_kernels(name, p, alpha, x):
-    """The closed form at one point from the double-double series and the
-    scalar q-product."""
+    """The closed form at one point from the decimal series and the scalar
+    q-product."""
     if name == "meixner-pollaczek":
         a, phi = p.a[0].real, p.phi
         pref = cmath.exp(1j * alpha * (1.0 - cmath.exp(2j * phi)))
@@ -265,15 +265,15 @@ def _closed_form_by_the_series_kernels(name, p, alpha, x):
      for fx in fixture_names(get_family(f))],
 )
 def test_coherent_closed_form_matches_the_series_kernels(family, fixture, seed):
-    # the plain-double array sums against the double-double series, point
-    # by point, relative to the magnitude of the sum's terms
+    # the plain-double array sums against the decimal series, point by
+    # point, relative to the magnitude of the sum's terms
     fam = get_family(family)
     p = fixture_params(family, fixture)
     alpha = _default_alpha(fam)
     xs = sample_points(fam, p, 6, seed)
     closed = _coherent_closed_form(fam, p, alpha, xs)
-    dd = np.array([_closed_form_by_the_series_kernels(family, p, alpha, x) for x in xs])
-    assert np.max(np.abs(closed.val - dd) / (1.0 + closed.mag)) <= 1e-14
+    series = np.array([_closed_form_by_the_series_kernels(family, p, alpha, x) for x in xs])
+    assert np.max(np.abs(closed.val - series) / (1.0 + closed.mag)) <= 1e-14
 
 
 def test_coherent_alpha_zero_reduces_to_ground_state():
