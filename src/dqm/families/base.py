@@ -26,6 +26,7 @@ __all__ = [
     "SingularityError",
     "Family",
     "elementary_symmetric",
+    "three_term",
     "as_complex",
     "any_zero",
 ]
@@ -337,28 +338,33 @@ class Family:
         if n < 0:
             raise ValidationError(f"level must be >= 0, got {n}")
         a, b, c = self.recurrence(p, n + 1)
-        A_n = c[n] / c[n + 1]
-        if n == 0:
-            C_n = 0.0  # multiplies P_{-1} = 0
-        else:
-            C_n = c[n] / c[n - 1] * b[n]
+        A, B, C = three_term(a, b, c)
         h0 = self.h0(p)
         h0_over_hn = self.h0_over_hn(p, n)
         return CoefficientBundle(
             n=n,
             E_n=self.energy(p, n),
             c_n=_as_real(c[n]),
-            a_n_rec=_as_real(a[n]),
+            a_n_rec=B[n],
             b_n_rec=_as_real(b[n]),
-            A_n=_as_real(A_n),
-            B_n=_as_real(a[n]),
-            C_n=_as_real(C_n),
+            A_n=A[n],
+            B_n=B[n],
+            C_n=C[n],
             f_n=_as_real(self.f_shift(p, n)),
             b_n_shift=_as_real(self.b_shift(p, n)),
             h0=h0,
             h0_over_hn=h0_over_hn,
             N_n=math.sqrt(h0_over_hn),
         )
+
+
+def three_term(a, b, c) -> tuple:
+    """(A, B, C) of eta P_k = A_k P_{k+1} + B_k P_k + C_k P_{k-1}, real, for k
+    below len(a), from the monic recurrence data: A_k = c_k / c_{k+1},
+    B_k = a_k, C_k = b_k c_k / c_{k-1} and C_0 = 0 (it multiplies P_{-1} = 0)."""
+    A = [_as_real(c[k] / c[k + 1]) for k in range(len(a))]
+    C = [_as_real(c[k] / c[k - 1] * b[k]) if k else 0.0 for k in range(len(a))]
+    return A, [_as_real(v) for v in a], C
 
 
 def _as_real(v) -> float:

@@ -248,10 +248,13 @@ def _series(ratios, params, z, n_terms: int) -> complex:
             # |re| + |im| bounds |t_k| from above, max(|re|, |im|) bounds
             # |sum| from below.
             bound = 4 * (width + 1) * (n_terms + 1) * size.scaleb(1 - digits)
-            floor = max(_REL * max(abs(re), abs(im)), _TINY)
+            total = max(abs(re), abs(im))
+            floor = max(_REL * total, _TINY)
             if bound <= floor:
                 return complex(float(re), float(im))
-            digits += (bound / floor).adjusted() + 1
+            # a sum not above its bound may be all rounding, and a floor read
+            # off it would sink with it at every pass: aim at _TINY at once
+            digits += (bound / (floor if bound < total else _TINY)).adjusted() + 1
 
 
 def hypergeometric_F(num, den, z: complex, n_terms: int) -> complex:

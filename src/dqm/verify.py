@@ -34,7 +34,7 @@ from .families import (
     eval_poly_recurrence,
     get_family,
 )
-from .families.base import _as_real
+from .families.base import three_term
 from .operators import (
     Lattice,
     OperatorContext,
@@ -90,7 +90,7 @@ class CheckResult:
 # one.
 TOLERANCES = {
     "eigen.eigenvalue_equation": 2.5e-13,
-    "eigen.lower_triangularity": 7.8e-12,
+    "eigen.lower_triangularity": 3e-13,
     "shape_invariance.potential_identities": 5.3e-13,
     "shape_invariance.ground_state_shift": 5.5e-13,
     "shape_invariance.spectrum_generation": 3.1e-15,
@@ -148,32 +148,30 @@ def _residual(lhs, rhs) -> float:
 # ------------------------------------------------------------------- eigen
 
 def _eigen(fam, p: ParamSet, config: VerifyConfig):
-    """H-tilde P_n = E_n P_n pointwise, plus lower-triangularity on eta^n."""
+    """H-tilde P_n = E_n P_n pointwise, and lower-triangularity: H-tilde maps
+    eta P_{n-1} to E_n eta P_{n-1} plus lower degrees.  By the three-term
+    relation eta P_k = A_k P_{k+1} + B_k P_k + C_k P_{k-1} the lower degrees
+    are B_{n-1} (E_{n-1} - E_n) P_{n-1} + C_{n-1} (E_{n-2} - E_n) P_{n-2},
+    at every level 1..n_max."""
     ctx = OperatorContext(fam, p)
     xs = sample_points(fam, p, _SAMPLES, config.seed)
     n_max = config.n_max
     lat = ctx.lattice(xs, 2)
-    f = lat.operand(eval_poly_recurrence(fam, p, n_max))
-    energies = per_level([ctx.energy(n) for n in range(n_max + 1)])
-    # triangularity: H-tilde eta^n - E_n eta^n is a polynomial of degree < n,
-    # so a degree-(n-1) fit through it must reproduce it.  The fit is in
-    # Chebyshev polynomials of eta mapped onto [-1, 1]: a well-conditioned
-    # basis whose terms are of the size of the fit across the interval
-    mono = Terms(lat.eta.val ** per_level(range(1, n_max + 1)))
-    rems = ctx.H_tilde(mono, lat) - energies[1:] * mono.at(0)
-    eta = lat.eta.val[lat.half].real
-    lo, hi = eta.min(), eta.max()
-    t = (2.0 * eta - (hi + lo)) / ((hi - lo) or 1.0)
-    fits = []
-    for n in range(1, n_max + 1):
-        basis = np.polynomial.chebyshev.chebvander(t, n - 1)
-        coef, *_ = np.linalg.lstsq(basis, rems.val[n - 1, 0], rcond=None)
-        fits.append(Terms(basis @ coef, np.abs(basis) @ np.abs(coef)))
+    poly = eval_poly_recurrence(fam, p, n_max)
+    f = lat.operand(poly)
+    at_x = f.at(0)
+    energies = Terms(per_level([ctx.energy(n) for n in range(n_max + 1)]))
+    _, B, C = three_term(poly.a, poly.b, poly.c)
+    prev = np.maximum(np.arange(n_max) - 1, 0)   # P_{-1} enters with C_0 = 0
+    e_n = energies[1:]
+    eta_f = lat.eta * f[:n_max]
     return [
         ("eigen.eigenvalue_equation", (0, n_max), len(xs),
-         _residual(ctx.H_tilde(f, lat), energies * f.at(0))),
+         _residual(ctx.H_tilde(f, lat), energies * at_x)),
         ("eigen.lower_triangularity", (1, n_max), len(xs),
-         _residual(tuple(fits), tuple(rems[i, 0] for i in range(n_max)))),
+         _residual(ctx.H_tilde(eta_f, lat) - e_n * eta_f.at(0),
+                   per_level(B) * (energies[:-1] - e_n) * at_x[:n_max]
+                   + per_level(C) * (energies[prev] - e_n) * at_x[prev])),
     ]
 
 
@@ -396,7 +394,7 @@ def _ladder(fam, p: ParamSet, config: VerifyConfig):
     up = ladder_action(ctx, "+", lv, f_n, lat)
     dn = ladder_action(ctx, "-", lv, f_n, lat)      # zero at level 0
     up0, dn0 = up.at(0), dn.at(0)
-    A_n, C_n = _ladder_ratios(poly)
+    A_n, _, C_n = three_term(poly.a, poly.b, poly.c)
     H_up, H_dn = ctx.H_tilde(up, lat), ctx.H_tilde(dn, lat)
     # [a-, a+] phi_n = (b_{n+1} - b_n) phi_n
     a_minus_a_plus = ladder_action(ctx, "-", lv + 1, up, lat)
@@ -432,15 +430,6 @@ def _ladder(fam, p: ParamSet, config: VerifyConfig):
     if fam.spec.name == "continuous-q-hermite":
         checks.extend(_qhermite_special(ctx, lat, f_n.at(0, 2), n_max))
     return checks
-
-
-def _ladder_ratios(poly):
-    """A_n = c_n / c_{n+1} and C_n = b_n c_n / c_{n-1} (C_0 = 0) for n below
-    the degree of the ascent `poly`, real as `Family.coefficients` gives them."""
-    c, b = poly.c, poly.b
-    A_n = [_as_real(c[n] / c[n + 1]) for n in range(poly.degree)]
-    C_n = [0.0] + [_as_real(c[n] / c[n - 1] * b[n]) for n in range(1, poly.degree)]
-    return A_n, C_n
 
 
 def _x_tilde(ctx: OperatorContext, lat: Lattice, g: Terms, e_plus_1) -> Terms:
@@ -509,7 +498,7 @@ def _coherent_series(fam, p: ParamSet, alpha: complex, xs):
     ctx = OperatorContext(fam, p)
     # coefficients alpha^n / prod_{k<=n} C_k, C_cap from one level more
     poly = eval_poly_recurrence(fam, p, _COHERENT_CAP + 1)
-    _, C_n = _ladder_ratios(poly)
+    *_, C_n = three_term(poly.a, poly.b, poly.c)
     coeffs = per_level(np.cumprod([1.0, *(alpha / np.array(C_n[1: _COHERENT_CAP + 1]))]))
 
     # every level on the whole lattice in one pass, N from the first sample

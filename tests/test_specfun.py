@@ -5,6 +5,7 @@ identities, exact-rational summation)."""
 from __future__ import annotations
 
 import cmath
+import decimal
 import math
 import os
 import subprocess
@@ -314,6 +315,18 @@ def test_a_sum_that_cancels_to_zero_stops_at_a_bounded_precision():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0j", "0j"]
+
+
+def test_a_sum_of_rounding_noise_takes_two_passes(monkeypatch):
+    # 1 - 2 (1/3) / (2/3) is noise at every precision, so the floor it sets
+    # sinks with it: the second pass goes straight to the precision of the
+    # absolute floor instead of climbing about 20 digits a pass
+    precisions = []
+    context = decimal.Context
+    monkeypatch.setattr(decimal, "Context",
+                        lambda prec: precisions.append(prec) or context(prec=prec))
+    assert hypergeometric_F([-1, Fraction(1, 3)], [Fraction(2, 3)], 2.0, 1) == 0
+    assert len(precisions) <= 2, precisions
 
 
 def test_log_q_pochhammer_inf_on_an_array():

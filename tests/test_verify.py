@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from dqm.families import FAMILIES, FamilyId, ParamSet, eval_poly_recurrence, get_family
+from dqm.families.base import three_term
 from dqm.fixtures import fixture_names, fixture_params
 from dqm.operators import OperatorContext, ladder_action, per_level, sample_points
 from dqm.polynomials import EtaPolynomial
@@ -23,7 +24,6 @@ from dqm.verify import (
     _coherent_closed_form,
     _coherent_series,
     _default_alpha,
-    _ladder_ratios,
     _residual,
     _truncation,
 )
@@ -203,7 +203,7 @@ def _coherent_by_all_levels(fam, p, seed):
     alpha = complex(_default_alpha(fam))
     xs = sample_points(fam, p, 6, seed)
     poly = eval_poly_recurrence(fam, p, 61)
-    _, C_n = _ladder_ratios(poly)
+    *_, C_n = three_term(poly.a, poly.b, poly.c)
     coeffs = per_level(np.cumprod([1.0, *(alpha / np.array(C_n[1:61]))]))
     lat = ctx.lattice(xs, 2)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -559,6 +559,27 @@ def test_pointwise_suites_flag_a_perturbed_recurrence(family, monkeypatch):
     failed = [r.check_id for suite in POINTWISE_SUITES
               for r in run_suite(suite, fam, p, VerifyConfig()) if not r.passed]
     assert failed
+
+
+@pytest.mark.parametrize("n_max", [8, 30])
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_lower_triangularity_flags_a_perturbed_energy_at_every_level(family, n_max, monkeypatch):
+    # E_m (1 + 1e-9) at one level m leaves H-tilde eta P_{m-1} - E_m eta P_{m-1}
+    # with a top term 1e-9 E_m A_{m-1} P_m, at the bottom levels, the middle
+    # and the top of the range the check reports
+    fam = get_family(family)
+    p = fixture_params(family)
+    exact = fam.energy
+    missed = []
+    for m in (1, 2, n_max // 2, n_max - 1, n_max):
+        monkeypatch.setattr(fam, "energy",
+                            lambda params, n, m=m: exact(params, n) * (1 + 1e-9 if n == m else 1))
+        (r,) = [r for r in run_suite("eigen", fam, p, VerifyConfig(n_max=n_max))
+                if r.check_id == "eigen.lower_triangularity"]
+        assert r.level_range == (1, n_max)
+        if r.passed:
+            missed.append(m)
+    assert missed == []
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)
