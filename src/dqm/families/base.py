@@ -264,10 +264,6 @@ class Family:
         """Potential at (possibly complex) w, scalar or array."""
         raise NotImplementedError
 
-    def V_star(self, p: ParamSet, w) -> complex:
-        """Analytic continuation of x -> V(x)^*: conj(V(conj(w)))."""
-        return np.conj(self.V(p, as_complex(w).conjugate()))
-
     # -- spectral data ------------------------------------------------------
     def energy(self, p: ParamSet, n: int) -> float:
         raise NotImplementedError

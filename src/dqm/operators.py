@@ -136,6 +136,8 @@ class Lattice:
     """
 
     def __init__(self, family, gamma: float, xs, half: int):
+        if np.any(np.imag(xs)):
+            raise ValueError("lattice points must be real")
         self.family = get_family(family)
         self.half = half
         k = np.arange(-half, half + 1)[:, None]
@@ -183,9 +185,6 @@ class OperatorContext:
     def V(self, w) -> complex:
         return self.family.V(self.p, w)
 
-    def V_star(self, w) -> complex:
-        return self.family.V_star(self.p, w)
-
     def energy(self, n: int) -> float:
         return self.family.energy(self.p, n)
 
@@ -232,12 +231,14 @@ class OperatorContext:
                       - V_star * phi.at(1, h) * f.at(1, h))
 
     def _potential(self, lat: Lattice, h: int):
-        """V and V* on the rows -h..h, once no row point is inside the guard."""
+        """V and V* on the rows -h..h, once no row point is inside the guard;
+        V*(w) = conj(V(conj w)) is V's rows mirrored and conjugated."""
         w = lat.rows(h)
         inside = self.inside_guard(w)
         if inside.any():
             raise SingularityError(f"potential singular near x = {w[inside][0]}")
-        return Terms(self.V(w)), Terms(self.V_star(w))
+        V = self.V(w)
+        return Terms(V), Terms(np.conj(V[..., ::-1, :]))
 
     def inside_guard(self, w: np.ndarray) -> np.ndarray:
         """Where the points w lie within SINGULAR_MARGIN of a pole of V on
@@ -388,14 +389,13 @@ def _dual_hahn_X(ctx: OperatorContext, f: Terms, lat: Lattice) -> Terms:
         pi3 *= 2.0 * aj - 1.0
     w = lat.rows(0)
     corr = Terms(1j * pi3 / (8.0 * (1.0 + w * w)))
-    v_m = Terms(ctx.V(lat.rows(0, -1)))            # V(w - i/2)
-    v_star_p = Terms(ctx.V_star(lat.rows(0, 1)))   # V*(w + i/2)
-    c_plus = Terms(w) - 1j * v_star_p - corr
+    v_m = Terms(ctx.V(lat.rows(0, -1)))  # V(w - i/2) = conj(V*(w + i/2))
+    c_plus = Terms(w) - 1j * v_m.conj() - corr
     c_minus = Terms(w) + 1j * v_m + corr
     return (
         -1j * v_m * f.at(-3)
         + c_plus * f.at(-1)
-        + 1j * v_star_p * f.at(3)
+        + 1j * v_m.conj() * f.at(3)
         + c_minus * f.at(1)
     ) / _nonzero_phi(lat, 0)
 

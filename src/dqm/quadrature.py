@@ -14,15 +14,16 @@ scaled by its width s (`weight_window`):
     (-inf, inf)   sinh-sinh   x = c + s sinh(pi/2 sinh t)
     (0, inf)      tanh-sinh on [0, c] plus exp-sinh x = c + s e^{pi/2 sinh t}
 
-with t in [-T_MAX, T_MAX] and the step halving from 0.5.  The weight enters
-as log w - log h0 from `Family.log_amplitude` and `Family.log_h0`, so a
-weight or a norm beyond the double range costs nothing.  Nodes where the
-node weight times w/h0 underflows to zero are dropped.
+with t in [-T_MAX, T_MAX] and the step halving from 0.5, so that a level
+keeps the last one's nodes.  The weight enters as log w - log h0 from
+`Family.log_amplitude` and `Family.log_h0`, so a weight or a norm beyond
+the double range costs nothing.  Nodes where the node weight times w/h0
+underflows to zero are dropped.
 
 One routine, `_matrix`, computes both matrices.  Per refinement level it
-evaluates the weight once and P_0 .. P_n once, by one pass of their
-recurrence on the shift lattice of the nodes, and applies A to them as an
-array; every entry comes with the l1 sum of its integrand.  A level is
+evaluates the weight once and P_0 .. P_n once on its new nodes, by one
+pass of their recurrence on their shift lattice, and applies A to them as
+an array; every entry comes with the l1 sum of its integrand.  A level is
 accepted when every entry passes the stopping test `_converged`.  The sums
 run over blocks of at most NODE_BLOCK nodes, so the transient arrays stay
 small at any depth.  Nodes inside the operator's singularity guard around
@@ -85,10 +86,9 @@ def _de_grid(level: int):
     return 0.5 * math.pi * np.sinh(t), h * 0.5 * math.pi * np.cosh(t)
 
 
-def _tanh_sinh(a: float, b: float, level: int):
-    """Tanh-sinh (nodes, weights) on [a, b]; the nodes keep their full
-    relative accuracy near both ends."""
-    u, du = _de_grid(level)
+def _tanh_sinh(a: float, b: float, u, du):
+    """Tanh-sinh (nodes, weights) on [a, b] at the t grid points (u, du);
+    the nodes keep their full relative accuracy near both ends."""
     d = (b - a) / (1.0 + np.exp(2.0 * np.abs(u)))  # distance to the nearer end
     return np.where(u < 0.0, a + d, b - d), 0.5 * (b - a) * du / np.cosh(u) ** 2
 
@@ -141,25 +141,28 @@ def weight_window(family, p: ParamSet):
 
 
 def _levels(fam, p: ParamSet):
-    """Per refinement level of the family's rule: the nodes, their
-    quadrature weights and log w - log h0 there."""
+    """Per refinement level of the family's rule: carry, then the nodes it
+    adds, their weights and log w - log h0 there.  Its sums are carry times
+    the last level's plus those over its nodes: 1/2 past level 0 on the
+    nested double-exponential rules (the odd t indices), 0 on Gauss-Legendre."""
     lo, hi = fam.spec.interval
     if hi == math.inf:
         c, s = weight_window(fam, p)
     log_h0 = fam.log_h0(p)
     for level in range(LEVELS):
-        u, du = _de_grid(level)
+        carry = 0.5 if level and hi == math.inf else 0.0
+        u, du = (a[1::2] if carry else a for a in _de_grid(level))
         if hi != math.inf:
             x, dx = _gauss_legendre(level)
         elif lo == -math.inf:
             x, dx = c + s * np.sinh(u), s * np.cosh(u) * du
         else:
             e = s * np.exp(u)
-            x0, dx0 = _tanh_sinh(0.0, c, level)
+            x0, dx0 = _tanh_sinh(0.0, c, u, du)
             x, dx = np.concatenate([x0, c + e]), np.concatenate([dx0, e * du])
         log_w = 2.0 * np.real(fam.log_amplitude(p, x)) - log_h0
         keep = dx * np.exp(log_w) != 0.0  # a NaN stays, and fails the level
-        yield x[keep], dx[keep], log_w[keep]
+        yield carry, x[keep], dx[keep], log_w[keep]
 
 
 def _converged(err, value, l1):
@@ -180,15 +183,16 @@ def _matrix(fam, p: ParamSet, n_max: int, half: int, act) -> Terms:
     poly = eval_poly_recurrence(fam, p, n_max)
     # sqrt(h0/h_n): the weight is already over h0
     unit = per_level(np.sqrt([fam.h0_over_hn(p, n) for n in range(n_max + 1)]))
+    value, l1 = np.zeros((n_max + 1,) * 2, dtype=complex), np.zeros((n_max + 1,) * 2)
     prev = None
     err = math.inf
-    for nodes, weights, log_w in _levels(fam, p):
+    for carry, nodes, weights, log_w in _levels(fam, p):
         # nodes inside the operator's singularity guard count as zero
         keep = ~ctx.inside_guard(nodes)
         nodes = nodes[keep]
         wp = (weights * np.exp(log_w))[keep]
-        value = np.zeros((n_max + 1, n_max + 1), dtype=complex)
-        l1 = np.zeros((n_max + 1, n_max + 1))
+        value, l1 = (carry * value, carry * l1) if carry else (
+            np.zeros_like(value), np.zeros_like(l1))
         for lo in range(0, nodes.size, NODE_BLOCK):
             wx = wp[lo:lo + NODE_BLOCK]
             lat = ctx.lattice(nodes[lo:lo + NODE_BLOCK], half)

@@ -119,7 +119,7 @@ TOLERANCES = {
     "hermiticity.diagonal_energy": 2.6e-13,
     "limit.monotone_decrease": 1.0,
     "limit.extrapolated_deviation": 1e-2,
-    "number_operator.inversion": 1e-10,
+    "number_operator.inversion": 2e-15,
 }
 
 

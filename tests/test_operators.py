@@ -110,7 +110,7 @@ def test_array_operators_match_the_scalar_ones(family, name):
     ctx = OperatorContext(fam, p)
     xs = sample_points(fam, p, 7)
     ws = np.array(xs + [x + 0.3j for x in xs] + [x - 0.2j for x in xs])
-    for method in (fam.eta, fam.phi_aux, lambda w: fam.V(p, w), lambda w: fam.V_star(p, w)):
+    for method in (fam.eta, fam.phi_aux, lambda w: fam.V(p, w)):
         got = method(ws)
         assert got.shape == ws.shape
         for g, w in zip(got, ws):
@@ -135,6 +135,29 @@ def test_array_H_guards_every_point():
     lat = ctx.lattice([0.5, 1e-12, 1.5], 2)
     with pytest.raises(SingularityError, match="1e-12"):
         ctx.H_tilde(lat.operand(ONE), lat)
+
+
+@pytest.mark.parametrize("family,name", all_fixtures())
+@pytest.mark.parametrize("half", [2, 4])
+def test_potential_reads_V_star_off_the_mirror_rows(family, name, half):
+    # V*(w) = conj(V(conj w)), evaluated directly, is the conjugated mirror
+    # of V's rows bit for bit
+    p = fixture_params(family, name)
+    fam = get_family(family)
+    ctx = OperatorContext(fam, p)
+    lat = ctx.lattice(sample_points(fam, p, 7), half)
+    V, V_star = ctx._potential(lat, half)
+    w = lat.rows(half)
+    assert np.array_equal(V.val, fam.V(p, w))
+    assert np.array_equal(V_star.val, np.conj(fam.V(p, np.conj(w))))
+
+
+def test_lattice_rejects_a_complex_point():
+    # the mirror rows are conjugates only over a real centre row
+    ctx = OperatorContext("wilson", fixture_params("wilson"))
+    assert ctx.lattice([0.5 + 0j, 1.5], 2).w.shape == (5, 2)
+    with pytest.raises(ValueError, match="real"):
+        ctx.lattice([0.5, 1.5 + 1e-3j], 2)
 
 
 # ---------------------------------------------------------------- shifts
@@ -260,9 +283,9 @@ def test_commutator_on_constants():
     xs = sample_points(fam, p, 6)
     [got] = _apply(OperatorContext.comm_H_eta, fam, p, ONE, xs, 2)
     for x, c in zip(xs, got):
-        expected = ctx.V(x) * (fam.eta(x - 1j * g) - fam.eta(x)) + ctx.V_star(
-            x
-        ) * (fam.eta(x + 1j * g) - fam.eta(x))
+        v_star = np.conj(fam.V(p, np.conj(x)))
+        expected = (ctx.V(x) * (fam.eta(x - 1j * g) - fam.eta(x))
+                    + v_star * (fam.eta(x + 1j * g) - fam.eta(x)))
         assert cmath.isclose(c, expected, rel_tol=1e-12, abs_tol=1e-12)
 
 

@@ -19,6 +19,7 @@ from dqm.families import (
 from dqm.fixtures import fixture_names, fixture_params
 from dqm.quadrature import (
     ToleranceNotMet,
+    _de_grid,
     _levels,
     _tanh_sinh,
     hermiticity_forms,
@@ -175,7 +176,10 @@ def test_quadrature_self_consistency():
     for family in ("al-salam-chihara", "wilson", "meixner-pollaczek"):
         fam = get_family(family)
         p = fixture_params(family)
-        sums = np.array([np.sum(dx * np.exp(log_w)) for _, dx, log_w in _levels(fam, p)])
+        sums = []
+        for carry, _, dx, log_w in _levels(fam, p):
+            sums.append(carry * (sums[-1] if sums else 0.0) + np.sum(dx * np.exp(log_w)))
+        sums = np.array(sums)
         accepted = int(np.argmax(np.abs(np.diff(sums)) <= 1e-10)) + 1
         assert accepted < len(sums) - 1
         assert np.all(np.abs(sums[accepted:] - 1.0) <= 1e-13)
@@ -186,7 +190,7 @@ def test_rules_agree_on_finite_interval():
     # cos-x families, which the Gram matrix runs on
     fam = get_family("continuous-q-hermite")
     p = ParamSet(q=0.5)
-    x, dx = _tanh_sinh(0.0, math.pi, 5)
+    x, dx = _tanh_sinh(0.0, math.pi, *_de_grid(5))
     vd = np.sum(dx * np.asarray(fam.phi0(p, x)) ** 2)
     [vg] = _norms(fam, p, 0)
     assert vd == pytest.approx(vg, rel=1e-12)
@@ -280,8 +284,8 @@ def test_quadrature_counts_a_pole_of_V_at_a_node_as_zero(monkeypatch):
     levels = quadrature._levels
 
     def with_pole(fam, p):
-        for x, dx, log_w in levels(fam, p):
-            yield np.append(x, 0.0), np.append(dx, 1.0), np.append(log_w, 0.0)
+        for carry, x, dx, log_w in levels(fam, p):
+            yield carry, np.append(x, 0.0), np.append(dx, 1.0), np.append(log_w, 0.0)
 
     monkeypatch.setattr(quadrature, "_levels", with_pole)
     with pytest.raises(SingularityError):
@@ -292,7 +296,7 @@ def test_quadrature_counts_a_pole_of_V_at_a_node_as_zero(monkeypatch):
         assert np.max(np.abs(matrix.val - want.val) / (1 + np.abs(want.val))) <= 1e-14
     # on (0, inf) the tanh-sinh nodes next to x = 0 fall inside the guard
     wilson = get_family("wilson")
-    x, _, _ = next(levels(wilson, fixture_params("wilson")))
+    _, x, _, _ = next(levels(wilson, fixture_params("wilson")))
     assert OperatorContext(wilson, fixture_params("wilson")).inside_guard(x).any()
 
 
@@ -334,7 +338,15 @@ def test_quadrature_evaluates_phi0_once_per_level(suite, family, fixture, monkey
 
     monkeypatch.setattr(type(fam), "log_amplitude", counted)
     assert all(r.passed for r in run_suite(suite, fam, p))
-    # one weight evaluation per refinement level, each on more nodes than the
-    # last: a level evaluated twice would repeat a size
+    # one weight evaluation per refinement level
     assert len(sizes) >= 2
-    assert all(a < b for a, b in zip(sizes, sizes[1:]))
+    lo, hi = fam.spec.interval
+    if hi == math.inf:
+        # on the nested double-exponential levels each evaluation takes only
+        # the nodes its level adds: together they are the last level's grid,
+        # which (0, inf) runs on both of its parts, and no node comes twice
+        full = _de_grid(len(sizes) - 1)[0].size
+        assert sum(sizes) == (full if lo == -math.inf else 2 * full)
+    else:
+        # Gauss-Legendre levels share no nodes: each takes more than the last
+        assert all(a < b for a, b in zip(sizes, sizes[1:]))

@@ -583,6 +583,25 @@ def test_lower_triangularity_flags_a_perturbed_energy_at_every_level(family, n_m
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_number_operator_flags_a_perturbed_energy_at_every_level(family, monkeypatch):
+    # E_m (1 + 1e-9) moves the level recovered from it by 1e-9 E_m / E'(m),
+    # about 1e-9 / ln(1/q) where E_n grows like q^-n: at the bottom levels,
+    # the middle and the top of the range the check reports
+    fam = get_family(family)
+    p = fixture_params(family)
+    exact = fam.energy
+    missed = []
+    for m in (1, 2, 15, 29, 30):
+        monkeypatch.setattr(fam, "energy",
+                            lambda params, n, m=m: exact(params, n) * (1 + 1e-9 if n == m else 1))
+        (r,) = run_suite("number_operator", fam, p, VerifyConfig())
+        assert r.level_range == (0, 30)
+        if r.passed:
+            missed.append(m)
+    assert missed == []
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
 def test_orthogonality_flags_a_perturbed_top_recurrence_step(family, monkeypatch):
     # b_{n_max-1} (1 + 1e-9) leaves P_0 .. P_{n_max-1} exact and makes
     # P_{n_max} a slightly wrong combination of its neighbours: its overlap

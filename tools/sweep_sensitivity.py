@@ -10,18 +10,23 @@ A mutant at level n scales one number by (1 + 1e-9):
     closure              one nonzero coefficient of Family.closure, which has
                          no level: the sweep counts it at level 0
 
-The levels are 0, 1, 2, n_max/2, n_max - 1 and n_max.  Each mutant runs all
-11 suites at VerifyConfig(n_max=--n-max) on the `default` fixture of every
-family, --n-max defaulting to 8, the verify default.  A check that fails
-unmutated on a family is left out for that family.
+The levels are 0, 1, 2, n_max/2, n_max - 1 and n_max, and on each family
+the top reported level of every check that passes unmutated there: a check
+whose range ends below n_max/2, or past n_max, is tried at its own top too.
+Each mutant runs all 11 suites at VerifyConfig(n_max=--n-max) on the
+`default` fixture of every family, --n-max defaulting to 8, the verify
+default.  A check that fails unmutated on a family is left out for that
+family.
 
 For each check the sweep prints its reported level range and the highest
 level at which some mutant fails it, the lowest over the families where it
 runs and some mutant fails it.  A check falls short on a family when some
-mutant fails it there, but none at the highest tried level it reports.  One
-that no mutant fails anywhere is listed as not reached: these mutants
-cannot test it.  Then the sweep lists each short check with its families,
-and every suite that raised.  It exits 1 if any check falls short.
+mutant fails it there, but none at the highest level tried there that it
+reports.  One that no mutant fails anywhere is listed as not reached: these
+mutants cannot test it.  Then the sweep lists each short check with its
+families, and every suite that raised; its last line names the checks' top
+levels that were tried beyond the fixed ones.  It exits 1 if any check
+falls short.
 
     python3 tools/sweep_sensitivity.py [--n-max N]
 """
@@ -50,12 +55,13 @@ def levels_of(n_max: int) -> list:
     return sorted({0, 1, 2, n_max // 2, n_max - 1, n_max} & set(range(n_max + 1)))
 
 
-def mutants(fam, p, n_max: int):
-    """Yield (name, level, attribute, replacement): the family method to
-    replace on the family object, and its faulty replacement."""
+def mutants(fam, p, levels):
+    """Yield (name, level, attribute, replacement) at the given levels: the
+    family method to replace on the family object, and its faulty
+    replacement."""
     recurrence = fam.recurrence
     for name, i in RECURRENCE.items():
-        for level in levels_of(n_max):
+        for level in levels:
             k = level if name == "c" else level - 1   # the entry that makes P_level
             if k < 0:
                 continue
@@ -67,7 +73,7 @@ def mutants(fam, p, n_max: int):
             yield f"{name}_{k}", level, "recurrence", perturbed
     for name, method in LEVEL_METHODS.items():
         exact = getattr(fam, method)
-        for level in levels_of(n_max):
+        for level in levels:
             def perturbed(params, n, exact=exact, level=level):
                 return exact(params, n) * (SCALE if n == level else 1)
             yield f"{name}_{level}", level, method, perturbed
@@ -107,6 +113,7 @@ def main() -> int:
     warnings.simplefilter("ignore")
     reported: dict[str, dict] = {}   # check -> family -> level range
     caught: dict[str, dict] = {}     # check -> family -> levels failed
+    tried_on: dict[str, list] = {}   # family -> levels tried
     errors = []
     for fam in FAMILIES.values():
         family = fam.spec.name
@@ -117,7 +124,9 @@ def main() -> int:
             if r.passed:
                 reported.setdefault(check_id, {})[family] = r.level_range
                 caught.setdefault(check_id, {})[family] = set()
-        for name, level, attr, replacement in mutants(fam, p, n_max):
+        tried_on[family] = sorted(set(tried).union(
+            r.level_range[1] for r in clean.values() if r.passed))
+        for name, level, attr, replacement in mutants(fam, p, tried_on[family]):
             setattr(fam, attr, replacement)
             try:
                 results, raised = run_all(fam, p, config)
@@ -142,7 +151,7 @@ def main() -> int:
         behind = {}
         for family, (first, last) in reported[check_id].items():
             top = tops[family]
-            inside = [level for level in tried if first <= level <= last]
+            inside = [level for level in tried_on[family] if first <= level <= last]
             if top is not None and inside and top < inside[-1]:
                 behind[family] = top
         short += [(check_id, behind)] if behind else []
@@ -154,7 +163,9 @@ def main() -> int:
             for family, top in behind.items()))
     for family, mutant, suite, message in errors:
         print(f"ERROR {family} {mutant} {suite}: {message}")
-    print(f"{len(FAMILIES)} fixtures, levels {', '.join(map(str, tried))}: "
+    extra = sorted(set().union(*tried_on.values()) - set(tried))
+    print(f"{len(FAMILIES)} fixtures, levels {', '.join(map(str, tried))}"
+          f" and the checks' tops {', '.join(map(str, extra)) or '-'}: "
           f"{len(short)} checks fall short, {len(errors)} errors")
     return 1 if short else 0
 
