@@ -153,8 +153,9 @@ def cmd_eval(args) -> int:
     poly = eval_poly_recurrence(fam, p, n)
     v_rec = poly.eval(eta)
     v_hyp = eval_poly_hypergeometric(fam, p, n, eta)
-    phi0 = fam.phi0(p, x)  # inf past the double range, printed from its log
     log_phi0 = float(np.real(fam.log_amplitude(p, x)))
+    with np.errstate(over="ignore"):
+        phi0 = float(np.exp(log_phi0))  # inf past the double range, printed from its log
     record = {
         "family": fam.spec.name,
         "n": n,

@@ -16,17 +16,21 @@ The terminating sums ``hypergeometric_F`` and ``basic_hypergeometric_phi``
 serve the families' series path, the independent cross-check of the
 recurrence.  Both are summed by one loop, ``_series``, in the standard
 library's decimal floating point; each supplies only the factors of its
-term ratio.  The loop starts at 150 significant digits and checks each sum
-against its own rounding bound, redoing it at the precision the bound asks
-for when it misses, so the sum of the parameters as given is good to about
-one double rounding however violently the series cancels.
+term ratio, sorted once per call into real and complex ones.  The real
+factors (k + 1, 1 - q^(k+1), -q^k, those of the real parameters and a real
+z) are multiplied as plain Decimals; complex arithmetic is kept to the
+factors with a nonzero imaginary part, those of x and of the complex
+parameters; and each term takes one real division.  The loop starts at
+150 significant digits and checks each sum against its own rounding bound,
+redoing it at the precision the bound asks for when it misses, so the sum
+of the parameters as given is good to about one double rounding however
+violently the series cancels.
 """
 
 from __future__ import annotations
 
 import cmath
 import decimal
-import functools
 import itertools
 import math
 from decimal import Decimal
@@ -176,8 +180,9 @@ def complex_gamma(z: complex) -> complex:
 # double converts to a Decimal exactly, so the rounding that remains is the
 # working precision's, and `_series` checks each sum against its bound.
 
-# the start precision: 96 % of the series values of the fixtures at levels
-# 0..30 need no second pass, and none more than seven
+# the start precision: of the 12 400 series values at levels 0..30 of the
+# default fixtures' 16 pool points and the dual-path test's points, 96 %
+# need no second pass and none a third
 _DIGITS = 150
 _ZERO, _ONE = Decimal(0), Decimal(1)
 # accepted when the rounding bound is below _REL of |sum|, a tenth of the
@@ -187,28 +192,32 @@ _REL = Decimal("1e-17")
 _TINY = Decimal(math.ulp(0.0))
 
 
-def _dec(x):
-    """x as a (real, imag) pair of Decimals: a number exactly, a Fraction
-    rounded to the working precision."""
-    if isinstance(x, Fraction):
-        return Decimal(x.numerator) / x.denominator, _ZERO
-    x = complex(x)
-    return Decimal(x.real), Decimal(x.imag)
-
-
-def _mul(x, y):
-    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+def _split(params):
+    """params as Decimals, sorted once: the real ones (a Fraction, or a zero
+    imaginary part) as Decimals, the others as (real, imag) pairs.  A number
+    converts exactly, a Fraction rounds to the working precision."""
+    real, cx = [], []
+    for v in params:
+        if isinstance(v, Fraction):
+            real.append(Decimal(v.numerator) / v.denominator)
+        elif (v := complex(v)).imag:
+            cx.append((Decimal(v.real), Decimal(v.imag)))
+        else:
+            real.append(Decimal(v.real))
+    return real, cx
 
 
 def _series(ratios, params, z, n_terms: int) -> complex:
     """Sum t_0 + ... + t_{n_terms} of t_0 = 1, t_{k+1} = t_k z ratio_k.
 
-    ratios() yields, for k = 0, 1, ..., the factors (num, den) of ratio_k,
-    the product of num over the product of den, as (real, imag) Decimal
-    pairs formed at the working precision.  params are the numbers the
-    factors are made of: a NaN or infinite one, or z, makes the sum complex
-    NaN.  A num factor that vanishes exactly ends the series; a den factor
-    that vanishes exactly raises PoleError.
+    ratios() yields, for k = 0, 1, ..., the factors (rnum, cnum, rden, cden)
+    of ratio_k, the product of the numerator factors over the product of the
+    denominator factors, formed at the working precision: the real ones as
+    Decimals, the ones with a nonzero imaginary part as (real, imag) pairs;
+    rden is never empty.  params are the numbers the factors are made of: a
+    NaN or infinite one, or z, makes the sum complex NaN.  A real num factor
+    that vanishes exactly ends the series; a real den factor that vanishes
+    exactly raises PoleError (a complex factor never vanishes).
     """
     if n_terms < 0:
         raise DomainError(f"n_terms must be >= 0, got {n_terms}")
@@ -217,36 +226,49 @@ def _series(ratios, params, z, n_terms: int) -> complex:
     digits = _DIGITS
     while True:
         with decimal.localcontext(decimal.Context(prec=digits)):
-            zd, steps = _dec(z), ratios()
-            term, re, im, size, width = (_ONE, _ZERO), _ZERO, _ZERO, _ZERO, 0
+            (zr, zc), steps = _split([z]), ratios()  # z: one more num factor
+            t0, t1, re, im, size, width = _ONE, _ZERO, _ZERO, _ZERO, _ZERO, 0
             for k in range(n_terms + 1):
-                re += term[0]
-                im += term[1]
-                size += abs(term[0]) + abs(term[1])
+                re += t0
+                im += t1
+                size += abs(t0) + abs(t1)
                 if k == n_terms:
                     break
-                num, den = next(steps)
-                width = len(num) + len(den)
-                n = functools.reduce(_mul, num, _mul(term, zd))
-                if not (n[0] or n[1]):
+                rnum, cnum, rden, cden = next(steps)
+                width = len(rnum) + len(cnum) + len(rden) + len(cden)
+                s = math.prod(zr + rnum)
+                if not s:
                     break  # the series terminated
-                d = functools.reduce(_mul, den)
-                if not (d[0] or d[1]):
+                d = math.prod(rden)
+                if not d:
                     raise PoleError(f"a denominator factor vanishes at term {k + 1}")
-                d2 = d[0] * d[0] + d[1] * d[1]
-                term = (n[0] * d[0] + n[1] * d[1]) / d2, (n[1] * d[0] - n[0] * d[1]) / d2
+                for a, b in zc + cnum:
+                    t0, t1 = t0 * a - t1 * b, t0 * b + t1 * a
+                if cden:
+                    # t / c = t conj(c) / |c|^2: one real division per term
+                    c0, c1 = cden[0]
+                    for a, b in cden[1:]:
+                        c0, c1 = c0 * a - c1 * b, c0 * b + c1 * a
+                    t0, t1 = t0 * c0 + t1 * c1, t1 * c0 - t0 * c1
+                    d *= c0 * c0 + c1 * c1
+                s /= d
+                t0, t1 = t0 * s, t1 * s
             # The rounding bound, to first order in u = 10^(1 - digits) / 2
-            # and normwise, for F = width factors of a ratio: forming a
-            # factor rounds at most four times (a Fraction parameter, q^k,
-            # a q^k, 1 - a q^k), each of a step's F complex products adds 3u
-            # (Higham, Lemma 3.5) and its quotient 6u, so t_k is off by at
-            # most k (7F + 6) u |t_k|, and each of the n_terms + 1 additions
-            # by u sum |t_k|: in all at most (n_terms + 1)(7F + 7) u sum |t_k|
-            # <= c (n_terms + 1) 10^(1 - digits) sum |t_k|, c = 4 (F + 1).  A
-            # factor 1 - a q^k that cancels, a q^k near 1, scales its
-            # roundings by |a q^k| / |1 - a q^k|, which c does not count.
-            # |re| + |im| bounds |t_k| from above, max(|re|, |im|) bounds
-            # |sum| from below.
+            # and normwise, for F = width factors of a ratio, R real and C
+            # complex: forming a factor rounds at most four times (a Fraction
+            # parameter, q^k, a q^k, 1 - a q^k).  A real product or quotient
+            # rounds once and a complex product adds 3u (Higham, Lemma 3.5).
+            # A step takes at most R - 1 real products (s and d), C + 1
+            # complex ones (z and the complex factors into t, c, t conj(c)),
+            # 2u for |c|^2 and one rounding each for d |c|^2, s / d and its
+            # product with t: R + 3C + 7 <= 3F + 5 in all, as R >= 1 (k + 1
+            # or 1 - q^(k+1)).  So t_k is off by at most k (7F + 5) u |t_k|,
+            # and each of the n_terms + 1 additions by u sum |t_k|: in all at
+            # most (n_terms + 1)(7F + 6) u sum |t_k| <= c (n_terms + 1)
+            # 10^(1 - digits) sum |t_k|, c = 4 (F + 1).  A factor 1 - a q^k
+            # that cancels, a q^k near 1, scales its roundings by |a q^k| /
+            # |1 - a q^k|, which c does not count.  |re| + |im| bounds |t_k|
+            # from above, max(|re|, |im|) bounds |sum| from below.
             bound = 4 * (width + 1) * (n_terms + 1) * size.scaleb(1 - digits)
             total = max(abs(re), abs(im))
             floor = max(_REL * total, _TINY)
@@ -266,10 +288,10 @@ def hypergeometric_F(num, den, z: complex, n_terms: int) -> complex:
     """
 
     def ratios():
-        a_s, b_s = [_dec(a) for a in num], [_dec(b) for b in den]
+        (ra, ca), (rb, cb) = _split(num), _split(den)
         for k in itertools.count():
-            yield ([(a + k, ai) for a, ai in a_s],
-                   [(b + k, bi) for b, bi in b_s] + [(k + 1, _ZERO)])
+            yield ([a + k for a in ra], [(a + k, ai) for a, ai in ca],
+                   [b + k for b in rb] + [k + 1], [(b + k, bi) for b, bi in cb])
 
     return _series(ratios, [*num, *den], z, n_terms)
 
@@ -287,16 +309,16 @@ def basic_hypergeometric_phi(num, den, q: float, z: complex, n_terms: int) -> co
     excess = 1 + len(den) - len(num)
 
     def ratios():
-        a_s, b_s, qd = [_dec(a) for a in num], [_dec(b) for b in den], Decimal(q)
+        (ra, ca), (rb, cb), qd = _split(num), _split(den), Decimal(q)
         qk = _ONE
         for k in itertools.count(1):
             qq = qd**k  # q^(j+1) at step j = k - 1, rounded once
-            neg_qk = (-qk, _ZERO)
             # (-q^k)^excess: excess factors of num, or -excess of den
             # ([x] * m is empty for m <= 0)
-            yield ([(1 - a * qk, -ai * qk) for a, ai in a_s] + [neg_qk] * excess,
-                   [(1 - b * qk, -bi * qk) for b, bi in b_s] + [(1 - qq, _ZERO)]
-                   + [neg_qk] * -excess)
+            yield ([1 - a * qk for a in ra] + [-qk] * excess,
+                   [(1 - a * qk, -ai * qk) for a, ai in ca],
+                   [1 - b * qk for b in rb] + [1 - qq] + [-qk] * -excess,
+                   [(1 - b * qk, -bi * qk) for b, bi in cb])
             qk = qq
 
     return _series(ratios, [*num, *den], z, n_terms)

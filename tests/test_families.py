@@ -4,6 +4,7 @@ ground states, both polynomial evaluation paths and their invariants."""
 from __future__ import annotations
 
 import cmath
+import decimal
 import functools
 import json
 import math
@@ -512,6 +513,20 @@ def test_recurrence_matches_the_oracle(family, name):
         for eta, o in zip(etas, exact, strict=True):
             assert abs(poly.eval(eta) - o) <= bound, (n, eta)
 
+
+@pytest.mark.parametrize("family,name", all_fixtures())
+def test_series_matches_the_oracle(family, name):
+    # the series path on the same cells, to the dual-path test's 5e-14
+    doc = _oracle()
+    p = fixture_params(family, name)
+    levels = (0, 5, 10, 20, 30) if name == "default" else range(9)
+    etas = doc["inputs"]["pool"][family]
+    for n in levels:
+        exact = [complex(*v) for v in doc["P"][family][name][n]]
+        bound = 5e-14 * (1.0 + max(abs(o) for o in exact))
+        for eta, o in zip(etas, exact, strict=True):
+            assert abs(eval_poly_hypergeometric(family, p, n, eta) - o) <= bound, (n, eta)
+
 # parameter sets off the fixtures' dyadic grid: q^-n, q^k and the products
 # a_j a_k are not doubles, and the q-series cancel past 1e100 by n = 30
 NON_DYADIC = {
@@ -538,6 +553,27 @@ def test_dual_path_equivalence(family, name):
         for eta, v2 in zip(etas, values):
             v1 = eval_poly_hypergeometric(family, p, n, eta)
             assert abs(v1 - v2) <= min(bound, 1e-9 * (1 + abs(v2))), (n, eta)
+
+
+def test_series_values_take_one_decimal_pass_almost_always(monkeypatch):
+    # the series' precision schedule: each pass opens one decimal.Context, a
+    # second pass doubles a value's cost, and a third would mean that the
+    # jump to the precision the bound asks for fell short
+    precisions = []
+    context = decimal.Context
+    monkeypatch.setattr(decimal, "Context",
+                        lambda prec: precisions.append(prec) or context(prec=prec))
+    passes = []
+    for fid in ALL_IDS:
+        fam = FAMILIES[fid]
+        p = fixture_params(fam.spec.name, "default")
+        for x in sample_points(fam, p, 4):
+            for n in range(31):
+                precisions.clear()
+                eval_poly_hypergeometric(fam.spec.name, p, n, fam.eta(x))
+                passes.append(len(precisions))
+    assert len(passes) == 1364 and max(passes) <= 2
+    assert passes.count(1) >= 0.95 * len(passes)
 
 @pytest.mark.parametrize("family", [FAMILIES[fid].spec.name for fid in ALL_IDS])
 def test_recurrence_at_degree_60_is_silent_and_accurate(family):

@@ -282,6 +282,84 @@ def test_phi_negative_term_count():
     with pytest.raises(DomainError):
         basic_hypergeometric_phi([0.4], [0.2], 0.5, 0.3, -1)
 
+
+# exact oracles over the Gaussian rationals: every double (and every
+# Fraction) is a pair of Fractions exactly, so the sums below are exact
+
+def _gauss(v):
+    if isinstance(v, Fraction):
+        return v, Fraction(0)
+    v = complex(v)
+    return Fraction(v.real), Fraction(v.imag)
+
+def _gmul(x, y):
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+def _gdiv(x, y):
+    d = y[0] ** 2 + y[1] ** 2
+    return (x[0] * y[0] + x[1] * y[1]) / d, (x[1] * y[0] - x[0] * y[1]) / d
+
+def _exact_sum(ratio, z, n):
+    # t_0 + ... + t_n of t_0 = 1, t_{k+1} = t_k z ratio(k)
+    z, term, total = _gauss(z), (Fraction(1), Fraction(0)), (Fraction(0), Fraction(0))
+    for k in range(n + 1):
+        total = total[0] + term[0], total[1] + term[1]
+        term = _gmul(_gmul(term, z), ratio(k))
+    return total
+
+def _exact_F(num, den, z, n):
+    def ratio(k):
+        r = Fraction(1, k + 1), Fraction(0)
+        for a, ai in map(_gauss, num):
+            r = _gmul(r, (a + k, ai))
+        for b, bi in map(_gauss, den):
+            r = _gdiv(r, (b + k, bi))
+        return r
+    return _exact_sum(ratio, z, n)
+
+def _exact_phi(num, den, q, z, n):
+    q, excess = Fraction(q), 1 + len(den) - len(num)
+
+    def ratio(k):
+        qk = q**k
+        r = (-qk) ** excess / (1 - q * qk), Fraction(0)
+        for a, ai in map(_gauss, num):
+            r = _gmul(r, (1 - a * qk, -ai * qk))
+        for b, bi in map(_gauss, den):
+            r = _gdiv(r, (1 - b * qk, -bi * qk))
+        return r
+    return _exact_sum(ratio, z, n)
+
+def _askey_wilson_4phi3(q, n=12):
+    # the Askey-Wilson chain's 4phi3 at a = (0.6, 0.3 + 0.4i, 0.3 - 0.4i,
+    # 0.4), z = e^(1.1 i): exact q^-n, a1 z and a1 / z, and a conjugate pair
+    # a1 a2, a1 a3 beside the real a1 a4 in the denominator
+    a1, rest, z = 0.6, (0.3 + 0.4j, 0.3 - 0.4j, 0.4), cmath.exp(1.1j)
+    e4 = a1 * rest[0] * rest[1] * rest[2]
+    num = [Fraction(q) ** -n, e4.real * q ** (n - 1), a1 * z, a1 / z]
+    return num, [a1 * aj for aj in rest], q, q, n
+
+@pytest.mark.parametrize("series,exact,args", [
+    # 3F2 with a complex and a real parameter above and below
+    (hypergeometric_F, _exact_F, ([-12, 0.3 + 0.7j, 1.25], [0.5 - 0.2j, 1.75], 1.0, 12)),
+    # 2F1 at a complex z
+    (hypergeometric_F, _exact_F, ([-12, 0.75], [1.5], 0.3 + 0.4j, 12)),
+    # the Wilson 4F3 at a = (0.9 + 0.4i, 0.9 - 0.4i, 0.9, 1.3), x = 1.3
+    (hypergeometric_F, _exact_F, ([-12, 15.0, 0.9 + 1.7j, 0.9 - 0.9j],
+                                  [1.8, 1.8 + 0.4j, 2.2 + 0.4j], 1.0, 12)),
+    (basic_hypergeometric_phi, _exact_phi, _askey_wilson_4phi3(0.5)),
+    (basic_hypergeometric_phi, _exact_phi, _askey_wilson_4phi3(0.37)),
+    # the continuous q-Hermite 2phi0 at z = q^n / e^(1.4 i)
+    (basic_hypergeometric_phi, _exact_phi,
+     ([Fraction(0.5) ** -12, 0.0], [], 0.5, 0.5**12 / cmath.exp(1.4j), 12)),
+])
+def test_series_match_exact_gaussian_rational_sums(series, exact, args):
+    # each component within one ulp of the correctly rounded exact sum
+    got = series(*args)
+    for g, e in zip((got.real, got.imag), exact(*args)):
+        want = float(e)
+        assert abs(g - want) <= math.ulp(want), (g, want)
+
 @pytest.mark.parametrize("series,args", [
     (hypergeometric_F, ([-2, math.nan], [1.0], 0.5, 2)),
     (hypergeometric_F, ([-2, 0.5], [math.inf], 0.5, 2)),
