@@ -320,8 +320,8 @@ class Family:
         which is what the shifted ground-state identity needs.
         """
         w = np.asarray(w, dtype=complex)
-        out = np.exp(self.log_amplitude(p, w)
-                     + np.conj(self.log_amplitude(p, np.conj(w))))
+        log_g, log_g_mirror = self.log_amplitude(p, np.stack([w, np.conj(w)]))
+        out = np.exp(log_g + np.conj(log_g_mirror))
         return complex(out) if out.ndim == 0 else out
 
     def series_eval_x(self, p: ParamSet, n: int, x) -> complex:

@@ -133,9 +133,9 @@ class ContinuousHahn(Family):
         return complex(val).real
 
     def log_amplitude(self, p: ParamSet, w):
-        a1, a2 = p.a
         iw = 1j * as_complex(w)
-        return log_gamma(a1 + iw) + log_gamma(a2 + iw)
+        logs = log_gamma(np.stack([ai + iw for ai in p.a]))
+        return logs[0] + logs[1]
 
     def level_from_energy(self, p: ParamSet, energy: float) -> float:
         # E_n = n(n + b1 - 1)  =>  N = sqrt(E + (b1-1)^2/4) - (b1-1)/2

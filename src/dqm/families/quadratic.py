@@ -55,12 +55,14 @@ class _GammaRatioFamily(Family):
 
     def log_amplitude(self, p: ParamSet, w):
         # prod Gamma(a_i + iw) / Gamma(2iw), with 1/Gamma(2iw) = 2iw /
-        # Gamma(1 + 2iw): regular at w = 0, where it vanishes
+        # Gamma(1 + 2iw): regular at w = 0, where it vanishes.  One log_gamma
+        # call on the rows 1 + 2iw, a_1 + iw, ..., summed in that order
         iw = 1j * as_complex(w)
+        logs = log_gamma(np.stack([1.0 + 2.0 * iw, *(ai + iw for ai in p.a)]))
         with np.errstate(divide="ignore"):
-            out = np.log(2.0 * iw) - log_gamma(1.0 + 2.0 * iw)
-        for ai in p.a:
-            out = out + log_gamma(ai + iw)
+            out = np.log(2.0 * iw) - logs[0]
+        for row in logs[1:]:
+            out = out + row
         return out
 
     @staticmethod

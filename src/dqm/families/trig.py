@@ -245,11 +245,15 @@ class AskeyWilson(Family):
         return num / den
 
     def log_amplitude(self, p: ParamSet, w):
-        # (e^{2iw}; q)_inf / prod_i (a_i e^{iw}; q)_inf
+        # (e^{2iw}; q)_inf / prod_i (a_i e^{iw}; q)_inf in one kernel call:
+        # every row runs to the largest |a| of the stack, so a row with a
+        # smaller |a| takes extra factors, each within 1e-15 of 1
         z = _z_of(w)
-        out = log_q_pochhammer_inf(z * z, p.q)
-        for ai in self._aw(p).a:
-            out = out - log_q_pochhammer_inf(ai * z, p.q)
+        rows = [z * z, *(ai * z for ai in self._aw(p).a)]
+        logs = log_q_pochhammer_inf(np.stack(rows), p.q)
+        out = logs[0]
+        for row in logs[1:]:
+            out = out - row
         return out
 
     # -- spectrum and closure --------------------------------------------------

@@ -17,8 +17,8 @@ scaled by its width s (`weight_window`):
 with t in [-T_MAX, T_MAX] and the step halving from 0.5, so that a level
 keeps the last one's nodes.  The weight enters as log w - log h0 from
 `Family.log_amplitude` and `Family.log_h0`, so a weight or a norm beyond
-the double range costs nothing.  Nodes where the node weight times w/h0
-underflows to zero are dropped.
+the double range costs nothing.  Each node's weight dx w / h0 is formed
+once, by `_levels`, which drops the nodes where it underflows to zero.
 
 One routine, `_matrix`, computes both matrices.  Per refinement level it
 evaluates the weight once and P_0 .. P_n once on its new nodes, by one
@@ -142,7 +142,7 @@ def weight_window(family, p: ParamSet):
 
 def _levels(fam, p: ParamSet):
     """Per refinement level of the family's rule: carry, then the nodes it
-    adds, their weights and log w - log h0 there.  Its sums are carry times
+    adds and their node weights dx w / h0.  Its sums are carry times
     the last level's plus those over its nodes: 1/2 past level 0 on the
     nested double-exponential rules (the odd t indices), 0 on Gauss-Legendre."""
     lo, hi = fam.spec.interval
@@ -160,9 +160,9 @@ def _levels(fam, p: ParamSet):
             e = s * np.exp(u)
             x0, dx0 = _tanh_sinh(0.0, c, u, du)
             x, dx = np.concatenate([x0, c + e]), np.concatenate([dx0, e * du])
-        log_w = 2.0 * np.real(fam.log_amplitude(p, x)) - log_h0
-        keep = dx * np.exp(log_w) != 0.0  # a NaN stays, and fails the level
-        yield carry, x[keep], dx[keep], log_w[keep]
+        wx = dx * np.exp(2.0 * np.real(fam.log_amplitude(p, x)) - log_h0)
+        keep = wx != 0.0  # a NaN stays, and fails the level
+        yield carry, x[keep], wx[keep]
 
 
 def _converged(err, value, l1):
@@ -186,15 +186,14 @@ def _matrix(fam, p: ParamSet, n_max: int, half: int, act) -> Terms:
     value, l1 = np.zeros((n_max + 1,) * 2, dtype=complex), np.zeros((n_max + 1,) * 2)
     prev = None
     err = math.inf
-    for carry, nodes, weights, log_w in _levels(fam, p):
+    for carry, nodes, weights in _levels(fam, p):
         # nodes inside the operator's singularity guard count as zero
         keep = ~ctx.inside_guard(nodes)
-        nodes = nodes[keep]
-        wp = (weights * np.exp(log_w))[keep]
+        nodes, weights = nodes[keep], weights[keep]
         value, l1 = (carry * value, carry * l1) if carry else (
             np.zeros_like(value), np.zeros_like(l1))
         for lo in range(0, nodes.size, NODE_BLOCK):
-            wx = wp[lo:lo + NODE_BLOCK]
+            wx = weights[lo:lo + NODE_BLOCK]
             lat = ctx.lattice(nodes[lo:lo + NODE_BLOCK], half)
             f = unit * lat.operand(poly)
             g = act(f, lat).val[:, 0]

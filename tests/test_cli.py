@@ -131,6 +131,22 @@ def test_eval_series_path_agrees_past_q_level_twelve(capsys):
     assert float(rec["path_discrepancy"]) <= 1e-12 * (1 + abs(p_n))
 
 
+@pytest.mark.parametrize("family,n,x", [
+    ("continuous-q-jacobi", "7", "0.35"),
+    ("askey-wilson", "5", "1.9"),
+    ("continuous-q-laguerre", "9", "2.6"),
+])
+def test_eval_series_path_prints_a_real_value(capsys, family, n, x):
+    # the conjugate factors a1 z and a1 / z of the decimal sum once left
+    # rounding noise of about 1e-146 as an imaginary part
+    rc, out = run_cli(capsys, "eval", family, "--fixture", "default",
+                      "--n", n, "--x", x, "--output", "json")
+    assert rc == 0
+    rec = json.loads(out)
+    assert "i" not in rec["P_n_hypergeometric"]
+    assert float(rec["path_discrepancy"]) <= 1e-12
+
+
 def test_table_spectrum(capsys):
     rc, out = run_cli(
         capsys, "table", "spectrum", "meixner-pollaczek", "--a", "1",

@@ -8,6 +8,7 @@ import decimal
 import functools
 import json
 import math
+import sys
 import warnings
 from pathlib import Path
 
@@ -351,6 +352,94 @@ def test_weights_match_the_golden_values(family, name):
         target = complex(*e["weight_square_shifted"])
         got = fam.weight_square(fam.shifted(p), x - 0.5j * fam.gamma(p))
         assert abs(got - target) <= 1e-13 * abs(target)
+
+
+def _weight_points(fam, p):
+    """16 sample points on the real line and the same points half a shift
+    below it, where the shape-invariance suite continues the weight."""
+    x = np.asarray(sample_points(fam, p, 16))
+    return np.concatenate([x, x - 0.5j * fam.gamma(p)])
+
+
+def _kernel(fam):
+    """(module, name) of the special function a family's weight is built of."""
+    name = "log_q_pochhammer_inf" if fam.spec.uses_q else "log_gamma"
+    return sys.modules[type(fam).__module__], name
+
+
+@pytest.mark.parametrize("family", [FAMILIES[fid].spec.name for fid in ALL_IDS])
+def test_one_kernel_call_per_weight(family, monkeypatch):
+    # log_amplitude stacks its factors into one kernel call, and
+    # weight_square takes w and conj(w) in one log_amplitude call
+    fam = get_family(family)
+    p = fixture_params(family)
+    w = _weight_points(fam, p)
+    module, name = _kernel(fam)
+    kernel = getattr(module, name)
+    kernel_calls, amplitude_calls = [], []
+
+    def counted_kernel(*args):
+        kernel_calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(module, name, counted_kernel)
+    fam.log_amplitude(p, w)
+    assert len(kernel_calls) == 1
+    amplitude = type(fam).log_amplitude
+
+    def counted_amplitude(self, *args):
+        amplitude_calls.append(args)
+        return amplitude(self, *args)
+
+    monkeypatch.setattr(type(fam), "log_amplitude", counted_amplitude)
+    kernel_calls.clear()
+    fam.weight_square(fam.shifted(p), w)
+    assert len(amplitude_calls) == 1
+    assert len(kernel_calls) == 1
+
+
+def _per_factor_log_amplitude(fam, p, w):
+    """log g(w) one factor per kernel call, each added in turn."""
+    from dqm.specfun import log_gamma, log_q_pochhammer_inf
+
+    kind = fam.spec.eta_kind
+    if kind == "cos x":
+        z = np.exp(1j * w)
+        out = log_q_pochhammer_inf(z * z, p.q)
+        for ai in fam.row.to_aw(p.a, p.q):
+            if ai != 0:
+                out = out - log_q_pochhammer_inf(ai * z, p.q)
+        return out
+    iw = 1j * w
+    if kind == "x^2":
+        with np.errstate(divide="ignore"):
+            out = np.log(2.0 * iw) - log_gamma(1.0 + 2.0 * iw)
+        for ai in p.a:
+            out = out + log_gamma(ai + iw)
+        return out
+    if fam.spec.uses_phi:
+        return (p.phi - math.pi / 2) * w + log_gamma(p.a[0].real + iw)
+    a1, a2 = p.a
+    return log_gamma(a1 + iw) + log_gamma(a2 + iw)
+
+
+@pytest.mark.parametrize("family,name", all_fixtures())
+def test_stacked_weight_equals_the_per_factor_form(family, name):
+    # the Gamma families sum the same rows in the same order; a stacked
+    # q-product runs to the largest |a| of its rows, so a row with a smaller
+    # |a| takes extra factors, each within 1e-15 of 1
+    fam = get_family(family)
+    p = fixture_params(family, name)
+    w = _weight_points(fam, p)
+    got = fam.log_amplitude(p, w)
+    want = _per_factor_log_amplitude(fam, p, w)
+    if fam.spec.uses_q:
+        assert np.max(np.abs(got.real - want.real)) <= 1e-14
+    else:
+        assert np.array_equal(got, want)
+    scalar = fam.log_amplitude(p, w[3])
+    assert isinstance(scalar, complex) and np.ndim(scalar) == 0
+    assert abs(scalar.real - want[3].real) <= 1e-14
 
 
 # ------------------------------------------------------- evaluation paths

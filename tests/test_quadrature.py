@@ -177,8 +177,8 @@ def test_quadrature_self_consistency():
         fam = get_family(family)
         p = fixture_params(family)
         sums = []
-        for carry, _, dx, log_w in _levels(fam, p):
-            sums.append(carry * (sums[-1] if sums else 0.0) + np.sum(dx * np.exp(log_w)))
+        for carry, _, wx in _levels(fam, p):
+            sums.append(carry * (sums[-1] if sums else 0.0) + np.sum(wx))
         sums = np.array(sums)
         accepted = int(np.argmax(np.abs(np.diff(sums)) <= 1e-10)) + 1
         assert accepted < len(sums) - 1
@@ -284,8 +284,8 @@ def test_quadrature_counts_a_pole_of_V_at_a_node_as_zero(monkeypatch):
     levels = quadrature._levels
 
     def with_pole(fam, p):
-        for carry, x, dx, log_w in levels(fam, p):
-            yield carry, np.append(x, 0.0), np.append(dx, 1.0), np.append(log_w, 0.0)
+        for carry, x, wx in levels(fam, p):
+            yield carry, np.append(x, 0.0), np.append(wx, 1.0)
 
     monkeypatch.setattr(quadrature, "_levels", with_pole)
     with pytest.raises(SingularityError):
@@ -296,7 +296,7 @@ def test_quadrature_counts_a_pole_of_V_at_a_node_as_zero(monkeypatch):
         assert np.max(np.abs(matrix.val - want.val) / (1 + np.abs(want.val))) <= 1e-14
     # on (0, inf) the tanh-sinh nodes next to x = 0 fall inside the guard
     wilson = get_family("wilson")
-    _, x, _, _ = next(levels(wilson, fixture_params("wilson")))
+    _, x, _ = next(levels(wilson, fixture_params("wilson")))
     assert OperatorContext(wilson, fixture_params("wilson")).inside_guard(x).any()
 
 
