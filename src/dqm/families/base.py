@@ -174,6 +174,8 @@ def as_complex(w):
 
     The pointwise methods take either through one expression: a scalar call
     runs exactly the scalar arithmetic, and an array stays numpy arithmetic.
+    log_amplitude is the exception: it stacks its factors into one array, so
+    a scalar w takes numpy's array path there too.
     """
     if type(w) is complex:  # the common case, and complex(w) is w itself
         return w
@@ -301,7 +303,9 @@ class Family:
     def log_amplitude(self, p: ParamSet, w):
         """A logarithm of g(w), the closed form of the ground state: phi0(x)
         = |g(x)| on the real axis, and g continues off it.  Scalar or array
-        w; only exp() and the real part are used, so any branch will do."""
+        w; only exp() and the real part are used, so any branch will do.
+        The factors' arguments go to one kernel call as one stacked array,
+        so a scalar w runs array arithmetic and returns a numpy scalar."""
         raise NotImplementedError
 
     def phi0(self, p: ParamSet, x):

@@ -6,11 +6,10 @@ scalar outputs.  The two log kernels, ``log_gamma`` and
 ``log_q_pochhammer_inf``, also take numpy arrays elementwise; the families'
 ground states, h0 and the coherent closed forms are built from them.  A
 ground state stacks all its factors' arguments into one array and makes
-one kernel call, so the kernels are written for many points per call: the
-Lanczos sum accumulates in place, and a q-product runs to the largest |a|
-of the whole array.  They return *a* logarithm: the real part is
-log|value|, the imaginary part is right only modulo 2 pi, so use them
-through exp() or their real part.
+one kernel call, so a q-product runs to the largest |a| of the whole
+array.  They return *a* logarithm: the real part is log|value|, the
+imaginary part is right only modulo 2 pi, so use them through exp() or
+their real part.
 There is one infinite q-product kernel: ``q_pochhammer_inf`` is the
 exponential of ``log_q_pochhammer_inf`` at a scalar.  It forms each run of
 factors 1 - a q^k as one (factors x points) array, at most _BLOCK elements
@@ -146,11 +145,8 @@ def log_gamma(z):
     reflect = left.any()
     w = np.where(left, -z, z - 1.0) if reflect else z - 1.0  # at z or 1 - z
     series = np.full_like(w, _LANCZOS_C[0])
-    term = np.empty_like(w)
     for k in range(1, len(_LANCZOS_C)):
-        np.add(w, k, out=term)
-        np.divide(_LANCZOS_C[k], term, out=term)
-        series += term
+        series = series + _LANCZOS_C[k] / (w + k)
     t = w + _LANCZOS_G + 0.5
     out = np.asarray(_LOG_SQRT_2PI + (w + 0.5) * np.log(t) - t + np.log(series))
     if reflect:

@@ -1,19 +1,19 @@
 """Dump the quadrature matrices, the weights and every check's residual of
 the 22 bundled fixtures, and compare two dumps entry by entry.
 
-    python3 tools/compare_quadrature.py dump OUT.npz [--n-max N] [--seed S]
+    python3 tools/compare_quadrature.py dump OUT.npz [--n-max N]
     python3 tools/compare_quadrature.py compare A.npz B.npz
 
 `dump` runs the dqm of the checkout it sits in.  Per fixture it stores
 
     G, K        orthogonality_matrix and hermiticity_forms at levels
                 0..N (default 8): the value and the l1 sum of each entry
-    log_amp     log_amplitude at 33 real points of the interval's sample
-                window and at those points minus i gamma/2
+    log_amp     log_amplitude at the 33 real points of
+                dqm.operators.sample_points and at those points minus i gamma/2
     weight_sq   weight_square at the shifted parameters and the points
                 minus i gamma/2, as the shape-invariance suite evaluates it
     residuals   the max_residual of every check of the 11 suites at
-                VerifyConfig(n_max=N, seed=S), in suite order; a suite that
+                VerifyConfig(n_max=N), in suite order; a suite that
                 raises stores NaN for one entry named after it
 
 `compare` prints one line per fixture.  Each part shows its bit-identical
@@ -39,17 +39,16 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from dqm.families import FAMILIES  # noqa: E402
 from dqm.fixtures import fixture_names, fixture_params  # noqa: E402
+from dqm.operators import sample_points  # noqa: E402
 from dqm.quadrature import hermiticity_forms, orthogonality_matrix  # noqa: E402
 from dqm.verify import SUITES, VerifyConfig, run_suite  # noqa: E402
 
 POINTS = 33
-# the sample windows of dqm.operators.sample_points
-WINDOWS = {"x": (-3.0, 3.0), "x^2": (1e-3, 3.5), "cos x": (1e-3, math.pi - 1e-3)}
 
 
-def dump(path: str, n_max: int, seed: int) -> None:
+def dump(path: str, n_max: int) -> None:
     out = {}
-    config = VerifyConfig(n_max=n_max, seed=seed)
+    config = VerifyConfig(n_max=n_max)
     for fam in FAMILIES.values():
         for fx in fixture_names(fam):
             key = f"{fam.spec.name}/{fx}"
@@ -58,7 +57,7 @@ def dump(path: str, n_max: int, seed: int) -> None:
                 terms = matrix(fam, p, n_max)
                 out[f"{key}/{name}"] = terms.val
                 out[f"{key}/{name}_l1"] = terms.mag
-            x = np.linspace(*WINDOWS[fam.spec.eta_kind], POINTS)
+            x = np.asarray(sample_points(fam, p, POINTS))
             w = x - 0.5j * fam.gamma(p)
             out[f"{key}/log_amp"] = fam.log_amplitude(p, np.concatenate([x, w]))
             out[f"{key}/weight_sq"] = fam.weight_square(fam.shifted(p), w)
@@ -74,7 +73,7 @@ def dump(path: str, n_max: int, seed: int) -> None:
                 residuals += [r.max_residual for r in results]
             out[f"{key}/check_ids"] = np.array(ids)
             out[f"{key}/residuals"] = np.array(residuals)
-    np.savez(path, n_max=n_max, seed=seed, **out)
+    np.savez(path, n_max=n_max, **out)
 
 
 def _same(a, b):
@@ -91,10 +90,9 @@ def _worst(delta) -> float:
 def compare(path_a: str, path_b: str) -> int:
     a, b = np.load(path_a), np.load(path_b)
     bad = 0
-    for meta in ("n_max", "seed"):
-        if a[meta] != b[meta]:
-            print(f"{meta} differs: {a[meta]} and {b[meta]}")
-            bad = 1
+    if a["n_max"] != b["n_max"]:
+        print(f"n_max differs: {a['n_max']} and {b['n_max']}")
+        bad = 1
     keys = sorted({k.rsplit("/", 1)[0] for k in (*a.files, *b.files) if "/" in k})
     for key in keys:
         if f"{key}/G" not in a.files or f"{key}/G" not in b.files:
@@ -131,13 +129,12 @@ def main() -> int:
     d = sub.add_parser("dump", help="write one dump")
     d.add_argument("path")
     d.add_argument("--n-max", type=int, default=8, metavar="N", help="levels 0..N (default 8)")
-    d.add_argument("--seed", type=int, default=0, help="verify seed (default 0)")
     c = sub.add_parser("compare", help="compare two dumps")
     c.add_argument("a")
     c.add_argument("b")
     args = parser.parse_args()
     if args.command == "dump":
-        dump(args.path, args.n_max, args.seed)
+        dump(args.path, args.n_max)
         return 0
     return compare(args.a, args.b)
 
