@@ -112,9 +112,9 @@ class ContinuousHahn(Family):
 
     def log_h0(self, p: ParamSet) -> float:
         a1, a2, a3, a4 = self._abcd(p)
-        sums = np.array([aj + ak for aj in (a1, a2) for ak in (a3, a4)])
-        return (math.log(2.0 * math.pi) + log_gamma(sums).real.sum()
-                - log_gamma(self._b1(p)).real)
+        logs = log_gamma(np.array(
+            [aj + ak for aj in (a1, a2) for ak in (a3, a4)] + [self._b1(p)])).real
+        return math.log(2.0 * math.pi) + logs[:4].sum() - logs[4]
 
     def h0_over_hn(self, p: ParamSet, n: int) -> float:
         a1, a2, a3, a4 = self._abcd(p)

@@ -66,11 +66,13 @@ class _GammaRatioFamily(Family):
         return out
 
     @staticmethod
-    def _log_2pi_gamma_pairs(p: ParamSet) -> float:
-        """log(2 pi prod_{j<k} Gamma(a_j + a_k)): the pairs come in conjugate
-        pairs or are real and positive, so the product is positive."""
-        sums = np.array([aj + ak for aj, ak in combinations(p.a, 2)])
-        return math.log(2.0 * math.pi) + log_gamma(sums).real.sum()
+    def _log_2pi_gamma_pairs(p: ParamSet, *over) -> float:
+        """log(2 pi prod_{j<k} Gamma(a_j + a_k) / prod Gamma(over)) from one
+        log_gamma call: the pairs come in conjugate pairs or are real and
+        positive, so the product is positive."""
+        sums = [aj + ak for aj, ak in combinations(p.a, 2)]
+        logs = log_gamma(np.array(sums + list(over))).real
+        return math.log(2.0 * math.pi) + logs[:len(sums)].sum() - logs[len(sums):].sum()
 
 
 class Wilson(_GammaRatioFamily):
@@ -139,8 +141,7 @@ class Wilson(_GammaRatioFamily):
         return -1.0
 
     def log_h0(self, p: ParamSet) -> float:
-        b1 = elementary_symmetric(p.a, 1).real
-        return self._log_2pi_gamma_pairs(p) - log_gamma(b1).real
+        return self._log_2pi_gamma_pairs(p, elementary_symmetric(p.a, 1).real)
 
     def h0_over_hn(self, p: ParamSet, n: int) -> float:
         b1 = elementary_symmetric(p.a, 1)

@@ -49,7 +49,8 @@ SINGULAR_MARGIN = 1e-8
 
 
 def _rows(a, k: int, half: int):
-    """The rows of a (axis -2, centred) at lattice offsets k-half .. k+half."""
+    """The rows of a (axis -2, centred) at lattice offsets k-half .. k+half;
+    a is an array or a Terms."""
     c = (a.shape[-2] - 1) // 2
     return a[..., c + k - half:c + k + half + 1, :]
 
@@ -71,12 +72,16 @@ class Terms:
         self.mag = np.abs(val) if mag is None else mag
 
     @property
+    def shape(self) -> tuple:
+        return self.val.shape
+
+    @property
     def half(self) -> int:
         return (self.val.shape[-2] - 1) // 2
 
     def at(self, k: int, half: int = 0) -> "Terms":
         """The lattice rows at offsets k-half .. k+half of the centre."""
-        return Terms(_rows(self.val, k, half), _rows(self.mag, k, half))
+        return _rows(self, k, half)
 
     def __getitem__(self, index) -> "Terms":
         return Terms(self.val[index], self.mag[index])
@@ -101,7 +106,10 @@ class Terms:
         other = _terms(other)
         return Terms(self.val * other.val, self.mag * other.mag)
 
-    __rmul__ = __mul__
+    def __rmul__(self, other) -> "Terms":
+        # the left factor stays left: a complex product rounds by operand
+        # order where it fuses a multiply into an add
+        return _terms(other) * self
 
     def __truediv__(self, other) -> "Terms":
         other = _terms(other)
@@ -197,15 +205,16 @@ class OperatorContext:
     # -- core difference operators ------------------------------------------
     # f is a Terms on a lattice of `lat`'s points; the result is a Terms on
     # the rows the shifts leave.
-    def H_tilde(self, f: Terms, lat: Lattice) -> Terms:
-        """V(w)(f(w - i gamma) - f(w)) + V*(w)(f(w + i gamma) - f(w))."""
+    def H_tilde(self, f, lat: Lattice):
+        """V(w)(f(w - i gamma) - f(w)) + V*(w)(f(w + i gamma) - f(w)); f is
+        a Terms, or a plain array for the values alone."""
         # for the cos-x group the shifts act on z = e^{ix} as z -> q^{+/-1} z;
         # evaluating at the literally shifted argument is the same thing,
         # since the coordinate functions are entire
-        h = f.half - 2
+        h = (f.shape[-2] - 1) // 2 - 2
         V, V_star = self._potential(lat, h)
-        center = f.at(0, h)
-        return V * (f.at(-2, h) - center) + V_star * (f.at(2, h) - center)
+        center = _rows(f, 0, h)
+        return V * (_rows(f, -2, h) - center) + V_star * (_rows(f, 2, h) - center)
 
     def comm_H_eta(self, f: Terms, lat: Lattice) -> Terms:
         """[H-tilde, eta] f = V (eta(w - i gamma) - eta) f(w - i gamma) + mirror;
@@ -231,14 +240,15 @@ class OperatorContext:
                       - V_star * phi.at(1, h) * f.at(1, h))
 
     def _potential(self, lat: Lattice, h: int):
-        """V and V* on the rows -h..h, once no row point is inside the guard;
-        V*(w) = conj(V(conj w)) is V's rows mirrored and conjugated."""
+        """V and V* on the rows -h..h as plain arrays, once no row point is
+        inside the guard; V*(w) = conj(V(conj w)) is V's rows mirrored and
+        conjugated.  A product with a Terms takes |V| as its magnitude."""
         w = lat.rows(h)
         inside = self.inside_guard(w)
         if inside.any():
             raise SingularityError(f"potential singular near x = {w[inside][0]}")
         V = self.V(w)
-        return Terms(V), Terms(np.conj(V[..., ::-1, :]))
+        return V, np.conj(V[..., ::-1, :])
 
     def inside_guard(self, w: np.ndarray) -> np.ndarray:
         """Where the points w lie within SINGULAR_MARGIN of a pole of V on

@@ -14,8 +14,12 @@ scaled by its width s (`weight_window`):
     (-inf, inf)   sinh-sinh   x = c + s sinh(pi/2 sinh t)
     (0, inf)      tanh-sinh on [0, c] plus exp-sinh x = c + s e^{pi/2 sinh t}
 
-with t in [-T_MAX, T_MAX] and the step halving from 0.5, so that a level
-keeps the last one's nodes.  The weight enters as log w - log h0 from
+with t in [-T_MAX, T_MAX] and the step halving from 1/8, so that a level
+keeps the last one's nodes.  The ladder starts at 1/8 because no matrix is
+accepted at a coarser step: over the 16 G and K matrices of the unbounded
+fixtures the accepted step is 1/32 at n_max 1, 1/64 to 1/128 at n_max 8
+and 1/128 to 1/256 at n_max 30, so levels at steps 1/2 and 1/4 would each
+pay a level's fixed cost for nothing.  The weight enters as log w - log h0 from
 `Family.log_amplitude` and `Family.log_h0`, so a weight or a norm beyond
 the double range costs nothing.  Each node's weight dx w / h0 is formed
 once, by `_levels`, which drops the nodes where it underflows to zero.
@@ -23,7 +27,7 @@ once, by `_levels`, which drops the nodes where it underflows to zero.
 One routine, `_matrix`, computes both matrices.  Per refinement level it
 evaluates the weight once and P_0 .. P_n once on its new nodes, by one
 pass of their recurrence on their shift lattice, and applies A to them as
-an array; every entry comes with the l1 sum of its integrand.  A level is
+plain arrays; every entry comes with the l1 sum of its integrand.  A level is
 accepted when every entry passes the stopping test `_converged`.  The sums
 run over blocks of at most NODE_BLOCK nodes, so the transient arrays stay
 small at any depth.  Nodes inside the operator's singularity guard around
@@ -58,7 +62,8 @@ class ToleranceNotMet(RuntimeError):
 
 
 ABS_TOL = 1e-10       # the stopping tolerance, relative beyond order-one magnitudes
-LEVELS = 9            # refinement levels of every rule
+LEVELS = 9            # refinement levels of Gauss-Legendre: 2 .. 512 panels
+DE_LEVELS = 7         # levels of the double-exponential rules: steps 1/8 .. 1/256
 T_MAX = 4.0           # the double-exponential rules run over t in [-T_MAX, T_MAX]
 
 # nodes per block of the sums: bounds the transient (levels, lattice rows,
@@ -80,8 +85,9 @@ def _call_vectorized(f, x: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def _de_grid(level: int):
-    """u = pi/2 sinh t and the step times du/dt on the t grid of one level."""
-    h = 0.5 / 2**level
+    """u = pi/2 sinh t and the step times du/dt on the t grid of one level:
+    step 1/8 at level 0, halving with each level."""
+    h = 0.125 / 2**level
     t = h * np.arange(-round(T_MAX / h), round(T_MAX / h) + 1)
     return 0.5 * math.pi * np.sinh(t), h * 0.5 * math.pi * np.cosh(t)
 
@@ -149,17 +155,18 @@ def _levels(fam, p: ParamSet):
     if hi == math.inf:
         c, s = weight_window(fam, p)
     log_h0 = fam.log_h0(p)
-    for level in range(LEVELS):
+    for level in range(DE_LEVELS if hi == math.inf else LEVELS):
         carry = 0.5 if level and hi == math.inf else 0.0
-        u, du = (a[1::2] if carry else a for a in _de_grid(level))
         if hi != math.inf:
             x, dx = _gauss_legendre(level)
-        elif lo == -math.inf:
-            x, dx = c + s * np.sinh(u), s * np.cosh(u) * du
         else:
-            e = s * np.exp(u)
-            x0, dx0 = _tanh_sinh(0.0, c, u, du)
-            x, dx = np.concatenate([x0, c + e]), np.concatenate([dx0, e * du])
+            u, du = (a[1::2] if carry else a for a in _de_grid(level))
+            if lo == -math.inf:
+                x, dx = c + s * np.sinh(u), s * np.cosh(u) * du
+            else:
+                e = s * np.exp(u)
+                x0, dx0 = _tanh_sinh(0.0, c, u, du)
+                x, dx = np.concatenate([x0, c + e]), np.concatenate([dx0, e * du])
         wx = dx * np.exp(2.0 * np.real(fam.log_amplitude(p, x)) - log_h0)
         keep = wx != 0.0  # a NaN stays, and fails the level
         yield carry, x[keep], wx[keep]
@@ -176,9 +183,9 @@ def _matrix(fam, p: ParamSet, n_max: int, half: int, act) -> Terms:
     """(phi0 P_n, A phi0 P_m) / sqrt(h_n h_m) over levels n, m = 0..n_max,
     with the l1 sum of its integrand as its magnitude.
 
-    A is given on the polynomials: act(f, lat) maps their values f on the
-    rows -half..half of the lattice lat to the values of phi0^-1 A phi0 f
-    on its centre row."""
+    A is given on the polynomials: act(f, lat) maps their values f, a plain
+    array on the rows -half..half of the lattice lat, to the values of
+    phi0^-1 A phi0 f on its centre row."""
     ctx = OperatorContext(fam, p)
     poly = eval_poly_recurrence(fam, p, n_max)
     # sqrt(h0/h_n): the weight is already over h0
@@ -195,9 +202,9 @@ def _matrix(fam, p: ParamSet, n_max: int, half: int, act) -> Terms:
         for lo in range(0, nodes.size, NODE_BLOCK):
             wx = weights[lo:lo + NODE_BLOCK]
             lat = ctx.lattice(nodes[lo:lo + NODE_BLOCK], half)
-            f = unit * lat.operand(poly)
-            g = act(f, lat).val[:, 0]
-            f0 = f.val[:, half]
+            f = unit * poly.eval_levels(fam.eta(lat.w))
+            g = act(f, lat)[:, 0]
+            f0 = f[:, half]
             value += np.conj(f0) @ (g * wx).T
             l1 += np.abs(f0) @ (np.abs(g) * np.abs(wx)).T
         if prev is not None:

@@ -559,10 +559,10 @@ def _coherent_closed_form(fam, p: ParamSet, alpha: complex, xs):
         pref = cmath.exp(1j * alpha * (1.0 - cmath.exp(2j * phi)))
         k = np.arange(80.0)[:, None]
         # 1F1(a + ix; 2a; -4i alpha sin^2 phi)
-        return pref * _series_terms(
+        return _series_terms(
             (a + 1j * xs + k) / ((2 * a + k) * (k + 1))
             * (-4j * alpha * math.sin(phi) ** 2)
-        )
+        ) * pref
     if name not in ("al-salam-chihara", "continuous-big-q-hermite",
                     "continuous-q-hermite", "continuous-q-laguerre"):
         return None
@@ -582,7 +582,7 @@ def _coherent_closed_form(fam, p: ParamSet, alpha: complex, xs):
     qk = q ** np.arange(200.0)[:, None]
     ratios = ((1.0 - num[0] * z * qk) * (1.0 - num[1] * z * qk)
               / ((1.0 - den * qk) * (1.0 - q * qk)) * (2 * alpha / z))
-    return np.exp(-log_q_pochhammer_inf(2 * alpha * z, q)) * _series_terms(ratios)
+    return _series_terms(ratios) * np.exp(-log_q_pochhammer_inf(2 * alpha * z, q))
 
 
 # ----------------------------------------------- orthogonality/hermiticity

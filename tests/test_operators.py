@@ -27,6 +27,7 @@ from dqm.operators import (
     sample_points,
 )
 from dqm.polynomials import EtaPolynomial
+from dqm.quadrature import _levels
 
 
 def all_fixtures():
@@ -148,8 +149,24 @@ def test_potential_reads_V_star_off_the_mirror_rows(family, name, half):
     lat = ctx.lattice(sample_points(fam, p, 7), half)
     V, V_star = ctx._potential(lat, half)
     w = lat.rows(half)
-    assert np.array_equal(V.val, fam.V(p, w))
-    assert np.array_equal(V_star.val, np.conj(fam.V(p, np.conj(w))))
+    assert np.array_equal(V, fam.V(p, w))
+    assert np.array_equal(V_star, np.conj(fam.V(p, np.conj(w))))
+
+
+@pytest.mark.parametrize("family,name", all_fixtures())
+def test_H_tilde_gives_the_same_bits_on_arrays_and_on_terms(family, name):
+    # H-tilde has one formula and two carriers: the quadrature applies it to
+    # plain value arrays, the pointwise checks to Terms; on the nodes of the
+    # first quadrature level the two give the same values bit for bit
+    p = fixture_params(family, name)
+    fam = get_family(family)
+    ctx = OperatorContext(fam, p)
+    _, nodes, _ = next(_levels(fam, p))
+    lat = ctx.lattice(nodes[~ctx.inside_guard(nodes)], 2)
+    f = lat.operand(eval_poly_recurrence(fam, p, 8))
+    plain = ctx.H_tilde(f.val, lat)
+    assert isinstance(plain, np.ndarray) and plain.shape == (9, 1, lat.w.shape[1])
+    assert np.array_equal(plain, ctx.H_tilde(f, lat).val)
 
 
 def test_lattice_rejects_a_complex_point():

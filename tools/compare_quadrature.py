@@ -7,7 +7,11 @@ the 22 bundled fixtures, and compare two dumps entry by entry.
 `dump` runs the dqm of the checkout it sits in.  Per fixture it stores
 
     G, K        orthogonality_matrix and hermiticity_forms at levels
-                0..N (default 8): the value and the l1 sum of each entry
+                0..N (default 8): the value and the l1 sum of each entry,
+                the step of the refinement level the matrix accepted and
+                the nodes its levels summed over.  The step is read off
+                that level's grid: the t step of a double-exponential
+                rule, the panel width of composite Gauss-Legendre
     log_amp     log_amplitude at the 33 real points of
                 dqm.operators.sample_points and at those points minus i gamma/2
     weight_sq   weight_square at the shifted parameters and the points
@@ -20,9 +24,14 @@ the 22 bundled fixtures, and compare two dumps entry by entry.
 entries over its total and its largest difference: |delta| / (1 + l1) for
 G and K, |delta Re| for log_amp (the imaginary part of a logarithm is only
 defined modulo 2 pi), |delta| / (1 + |value|) for weight_sq and |delta| for
-the residuals.  NaNs at the same place count as equal.  A fixture or check
-in only one dump is reported as missing.  It exits 1 if the two dumps
-differ in shape or naming, 0 otherwise.
+the residuals.  NaNs at the same place count as equal.  G and K also show
+their accepted step and node count, and a step that differs between the
+dumps is flagged `step A -> B !`; the last line counts the flagged
+matrices.  A fixture or check in only one dump is reported as missing.  It
+exits 1 if the two dumps differ in shape or naming, 0 otherwise.
+
+To compare two commits, run the same copy of this script in each
+checkout, since a dump runs the dqm of the checkout the script sits in.
 """
 
 from __future__ import annotations
@@ -37,6 +46,7 @@ import numpy as np
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
+import dqm.quadrature as quadrature  # noqa: E402
 from dqm.families import FAMILIES  # noqa: E402
 from dqm.fixtures import fixture_names, fixture_params  # noqa: E402
 from dqm.operators import sample_points  # noqa: E402
@@ -44,6 +54,37 @@ from dqm.quadrature import hermiticity_forms, orthogonality_matrix  # noqa: E402
 from dqm.verify import SUITES, VerifyConfig, run_suite  # noqa: E402
 
 POINTS = 33
+
+
+def _refined(matrix, fam, p, n_max: int):
+    """matrix(fam, p, n_max), the step of the refinement level it accepted
+    and the number of nodes its levels yielded.  The quadrature's grid and
+    its level generator are wrapped for the call: du/dt is pi/2 at t = 0 on
+    a double-exponential grid, and a Gauss-Legendre panel has 32 nodes."""
+    unbounded = fam.spec.interval[1] == math.inf
+    grid_name = "_de_grid" if unbounded else "_gauss_legendre"
+    grid, levels = getattr(quadrature, grid_name), quadrature._levels
+    steps, nodes = [], []
+
+    def traced_grid(level):
+        a, b = grid(level)
+        steps.append(2.0 ** round(math.log2(2.0 * b[b.size // 2] / math.pi))
+                     if unbounded else 32 * math.pi / a.size)
+        return a, b
+
+    def traced_levels(*args):
+        for carry, x, wx in levels(*args):
+            nodes.append(x.size)
+            yield carry, x, wx
+
+    setattr(quadrature, grid_name, traced_grid)
+    quadrature._levels = traced_levels
+    try:
+        terms = matrix(fam, p, n_max)
+    finally:
+        setattr(quadrature, grid_name, grid)
+        quadrature._levels = levels
+    return terms, steps[len(nodes) - 1], sum(nodes)
 
 
 def dump(path: str, n_max: int) -> None:
@@ -54,9 +95,11 @@ def dump(path: str, n_max: int) -> None:
             key = f"{fam.spec.name}/{fx}"
             p = fixture_params(fam, fx)
             for name, matrix in (("G", orthogonality_matrix), ("K", hermiticity_forms)):
-                terms = matrix(fam, p, n_max)
+                terms, step, nodes = _refined(matrix, fam, p, n_max)
                 out[f"{key}/{name}"] = terms.val
                 out[f"{key}/{name}_l1"] = terms.mag
+                out[f"{key}/{name}_step"] = step
+                out[f"{key}/{name}_nodes"] = nodes
             x = np.asarray(sample_points(fam, p, POINTS))
             w = x - 0.5j * fam.gamma(p)
             out[f"{key}/log_amp"] = fam.log_amplitude(p, np.concatenate([x, w]))
@@ -90,6 +133,7 @@ def _worst(delta) -> float:
 def compare(path_a: str, path_b: str) -> int:
     a, b = np.load(path_a), np.load(path_b)
     bad = 0
+    moved = 0
     if a["n_max"] != b["n_max"]:
         print(f"n_max differs: {a['n_max']} and {b['n_max']}")
         bad = 1
@@ -119,7 +163,16 @@ def compare(path_a: str, path_b: str) -> int:
                 delta = delta / (1.0 + np.abs(va))
             same = int(_same(va, vb).sum())
             parts.append(f"{name} {same}/{va.size} {_worst(delta):.2g}")
+            if name in ("G", "K"):
+                step_a, step_b = float(a[f"{key}/{name}_step"]), float(b[f"{key}/{name}_step"])
+                nodes = f"nodes {a[f'{key}/{name}_nodes']}->{b[f'{key}/{name}_nodes']}"
+                if step_a == step_b:
+                    parts[-1] += f" step {step_a:.4g} {nodes}"
+                else:
+                    parts[-1] += f" step {step_a:.4g} -> {step_b:.4g} ! {nodes}"
+                    moved += 1
         print(f"{key:40s} " + "  ".join(parts))
+    print(f"{moved} matrices changed their accepted step")
     return bad
 
 
