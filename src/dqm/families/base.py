@@ -213,6 +213,13 @@ class Family:
 
     # -- parameters ---------------------------------------------------------
     def validate(self, p: ParamSet) -> None:
+        """Raise ValidationError, with the reason, unless every a_i, q and
+        phi that p carries is finite and the family's domain holds."""
+        for name, v in (*zip(self.spec.param_names, p.a), ("q", p.q), ("phi", p.phi)):
+            require(v is None or cmath.isfinite(v), f"{name} must be finite, got {v}")
+        self._check_domain(p)
+
+    def _check_domain(self, p: ParamSet) -> None:
         raise NotImplementedError
 
     def shifted(self, p: ParamSet, k: int = 1) -> ParamSet:

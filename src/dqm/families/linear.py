@@ -37,7 +37,7 @@ class ContinuousHahn(Family):
         param_names=("a1", "a2"),
     )
 
-    def validate(self, p: ParamSet) -> None:
+    def _check_domain(self, p: ParamSet) -> None:
         require(len(p.a) == 2, f"continuous Hahn needs 2 parameters, got {len(p.a)}")
         for i, ai in enumerate(p.a, start=1):
             require(ai.real > 0, f"Re a{i} > 0 violated (a{i} = {ai})")
@@ -173,7 +173,7 @@ class MeixnerPollaczek(Family):
         param_names=("a",),
     )
 
-    def validate(self, p: ParamSet) -> None:
+    def _check_domain(self, p: ParamSet) -> None:
         require(len(p.a) == 1, f"Meixner-Pollaczek needs 1 parameter, got {len(p.a)}")
         a = p.a[0]
         require(abs(a.imag) < 1e-12, f"a must be real, got {a}")

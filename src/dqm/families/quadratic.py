@@ -30,7 +30,7 @@ __all__ = ["Wilson", "ContinuousDualHahn"]
 class _GammaRatioFamily(Family):
     """Common code for the two x^2 families: V and phi0 share their shape."""
 
-    def validate(self, p: ParamSet) -> None:
+    def _check_domain(self, p: ParamSet) -> None:
         m = self.spec.n_params
         require(len(p.a) == m, f"{self.spec.name} needs {m} parameters, got {len(p.a)}")
         for i, ai in enumerate(p.a, start=1):

@@ -107,6 +107,9 @@ def _exponents(arity: str):
         for name, v in zip(spec.param_names, p.a):
             require(abs(v.imag) < 1e-12, f"{name} must be real, got {v}")
             require(v.real >= -0.5, f"{name} >= -1/2 violated ({name} = {v.real})")
+            # q^((v+3/2)/2) is the smaller of the two parameters v maps to
+            require(p.q ** (0.5 * (v.real + 1.5)) > 0, f"{name} = {v.real} maps to "
+                    f"an Askey-Wilson parameter that underflows to 0 at q = {p.q}")
 
     return check
 
@@ -189,7 +192,7 @@ class AskeyWilson(Family):
         self.spec = row.spec
         self._key = f"_aw {row.spec.name}"  # never a field name: it has a space
 
-    def validate(self, p: ParamSet) -> None:
+    def _check_domain(self, p: ParamSet) -> None:
         self.row.validate(self.spec, p)
 
     def shifted(self, p: ParamSet, k: int = 1) -> ParamSet:
@@ -224,6 +227,10 @@ class AskeyWilson(Family):
             e4=elementary_symmetric(nz, 4).real,
             **k,
         )
+
+    def nonzero_parameters(self, p: ParamSet) -> tuple:
+        """The non-zero a_i that p maps to: the restriction p lies in."""
+        return self._aw(p).a
 
     def _k_n(self, d: _AW, q: float, n: int) -> float:
         """k_n = a1^n / (q, a1 a3, a1 a4; q)_n."""

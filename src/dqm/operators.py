@@ -45,7 +45,9 @@ __all__ = [
     "rodrigues_polynomial",
 ]
 
-SINGULAR_MARGIN = 1e-8
+# |phi| below this marks a singular point: within 1e-8 of a zero of phi, as
+# |phi'| = 2 at every real zero
+SINGULAR_PHI = 2e-8
 
 
 def _rows(a, k: int, half: int):
@@ -171,10 +173,9 @@ class Lattice:
 
 
 def _nonzero_phi(lat: Lattice, h: int) -> Terms:
-    """phi on the rows -h..h, once no row point is within SINGULAR_MARGIN of
-    a zero of phi."""
+    """phi on the rows -h..h, once no row point has |phi| < SINGULAR_PHI."""
     phi = lat.phi.at(0, h)
-    small = np.abs(phi.val) < SINGULAR_MARGIN
+    small = np.abs(phi.val) < SINGULAR_PHI
     if small.any():
         raise SingularityError(f"phi(x) vanishes at x = {lat.rows(h)[small][0]}")
     return phi
@@ -251,15 +252,10 @@ class OperatorContext:
         return V, np.conj(V[..., ::-1, :])
 
     def inside_guard(self, w: np.ndarray) -> np.ndarray:
-        """Where the points w lie within SINGULAR_MARGIN of a pole of V on
-        the real line."""
-        kind = self.family.spec.eta_kind
-        if kind == "cos x":
-            # poles of V at z^2 = 1, i.e. x = 0 mod pi
-            return (np.abs(np.sin(w.real)) < SINGULAR_MARGIN) & (np.abs(w.imag) < SINGULAR_MARGIN)
-        if kind == "x^2":
-            return np.abs(w) < SINGULAR_MARGIN
-        return np.zeros(w.shape, dtype=bool)
+        """Where |phi(w)| < SINGULAR_PHI, the bound of `_nonzero_phi`.  V's
+        denominator is phi(x) phi(x - i gamma/2) up to a factor that never
+        vanishes, so on the real line the poles of V are the zeros of phi."""
+        return np.abs(self.family.phi_aux(w)) < SINGULAR_PHI
 
 
 def sample_points(family, params: ParamSet, count: int = 20, seed: int = 0):

@@ -12,6 +12,13 @@ expressions that carry the magnitude of the terms they sum
 |lhs - rhs| / (1 + mag(lhs) + mag(rhs)), at its worst over levels and
 points, with a NaN failing the check.
 
+On the Askey-Wilson chain the restriction a set lies in is data: the
+number of non-zero Askey-Wilson parameters it maps to picks the checks that
+hold there.  Fewer than 4 adds ladder.q_deformed_commutator, at most 2
+coherent.closed_form, at most 1 ladder.q_oscillator_pair, and none the two
+q-Hermite checks.  The limit suite is one (L x cell) array against one row
+of Wilson targets.
+
 Every suite is a function (family, params, config) that returns its checks
 as (check_id, level range, samples, residual) entries; `run_suite` alone
 turns them into CheckResults, each judged against its tolerance in
@@ -35,6 +42,7 @@ from .families import (
     get_family,
 )
 from .families.base import three_term
+from .families.trig import AskeyWilson
 from .operators import (
     Lattice,
     OperatorContext,
@@ -332,9 +340,8 @@ def _shifts(fam, p: ParamSet, config: VerifyConfig):
         ("shifts.factorization", (0, n_max), len(xs),
          _residual(ctx.forward(back, lat), fac * at_x_s)),
         ("shifts.energy_factorization", (1, n_max), 1,
-         _residual(Terms(np.array([fam.f_shift(p, n) for n in levels[1:]]))
-                   * Terms(np.array([fam.b_shift(p, n - 1) for n in levels[1:]])),
-                   Terms(np.array([fam.energy(p, n) for n in levels[1:]])))),
+         _residual(Terms(f_n[1:]) * Terms(b_n[:-1]),
+                   Terms(per_level([fam.energy(p, n) for n in levels[1:]])))),
     ]
     k = max(4, len(xs) // 4)
     checks.append(
@@ -372,9 +379,14 @@ def _shifts(fam, p: ParamSet, config: VerifyConfig):
 
 # ------------------------------------------------------------------ ladder
 
-_Q_DEFORMED = ("continuous-dual-q-hahn", "al-salam-chihara", "continuous-big-q-hermite",
-               "continuous-q-hermite", "continuous-q-laguerre")
 _FIRST_10 = (..., slice(None, 10))  # the first 10 sample points
+
+
+def _nonzero_aw(fam, p: ParamSet):
+    """The non-zero Askey-Wilson parameters of p, or None off the
+    Askey-Wilson chain.  Which of them vanish is the restriction p lies in
+    (KLS ch. 14), and their count alone picks the q-identities that hold."""
+    return fam.nonzero_parameters(p) if isinstance(fam, AskeyWilson) else None
 
 
 def _ladder(fam, p: ParamSet, config: VerifyConfig):
@@ -413,21 +425,23 @@ def _ladder(fam, p: ParamSet, config: VerifyConfig):
                    per_level([b_rec[n + 1] - b_rec[n] for n in lv]) * at_x[: n_max + 1])),
     ]
     q = p.q
-    if fam.spec.name in _Q_DEFORMED:
-        # deformed commutator for the simple q-spectrum families
+    # with fewer than 4 non-zero parameters e4 = 0 and E_n = q^{-n} - 1; at
+    # most 1 is big q-Hermite, none q-Hermite.  Off the chain: no q-identity
+    nonzero = _nonzero_aw(fam, p)
+    k = 4 if nonzero is None else len(nonzero)
+    if k < 4:
         e_n = per_level([ctx.energy(n) for n in lv])
         checks.append(
             ("ladder.q_deformed_commutator", (0, n_max), 10,
              _residual(((H_up - (1.0 / q) * e_n * up0)[_FIRST_10],
                         (H_dn - q * e_n * dn0)[_FIRST_10]),
                        (((1.0 / q - 1.0) * up0)[_FIRST_10], ((q - 1.0) * dn0)[_FIRST_10]))))
-    if fam.spec.name in ("continuous-big-q-hermite", "continuous-q-hermite"):
-        # q-oscillator realisations on the two Hermite-type families
+    if k <= 1:
         checks.append(
             ("ladder.q_oscillator_pair", (0, n_max), 10,
              _residual((a_minus_a_plus - q * a_plus_a_minus)[_FIRST_10],
                        (0.25 * (1.0 - q) * at_x[: n_max + 1])[_FIRST_10])))
-    if fam.spec.name == "continuous-q-hermite":
+    if k == 0:
         checks.extend(_qhermite_special(ctx, lat, f_n.at(0, 2), n_max))
     return checks
 
@@ -444,7 +458,7 @@ def _x_tilde(ctx: OperatorContext, lat: Lattice, g: Terms, e_plus_1) -> Terms:
 
 def _qhermite_special(ctx, lat, f, n_max):
     """Shape-invariance q-oscillator and the explicit level-diagonal
-    operator special to continuous q-Hermite."""
+    operator special to continuous q-Hermite, Askey-Wilson at (0, 0, 0, 0)."""
     q = ctx.p.q
     at_x = f.at(0)
     # A A^dag - q^{-1} A^dag A = q^{-1} - 1 transcribed to F/B level
@@ -548,12 +562,12 @@ def _series_terms(ratios) -> Terms:
 
 def _coherent_closed_form(fam, p: ParamSet, alpha: complex, xs):
     """phi0-stripped closed form of the coherent series at the points xs, as
-    Terms carrying the magnitude of its hypergeometric sum; None for the
-    families without one.  The 2phi1 and 1F1 are summed through k = 200 and
-    k = 80."""
-    name = fam.spec.name
+    Terms carrying the magnitude of its hypergeometric sum; None where there
+    is none.  Meixner-Pollaczek has a 1F1, summed through k = 80.  On the
+    Askey-Wilson chain a set with at most two non-zero parameters, (a1, a2)
+    zero-padded, has the Al-Salam-Chihara 2phi1, summed through k = 200."""
     xs = np.asarray(xs, dtype=float)
-    if name == "meixner-pollaczek":
+    if fam.spec.name == "meixner-pollaczek":
         a = p.a[0].real
         phi = p.phi
         pref = cmath.exp(1j * alpha * (1.0 - cmath.exp(2j * phi)))
@@ -563,25 +577,19 @@ def _coherent_closed_form(fam, p: ParamSet, alpha: complex, xs):
             (a + 1j * xs + k) / ((2 * a + k) * (k + 1))
             * (-4j * alpha * math.sin(phi) ** 2)
         ) * pref
-    if name not in ("al-salam-chihara", "continuous-big-q-hermite",
-                    "continuous-q-hermite", "continuous-q-laguerre"):
+    nonzero = _nonzero_aw(fam, p)
+    if nonzero is None or len(nonzero) > 2:
         return None
+    # 2phi1(a1 z, a2 z; a1 a2; q; 2 alpha / z) / (2 alpha z; q)_inf.  By the
+    # q-binomial theorem (Gasper & Rahman (1.3.2)) it is the big q-Hermite
+    # product (2 alpha a1; q)_inf / (2 alpha z, 2 alpha / z; q)_inf at a2 = 0,
+    # and the q-Hermite one at a1 = a2 = 0
+    a1, a2 = nonzero + (0.0,) * (2 - len(nonzero))
     q = p.q
     z = np.exp(1j * xs)
-    if name in ("continuous-q-hermite", "continuous-big-q-hermite"):
-        # (2 alpha a; q)_inf / ((2 alpha z, 2 alpha / z; q)_inf), a = 0 for q-Hermite
-        a = p.a[0] if p.a else 0.0
-        log_den = log_q_pochhammer_inf(np.stack([2 * alpha * z, 2 * alpha / z]), q)
-        return Terms(np.exp(log_q_pochhammer_inf(2 * alpha * a, q) - log_den.sum(axis=0)))
-    if name == "al-salam-chihara":
-        num, den = p.a, p.a[0] * p.a[1]
-    else:
-        k = q ** (0.5 * (p.a[0].real + 0.5))
-        num, den = (k, k * math.sqrt(q)), q ** (p.a[0].real + 1)
-    # 2phi1(num_1 z, num_2 z; den; q; 2 alpha / z) / (2 alpha z; q)_inf
     qk = q ** np.arange(200.0)[:, None]
-    ratios = ((1.0 - num[0] * z * qk) * (1.0 - num[1] * z * qk)
-              / ((1.0 - den * qk) * (1.0 - q * qk)) * (2 * alpha / z))
+    ratios = ((1.0 - a1 * z * qk) * (1.0 - a2 * z * qk)
+              / ((1.0 - a1 * a2 * qk) * (1.0 - q * qk)) * (2 * alpha / z))
     return _series_terms(ratios) * np.exp(-log_q_pochhammer_inf(2 * alpha * z, q))
 
 
@@ -625,53 +633,32 @@ def _limit(fam, p: ParamSet, config: VerifyConfig):
     deviations still sit at a few times 1e-2.  Two checks: a strict
     monotone decrease of the raw deviation sequences, and the deviation of
     the final 1/L Richardson extrapolant (2 S(L) - S(L/2)), which removes
-    the leading term and must land below 1e-2 of the Wilson values.  The
+    the leading term and must land below 1e-2 of the Wilson values.  Both
+    are array expressions over one (L x cell) array of scaled values.  The
     limit dictionary targets the Wilson system alone; other families have
     no checks here.
     """
     if fam.spec.id is not FamilyId.WILSON:
         return []
-    x_pts = (0.6, 1.1, 1.9)
-
-    def scaled_batch(L):
-        out = {}
-        for n in (1, 2, 3):
-            out[f"energy_n{n}"] = (
-                aw_to_wilson_scaled("energy", p, L, n=n), fam.energy(p, n)
-            )
-        for n in (1, 2):
-            out[f"f_n{n}"] = (
-                aw_to_wilson_scaled("f_n", p, L, n=n), fam.f_shift(p, n)
-            )
-            out[f"b_n{n}"] = (
-                aw_to_wilson_scaled("b_n", p, L, n=n), fam.b_shift(p, n)
-            )
-        for x in x_pts:
-            out[f"potential_x{x}"] = (
-                aw_to_wilson_scaled("potential", p, L, x=x), fam.V(p, x)
-            )
-        return out
-
-    values = [scaled_batch(L) for L in _L_SEQUENCE]
-    keys = values[0].keys()
-    ratios, extrap = [], []
-    for key in keys:
-        devs = [abs(v[key][0] - v[key][1]) / (1.0 + abs(v[key][1]))
-                for v in values]
-        ratios += [nxt / cur if cur > 0 else math.inf
-                   for cur, nxt in zip(devs, devs[1:])]
-        got_last, target = values[-1][key]
-        got_prev, _ = values[-2][key]
-        l_last, l_prev = _L_SEQUENCE[-1], _L_SEQUENCE[-2]
-        extrapolated = got_last + (got_last - got_prev) * l_prev / (
-            l_last - l_prev
-        )
-        extrap.append(abs(extrapolated - target) / (1.0 + abs(target)))
+    # one cell per quantity, with its Wilson target: E_1..E_3, f_1, b_1, f_2,
+    # b_2 and V at three points; one row of scaled values per L
+    cells = [("energy", {"n": n}, fam.energy(p, n)) for n in (1, 2, 3)]
+    for n in (1, 2):
+        cells += [("f_n", {"n": n}, fam.f_shift(p, n)), ("b_n", {"n": n}, fam.b_shift(p, n))]
+    cells += [("potential", {"x": x}, fam.V(p, x)) for x in (0.6, 1.1, 1.9)]
+    got = np.array([[aw_to_wilson_scaled(kind, p, L, **at) for kind, at, _ in cells]
+                     for L in _L_SEQUENCE])
+    target = np.array([t for *_, t in cells])
+    dev = np.abs(got - target) / (1.0 + np.abs(target))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(dev[:-1] > 0, dev[1:] / dev[:-1], math.inf)
+    l_prev, l_last = _L_SEQUENCE[-2:]
+    extrapolated = got[-1] + (got[-1] - got[-2]) * l_prev / (l_last - l_prev)
     return [
         ("limit.monotone_decrease", (1, 3), len(_L_SEQUENCE),
          float(np.max(ratios, initial=0.0))),
         ("limit.extrapolated_deviation", (1, 3), len(_L_SEQUENCE),
-         float(np.max(extrap, initial=0.0))),
+         float(np.max(np.abs(extrapolated - target) / (1.0 + np.abs(target)), initial=0.0))),
     ]
 
 

@@ -321,6 +321,25 @@ def test_verify_invalid_params_exit_two(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("argv,reason", [
+    (("eval", "meixner-pollaczek", "--a", "inf", "--phi", "1", "--n", "2", "--x", "0.5"),
+     "a must be finite"),
+    (("verify", "meixner-pollaczek", "--a", "inf", "--phi", "1"), "a must be finite"),
+    (("eval", "continuous-hahn", "--a", "inf", "--a", "1", "--n", "2", "--x", "0.5"),
+     "a1 must be finite"),
+    (("eval", "continuous-q-jacobi", "--alpha-param", "inf", "--beta-param", "0",
+      "--q", "0.5", "--n", "2"), "alpha must be finite"),
+    (("eval", "continuous-q-laguerre", "--alpha-param", "1e308", "--q", "0.5", "--n", "1"),
+     "alpha = 1e+308 maps to an Askey-Wilson parameter that underflows to 0"),
+])
+def test_non_finite_or_underflowing_parameters_exit_two(capsys, argv, reason):
+    rc = main(list(argv))
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {reason}")
+
+
 def test_verify_failure_exit_one(capsys):
     # an absurd tolerance forces every residual over the line
     rc, out = run_cli(

@@ -74,6 +74,33 @@ def test_validate_q_jacobi_range():
     with pytest.raises(ValidationError, match="alpha"):
         validate_params("continuous-q-jacobi", ParamSet(a=(-0.7, 0.3), q=0.5))
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("fid", ALL_IDS)
+def test_validate_rejects_a_non_finite_value(fid, bad):
+    # each a_i, q and phi in turn, on every family, named in the reason
+    fam = FAMILIES[fid]
+    p = fixture_params(fam)
+    sets = [(name, ParamSet(a=p.a[:i] + (bad,) + p.a[i + 1:], q=p.q, phi=p.phi))
+            for i, name in enumerate(fam.spec.param_names)]
+    sets += [("q", ParamSet(a=p.a, q=bad, phi=p.phi)), ("phi", ParamSet(a=p.a, q=p.q, phi=bad))]
+    for name, bad_set in sets:
+        with pytest.raises(ValidationError, match=f"^{name} must be finite"):
+            fam.validate(bad_set)
+
+
+@pytest.mark.parametrize("family,exponents", [
+    ("continuous-q-jacobi", (1e308, 0.0)),
+    ("continuous-q-jacobi", (0.3, 5000.0)),
+    ("continuous-q-laguerre", (1e308,)),
+    ("continuous-q-laguerre", (3000.0,)),
+])
+def test_validate_rejects_an_exponent_whose_parameter_underflows(family, exponents):
+    # q^((alpha + 3/2)/2) = 0 would read as a zero Askey-Wilson parameter,
+    # that is, as another restriction
+    with pytest.raises(ValidationError, match="underflows to 0 at q = 0.5"):
+        validate_params(family, ParamSet(a=exponents, q=0.5))
+
+
 @pytest.mark.parametrize("family,name", all_fixtures())
 def test_fixtures_validate(family, name):
     fixture_params(family, name)  # validates internally

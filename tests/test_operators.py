@@ -169,6 +169,28 @@ def test_H_tilde_gives_the_same_bits_on_arrays_and_on_terms(family, name):
     assert np.array_equal(plain, ctx.H_tilde(f, lat).val)
 
 
+@pytest.mark.parametrize("family", [FAMILIES[fid].spec.name for fid in FamilyId])
+def test_inside_guard_is_where_phi_is_within_the_bound(family):
+    # the real poles of V are the zeros of phi: x = 0 for eta = x^2, x = 0
+    # and pi for cos x, none for x.  A point within 1e-8 of one is inside
+    fam = get_family(family)
+    p = fixture_params(family)
+    ctx = OperatorContext(fam, p)
+    zeros = {"x": [], "x^2": [0.0], "cos x": [0.0, math.pi]}[fam.spec.eta_kind]
+    offsets = np.array([-2e-8, -0.9e-8, 0.0, 0.9e-8, 2e-8])
+    for x0 in zeros:
+        assert ctx.inside_guard(x0 + offsets).tolist() == [False, True, True, True, False]
+    assert not ctx.inside_guard(np.array(sample_points(fam, p, 20, 0))).any()
+    lat = ctx.lattice(np.array([0.5, 1.5]), 2)
+    assert not ctx.inside_guard(lat.w).any()
+    if zeros:
+        # V and the shift operators read the same bound
+        near = ctx.lattice([zeros[0] + 0.5e-8], 2)
+        for op in (ctx.H_tilde, ctx.forward):
+            with pytest.raises(SingularityError):
+                op(near.eta, near)
+
+
 def test_lattice_rejects_a_complex_point():
     # the mirror rows are conjugates only over a real centre row
     ctx = OperatorContext("wilson", fixture_params("wilson"))

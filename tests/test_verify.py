@@ -14,7 +14,12 @@ from dqm.families.base import three_term
 from dqm.fixtures import fixture_names, fixture_params
 from dqm.operators import OperatorContext, ladder_action, per_level, sample_points
 from dqm.polynomials import EtaPolynomial
-from dqm.specfun import basic_hypergeometric_phi, hypergeometric_F, q_pochhammer_inf
+from dqm.specfun import (
+    basic_hypergeometric_phi,
+    hypergeometric_F,
+    log_q_pochhammer_inf,
+    q_pochhammer_inf,
+)
 from dqm.verify import (
     SUITES,
     TOLERANCES,
@@ -93,6 +98,83 @@ def test_every_tolerance_judges_an_emitted_check():
     emitted = {r.check_id for family, fixture in ALL_FIXTURES for suite in SUITES
                for r in run_suite(suite, family, fixture_params(family, fixture))}
     assert emitted == set(TOLERANCES)
+
+
+# The check ids every bundled fixture emits, per suite, and the further ids
+# of each fixture, each at the end of its suite's list
+_COMMON_IDS = {
+    "eigen": ["eigen.eigenvalue_equation", "eigen.lower_triangularity"],
+    "shape_invariance": ["shape_invariance.potential_identities",
+                         "shape_invariance.ground_state_shift",
+                         "shape_invariance.spectrum_generation"],
+    "closure": ["closure.double_commutator", "closure.expanded_conditions",
+                "closure.coordinate_condition"],
+    "dual_closure": ["dual_closure.double_commutator"],
+    "shifts": ["shifts.forward_action", "shifts.backward_action", "shifts.factorization",
+               "shifts.energy_factorization", "shifts.rodrigues_chain"],
+    "ladder": ["ladder.level_actions", "ladder.hamiltonian_commutator",
+               "ladder.pair_commutator"],
+    "coherent": ["coherent.annihilation_eigenvector"],
+    "orthogonality": ["orthogonality.diagonal_norms", "orthogonality.off_diagonal"],
+    "hermiticity": ["hermiticity.symmetric_form", "hermiticity.diagonal_energy"],
+    "limit": [],
+    "number_operator": ["number_operator.inversion"],
+}
+_ASC_IDS = ["ladder.q_deformed_commutator", "coherent.closed_form"]
+_BIG_Q_HERMITE_IDS = ["ladder.q_deformed_commutator", "ladder.q_oscillator_pair",
+                      "coherent.closed_form"]
+_Q_HERMITE_IDS = ["ladder.q_deformed_commutator", "ladder.q_oscillator_pair",
+                  "ladder.shape_invariance_q_oscillator", "ladder.level_diagonal_operator",
+                  "coherent.closed_form"]
+_EXTRA_IDS = {
+    "meixner-pollaczek/default": ["coherent.closed_form"],
+    "meixner-pollaczek/half-pi": ["shifts.lambda_shift_x", "coherent.closed_form"],
+    "wilson/default": ["limit.monotone_decrease", "limit.extrapolated_deviation"],
+    "wilson/real": ["limit.monotone_decrease", "limit.extrapolated_deviation"],
+    "continuous-dual-hahn/default": ["shifts.lambda_shift_x"],
+    "continuous-dual-hahn/real": ["shifts.lambda_shift_x"],
+    "continuous-dual-q-hahn/default": ["ladder.q_deformed_commutator"],
+    "continuous-dual-q-hahn/real": ["ladder.q_deformed_commutator"],
+    "al-salam-chihara/default": _ASC_IDS,
+    "al-salam-chihara/real": _ASC_IDS,
+    "continuous-big-q-hermite/default": _BIG_Q_HERMITE_IDS,
+    "continuous-big-q-hermite/negative": _BIG_Q_HERMITE_IDS,
+    "continuous-q-hermite/default": _Q_HERMITE_IDS,
+    "continuous-q-hermite/high-q": _Q_HERMITE_IDS,
+    "continuous-q-laguerre/default": _ASC_IDS,
+    "continuous-q-laguerre/edge": _ASC_IDS,
+}
+
+
+def _pinned_ids(suite: str, extra: list) -> list:
+    return _COMMON_IDS[suite] + [c for c in extra if c.startswith(suite + ".")]
+
+
+@pytest.mark.parametrize("family,fixture", ALL_FIXTURES)
+def test_each_fixture_emits_its_pinned_check_ids(family, fixture):
+    p = fixture_params(family, fixture)
+    extra = _EXTRA_IDS.get(f"{family}/{fixture}", [])
+    for suite in SUITES:
+        got = [r.check_id for r in run_suite(suite, family, p, VerifyConfig(n_max=2))]
+        assert got == _pinned_ids(suite, extra), suite
+
+
+# Sets whose zero Askey-Wilson parameters put them in a smaller restriction,
+# with the check ids of that restriction
+_REDUCTIONS = [
+    ("askey-wilson", ParamSet(a=(0.3, 0.5, 0, 0), q=0.5), _ASC_IDS),
+    ("askey-wilson", ParamSet(a=(0, 0, 0, 0), q=0.6), _Q_HERMITE_IDS),
+    ("continuous-dual-q-hahn", ParamSet(a=(0.4, 0, 0), q=0.3), _BIG_Q_HERMITE_IDS),
+]
+
+
+@pytest.mark.parametrize("n_max", [8, 30])
+@pytest.mark.parametrize("family,p,extra", _REDUCTIONS)
+def test_a_reduction_emits_and_passes_the_q_identities_it_reduces_to(family, p, extra, n_max):
+    for suite in ("ladder", "coherent"):
+        results = run_suite(suite, family, p, VerifyConfig(n_max=n_max))
+        assert [r.check_id for r in results] == _pinned_ids(suite, extra)
+        assert all(r.passed for r in results), [(r.check_id, r.max_residual) for r in results]
 
 
 # --------------------------------------------------------- shape invariance
@@ -297,6 +379,34 @@ def test_coherent_q_hermite_golden_value():
     closed = _coherent_closed_form(fam, p, alpha, [math.pi / 2])
     assert complex(closed.val[0]) == pytest.approx(expected, rel=1e-10)
     assert complex(sums.val[0, 0]) == pytest.approx(expected, rel=1e-8)
+
+
+def _hermite_product(a, q, alpha, xs):
+    """(2 alpha a; q)_inf / (2 alpha z, 2 alpha / z; q)_inf at z = e^{ix}: the
+    big q-Hermite coherent closed form as a product, and the q-Hermite one at
+    a = 0."""
+    z = np.exp(1j * np.asarray(xs, dtype=float))
+    log_den = log_q_pochhammer_inf(np.stack([2 * alpha * z, 2 * alpha / z]), q)
+    return np.exp(log_q_pochhammer_inf(2 * alpha * a, q) - log_den.sum(axis=0))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("family,p,a", [
+    *((f, fixture_params(f, fx), fixture_params(f, fx).a[0] if f.endswith("big-q-hermite")
+       else 0.0)
+      for f in ("continuous-big-q-hermite", "continuous-q-hermite")
+      for fx in fixture_names(get_family(f))),
+    ("askey-wilson", ParamSet(a=(0, 0, 0, 0), q=0.6), 0.0),
+    ("continuous-dual-q-hahn", ParamSet(a=(0.4, 0, 0), q=0.3), 0.4),
+])
+def test_the_al_salam_chihara_2phi1_is_the_hermite_product(family, p, a, seed):
+    # the q-binomial theorem: the 2phi1 at (a, 0) and (0, 0)
+    fam = get_family(family)
+    alpha = _default_alpha(fam)
+    xs = sample_points(fam, p, 6, seed)
+    closed = _coherent_closed_form(fam, p, alpha, xs).val
+    product = _hermite_product(a, p.q, alpha, xs)
+    assert np.max(np.abs(closed - product) / (1.0 + np.abs(product))) <= 1e-14
 
 
 def test_coherent_al_salam_chihara_symmetric():

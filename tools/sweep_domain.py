@@ -13,6 +13,14 @@ with at most 60 tries; the draws are
       continuous big q-Hermite    a_j = U(-0.9, 0.9)
       continuous q-Jacobi and q-Laguerre   a_j = U(-0.45, 3)
 
+Then a second generator, numpy.random.default_rng(8), draws six more sets
+for each of the four Askey-Wilson rows with a_j parameters (Askey-Wilson,
+continuous dual q-Hahn, Al-Salam-Chihara, continuous big q-Hermite) from
+the same ranges and sets between one and all of their a_j to 0.  Such a
+set lies in a smaller restriction and gets its q-identities; the table
+lists it under its family's name with " +0" appended.  The first
+generator's draws do not depend on the second's.
+
 Each set then runs all 11 suites at VerifyConfig(n_max=--n-max, seed=1),
 --n-max defaulting to 8, the verify default.  For each
 (family, check) the sweep prints the worst residual, ten times that worst
@@ -41,6 +49,8 @@ from sweep_tolerances import two_figures_up  # noqa: E402
 
 SETS = 6
 TRIES = 60
+ZERO_ROWS = ("askey-wilson", "continuous-dual-q-hahn", "al-salam-chihara",
+             "continuous-big-q-hermite")
 
 
 def draw(rng, fam) -> ParamSet:
@@ -58,10 +68,18 @@ def draw(rng, fam) -> ParamSet:
     return ParamSet(a=rng.uniform(-0.9, 0.9, n), q=q)
 
 
-def valid_sets(rng, fam) -> list:
+def draw_with_zeros(rng, fam) -> ParamSet:
+    """One draw of `fam` with between one and all of its a_j set to 0."""
+    p = draw(rng, fam)
+    n = fam.spec.n_params
+    zero = rng.permutation(n)[: rng.integers(1, n + 1)]
+    return ParamSet(a=[0.0 if j in zero else a for j, a in enumerate(p.a)], q=p.q)
+
+
+def valid_sets(rng, fam, draw_one=draw) -> list:
     sets = []
     for _ in range(TRIES):
-        p = draw(rng, fam)
+        p = draw_one(rng, fam)
         try:
             fam.validate(p)
         except ValidationError:
@@ -77,28 +95,31 @@ def main() -> int:
     parser.add_argument("--n-max", type=int, default=8, metavar="N",
                         help="levels 0..N (default 8)")
     config = VerifyConfig(n_max=parser.parse_args().n_max, seed=1)
-    rng = np.random.default_rng(7)
+    rng, zero_rng = np.random.default_rng(7), np.random.default_rng(8)
+    runs = [(family, p) for family in family_names()
+            for p in valid_sets(rng, get_family(family))]
+    runs += [(family + " +0", p) for family in ZERO_ROWS
+             for p in valid_sets(zero_rng, get_family(family), draw_with_zeros)]
     worst: dict[tuple, float] = {}
     n_miss: dict[tuple, int] = {}
     misses, errors = [], []
     calls = 0
-    for family in family_names():
-        fam = get_family(family)
-        for p in valid_sets(rng, fam):
-            for suite in SUITES:
-                calls += 1
-                try:
-                    results = run_suite(suite, fam, p, config)
-                except Exception as exc:  # a suite that cannot run is reported
-                    errors.append((family, suite, p, f"{type(exc).__name__}: {exc}"))
-                    continue
-                for r in results:
-                    key = (family, r.check_id)
-                    if key not in worst or not r.max_residual <= worst[key]:
-                        worst[key] = r.max_residual
-                    n_miss[key] = n_miss.get(key, 0) + (not r.passed)
-                    if not r.passed:
-                        misses.append((family, r.check_id, p, r.max_residual, r.tolerance))
+    for family, p in runs:
+        fam = get_family(family.removesuffix(" +0"))
+        for suite in SUITES:
+            calls += 1
+            try:
+                results = run_suite(suite, fam, p, config)
+            except Exception as exc:  # a suite that cannot run is reported
+                errors.append((family, suite, p, f"{type(exc).__name__}: {exc}"))
+                continue
+            for r in results:
+                key = (family, r.check_id)
+                if key not in worst or not r.max_residual <= worst[key]:
+                    worst[key] = r.max_residual
+                n_miss[key] = n_miss.get(key, 0) + (not r.passed)
+                if not r.passed:
+                    misses.append((family, r.check_id, p, r.max_residual, r.tolerance))
 
     print(f"{'family':26s} {'check':40s} {'worst':>9s} {'10x worst':>9s} {'tolerance':>9s} misses")
     for (family, check_id), w in worst.items():
