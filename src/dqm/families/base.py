@@ -303,8 +303,13 @@ class Family:
         with np.errstate(over="ignore"):
             return float(np.exp(self.log_h0(p)))
 
-    def h0_over_hn(self, p: ParamSet, n: int) -> float:
+    def h0_over_hn_levels(self, p: ParamSet, n: int) -> tuple:
+        """h0/h_k for k = 0..n, from one running product over the levels."""
         raise NotImplementedError
+
+    def h0_over_hn(self, p: ParamSet, n: int) -> float:
+        """h0/h_n, the last entry of `h0_over_hn_levels`."""
+        return self.h0_over_hn_levels(p, n)[n]
 
     # -- eigenfunctions ------------------------------------------------------
     def log_amplitude(self, p: ParamSet, w):

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from ..specfun import hypergeometric_F, log_gamma, pochhammer
+from ..specfun import factorials, hypergeometric_F, log_gamma, pochhammer, pochhammer_levels
 from .base import (
     ClosurePolys,
     Family,
@@ -116,21 +116,21 @@ class ContinuousHahn(Family):
             [aj + ak for aj in (a1, a2) for ak in (a3, a4)] + [self._b1(p)])).real
         return math.log(2.0 * math.pi) + logs[:4].sum() - logs[4]
 
-    def h0_over_hn(self, p: ParamSet, n: int) -> float:
+    def h0_over_hn_levels(self, p: ParamSet, n: int) -> tuple:
         a1, a2, a3, a4 = self._abcd(p)
         b1 = self._b1(p)
-        prod = complex(1.0)
-        for aj in (a1, a2):
-            for ak in (a3, a4):
-                prod *= pochhammer(aj + ak, n)
-        val = (
-            (b1 + 2 * n - 1)
-            / (b1 + n - 1)
-            * math.factorial(n)
-            * pochhammer(b1, n)
-            / prod
+        pairs = [pochhammer_levels(aj + ak, n) for aj in (a1, a2) for ak in (a3, a4)]
+        return tuple(
+            complex(
+                (b1 + 2 * k - 1)
+                / (b1 + k - 1)
+                * fact
+                * poch_b1
+                / math.prod(pochs, start=complex(1.0))
+            ).real
+            for k, (fact, poch_b1, *pochs) in enumerate(
+                zip(factorials(n), pochhammer_levels(b1, n), *pairs))
         )
-        return complex(val).real
 
     def log_amplitude(self, p: ParamSet, w):
         iw = 1j * as_complex(w)
@@ -223,9 +223,10 @@ class MeixnerPollaczek(Family):
         return (math.log(2.0 * math.pi) + log_gamma(2 * a).real
                 - 2 * a * math.log(2.0 * math.sin(p.phi)))
 
-    def h0_over_hn(self, p: ParamSet, n: int) -> float:
+    def h0_over_hn_levels(self, p: ParamSet, n: int) -> tuple:
         a = p.a[0].real
-        return math.factorial(n) / pochhammer(2 * a, n).real
+        return tuple(fact / poch.real
+                     for fact, poch in zip(factorials(n), pochhammer_levels(2 * a, n)))
 
     def log_amplitude(self, p: ParamSet, w):
         w = as_complex(w)

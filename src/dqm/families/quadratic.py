@@ -9,7 +9,7 @@ from itertools import combinations
 
 import numpy as np
 
-from ..specfun import hypergeometric_F, log_gamma, pochhammer
+from ..specfun import factorials, hypergeometric_F, log_gamma, pochhammer, pochhammer_levels
 from .base import (
     ClosurePolys,
     Family,
@@ -143,18 +143,19 @@ class Wilson(_GammaRatioFamily):
     def log_h0(self, p: ParamSet) -> float:
         return self._log_2pi_gamma_pairs(p, elementary_symmetric(p.a, 1).real)
 
-    def h0_over_hn(self, p: ParamSet, n: int) -> float:
+    def h0_over_hn_levels(self, p: ParamSet, n: int) -> tuple:
         b1 = elementary_symmetric(p.a, 1)
-        prod = complex(1.0)
-        for aj, ak in combinations(p.a, 2):
-            prod *= pochhammer(aj + ak, n)
-        val = (
-            (b1 + 2 * n - 1)
-            / (b1 + n - 1)
-            * pochhammer(b1, n)
-            / (math.factorial(n) * prod)
+        pairs = [pochhammer_levels(aj + ak, n) for aj, ak in combinations(p.a, 2)]
+        return tuple(
+            complex(
+                (b1 + 2 * k - 1)
+                / (b1 + k - 1)
+                * poch_b1
+                / (fact * math.prod(pochs, start=complex(1.0)))
+            ).real
+            for k, (fact, poch_b1, *pochs) in enumerate(
+                zip(factorials(n), pochhammer_levels(b1, n), *pairs))
         )
-        return complex(val).real
 
     def level_from_energy(self, p: ParamSet, energy: float) -> float:
         b1 = elementary_symmetric(p.a, 1).real
@@ -225,11 +226,10 @@ class ContinuousDualHahn(_GammaRatioFamily):
     def log_h0(self, p: ParamSet) -> float:
         return self._log_2pi_gamma_pairs(p)
 
-    def h0_over_hn(self, p: ParamSet, n: int) -> float:
-        prod = complex(1.0)
-        for aj, ak in combinations(p.a, 2):
-            prod *= pochhammer(aj + ak, n)
-        return (1.0 / (math.factorial(n) * prod)).real
+    def h0_over_hn_levels(self, p: ParamSet, n: int) -> tuple:
+        pairs = [pochhammer_levels(aj + ak, n) for aj, ak in combinations(p.a, 2)]
+        return tuple((1.0 / (fact * math.prod(pochs, start=complex(1.0)))).real
+                     for fact, *pochs in zip(factorials(n), *pairs))
 
     def level_from_energy(self, p: ParamSet, energy: float) -> float:
         return energy

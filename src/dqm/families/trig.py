@@ -52,6 +52,7 @@ from ..specfun import (
     basic_hypergeometric_phi,
     log_q_pochhammer_inf,
     q_pochhammer,
+    q_pochhammer_levels,
 )
 from .base import (
     ClosurePolys,
@@ -232,12 +233,11 @@ class AskeyWilson(Family):
         """The non-zero a_i that p maps to: the restriction p lies in."""
         return self._aw(p).a
 
-    def _k_n(self, d: _AW, q: float, n: int) -> float:
-        """k_n = a1^n / (q, a1 a3, a1 a4; q)_n."""
-        den = q_pochhammer(q, q, n)
-        for ajk in d.k_pairs:
-            den *= q_pochhammer(ajk, q, n)
-        return (d.k_a1**n / den).real
+    def _k_levels(self, d: _AW, q: float, n: int) -> list:
+        """k_0 .. k_n, k_k = a1^k / (q, a1 a3, a1 a4; q)_k."""
+        pairs = [q_pochhammer_levels(ajk, q, n) for ajk in d.k_pairs]
+        return [(d.k_a1**k / math.prod(pochs, start=den)).real
+                for k, (den, *pochs) in enumerate(zip(q_pochhammer_levels(q, q, n), *pairs))]
 
     # -- potential and ground state ------------------------------------------
     def V(self, p: ParamSet, w) -> complex:
@@ -363,20 +363,24 @@ class AskeyWilson(Family):
         logs = log_q_pochhammer_inf(np.array([d.e4, p.q, *d.pairs]), p.q)
         return math.log(2.0 * math.pi) + (logs[0] - logs[1:].sum()).real
 
-    def h0_over_hn(self, p: ParamSet, n: int) -> float:
+    def h0_over_hn_levels(self, p: ParamSet, n: int) -> tuple:
         q = p.q
         d = self._aw(p)
         b4 = d.e4
-        den = q_pochhammer(q, q, n)
-        for ajk in d.pairs:
-            den *= q_pochhammer(ajk, q, n)
-        val = complex(
-            (1.0 - b4 * q ** (2 * n - 1))
-            / (1.0 - b4 * q ** (n - 1))
-            * q_pochhammer(b4, q, n)
-            / den
-        ).real
-        return val if d.k_a1 is None else val / self._k_n(d, q, n) ** 2
+        pairs = [q_pochhammer_levels(ajk, q, n) for ajk in d.pairs]
+        vals = [
+            complex(
+                (1.0 - b4 * q ** (2 * k - 1))
+                / (1.0 - b4 * q ** (k - 1))
+                * poch_b4
+                / math.prod(pochs, start=den)
+            ).real
+            for k, (den, poch_b4, *pochs) in enumerate(
+                zip(q_pochhammer_levels(q, q, n), q_pochhammer_levels(b4, q, n), *pairs))
+        ]
+        if d.k_a1 is None:
+            return tuple(vals)
+        return tuple(val / k_k**2 for val, k_k in zip(vals, self._k_levels(d, q, n)))
 
     # -- the definitional series ----------------------------------------------
     def series_eval_x(self, p: ParamSet, n: int, x) -> complex:
@@ -407,5 +411,5 @@ class AskeyWilson(Family):
             num_params.insert(1, d.e4 * q ** (n - 1))
         f = basic_hypergeometric_phi(num_params, den_params, q, q, n)
         if d.k_a1 is not None:
-            pref *= self._k_n(d, q, n)
+            pref *= self._k_levels(d, q, n)[n]
         return pref * f

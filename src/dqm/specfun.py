@@ -36,6 +36,7 @@ import cmath
 import decimal
 import itertools
 import math
+import operator
 from decimal import Decimal
 from fractions import Fraction
 
@@ -46,7 +47,10 @@ __all__ = [
     "PoleError",
     "ConvergenceError",
     "pochhammer",
+    "pochhammer_levels",
     "q_pochhammer",
+    "q_pochhammer_levels",
+    "factorials",
     "q_pochhammer_inf",
     "log_q_pochhammer_inf",
     "log_gamma",
@@ -76,29 +80,46 @@ def _check_q(q: float) -> float:
     return q
 
 
-def pochhammer(a: complex, n: int) -> complex:
-    """Rising factorial (a)_n = a (a+1) ... (a+n-1); empty product is 1."""
+def pochhammer_levels(a: complex, n: int) -> list:
+    """[(a)_0, (a)_1, ..., (a)_n]: each rising factorial from the last by
+    one factor, (a)_{k+1} = (a)_k (a + k)."""
     if n < 0:
         raise DomainError(f"pochhammer order must be >= 0, got {n}")
-    result = complex(1.0)
     a = complex(a)
+    out = [complex(1.0)]
     for k in range(n):
-        result *= a + k
-    return result
+        out.append(out[-1] * (a + k))
+    return out
+
+
+def pochhammer(a: complex, n: int) -> complex:
+    """Rising factorial (a)_n = a (a+1) ... (a+n-1); empty product is 1."""
+    return pochhammer_levels(a, n)[n]
+
+
+def q_pochhammer_levels(a: complex, q: float, n: int) -> list:
+    """[(a;q)_0, ..., (a;q)_n]: each from the last by one factor,
+    (a;q)_{k+1} = (a;q)_k (1 - a q^k)."""
+    q = _check_q(q)
+    if n < 0:
+        raise DomainError(f"q_pochhammer order must be >= 0, got {n}")
+    a = complex(a)
+    out = [complex(1.0)]
+    qk = 1.0
+    for _ in range(n):
+        out.append(out[-1] * (1.0 - a * qk))
+        qk *= q
+    return out
 
 
 def q_pochhammer(a: complex, q: float, n: int) -> complex:
     """Finite q-shifted factorial (a;q)_n = prod_{k=0}^{n-1} (1 - a q^k)."""
-    q = _check_q(q)
-    if n < 0:
-        raise DomainError(f"q_pochhammer order must be >= 0, got {n}")
-    result = complex(1.0)
-    a = complex(a)
-    qk = 1.0
-    for _ in range(n):
-        result *= 1.0 - a * qk
-        qk *= q
-    return result
+    return q_pochhammer_levels(a, q, n)[n]
+
+
+def factorials(n: int) -> list:
+    """[0!, 1!, ..., n!] as exact integers, each from the last."""
+    return list(itertools.accumulate(range(1, n + 1), operator.mul, initial=1))
 
 
 def q_pochhammer_inf(a: complex, q: float) -> complex:

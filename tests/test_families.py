@@ -308,6 +308,19 @@ def test_norm_recurrence_consistency(family, name):
         )
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
+@pytest.mark.parametrize("family,name", all_fixtures())
+def test_norm_ratio_levels_do_not_depend_on_the_top_level(family, name):
+    # h0/h_k comes off one running product over the levels: the list to
+    # level 30 starts with the list to any lower level, bit for bit, and
+    # h0_over_hn(p, k) is its k-th entry
+    p = fixture_params(family, name)
+    fam = get_family(family)
+    top = fam.h0_over_hn_levels(p, 30)
+    assert len(top) == 31
+    for n in (0, 1, 8):
+        assert fam.h0_over_hn_levels(p, n) == top[: n + 1]
+    assert [fam.h0_over_hn(p, k) for k in range(31)] == list(top)
+
 
 # ------------------------------------------------------------ ground state
 

@@ -21,7 +21,6 @@ from dqm.quadrature import (
     ToleranceNotMet,
     _de_grid,
     _levels,
-    _tanh_sinh,
     hermiticity_forms,
     orthogonality_matrix,
     weight_window,
@@ -186,11 +185,13 @@ def test_quadrature_self_consistency():
 
 
 def test_rules_agree_on_finite_interval():
-    # tanh-sinh on [0, pi] against the composite Gauss-Legendre nodes of the
-    # cos-x families, which the Gram matrix runs on
+    # tanh-sinh on [0, pi], x = pi/2 (1 + tanh u), on the double-exponential
+    # t grid against the composite Gauss-Legendre nodes of the cos-x
+    # families, which the Gram matrix runs on
     fam = get_family("continuous-q-hermite")
     p = ParamSet(q=0.5)
-    x, dx = _tanh_sinh(0.0, math.pi, *_de_grid(3))
+    u, du = _de_grid(3)
+    x, dx = 0.5 * math.pi * (1.0 + np.tanh(u)), 0.5 * math.pi * du / np.cosh(u) ** 2
     vd = np.sum(dx * np.asarray(fam.phi0(p, x)) ** 2)
     [vg] = _norms(fam, p, 0)
     assert vd == pytest.approx(vg, rel=1e-12)
@@ -229,6 +230,29 @@ HARD_SETS = [
 @pytest.mark.parametrize("suite", ["orthogonality", "hermiticity"])
 def test_quadrature_suites_pass_where_the_weight_is_hard(family, p, suite):
     results = run_suite(suite, family, p, VerifyConfig())
+    assert results and all(r.passed for r in results), [
+        (r.check_id, r.max_residual) for r in results]
+
+
+# Narrow peaks far from x = 0 on (0, inf): a pair a = r +- i m puts a peak
+# of half-width about r at x = m.  A rule that crowds its nodes only at 0
+# and infinity on a fixed scale, or a sinh-sinh rule folded onto x = 0,
+# stalls on them; the exp-sinh rule scaled by the window c + s passes.  The
+# last set, from the domain sweep's conjugate-pair draws, is accepted only
+# at the ladder's last step, 1/1024
+NARROW_PEAKS = [
+    ("wilson", ParamSet(a=(0.1 + 3j, 0.1 - 3j, 0.5, 2.0))),
+    ("continuous-dual-hahn", ParamSet(a=(0.05 + 2j, 0.05 - 2j, 0.3))),
+    ("wilson", ParamSet(a=(0.055344748145423284 + 2.5765535924281426j,
+                           0.055344748145423284 - 2.5765535924281426j,
+                           3.9340438649303935, 3.1492089180570844))),
+]
+
+
+@pytest.mark.parametrize("family,p", NARROW_PEAKS)
+@pytest.mark.parametrize("suite", ["orthogonality", "hermiticity"])
+def test_quadrature_suites_pass_on_a_narrow_peak_away_from_zero(family, p, suite):
+    results = run_suite(suite, family, p, VerifyConfig(n_max=8))
     assert results and all(r.passed for r in results), [
         (r.check_id, r.max_residual) for r in results]
 
@@ -294,7 +318,7 @@ def test_quadrature_counts_a_pole_of_V_at_a_node_as_zero(monkeypatch):
     for matrix, want in zip(got, plain):
         assert np.all(np.isfinite(matrix.val))
         assert np.max(np.abs(matrix.val - want.val) / (1 + np.abs(want.val))) <= 1e-14
-    # on (0, inf) the tanh-sinh nodes next to x = 0 fall inside the guard
+    # on (0, inf) the exp-sinh nodes that crowd towards x = 0 fall inside the guard
     wilson = get_family("wilson")
     _, x, _ = next(levels(wilson, fixture_params("wilson")))
     assert OperatorContext(wilson, fixture_params("wilson")).inside_guard(x).any()
@@ -340,13 +364,11 @@ def test_quadrature_evaluates_phi0_once_per_level(suite, family, fixture, monkey
     assert all(r.passed for r in run_suite(suite, fam, p))
     # one weight evaluation per refinement level
     assert len(sizes) >= 2
-    lo, hi = fam.spec.interval
-    if hi == math.inf:
+    if fam.spec.interval[1] == math.inf:
         # on the nested double-exponential levels each evaluation takes only
         # the nodes its level adds: together they are the last level's grid,
-        # which (0, inf) runs on both of its parts, and no node comes twice
-        full = _de_grid(len(sizes) - 1)[0].size
-        assert sum(sizes) == (full if lo == -math.inf else 2 * full)
+        # one rule on either interval, and no node comes twice
+        assert sum(sizes) == _de_grid(len(sizes) - 1)[0].size
     else:
         # Gauss-Legendre levels share no nodes: each takes more than the last
         assert all(a < b for a, b in zip(sizes, sizes[1:]))

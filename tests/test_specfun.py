@@ -23,13 +23,16 @@ from dqm.specfun import (
     PoleError,
     basic_hypergeometric_phi,
     complex_gamma,
+    factorials,
     hypergeometric_F,
     log_gamma,
     log_q_pochhammer_inf,
     pochhammer,
+    pochhammer_levels,
     q_gamma,
     q_pochhammer,
     q_pochhammer_inf,
+    q_pochhammer_levels,
 )
 
 
@@ -49,8 +52,34 @@ def test_pochhammer_recurrence(a):
         rhs = pochhammer(a, n) * (a + n)
         assert lhs == pytest.approx(rhs, rel=1e-13, abs=1e-300)
 
+def test_factorials_are_exact():
+    assert factorials(0) == [1]
+    assert factorials(25) == [math.factorial(k) for k in range(26)]
+
+@pytest.mark.parametrize("a", [0.3, -2.5, 1.4 + 0.7j, -0.5 - 3j])
+def test_pochhammer_levels_are_the_loop_products(a):
+    # each level takes one more factor, in the order a, a + 1, ...
+    want, prod = [], complex(1.0)
+    for k in range(31):
+        want.append(prod)
+        prod *= complex(a) + k
+    assert pochhammer_levels(a, 30) == want
+    assert [pochhammer(a, k) for k in range(31)] == want
+    with pytest.raises(DomainError):
+        pochhammer_levels(a, -1)
+
 
 # -------------------------------------------------------------- q-pochhammer
+
+@pytest.mark.parametrize("a,q", [(0.4, 0.5), (-1.3, 0.8), (0.6 + 0.8j, 0.3)])
+def test_q_pochhammer_levels_are_the_loop_products(a, q):
+    want, prod, qk = [], complex(1.0), 1.0
+    for _ in range(31):
+        want.append(prod)
+        prod *= 1.0 - complex(a) * qk
+        qk *= q
+    assert q_pochhammer_levels(a, q, 30) == want
+    assert [q_pochhammer(a, q, k) for k in range(31)] == want
 
 def test_q_pochhammer_values():
     assert q_pochhammer(0.7 - 0.2j, 0.5, 0) == 1

@@ -18,8 +18,13 @@ for each of the four Askey-Wilson rows with a_j parameters (Askey-Wilson,
 continuous dual q-Hahn, Al-Salam-Chihara, continuous big q-Hermite) from
 the same ranges and sets between one and all of their a_j to 0.  Such a
 set lies in a smaller restriction and gets its q-identities; the table
-lists it under its family's name with " +0" appended.  The first
-generator's draws do not depend on the second's.
+lists it under its family's name with " +0" appended.
+
+A third generator, numpy.random.default_rng(9), draws six sets each for
+Wilson and continuous dual Hahn with one conjugate pair
+a_1, a_2 = U(0.05, 1) +- i U(0.5, 3) and the other a_j = U(0.05, 4).  The
+pair puts a narrow peak of the weight far from x = 0; these rows are
+listed with " pair" appended.  No generator's draws depend on another's.
 
 Each set then runs all 11 suites at VerifyConfig(n_max=--n-max, seed=1),
 --n-max defaulting to 8, the verify default.  For each
@@ -51,6 +56,7 @@ SETS = 6
 TRIES = 60
 ZERO_ROWS = ("askey-wilson", "continuous-dual-q-hahn", "al-salam-chihara",
              "continuous-big-q-hermite")
+PAIR_ROWS = ("wilson", "continuous-dual-hahn")
 
 
 def draw(rng, fam) -> ParamSet:
@@ -76,6 +82,13 @@ def draw_with_zeros(rng, fam) -> ParamSet:
     return ParamSet(a=[0.0 if j in zero else a for j, a in enumerate(p.a)], q=p.q)
 
 
+def draw_pair(rng, fam) -> ParamSet:
+    """One draw of `fam` whose a_1, a_2 are a conjugate pair."""
+    re, im = rng.uniform(0.05, 1), rng.uniform(0.5, 3)
+    rest = rng.uniform(0.05, 4, fam.spec.n_params - 2)
+    return ParamSet(a=[re + 1j * im, re - 1j * im, *rest])
+
+
 def valid_sets(rng, fam, draw_one=draw) -> list:
     sets = []
     for _ in range(TRIES):
@@ -95,17 +108,19 @@ def main() -> int:
     parser.add_argument("--n-max", type=int, default=8, metavar="N",
                         help="levels 0..N (default 8)")
     config = VerifyConfig(n_max=parser.parse_args().n_max, seed=1)
-    rng, zero_rng = np.random.default_rng(7), np.random.default_rng(8)
+    rng, zero_rng, pair_rng = (np.random.default_rng(seed) for seed in (7, 8, 9))
     runs = [(family, p) for family in family_names()
             for p in valid_sets(rng, get_family(family))]
     runs += [(family + " +0", p) for family in ZERO_ROWS
              for p in valid_sets(zero_rng, get_family(family), draw_with_zeros)]
+    runs += [(family + " pair", p) for family in PAIR_ROWS
+             for p in valid_sets(pair_rng, get_family(family), draw_pair)]
     worst: dict[tuple, float] = {}
     n_miss: dict[tuple, int] = {}
     misses, errors = [], []
     calls = 0
     for family, p in runs:
-        fam = get_family(family.removesuffix(" +0"))
+        fam = get_family(family.split(" ")[0])
         for suite in SUITES:
             calls += 1
             try:
