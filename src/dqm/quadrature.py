@@ -23,13 +23,14 @@ the peak however far from 0 it lies.  The ladder starts at 1/8 because no
 matrix is accepted at a coarser step: over the 16 G and K matrices of the
 unbounded fixtures the accepted step is 1/32 at n_max 1, 1/64 at n_max 8
 and 1/128 to 1/256 at n_max 30, so levels at steps 1/2 and 1/4 would each
-pay a level's fixed cost for nothing.  It ends at 1/1024 for the narrow
-peaks far from 0 that a conjugate pair a = r +- i m puts at x = m: their
-relative half-width r/m sets the step exp-sinh needs, and Wilson
+pay a level's fixed cost for nothing.  It ends at 1/1024 for narrow peaks
+far from 0: a conjugate pair a = r +- i m puts a peak about r wide at
+x = m, exp-sinh needs a step in proportion to r/m, and Wilson
 a = (0.055 +- 2.58i, 3.93, 3.15) is accepted only at 1/1024.  The weight
 enters as log w - log h0 from `Family.log_amplitude` and `Family.log_h0`,
-so a weight or a norm beyond the double range costs nothing.  Each node's weight dx w / h0 is formed
-once, by `_levels`, which drops the nodes where it underflows to zero.
+so a weight or a norm beyond the double range costs nothing.  Each node's
+weight dx w / h0 is formed once, by `_levels`, which drops the nodes where
+it underflows to zero.
 
 One routine, `_matrix`, computes both matrices.  Per refinement level it
 evaluates the weight once and P_0 .. P_n once on its new nodes, by one
