@@ -122,8 +122,8 @@ class ContinuousHahn(Family):
         pairs = [pochhammer_levels(aj + ak, n) for aj in (a1, a2) for ak in (a3, a4)]
         return tuple(
             complex(
-                (b1 + 2 * k - 1)
-                / (b1 + k - 1)
+                # h0/h0 = 1: at k = 0 the factor is 0/0 when b1 = 1
+                ((b1 + 2 * k - 1) / (b1 + k - 1) if k else 1.0)
                 * fact
                 * poch_b1
                 / math.prod(pochs, start=complex(1.0))

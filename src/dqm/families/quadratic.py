@@ -148,8 +148,8 @@ class Wilson(_GammaRatioFamily):
         pairs = [pochhammer_levels(aj + ak, n) for aj, ak in combinations(p.a, 2)]
         return tuple(
             complex(
-                (b1 + 2 * k - 1)
-                / (b1 + k - 1)
+                # h0/h0 = 1: at k = 0 the factor is 0/0 when b1 = 1
+                ((b1 + 2 * k - 1) / (b1 + k - 1) if k else 1.0)
                 * poch_b1
                 / (fact * math.prod(pochs, start=complex(1.0)))
             ).real

@@ -370,8 +370,8 @@ class AskeyWilson(Family):
         pairs = [q_pochhammer_levels(ajk, q, n) for ajk in d.pairs]
         vals = [
             complex(
-                (1.0 - b4 * q ** (2 * k - 1))
-                / (1.0 - b4 * q ** (k - 1))
+                # h0/h0 = 1: at k = 0 the factor is 0/0 when e4 = q
+                ((1.0 - b4 * q ** (2 * k - 1)) / (1.0 - b4 * q ** (k - 1)) if k else 1.0)
                 * poch_b4
                 / math.prod(pochs, start=den)
             ).real

@@ -4,29 +4,31 @@ K = (phi0 P_n, H phi0 P_m) (A = H, applied as H-tilde to the polynomials).
 The mirror form (H phi0 P_n, phi0 P_m) is conj(K_mn), so hermiticity is
 K = K^H and the spectrum is diag(K) = E_n.
 
-Each interval has one rule, refined level by level until two successive
+Each interval's rule is refined level by level until two successive
 levels agree.  (0, pi) takes composite Gauss-Legendre, its panels doubling
-from 2 to 512.  The two unbounded intervals take one double-exponential
-rule each (Takahasi & Mori 1974, Publ. RIMS 9:721; Mori & Sugihara 2001,
-J. Comput. Appl. Math. 127:287), placed by the peak c of the weight
-w = phi0^2 and its width s (`weight_window`):
+from 2 to 512.  The two unbounded intervals take double-exponential rules
+(Takahasi & Mori 1974, Publ. RIMS 9:721; Mori & Sugihara 2001, J. Comput.
+Appl. Math. 127:287), placed by the peak c of the weight w = phi0^2 and
+its width s (`weight_window`):
 
-    (-inf, inf)   sinh-sinh   x = c + s sinh(pi/2 sinh t)
-    (0, inf)      exp-sinh    x = (c + s) e^{pi/2 sinh t}
+    (-inf, inf)            sinh-sinh   x = c + s sinh(pi/2 sinh t)
+    (0, inf), s >= 0.1 c   exp-sinh    x = (c + s) e^{pi/2 sinh t}
+    (0, inf), s < 0.1 c    tanh-sinh on [0, c] plus exp-sinh x = c + s e^{pi/2 sinh t}
 
-with t in [-T_MAX, T_MAX] and the step halving from 1/8 to 1/1024, so that
+with t in [-T_MAX, T_MAX] and the step halving from 1/8 to 1/512, so that
 a level keeps the last one's nodes.  Sinh-sinh crowds its nodes towards
 both infinities and exp-sinh towards 0 and infinity, the interval's ends,
 not onto the peak.  Exp-sinh's relative node spacing dx/x is finest at
 t = 0, about pi/2 times the step, and the scale c + s puts t = 0 next to
-the peak however far from 0 it lies.  The ladder starts at 1/8 because no
-matrix is accepted at a coarser step: over the 16 G and K matrices of the
-unbounded fixtures the accepted step is 1/32 at n_max 1, 1/64 at n_max 8
-and 1/128 to 1/256 at n_max 30, so levels at steps 1/2 and 1/4 would each
-pay a level's fixed cost for nothing.  It ends at 1/1024 for narrow peaks
-far from 0: a conjugate pair a = r +- i m puts a peak about r wide at
-x = m, exp-sinh needs a step in proportion to r/m, and Wilson
-a = (0.055 +- 2.58i, 3.93, 3.15) is accepted only at 1/1024.  The weight
+the peak.  So one exp-sinh rule stalls on a peak narrower than about 3 %
+of its distance from 0, as a conjugate pair a = r +- i m puts one about
+r wide at x = m; below s/c = NARROW_PEAK the rule splits at c into two
+pieces that both crowd their nodes onto c.  The fixtures' peaks have
+s/c = 0.45 to 0.54.  The ladder starts at 1/8 because no matrix is
+accepted at a coarser step: over the 16 G and K matrices of the unbounded
+fixtures the accepted step is 1/32 at n_max 1, 1/64 at n_max 8 and 1/128
+to 1/256 at n_max 30, so levels at steps 1/2 and 1/4 would each pay a
+level's fixed cost for nothing.  The weight
 enters as log w - log h0 from `Family.log_amplitude` and `Family.log_h0`,
 so a weight or a norm beyond the double range costs nothing.  Each node's
 weight dx w / h0 is formed once, by `_levels`, which drops the nodes where
@@ -71,8 +73,9 @@ class ToleranceNotMet(RuntimeError):
 
 ABS_TOL = 1e-10       # the stopping tolerance, relative beyond order-one magnitudes
 LEVELS = 9            # refinement levels of Gauss-Legendre: 2 .. 512 panels
-DE_LEVELS = 8         # levels of the double-exponential rules: steps 1/8 .. 1/1024
+DE_LEVELS = 7         # levels of the double-exponential rules: steps 1/8 .. 1/512
 T_MAX = 4.0           # the double-exponential rules run over t in [-T_MAX, T_MAX]
+NARROW_PEAK = 0.1     # on (0, inf), a peak with s < NARROW_PEAK c splits the rule at c
 
 # nodes per block of the sums: bounds the transient (levels, lattice rows,
 # nodes) arrays whatever the refinement depth
@@ -100,6 +103,13 @@ def _de_grid(level: int):
     return 0.5 * math.pi * np.sinh(t), h * 0.5 * math.pi * np.cosh(t)
 
 
+def _tanh_sinh(a: float, b: float, u, du):
+    """Tanh-sinh (nodes, weights) on [a, b] at the t grid points (u, du);
+    the nodes keep their full relative accuracy near both ends."""
+    d = (b - a) / (1.0 + np.exp(2.0 * np.abs(u)))  # distance to the nearer end
+    return np.where(u < 0.0, a + d, b - d), 0.5 * (b - a) * du / np.cosh(u) ** 2
+
+
 @lru_cache(maxsize=16)
 def _gauss_legendre(level: int):
     """Composite 32-point Gauss-Legendre on (0, pi) with 2^(level+1) panels."""
@@ -114,8 +124,9 @@ def _gauss_legendre(level: int):
 def weight_window(family, p: ParamSet):
     """(c, s): the peak c of log w = 2 Re log_amplitude on an unbounded
     interval and the width s = (-(log w)''(c))^(-1/2) there.  Sinh-sinh
-    on (-inf, inf) is centred on c and scaled by s; exp-sinh on (0, inf)
-    takes only their sum c + s, its scale.
+    on (-inf, inf) is centred on c and scaled by s.  On (0, inf) the ratio
+    s/c picks the rule: one exp-sinh rule scaled by c + s, or, for a narrow
+    peak, tanh-sinh on [0, c] and exp-sinh from c scaled by s.
 
     The peak is the largest of log w on a geometric grid +-(1e-3 .. 1e5)
     and 0, refined three times on 33 points between the neighbours of the
@@ -166,6 +177,10 @@ def _levels(fam, p: ParamSet):
             u, du = (a[1::2] if carry else a for a in _de_grid(level))
             if lo == -math.inf:
                 x, dx = c + s * np.sinh(u), s * np.cosh(u) * du
+            elif s < NARROW_PEAK * c:
+                e = s * np.exp(u)
+                x0, dx0 = _tanh_sinh(0.0, c, u, du)
+                x, dx = np.concatenate([x0, c + e]), np.concatenate([dx0, e * du])
             else:
                 x = (c + s) * np.exp(u)
                 dx = x * du

@@ -321,6 +321,22 @@ def test_norm_ratio_levels_do_not_depend_on_the_top_level(family, name):
         assert fam.h0_over_hn_levels(p, n) == top[: n + 1]
     assert [fam.h0_over_hn(p, k) for k in range(31)] == list(top)
 
+@pytest.mark.parametrize("family,p", [
+    ("wilson", ParamSet(a=(0.25, 0.25, 0.25, 0.25))),
+    ("continuous-hahn", ParamSet(a=(0.25, 0.25))),
+    ("askey-wilson", ParamSet(a=(0.5, 0.5, 0.5, 0.5), q=0.0625)),
+])
+def test_norm_ratio_where_its_first_level_factor_reads_zero_over_zero(family, p):
+    # b1 = 1 (e4 = q on the Askey-Wilson chain) makes the k = 0 factor
+    # (b1 + 2k - 1)/(b1 + k - 1) read 0/0; h0/h0 is 1, and the higher levels
+    # lie within the perturbation of those of a nearby set
+    fam = get_family(family)
+    levels = fam.h0_over_hn_levels(p, 3)
+    assert levels[0] == fam.h0_over_hn(p, 0) == 1.0
+    assert fam.h0_over_hn(p, 3) == levels[3]
+    near = ParamSet(a=[v * (1 + 1e-8) for v in p.a], q=p.q)
+    assert levels == pytest.approx(fam.h0_over_hn_levels(near, 3), rel=1e-6)
+
 
 # ------------------------------------------------------------ ground state
 

@@ -21,6 +21,7 @@ from dqm.quadrature import (
     ToleranceNotMet,
     _de_grid,
     _levels,
+    _tanh_sinh,
     hermiticity_forms,
     orthogonality_matrix,
     weight_window,
@@ -185,13 +186,11 @@ def test_quadrature_self_consistency():
 
 
 def test_rules_agree_on_finite_interval():
-    # tanh-sinh on [0, pi], x = pi/2 (1 + tanh u), on the double-exponential
-    # t grid against the composite Gauss-Legendre nodes of the cos-x
-    # families, which the Gram matrix runs on
+    # tanh-sinh on [0, pi] against the composite Gauss-Legendre nodes of the
+    # cos-x families, which the Gram matrix runs on
     fam = get_family("continuous-q-hermite")
     p = ParamSet(q=0.5)
-    u, du = _de_grid(3)
-    x, dx = 0.5 * math.pi * (1.0 + np.tanh(u)), 0.5 * math.pi * du / np.cosh(u) ** 2
+    x, dx = _tanh_sinh(0.0, math.pi, *_de_grid(3))
     vd = np.sum(dx * np.asarray(fam.phi0(p, x)) ** 2)
     [vg] = _norms(fam, p, 0)
     assert vd == pytest.approx(vg, rel=1e-12)
@@ -224,16 +223,18 @@ HARD_SETS = [
     ("continuous-dual-hahn",
      ParamSet(a=(3.388043567454484, 3.782545276022669, 3.620471313373911))),
     # narrow peaks far from x = 0 on (0, inf): a pair a = r +- i m puts a
-    # peak about r wide at x = m.  A sinh-sinh rule folded onto x = 0 stalls
-    # on all four, exp-sinh on the fixed scale 1 instead of the window's
-    # c + s on the last.  The third, from the domain sweep's conjugate-pair
-    # draws, is accepted only at the ladder's last step
+    # peak about r wide at x = m, and all six have s/c below NARROW_PEAK, so
+    # they take tanh-sinh on [0, c] plus exp-sinh on [c, inf).  A sinh-sinh
+    # rule folded onto x = 0 stalls on all six, the one exp-sinh rule on
+    # the last four.  The third is from the domain sweep's conjugate-pair draws
     ("wilson", ParamSet(a=(0.1 + 3j, 0.1 - 3j, 0.5, 2.0))),
     ("continuous-dual-hahn", ParamSet(a=(0.05 + 2j, 0.05 - 2j, 0.3))),
     ("wilson", ParamSet(a=(0.055344748145423284 + 2.5765535924281426j,
                            0.055344748145423284 - 2.5765535924281426j,
                            3.9340438649303935, 3.1492089180570844))),
     ("wilson", ParamSet(a=(0.3 + 15j, 0.3 - 15j, 0.5, 2.0))),
+    ("wilson", ParamSet(a=(0.03 + 3j, 0.03 - 3j, 0.5, 2.0))),
+    ("wilson", ParamSet(a=(0.05 + 6j, 0.05 - 6j, 0.5, 2.0))),
 ]
 
 
