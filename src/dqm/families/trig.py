@@ -233,6 +233,13 @@ class AskeyWilson(Family):
         """The non-zero a_i that p maps to: the restriction p lies in."""
         return self._aw(p).a
 
+    def _k_n(self, d: _AW, q: float, n: int) -> float:
+        """k_n = a1^n / (q, a1 a3, a1 a4; q)_n, the last entry of `_k_levels`."""
+        den = q_pochhammer(q, q, n)
+        for ajk in d.k_pairs:
+            den *= q_pochhammer(ajk, q, n)
+        return (d.k_a1**n / den).real
+
     def _k_levels(self, d: _AW, q: float, n: int) -> list:
         """k_0 .. k_n, k_k = a1^k / (q, a1 a3, a1 a4; q)_k."""
         pairs = [q_pochhammer_levels(ajk, q, n) for ajk in d.k_pairs]
@@ -411,5 +418,5 @@ class AskeyWilson(Family):
             num_params.insert(1, d.e4 * q ** (n - 1))
         f = basic_hypergeometric_phi(num_params, den_params, q, q, n)
         if d.k_a1 is not None:
-            pref *= self._k_levels(d, q, n)[n]
+            pref *= self._k_n(d, q, n)
         return pref * f

@@ -28,11 +28,10 @@ s/c = 0.45 to 0.54.  The ladder starts at 1/8 because no matrix is
 accepted at a coarser step: over the 16 G and K matrices of the unbounded
 fixtures the accepted step is 1/32 at n_max 1, 1/64 at n_max 8 and 1/128
 to 1/256 at n_max 30, so levels at steps 1/2 and 1/4 would each pay a
-level's fixed cost for nothing.  The weight
-enters as log w - log h0 from `Family.log_amplitude` and `Family.log_h0`,
-so a weight or a norm beyond the double range costs nothing.  Each node's
-weight dx w / h0 is formed once, by `_levels`, which drops the nodes where
-it underflows to zero.
+level's fixed cost for nothing.  The weight enters as log w - log h0 from
+`Family.log_amplitude` and `Family.log_h0`, so a weight or a norm beyond
+the double range costs nothing.  Each node's weight dx w / h0 is formed
+once, by `_levels`, which drops the nodes where it underflows to zero.
 
 One routine, `_matrix`, computes both matrices.  Per refinement level it
 evaluates the weight once and P_0 .. P_n once on its new nodes, by one

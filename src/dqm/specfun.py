@@ -93,8 +93,15 @@ def pochhammer_levels(a: complex, n: int) -> list:
 
 
 def pochhammer(a: complex, n: int) -> complex:
-    """Rising factorial (a)_n = a (a+1) ... (a+n-1); empty product is 1."""
-    return pochhammer_levels(a, n)[n]
+    """Rising factorial (a)_n = a (a+1) ... (a+n-1); empty product is 1.
+    The last entry of `pochhammer_levels`, without building the list."""
+    if n < 0:
+        raise DomainError(f"pochhammer order must be >= 0, got {n}")
+    result = complex(1.0)
+    a = complex(a)
+    for k in range(n):
+        result *= a + k
+    return result
 
 
 def q_pochhammer_levels(a: complex, q: float, n: int) -> list:
@@ -113,8 +120,18 @@ def q_pochhammer_levels(a: complex, q: float, n: int) -> list:
 
 
 def q_pochhammer(a: complex, q: float, n: int) -> complex:
-    """Finite q-shifted factorial (a;q)_n = prod_{k=0}^{n-1} (1 - a q^k)."""
-    return q_pochhammer_levels(a, q, n)[n]
+    """Finite q-shifted factorial (a;q)_n = prod_{k=0}^{n-1} (1 - a q^k).
+    The last entry of `q_pochhammer_levels`, without building the list."""
+    q = _check_q(q)
+    if n < 0:
+        raise DomainError(f"q_pochhammer order must be >= 0, got {n}")
+    result = complex(1.0)
+    a = complex(a)
+    qk = 1.0
+    for _ in range(n):
+        result *= 1.0 - a * qk
+        qk *= q
+    return result
 
 
 def factorials(n: int) -> list:
