@@ -11,6 +11,7 @@ import cmath
 import enum
 import math
 import operator
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -22,6 +23,7 @@ __all__ = [
     "FamilySpec",
     "CoefficientBundle",
     "ClosurePolys",
+    "LambdaShift",
     "ValidationError",
     "SingularityError",
     "Family",
@@ -167,6 +169,14 @@ class ClosurePolys:
         return (self.rm1[0] * y + self.rm1[1]) * y + self.rm1[2]
 
 
+# The explicit parameter-shift operators at one parameter set: X P_n(lambda)
+# = x_factor P_n(lambda + delta) and X-dagger P_n(lambda + delta) =
+# xdag_factor(n) P_n(lambda).  X and Xdag map (ctx, levels, f, lat), f the
+# levels on the rows -half..half of the OperatorContext ctx's lattice lat, to
+# a Terms on the centre row.
+LambdaShift = namedtuple("LambdaShift", "half x_factor xdag_factor X Xdag")
+
+
 # ------------------------------------------------------ scalars and arrays
 
 def as_complex(w):
@@ -210,6 +220,9 @@ class Family:
     """Base class; concrete families fill in the closed forms."""
 
     spec: FamilySpec
+    # (quantity, params, L, n=, x=) -> the scaled quantity of the q-family
+    # whose q -> 1 limit this one is (limits.py); None if there is none
+    q_limit = None
 
     # -- parameters ---------------------------------------------------------
     def validate(self, p: ParamSet) -> None:
@@ -225,6 +238,11 @@ class Family:
     def shifted(self, p: ParamSet, k: int = 1) -> ParamSet:
         """Parameters at lambda + k*delta."""
         raise NotImplementedError
+
+    def nonzero_parameters(self, p: ParamSet) -> tuple | None:
+        """The non-zero Askey-Wilson parameters p maps to, which name the
+        restriction it lies in (KLS ch. 14); None off the Askey-Wilson chain."""
+        return None
 
     # -- geometry -----------------------------------------------------------
     def gamma(self, p: ParamSet) -> float:
@@ -343,6 +361,17 @@ class Family:
     def series_eval_x(self, p: ParamSet, n: int, x) -> complex:
         """Definitional hypergeometric series for P_n, evaluated at x."""
         raise NotImplementedError
+
+    # -- facts that only some families have -----------------------------------
+    def lambda_shift(self, p: ParamSet) -> LambdaShift | None:
+        """The explicit X and X-dagger at p; None where the family has none."""
+        return None
+
+    def coherent_closed_form(self, p: ParamSet, alpha: complex, xs):
+        """(ratios, prefactor) of sum_n alpha^n / (C_1 ... C_n) P_n at the
+        real points xs in closed form, prefactor (1 + r_0 + r_0 r_1 + ...)
+        with one row of ratios per r_k; None where the family has none."""
+        return None
 
     # -- assembled views ------------------------------------------------------
     def coefficients(self, p: ParamSet, n: int) -> CoefficientBundle:

@@ -15,6 +15,7 @@ from .base import (
     Family,
     FamilyId,
     FamilySpec,
+    LambdaShift,
     ParamSet,
     as_complex,
     require,
@@ -78,13 +79,14 @@ class ContinuousHahn(Family):
         b1 = self._b1(p)
         a, b, c = [], [], [1.0]
         for k in range(n):
+            # `or 1.0` writes the limit where a factor reads 0/0, as in Wilson
             term1 = (
-                (k + b1 - 1) * (k + a1 + a3) * (k + a1 + a4)
-                / ((2 * k + b1 - 1) * (2 * k + b1))
+                (k + b1 - 1 or 1.0) * (k + a1 + a3) * (k + a1 + a4)
+                / ((2 * k + b1 - 1 or 1.0) * (2 * k + b1))
             )
             term2 = (
                 k * (k + a2 + a3 - 1) * (k + a2 + a4 - 1)
-                / ((2 * k + b1 - 2) * (2 * k + b1 - 1))
+                / ((2 * k + b1 - 2) * (2 * k + b1 - 1) or 1.0)
             )
             a.append(1j * (a1 - term1 + term2))
             if k == 0:
@@ -98,8 +100,8 @@ class ContinuousHahn(Family):
                 for ak in (a3, a4):
                     prod *= k + aj + ak - 1
             b.append(
-                k * (k + b1 - 2) * prod
-                / ((2 * k + b1 - 3) * (2 * k + b1 - 2) ** 2 * (2 * k + b1 - 1))
+                k * (k + b1 - 2 or 1.0) * prod
+                / ((2 * k + b1 - 3 or 1.0) * (2 * k + b1 - 2) ** 2 * (2 * k + b1 - 1))
             )
             c.append(c[k] * (2 * k + b1 - 1) * (2 * k + b1) / ((k + b1 - 1) * (k + 1)))
         return tuple(a), tuple(b), tuple(map(complex, c))
@@ -188,6 +190,20 @@ class MeixnerPollaczek(Family):
         a = p.a[0].real
         return cmath.exp(1j * (math.pi / 2 - p.phi)) * (a + 1j * as_complex(w))
 
+    def lambda_shift(self, p: ParamSet) -> LambdaShift | None:
+        # X and X-dagger have a difference-operator form at phi = pi/2 alone
+        if abs(p.phi - math.pi / 2) >= 1e-12:
+            return None
+        return LambdaShift(half=1, x_factor=0.5,
+                           xdag_factor=lambda n: 0.25 * (n + 2 * p.a[0].real),
+                           X=lambda ctx, levels, f, lat: 0.25 * (f.at(-1) + f.at(1)),
+                           Xdag=self._lambda_xdag)
+
+    @staticmethod
+    def _lambda_xdag(ctx, levels, f, lat):
+        V, V_star = ctx._potential(lat, 0)
+        return 0.25 * (V * f.at(-1) + V_star * f.at(1))
+
     def energy(self, p: ParamSet, n: int) -> float:
         return 2.0 * n * math.sin(p.phi)
 
@@ -234,6 +250,14 @@ class MeixnerPollaczek(Family):
 
     def level_from_energy(self, p: ParamSet, energy: float) -> float:
         return energy / (2.0 * math.sin(p.phi))
+
+    def coherent_closed_form(self, p: ParamSet, alpha: complex, xs):
+        # 1F1(a + ix; 2a; -4i alpha sin^2 phi), summed through k = 80
+        a = p.a[0].real
+        k = np.arange(80.0)[:, None]
+        z = -4j * alpha * math.sin(p.phi) ** 2
+        return ((a + 1j * xs + k) / ((2 * a + k) * (k + 1)) * z,
+                cmath.exp(1j * alpha * (1.0 - cmath.exp(2j * p.phi))))
 
     def series_eval_x(self, p: ParamSet, n: int, x) -> complex:
         a = p.a[0].real

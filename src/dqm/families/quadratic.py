@@ -15,6 +15,7 @@ from .base import (
     Family,
     FamilyId,
     FamilySpec,
+    LambdaShift,
     ParamSet,
     SingularityError,
     any_zero,
@@ -23,6 +24,7 @@ from .base import (
     elementary_symmetric,
     require,
 )
+from .limits import aw_to_wilson_scaled
 
 __all__ = ["Wilson", "ContinuousDualHahn"]
 
@@ -85,6 +87,7 @@ class Wilson(_GammaRatioFamily):
         uses_phi=False,
         param_names=("a1", "a2", "a3", "a4"),
     )
+    q_limit = staticmethod(aw_to_wilson_scaled)
 
     def energy(self, p: ParamSet, n: int) -> float:
         b1 = elementary_symmetric(p.a, 1).real
@@ -108,14 +111,16 @@ class Wilson(_GammaRatioFamily):
         b1_real = b1.real
         a, b, c = [], [], [1.0]
         for k in range(n):
-            t1 = complex(k + b1 - 1)
+            # `or 1.0` writes the limit where a factor reads 0/0, at k <= 1 when
+            # b1 = 1 or 2: 1 for a ratio of two vanishing factors, 0 for t2
+            t1 = complex(k + b1 - 1 or 1.0)
             for aj in (a2, a3, a4):
                 t1 *= k + a1 + aj
-            t1 /= (2 * k + b1 - 1) * (2 * k + b1)
+            t1 /= (2 * k + b1 - 1 or 1.0) * (2 * k + b1)
             t2 = complex(k)
             for aj, ak in later_pairs:
                 t2 *= k + aj + ak - 1
-            t2 /= (2 * k + b1 - 2) * (2 * k + b1 - 1)
+            t2 /= (2 * k + b1 - 2) * (2 * k + b1 - 1) or 1.0
             a.append(t1 + t2 - a1 * a1)
             if k == 0:
                 b.append(0j)  # multiplies P_{-1}; avoids 0/0 when b1 = 3
@@ -127,8 +132,8 @@ class Wilson(_GammaRatioFamily):
             for aj, ak in pairs:
                 prod *= k + aj + ak - 1
             b.append(
-                k * (k + b1 - 2) * prod
-                / ((2 * k + b1 - 3) * (2 * k + b1 - 2) ** 2 * (2 * k + b1 - 1))
+                k * (k + b1 - 2 or 1.0) * prod
+                / ((2 * k + b1 - 3 or 1.0) * (2 * k + b1 - 2) ** 2 * (2 * k + b1 - 1))
             )
             c.append(-c[k] * (2 * k + b1_real - 1) * (2 * k + b1_real) / (k + b1_real - 1))
         return tuple(a), tuple(b), tuple(map(complex, c))
@@ -191,6 +196,43 @@ class ContinuousDualHahn(_GammaRatioFamily):
         uses_phi=False,
         param_names=("a1", "a2", "a3"),
     )
+
+    def lambda_shift(self, p: ParamSet) -> LambdaShift:
+        a1, a2, a3 = p.a
+        return LambdaShift(half=3, x_factor=1.0, X=self._lambda_x, Xdag=self._lambda_xdag,
+                           xdag_factor=lambda n: (n + a1 + a2) * (n + a1 + a3) * (n + a2 + a3))
+
+    @staticmethod
+    def _lambda_x(ctx, levels, f, lat):
+        """Similarity-transformed explicit X."""
+        from ..operators import Terms
+
+        pi3 = complex(1.0)
+        for aj in ctx.p.a:
+            pi3 *= 2.0 * aj - 1.0
+        w = lat.rows(0)
+        corr = Terms(1j * pi3 / (8.0 * (1.0 + w * w)))
+        v_m = Terms(ctx.V(lat.rows(0, -1)))  # V(w - i/2) = conj(V*(w + i/2))
+        c_plus = Terms(w) - 1j * v_m.conj() - corr
+        c_minus = Terms(w) + 1j * v_m + corr
+        return (
+            -1j * v_m * f.at(-3)
+            + c_plus * f.at(-1)
+            + 1j * v_m.conj() * f.at(3)
+            + c_minus * f.at(1)
+        ) / lat.nonzero_phi(0)
+
+    def _lambda_xdag(self, ctx, levels, f, lat):
+        """X-dagger = a^(-) B(lambda) (kappa H(lambda+delta) + E_1)^{-1}; the
+        resolvent is the scalar 1/(kappa E_n(lambda+delta) + E_1(lambda)) on
+        level-n data, and the rest is a composition of explicit operators."""
+        from ..operators import ladder_action, per_level
+
+        p_shift = self.shifted(ctx.p)
+        scalar = per_level([
+            1.0 / (ctx.kappa * self.energy(p_shift, m) + ctx.energy(1)) for m in levels
+        ])
+        return scalar * ladder_action(ctx, "-", levels + 1, ctx.backward(f, lat), lat)
 
     def energy(self, p: ParamSet, n: int) -> float:
         return float(n)

@@ -230,7 +230,6 @@ class AskeyWilson(Family):
         )
 
     def nonzero_parameters(self, p: ParamSet) -> tuple:
-        """The non-zero a_i that p maps to: the restriction p lies in."""
         return self._aw(p).a
 
     def _k_n(self, d: _AW, q: float, n: int) -> float:
@@ -313,13 +312,15 @@ class AskeyWilson(Family):
             # (a1 + 1/a1 - A_k - C_k)/2 of KS 3.1.5 with the 1/a1 pivot
             # cancelled in closed form: the plain form loses up to 1e-6
             # relative as a_k -> 0
+            # at k = 0 and e4 = q^2, (q^2 - e4)(e1 - e3)/low reads 0/0: limit q^2 (e1 - e3)
             qn = q**k
+            low = 1.0 - e4 * q ** (2 * k - 2)
             num = (
                 q * q * e1
                 + q * e3
                 - qn * (q * q * e3 + q * e1 * e4 + q * e3 + e1 * e4)
                 + qn * qn * (q * e1 * e4 + e3 * e4)
-            ) / ((1.0 - e4 * q ** (2 * k - 2)) * (1.0 - e4 * q ** (2 * k)))
+            ) / (low * (1.0 - e4 * q ** (2 * k))) if low else q * q * (e1 - e3) / (1.0 - e4)
             a.append(0.5 * qn * num / (q * q))
             prod = complex(1.0)
             for ajk in d.pairs:
@@ -330,12 +331,13 @@ class AskeyWilson(Family):
                 b.append((1.0 - q**k) * prod / 4.0)
                 r = 2.0
             else:
-                b.append((1.0 - q**k) * (1.0 - e4 * q ** (k - 2)) * prod / (
-                    4.0
-                    * (1.0 - e4 * q ** (2 * k - 3))
-                    * (1.0 - e4 * q ** (2 * k - 2)) ** 2
-                    * (1.0 - e4 * q ** (2 * k - 1))
-                ))
+                # `or 1.0` writes the limit 1 of (1 - e4 q^{k-2})/(1 - e4 q^{2k-3}),
+                # 0/0 at k = 1 when e4 = q; den reads 0 at k = 0 when e4 = q or
+                # q^2, where b_0 is 0 by its factor 1 - q^0
+                den = (4.0 * (1.0 - e4 * q ** (2 * k - 3) or 1.0)
+                       * (1.0 - e4 * q ** (2 * k - 2)) ** 2 * (1.0 - e4 * q ** (2 * k - 1)))
+                b.append((1.0 - q**k) * (1.0 - e4 * q ** (k - 2) or 1.0) * prod / den
+                         if den else 0j)
                 r = 2.0 * (1.0 - e4) if k == 0 else (
                     2.0 * (1.0 - e4 * q ** (2 * k - 1)) * (1.0 - e4 * q ** (2 * k))
                     / (1.0 - e4 * q ** (k - 1)))
@@ -388,6 +390,22 @@ class AskeyWilson(Family):
         if d.k_a1 is None:
             return tuple(vals)
         return tuple(val / k_k**2 for val, k_k in zip(vals, self._k_levels(d, q, n)))
+
+    def coherent_closed_form(self, p: ParamSet, alpha: complex, xs):
+        # with at most two non-zero parameters, (a1, a2) zero-padded, the
+        # Al-Salam-Chihara 2phi1(a1 z, a2 z; a1 a2; q; 2 alpha / z) / (2 alpha z;
+        # q)_inf, summed through k = 200.  By the q-binomial theorem (Gasper &
+        # Rahman (1.3.2)) it is a product of q-products at a2 = 0
+        nonzero = self._aw(p).a
+        if len(nonzero) > 2:
+            return None
+        a1, a2 = nonzero + (0.0,) * (2 - len(nonzero))
+        q = p.q
+        z = np.exp(1j * xs)
+        qk = q ** np.arange(200.0)[:, None]
+        ratios = ((1.0 - a1 * z * qk) * (1.0 - a2 * z * qk)
+                  / ((1.0 - a1 * a2 * qk) * (1.0 - q * qk)) * (2 * alpha / z))
+        return ratios, np.exp(-log_q_pochhammer_inf(2 * alpha * z, q))
 
     # -- the definitional series ----------------------------------------------
     def series_eval_x(self, p: ParamSet, n: int, x) -> complex:

@@ -165,20 +165,19 @@ class Lattice:
     def phi(self) -> Terms:
         return Terms(self.family.phi_aux(self.w))
 
+    def nonzero_phi(self, h: int) -> Terms:
+        """phi on the rows -h..h, once no row point has |phi| < SINGULAR_PHI."""
+        phi = self.phi.at(0, h)
+        small = np.abs(phi.val) < SINGULAR_PHI
+        if small.any():
+            raise SingularityError(f"phi(x) vanishes at x = {self.rows(h)[small][0]}")
+        return phi
+
     def operand(self, poly: EtaPolynomial, half: int | None = None) -> Terms:
         """P_0 .. P_n of `poly` on the rows -half..half, from one pass of its
         recurrence: a (levels, 2*half+1, points) array."""
         eta = _rows(self.eta.val, 0, self.half if half is None else half)
         return Terms(poly.eval_levels(eta))
-
-
-def _nonzero_phi(lat: Lattice, h: int) -> Terms:
-    """phi on the rows -h..h, once no row point has |phi| < SINGULAR_PHI."""
-    phi = lat.phi.at(0, h)
-    small = np.abs(phi.val) < SINGULAR_PHI
-    if small.any():
-        raise SingularityError(f"phi(x) vanishes at x = {lat.rows(h)[small][0]}")
-    return phi
 
 
 class OperatorContext:
@@ -230,7 +229,7 @@ class OperatorContext:
     def forward(self, f: Terms, lat: Lattice) -> Terms:
         """Forward shift F(lambda): maps lambda-data down one level."""
         h = f.half - 1
-        return 1j * (f.at(-1, h) - f.at(1, h)) / _nonzero_phi(lat, h)
+        return 1j * (f.at(-1, h) - f.at(1, h)) / lat.nonzero_phi(h)
 
     def backward(self, f: Terms, lat: Lattice) -> Terms:
         """Backward shift B(lambda): acts on data at lambda+delta."""
@@ -252,7 +251,7 @@ class OperatorContext:
         return V, np.conj(V[..., ::-1, :])
 
     def inside_guard(self, w: np.ndarray) -> np.ndarray:
-        """Where |phi(w)| < SINGULAR_PHI, the bound of `_nonzero_phi`.  V's
+        """Where |phi(w)| < SINGULAR_PHI, the bound of `Lattice.nonzero_phi`.  V's
         denominator is phi(x) phi(x - i gamma/2) up to a factor that never
         vanishes, so on the real line the poles of V are the zeros of phi."""
         return np.abs(self.family.phi_aux(w)) < SINGULAR_PHI
@@ -349,74 +348,18 @@ def _ones_first(f: Terms) -> Terms:
 # --------------------------------------------------- lambda-shift operators
 
 def lambda_shift_X(family, params: ParamSet, kind: str, levels, poly, xs) -> Terms:
-    """Action of the explicit parameter-shift operators X / X-dagger.
-
-    Supported: Meixner-Pollaczek at phi = pi/2 and the continuous dual Hahn
-    family, the two cases with explicit difference-operator realisations.
-    ``kind`` is "X" (operand at lambda) or "Xdag" (operand at lambda+delta).
-    The operands are the given levels of `poly`'s recurrence (P_0 .. P_m,
-    m >= every level), at the points xs; the result is a (levels, 1, points)
-    Terms.
-    """
+    """Action of the explicit parameter-shift operators X ("X", operand at
+    lambda) or X-dagger ("Xdag", operand at lambda+delta) where the family
+    has them (`Family.lambda_shift`).  The operands are the given levels of
+    `poly`'s recurrence (P_0 .. P_m, m >= every level), at the points xs;
+    the result is a (levels, 1, points) Terms."""
     fam = get_family(family)
-    name = fam.spec.name
-    if name == "meixner-pollaczek":
-        if abs(params.phi - math.pi / 2) > 1e-12:
-            raise ValueError(
-                f"explicit X for Meixner-Pollaczek needs phi = pi/2, got {params.phi}"
-            )
-        half = 1
-    elif name == "continuous-dual-hahn":
-        half = 3
-    else:
-        raise ValueError(
-            f"no explicit lambda-shift operator implemented for {name}"
-        )
-    if kind not in ("X", "Xdag"):
-        raise ValueError(f"kind must be 'X' or 'Xdag', got {kind!r}")
+    shift = fam.lambda_shift(params)
+    action = None if shift is None else {"X": shift.X, "Xdag": shift.Xdag}.get(kind)
+    if action is None:
+        raise ValueError(f"no explicit lambda-shift operator {kind!r} for "
+                         f"{fam.spec.name} at {params.as_dict()}")
     levels = np.asarray(levels)
     ctx = OperatorContext(fam, params)
-    lat = ctx.lattice(xs, half)
-    f = lat.operand(poly)[levels]
-    if name == "meixner-pollaczek":
-        if kind == "X":
-            return 0.25 * (f.at(-1) + f.at(1))
-        V, V_star = ctx._potential(lat, 0)
-        return 0.25 * (V * f.at(-1) + V_star * f.at(1))
-    if kind == "X":
-        return _dual_hahn_X(ctx, f, lat)
-    return _dual_hahn_Xdag(ctx, levels, f, lat)
-
-
-def _dual_hahn_X(ctx: OperatorContext, f: Terms, lat: Lattice) -> Terms:
-    """Similarity-transformed explicit X for continuous dual Hahn."""
-    pi3 = complex(1.0)
-    for aj in ctx.p.a:
-        pi3 *= 2.0 * aj - 1.0
-    w = lat.rows(0)
-    corr = Terms(1j * pi3 / (8.0 * (1.0 + w * w)))
-    v_m = Terms(ctx.V(lat.rows(0, -1)))  # V(w - i/2) = conj(V*(w + i/2))
-    c_plus = Terms(w) - 1j * v_m.conj() - corr
-    c_minus = Terms(w) + 1j * v_m + corr
-    return (
-        -1j * v_m * f.at(-3)
-        + c_plus * f.at(-1)
-        + 1j * v_m.conj() * f.at(3)
-        + c_minus * f.at(1)
-    ) / _nonzero_phi(lat, 0)
-
-
-def _dual_hahn_Xdag(ctx: OperatorContext, levels: np.ndarray, f: Terms,
-                    lat: Lattice) -> Terms:
-    """X-dagger action via its spectral decomposition.
-
-    X-dagger = a^(-) B(lambda) (kappa H(lambda+delta) + E_1)^{-1}; the
-    resolvent is the scalar 1/(kappa E_n(lambda+delta) + E_1(lambda)) on
-    level-n data, and the rest is a composition of explicit operators.
-    """
-    fam = ctx.family
-    p_shift = fam.shifted(ctx.p)
-    scalar = per_level([
-        1.0 / (ctx.kappa * fam.energy(p_shift, m) + ctx.energy(1)) for m in levels
-    ])
-    return scalar * ladder_action(ctx, "-", levels + 1, ctx.backward(f, lat), lat)
+    lat = ctx.lattice(xs, shift.half)
+    return action(ctx, levels, lat.operand(poly)[levels], lat)

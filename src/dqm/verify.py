@@ -12,12 +12,12 @@ expressions that carry the magnitude of the terms they sum
 |lhs - rhs| / (1 + mag(lhs) + mag(rhs)), at its worst over levels and
 points, with a NaN failing the check.
 
-On the Askey-Wilson chain the restriction a set lies in is data: the
-number of non-zero Askey-Wilson parameters it maps to picks the checks that
-hold there.  Fewer than 4 adds ladder.q_deformed_commutator, at most 2
-coherent.closed_form, at most 1 ladder.q_oscillator_pair, and none the two
-q-Hermite checks.  The limit suite is one (L x cell) array against one row
-of Wilson targets.
+No suite tests a family's name: what holds on some families only is read
+off a family method that is None where it does not hold.  lambda_shift adds
+shifts.lambda_shift_x, coherent_closed_form coherent.closed_form and q_limit
+the limit suite.  nonzero_parameters, the restriction of the Askey-Wilson
+chain a set lies in, adds ladder.q_deformed_commutator below 4 non-zero
+parameters, ladder.q_oscillator_pair at most 1 and the q-Hermite checks 0.
 
 Every suite is a function (family, params, config) that returns its checks
 as (check_id, level range, samples, residual) entries; `run_suite` alone
@@ -27,22 +27,14 @@ TOLERANCES.
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .families import (
-    FamilyId,
-    ParamSet,
-    aw_to_wilson_scaled,
-    eval_poly_recurrence,
-    get_family,
-)
+from .families import ParamSet, eval_poly_recurrence, get_family
 from .families.base import three_term
-from .families.trig import AskeyWilson
 from .operators import (
     Lattice,
     OperatorContext,
@@ -54,7 +46,6 @@ from .operators import (
     sample_points,
 )
 from .quadrature import hermiticity_forms, orthogonality_matrix
-from .specfun import log_q_pochhammer_inf
 
 __all__ = ["SUITES", "TOLERANCES", "VerifyConfig", "CheckResult", "run_suite"]
 
@@ -348,45 +339,25 @@ def _shifts(fam, p: ParamSet, config: VerifyConfig):
         ("shifts.rodrigues_chain", (0, n_max), k,
          _residual(rodrigues_polynomial(fam, p, n_max, xs[:k]), at_x[: n_max + 1, ..., :k])))
 
-    name = fam.spec.name
-    mp_at_half_pi = (
-        name == "meixner-pollaczek"
-        and p.phi is not None
-        and abs(p.phi - math.pi / 2) < 1e-12
-    )
-    if mp_at_half_pi or name == "continuous-dual-hahn":
+    shift = fam.lambda_shift(p)
+    if shift is not None:
         # past level 30 the operands' recurrence round-off, which their
         # magnitudes do not carry, outgrows this check's tolerance
         n_x = min(n_max, _LAMBDA_SHIFT_LEVELS)
         lv = range(n_x + 1)
-        on_x = at_x[: n_x + 1, ..., :8]
-        on_x_s = at_x_s[: n_x + 1, ..., :8]
-        if mp_at_half_pi:
-            x_factor = 0.5
-            xdag_factor = per_level([0.25 * (n + 2 * p.a[0].real) for n in lv])
-        else:
-            x_factor = 1.0
-            xdag_factor = per_level([
-                (n + p.a[0] + p.a[1]) * (n + p.a[0] + p.a[2]) * (n + p.a[1] + p.a[2])
-                for n in lv]).real
+        xdag_factor = per_level([shift.xdag_factor(n) for n in lv]).real
         checks.append(
             ("shifts.lambda_shift_x", (0, n_x), 8,
              _residual((lambda_shift_X(fam, p, "X", lv, poly, xs[:8]),
                         lambda_shift_X(fam, p, "Xdag", lv, poly_s, xs[:8])),
-                       (x_factor * on_x_s, xdag_factor * on_x))))
+                       (shift.x_factor * at_x_s[: n_x + 1, ..., :8],
+                        xdag_factor * at_x[: n_x + 1, ..., :8]))))
     return checks
 
 
 # ------------------------------------------------------------------ ladder
 
 _FIRST_10 = (..., slice(None, 10))  # the first 10 sample points
-
-
-def _nonzero_aw(fam, p: ParamSet):
-    """The non-zero Askey-Wilson parameters of p, or None off the
-    Askey-Wilson chain.  Which of them vanish is the restriction p lies in
-    (KLS ch. 14), and their count alone picks the q-identities that hold."""
-    return fam.nonzero_parameters(p) if isinstance(fam, AskeyWilson) else None
 
 
 def _ladder(fam, p: ParamSet, config: VerifyConfig):
@@ -427,7 +398,7 @@ def _ladder(fam, p: ParamSet, config: VerifyConfig):
     q = p.q
     # with fewer than 4 non-zero parameters e4 = 0 and E_n = q^{-n} - 1; at
     # most 1 is big q-Hermite, none q-Hermite.  Off the chain: no q-identity
-    nonzero = _nonzero_aw(fam, p)
+    nonzero = fam.nonzero_parameters(p)
     k = 4 if nonzero is None else len(nonzero)
     if k < 4:
         e_n = per_level([ctx.energy(n) for n in lv])
@@ -552,45 +523,16 @@ def _truncation(terms):
     return n, abs(terms[n]) / max(abs(running[n]), 1e-300)
 
 
-def _series_terms(ratios) -> Terms:
-    """Sum over axis 0 of the series 1 + r_0 + r_0 r_1 + ... whose term
-    ratios are the rows of `ratios`, in plain double, with the sum of the
-    terms' moduli as its magnitude."""
-    t = np.cumprod(ratios, axis=0)
-    return Terms(1.0 + t.sum(axis=0), 1.0 + np.abs(t).sum(axis=0))
-
-
 def _coherent_closed_form(fam, p: ParamSet, alpha: complex, xs):
-    """phi0-stripped closed form of the coherent series at the points xs, as
-    Terms carrying the magnitude of its hypergeometric sum; None where there
-    is none.  Meixner-Pollaczek has a 1F1, summed through k = 80.  On the
-    Askey-Wilson chain a set with at most two non-zero parameters, (a1, a2)
-    zero-padded, has the Al-Salam-Chihara 2phi1, summed through k = 200."""
-    xs = np.asarray(xs, dtype=float)
-    if fam.spec.name == "meixner-pollaczek":
-        a = p.a[0].real
-        phi = p.phi
-        pref = cmath.exp(1j * alpha * (1.0 - cmath.exp(2j * phi)))
-        k = np.arange(80.0)[:, None]
-        # 1F1(a + ix; 2a; -4i alpha sin^2 phi)
-        return _series_terms(
-            (a + 1j * xs + k) / ((2 * a + k) * (k + 1))
-            * (-4j * alpha * math.sin(phi) ** 2)
-        ) * pref
-    nonzero = _nonzero_aw(fam, p)
-    if nonzero is None or len(nonzero) > 2:
+    """The family's closed form of the coherent series at the points xs, its
+    series summed in plain double, as Terms with the sum of the terms' moduli
+    as its magnitude; None where the family has none."""
+    closed = fam.coherent_closed_form(p, alpha, np.asarray(xs, dtype=float))
+    if closed is None:
         return None
-    # 2phi1(a1 z, a2 z; a1 a2; q; 2 alpha / z) / (2 alpha z; q)_inf.  By the
-    # q-binomial theorem (Gasper & Rahman (1.3.2)) it is the big q-Hermite
-    # product (2 alpha a1; q)_inf / (2 alpha z, 2 alpha / z; q)_inf at a2 = 0,
-    # and the q-Hermite one at a1 = a2 = 0
-    a1, a2 = nonzero + (0.0,) * (2 - len(nonzero))
-    q = p.q
-    z = np.exp(1j * xs)
-    qk = q ** np.arange(200.0)[:, None]
-    ratios = ((1.0 - a1 * z * qk) * (1.0 - a2 * z * qk)
-              / ((1.0 - a1 * a2 * qk) * (1.0 - q * qk)) * (2 * alpha / z))
-    return _series_terms(ratios) * np.exp(-log_q_pochhammer_inf(2 * alpha * z, q))
+    ratios, prefactor = closed
+    t = np.cumprod(ratios, axis=0)
+    return Terms(1.0 + t.sum(axis=0), 1.0 + np.abs(t).sum(axis=0)) * prefactor
 
 
 # ----------------------------------------------- orthogonality/hermiticity
@@ -627,27 +569,27 @@ def _hermiticity(fam, p: ParamSet, config: VerifyConfig):
 # ------------------------------------------------------------------- limit
 
 def _limit(fam, p: ParamSet, config: VerifyConfig):
-    """Scaled Askey-Wilson quantities must approach Wilson monotonically.
+    """The scaled quantities of the q-family whose q -> 1 limit this family
+    is (`Family.q_limit`) must approach the family's own monotonically.
 
     The scaled quantities converge like 1/L, so along _L_SEQUENCE the raw
     deviations still sit at a few times 1e-2.  Two checks: a strict
     monotone decrease of the raw deviation sequences, and the deviation of
     the final 1/L Richardson extrapolant (2 S(L) - S(L/2)), which removes
-    the leading term and must land below 1e-2 of the Wilson values.  Both
-    are array expressions over one (L x cell) array of scaled values.  The
-    limit dictionary targets the Wilson system alone; other families have
-    no checks here.
+    the leading term and must land below 1e-2 of the family's values.  Both
+    are array expressions over one (L x cell) array of scaled values.  A
+    family that is no such limit has no checks here.
     """
-    if fam.spec.id is not FamilyId.WILSON:
+    scaled = fam.q_limit
+    if scaled is None:
         return []
-    # one cell per quantity, with its Wilson target: E_1..E_3, f_1, b_1, f_2,
-    # b_2 and V at three points; one row of scaled values per L
+    # one cell per quantity, with its target: E_1..E_3, f_1, b_1, f_2, b_2
+    # and V at three points; one row of scaled values per L
     cells = [("energy", {"n": n}, fam.energy(p, n)) for n in (1, 2, 3)]
     for n in (1, 2):
         cells += [("f_n", {"n": n}, fam.f_shift(p, n)), ("b_n", {"n": n}, fam.b_shift(p, n))]
     cells += [("potential", {"x": x}, fam.V(p, x)) for x in (0.6, 1.1, 1.9)]
-    got = np.array([[aw_to_wilson_scaled(kind, p, L, **at) for kind, at, _ in cells]
-                     for L in _L_SEQUENCE])
+    got = np.array([[scaled(kind, p, L, **at) for kind, at, _ in cells] for L in _L_SEQUENCE])
     target = np.array([t for *_, t in cells])
     dev = np.abs(got - target) / (1.0 + np.abs(target))
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -4,6 +4,7 @@ ground states, both polynomial evaluation paths and their invariants."""
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import decimal
 import functools
 import json
@@ -324,18 +325,29 @@ def test_norm_ratio_levels_do_not_depend_on_the_top_level(family, name):
 @pytest.mark.parametrize("family,p", [
     ("wilson", ParamSet(a=(0.25, 0.25, 0.25, 0.25))),
     ("continuous-hahn", ParamSet(a=(0.25, 0.25))),
+    ("wilson", ParamSet(a=(0.5, 0.5, 0.5, 0.5))),
+    ("continuous-hahn", ParamSet(a=(0.5, 0.5))),
     ("askey-wilson", ParamSet(a=(0.5, 0.5, 0.5, 0.5), q=0.0625)),
+    ("askey-wilson", ParamSet(a=(0.5, 0.5, 0.5, 0.5), q=0.25)),
+    ("askey-wilson", ParamSet(a=(0.5, 0.5, 0.25, 0.25), q=0.25)),
 ])
 def test_norm_ratio_where_its_first_level_factor_reads_zero_over_zero(family, p):
     # b1 = 1 (e4 = q on the Askey-Wilson chain) makes the k = 0 factor
-    # (b1 + 2k - 1)/(b1 + k - 1) read 0/0; h0/h0 is 1, and the higher levels
-    # lie within the perturbation of those of a nearby set
+    # (b1 + 2k - 1)/(b1 + k - 1) of h0/h_k read 0/0, and b1 = 1 or 2 (e4 = q,
+    # q^2 or q^3) makes some low-level factors of the recurrence do so too;
+    # h0/h0 is 1, and every level lies within the perturbation of that of a
+    # nearby set
     fam = get_family(family)
     levels = fam.h0_over_hn_levels(p, 3)
     assert levels[0] == fam.h0_over_hn(p, 0) == 1.0
     assert fam.h0_over_hn(p, 3) == levels[3]
     near = ParamSet(a=[v * (1 + 1e-8) for v in p.a], q=p.q)
     assert levels == pytest.approx(fam.h0_over_hn_levels(near, 3), rel=1e-6)
+    for n in range(4):
+        got = dataclasses.astuple(coefficients(family, p, n))
+        assert all(math.isfinite(v) for v in got)
+        assert got == pytest.approx(dataclasses.astuple(coefficients(family, near, n)),
+                                    rel=1e-6, abs=1e-6)
 
 
 # ------------------------------------------------------------ ground state

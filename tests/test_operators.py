@@ -28,6 +28,7 @@ from dqm.operators import (
 )
 from dqm.polynomials import EtaPolynomial
 from dqm.quadrature import _levels
+from dqm.verify import run_suite
 
 
 def all_fixtures():
@@ -456,15 +457,29 @@ def test_q_oscillator_on_big_q_hermite():
 # ------------------------------------------------------ lambda-shift X ops
 
 def test_lambda_shift_unsupported_family():
-    p = fixture_params("wilson")
-    poly = eval_poly_recurrence("wilson", p, 1)
-    with pytest.raises(ValueError, match="no explicit"):
-        lambda_shift_X("wilson", p, "X", [1], poly, [1.0])
+    # lambda_shift_X raises exactly where Family.lambda_shift is None, and
+    # the shifts suite checks X and X-dagger exactly where it is not
+    for family, name in all_fixtures():
+        fam = get_family(family)
+        p = fixture_params(family, name)
+        poly = eval_poly_recurrence(fam, p, 1)
+        checked = {r.check_id for r in run_suite("shifts", fam, p)}
+        if fam.lambda_shift(p) is None:
+            for kind in ("X", "Xdag"):
+                with pytest.raises(ValueError, match="no explicit"):
+                    lambda_shift_X(fam, p, kind, [1], poly, [1.0])
+            assert "shifts.lambda_shift_x" not in checked
+        else:
+            for kind in ("X", "Xdag"):
+                assert lambda_shift_X(fam, p, kind, [1], poly, [1.0]).shape == (1, 1, 1)
+            with pytest.raises(ValueError, match="no explicit"):
+                lambda_shift_X(fam, p, "Y", [1], poly, [1.0])
+            assert "shifts.lambda_shift_x" in checked
 
 def test_lambda_shift_meixner_pollaczek_needs_right_angle():
     p = fixture_params("meixner-pollaczek")  # phi = pi/3
     poly = eval_poly_recurrence("meixner-pollaczek", p, 1)
-    with pytest.raises(ValueError, match="pi/2"):
+    with pytest.raises(ValueError, match="no explicit"):
         lambda_shift_X("meixner-pollaczek", p, "X", [1], poly, [1.0])
 
 def test_lambda_shift_meixner_pollaczek_actions():
