@@ -136,8 +136,4 @@ def eval_poly_recurrence(family, p: ParamSet, n: int) -> EtaPolynomial:
     fam = get_family(family)
     if n < 0:
         raise ValidationError(f"level must be >= 0, got {n}")
-    a, b, c = fam.recurrence(p, n)
-    for k in range(n):
-        if c[k + 1] == 0 or c[k] / c[k + 1] == 0:
-            raise DegeneracyError(f"A_{k} vanished while ascending to n={n}")
-    return EtaPolynomial(a, b, c)
+    return EtaPolynomial.ascend(*fam.recurrence(p, n), n)

@@ -201,7 +201,7 @@ class MeixnerPollaczek(Family):
 
     @staticmethod
     def _lambda_xdag(ctx, levels, f, lat):
-        V, V_star = ctx._potential(lat, 0)
+        V, V_star = ctx.potential(lat, 0)
         return 0.25 * (V * f.at(-1) + V_star * f.at(1))
 
     def energy(self, p: ParamSet, n: int) -> float:

@@ -212,7 +212,7 @@ class ContinuousDualHahn(_GammaRatioFamily):
             pi3 *= 2.0 * aj - 1.0
         w = lat.rows(0)
         corr = Terms(1j * pi3 / (8.0 * (1.0 + w * w)))
-        v_m = Terms(ctx.V(lat.rows(0, -1)))  # V(w - i/2) = conj(V*(w + i/2))
+        v_m = Terms(ctx.potential(lat, 1)[0]).at(-1)  # V(w - i/2) = conj(V*(w + i/2))
         c_plus = Terms(w) - 1j * v_m.conj() - corr
         c_minus = Terms(w) + 1j * v_m + corr
         return (

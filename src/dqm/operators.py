@@ -27,11 +27,12 @@ eigenfunction data they reduce to spectral scalars.
 from __future__ import annotations
 
 import math
+import weakref
 from functools import cached_property
 
 import numpy as np
 
-from .families import ParamSet, SingularityError, get_family
+from .families import ClosurePolys, ParamSet, SingularityError, get_family
 from .polynomials import EtaPolynomial
 
 __all__ = [
@@ -181,20 +182,39 @@ class Lattice:
 
 
 class OperatorContext:
-    """Family + parameter bundle with the analytic ingredients of H-tilde."""
+    """Family + parameter bundle with the analytic ingredients of H-tilde.
+
+    A context evaluates each ingredient once and keeps it while it lives:
+    E_n per level, V and V* with their guard per (lattice, rows), and the
+    closure polynomials from their first read.  A suite call makes its own
+    contexts and drops them, so no value outlives the call, and a family
+    method replaced between two calls is read afresh by the second.
+    """
 
     def __init__(self, family, params: ParamSet):
         self.family = get_family(family)
         self.p = params
         self.gamma = self.family.gamma(params)
         self.kappa = self.family.kappa(params)
-        self.closure = self.family.closure(params)
+        self._energies = {}
+        # {h: (V, V*)} per lattice; an entry is dropped with its lattice
+        self._potentials = weakref.WeakKeyDictionary()
 
-    def V(self, w) -> complex:
-        return self.family.V(self.p, w)
+    @cached_property
+    def closure(self) -> ClosurePolys:
+        return self.family.closure(self.p)
 
     def energy(self, n: int) -> float:
-        return self.family.energy(self.p, n)
+        e = self._energies.get(n)
+        if e is None:
+            e = self._energies[n] = self.family.energy(self.p, n)
+        return e
+
+    def energies(self, levels) -> np.ndarray:
+        """E_n at each of the levels, one scalar `Family.energy` call per
+        level: numpy's power is not libm's pow, so E_n over an array of
+        levels may differ in the last place."""
+        return np.array([self.energy(int(n)) for n in levels], dtype=float)
 
     def shifted(self, k: int = 1) -> "OperatorContext":
         return OperatorContext(self.family, self.family.shifted(self.p, k))
@@ -212,7 +232,7 @@ class OperatorContext:
         # evaluating at the literally shifted argument is the same thing,
         # since the coordinate functions are entire
         h = (f.shape[-2] - 1) // 2 - 2
-        V, V_star = self._potential(lat, h)
+        V, V_star = self.potential(lat, h)
         center = _rows(f, 0, h)
         return V * (_rows(f, -2, h) - center) + V_star * (_rows(f, 2, h) - center)
 
@@ -220,7 +240,7 @@ class OperatorContext:
         """[H-tilde, eta] f = V (eta(w - i gamma) - eta) f(w - i gamma) + mirror;
         the f(w) terms of H-tilde(eta f) - eta H-tilde f cancel exactly."""
         h = f.half - 2
-        V, V_star = self._potential(lat, h)
+        V, V_star = self.potential(lat, h)
         eta = lat.eta
         center = eta.at(0, h)
         return (V * (eta.at(-2, h) - center) * f.at(-2, h)
@@ -234,21 +254,33 @@ class OperatorContext:
     def backward(self, f: Terms, lat: Lattice) -> Terms:
         """Backward shift B(lambda): acts on data at lambda+delta."""
         h = f.half - 1
-        V, V_star = self._potential(lat, h)
+        V, V_star = self.potential(lat, h)
         phi = lat.phi
         return -1j * (V * phi.at(-1, h) * f.at(-1, h)
                       - V_star * phi.at(1, h) * f.at(1, h))
 
-    def _potential(self, lat: Lattice, h: int):
-        """V and V* on the rows -h..h as plain arrays, once no row point is
-        inside the guard; V*(w) = conj(V(conj w)) is V's rows mirrored and
-        conjugated.  A product with a Terms takes |V| as its magnitude."""
+    def potential(self, lat: Lattice, h: int):
+        """V and V* on the rows -h..h of lat as plain arrays, once no row
+        point is inside the guard; V*(w) = conj(V(conj w)) is V's rows
+        mirrored and conjugated.  A product with a Terms takes |V| as its
+        magnitude.
+
+        V is evaluated and guarded on the rows asked for, once per lattice:
+        a later call reads the kept arrays, or their centre rows where they
+        are wider.  V evaluates point by point, so those rows are the values
+        an evaluation on them alone gives."""
+        kept = self._potentials.setdefault(lat, {})
+        wider = min((k for k in kept if k >= h), default=None)
+        if wider is not None:
+            V, V_star = kept[wider]
+            return _rows(V, 0, h), _rows(V_star, 0, h)
         w = lat.rows(h)
         inside = self.inside_guard(w)
         if inside.any():
             raise SingularityError(f"potential singular near x = {w[inside][0]}")
-        V = self.V(w)
-        return V, np.conj(V[..., ::-1, :])
+        V = self.family.V(self.p, w)
+        kept[h] = V, np.conj(V[..., ::-1, :])
+        return kept[h]
 
     def inside_guard(self, w: np.ndarray) -> np.ndarray:
         """Where |phi(w)| < SINGULAR_PHI, the bound of `Lattice.nonzero_phi`.  V's
@@ -300,8 +332,7 @@ def ladder_action(ctx: OperatorContext, sign: str, level, f: Terms,
     if sign not in ("+", "-"):
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
     n = np.ravel(level)
-    e_dn, e_n, e_up = (np.array([ctx.energy(int(m)) for m in n + k], dtype=float)
-                       for k in (-1, 0, 1))
+    e_dn, e_n, e_up = (ctx.energies(n + k) for k in (-1, 0, 1))
     rm1 = ctx.closure.Rm1(e_n)
     if sign == "+":
         other, r, sgn = e_dn - e_n, rm1 / (e_up - e_n), 1.0

@@ -34,6 +34,16 @@ class EtaPolynomial:
     b: tuple
     c: tuple
 
+    @classmethod
+    def ascend(cls, a, b, c, n: int) -> "EtaPolynomial":
+        """P_0 .. P_n from the first levels of recurrence data a, b, c,
+        which may run further; DegeneracyError where a leading coefficient
+        A_k = c_k / c_{k+1}, k < n, vanishes."""
+        for k in range(n):
+            if c[k + 1] == 0 or c[k] / c[k + 1] == 0:
+                raise DegeneracyError(f"A_{k} vanished while ascending to n={n}")
+        return cls(a[:n], b[:n], c[:n + 1])
+
     @property
     def degree(self) -> int:
         return len(self.a)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .families import ParamSet, eval_poly_recurrence, get_family
+from .families import EtaPolynomial, ParamSet, eval_poly_recurrence, get_family
 from .families.base import three_term
 from .operators import (
     Lattice,
@@ -159,7 +159,7 @@ def _eigen(fam, p: ParamSet, config: VerifyConfig):
     poly = eval_poly_recurrence(fam, p, n_max)
     f = lat.operand(poly)
     at_x = f.at(0)
-    energies = Terms(per_level([ctx.energy(n) for n in range(n_max + 1)]))
+    energies = Terms(per_level(ctx.energies(range(n_max + 1))))
     _, B, C = three_term(poly.a, poly.b, poly.c)
     prev = np.maximum(np.arange(n_max) - 1, 0)   # P_{-1} enters with C_0 = 0
     e_n = energies[1:]
@@ -184,12 +184,12 @@ def _shape_invariance(fam, p: ParamSet, config: VerifyConfig):
     lat = ctx.lattice(xs, 2)
     kappa = ctx.kappa
     # the stars conjugate the evaluated values at the shifted points
-    v_m = Terms(ctx.V(lat.rows(0, -1)))
-    v_p = Terms(ctx.V(lat.rows(0, 1)))
-    v_s = Terms(ctx_s.V(lat.rows(0)))
+    V = Terms(ctx.potential(lat, 1)[0])
+    V_s = Terms(ctx_s.potential(lat, 2)[0])
+    v_m, v_p, v_s = V.at(-1), V.at(1), V_s.at(0)
     potential = (
         (v_m * v_p.conj(), 2.0 * v_p.real),
-        (kappa**2 * v_s * Terms(ctx_s.V(lat.rows(0, 2))).conj(),
+        (kappa**2 * v_s * V_s.at(2).conj(),
          kappa * 2.0 * v_s.real - ctx.energy(1)),
     )
     # the shifted ground state relation, squared so that the weight
@@ -202,7 +202,7 @@ def _shape_invariance(fam, p: ParamSet, config: VerifyConfig):
     phi_m = lat.phi.at(-1)[0]
     ground = (
         (shifted, weight),
-        (Terms(ctx.V(lat.rows(0)[0])) * phi_m * phi_m * weight,
+        (V.at(0)[0] * phi_m * phi_m * weight,
          Terms(fam.phi0(p, np.asarray(xs)) ** 2)),
     )
     # the spectrum generated by E_1 under repeated shifts
@@ -212,7 +212,7 @@ def _shape_invariance(fam, p: ParamSet, config: VerifyConfig):
         steps.append(kappa**s * fam.energy(pp, 1))
         pp = fam.shifted(pp)
     generated = Terms(np.cumsum([0.0] + steps), np.cumsum([0.0] + [abs(v) for v in steps]))
-    spectrum = Terms(np.array([fam.energy(p, n) for n in range(11)]))
+    spectrum = Terms(ctx.energies(range(11)))
     return [
         ("shape_invariance.potential_identities", (0, 1), len(xs), _residual(*potential)),
         ("shape_invariance.ground_state_shift", (0, 0), len(xs), _residual(*ground)),
@@ -231,7 +231,7 @@ def _closure(fam, p: ParamSet, config: VerifyConfig):
     n_max = config.n_max
     lat = ctx.lattice(xs, 4)
     f = lat.operand(eval_poly_recurrence(fam, p, n_max))
-    e_n = per_level([ctx.energy(n) for n in range(n_max + 1)])
+    e_n = per_level(ctx.energies(range(n_max + 1)))
     comm = ctx.comm_H_eta(f, lat)
     f0, comm0 = f.at(0), comm.at(0)
     eta = lat.eta
@@ -245,9 +245,9 @@ def _closure(fam, p: ParamSet, config: VerifyConfig):
     rm1_2, rm1_1, rm1_0 = cp.rm1
     # eta one and two steps down and up
     eta0, eta_m, eta_p, eta_mm, eta_pp = (eta.at(k) for k in (0, -2, 2, -4, 4))
-    V0 = Terms(ctx.V(lat.rows(0)))
-    Vm = Terms(ctx.V(lat.rows(0, -2)))
-    Vp = Terms(ctx.V(lat.rows(0, 2)))
+    # V on the rows -2..2, as [H-tilde, eta] read it
+    V = Terms(ctx.potential(lat, 2)[0])
+    V0, Vm, Vp = V.at(0), V.at(-2), V.at(2)
     # stars conjugate the shifted values
     V0s, Vms, Vps = V0.conj(), Vm.conj(), Vp.conj()
     base = r0_2 * eta0 + rm1_2
@@ -292,7 +292,7 @@ def _dual_closure(fam, p: ParamSet, config: VerifyConfig):
     r1_dual = e_m + e_p - 2 * e
     r0_dual = -(e_m - e) * (e_p - e)
     eta0 = e.at(0)
-    rm1d = 2.0 * Terms(ctx.V(lat.rows(0))).real * r0_dual.at(0)
+    rm1d = 2.0 * Terms(ctx.potential(lat, 0)[0]).real * r0_dual.at(0)
     H = ctx.H_tilde
     lhs = H(e * e * f, lat) - 2 * eta0 * H(e * f, lat) + eta0 * eta0 * H(f, lat)
     rhs = (H(r0_dual * f, lat) + eta0 * H(r1_dual * f, lat)
@@ -332,7 +332,7 @@ def _shifts(fam, p: ParamSet, config: VerifyConfig):
          _residual(ctx.forward(back, lat), fac * at_x_s)),
         ("shifts.energy_factorization", (1, n_max), 1,
          _residual(Terms(f_n[1:]) * Terms(b_n[:-1]),
-                   Terms(per_level([fam.energy(p, n) for n in levels[1:]])))),
+                   Terms(per_level(ctx.energies(levels[1:]))))),
     ]
     k = max(4, len(xs) // 4)
     checks.append(
@@ -369,8 +369,10 @@ def _ladder(fam, p: ParamSet, config: VerifyConfig):
     lv = np.arange(n_max + 1)
     prev = np.maximum(lv - 1, 0)   # level 0 pairs with a zero factor
     lat = ctx.lattice(xs, 4)
-    # P_0 .. P_{n_max+1} on the lattice, shared by every block below
-    poly = eval_poly_recurrence(fam, p, n_max + 1)
+    # P_0 .. P_{n_max+1} on the lattice, shared by every block below, and
+    # b_0 .. b_{n_max+1} of the pair commutator, from one recurrence pass
+    rec_a, rec_b, rec_c = fam.recurrence(p, n_max + 2)
+    poly = EtaPolynomial.ascend(rec_a, rec_b, rec_c, n_max + 1)
     f = lat.operand(poly)
     at_x = f.at(0)
     f_n = f[: n_max + 1]
@@ -382,15 +384,15 @@ def _ladder(fam, p: ParamSet, config: VerifyConfig):
     # [a-, a+] phi_n = (b_{n+1} - b_n) phi_n
     a_minus_a_plus = ladder_action(ctx, "-", lv + 1, up, lat)
     a_plus_a_minus = ladder_action(ctx, "+", prev, dn, lat)
-    b_rec = [b_n.real for b_n in fam.recurrence(p, n_max + 2)[1]]
+    b_rec = [b_n.real for b_n in rec_b]
     checks = [
         ("ladder.level_actions", (0, n_max), len(xs),
          _residual((up0, dn0), (per_level(A_n) * at_x[1:], per_level(C_n) * at_x[prev]))),
         # [H, a^(pm)] phi_n = (E_{n pm 1} - E_n) a^(pm) phi_n, i.e. the
         # ladder output is an eigenfunction at the neighbouring level
         ("ladder.hamiltonian_commutator", (0, n_max), len(xs),
-         _residual((H_up, H_dn), (per_level([ctx.energy(n + 1) for n in lv]) * up0,
-                                  per_level([ctx.energy(n - 1) for n in lv]) * dn0))),
+         _residual((H_up, H_dn), (per_level(ctx.energies(lv + 1)) * up0,
+                                  per_level(ctx.energies(lv - 1)) * dn0))),
         ("ladder.pair_commutator", (0, n_max), len(xs),
          _residual(a_minus_a_plus - a_plus_a_minus,
                    per_level([b_rec[n + 1] - b_rec[n] for n in lv]) * at_x[: n_max + 1])),
@@ -401,7 +403,7 @@ def _ladder(fam, p: ParamSet, config: VerifyConfig):
     nonzero = fam.nonzero_parameters(p)
     k = 4 if nonzero is None else len(nonzero)
     if k < 4:
-        e_n = per_level([ctx.energy(n) for n in lv])
+        e_n = per_level(ctx.energies(lv))
         checks.append(
             ("ladder.q_deformed_commutator", (0, n_max), 10,
              _residual(((H_up - (1.0 / q) * e_n * up0)[_FIRST_10],
@@ -436,7 +438,7 @@ def _qhermite_special(ctx, lat, f, n_max):
     fb = ctx.forward(ctx.backward(f, lat), lat)
     bf = ctx.backward(ctx.forward(f, lat), lat)
     lv = np.arange(n_max + 1)
-    e1 = per_level([ctx.energy(n) + 1.0 for n in lv])
+    e1 = per_level(ctx.energies(lv) + 1.0)
     x_f = _x_tilde(ctx, lat, f, e1)
     # (2 q^{-1/2} X (H+1))^2 = H + 1 on level-n data
     m1 = 2.0 * q ** (-0.5) * x_f * e1
@@ -644,12 +646,13 @@ def run_suite(suite_id: str, family, params: ParamSet,
     if runner is None:
         raise ValueError(f"unknown suite {suite_id!r}; known: {', '.join(SUITES)}")
     results = []
+    as_dict = params.as_dict()
     for check_id, levels, samples, residual in runner(fam, params, config):
         tol = _tol(config, check_id)
         results.append(CheckResult(
             check_id=check_id,
             family=fam.spec.name,
-            params=params.as_dict(),
+            params=as_dict,
             level_range=levels,
             max_residual=float(residual),
             tolerance=float(tol),

@@ -148,7 +148,7 @@ def test_potential_reads_V_star_off_the_mirror_rows(family, name, half):
     fam = get_family(family)
     ctx = OperatorContext(fam, p)
     lat = ctx.lattice(sample_points(fam, p, 7), half)
-    V, V_star = ctx._potential(lat, half)
+    V, V_star = ctx.potential(lat, half)
     w = lat.rows(half)
     assert np.array_equal(V, fam.V(p, w))
     assert np.array_equal(V_star, np.conj(fam.V(p, np.conj(w))))
@@ -324,7 +324,7 @@ def test_commutator_on_constants():
     [got] = _apply(OperatorContext.comm_H_eta, fam, p, ONE, xs, 2)
     for x, c in zip(xs, got):
         v_star = np.conj(fam.V(p, np.conj(x)))
-        expected = (ctx.V(x) * (fam.eta(x - 1j * g) - fam.eta(x))
+        expected = (fam.V(p, x) * (fam.eta(x - 1j * g) - fam.eta(x))
                     + v_star * (fam.eta(x + 1j * g) - fam.eta(x)))
         assert cmath.isclose(c, expected, rel_tol=1e-12, abs_tol=1e-12)
 

@@ -626,6 +626,40 @@ def test_ladder_evaluates_each_polynomial_once_per_point(monkeypatch):
     assert len(calls) <= len(set(calls))
 
 
+@pytest.mark.parametrize("suite", ["eigen", "closure", "dual_closure", "ladder"])
+@pytest.mark.parametrize("family,fixture", ALL_FIXTURES)
+def test_suite_evaluates_V_once_per_point(monkeypatch, suite, family, fixture):
+    # every operator of one suite call reads V off one evaluation per
+    # (parameters, point): H-tilde, [H-tilde, eta] and the direct reads
+    fam = get_family(family)
+    p = fixture_params(family, fixture)
+    plain_V = fam.V
+    calls = []
+
+    def counting_V(params, w):
+        calls.extend((params, complex(x)) for x in np.ravel(w))
+        return plain_V(params, w)
+
+    monkeypatch.setattr(fam, "V", counting_V)
+    run_suite(suite, fam, p, VerifyConfig())
+    assert calls
+    assert len(calls) == len(set(calls))
+
+
+def test_no_value_outlives_a_suite_call(monkeypatch):
+    # E_n is read afresh by every suite call: a family method replaced
+    # between two calls shows in the second
+    fam = get_family("wilson")
+    p = fixture_params("wilson")
+    [exact] = [r.max_residual for r in run_suite("eigen", fam, p)
+               if r.check_id == "eigen.eigenvalue_equation"]
+    plain_energy = fam.energy
+    monkeypatch.setattr(fam, "energy", lambda params, n: plain_energy(params, n) * (1 + 1e-9))
+    [moved] = [r.max_residual for r in run_suite("eigen", fam, p)
+               if r.check_id == "eigen.eigenvalue_equation"]
+    assert moved > 100 * exact
+
+
 POINTWISE_SUITES = ("eigen", "shape_invariance", "closure", "dual_closure",
                     "shifts", "ladder", "coherent")
 
