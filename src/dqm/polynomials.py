@@ -49,22 +49,37 @@ class EtaPolynomial:
         return len(self.a)
 
     def _monic_values(self, eta):
-        """Yield P^_0 .. P^_n at eta."""
-        if isinstance(eta, np.ndarray):
-            cur = np.ones(eta.shape, dtype=complex)
-        else:
-            eta, cur = complex(eta), 1.0
-        prev = 0.0
+        """Yield P^_0 .. P^_n at eta.  At an ndarray each level is stepped
+        in place into one of three arrays that take turns, so a value holds
+        only until two more levels have been yielded."""
+        if not isinstance(eta, np.ndarray):
+            eta, cur, prev = complex(eta), 1.0, 0.0
+            yield cur
+            for a_k, b_k in zip(self.a, self.b):
+                prev, cur = cur, (eta - a_k) * cur - b_k * prev
+                yield cur
+            return
+        rows = np.empty((3,) + eta.shape, dtype=complex)
+        prev, cur, spare = rows[0, ...], rows[1, ...], rows[2, ...]
+        cur[...] = 1.0
         yield cur
-        for a_k, b_k in zip(self.a, self.b):
-            prev, cur = cur, (eta - a_k) * cur - b_k * prev
+        step = np.empty(eta.shape, dtype=complex)
+        for k, (a_k, b_k) in enumerate(zip(self.a, self.b)):
+            np.subtract(eta, a_k, spare)
+            np.multiply(spare, cur, spare)
+            # P^_{-1} = 0 at k = 0
+            np.subtract(spare, np.multiply(b_k, prev, step) if k else b_k * 0.0, spare)
+            prev, cur, spare = cur, spare, prev
             yield cur
 
     def eval_levels(self, eta) -> np.ndarray:
         """P_0 .. P_n at eta, as a (n+1, *shape(eta)) array."""
-        out = np.empty((self.degree + 1,) + np.shape(eta), dtype=complex)
+        if not np.ndim(eta):
+            return np.array([c_k * v for c_k, v in zip(self.c, self._monic_values(eta))],
+                            dtype=complex)
+        out = np.empty((self.degree + 1,) + eta.shape, dtype=complex)
         for k, value in enumerate(self._monic_values(eta)):
-            out[k] = self.c[k] * value
+            np.multiply(self.c[k], value, out[k])
         return out
 
     def eval(self, eta):

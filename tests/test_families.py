@@ -580,6 +580,17 @@ def test_one_ascent_equals_per_level_ascents(family):
         assert np.array_equal(levels[n], eval_poly_recurrence(family, p, n).eval(etas))
 
 
+def test_levels_at_a_scalar_a_0d_array_and_an_array_agree():
+    # eval and eval_levels take a Python scalar, a 0-d array or an array of
+    # points, and give the same values at a point
+    poly = eval_poly_recurrence("askey-wilson", fixture_params("askey-wilson"), 6)
+    eta = 0.3 + 0.1j
+    want = poly.eval_levels(np.array([eta]))[:, 0]
+    for at in (eta, np.asarray(eta)):
+        assert np.array_equal(poly.eval_levels(at), want)
+        assert poly.eval(at) == want[-1]
+
+
 @pytest.mark.parametrize("family", ["continuous-q-jacobi", "askey-wilson", "wilson"])
 def test_ascent_makes_one_recurrence_call(family, monkeypatch):
     # the data of every level of an ascent to n comes from one pass
