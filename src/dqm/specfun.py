@@ -165,6 +165,9 @@ _LANCZOS_C = (
     1.5056327351493116e-7,
 )
 
+# k and C_k of the terms C_k / (w + k), k = 1..8
+_LANCZOS_K = np.arange(1, len(_LANCZOS_C))
+_LANCZOS_C_K = np.array(_LANCZOS_C[1:])
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _LOG_PI = math.log(math.pi)
 
@@ -182,9 +185,15 @@ def log_gamma(z):
     left = z.real < 0.5
     reflect = left.any()
     w = np.where(left, -z, z - 1.0) if reflect else z - 1.0  # at z or 1 - z
-    series = np.full_like(w, _LANCZOS_C[0])
-    for k in range(1, len(_LANCZOS_C)):
-        series = series + _LANCZOS_C[k] / (w + k)
+    # the series C_0 + sum_k C_k / (w + k) as one stack of terms; a sum
+    # over its leading axis adds them in row order, the loop's, but over
+    # one point numpy sums pairwise, and an accumulation keeps the order
+    terms = np.empty((len(_LANCZOS_C),) + w.shape, dtype=complex)
+    terms[0] = _LANCZOS_C[0]
+    k = _LANCZOS_K.reshape((-1,) + (1,) * w.ndim)
+    np.divide(_LANCZOS_C_K.reshape(k.shape), w + k, out=terms[1:])
+    series = (np.add.reduce(terms, axis=0) if w.size > 1
+              else np.add.accumulate(terms, axis=0)[-1])
     t = w + _LANCZOS_G + 0.5
     out = np.asarray(_LOG_SQRT_2PI + (w + 0.5) * np.log(t) - t + np.log(series))
     if reflect:
