@@ -311,17 +311,20 @@ class AskeyWilson(Family):
         for k in range(n):
             # (a1 + 1/a1 - A_k - C_k)/2 of KS 3.1.5 with the 1/a1 pivot
             # cancelled in closed form: the plain form loses up to 1e-6
-            # relative as a_k -> 0
-            # at k = 0 and e4 = q^2, (q^2 - e4)(e1 - e3)/low reads 0/0: limit q^2 (e1 - e3)
+            # relative as a_k -> 0.  At k = 0 the numerator is (q^2 - e4)
+            # (e1 - e3) and cancels against 1 - e4 q^{-2}, which is rounding
+            # noise near e4 = q^2 (q-Jacobi at alpha + beta = 0)
             qn = q**k
-            low = 1.0 - e4 * q ** (2 * k - 2)
-            num = (
-                q * q * e1
-                + q * e3
-                - qn * (q * q * e3 + q * e1 * e4 + q * e3 + e1 * e4)
-                + qn * qn * (q * e1 * e4 + e3 * e4)
-            ) / (low * (1.0 - e4 * q ** (2 * k))) if low else q * q * (e1 - e3) / (1.0 - e4)
-            a.append(0.5 * qn * num / (q * q))
+            if k == 0:
+                a.append((e1 - e3) / (2.0 * (1.0 - e4)))
+            else:
+                num = (
+                    q * q * e1
+                    + q * e3
+                    - qn * (q * q * e3 + q * e1 * e4 + q * e3 + e1 * e4)
+                    + qn * qn * (q * e1 * e4 + e3 * e4)
+                ) / ((1.0 - e4 * q ** (2 * k - 2)) * (1.0 - e4 * q ** (2 * k)))
+                a.append(0.5 * qn * num / (q * q))
             prod = complex(1.0)
             for ajk in d.pairs:
                 prod *= 1.0 - ajk * q ** (k - 1)

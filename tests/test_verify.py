@@ -9,7 +9,14 @@ import math
 import numpy as np
 import pytest
 
-from dqm.families import FAMILIES, FamilyId, ParamSet, eval_poly_recurrence, get_family
+from dqm.families import (
+    FAMILIES,
+    FamilyId,
+    ParamSet,
+    eval_poly_hypergeometric,
+    eval_poly_recurrence,
+    get_family,
+)
 from dqm.families.base import three_term
 from dqm.fixtures import fixture_names, fixture_params
 from dqm.operators import OperatorContext, ladder_action, per_level, sample_points
@@ -658,6 +665,22 @@ def test_no_value_outlives_a_suite_call(monkeypatch):
     [moved] = [r.max_residual for r in run_suite("eigen", fam, p)
                if r.check_id == "eigen.eigenvalue_equation"]
     assert moved > 100 * exact
+
+
+@pytest.mark.parametrize("alpha,beta,q", [(0.25, -0.25, 0.5), (0.5, -0.5, 0.3)])
+def test_q_jacobi_at_alpha_plus_beta_zero(alpha, beta, q):
+    # e4 = q^{alpha + beta + 2} is q^2 up to rounding there, and a_0's
+    # factors q^2 - e4 and 1 - e4 q^{-2} are both rounding noise unless
+    # they cancel in closed form
+    fam = get_family("continuous-q-jacobi")
+    p = ParamSet(a=(alpha, beta), q=q)
+    fam.validate(p)
+    eta = math.cos(1.0)
+    assert abs(eval_poly_recurrence(fam, p, 1).eval(eta)
+               - eval_poly_hypergeometric(fam, p, 1, eta)) <= 1e-15
+    failed = [r.check_id for suite in SUITES for r in run_suite(suite, fam, p)
+              if not r.passed]
+    assert failed == []
 
 
 POINTWISE_SUITES = ("eigen", "shape_invariance", "closure", "dual_closure",
