@@ -14,6 +14,12 @@ one for F and B, so a composed operator is a composed array expression.
 Arrays are laid out (..., 2K+1, points): the lattice rows, then the points,
 with any leading axes (one row per level, say) broadcast through.
 
+An `OperatorContext` is one (family, parameters) pair.  It evaluates what
+its operators read once and keeps it while it lives: V and V* with their
+singularity guard per lattice and rows, E_n per level and the closure
+polynomials once first read.  Each suite call makes its own contexts, so
+no value is kept from one call to the next.
+
 Every value carries the magnitude of the terms summed into it (`Terms`):
 the same expression with |.| on every factor, which is running error
 analysis in its simplest form (Higham, Accuracy and Stability of Numerical
