@@ -12,7 +12,7 @@ import enum
 import math
 import operator
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 import numpy as np
@@ -236,8 +236,9 @@ class Family:
         raise NotImplementedError
 
     def shifted(self, p: ParamSet, k: int = 1) -> ParamSet:
-        """Parameters at lambda + k*delta."""
-        raise NotImplementedError
+        """Parameters at lambda + k*delta: every a_i moves by k/2, q and phi
+        stay."""
+        return replace(p, a=tuple(ai + 0.5 * k for ai in p.a))
 
     def nonzero_parameters(self, p: ParamSet) -> tuple | None:
         """The non-zero Askey-Wilson parameters p maps to, which name the

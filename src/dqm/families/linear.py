@@ -43,9 +43,6 @@ class ContinuousHahn(Family):
         for i, ai in enumerate(p.a, start=1):
             require(ai.real > 0, f"Re a{i} > 0 violated (a{i} = {ai})")
 
-    def shifted(self, p: ParamSet, k: int = 1) -> ParamSet:
-        return ParamSet(a=tuple(ai + 0.5 * k for ai in p.a))
-
     @staticmethod
     def _abcd(p: ParamSet):
         a1, a2 = p.a
@@ -182,9 +179,6 @@ class MeixnerPollaczek(Family):
         require(a.real > 0, f"a>0 violated (a = {a.real})")
         require(p.phi is not None, "angle phi is required")
         require(0.0 < p.phi < math.pi, f"phi must lie in (0,pi), got {p.phi}")
-
-    def shifted(self, p: ParamSet, k: int = 1) -> ParamSet:
-        return ParamSet(a=(p.a[0] + 0.5 * k,), phi=p.phi)
 
     def V(self, p: ParamSet, w) -> complex:
         a = p.a[0].real

@@ -42,9 +42,6 @@ class _GammaRatioFamily(Family):
             "parameter set must be closed under complex conjugation (as a set)",
         )
 
-    def shifted(self, p: ParamSet, k: int = 1) -> ParamSet:
-        return ParamSet(a=tuple(ai + 0.5 * k for ai in p.a))
-
     def V(self, p: ParamSet, w) -> complex:
         w = as_complex(w)
         den = 2j * w * (2j * w + 1.0)

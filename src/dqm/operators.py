@@ -17,8 +17,10 @@ with any leading axes (one row per level, say) broadcast through.
 An `OperatorContext` is one (family, parameters) pair.  It evaluates what
 its operators read once and keeps it while it lives: V and V* with their
 singularity guard per lattice and rows, E_n per level and the closure
-polynomials once first read.  Each suite call makes its own contexts, so
-no value is kept from one call to the next.
+polynomials once first read.  Every operator takes the caller's context,
+(ctx, ..., f, lat), and a step to lambda + k*delta is `ctx.shifted(k)`.
+Each suite call makes one context, so no value is kept from one call to
+the next.
 
 Every value carries the magnitude of the terms summed into it (`Terms`):
 the same expression with |.| on every factor, which is running error
@@ -192,9 +194,10 @@ class OperatorContext:
 
     A context evaluates each ingredient once and keeps it while it lives:
     E_n per level, V and V* with their guard per (lattice, rows), and the
-    closure polynomials from their first read.  A suite call makes its own
-    contexts and drops them, so no value outlives the call, and a family
-    method replaced between two calls is read afresh by the second.
+    closure polynomials from their first read.  A suite call makes one
+    context, hands it to every operator it applies and drops it, so no
+    value outlives the call, and a family method replaced between two calls
+    is read afresh by the second.
     """
 
     def __init__(self, family, params: ParamSet):
@@ -223,7 +226,10 @@ class OperatorContext:
         return np.array([self.energy(int(n)) for n in levels], dtype=float)
 
     def shifted(self, k: int = 1) -> "OperatorContext":
-        return OperatorContext(self.family, self.family.shifted(self.p, k))
+        """The context at lambda + k*delta; self where the shift leaves the
+        parameters as they are (every family at k = 0, q-Hermite at any k)."""
+        p = self.family.shifted(self.p, k)
+        return self if p == self.p else OperatorContext(self.family, p)
 
     def lattice(self, xs, half: int) -> Lattice:
         return Lattice(self.family, self.gamma, xs, half)
@@ -356,23 +362,22 @@ def ladder_action(ctx: OperatorContext, sign: str, level, f: Terms,
     )
 
 
-def rodrigues_polynomial(family, params: ParamSet, n: int, xs) -> Terms:
-    """P_0 .. P_n(.;lambda) at the points xs, reconstructed by the backward-
-    shift chains B(lambda) ... B(lambda+(m-1)delta) acting on the constant 1,
-    each divided by the product of its b-constants.  A (n+1, 1, points)
-    Terms.
+def rodrigues_polynomial(ctx: OperatorContext, n: int, xs) -> Terms:
+    """P_0 .. P_n(.;lambda) at the points xs, lambda ctx's parameters, by
+    the backward-shift chains B(lambda) ... B(lambda+(m-1)delta) acting on
+    the constant 1, each divided by the product of its b-constants.  A
+    (n+1, 1, points) Terms.
 
     B(lambda+j*delta) is the same step of every chain longer than j, so the
     chains run as one stack: at step j the chain of level j+1 joins it with
     ones on the rows -(j+1)..(j+1), where every live chain then sits, and
-    one backward shift acts on them all."""
-    fam = get_family(family)
-    lat = OperatorContext(fam, params).lattice(xs, n)
+    one backward shift, by `ctx.shifted(j)`, acts on them all."""
+    lat = ctx.lattice(xs, n)
     f = Terms(np.ones((0,) + lat.w.shape, dtype=complex))
     for j in range(n - 1, -1, -1):
-        p_j = fam.shifted(params, j)
-        f = OperatorContext(fam, p_j).backward(_ones_first(f), lat) / per_level(
-            [fam.b_shift(p_j, k) for k in range(n - j)])
+        step = ctx.shifted(j)
+        f = step.backward(_ones_first(f), lat) / per_level(
+            [ctx.family.b_shift(step.p, k) for k in range(n - j)])
     return _ones_first(f)
 
 
@@ -384,19 +389,16 @@ def _ones_first(f: Terms) -> Terms:
 
 # --------------------------------------------------- lambda-shift operators
 
-def lambda_shift_X(family, params: ParamSet, kind: str, levels, poly, xs) -> Terms:
+def lambda_shift_X(ctx: OperatorContext, kind: str, levels, f: Terms,
+                   lat: Lattice) -> Terms:
     """Action of the explicit parameter-shift operators X ("X", operand at
     lambda) or X-dagger ("Xdag", operand at lambda+delta) where the family
-    has them (`Family.lambda_shift`).  The operands are the given levels of
-    `poly`'s recurrence (P_0 .. P_m, m >= every level), at the points xs;
-    the result is a (levels, 1, points) Terms."""
-    fam = get_family(family)
-    shift = fam.lambda_shift(params)
+    has them (`Family.lambda_shift`).  f is one operand per level on the
+    rows -half..half of lat, half the `LambdaShift`'s; the result is a
+    (levels, 1, points) Terms."""
+    shift = ctx.family.lambda_shift(ctx.p)
     action = None if shift is None else {"X": shift.X, "Xdag": shift.Xdag}.get(kind)
     if action is None:
         raise ValueError(f"no explicit lambda-shift operator {kind!r} for "
-                         f"{fam.spec.name} at {params.as_dict()}")
-    levels = np.asarray(levels)
-    ctx = OperatorContext(fam, params)
-    lat = ctx.lattice(xs, shift.half)
-    return action(ctx, levels, lat.operand(poly)[levels], lat)
+                         f"{ctx.family.spec.name} at {ctx.p.as_dict()}")
+    return action(ctx, np.asarray(levels), f, lat)

@@ -199,9 +199,9 @@ def _matrix(fam, p: ParamSet, n_max: int, half: int, act) -> Terms:
     """(phi0 P_n, A phi0 P_m) / sqrt(h_n h_m) over levels n, m = 0..n_max,
     with the l1 sum of its integrand as its magnitude.
 
-    A is given on the polynomials: act(f, lat) maps their values f, a plain
-    array on the rows -half..half of the lattice lat, to the values of
-    phi0^-1 A phi0 f on its centre row."""
+    A is given on the polynomials: act(ctx, f, lat) maps their values f, a
+    plain array on the rows -half..half of the lattice lat, to the values of
+    phi0^-1 A phi0 f on its centre row, ctx being the context of (fam, p)."""
     ctx = OperatorContext(fam, p)
     poly = eval_poly_recurrence(fam, p, n_max)
     # sqrt(h0/h_n): the weight is already over h0
@@ -219,7 +219,7 @@ def _matrix(fam, p: ParamSet, n_max: int, half: int, act) -> Terms:
             wx = weights[lo:lo + NODE_BLOCK]
             lat = ctx.lattice(nodes[lo:lo + NODE_BLOCK], half)
             f = unit * poly.eval_levels(fam.eta(lat.w))
-            g = act(f, lat)[:, 0]
+            g = act(ctx, f, lat)[:, 0]
             f0 = f[:, half]
             value += np.conj(f0) @ (g * wx).T
             l1 += np.abs(f0) @ (np.abs(g) * np.abs(wx)).T
@@ -236,12 +236,12 @@ def _matrix(fam, p: ParamSet, n_max: int, half: int, act) -> Terms:
 def orthogonality_matrix(family, p: ParamSet, n_max: int) -> Terms:
     """The unit-normalised Gram matrix G_nm = (phi0 P_n, phi0 P_m) /
     sqrt(h_n h_m), the identity in exact arithmetic."""
-    return _matrix(get_family(family), p, n_max, 0, lambda f, lat: f)
+    return _matrix(get_family(family), p, n_max, 0, lambda ctx, f, lat: f)
 
 
 def hermiticity_forms(family, p: ParamSet, n_max: int) -> Terms:
     """K_nm = (phi0 P_n, H phi0 P_m) / sqrt(h_n h_m) = int phi0^2 conj(P_n)
     (H-tilde P_m) / sqrt(h_n h_m), which is E_n delta_nm in exact arithmetic.
     The mirror form (H phi0 P_n, phi0 P_m) is conj(K_mn)."""
-    fam = get_family(family)
-    return _matrix(fam, p, n_max, 2, OperatorContext(fam, p).H_tilde)
+    # read at the call, so that a method patched onto the class is applied
+    return _matrix(get_family(family), p, n_max, 2, OperatorContext.H_tilde)

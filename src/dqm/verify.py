@@ -183,9 +183,10 @@ def _shape_invariance(fam, p: ParamSet, config: VerifyConfig):
     xs = sample_points(fam, p, _SAMPLES, config.seed)
     lat = ctx.lattice(xs, 2)
     kappa = ctx.kappa
-    # the stars conjugate the evaluated values at the shifted points
-    V = Terms(ctx.potential(lat, 1)[0])
+    # the stars conjugate the evaluated values at the shifted points; the
+    # wider rows first, as V's are read off them where ctx_s is ctx
     V_s = Terms(ctx_s.potential(lat, 2)[0])
+    V = Terms(ctx.potential(lat, 1)[0])
     v_m, v_p, v_s = V.at(-1), V.at(1), V_s.at(0)
     potential = (
         (v_m * v_p.conj(), 2.0 * v_p.real),
@@ -196,9 +197,8 @@ def _shape_invariance(fam, p: ParamSet, config: VerifyConfig):
     # continues analytically: phi0^2(x - ig/2; lambda+delta)
     #   = V(x; lambda) phi(x - ig/2)^2 phi0^2(x; lambda),
     # and the continuation agrees with the modulus form on the real axis
-    p_s = fam.shifted(p)
     weight = Terms(fam.weight_square(p, xs))
-    shifted = Terms(fam.weight_square(p_s, lat.rows(0, -1)[0]))
+    shifted = Terms(fam.weight_square(ctx_s.p, lat.rows(0, -1)[0]))
     phi_m = lat.phi.at(-1)[0]
     ground = (
         (shifted, weight),
@@ -337,7 +337,7 @@ def _shifts(fam, p: ParamSet, config: VerifyConfig):
     k = max(4, len(xs) // 4)
     checks.append(
         ("shifts.rodrigues_chain", (0, n_max), k,
-         _residual(rodrigues_polynomial(fam, p, n_max, xs[:k]), at_x[: n_max + 1, ..., :k])))
+         _residual(rodrigues_polynomial(ctx, n_max, xs[:k]), at_x[: n_max + 1, ..., :k])))
 
     shift = fam.lambda_shift(p)
     if shift is not None:
@@ -346,10 +346,14 @@ def _shifts(fam, p: ParamSet, config: VerifyConfig):
         n_x = min(n_max, _LAMBDA_SHIFT_LEVELS)
         lv = range(n_x + 1)
         xdag_factor = per_level([shift.xdag_factor(n) for n in lv]).real
+        # one lattice for both; X-dagger first, as where V's rows differ
+        # (continuous dual Hahn) X reads the centre of X-dagger's wider ones
+        lat_x = ctx.lattice(xs[:8], shift.half)
+        xdag = lambda_shift_X(ctx, "Xdag", lv, lat_x.operand(poly_s)[: n_x + 1], lat_x)
         checks.append(
             ("shifts.lambda_shift_x", (0, n_x), 8,
-             _residual((lambda_shift_X(fam, p, "X", lv, poly, xs[:8]),
-                        lambda_shift_X(fam, p, "Xdag", lv, poly_s, xs[:8])),
+             _residual((lambda_shift_X(ctx, "X", lv, lat_x.operand(poly)[: n_x + 1], lat_x),
+                        xdag),
                        (shift.x_factor * at_x_s[: n_x + 1, ..., :8],
                         xdag_factor * at_x[: n_x + 1, ..., :8]))))
     return checks
@@ -468,7 +472,7 @@ def _coherent(fam, p: ParamSet, config: VerifyConfig):
     closed-form resummations where one exists."""
     alpha = _default_alpha(fam)
     xs = sample_points(fam, p, 6, config.seed)
-    n_trunc, _, sums, lowered = _coherent_series(fam, p, alpha, xs)
+    n_trunc, _, sums, lowered = _coherent_series(OperatorContext(fam, p), alpha, xs)
     checks = [("coherent.annihilation_eigenvector", (0, n_trunc), 6,
                _residual(lowered, alpha * sums))]
     closed = _coherent_closed_form(fam, p, alpha, xs)
@@ -477,14 +481,13 @@ def _coherent(fam, p: ParamSet, config: VerifyConfig):
     return checks
 
 
-def _coherent_series(fam, p: ParamSet, alpha: complex, xs):
+def _coherent_series(ctx: OperatorContext, alpha: complex, xs):
     """The coherent series sum_n alpha^n / (C_1 ... C_n) P_n at the points
     xs, truncated at N (`_truncation`): (N, its relative tail, the partial
     sums and the lowering operator applied to them), the last two as Terms
     on the centre row of the shift lattice of xs."""
-    ctx = OperatorContext(fam, p)
     # coefficients alpha^n / prod_{k<=n} C_k, C_cap from one level more
-    poly = eval_poly_recurrence(fam, p, _COHERENT_CAP + 1)
+    poly = eval_poly_recurrence(ctx.family, ctx.p, _COHERENT_CAP + 1)
     *_, C_n = three_term(poly.a, poly.b, poly.c)
     coeffs = per_level(np.cumprod([1.0, *(alpha / np.array(C_n[1: _COHERENT_CAP + 1]))]))
 

@@ -1,6 +1,10 @@
 """Facts that hold on some families only are family methods, None where a
 family lacks them.  dqm.verify and dqm.operators read those methods and
-never pick a family by its name, its FamilyId or its class."""
+never pick a family by its name, its FamilyId or its class.
+
+An OperatorContext is built where a parameter set enters the operator
+layer, a verify suite or the quadrature, and at a parameter shift; every
+other function takes its caller's context."""
 
 from __future__ import annotations
 
@@ -9,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import dqm
 import dqm.operators
 import dqm.verify
 from dqm.families import FAMILIES, Family, ValidationError, get_family
@@ -66,3 +71,48 @@ def test_the_rule_catches_each_kind_of_family_test():
 def test_the_module_picks_no_family_by_name_id_or_class(module):
     tree = ast.parse(Path(module.__file__).read_text())
     assert _family_tests(tree) == []
+
+
+def _context_builders(tree: ast.AST) -> list:
+    """The dotted name of the function around each OperatorContext(...) call
+    in tree, "" at module level."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call):
+                callee = child.func
+                name = getattr(callee, "id", None) or getattr(callee, "attr", None)
+                if name == "OperatorContext":
+                    found.append(".".join(scope))
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def test_the_context_rule_finds_every_call():
+    source = (
+        "ctx = OperatorContext(fam, p)\n"
+        "class A:\n"
+        "    def f(self):\n"
+        "        return g(lambda: operators.OperatorContext(fam, p))\n"
+        "def h():\n"
+        "    return OperatorContext.H_tilde\n"
+    )
+    assert _context_builders(ast.parse(source)) == ["", "A.f"]
+
+
+def test_contexts_are_built_only_where_parameters_enter_or_shift():
+    src = Path(dqm.__file__).parent
+    allowed = {"operators:OperatorContext.shifted", "quadrature:_matrix"} | {
+        f"verify:{runner.__name__}" for runner in dqm.verify._SUITE_RUNNERS.values()}
+    found = set()
+    for path in sorted(src.rglob("*.py")):
+        module = path.relative_to(src).with_suffix("").as_posix().replace("/", ".")
+        found |= {f"{module}:{scope}" for scope in _context_builders(ast.parse(path.read_text()))}
+    assert found - allowed == set()
+    assert {"operators:OperatorContext.shifted", "quadrature:_matrix"} <= found

@@ -18,6 +18,7 @@ import pytest
 
 from dqm.families import (
     FAMILIES,
+    Family,
     FamilyId,
     ParamSet,
     ValidationError,
@@ -100,6 +101,29 @@ def test_validate_rejects_an_exponent_whose_parameter_underflows(family, exponen
     # that is, as another restriction
     with pytest.raises(ValidationError, match="underflows to 0 at q = 0.5"):
         validate_params(family, ParamSet(a=exponents, q=0.5))
+
+
+# lambda + k delta per family, written out: the reference the default shift must match
+_OWN_SHIFTS = {
+    "continuous-hahn": lambda p, k: ParamSet(a=tuple(ai + 0.5 * k for ai in p.a)),
+    "meixner-pollaczek": lambda p, k: ParamSet(a=(p.a[0] + 0.5 * k,), phi=p.phi),
+    "wilson": lambda p, k: ParamSet(a=tuple(ai + 0.5 * k for ai in p.a)),
+    "continuous-dual-hahn": lambda p, k: ParamSet(a=tuple(ai + 0.5 * k for ai in p.a)),
+}
+
+
+@pytest.mark.parametrize("family,name", all_fixtures())
+def test_the_default_shift_is_each_familys_own(family, name):
+    fam = get_family(family)
+    p = fixture_params(family, name)
+    own = _OWN_SHIFTS.get(family)
+    # the Askey-Wilson chain keeps its own shift; every other family the default
+    assert (type(fam).shifted is Family.shifted) == (own is not None)
+    for k in range(31):
+        got = fam.shifted(p, k)
+        if own is not None:
+            assert got == own(p, k)
+        assert (got.q, got.phi) == (p.q, p.phi)
 
 
 @pytest.mark.parametrize("family,name", all_fixtures())

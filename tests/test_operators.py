@@ -270,7 +270,7 @@ def test_rodrigues_chain(family, name):
     p = fixture_params(family, name)
     fam = get_family(family)
     xs = sample_points(fam, p, 4)
-    chains = rodrigues_polynomial(fam, p, 7, xs)
+    chains = rodrigues_polynomial(OperatorContext(fam, p), 7, xs)
     assert chains.val.shape == (8, 1, 4)
     for n in (0, 1, 4, 7):
         poly = eval_poly_recurrence(fam, p, n)
@@ -297,12 +297,36 @@ def test_rodrigues_stack_is_bit_identical_to_one_chain_per_level(family, name, n
     fam = get_family(family)
     p = fixture_params(family, name)
     xs = sample_points(fam, p, 5, seed=1)
-    chains = rodrigues_polynomial(fam, p, n_max, xs)
+    chains = rodrigues_polynomial(OperatorContext(fam, p), n_max, xs)
     assert chains.val.shape == (n_max + 1, 1, 5)
     for n in range(n_max + 1):
         one = _rodrigues_one_level(fam, p, n, xs)
         assert np.array_equal(chains.val[n], one.val)
         assert np.array_equal(chains.mag[n], one.mag)
+
+
+def test_rodrigues_chain_evaluates_V_once_where_the_shift_keeps_the_parameters(monkeypatch):
+    # every step of the q-Hermite chain is the caller's context, so V is
+    # evaluated once, on the rows -7..7 of the first step: 15 rows x 5 points
+    fam = get_family("continuous-q-hermite")
+    p = fixture_params(fam)
+    xs = sample_points(fam, p, 5)
+    points = []
+    V = type(fam).V
+    monkeypatch.setattr(type(fam), "V",
+                        lambda self, p, w: points.append(np.size(w)) or V(self, p, w))
+    rodrigues_polynomial(OperatorContext(fam, p), 8, xs)
+    assert sum(points) == 75
+
+
+@pytest.mark.parametrize("family,name", all_fixtures())
+def test_shifted_context_is_itself_where_the_parameters_stay(family, name):
+    fam = get_family(family)
+    ctx = OperatorContext(fam, fixture_params(family, name))
+    for k in range(31):
+        step = ctx.shifted(k)
+        assert step.p == fam.shifted(ctx.p, k)
+        assert (step is ctx) == (k == 0 or fam.spec.n_params == 0)
 
 
 def test_forward_singular_at_phi_zero():
@@ -456,31 +480,41 @@ def test_q_oscillator_on_big_q_hermite():
 
 # ------------------------------------------------------ lambda-shift X ops
 
+def _lambda_shift_operand(fam, p, level, xs):
+    """The context of (fam, p), P_level alone on a lattice of the points xs
+    as wide as the family's LambdaShift asks (1 where it has none), and the
+    lattice: the operands of lambda_shift_X."""
+    ctx = OperatorContext(fam, p)
+    shift = fam.lambda_shift(p)
+    lat = ctx.lattice(xs, 1 if shift is None else shift.half)
+    return ctx, lat.operand(eval_poly_recurrence(fam, p, level))[level:], lat
+
+
 def test_lambda_shift_unsupported_family():
     # lambda_shift_X raises exactly where Family.lambda_shift is None, and
     # the shifts suite checks X and X-dagger exactly where it is not
     for family, name in all_fixtures():
         fam = get_family(family)
         p = fixture_params(family, name)
-        poly = eval_poly_recurrence(fam, p, 1)
+        ctx, f, lat = _lambda_shift_operand(fam, p, 1, [1.0])
         checked = {r.check_id for r in run_suite("shifts", fam, p)}
         if fam.lambda_shift(p) is None:
             for kind in ("X", "Xdag"):
                 with pytest.raises(ValueError, match="no explicit"):
-                    lambda_shift_X(fam, p, kind, [1], poly, [1.0])
+                    lambda_shift_X(ctx, kind, [1], f, lat)
             assert "shifts.lambda_shift_x" not in checked
         else:
             for kind in ("X", "Xdag"):
-                assert lambda_shift_X(fam, p, kind, [1], poly, [1.0]).shape == (1, 1, 1)
+                assert lambda_shift_X(ctx, kind, [1], f, lat).shape == (1, 1, 1)
             with pytest.raises(ValueError, match="no explicit"):
-                lambda_shift_X(fam, p, "Y", [1], poly, [1.0])
+                lambda_shift_X(ctx, "Y", [1], f, lat)
             assert "shifts.lambda_shift_x" in checked
 
 def test_lambda_shift_meixner_pollaczek_needs_right_angle():
     p = fixture_params("meixner-pollaczek")  # phi = pi/3
-    poly = eval_poly_recurrence("meixner-pollaczek", p, 1)
+    ctx, f, lat = _lambda_shift_operand(get_family("meixner-pollaczek"), p, 1, [1.0])
     with pytest.raises(ValueError, match="no explicit"):
-        lambda_shift_X("meixner-pollaczek", p, "X", [1], poly, [1.0])
+        lambda_shift_X(ctx, "X", [1], f, lat)
 
 def test_lambda_shift_meixner_pollaczek_actions():
     p = fixture_params("meixner-pollaczek", "half-pi")
@@ -489,9 +523,11 @@ def test_lambda_shift_meixner_pollaczek_actions():
     a = p.a[0].real
     xs = [-1.8, 0.7, 2.3]
     levels = range(7)
-    x_all = lambda_shift_X(fam, p, "X", levels, eval_poly_recurrence(fam, p, 6), xs)
-    xdag_all = lambda_shift_X(fam, p, "Xdag", levels,
-                              eval_poly_recurrence(fam, p_s, 6), xs)
+    ctx = OperatorContext(fam, p)
+    lat = ctx.lattice(xs, fam.lambda_shift(p).half)
+    x_all = lambda_shift_X(ctx, "X", levels, lat.operand(eval_poly_recurrence(fam, p, 6)), lat)
+    xdag_all = lambda_shift_X(ctx, "Xdag", levels,
+                              lat.operand(eval_poly_recurrence(fam, p_s, 6)), lat)
     assert x_all.val.shape == xdag_all.val.shape == (7, 1, 3)
     for n in levels:
         poly = eval_poly_recurrence(fam, p, n)
@@ -508,9 +544,11 @@ def test_lambda_shift_dual_hahn_actions():
     p_s = fam.shifted(p)
     xs = [0.6, 1.4, 2.9]
     levels = range(7)
-    x_all = lambda_shift_X(fam, p, "X", levels, eval_poly_recurrence(fam, p, 6), xs)
-    xdag_all = lambda_shift_X(fam, p, "Xdag", levels,
-                              eval_poly_recurrence(fam, p_s, 6), xs)
+    ctx = OperatorContext(fam, p)
+    lat = ctx.lattice(xs, fam.lambda_shift(p).half)
+    x_all = lambda_shift_X(ctx, "X", levels, lat.operand(eval_poly_recurrence(fam, p, 6)), lat)
+    xdag_all = lambda_shift_X(ctx, "Xdag", levels,
+                              lat.operand(eval_poly_recurrence(fam, p_s, 6)), lat)
     assert x_all.val.shape == xdag_all.val.shape == (7, 1, 3)
     for n in levels:
         poly = eval_poly_recurrence(fam, p, n)

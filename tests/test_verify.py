@@ -238,7 +238,8 @@ def test_lambda_shift_x_stops_at_level_30():
 def test_coherent_annihilation(family):
     fam = get_family(family)
     p = fixture_params(family)
-    n, tail, _, _ = _coherent_series(fam, p, _default_alpha(fam), sample_points(fam, p, 6, 0))
+    n, tail, _, _ = _coherent_series(OperatorContext(fam, p), _default_alpha(fam),
+                                     sample_points(fam, p, 6, 0))
     assert n >= 10
     assert tail < 1e-12
     ann = run_suite("coherent", family, p)[0]
@@ -312,7 +313,7 @@ def test_coherent_truncation_first_matches_all_levels(family, fixture):
     fam = get_family(family)
     p = fixture_params(family, fixture)
     for seed in range(5):
-        n, tail, sums, _ = _coherent_series(fam, p, _default_alpha(fam),
+        n, tail, sums, _ = _coherent_series(OperatorContext(fam, p), _default_alpha(fam),
                                             sample_points(fam, p, 6, seed))
         results = run_suite("coherent", fam, p, VerifyConfig(seed=seed))
         assert {r.level_range for r in results} == {(0, n)}
@@ -368,7 +369,7 @@ def test_coherent_closed_form_matches_the_series_kernels(family, fixture, seed):
 def test_coherent_alpha_zero_reduces_to_ground_state():
     fam = get_family("continuous-q-hermite")
     p = fixture_params("continuous-q-hermite")
-    _, _, sums, _ = _coherent_series(fam, p, 0.0, sample_points(fam, p, 6, 0))
+    _, _, sums, _ = _coherent_series(OperatorContext(fam, p), 0.0, sample_points(fam, p, 6, 0))
     assert complex(sums.val[0, 0]) == pytest.approx(1.0)
 
 
@@ -382,7 +383,7 @@ def test_coherent_q_hermite_golden_value():
     expected = 1.0 / prod
     fam, p = get_family("continuous-q-hermite"), ParamSet(q=q)
     assert _default_alpha(fam) == alpha
-    _, _, sums, _ = _coherent_series(fam, p, alpha, [math.pi / 2])
+    _, _, sums, _ = _coherent_series(OperatorContext(fam, p), alpha, [math.pi / 2])
     closed = _coherent_closed_form(fam, p, alpha, [math.pi / 2])
     assert complex(closed.val[0]) == pytest.approx(expected, rel=1e-10)
     assert complex(sums.val[0, 0]) == pytest.approx(expected, rel=1e-8)
