@@ -17,6 +17,8 @@ from itertools import combinations
 
 import numpy as np
 
+from ..specfun import log_gamma
+
 __all__ = [
     "FamilyId",
     "ParamSet",
@@ -27,6 +29,7 @@ __all__ = [
     "ValidationError",
     "SingularityError",
     "Family",
+    "QuadraticSpectrum",
     "elementary_symmetric",
     "three_term",
     "as_complex",
@@ -398,6 +401,60 @@ class Family:
             h0_over_hn=h0_over_hn,
             N_n=math.sqrt(h0_over_hn),
         )
+
+
+class QuadraticSpectrum(Family):
+    """Families with E_n = n(n + b1 - 1), Wilson and continuous Hahn: the
+    spectrum, its inversion, R1 and R0 of the closure and the terms of the
+    recurrence.  A subclass supplies the real b1 as `_b1(p)`."""
+
+    def energy(self, p: ParamSet, n: int) -> float:
+        return n * (n + self._b1(p) - 1.0)
+
+    def level_from_energy(self, p: ParamSet, energy: float) -> float:
+        # E_n = n(n + b1 - 1)  =>  N = sqrt(E + (b1-1)^2/4) - (b1-1)/2; at
+        # b1 = 1, E_n = n^2 and the root is exact
+        b1 = self._b1(p)
+        if not b1 >= 1.0:
+            raise ValueError(f"number-operator inversion needs b1 >= 1, got {b1}")
+        return math.sqrt(energy + 0.25 * (b1 - 1.0) ** 2) - 0.5 * (b1 - 1.0)
+
+    def _closure(self, p: ParamSet, rm1: tuple) -> ClosurePolys:
+        b1 = self._b1(p)
+        return ClosurePolys(r1=(0.0, 2.0), r0=(0.0, 4.0, b1 * (b1 - 2.0)), rm1=rm1)
+
+    @staticmethod
+    def _terms(n, b1, a1, t1_with, t2_pairs, b_pairs):
+        """(k, t1, t2, b_k) for k < n; a_k is assembled from t1, with a factor
+        k + a1 + a_j per a_j in t1_with, and t2, with a factor k + a_j + a_k - 1
+        per pair in t2_pairs.  b_k has one such factor per pair in b_pairs."""
+        for k in range(n):
+            # `or 1.0` writes the limit where a factor reads 0/0, at k <= 1 when
+            # b1 = 1 or 2: 1 for a ratio of two vanishing factors, 0 for t2
+            t1 = complex(k + b1 - 1 or 1.0)
+            for aj in t1_with:
+                t1 *= k + a1 + aj
+            t1 /= (2 * k + b1 - 1 or 1.0) * (2 * k + b1)
+            t2 = complex(k)
+            for aj, ak in t2_pairs:
+                t2 *= k + aj + ak - 1
+            t2 /= (2 * k + b1 - 2) * (2 * k + b1 - 1) or 1.0
+            if k == 0:
+                yield k, t1, t2, 0j  # multiplies P_{-1}; avoids 0/0 when b1 = 3
+                continue
+            prod = complex(1.0)
+            for aj, ak in b_pairs:
+                prod *= k + aj + ak - 1
+            yield k, t1, t2, (
+                k * (k + b1 - 2 or 1.0) * prod
+                / ((2 * k + b1 - 3 or 1.0) * (2 * k + b1 - 2) ** 2 * (2 * k + b1 - 1)))
+
+
+def log_2pi_gamma_pairs(sums, *over) -> float:
+    """log(2 pi prod Gamma(sums) / prod Gamma(over)) from one log_gamma call;
+    the pair sums a_j + a_k are conjugate pairs or positive."""
+    logs = log_gamma(np.array([*sums, *over])).real
+    return math.log(2.0 * math.pi) + logs[:len(sums)].sum() - logs[len(sums):].sum()
 
 
 def three_term(a, b, c) -> tuple:

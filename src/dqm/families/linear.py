@@ -1,5 +1,7 @@
 """Families with sinusoidal coordinate eta(x) = x on (-inf, inf):
 continuous Hahn and Meixner-Pollaczek.  Here gamma = 1 and kappa = 1.
+Continuous Hahn takes its spectrum, R1, R0 and recurrence terms from
+base.QuadraticSpectrum, as Wilson does.
 """
 
 from __future__ import annotations
@@ -17,14 +19,16 @@ from .base import (
     FamilySpec,
     LambdaShift,
     ParamSet,
+    QuadraticSpectrum,
     as_complex,
+    log_2pi_gamma_pairs,
     require,
 )
 
 __all__ = ["ContinuousHahn", "MeixnerPollaczek"]
 
 
-class ContinuousHahn(Family):
+class ContinuousHahn(QuadraticSpectrum):
     """Potential (a1+ix)(a2+ix) with complex a1, a2, Re a_i > 0.
 
     The conjugates enter as (a3, a4) = (a1*, a2*), so b1 = 2 Re(a1 + a2).
@@ -57,50 +61,23 @@ class ContinuousHahn(Family):
         w = as_complex(w)
         return (a1 + 1j * w) * (a2 + 1j * w)
 
-    def energy(self, p: ParamSet, n: int) -> float:
-        return n * (n + self._b1(p) - 1.0)
-
     def closure(self, p: ParamSet) -> ClosurePolys:
         a1, a2 = p.a
-        b1 = self._b1(p)
-        im_sum = (a1 + a2).imag
-        im_prod = (a1 * a2).imag
-        return ClosurePolys(
-            r1=(0.0, 2.0),
-            r0=(0.0, 4.0, b1 * (b1 - 2.0)),
-            rm1=(0.0, 2.0 * im_sum, 2.0 * (b1 - 2.0) * im_prod),
-        )
+        return self._closure(p, (0.0, 2.0 * (a1 + a2).imag,
+                                 2.0 * (self._b1(p) - 2.0) * (a1 * a2).imag))
 
     def recurrence(self, p: ParamSet, n: int) -> tuple:
         a1, a2, a3, a4 = self._abcd(p)
         b1 = self._b1(p)
         a, b, c = [], [], [1.0]
-        for k in range(n):
-            # `or 1.0` writes the limit where a factor reads 0/0, as in Wilson
-            term1 = (
-                (k + b1 - 1 or 1.0) * (k + a1 + a3) * (k + a1 + a4)
-                / ((2 * k + b1 - 1 or 1.0) * (2 * k + b1))
-            )
-            term2 = (
-                k * (k + a2 + a3 - 1) * (k + a2 + a4 - 1)
-                / ((2 * k + b1 - 2) * (2 * k + b1 - 1) or 1.0)
-            )
-            a.append(1j * (a1 - term1 + term2))
-            if k == 0:
-                b.append(0j)  # multiplies P_{-1}; avoids 0/0 when b1 = 3
-                # c_k = (k + b1 - 1)_k / k!; its ratio reads 0/0 at k = 0
-                # when b1 = 1, so c_1 = b1 is taken closed
-                c.append(b1)
-                continue
-            prod = complex(1.0)
-            for aj in (a1, a2):
-                for ak in (a3, a4):
-                    prod *= k + aj + ak - 1
-            b.append(
-                k * (k + b1 - 2 or 1.0) * prod
-                / ((2 * k + b1 - 3 or 1.0) * (2 * k + b1 - 2) ** 2 * (2 * k + b1 - 1))
-            )
-            c.append(c[k] * (2 * k + b1 - 1) * (2 * k + b1) / ((k + b1 - 1) * (k + 1)))
+        for k, t1, t2, b_k in self._terms(n, b1, a1, (a3, a4), ((a2, a3), (a2, a4)),
+                                          ((a1, a3), (a1, a4), (a2, a3), (a2, a4))):
+            a.append(1j * (a1 - t1 + t2))
+            b.append(b_k)
+            # c_k = (k + b1 - 1)_k / k!; its ratio reads 0/0 at k = 0 when
+            # b1 = 1, so c_1 = b1 is taken closed
+            c.append(c[k] * (2 * k + b1 - 1) * (2 * k + b1) / ((k + b1 - 1) * (k + 1))
+                     if k else b1)
         return tuple(a), tuple(b), tuple(map(complex, c))
 
     def f_shift(self, p: ParamSet, n: int):
@@ -111,9 +88,7 @@ class ContinuousHahn(Family):
 
     def log_h0(self, p: ParamSet) -> float:
         a1, a2, a3, a4 = self._abcd(p)
-        logs = log_gamma(np.array(
-            [aj + ak for aj in (a1, a2) for ak in (a3, a4)] + [self._b1(p)])).real
-        return math.log(2.0 * math.pi) + logs[:4].sum() - logs[4]
+        return log_2pi_gamma_pairs([aj + ak for aj in (a1, a2) for ak in (a3, a4)], self._b1(p))
 
     def h0_over_hn_levels(self, p: ParamSet, n: int) -> tuple:
         a1, a2, a3, a4 = self._abcd(p)
@@ -135,13 +110,6 @@ class ContinuousHahn(Family):
         iw = 1j * as_complex(w)
         logs = log_gamma(np.stack([ai + iw for ai in p.a]))
         return logs[0] + logs[1]
-
-    def level_from_energy(self, p: ParamSet, energy: float) -> float:
-        # E_n = n(n + b1 - 1)  =>  N = sqrt(E + (b1-1)^2/4) - (b1-1)/2
-        b1 = self._b1(p)
-        if not b1 > 1.0:
-            raise ValueError(f"number-operator inversion needs b1 > 1, got {b1}")
-        return math.sqrt(energy + 0.25 * (b1 - 1.0) ** 2) - 0.5 * (b1 - 1.0)
 
     def series_eval_x(self, p: ParamSet, n: int, x) -> complex:
         a1, a2, a3, a4 = self._abcd(p)

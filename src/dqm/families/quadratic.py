@@ -1,5 +1,6 @@
 """Families with eta(x) = x^2 on (0, inf): Wilson and continuous dual Hahn.
-gamma = 1, kappa = 1, auxiliary factor 2x.
+gamma = 1, kappa = 1, auxiliary factor 2x.  Wilson takes its spectrum, R1,
+R0 and recurrence terms from base.QuadraticSpectrum, as continuous Hahn does.
 """
 
 from __future__ import annotations
@@ -17,11 +18,13 @@ from .base import (
     FamilySpec,
     LambdaShift,
     ParamSet,
+    QuadraticSpectrum,
     SingularityError,
     any_zero,
     as_complex,
     conjugate_closed,
     elementary_symmetric,
+    log_2pi_gamma_pairs,
     require,
 )
 from .limits import aw_to_wilson_scaled
@@ -64,17 +67,8 @@ class _GammaRatioFamily(Family):
             out = out + row
         return out
 
-    @staticmethod
-    def _log_2pi_gamma_pairs(p: ParamSet, *over) -> float:
-        """log(2 pi prod_{j<k} Gamma(a_j + a_k) / prod Gamma(over)) from one
-        log_gamma call: the pairs come in conjugate pairs or are real and
-        positive, so the product is positive."""
-        sums = [aj + ak for aj, ak in combinations(p.a, 2)]
-        logs = log_gamma(np.array(sums + list(over))).real
-        return math.log(2.0 * math.pi) + logs[:len(sums)].sum() - logs[len(sums):].sum()
 
-
-class Wilson(_GammaRatioFamily):
+class Wilson(_GammaRatioFamily, QuadraticSpectrum):
     """Four parameters, conjugation-closed with positive real parts."""
 
     spec = FamilySpec(
@@ -86,64 +80,38 @@ class Wilson(_GammaRatioFamily):
     )
     q_limit = staticmethod(aw_to_wilson_scaled)
 
-    def energy(self, p: ParamSet, n: int) -> float:
-        b1 = elementary_symmetric(p.a, 1).real
-        return n * (n + b1 - 1.0)
+    def _b1(self, p: ParamSet) -> float:
+        return elementary_symmetric(p.a, 1).real
 
     def closure(self, p: ParamSet) -> ClosurePolys:
-        b1 = elementary_symmetric(p.a, 1).real
+        b1 = self._b1(p)
         b2 = elementary_symmetric(p.a, 2).real
         b3 = elementary_symmetric(p.a, 3).real
-        return ClosurePolys(
-            r1=(0.0, 2.0),
-            r0=(0.0, 4.0, b1 * (b1 - 2.0)),
-            rm1=(-2.0, b1 - 2.0 * b2, (2.0 - b1) * b3),
-        )
+        return self._closure(p, (-2.0, b1 - 2.0 * b2, (2.0 - b1) * b3))
 
     def recurrence(self, p: ParamSet, n: int) -> tuple:
-        a1, a2, a3, a4 = p.a
-        b1 = elementary_symmetric(p.a, 1)
-        pairs = tuple(combinations(p.a, 2))
-        later_pairs = tuple(combinations((a2, a3, a4), 2))
+        a1, *later = p.a
+        b1 = elementary_symmetric(p.a, 1)  # the terms take b1 complex
         b1_real = b1.real
         a, b, c = [], [], [1.0]
-        for k in range(n):
-            # `or 1.0` writes the limit where a factor reads 0/0, at k <= 1 when
-            # b1 = 1 or 2: 1 for a ratio of two vanishing factors, 0 for t2
-            t1 = complex(k + b1 - 1 or 1.0)
-            for aj in (a2, a3, a4):
-                t1 *= k + a1 + aj
-            t1 /= (2 * k + b1 - 1 or 1.0) * (2 * k + b1)
-            t2 = complex(k)
-            for aj, ak in later_pairs:
-                t2 *= k + aj + ak - 1
-            t2 /= (2 * k + b1 - 2) * (2 * k + b1 - 1) or 1.0
+        for k, t1, t2, b_k in self._terms(n, b1, a1, later, tuple(combinations(later, 2)),
+                                          tuple(combinations(p.a, 2))):
             a.append(t1 + t2 - a1 * a1)
-            if k == 0:
-                b.append(0j)  # multiplies P_{-1}; avoids 0/0 when b1 = 3
-                # c_k = (-1)^k (k + b1 - 1)_k; its ratio reads 0/0 at k = 0
-                # when b1 = 1, so c_1 = -b1 is taken closed
-                c.append(-b1_real)
-                continue
-            prod = complex(1.0)
-            for aj, ak in pairs:
-                prod *= k + aj + ak - 1
-            b.append(
-                k * (k + b1 - 2 or 1.0) * prod
-                / ((2 * k + b1 - 3 or 1.0) * (2 * k + b1 - 2) ** 2 * (2 * k + b1 - 1))
-            )
-            c.append(-c[k] * (2 * k + b1_real - 1) * (2 * k + b1_real) / (k + b1_real - 1))
+            b.append(b_k)
+            # c_k = (-1)^k (k + b1 - 1)_k; its ratio reads 0/0 at k = 0 when
+            # b1 = 1, so c_1 = -b1 is taken closed
+            c.append(-c[k] * (2 * k + b1_real - 1) * (2 * k + b1_real) / (k + b1_real - 1)
+                     if k else -b1_real)
         return tuple(a), tuple(b), tuple(map(complex, c))
 
     def f_shift(self, p: ParamSet, n: int):
-        b1 = elementary_symmetric(p.a, 1).real
-        return -n * (n + b1 - 1.0)
+        return -n * (n + self._b1(p) - 1.0)
 
     def b_shift(self, p: ParamSet, n: int):
         return -1.0
 
     def log_h0(self, p: ParamSet) -> float:
-        return self._log_2pi_gamma_pairs(p, elementary_symmetric(p.a, 1).real)
+        return log_2pi_gamma_pairs([aj + ak for aj, ak in combinations(p.a, 2)], self._b1(p))
 
     def h0_over_hn_levels(self, p: ParamSet, n: int) -> tuple:
         b1 = elementary_symmetric(p.a, 1)
@@ -158,12 +126,6 @@ class Wilson(_GammaRatioFamily):
             for k, (fact, poch_b1, *pochs) in enumerate(
                 zip(factorials(n), pochhammer_levels(b1, n), *pairs))
         )
-
-    def level_from_energy(self, p: ParamSet, energy: float) -> float:
-        b1 = elementary_symmetric(p.a, 1).real
-        if not b1 > 1.0:
-            raise ValueError(f"number-operator inversion needs b1 > 1, got {b1}")
-        return math.sqrt(energy + 0.25 * (b1 - 1.0) ** 2) - 0.5 * (b1 - 1.0)
 
     def series_eval_x(self, p: ParamSet, n: int, x) -> complex:
         a1, a2, a3, a4 = p.a
@@ -263,7 +225,7 @@ class ContinuousDualHahn(_GammaRatioFamily):
         return -1.0
 
     def log_h0(self, p: ParamSet) -> float:
-        return self._log_2pi_gamma_pairs(p)
+        return log_2pi_gamma_pairs([aj + ak for aj, ak in combinations(p.a, 2)])
 
     def h0_over_hn_levels(self, p: ParamSet, n: int) -> tuple:
         pairs = [pochhammer_levels(aj + ak, n) for aj, ak in combinations(p.a, 2)]

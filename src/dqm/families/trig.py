@@ -276,13 +276,13 @@ class AskeyWilson(Family):
     def level_from_energy(self, p: ParamSet, energy: float) -> float:
         # E + 1 + b4/q = q^{-N} + (b4/q) q^N =: hp, a quadratic in q^N whose
         # smaller root is q^N; taken in the conjugate form, which does not
-        # cancel as hp^2 >> 4 b4/q.  For b4 >= q the smaller root at level 0
-        # is q/b4, not 1, so that range is rejected.
+        # cancel as hp^2 >> 4 b4/q.  For b4 > q the smaller root at level 0
+        # is q/b4, not 1, so that range is rejected; at b4 = q both are 1.
         q = p.q
         b4 = self._aw(p).e4
-        if not b4 < q:
+        if not b4 <= q:
             raise ValueError(
-                f"number-operator inversion needs b4 < q, got b4={b4}, q={q}"
+                f"number-operator inversion needs b4 <= q, got b4={b4}, q={q}"
             )
         hp = energy + 1.0 + b4 / q
         qn = 2.0 / (hp + math.sqrt(hp * hp - 4.0 * b4 / q))

@@ -338,8 +338,10 @@ def ladder_action(ctx: OperatorContext, sign: str, level, f: Terms,
     level per leading row of f.
 
     The Heisenberg-solution form: a combination of [H,eta], eta and the
-    closure polynomial R_{-1} evaluated at the level's energy.  a^(-) gives
-    exact zeros at level 0, where C_0 multiplies P_{-1} = 0.
+    closure polynomial R_{-1} evaluated at the level's energy, over E_{n+1} -
+    E_{n-1}.  a^(-) gives exact zeros at level 0, where C_0 multiplies P_{-1}
+    = 0.  Where E_1 = E_{-1} (b1 = 1, e4 = q) level 0 reads 0/0 and takes its
+    limit, a^(+)phi_0 = [H,eta]phi_0 / (E_1 - E_0) and a^(-)phi_0 = 0.
     """
     if sign not in ("+", "-"):
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
@@ -353,11 +355,16 @@ def ladder_action(ctx: OperatorContext, sign: str, level, f: Terms,
         other = e_up - e_n
         r = np.divide(rm1, e_dn - e_n, out=np.zeros_like(e_n), where=live)
         sgn = -1.0 * live
+    den = e_up - e_dn
+    flat = den == 0  # only ever at level 0
+    if flat.any():
+        other, r = np.where(flat, 0.0, other), np.where(flat, 0.0, r)
+        den = np.where(flat, e_up - e_n, den)
     shape = np.shape(level) + (1, 1)
     comm = ctx.comm_H_eta(f, lat)
     h = comm.half
     fw = f.at(0, h)
-    return np.reshape(sgn / (e_up - e_dn), shape) * (
+    return np.reshape(sgn / den, shape) * (
         comm - np.reshape(other, shape) * lat.eta.at(0, h) * fw + np.reshape(r, shape) * fw
     )
 

@@ -17,6 +17,9 @@ import dqm
 import dqm.operators
 import dqm.verify
 from dqm.families import FAMILIES, Family, ValidationError, get_family
+from dqm.families.base import QuadraticSpectrum
+from dqm.families.linear import ContinuousHahn
+from dqm.families.quadratic import Wilson
 
 # every class a registered family is an instance of, bar the shared base
 FAMILY_CLASSES = {
@@ -116,3 +119,12 @@ def test_contexts_are_built_only_where_parameters_enter_or_shift():
         found |= {f"{module}:{scope}" for scope in _context_builders(ast.parse(path.read_text()))}
     assert found - allowed == set()
     assert {"operators:OperatorContext.shifted", "quadrature:_matrix"} <= found
+
+
+@pytest.mark.parametrize("name", ["energy", "level_from_energy", "_terms"])
+def test_wilson_and_continuous_hahn_share_their_spectrum_forms(name):
+    # E_n = n(n + b1 - 1), its inversion and the recurrence terms are written
+    # once, in QuadraticSpectrum
+    assert getattr(Wilson, name) is getattr(ContinuousHahn, name)
+    assert getattr(Wilson, name) is getattr(QuadraticSpectrum, name)
+    assert name not in vars(Wilson) and name not in vars(ContinuousHahn)

@@ -35,6 +35,7 @@ from dqm.families import (
 )
 from dqm.fixtures import fixture_names, fixture_params
 from dqm.operators import sample_points
+from dqm.verify import SUITES, VerifyConfig, run_suite
 
 ALL_IDS = list(FamilyId)
 
@@ -346,7 +347,8 @@ def test_norm_ratio_levels_do_not_depend_on_the_top_level(family, name):
         assert fam.h0_over_hn_levels(p, n) == top[: n + 1]
     assert [fam.h0_over_hn(p, k) for k in range(31)] == list(top)
 
-@pytest.mark.parametrize("family,p", [
+# b1 = 1, 2 on Wilson and continuous Hahn; e4 = q, q^2, q^3 on Askey-Wilson
+ZERO_OVER_ZERO_SETS = [
     ("wilson", ParamSet(a=(0.25, 0.25, 0.25, 0.25))),
     ("continuous-hahn", ParamSet(a=(0.25, 0.25))),
     ("wilson", ParamSet(a=(0.5, 0.5, 0.5, 0.5))),
@@ -354,7 +356,10 @@ def test_norm_ratio_levels_do_not_depend_on_the_top_level(family, name):
     ("askey-wilson", ParamSet(a=(0.5, 0.5, 0.5, 0.5), q=0.0625)),
     ("askey-wilson", ParamSet(a=(0.5, 0.5, 0.5, 0.5), q=0.25)),
     ("askey-wilson", ParamSet(a=(0.5, 0.5, 0.25, 0.25), q=0.25)),
-])
+]
+
+
+@pytest.mark.parametrize("family,p", ZERO_OVER_ZERO_SETS)
 def test_norm_ratio_where_its_first_level_factor_reads_zero_over_zero(family, p):
     # b1 = 1 (e4 = q on the Askey-Wilson chain) makes the k = 0 factor
     # (b1 + 2k - 1)/(b1 + k - 1) of h0/h_k read 0/0, and b1 = 1 or 2 (e4 = q,
@@ -372,6 +377,17 @@ def test_norm_ratio_where_its_first_level_factor_reads_zero_over_zero(family, p)
         assert all(math.isfinite(v) for v in got)
         assert got == pytest.approx(dataclasses.astuple(coefficients(family, near, n)),
                                     rel=1e-6, abs=1e-6)
+
+
+@pytest.mark.parametrize("family,p", ZERO_OVER_ZERO_SETS)
+def test_every_suite_passes_where_a_low_level_factor_reads_zero_over_zero(family, p):
+    # at b1 = 1 (e4 = q) E_1 = E_{-1}, so the level-0 ladder action reads 0/0
+    # and the number-operator inversion sits at the end of its range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        failed = [r.check_id for suite in SUITES
+                  for r in run_suite(suite, family, p, VerifyConfig(n_max=8)) if not r.passed]
+    assert failed == []
 
 
 # ------------------------------------------------------------ ground state

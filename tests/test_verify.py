@@ -465,12 +465,24 @@ def test_number_operator_regime_error():
     assert math.prod(p.a).real < 0
     for n in range(31):
         assert fam.level_from_energy(p, fam.energy(p, n)) == pytest.approx(n, abs=1e-13)
-    # for b4 >= q the smaller root at level 0 is q/b4, not 1: rejected by name
+    # for b4 > q the smaller root at level 0 is q/b4, not 1: rejected by name
     p = ParamSet(a=(0.95, 0.9, 0.9, 0.9), q=0.5)
     fam.validate(p)
-    assert math.prod(p.a).real >= p.q
-    with pytest.raises(ValueError, match="needs b4 < q"):
+    assert math.prod(p.a).real > p.q
+    with pytest.raises(ValueError, match="needs b4 <= q"):
         fam.level_from_energy(p, fam.energy(p, 1))
+
+
+@pytest.mark.parametrize("family,p", [
+    ("wilson", ParamSet(a=(0.25, 0.25, 0.25, 0.25))),
+    ("continuous-hahn", ParamSet(a=(0.25, 0.25))),
+    ("askey-wilson", ParamSet(a=(0.5, 0.5, 0.5, 0.5), q=0.0625)),
+])
+def test_number_operator_inverts_at_the_end_of_its_range(family, p):
+    # b1 = 1 gives E_n = n^2, and b4 = q the double root q^0 = 1 at level 0
+    fam = get_family(family)
+    for n in range(31):
+        assert fam.level_from_energy(p, fam.energy(p, n)) == pytest.approx(n, abs=1e-13)
 
 
 @pytest.mark.parametrize("family,fixture", [
