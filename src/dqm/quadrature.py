@@ -4,44 +4,49 @@ K = (phi0 P_n, H phi0 P_m) (A = H, applied as H-tilde to the polynomials).
 The mirror form (H phi0 P_n, phi0 P_m) is conj(K_mn), so hermiticity is
 K = K^H and the spectrum is diag(K) = E_n.
 
-Each interval's rule is refined level by level until two successive
-levels agree.  (0, pi) takes composite Gauss-Legendre, its panels doubling
-from 2 to 512.  The two unbounded intervals take double-exponential rules
-(Takahasi & Mori 1974, Publ. RIMS 9:721; Mori & Sugihara 2001, J. Comput.
-Appl. Math. 127:287), placed by the peak c of the weight w = phi0^2 and
-its width s (`weight_window`):
+Every interval runs one nested trapezoid ladder in t, halving the step
+until two levels agree.  A level adds the odd multiples of its step, so
+its sums are half the last ones plus those over its new nodes, and no
+node is evaluated twice.  The interval picks only the map x(t):
 
+    (0, pi)                sin^2       x = t - sin(2t)/2
     (-inf, inf)            sinh-sinh   x = c + s sinh(pi/2 sinh t)
     (0, inf), s >= 0.1 c   exp-sinh    x = (c + s) e^{pi/2 sinh t}
     (0, inf), s < 0.1 c    tanh-sinh on [0, c] plus exp-sinh x = c + s e^{pi/2 sinh t}
 
-with t in [-T_MAX, T_MAX] and the step halving from 1/8 to 1/512, so that
-a level keeps the last one's nodes.  Sinh-sinh crowds its nodes towards
-both infinities and exp-sinh towards 0 and infinity, the interval's ends,
-not onto the peak.  Exp-sinh's relative node spacing dx/x is finest at
-t = 0, about pi/2 times the step, and the scale c + s puts t = 0 next to
-the peak.  So one exp-sinh rule stalls on a peak narrower than about 3 %
-of its distance from 0, as a conjugate pair a = r +- i m puts one about
-r wide at x = m; below s/c = NARROW_PEAK the rule splits at c into two
-pieces that both crowd their nodes onto c.  The fixtures' peaks have
-s/c = 0.45 to 0.54.  The ladder starts at 1/8 because no matrix is
-accepted at a coarser step: over the 16 G and K matrices of the unbounded
-fixtures the accepted step is 1/32 at n_max 1, 1/64 at n_max 8 and 1/128
-to 1/256 at n_max 30, so levels at steps 1/2 and 1/4 would each pay a
-level's fixed cost for nothing.  The weight enters as log w - log h0 from
-`Family.log_amplitude` and `Family.log_h0`, so a weight or a norm beyond
-the double range costs nothing.  Each node's weight dx w / h0 is formed
-once, by `_levels`, which drops the nodes where it underflows to zero.
+On (0, pi) the cos-x integrands P_n(cos x) |g(x)|^2 are even, 2 pi-periodic
+and analytic, where the trapezoid rule converges geometrically (Trefethen
+& Weideman 2014, SIAM Rev. 56:385).  Sidi's map (Numerical Integration IV,
+ISNM 112, 1993, 359), dx = 2 sin^2 t dt, keeps them so and gives the ends
+weight 0, so w(0) != 0 (q-Laguerre `edge`) needs no end node.  The step
+runs from pi/32, since every cos-x matrix of the fixtures is accepted at
+pi/64 or finer at n_max 1 (by pi/256 up to n_max 30), to pi/16384.  The
+first node lies (2/3) h^3 from an end, inside the singularity guard
+(below) from step pi/2048 on.
 
-One routine, `_matrix`, computes both matrices.  Per refinement level it
-evaluates the weight once and P_0 .. P_n once on its new nodes, by one
-pass of their recurrence on their shift lattice, and applies A to them as
-plain arrays; every entry comes with the l1 sum of its integrand.  A level is
-accepted when every entry passes the stopping test `_converged`.  The sums
-run over blocks of at most NODE_BLOCK nodes, so the transient arrays stay
-small at any depth.  Nodes inside the operator's singularity guard around
-the poles of V (exponentially close to an interval end) are masked out,
-that is, counted as zero: the weight has crushed the integrand there.
+The double-exponential rules (Takahasi & Mori 1974, Publ. RIMS 9:721; Mori
+& Sugihara 2001, J. Comput. Appl. Math. 127:287) run over [-T_MAX, T_MAX]
+at steps 1/8 to 1/512, placed by the peak c of w = phi0^2 and its width s
+(`weight_window`).  They crowd their nodes towards the interval's ends,
+not onto the peak, and exp-sinh's relative spacing dx/x is finest at
+t = 0, about pi/2 times the step.  So one exp-sinh rule stalls on a peak
+narrower than about 3 % of its distance from 0, as a conjugate pair
+a = r +- i m puts one about r wide at x = m; below s/c = NARROW_PEAK the
+rule splits at c into two pieces that crowd their nodes onto c.  The
+fixtures have s/c = 0.45 to 0.54, and their 16 G and K matrices are
+accepted at step 1/32 at n_max 1 (hence the start at 1/8), 1/64 at n_max 8
+and 1/128 to 1/256 at n_max 30.
+
+The weight enters as log w - log h0 (`Family.log_amplitude`, `log_h0`), so
+weights and norms beyond the double range cost nothing; `_levels` forms
+each node's weight dx w / h0 once and drops those that underflow to zero.
+`_matrix` computes both matrices: per level it evaluates the weight and
+P_0 .. P_n once on the new nodes, by one pass of their recurrence on their
+shift lattice, applies A to them as plain arrays, and stops when every
+entry, with the l1 sum of its integrand, passes `_converged`.  The sums run
+over blocks of at most NODE_BLOCK nodes.  Nodes inside the operator's
+singularity guard around the poles of V (at an interval end) count as
+zero: the weight has crushed the integrand there.
 """
 
 from __future__ import annotations
@@ -71,7 +76,7 @@ class ToleranceNotMet(RuntimeError):
 
 
 ABS_TOL = 1e-10       # the stopping tolerance, relative beyond order-one magnitudes
-LEVELS = 9            # refinement levels of Gauss-Legendre: 2 .. 512 panels
+SIN2_LEVELS = 10      # levels of the sin^2 ladder on (0, pi): steps pi/32 .. pi/16384
 DE_LEVELS = 7         # levels of the double-exponential rules: steps 1/8 .. 1/512
 T_MAX = 4.0           # the double-exponential rules run over t in [-T_MAX, T_MAX]
 NARROW_PEAK = 0.1     # on (0, inf), a peak with s < NARROW_PEAK c splits the rule at c
@@ -94,11 +99,21 @@ def _call_vectorized(f, x: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
+def _sin2_grid(level: int):
+    """x = t - sin(2t)/2 and h dx/dt = 2 h sin^2 t at the t = h k in (0, pi)
+    that a level adds: h = pi/32 / 2^level, every k at level 0, odd k past it."""
+    h = math.pi / 32 / 2**level
+    t = h * np.arange(1, 32 * 2**level, 2 if level else 1)
+    return t - 0.5 * np.sin(2.0 * t), 2.0 * h * np.sin(t) ** 2
+
+
+@lru_cache(maxsize=16)
 def _de_grid(level: int):
-    """u = pi/2 sinh t and the step times du/dt on the t grid of one level:
-    step 1/8 at level 0, halving with each level."""
+    """u = pi/2 sinh t and h du/dt at the t = h k in [-T_MAX, T_MAX] that a
+    level adds: h = 1/8 / 2^level, every k at level 0, odd k past it."""
     h = 0.125 / 2**level
-    t = h * np.arange(-round(T_MAX / h), round(T_MAX / h) + 1)
+    n = round(T_MAX / h)  # even at every level
+    t = h * (np.arange(1 - n, n, 2) if level else np.arange(-n, n + 1))
     return 0.5 * math.pi * np.sinh(t), h * 0.5 * math.pi * np.cosh(t)
 
 
@@ -109,23 +124,10 @@ def _tanh_sinh(a: float, b: float, u, du):
     return np.where(u < 0.0, a + d, b - d), 0.5 * (b - a) * du / np.cosh(u) ** 2
 
 
-@lru_cache(maxsize=16)
-def _gauss_legendre(level: int):
-    """Composite 32-point Gauss-Legendre on (0, pi) with 2^(level+1) panels."""
-    xs, ws = np.polynomial.legendre.leggauss(32)
-    edges = np.linspace(0.0, math.pi, 2 ** (level + 1) + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    halves = 0.5 * np.diff(edges)
-    return ((mids[:, None] + halves[:, None] * xs[None, :]).ravel(),
-            (halves[:, None] * ws[None, :]).ravel())
-
-
 def weight_window(family, p: ParamSet):
     """(c, s): the peak c of log w = 2 Re log_amplitude on an unbounded
-    interval and the width s = (-(log w)''(c))^(-1/2) there.  Sinh-sinh
-    on (-inf, inf) is centred on c and scaled by s.  On (0, inf) the ratio
-    s/c picks the rule: one exp-sinh rule scaled by c + s, or, for a narrow
-    peak, tanh-sinh on [0, c] and exp-sinh from c scaled by s.
+    interval and the width s = (-(log w)''(c))^(-1/2) there, which place
+    and, on (0, inf), pick the rules of the module docstring's table.
 
     The peak is the largest of log w on a geometric grid +-(1e-3 .. 1e5)
     and 0, refined three times on 33 points between the neighbours of the
@@ -160,20 +162,17 @@ def weight_window(family, p: ParamSet):
 
 
 def _levels(fam, p: ParamSet):
-    """Per refinement level of the family's rule: carry, then the nodes it
-    adds and their node weights dx w / h0.  Its sums are carry times
-    the last level's plus those over its nodes: 1/2 past level 0 on the
-    nested double-exponential rules (the odd t indices), 0 on Gauss-Legendre."""
+    """Per refinement level of the family's rule: the nodes it adds and their
+    weights dx w / h0; its sums are half the last level's plus theirs."""
     lo, hi = fam.spec.interval
     if hi == math.inf:
         c, s = weight_window(fam, p)
     log_h0 = fam.log_h0(p)
-    for level in range(DE_LEVELS if hi == math.inf else LEVELS):
-        carry = 0.5 if level and hi == math.inf else 0.0
+    for level in range(DE_LEVELS if hi == math.inf else SIN2_LEVELS):
         if hi != math.inf:
-            x, dx = _gauss_legendre(level)
+            x, dx = _sin2_grid(level)
         else:
-            u, du = (a[1::2] if carry else a for a in _de_grid(level))
+            u, du = _de_grid(level)
             if lo == -math.inf:
                 x, dx = c + s * np.sinh(u), s * np.cosh(u) * du
             elif s < NARROW_PEAK * c:
@@ -185,7 +184,7 @@ def _levels(fam, p: ParamSet):
                 dx = x * du
         wx = dx * np.exp(2.0 * np.real(fam.log_amplitude(p, x)) - log_h0)
         keep = wx != 0.0  # a NaN stays, and fails the level
-        yield carry, x[keep], wx[keep]
+        yield x[keep], wx[keep]
 
 
 def _converged(err, value, l1):
@@ -209,12 +208,12 @@ def _matrix(fam, p: ParamSet, n_max: int, half: int, act) -> Terms:
     value, l1 = np.zeros((n_max + 1,) * 2, dtype=complex), np.zeros((n_max + 1,) * 2)
     prev = None
     err = math.inf
-    for carry, nodes, weights in _levels(fam, p):
+    for nodes, weights in _levels(fam, p):
         # nodes inside the operator's singularity guard count as zero
         keep = ~ctx.inside_guard(nodes)
         nodes, weights = nodes[keep], weights[keep]
-        value, l1 = (carry * value, carry * l1) if carry else (
-            np.zeros_like(value), np.zeros_like(l1))
+        # new arrays, not in place: prev is the last level's value
+        value, l1 = 0.5 * value, 0.5 * l1
         for lo in range(0, nodes.size, NODE_BLOCK):
             wx = weights[lo:lo + NODE_BLOCK]
             lat = ctx.lattice(nodes[lo:lo + NODE_BLOCK], half)

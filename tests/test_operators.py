@@ -162,7 +162,7 @@ def test_H_tilde_gives_the_same_bits_on_arrays_and_on_terms(family, name):
     p = fixture_params(family, name)
     fam = get_family(family)
     ctx = OperatorContext(fam, p)
-    _, nodes, _ = next(_levels(fam, p))
+    nodes, _ = next(_levels(fam, p))
     lat = ctx.lattice(nodes[~ctx.inside_guard(nodes)], 2)
     f = lat.operand(eval_poly_recurrence(fam, p, 8))
     plain = ctx.H_tilde(f.val, lat)

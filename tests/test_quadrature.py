@@ -17,10 +17,12 @@ from dqm.families import (
     get_family,
 )
 from dqm.fixtures import fixture_names, fixture_params
+from dqm.operators import OperatorContext
 from dqm.quadrature import (
     ToleranceNotMet,
     _de_grid,
     _levels,
+    _sin2_grid,
     _tanh_sinh,
     hermiticity_forms,
     orthogonality_matrix,
@@ -177,8 +179,8 @@ def test_quadrature_self_consistency():
         fam = get_family(family)
         p = fixture_params(family)
         sums = []
-        for carry, _, wx in _levels(fam, p):
-            sums.append(carry * (sums[-1] if sums else 0.0) + np.sum(wx))
+        for _, wx in _levels(fam, p):
+            sums.append(0.5 * (sums[-1] if sums else 0.0) + np.sum(wx))
         sums = np.array(sums)
         accepted = int(np.argmax(np.abs(np.diff(sums)) <= 1e-10)) + 1
         assert accepted < len(sums) - 1
@@ -186,12 +188,15 @@ def test_quadrature_self_consistency():
 
 
 def test_rules_agree_on_finite_interval():
-    # tanh-sinh on [0, pi] against the composite Gauss-Legendre nodes of the
-    # cos-x families, which the Gram matrix runs on
+    # tanh-sinh on [0, pi], run up its nested ladder to step 1/64, against the
+    # sin^2 trapezoid that the Gram matrix of the cos-x families runs on: two
+    # independent rules
     fam = get_family("continuous-q-hermite")
     p = ParamSet(q=0.5)
-    x, dx = _tanh_sinh(0.0, math.pi, *_de_grid(3))
-    vd = np.sum(dx * np.asarray(fam.phi0(p, x)) ** 2)
+    vd = 0.0
+    for level in range(4):
+        x, dx = _tanh_sinh(0.0, math.pi, *_de_grid(level))
+        vd = 0.5 * vd + np.sum(dx * np.asarray(fam.phi0(p, x)) ** 2)
     [vg] = _norms(fam, p, 0)
     assert vd == pytest.approx(vg, rel=1e-12)
 
@@ -205,6 +210,19 @@ def test_weight_window_finds_a_peak_off_any_fixed_grid():
     assert s == pytest.approx(abs(c) / math.sqrt(79), rel=1e-2)
     with pytest.raises(ValueError, match="unbounded"):
         weight_window("continuous-q-hermite", ParamSet(q=0.5))
+
+
+# hard cos-x sets: a parameter near +-1 puts a peak of the weight next to
+# an end of (0, pi), where the sin^2 map crowds its nodes, and q = 0.95
+# narrows the q-Hermite peak at pi/2 to about 0.26 wide (0.9 at q = 0.5)
+COS_X_HARD_SETS = [
+    ("askey-wilson", ParamSet(a=(0.99, 0.6, 0.4, 0.2), q=0.5)),
+    ("askey-wilson", ParamSet(a=(-0.97, 0.6, 0.4, 0.2), q=0.9)),
+    ("askey-wilson", ParamSet(a=(0.95 * np.exp(1j), 0.95 * np.exp(-1j), 0.6, 0.4), q=0.5)),
+    ("continuous-big-q-hermite", ParamSet(a=(0.98,), q=0.5)),
+    ("continuous-q-hermite", ParamSet(q=0.95)),
+    ("al-salam-chihara", ParamSet(a=(0.9, -0.9), q=0.5)),
+]
 
 
 # Parameter sets whose weight peaks far out, narrowly, or beyond the double
@@ -235,6 +253,7 @@ HARD_SETS = [
     ("wilson", ParamSet(a=(0.3 + 15j, 0.3 - 15j, 0.5, 2.0))),
     ("wilson", ParamSet(a=(0.03 + 3j, 0.03 - 3j, 0.5, 2.0))),
     ("wilson", ParamSet(a=(0.05 + 6j, 0.05 - 6j, 0.5, 2.0))),
+    *COS_X_HARD_SETS,
 ]
 
 
@@ -289,7 +308,6 @@ def test_quadrature_counts_a_pole_of_V_at_a_node_as_zero(monkeypatch):
     # the Gram matrix as in K
     import dqm.quadrature as quadrature
     from dqm.families import SingularityError
-    from dqm.operators import OperatorContext
 
     fam = get_family("continuous-q-hermite")
     p = fixture_params("continuous-q-hermite")
@@ -297,8 +315,8 @@ def test_quadrature_counts_a_pole_of_V_at_a_node_as_zero(monkeypatch):
     levels = quadrature._levels
 
     def with_pole(fam, p):
-        for carry, x, wx in levels(fam, p):
-            yield carry, np.append(x, 0.0), np.append(wx, 1.0)
+        for x, wx in levels(fam, p):
+            yield np.append(x, 0.0), np.append(wx, 1.0)
 
     monkeypatch.setattr(quadrature, "_levels", with_pole)
     with pytest.raises(SingularityError):
@@ -309,7 +327,7 @@ def test_quadrature_counts_a_pole_of_V_at_a_node_as_zero(monkeypatch):
         assert np.max(np.abs(matrix.val - want.val) / (1 + np.abs(want.val))) <= 1e-14
     # on (0, inf) the exp-sinh nodes that crowd towards x = 0 fall inside the guard
     wilson = get_family("wilson")
-    _, x, _ = next(levels(wilson, fixture_params("wilson")))
+    x, _ = next(levels(wilson, fixture_params("wilson")))
     assert OperatorContext(wilson, fixture_params("wilson")).inside_guard(x).any()
 
 
@@ -331,6 +349,48 @@ def test_hermiticity_forms_reproduce_the_spectrum(family, fixture):
             assert abs(np.conj(K[m, n]) - want) <= 1e-11 * (1 + e_n)
 
 
+COS_X_SETS = [(name, fixture_params(name, fx)) for name, fx in FIXTURES
+              if get_family(name).spec.interval[1] == math.pi] + COS_X_HARD_SETS
+
+
+def test_sin2_ladder_reaches_the_guard_from_step_pi_over_2048():
+    # the first node of the sin^2 ladder lies (2/3) h^3 from x = 0: outside
+    # the guard |2 sin x| < 2e-8 down to step pi/1024, inside from pi/2048 on
+    ctx = OperatorContext(get_family("continuous-q-hermite"), ParamSet(q=0.5))
+    first = np.array([_sin2_grid(level)[0][0] for level in range(10)])
+    assert ctx.inside_guard(first).tolist() == [False] * 6 + [True] * 4
+
+
+@pytest.mark.parametrize("family,p", COS_X_SETS)
+@pytest.mark.parametrize("n_max", [8, 30])
+def test_guard_masks_no_weight_up_to_the_accepted_level(family, p, n_max, monkeypatch):
+    # every cos-x fixture's matrix is accepted by step pi/256, before its
+    # ladder reaches the guard, so no node is masked, where w(0) != 0
+    # (q-Laguerre `edge`) too.  Of the hard sets only K of the Askey-Wilson
+    # pair 0.95 e^{+-i} at n_max 30 goes on to pi/2048: it masks two nodes,
+    # where w(0) = 0 has crushed the weight to about 4e-27 of h0
+    import dqm.quadrature as quadrature
+
+    fam = get_family(family)
+    ctx = OperatorContext(fam, p)
+    levels = quadrature._levels
+    masked = []
+
+    def traced(fam, p):
+        for x, wx in levels(fam, p):
+            inside = ctx.inside_guard(x)
+            masked.append((int(inside.sum()), float(np.sum(np.abs(wx[inside])))))
+            yield x, wx
+
+    monkeypatch.setattr(quadrature, "_levels", traced)
+    for matrix in (orthogonality_matrix, hermiticity_forms):
+        masked.clear()
+        matrix(fam, p, n_max)
+        counts, weights = zip(*masked)
+        assert len(counts) >= 2 and sum(weights) <= 1e-20, masked
+        assert (family, p) in COS_X_HARD_SETS or not any(counts), masked
+
+
 @pytest.mark.parametrize("family,fixture", FIXTURES)
 @pytest.mark.parametrize("suite", ["orthogonality", "hermiticity"])
 def test_quadrature_evaluates_phi0_once_per_level(suite, family, fixture, monkeypatch):
@@ -343,21 +403,23 @@ def test_quadrature_evaluates_phi0_once_per_level(suite, family, fixture, monkey
         window = weight_window(fam, p)  # its own weight evaluations are not counted
         monkeypatch.setattr(quadrature, "weight_window", lambda *args: window)
     plain = type(fam).log_amplitude
-    sizes = []
+    nodes = []
 
     def counted(self, params, x):
-        sizes.append(np.size(x))
+        nodes.append(np.ravel(x))
         return plain(self, params, x)
 
     monkeypatch.setattr(type(fam), "log_amplitude", counted)
-    assert all(r.passed for r in run_suite(suite, fam, p))
+    results = run_suite(suite, fam, p)
     # one weight evaluation per refinement level
-    assert len(sizes) >= 2
-    if fam.spec.interval[1] == math.inf:
-        # on the nested double-exponential levels each evaluation takes only
-        # the nodes its level adds: together they are the last level's grid,
-        # one rule on either interval, and no node comes twice
-        assert sum(sizes) == _de_grid(len(sizes) - 1)[0].size
-    else:
-        # Gauss-Legendre levels share no nodes: each takes more than the last
-        assert all(a < b for a, b in zip(sizes, sizes[1:]))
+    assert len(nodes) >= 2
+    # each evaluation takes only the nodes its level adds: together they
+    # are the finest level's grid, one rule on every interval, and no node
+    # comes twice.  That grid is t = h k over [-4, 4] at h = 1/8 / 2^level
+    # on the unbounded intervals, over (0, pi) at h = pi/32 / 2^level on the
+    # sin^2 ladder
+    finest = 2 ** (len(nodes) - 1)
+    want = 64 * finest + 1 if fam.spec.interval[1] == math.inf else 32 * finest - 1
+    x = np.concatenate(nodes)
+    assert sum(map(np.size, nodes)) == np.unique(x).size == want
+    assert all(r.passed for r in results)

@@ -9,9 +9,10 @@ the 22 bundled fixtures, and compare two dumps entry by entry.
     G, K        orthogonality_matrix and hermiticity_forms at levels
                 0..N (default 8): the value and the l1 sum of each entry,
                 the step of the refinement level the matrix accepted and
-                the nodes its levels summed over.  The step is read off
-                that level's grid: the t step of a double-exponential
-                rule, the panel width of composite Gauss-Legendre
+                the nodes its levels summed over.  The step is the t step
+                of that level's trapezoid, read off its grid: of the sin^2
+                ladder on (0, pi), of the double-exponential rules on
+                the unbounded intervals
     log_amp     log_amplitude at the 33 real points of
                 dqm.operators.sample_points and at those points minus i gamma/2
     weight_sq   weight_square at the shifted parameters and the points
@@ -32,6 +33,8 @@ exits 1 if the two dumps differ in shape or naming, 0 otherwise.
 
 To compare two commits, run the same copy of this script in each
 checkout, since a dump runs the dqm of the checkout the script sits in.
+A commit whose quadrature grids or `_levels` differ in name or shape
+needs its own copy.
 """
 
 from __future__ import annotations
@@ -59,23 +62,27 @@ POINTS = 33
 def _refined(matrix, fam, p, n_max: int):
     """matrix(fam, p, n_max), the step of the refinement level it accepted
     and the number of nodes its levels yielded.  The quadrature's grid and
-    its level generator are wrapped for the call: du/dt is pi/2 at t = 0 on
-    a double-exponential grid, and a Gauss-Legendre panel has 32 nodes."""
+    its level generator are wrapped for the call.  A level's step h is a
+    power of 2 on a double-exponential grid and pi times a power of 2 on
+    the sin^2 grid, and the grid's h du/dt or h dx/dt reads it to a factor
+    1 + O(h^2):
+    h pi/2 cosh t at the nodes nearest t = 0, 2 h sin^2 t at those nearest
+    t = pi/2."""
     unbounded = fam.spec.interval[1] == math.inf
-    grid_name = "_de_grid" if unbounded else "_gauss_legendre"
+    grid_name = "_de_grid" if unbounded else "_sin2_grid"
     grid, levels = getattr(quadrature, grid_name), quadrature._levels
     steps, nodes = [], []
 
     def traced_grid(level):
         a, b = grid(level)
-        steps.append(2.0 ** round(math.log2(2.0 * b[b.size // 2] / math.pi))
-                     if unbounded else 32 * math.pi / a.size)
+        steps.append(2.0 ** round(math.log2(2.0 * b.min() / math.pi)) if unbounded
+                     else math.pi * 2.0 ** round(math.log2(0.5 * b.max() / math.pi)))
         return a, b
 
     def traced_levels(*args):
-        for carry, x, wx in levels(*args):
+        for x, wx in levels(*args):
             nodes.append(x.size)
-            yield carry, x, wx
+            yield x, wx
 
     setattr(quadrature, grid_name, traced_grid)
     quadrature._levels = traced_levels
