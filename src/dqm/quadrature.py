@@ -19,10 +19,10 @@ and analytic, where the trapezoid rule converges geometrically (Trefethen
 & Weideman 2014, SIAM Rev. 56:385).  Sidi's map (Numerical Integration IV,
 ISNM 112, 1993, 359), dx = 2 sin^2 t dt, keeps them so and gives the ends
 weight 0, so w(0) != 0 (q-Laguerre `edge`) needs no end node.  The step
-runs from pi/32, since every cos-x matrix of the fixtures is accepted at
-pi/64 or finer at n_max 1 (by pi/256 up to n_max 30), to pi/16384.  The
-first node lies (2/3) h^3 from an end, inside the singularity guard
-(below) from step pi/2048 on.
+runs from pi/64 to pi/16384: at n_max 8, the verify default, every cos-x
+fixture matrix is accepted at pi/128 (one at pi/256; at n_max 30, pi/256),
+so pi/64 is its first comparison.  The first node lies (2/3) h^3 from an
+end, inside the singularity guard (below) from step pi/2048 on.
 
 The double-exponential rules (Takahasi & Mori 1974, Publ. RIMS 9:721; Mori
 & Sugihara 2001, J. Comput. Appl. Math. 127:287) run over [-T_MAX, T_MAX]
@@ -76,7 +76,7 @@ class ToleranceNotMet(RuntimeError):
 
 
 ABS_TOL = 1e-10       # the stopping tolerance, relative beyond order-one magnitudes
-SIN2_LEVELS = 10      # levels of the sin^2 ladder on (0, pi): steps pi/32 .. pi/16384
+SIN2_LEVELS = 9       # levels of the sin^2 ladder on (0, pi): steps pi/64 .. pi/16384
 DE_LEVELS = 7         # levels of the double-exponential rules: steps 1/8 .. 1/512
 T_MAX = 4.0           # the double-exponential rules run over t in [-T_MAX, T_MAX]
 NARROW_PEAK = 0.1     # on (0, inf), a peak with s < NARROW_PEAK c splits the rule at c
@@ -101,9 +101,9 @@ def _call_vectorized(f, x: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=16)
 def _sin2_grid(level: int):
     """x = t - sin(2t)/2 and h dx/dt = 2 h sin^2 t at the t = h k in (0, pi)
-    that a level adds: h = pi/32 / 2^level, every k at level 0, odd k past it."""
-    h = math.pi / 32 / 2**level
-    t = h * np.arange(1, 32 * 2**level, 2 if level else 1)
+    that a level adds: h = pi/64 / 2^level, every k at level 0, odd k past it."""
+    h = math.pi / 64 / 2**level
+    t = h * np.arange(1, 64 * 2**level, 2 if level else 1)
     return t - 0.5 * np.sin(2.0 * t), 2.0 * h * np.sin(t) ** 2
 
 

@@ -214,7 +214,9 @@ def test_weight_window_finds_a_peak_off_any_fixed_grid():
 
 # hard cos-x sets: a parameter near +-1 puts a peak of the weight next to
 # an end of (0, pi), where the sin^2 map crowds its nodes, and q = 0.95
-# narrows the q-Hermite peak at pi/2 to about 0.26 wide (0.9 at q = 0.5)
+# narrows the q-Hermite peak at pi/2 to about 0.26 wide (0.9 at q = 0.5).
+# Continuous q-Laguerre alpha = -1/2 maps to a1 = 1, where w(0) != 0; at
+# q = 0.99 a2 = q^{1/2} is near 1 too, and w(0) is 11 h0 (1.4 h0 at q = 0.5)
 COS_X_HARD_SETS = [
     ("askey-wilson", ParamSet(a=(0.99, 0.6, 0.4, 0.2), q=0.5)),
     ("askey-wilson", ParamSet(a=(-0.97, 0.6, 0.4, 0.2), q=0.9)),
@@ -222,6 +224,7 @@ COS_X_HARD_SETS = [
     ("continuous-big-q-hermite", ParamSet(a=(0.98,), q=0.5)),
     ("continuous-q-hermite", ParamSet(q=0.95)),
     ("al-salam-chihara", ParamSet(a=(0.9, -0.9), q=0.5)),
+    ("continuous-q-laguerre", ParamSet(a=(-0.5,), q=0.99)),
 ]
 
 
@@ -357,8 +360,8 @@ def test_sin2_ladder_reaches_the_guard_from_step_pi_over_2048():
     # the first node of the sin^2 ladder lies (2/3) h^3 from x = 0: outside
     # the guard |2 sin x| < 2e-8 down to step pi/1024, inside from pi/2048 on
     ctx = OperatorContext(get_family("continuous-q-hermite"), ParamSet(q=0.5))
-    first = np.array([_sin2_grid(level)[0][0] for level in range(10)])
-    assert ctx.inside_guard(first).tolist() == [False] * 6 + [True] * 4
+    first = np.array([_sin2_grid(level)[0][0] for level in range(9)])
+    assert ctx.inside_guard(first).tolist() == [False] * 5 + [True] * 4
 
 
 @pytest.mark.parametrize("family,p", COS_X_SETS)
@@ -366,9 +369,11 @@ def test_sin2_ladder_reaches_the_guard_from_step_pi_over_2048():
 def test_guard_masks_no_weight_up_to_the_accepted_level(family, p, n_max, monkeypatch):
     # every cos-x fixture's matrix is accepted by step pi/256, before its
     # ladder reaches the guard, so no node is masked, where w(0) != 0
-    # (q-Laguerre `edge`) too.  Of the hard sets only K of the Askey-Wilson
-    # pair 0.95 e^{+-i} at n_max 30 goes on to pi/2048: it masks two nodes,
-    # where w(0) = 0 has crushed the weight to about 4e-27 of h0
+    # (q-Laguerre `edge`) too.  Of the hard sets, q-Laguerre at q = 0.99
+    # (w(0) = 11 h0, where a masked node would drop about 1e-7 of h0) is
+    # accepted by pi/512, and only K of the Askey-Wilson pair 0.95 e^{+-i}
+    # at n_max 30 goes on to pi/2048: it masks two nodes, where w(0) = 0 has
+    # crushed the weight to about 4e-27 of h0
     import dqm.quadrature as quadrature
 
     fam = get_family(family)
@@ -416,10 +421,10 @@ def test_quadrature_evaluates_phi0_once_per_level(suite, family, fixture, monkey
     # each evaluation takes only the nodes its level adds: together they
     # are the finest level's grid, one rule on every interval, and no node
     # comes twice.  That grid is t = h k over [-4, 4] at h = 1/8 / 2^level
-    # on the unbounded intervals, over (0, pi) at h = pi/32 / 2^level on the
+    # on the unbounded intervals, over (0, pi) at h = pi/64 / 2^level on the
     # sin^2 ladder
     finest = 2 ** (len(nodes) - 1)
-    want = 64 * finest + 1 if fam.spec.interval[1] == math.inf else 32 * finest - 1
+    want = 64 * finest + 1 if fam.spec.interval[1] == math.inf else 64 * finest - 1
     x = np.concatenate(nodes)
     assert sum(map(np.size, nodes)) == np.unique(x).size == want
     assert all(r.passed for r in results)
