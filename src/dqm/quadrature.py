@@ -7,7 +7,10 @@ K = K^H and the spectrum is diag(K) = E_n.
 Every interval runs one nested trapezoid ladder in t, halving the step
 until two levels agree.  A level adds the odd multiples of its step, so
 its sums are half the last ones plus those over its new nodes, and no
-node is evaluated twice.  The interval picks only the map x(t):
+node is evaluated twice.  The ladder is evaluated a pass at a time: the
+first pass holds levels 0 and 1 (FIRST_PASS), since the first comparison
+needs both, and every later pass one level.  The interval picks only the
+map x(t):
 
     (0, pi)                sin^2       x = t - sin(2t)/2
     (-inf, inf)            sinh-sinh   x = c + s sinh(pi/2 sinh t)
@@ -26,7 +29,7 @@ end, inside the singularity guard (below) from step pi/2048 on.
 
 The double-exponential rules (Takahasi & Mori 1974, Publ. RIMS 9:721; Mori
 & Sugihara 2001, J. Comput. Appl. Math. 127:287) run over [-T_MAX, T_MAX]
-at steps 1/8 to 1/512, placed by the peak c of w = phi0^2 and its width s
+at steps 1/32 to 1/512, placed by the peak c of w = phi0^2 and its width s
 (`weight_window`).  They crowd their nodes towards the interval's ends,
 not onto the peak, and exp-sinh's relative spacing dx/x is finest at
 t = 0, about pi/2 times the step.  So one exp-sinh rule stalls on a peak
@@ -34,19 +37,24 @@ narrower than about 3 % of its distance from 0, as a conjugate pair
 a = r +- i m puts one about r wide at x = m; below s/c = NARROW_PEAK the
 rule splits at c into two pieces that crowd their nodes onto c.  The
 fixtures have s/c = 0.45 to 0.54, and their 16 G and K matrices are
-accepted at step 1/32 at n_max 1 (hence the start at 1/8), 1/64 at n_max 8
-and 1/128 to 1/256 at n_max 30.
+accepted at step 1/64 at n_max 8, the verify default, and 1/128 to 1/256
+at n_max 30, so 1/32 is their first comparison and the first pass holds
+all an n_max 8 matrix needs.  At n_max 1 they would be accepted at 1/32;
+the 1/32 start takes them to 1/64, one level more than a coarser start.
 
 The weight enters as log w - log h0 (`Family.log_amplitude`, `log_h0`), so
 weights and norms beyond the double range cost nothing; `_levels` forms
 each node's weight dx w / h0 once and drops those that underflow to zero.
-`_matrix` computes both matrices: per level it evaluates the weight and
-P_0 .. P_n once on the new nodes, by one pass of their recurrence on their
-shift lattice, applies A to them as plain arrays, and stops when every
-entry, with the l1 sum of its integrand, passes `_converged`.  The sums run
-over blocks of at most NODE_BLOCK nodes.  Nodes inside the operator's
-singularity guard around the poles of V (at an interval end) count as
-zero: the weight has crushed the integrand there.
+`_matrix` computes both matrices: per pass it evaluates the weight and
+P_0 .. P_n once on the pass's nodes, by one pass of their recurrence on
+their shift lattice, in blocks of at most NODE_BLOCK nodes, and applies A
+to them as plain arrays.  It then sums each level over its own nodes, in
+blocks of at most NODE_BLOCK counted from the level's start, so a level
+sums to the same bits in a pass of two as in a pass of its own, and stops
+when every entry, with the l1 sum of its integrand, passes `_converged`.
+Nodes inside the operator's singularity guard around the poles of V (at
+an interval end) count as zero: the weight has crushed the integrand
+there.
 """
 
 from __future__ import annotations
@@ -77,12 +85,13 @@ class ToleranceNotMet(RuntimeError):
 
 ABS_TOL = 1e-10       # the stopping tolerance, relative beyond order-one magnitudes
 SIN2_LEVELS = 9       # levels of the sin^2 ladder on (0, pi): steps pi/64 .. pi/16384
-DE_LEVELS = 7         # levels of the double-exponential rules: steps 1/8 .. 1/512
+DE_LEVELS = 5         # levels of the double-exponential rules: steps 1/32 .. 1/512
 T_MAX = 4.0           # the double-exponential rules run over t in [-T_MAX, T_MAX]
 NARROW_PEAK = 0.1     # on (0, inf), a peak with s < NARROW_PEAK c splits the rule at c
+FIRST_PASS = 2        # levels of a ladder's first pass: the first comparison needs two
 
-# nodes per block of the sums: bounds the transient (levels, lattice rows,
-# nodes) arrays whatever the refinement depth
+# nodes per block of the evaluations and the sums: bounds the transient
+# (levels, lattice rows, nodes) arrays whatever the refinement depth
 NODE_BLOCK = 512
 
 
@@ -110,8 +119,8 @@ def _sin2_grid(level: int):
 @lru_cache(maxsize=16)
 def _de_grid(level: int):
     """u = pi/2 sinh t and h du/dt at the t = h k in [-T_MAX, T_MAX] that a
-    level adds: h = 1/8 / 2^level, every k at level 0, odd k past it."""
-    h = 0.125 / 2**level
+    level adds: h = 1/32 / 2^level, every k at level 0, odd k past it."""
+    h = 0.03125 / 2**level
     n = round(T_MAX / h)  # even at every level
     t = h * (np.arange(1 - n, n, 2) if level else np.arange(-n, n + 1))
     return 0.5 * math.pi * np.sinh(t), h * 0.5 * math.pi * np.cosh(t)
@@ -162,29 +171,43 @@ def weight_window(family, p: ParamSet):
 
 
 def _levels(fam, p: ParamSet):
-    """Per refinement level of the family's rule: the nodes it adds and their
-    weights dx w / h0; its sums are half the last level's plus theirs."""
+    """Per pass of the family's ladder: the nodes its levels add, their
+    weights dx w / h0 and the end of each level among them.  The first pass
+    holds levels 0 .. FIRST_PASS - 1, every later pass one level.  A level's
+    sums are half the last level's plus those over its own nodes."""
     lo, hi = fam.spec.interval
     if hi == math.inf:
         c, s = weight_window(fam, p)
-    log_h0 = fam.log_h0(p)
-    for level in range(DE_LEVELS if hi == math.inf else SIN2_LEVELS):
+
+    def added(level):
+        """x and dx at the t nodes the level adds."""
         if hi != math.inf:
-            x, dx = _sin2_grid(level)
-        else:
-            u, du = _de_grid(level)
-            if lo == -math.inf:
-                x, dx = c + s * np.sinh(u), s * np.cosh(u) * du
-            elif s < NARROW_PEAK * c:
-                e = s * np.exp(u)
-                x0, dx0 = _tanh_sinh(0.0, c, u, du)
-                x, dx = np.concatenate([x0, c + e]), np.concatenate([dx0, e * du])
-            else:
-                x = (c + s) * np.exp(u)
-                dx = x * du
+            return _sin2_grid(level)
+        u, du = _de_grid(level)
+        if lo == -math.inf:
+            return c + s * np.sinh(u), s * np.cosh(u) * du
+        if s < NARROW_PEAK * c:
+            e = s * np.exp(u)
+            x0, dx0 = _tanh_sinh(0.0, c, u, du)
+            return np.concatenate([x0, c + e]), np.concatenate([dx0, e * du])
+        x = (c + s) * np.exp(u)
+        return x, x * du
+
+    log_h0 = fam.log_h0(p)
+    top = DE_LEVELS if hi == math.inf else SIN2_LEVELS
+    passes = [range(FIRST_PASS)] + [range(k, k + 1) for k in range(FIRST_PASS, top)]
+    for levels in passes:
+        grids = [added(level) for level in levels]
+        x, dx = (np.concatenate(parts) for parts in zip(*grids))
         wx = dx * np.exp(2.0 * np.real(fam.log_amplitude(p, x)) - log_h0)
-        keep = wx != 0.0  # a NaN stays, and fails the level
-        yield x[keep], wx[keep]
+        keep = wx != 0.0  # a NaN stays, and fails its level
+        ends = np.cumsum([xl.size for xl, _ in grids])
+        yield x[keep], wx[keep], _kept(keep, ends)
+
+
+def _kept(keep, ends):
+    """A pass's level ends once its nodes are masked by keep."""
+    return np.concatenate([[0], np.cumsum(keep)])[ends]
 
 
 def _converged(err, value, l1):
@@ -208,26 +231,34 @@ def _matrix(fam, p: ParamSet, n_max: int, half: int, act) -> Terms:
     value, l1 = np.zeros((n_max + 1,) * 2, dtype=complex), np.zeros((n_max + 1,) * 2)
     prev = None
     err = math.inf
-    for nodes, weights in _levels(fam, p):
+    for nodes, weights, ends in _levels(fam, p):
         # nodes inside the operator's singularity guard count as zero
         keep = ~ctx.inside_guard(nodes)
-        nodes, weights = nodes[keep], weights[keep]
-        # new arrays, not in place: prev is the last level's value
-        value, l1 = 0.5 * value, 0.5 * l1
+        nodes, weights, ends = nodes[keep], weights[keep], _kept(keep, ends)
+        # P_n and A P_n on the centre row at every node of the pass
+        f0 = np.empty((n_max + 1, nodes.size), dtype=complex)
+        g = np.empty_like(f0)
         for lo in range(0, nodes.size, NODE_BLOCK):
-            wx = weights[lo:lo + NODE_BLOCK]
-            lat = ctx.lattice(nodes[lo:lo + NODE_BLOCK], half)
+            block = slice(lo, lo + NODE_BLOCK)
+            lat = ctx.lattice(nodes[block], half)
             f = unit * poly.eval_levels(fam.eta(lat.w))
-            g = act(ctx, f, lat)[:, 0]
-            f0 = f[:, half]
-            value += np.conj(f0) @ (g * wx).T
-            l1 += np.abs(f0) @ (np.abs(g) * np.abs(wx)).T
-        if prev is not None:
-            delta = np.abs(value - prev)
-            err = float(delta.max())
-            if _converged(delta, value, l1).all():
-                return Terms(value, l1)
-        prev = value
+            g[:, block] = act(ctx, f, lat)[:, 0]
+            f0[:, block] = f[:, half]
+        # each level's sums over its own nodes, in blocks from its start
+        for start, end in zip([0, *ends[:-1]], ends):
+            # new arrays, not in place: prev is the last level's value
+            value, l1 = 0.5 * value, 0.5 * l1
+            for lo in range(start, end, NODE_BLOCK):
+                block = slice(lo, min(lo + NODE_BLOCK, end))
+                wx = weights[block]
+                value += np.conj(f0[:, block]) @ (g[:, block] * wx).T
+                l1 += np.abs(f0[:, block]) @ (np.abs(g[:, block]) * np.abs(wx)).T
+            if prev is not None:
+                delta = np.abs(value - prev)
+                err = float(delta.max())
+                if _converged(delta, value, l1).all():
+                    return Terms(value, l1)
+            prev = value
     raise ToleranceNotMet(
         f"quadrature stalled at estimated error {err:.3e} > {ABS_TOL:.3e}", err)
 

@@ -158,11 +158,11 @@ def test_potential_reads_V_star_off_the_mirror_rows(family, name, half):
 def test_H_tilde_gives_the_same_bits_on_arrays_and_on_terms(family, name):
     # H-tilde has one formula and two carriers: the quadrature applies it to
     # plain value arrays, the pointwise checks to Terms; on the nodes of the
-    # first quadrature level the two give the same values bit for bit
+    # first quadrature pass the two give the same values bit for bit
     p = fixture_params(family, name)
     fam = get_family(family)
     ctx = OperatorContext(fam, p)
-    nodes, _ = next(_levels(fam, p))
+    nodes, _, _ = next(_levels(fam, p))
     lat = ctx.lattice(nodes[~ctx.inside_guard(nodes)], 2)
     f = lat.operand(eval_poly_recurrence(fam, p, 8))
     plain = ctx.H_tilde(f.val, lat)

@@ -179,8 +179,9 @@ def test_quadrature_self_consistency():
         fam = get_family(family)
         p = fixture_params(family)
         sums = []
-        for _, wx in _levels(fam, p):
-            sums.append(0.5 * (sums[-1] if sums else 0.0) + np.sum(wx))
+        for _, wx, ends in _levels(fam, p):
+            for part in np.split(wx, ends[:-1]):
+                sums.append(0.5 * (sums[-1] if sums else 0.0) + np.sum(part))
         sums = np.array(sums)
         accepted = int(np.argmax(np.abs(np.diff(sums)) <= 1e-10)) + 1
         assert accepted < len(sums) - 1
@@ -318,8 +319,9 @@ def test_quadrature_counts_a_pole_of_V_at_a_node_as_zero(monkeypatch):
     levels = quadrature._levels
 
     def with_pole(fam, p):
-        for x, wx in levels(fam, p):
-            yield np.append(x, 0.0), np.append(wx, 1.0)
+        for x, wx, ends in levels(fam, p):
+            yield (np.insert(x, ends, 0.0), np.insert(wx, ends, 1.0),
+                   ends + np.arange(1, ends.size + 1))
 
     monkeypatch.setattr(quadrature, "_levels", with_pole)
     with pytest.raises(SingularityError):
@@ -330,7 +332,7 @@ def test_quadrature_counts_a_pole_of_V_at_a_node_as_zero(monkeypatch):
         assert np.max(np.abs(matrix.val - want.val) / (1 + np.abs(want.val))) <= 1e-14
     # on (0, inf) the exp-sinh nodes that crowd towards x = 0 fall inside the guard
     wilson = get_family("wilson")
-    x, _ = next(levels(wilson, fixture_params("wilson")))
+    x, _, _ = next(levels(wilson, fixture_params("wilson")))
     assert OperatorContext(wilson, fixture_params("wilson")).inside_guard(x).any()
 
 
@@ -382,10 +384,11 @@ def test_guard_masks_no_weight_up_to_the_accepted_level(family, p, n_max, monkey
     masked = []
 
     def traced(fam, p):
-        for x, wx in levels(fam, p):
-            inside = ctx.inside_guard(x)
-            masked.append((int(inside.sum()), float(np.sum(np.abs(wx[inside])))))
-            yield x, wx
+        for x, wx, ends in levels(fam, p):
+            for xl, wl in zip(np.split(x, ends[:-1]), np.split(wx, ends[:-1])):
+                inside = ctx.inside_guard(xl)
+                masked.append((int(inside.sum()), float(np.sum(np.abs(wl[inside])))))
+            yield x, wx, ends
 
     monkeypatch.setattr(quadrature, "_levels", traced)
     for matrix in (orthogonality_matrix, hermiticity_forms):
@@ -416,15 +419,71 @@ def test_quadrature_evaluates_phi0_once_per_level(suite, family, fixture, monkey
 
     monkeypatch.setattr(type(fam), "log_amplitude", counted)
     results = run_suite(suite, fam, p)
-    # one weight evaluation per refinement level
-    assert len(nodes) >= 2
-    # each evaluation takes only the nodes its level adds: together they
+    # one weight evaluation per pass.  The first takes levels 0 and 1: the
+    # t = h k over [-4, 4] at h = 1/64 on the unbounded intervals (513
+    # nodes), over (0, pi) at h = pi/128 on the sin^2 ladder (127).  Every
+    # later one takes one level
+    unbounded = fam.spec.interval[1] == math.inf
+    assert nodes[0].size == (513 if unbounded else 127)
+    # each evaluation takes only the nodes its levels add: together they
     # are the finest level's grid, one rule on every interval, and no node
-    # comes twice.  That grid is t = h k over [-4, 4] at h = 1/8 / 2^level
-    # on the unbounded intervals, over (0, pi) at h = pi/64 / 2^level on the
-    # sin^2 ladder
-    finest = 2 ** (len(nodes) - 1)
-    want = 64 * finest + 1 if fam.spec.interval[1] == math.inf else 64 * finest - 1
+    # comes twice.  That grid is at h = 1/32 / 2^level on the unbounded
+    # intervals and h = pi/64 / 2^level on the sin^2 ladder
+    finest = 2 ** len(nodes)
+    want = 256 * finest + 1 if unbounded else 64 * finest - 1
     x = np.concatenate(nodes)
     assert sum(map(np.size, nodes)) == np.unique(x).size == want
     assert all(r.passed for r in results)
+
+
+# one set per rule: sin^2, sinh-sinh, exp-sinh, and tanh-sinh + exp-sinh
+# (the narrow Wilson peak of HARD_SETS)
+RULE_SETS = [
+    ("continuous-q-hermite", fixture_params("continuous-q-hermite")),
+    ("meixner-pollaczek", fixture_params("meixner-pollaczek")),
+    ("wilson", fixture_params("wilson")),
+    ("wilson", ParamSet(a=(0.1 + 3j, 0.1 - 3j, 0.5, 2.0))),
+]
+
+
+@pytest.mark.parametrize("family,p", RULE_SETS)
+@pytest.mark.parametrize("matrix", [orthogonality_matrix, hermiticity_forms])
+def test_first_pass_sums_each_level_as_a_pass_of_its_own_would(family, p, matrix, monkeypatch):
+    # the first pass evaluates the weight of levels 0 and 1 in one call, and
+    # every level's sums, read where the ladder compares them, are those of
+    # a run that takes one level per pass and one weight call per level
+    import dqm.quadrature as quadrature
+
+    fam = get_family(family)
+    if fam.spec.interval[1] == math.inf:
+        window = weight_window(fam, p)  # its own weight evaluations are not counted
+        monkeypatch.setattr(quadrature, "weight_window", lambda *args: window)
+    plain, converged = type(fam).log_amplitude, quadrature._converged
+    calls, compared = [], []
+
+    def counted(self, params, x):
+        calls.append(np.size(x))
+        return plain(self, params, x)
+
+    def traced(delta, value, l1):
+        compared.append((delta, value, l1))
+        return converged(delta, value, l1)
+
+    monkeypatch.setattr(type(fam), "log_amplitude", counted)
+    monkeypatch.setattr(quadrature, "_converged", traced)
+
+    def run():
+        calls.clear()
+        _, _, ends = next(quadrature._levels(fam, p))
+        first = (ends.size, len(calls))
+        compared.clear()
+        matrix(fam, p, 8)
+        return first, list(compared)
+
+    first, by_pass = run()
+    monkeypatch.setattr(quadrature, "FIRST_PASS", 1)
+    first_alone, by_level = run()
+    assert first == (2, 1) and first_alone == (1, 1)
+    assert len(by_pass) == len(by_level) >= 1
+    for got, want in zip(by_pass, by_level):
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))

@@ -9,7 +9,8 @@ the 22 bundled fixtures, and compare two dumps entry by entry.
     G, K        orthogonality_matrix and hermiticity_forms at levels
                 0..N (default 8): the value and the l1 sum of each entry,
                 the step of the refinement level the matrix accepted and
-                the nodes its levels summed over.  The step is the t step
+                the nodes its levels summed over, whether a pass of the
+                ladder carried one level or two.  The step is the t step
                 of that level's trapezoid, read off its grid: of the sin^2
                 ladder on (0, pi), of the double-exponential rules on
                 the unbounded intervals
@@ -34,7 +35,8 @@ exits 1 if the two dumps differ in shape or naming, 0 otherwise.
 To compare two commits, run the same copy of this script in each
 checkout, since a dump runs the dqm of the checkout the script sits in.
 A commit whose quadrature grids or `_levels` differ in name or shape
-needs its own copy.
+needs its own copy: this one reads `_levels` as passes of (nodes,
+weights, level ends), a pass holding one or more levels.
 """
 
 from __future__ import annotations
@@ -62,16 +64,19 @@ POINTS = 33
 def _refined(matrix, fam, p, n_max: int):
     """matrix(fam, p, n_max), the step of the refinement level it accepted
     and the number of nodes its levels yielded.  The quadrature's grid and
-    its level generator are wrapped for the call.  A level's step h is a
-    power of 2 on a double-exponential grid and pi times a power of 2 on
-    the sin^2 grid, and the grid's h du/dt or h dx/dt reads it to a factor
-    1 + O(h^2):
+    its level generator are wrapped for the call.  The generator yields a
+    pass at a time, whose `ends` count its levels, and it asks the grid for
+    each level of a pass before it yields the pass; the matrix accepts the
+    last level of the last pass it reads, the last level asked for.  A
+    level's step h is a power of 2 on a double-exponential grid and pi
+    times a power of 2 on the sin^2 grid, and the grid's h du/dt or h dx/dt
+    reads it to a factor 1 + O(h^2):
     h pi/2 cosh t at the nodes nearest t = 0, 2 h sin^2 t at those nearest
     t = pi/2."""
     unbounded = fam.spec.interval[1] == math.inf
     grid_name = "_de_grid" if unbounded else "_sin2_grid"
     grid, levels = getattr(quadrature, grid_name), quadrature._levels
-    steps, nodes = [], []
+    steps, nodes, read = [], [], []
 
     def traced_grid(level):
         a, b = grid(level)
@@ -80,9 +85,10 @@ def _refined(matrix, fam, p, n_max: int):
         return a, b
 
     def traced_levels(*args):
-        for x, wx in levels(*args):
+        for x, wx, ends in levels(*args):
             nodes.append(x.size)
-            yield x, wx
+            read.append(ends.size)
+            yield x, wx, ends
 
     setattr(quadrature, grid_name, traced_grid)
     quadrature._levels = traced_levels
@@ -91,7 +97,7 @@ def _refined(matrix, fam, p, n_max: int):
     finally:
         setattr(quadrature, grid_name, grid)
         quadrature._levels = levels
-    return terms, steps[len(nodes) - 1], sum(nodes)
+    return terms, steps[sum(read) - 1], sum(nodes)
 
 
 def dump(path: str, n_max: int) -> None:
