@@ -12,6 +12,7 @@ parameters.
 from __future__ import annotations
 
 import argparse
+import cmath
 import functools
 import json
 import math
@@ -153,6 +154,7 @@ def cmd_eval(args) -> int:
     poly = eval_poly_recurrence(fam, p, n)
     v_rec = poly.eval(eta)
     v_hyp = eval_poly_hypergeometric(fam, p, n, eta)
+    gap = v_rec - v_hyp
     log_phi0 = float(np.real(fam.log_amplitude(p, x)))
     with np.errstate(over="ignore"):
         phi0 = float(np.exp(log_phi0))  # inf past the double range, printed from its log
@@ -163,7 +165,9 @@ def cmd_eval(args) -> int:
         "eta": _fmt(eta),
         "P_n_recurrence": _fmt(v_rec),
         "P_n_hypergeometric": _fmt(v_hyp),
-        "path_discrepancy": _fmt(abs(v_rec - v_hyp)),
+        # hypot, not abs: abs() of a complex NaN can raise OverflowError
+        # (CPython reads a stale errno there), and hypot overflows to inf
+        "path_discrepancy": _fmt(math.hypot(gap.real, gap.imag)),
         "phi0": _fmt_scaled(phi0, log_phi0),
         "phi_n": _fmt_scaled(phi0 * v_rec, log_phi0, v_rec),
         "E_n": _fmt(fam.energy(p, n)),
@@ -176,6 +180,11 @@ def cmd_eval(args) -> int:
     else:
         for k, v in record.items():
             print(f"{k:22s} {v}")
+    lost = [path for path, v in (("recurrence", v_rec), ("series", v_hyp))
+            if not cmath.isfinite(v)]
+    if lost:
+        print(f"error: P_n is not finite on the {' and '.join(lost)} path", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -10,7 +10,13 @@ from itertools import combinations
 
 import numpy as np
 
-from ..specfun import factorials, hypergeometric_F, log_gamma, pochhammer, pochhammer_levels
+from ..specfun import (
+    factorials,
+    hypergeometric_F,
+    log_gamma,
+    pochhammer_levels,
+    pochhammer_product,
+)
 from .base import (
     ClosurePolys,
     Family,
@@ -30,6 +36,18 @@ from .base import (
 from .limits import aw_to_wilson_scaled
 
 __all__ = ["Wilson", "ContinuousDualHahn"]
+
+
+def _real_first(a) -> tuple:
+    """a with its first real entry, if it has one, moved to the front.  The
+    series is symmetric in the a's, and at a real a1 the pair a1 +- ix (at
+    a real x) and the sums a1 + a_j of a conjugate pair a_j are exact
+    conjugate pairs, which the series and its Pochhammer prefactor take as
+    real factors.  The prefactor is a decimal product: in doubles, two
+    conjugate Pochhammer symbols round twice as much as the one complex
+    symbol beside a real one that a complex a1 gives."""
+    i = next((i for i, aj in enumerate(a) if not aj.imag), 0)
+    return (a[i], *a[:i], *a[i + 1:])
 
 
 class _GammaRatioFamily(Family):
@@ -128,21 +146,11 @@ class Wilson(_GammaRatioFamily, QuadraticSpectrum):
         )
 
     def series_eval_x(self, p: ParamSet, n: int, x) -> complex:
-        a1, a2, a3, a4 = p.a
-        b1 = elementary_symmetric(p.a, 1)
-        pref = (
-            pochhammer(a1 + a2, n)
-            * pochhammer(a1 + a3, n)
-            * pochhammer(a1 + a4, n)
-        )
+        a1, *rest = _real_first(p.a)
+        den = [a1 + aj for aj in rest]
         x = complex(x)
-        f = hypergeometric_F(
-            [-n, n + b1 - 1, a1 + 1j * x, a1 - 1j * x],
-            [a1 + a2, a1 + a3, a1 + a4],
-            1.0,
-            n,
-        )
-        return pref * f
+        num = [-n, n + self._b1(p) - 1, a1 + 1j * x, a1 - 1j * x]
+        return pochhammer_product(den, n) * hypergeometric_F(num, den, 1.0, n)
 
 
 class ContinuousDualHahn(_GammaRatioFamily):
@@ -236,13 +244,8 @@ class ContinuousDualHahn(_GammaRatioFamily):
         return energy
 
     def series_eval_x(self, p: ParamSet, n: int, x) -> complex:
-        a1, a2, a3 = p.a
-        pref = pochhammer(a1 + a2, n) * pochhammer(a1 + a3, n)
+        a1, *rest = _real_first(p.a)
+        den = [a1 + aj for aj in rest]
         x = complex(x)
-        f = hypergeometric_F(
-            [-n, a1 + 1j * x, a1 - 1j * x],
-            [a1 + a2, a1 + a3],
-            1.0,
-            n,
-        )
-        return pref * f
+        num = [-n, a1 + 1j * x, a1 - 1j * x]
+        return pochhammer_product(den, n) * hypergeometric_F(num, den, 1.0, n)

@@ -420,7 +420,10 @@ class AskeyWilson(Family):
             return z**n * basic_hypergeometric_phi(
                 [Fraction(q) ** -n, 0.0], [], q, q**n / (z * z), n
             )
-        a1 = max(d.a, key=abs)  # the series' 'a1': the largest, by symmetry
+        # the series' 'a1': the largest, by symmetry, and of equal ones a real
+        # one, which makes a1 z, a1 / z (at a real x) and a1 a_j of a
+        # conjugate pair a_j exact conjugate pairs
+        a1 = max(d.a, key=lambda aj: (abs(aj), not aj.imag))
         rest = list(d.a)
         rest.remove(a1)
         pref = a1 ** (-n)
@@ -428,8 +431,10 @@ class AskeyWilson(Family):
         for aj in rest:
             pref *= q_pochhammer(a1 * aj, q, n)
             den_params.append(a1 * aj)
-        # q^-n exact: the series' cancellation amplifies any error in it
-        num_params = [Fraction(q) ** -n, a1 * z, a1 / z]
+        # q^-n exact: the series' cancellation amplifies any error in it.  At
+        # a real x, 1 / z is conj(z) exactly, so a1 conj(z) is the nearer
+        # rounding of a1 / z, and at a real a1 it is a1 z's exact conjugate
+        num_params = [Fraction(q) ** -n, a1 * z, a1 / z if x.imag else a1 * z.conjugate()]
         zeros = 4 - len(d.a)
         if zeros:
             # each zero a_j gives a denominator 0; the first of them cancels

@@ -19,15 +19,21 @@ The terminating sums ``hypergeometric_F`` and ``basic_hypergeometric_phi``
 serve the families' series path, the independent cross-check of the
 recurrence.  Both are summed by one loop, ``_series``, in the standard
 library's decimal floating point; each supplies only the factors of its
-term ratio, sorted once per call into real and complex ones.  The real
-factors (k + 1, 1 - q^(k+1), -q^k, those of the real parameters and a real
-z) are multiplied as plain Decimals; complex arithmetic is kept to the
-factors with a nonzero imaginary part, those of x and of the complex
-parameters; and each term takes one real division.  The loop starts at
-150 significant digits and checks each sum against its own rounding bound,
-redoing it at the precision the bound asks for when it misses, so the sum
-of the parameters as given is good to about one double rounding however
-violently the series cancels.
+term ratio, sorted once per call into real factors, pair factors and
+complex ones.  The real factors (k + 1, 1 - q^(k+1), -q^k, those of the
+real parameters and a real z) are multiplied as plain Decimals.  An exact
+(bitwise) conjugate pair of parameters, such as a1 +- ix at a real a1 and
+x, gives one real factor, the product of its two: (a + k)^2 + b^2, or
+(1 - a q^k)^2 + (b q^k)^2.  Complex arithmetic is kept to the factors with
+a nonzero imaginary part that have no partner; each term with one takes
+one real division, and a term without one is real arithmetic throughout,
+so a real series comes back with an imaginary part of exactly 0.  The loop
+starts at 150 significant digits and checks each sum against its own
+rounding bound, redoing it at the precision the bound asks for when it
+misses, so the sum of the parameters as given is good to about one double
+rounding however violently the series cancels.  ``pochhammer_product``
+forms a series' prefactor prod_j (b_j)_n from the same factors, in decimal,
+and rounds it once.
 """
 
 from __future__ import annotations
@@ -48,6 +54,7 @@ __all__ = [
     "ConvergenceError",
     "pochhammer",
     "pochhammer_levels",
+    "pochhammer_product",
     "q_pochhammer",
     "q_pochhammer_levels",
     "factorials",
@@ -230,9 +237,10 @@ def complex_gamma(z: complex) -> complex:
 # double converts to a Decimal exactly, so the rounding that remains is the
 # working precision's, and `_series` checks each sum against its bound.
 
-# the start precision: of the 12 400 series values at levels 0..30 of the
+# the start precision: of the 12 648 series values at levels 0..30 of the
 # default fixtures' 16 pool points and the dual-path test's points, 96 %
-# need no second pass and none a third
+# need no second pass and none a third (the other 452 take two), with the
+# conjugate pairs summed as real factors as without
 _DIGITS = 150
 _ZERO, _ONE = Decimal(0), Decimal(1)
 # accepted when the rounding bound is below _REL of |sum|, a tenth of the
@@ -243,31 +251,49 @@ _TINY = Decimal(math.ulp(0.0))
 
 
 def _split(params):
-    """params as Decimals, sorted once: the real ones (a Fraction, or a zero
-    imaginary part) as Decimals, the others as (real, imag) pairs.  A number
-    converts exactly, a Fraction rounds to the working precision."""
+    """params as Decimals, sorted once into (real, cx).  real holds a real
+    number (a Fraction, or a zero imaginary part) as (a, None), and an exact
+    conjugate pair a +- ib, listed once, as (a, b): two numbers whose real
+    parts are equal and whose imaginary parts are equal but for the sign,
+    bit for bit, so that their two factors multiply to one real factor.  cx
+    holds the other complex numbers as (real, imag).  A number converts
+    exactly, a Fraction rounds to the working precision."""
     real, cx = [], []
     for v in params:
         if isinstance(v, Fraction):
-            real.append(Decimal(v.numerator) / v.denominator)
-        elif (v := complex(v)).imag:
-            cx.append((Decimal(v.real), Decimal(v.imag)))
+            real.append((Decimal(v.numerator) / v.denominator, None))
+        elif not (v := complex(v)).imag:
+            real.append((Decimal(v.real), None))
+        elif v.conjugate() in cx:
+            cx.remove(v.conjugate())
+            real.append((Decimal(v.real), Decimal(v.imag)))
         else:
-            real.append(Decimal(v.real))
-    return real, cx
+            cx.append(v)
+    return real, [(Decimal(v.real), Decimal(v.imag)) for v in cx]
 
 
-def _series(ratios, params, z, n_terms: int) -> complex:
+def _pair(re, im):
+    """(re + i im)(re - i im) = re^2 + im^2, the real product of a pair's
+    two factors"""
+    return re * re + im * im
+
+
+def _series(ratios, params, z, n_terms: int, width: int) -> complex:
     """Sum t_0 + ... + t_{n_terms} of t_0 = 1, t_{k+1} = t_k z ratio_k.
 
     ratios() yields, for k = 0, 1, ..., the factors (rnum, cnum, rden, cden)
     of ratio_k, the product of the numerator factors over the product of the
     denominator factors, formed at the working precision: the real ones as
     Decimals, the ones with a nonzero imaginary part as (real, imag) pairs;
-    rden is never empty.  params are the numbers the factors are made of: a
-    NaN or infinite one, or z, makes the sum complex NaN.  A real num factor
-    that vanishes exactly ends the series; a real den factor that vanishes
-    exactly raises PoleError (a complex factor never vanishes).
+    rden is never empty.  A real factor may be the product of a conjugate
+    pair's two factors; width is the number of factors of a ratio, such a
+    product counted as the two it stands for.  params are the numbers the
+    factors are made of: a NaN or infinite one, or z, makes the sum complex
+    NaN.  A real num factor that vanishes exactly ends the series; a real
+    den factor that vanishes exactly raises PoleError (a complex factor, or
+    a pair's product, never vanishes).  A step with no complex factor, z's
+    included, is real arithmetic, and a sum of such steps comes back with
+    an imaginary part of exactly 0.
     """
     if n_terms < 0:
         raise DomainError(f"n_terms must be >= 0, got {n_terms}")
@@ -277,7 +303,8 @@ def _series(ratios, params, z, n_terms: int) -> complex:
     while True:
         with decimal.localcontext(decimal.Context(prec=digits)):
             (zr, zc), steps = _split([z]), ratios()  # z: one more num factor
-            t0, t1, re, im, size, width = _ONE, _ZERO, _ZERO, _ZERO, _ZERO, 0
+            zr = [a for a, _ in zr]
+            t0, t1, re, im, size = _ONE, _ZERO, _ZERO, _ZERO, _ZERO
             for k in range(n_terms + 1):
                 re += t0
                 im += t1
@@ -285,14 +312,17 @@ def _series(ratios, params, z, n_terms: int) -> complex:
                 if k == n_terms:
                     break
                 rnum, cnum, rden, cden = next(steps)
-                width = len(rnum) + len(cnum) + len(rden) + len(cden)
                 s = math.prod(zr + rnum)
                 if not s:
                     break  # the series terminated
                 d = math.prod(rden)
                 if not d:
                     raise PoleError(f"a denominator factor vanishes at term {k + 1}")
-                for a, b in zc + cnum:
+                cnum = zc + cnum
+                if not (cnum or cden):
+                    t0 *= s / d  # a real step: t1 stays 0
+                    continue
+                for a, b in cnum:
                     t0, t1 = t0 * a - t1 * b, t0 * b + t1 * a
                 if cden:
                     # t / c = t conj(c) / |c|^2: one real division per term
@@ -312,13 +342,20 @@ def _series(ratios, params, z, n_terms: int) -> complex:
             # complex ones (z and the complex factors into t, c, t conj(c)),
             # 2u for |c|^2 and one rounding each for d |c|^2, s / d and its
             # product with t: R + 3C + 7 <= 3F + 5 in all, as R >= 1 (k + 1
-            # or 1 - q^(k+1)).  So t_k is off by at most k (7F + 5) u |t_k|,
-            # and each of the n_terms + 1 additions by u sum |t_k|: in all at
-            # most (n_terms + 1)(7F + 6) u sum |t_k| <= c (n_terms + 1)
-            # 10^(1 - digits) sum |t_k|, c = 4 (F + 1).  A factor 1 - a q^k
-            # that cancels, a q^k near 1, scales its roundings by |a q^k| /
-            # |1 - a q^k|, which c does not count.  |re| + |im| bounds |t_k|
-            # from above, max(|re|, |im|) bounds |sum| from below.
+            # or 1 - q^(k+1)).  A pair's product, (a + k)^2 + b^2 or
+            # (1 - a q^k)^2 + (b q^k)^2, counts as the two factors it stands
+            # for, 2 of F, and needs less than their 2 (4u + 3u): forming it
+            # rounds at most 8u (q^k, a q^k, 1 - a q^k and its square make
+            # 7u, b q^k and its square 5u, and a sum of two positive numbers
+            # adds u to the larger), and it takes one real product into s or
+            # d.  So t_k is off by at most k (7F + 5) u |t_k|, and each of the
+            # n_terms + 1 additions by u sum |t_k|: in all at most (n_terms +
+            # 1)(7F + 6) u sum |t_k| <= c (n_terms + 1) 10^(1 - digits) sum
+            # |t_k|, c = 4 (F + 1).  A factor 1 - a q^k that cancels, a q^k
+            # near 1, scales its roundings by |a q^k| / |1 - a q^k|, and a
+            # pair's product by the same ratio of moduli, which c does not
+            # count.  |re| + |im| bounds |t_k| from above, max(|re|, |im|)
+            # bounds |sum| from below.
             bound = 4 * (width + 1) * (n_terms + 1) * size.scaleb(1 - digits)
             total = max(abs(re), abs(im))
             floor = max(_REL * total, _TINY)
@@ -332,21 +369,49 @@ def _series(ratios, params, z, n_terms: int) -> complex:
             digits += (bound / (floor if bound < total else _TINY)).adjusted() + 1
 
 
+# the precision of pochhammer_product: its at most 3 n roundings per
+# parameter stay far below the one double rounding of the result
+_PRODUCT_CONTEXT = decimal.Context(prec=34)
+
+
+def pochhammer_product(params, n: int) -> complex:
+    """prod_j (b_j)_n over the params b_j, formed in decimal and rounded
+    once, with the sums' factors: an exact conjugate pair b +- ic gives the
+    real factors (b + k)^2 + c^2.  A NaN or infinite parameter gives complex
+    NaN."""
+    if n < 0:
+        raise DomainError(f"pochhammer order must be >= 0, got {n}")
+    if not all(cmath.isfinite(v) for v in params):
+        return complex(math.nan, math.nan)
+    with decimal.localcontext(_PRODUCT_CONTEXT):
+        real, cx = _split(params)
+        r, re, im = _ONE, _ONE, _ZERO
+        for k in range(n):
+            for a, b in real:
+                r *= a + k if b is None else _pair(a + k, b)
+            for a, b in cx:
+                re, im = re * (a + k) - im * b, re * b + im * (a + k)
+        return complex(float(r * re), float(r * im))
+
+
 def hypergeometric_F(num, den, z: complex, n_terms: int) -> complex:
     """Truncated hypergeometric sum pFq of the first n_terms+1 terms.
 
     The term ratio is prod (a + k) / (prod (b + k) (k + 1)), summed by
-    _series.  A vanishing denominator Pochhammer before termination raises
+    _series; a conjugate pair of parameters gives one real factor (a + k)^2
+    + b^2.  A vanishing denominator Pochhammer before termination raises
     PoleError.
     """
 
     def ratios():
         (ra, ca), (rb, cb) = _split(num), _split(den)
         for k in itertools.count():
-            yield ([a + k for a in ra], [(a + k, ai) for a, ai in ca],
-                   [b + k for b in rb] + [k + 1], [(b + k, bi) for b, bi in cb])
+            yield ([a + k if ai is None else _pair(a + k, ai) for a, ai in ra],
+                   [(a + k, ai) for a, ai in ca],
+                   [b + k if bi is None else _pair(b + k, bi) for b, bi in rb] + [k + 1],
+                   [(b + k, bi) for b, bi in cb])
 
-    return _series(ratios, [*num, *den], z, n_terms)
+    return _series(ratios, [*num, *den], z, n_terms, len(num) + len(den) + 1)
 
 
 def basic_hypergeometric_phi(num, den, q: float, z: complex, n_terms: int) -> complex:
@@ -355,8 +420,9 @@ def basic_hypergeometric_phi(num, den, q: float, z: complex, n_terms: int) -> co
     The term ratio is prod (1 - a q^k) / (prod (1 - b q^k) (1 - q^(k+1)))
     times (-q^k)^(1+s-r), the ratio of the ((-1)^k q^(k(k-1)/2))^(1+s-r)
     factor attached to each term, so non-standard (r, s) combinations
-    evaluate correctly.  A parameter may be a Fraction, such as an exact
-    q^-n; it is rounded only to the working precision of _series.
+    evaluate correctly; a conjugate pair of parameters gives one real factor
+    (1 - a q^k)^2 + (b q^k)^2.  A parameter may be a Fraction, such as an
+    exact q^-n; it is rounded only to the working precision of _series.
     """
     q = _check_q(q)
     excess = 1 + len(den) - len(num)
@@ -368,13 +434,15 @@ def basic_hypergeometric_phi(num, den, q: float, z: complex, n_terms: int) -> co
             qq = qd**k  # q^(j+1) at step j = k - 1, rounded once
             # (-q^k)^excess: excess factors of num, or -excess of den
             # ([x] * m is empty for m <= 0)
-            yield ([1 - a * qk for a in ra] + [-qk] * excess,
+            yield ([1 - a * qk if ai is None else _pair(1 - a * qk, ai * qk) for a, ai in ra]
+                   + [-qk] * excess,
                    [(1 - a * qk, -ai * qk) for a, ai in ca],
-                   [1 - b * qk for b in rb] + [1 - qq] + [-qk] * -excess,
+                   [1 - b * qk if bi is None else _pair(1 - b * qk, bi * qk) for b, bi in rb]
+                   + [1 - qq] + [-qk] * -excess,
                    [(1 - b * qk, -bi * qk) for b, bi in cb])
             qk = qq
 
-    return _series(ratios, [*num, *den], z, n_terms)
+    return _series(ratios, [*num, *den], z, n_terms, len(num) + len(den) + 1 + abs(excess))
 
 
 # log (a;q)_inf multiplies its factors in runs and takes one log per run: a

@@ -207,6 +207,27 @@ def test_eval_prints_phi_beyond_the_double_range(capsys):
     assert Decimal(json.loads(out)["phi0"]).adjusted() == -2748
 
 
+@pytest.mark.parametrize("argv,series", [
+    # the series' sum overflows the double range: inf - nan i
+    (("meixner-pollaczek", "--a", "2.2e-311", "--phi", "1", "--n", "1", "--x", "0.5"),
+     "inf-nani"),
+    # the sum overflows and its prefactor underflows to 0: NaN, whose abs()
+    # raised OverflowError in a fresh interpreter
+    (("continuous-dual-hahn", "--a", "1e-300", "--a", "1e-300", "--a", "1e-143",
+      "--n", "2", "--x", "0.5"), "nan-nani"),
+])
+def test_eval_flags_a_non_finite_series_value(argv, series):
+    # in a fresh interpreter, as a shell runs it: the whole record is
+    # printed, one stderr line names the path, and the exit code is 1
+    proc = subprocess.run([sys.executable, "-m", "dqm.cli", "eval", *argv],
+                          env=_env_with_src(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    rows = dict(line.split(None, 1) for line in proc.stdout.splitlines())
+    assert len(rows) == 10 and rows["P_n_hypergeometric"] == series
+    assert math.isfinite(float(rows["P_n_recurrence"]))
+    assert proc.stderr == "error: P_n is not finite on the series path\n"
+
+
 def test_table_norms_beyond_the_double_range(capsys):
     # h0 = 2 pi Gamma(2a) / (2 sin phi)^{2a} at a = 200, phi = 0.5;
     # mpmath at 30 digits gives the constant below

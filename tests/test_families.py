@@ -741,6 +741,9 @@ NON_DYADIC = {
     ("askey-wilson", "q0.37"): ParamSet(a=(0.3, -0.45, 0.2 + 0.1j, 0.2 - 0.1j), q=0.37),
     ("askey-wilson", "q0.83"): ParamSet(a=(0.6, 0.1, -0.7, 0.33), q=0.83),
     ("continuous-dual-q-hahn", "q0.71"): ParamSet(a=(0.3, 0.55, -0.2), q=0.71),
+    # a real a below the largest |a|: the series' a1 stays complex
+    ("continuous-dual-q-hahn", "complex-q0.71"): ParamSet(a=(0.6 + 0.2j, 0.6 - 0.2j, 0.3),
+                                                         q=0.71),
     ("al-salam-chihara", "q0.29"): ParamSet(a=(0.3, -0.65), q=0.29),
     ("continuous-big-q-hermite", "q0.61"): ParamSet(a=(0.7,), q=0.61),
     ("continuous-q-jacobi", "q0.43"): ParamSet(a=(0.7, 1.3), q=0.43),

@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -29,6 +30,7 @@ from dqm.specfun import (
     log_q_pochhammer_inf,
     pochhammer,
     pochhammer_levels,
+    pochhammer_product,
     q_gamma,
     q_pochhammer,
     q_pochhammer_inf,
@@ -368,6 +370,19 @@ def _askey_wilson_4phi3(q, n=12):
     num = [Fraction(q) ** -n, e4.real * q ** (n - 1), a1 * z, a1 / z]
     return num, [a1 * aj for aj in rest], q, q, n
 
+def _wilson_4f3(x, n=12):
+    # the Wilson 4F3 at a = (0.9, 0.9 + 0.4i, 0.9 - 0.4i, 1.3), the real a1
+    # first: a1 +- ix and a1 + a2, a1 + a3 are exact conjugate pairs
+    a1, rest = 0.9, (0.9 + 0.4j, 0.9 - 0.4j, 1.3)
+    b1 = a1 + sum(rest).real
+    return [-n, n + b1 - 1, a1 + 1j * x, a1 - 1j * x], [a1 + aj for aj in rest], 1.0, n
+
+def _askey_wilson_4phi3_pairs(q, n=12):
+    # the same 4phi3 with a1 conj(z) for a1 / z: a1 z, a1 conj(z) are an
+    # exact conjugate pair, as a1 a2, a1 a3 are
+    num, den, q, z, n = _askey_wilson_4phi3(q, n)
+    return num[:3] + [num[2].conjugate()], den, q, z, n
+
 @pytest.mark.parametrize("series,exact,args", [
     # 3F2 with a complex and a real parameter above and below
     (hypergeometric_F, _exact_F, ([-12, 0.3 + 0.7j, 1.25], [0.5 - 0.2j, 1.75], 1.0, 12)),
@@ -381,13 +396,55 @@ def _askey_wilson_4phi3(q, n=12):
     # the continuous q-Hermite 2phi0 at z = q^n / e^(1.4 i)
     (basic_hypergeometric_phi, _exact_phi,
      ([Fraction(0.5) ** -12, 0.0], [], 0.5, 0.5**12 / cmath.exp(1.4j), 12)),
+    # the same Wilson 4F3 as the family passes it now: real
+    (hypergeometric_F, _exact_F, _wilson_4f3(1.3)),
+    (basic_hypergeometric_phi, _exact_phi, _askey_wilson_4phi3_pairs(0.5)),
+    (basic_hypergeometric_phi, _exact_phi, _askey_wilson_4phi3_pairs(0.37)),
+    # a pair above and below beside an unpaired complex parameter
+    (hypergeometric_F, _exact_F, ([-12, 0.4 + 0.7j, 1.1 + 0.2j, 0.4 - 0.7j],
+                                  [0.6 + 0.3j, 2.5, 0.6 - 0.3j], 1.0, 12)),
+    (basic_hypergeometric_phi, _exact_phi,
+     ([Fraction(0.5) ** -12, 0.3 + 0.5j, 0.2 + 0.1j, 0.3 - 0.5j], [0.4 + 0.2j, 0.4 - 0.2j, 0.7],
+      0.5, 0.5, 12)),
+    # near-conjugate parameters one ulp apart, in the imaginary part above
+    # and in the real part below, are no pair: the sum stays complex
+    (hypergeometric_F, _exact_F,
+     ([-12, 15.0, 0.9 + 1.3j, complex(0.9, -math.nextafter(1.3, 2.0))],
+      [complex(math.nextafter(1.8, 2.0), 0.4), 1.8 - 0.4j, 2.2], 1.0, 12)),
 ])
 def test_series_match_exact_gaussian_rational_sums(series, exact, args):
-    # each component within one ulp of the correctly rounded exact sum
+    # each component within one ulp of the correctly rounded exact sum, and
+    # an exactly real sum comes back with an imaginary part of exactly 0
     got = series(*args)
     for g, e in zip((got.real, got.imag), exact(*args)):
         want = float(e)
         assert abs(g - want) <= math.ulp(want), (g, want)
+    assert (got.imag == 0.0) == (exact(*args)[1] == 0)
+
+@pytest.mark.parametrize("params,n", [
+    # the Wilson prefactor at a real a1: a conjugate pair beside a real one
+    ([1.8 + 0.4j, 1.8 - 0.4j, 2.2], 30),
+    # an unpaired complex parameter beside a pair
+    ([0.5 + 0.3j, 1.3 + 0.3j, 1.3 - 0.3j], 20),
+    ([0.7 - 1.1j], 12),
+])
+def test_pochhammer_product_is_the_exact_product_rounded_once(params, n):
+    exact = (Fraction(1), Fraction(0))
+    for b, bi in map(_gauss, params):
+        for k in range(n):
+            exact = _gmul(exact, (b + k, bi))
+    got = pochhammer_product(params, n)
+    for g, e in zip((got.real, got.imag), exact):
+        assert abs(g - float(e)) <= math.ulp(float(e)), (g, float(e))
+    assert (got.imag == 0.0) == (exact[1] == 0)
+
+def test_split_pairs_exact_conjugates_only():
+    # a pair is bitwise: a conjugate one ulp off, in either part, is not one
+    off = complex(0.2, -math.nextafter(0.1, 1.0))
+    real, cx = specfun._split([0.9 + 1.3j, 0.5, 0.2 + 0.1j, 0.9 - 1.3j, off, 0.2 - 0.1j])
+    assert real == [(Decimal(0.5), None), (Decimal(0.9), Decimal(-1.3)),
+                    (Decimal(0.2), Decimal(-0.1))]
+    assert cx == [(Decimal(off.real), Decimal(off.imag))]
 
 @pytest.mark.parametrize("series,args", [
     (hypergeometric_F, ([-2, math.nan], [1.0], 0.5, 2)),
@@ -396,6 +453,7 @@ def test_series_match_exact_gaussian_rational_sums(series, exact, args):
     (basic_hypergeometric_phi, ([0.25, math.nan], [0.3], 0.5, 0.5, 2)),
     (basic_hypergeometric_phi, ([-math.inf, 0.3], [0.3], 0.5, 0.5, 2)),
     (basic_hypergeometric_phi, ([0.25, 0.3], [0.3], 0.5, math.nan, 2)),
+    (pochhammer_product, ([0.5, math.inf], 2)),
 ])
 def test_non_finite_input_sums_to_complex_nan(series, args):
     got = series(*args)
