@@ -114,19 +114,14 @@ class ContinuousHahn(QuadraticSpectrum):
     def series_eval_x(self, p: ParamSet, n: int, x) -> complex:
         a1, a2, a3, a4 = self._abcd(p)
         b1 = self._b1(p)
-        pref = (
-            (1j**n)
-            * pochhammer(a1 + a3, n)
-            * pochhammer(a1 + a4, n)
-            / math.factorial(n)
-        )
         f = hypergeometric_F(
             [-n, n + b1 - 1, a1 + 1j * complex(x)],
             [a1 + a3, a1 + a4],
             1.0,
             n,
+            scaled=True,
         )
-        return pref * f
+        return (1j**n) / math.factorial(n) * f
 
 
 class MeixnerPollaczek(Family):

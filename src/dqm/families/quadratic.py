@@ -10,13 +10,7 @@ from itertools import combinations
 
 import numpy as np
 
-from ..specfun import (
-    factorials,
-    hypergeometric_F,
-    log_gamma,
-    pochhammer_levels,
-    pochhammer_product,
-)
+from ..specfun import factorials, hypergeometric_F, log_gamma, pochhammer_levels
 from .base import (
     ClosurePolys,
     Family,
@@ -43,8 +37,8 @@ def _real_first(a) -> tuple:
     series is symmetric in the a's, and at a real a1 the pair a1 +- ix (at
     a real x) and the sums a1 + a_j of a conjugate pair a_j are exact
     conjugate pairs, which the series and its Pochhammer prefactor take as
-    real factors.  The prefactor is a decimal product: in doubles, two
-    conjugate Pochhammer symbols round twice as much as the one complex
+    real factors.  The series forms the prefactor with the sum: in doubles,
+    two conjugate Pochhammer symbols round twice as much as the one complex
     symbol beside a real one that a complex a1 gives."""
     i = next((i for i, aj in enumerate(a) if not aj.imag), 0)
     return (a[i], *a[:i], *a[i + 1:])
@@ -147,10 +141,15 @@ class Wilson(_GammaRatioFamily, QuadraticSpectrum):
 
     def series_eval_x(self, p: ParamSet, n: int, x) -> complex:
         a1, *rest = _real_first(p.a)
-        den = [a1 + aj for aj in rest]
+        b1 = elementary_symmetric(p.a, 1)
         x = complex(x)
-        num = [-n, n + self._b1(p) - 1, a1 + 1j * x, a1 - 1j * x]
-        return pochhammer_product(den, n) * hypergeometric_F(num, den, 1.0, n)
+        return hypergeometric_F(
+            [-n, n + b1 - 1, a1 + 1j * x, a1 - 1j * x],
+            [a1 + aj for aj in rest],
+            1.0,
+            n,
+            scaled=True,
+        )
 
 
 class ContinuousDualHahn(_GammaRatioFamily):
@@ -245,7 +244,11 @@ class ContinuousDualHahn(_GammaRatioFamily):
 
     def series_eval_x(self, p: ParamSet, n: int, x) -> complex:
         a1, *rest = _real_first(p.a)
-        den = [a1 + aj for aj in rest]
         x = complex(x)
-        num = [-n, a1 + 1j * x, a1 - 1j * x]
-        return pochhammer_product(den, n) * hypergeometric_F(num, den, 1.0, n)
+        return hypergeometric_F(
+            [-n, a1 + 1j * x, a1 - 1j * x],
+            [a1 + aj for aj in rest],
+            1.0,
+            n,
+            scaled=True,
+        )

@@ -25,15 +25,16 @@ real parameters and a real z) are multiplied as plain Decimals.  An exact
 (bitwise) conjugate pair of parameters, such as a1 +- ix at a real a1 and
 x, gives one real factor, the product of its two: (a + k)^2 + b^2, or
 (1 - a q^k)^2 + (b q^k)^2.  Complex arithmetic is kept to the factors with
-a nonzero imaginary part that have no partner; each term with one takes
-one real division, and a term without one is real arithmetic throughout,
-so a real series comes back with an imaginary part of exactly 0.  The loop
-starts at 150 significant digits and checks each sum against its own
-rounding bound, redoing it at the precision the bound asks for when it
+a nonzero imaginary part that have no partner, and each term takes one
+real division; with no such factor the imaginary part stays exactly 0.
+The loop starts at 150 significant digits and checks each sum against its
+own rounding bound, redoing it at the precision the bound asks for when it
 misses, so the sum of the parameters as given is good to about one double
-rounding however violently the series cancels.  ``pochhammer_product``
-forms a series' prefactor prod_j (b_j)_n from the same factors, in decimal,
-and rounds it once.
+rounding however violently the series cancels.  ``hypergeometric_F`` can
+also multiply its sum by the Pochhammer prefactor prod_j (b_j)_n of its
+denominator parameters in the same pass, so the product is rounded once
+and stays finite where the prefactor alone underflows or the sum alone
+overflows the double range.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ __all__ = [
     "ConvergenceError",
     "pochhammer",
     "pochhammer_levels",
-    "pochhammer_product",
     "q_pochhammer",
     "q_pochhammer_levels",
     "factorials",
@@ -238,9 +238,9 @@ def complex_gamma(z: complex) -> complex:
 # working precision's, and `_series` checks each sum against its bound.
 
 # the start precision: of the 12 648 series values at levels 0..30 of the
-# default fixtures' 16 pool points and the dual-path test's points, 96 %
-# need no second pass and none a third (the other 452 take two), with the
-# conjugate pairs summed as real factors as without
+# default fixtures' 16 pool points and the dual-path test's points, 12 196
+# (96 %) need no second pass, the other 452 take two and none a third; the
+# counts are the same with conjugate pairs summed as complex factors
 _DIGITS = 150
 _ZERO, _ONE = Decimal(0), Decimal(1)
 # accepted when the rounding bound is below _REL of |sum|, a tenth of the
@@ -278,7 +278,7 @@ def _pair(re, im):
     return re * re + im * im
 
 
-def _series(ratios, params, z, n_terms: int, width: int) -> complex:
+def _series(ratios, params, z, n_terms: int, width: int, scale=None) -> complex:
     """Sum t_0 + ... + t_{n_terms} of t_0 = 1, t_{k+1} = t_k z ratio_k.
 
     ratios() yields, for k = 0, 1, ..., the factors (rnum, cnum, rden, cden)
@@ -291,9 +291,9 @@ def _series(ratios, params, z, n_terms: int, width: int) -> complex:
     factors are made of: a NaN or infinite one, or z, makes the sum complex
     NaN.  A real num factor that vanishes exactly ends the series; a real
     den factor that vanishes exactly raises PoleError (a complex factor, or
-    a pair's product, never vanishes).  A step with no complex factor, z's
-    included, is real arithmetic, and a sum of such steps comes back with
-    an imaginary part of exactly 0.
+    a pair's product, never vanishes).  scale(), if given, returns a factor
+    (real, imag) formed at the working precision, and the sum comes back
+    multiplied by it before its one rounding to doubles.
     """
     if n_terms < 0:
         raise DomainError(f"n_terms must be >= 0, got {n_terms}")
@@ -318,11 +318,7 @@ def _series(ratios, params, z, n_terms: int, width: int) -> complex:
                 d = math.prod(rden)
                 if not d:
                     raise PoleError(f"a denominator factor vanishes at term {k + 1}")
-                cnum = zc + cnum
-                if not (cnum or cden):
-                    t0 *= s / d  # a real step: t1 stays 0
-                    continue
-                for a, b in cnum:
+                for a, b in zc + cnum:
                     t0, t1 = t0 * a - t1 * b, t0 * b + t1 * a
                 if cden:
                     # t / c = t conj(c) / |c|^2: one real division per term
@@ -362,45 +358,30 @@ def _series(ratios, params, z, n_terms: int, width: int) -> complex:
             if bound <= floor:
                 # a part not above the bound is rounding noise: a real sum
                 # comes back real
-                return complex(float(re) if abs(re) > bound else 0.0,
-                               float(im) if abs(im) > bound else 0.0)
+                re = re if abs(re) > bound else _ZERO
+                im = im if abs(im) > bound else _ZERO
+                if scale:
+                    # each factor of the scale rounds at most 5 times
+                    # ((b + k)^2 + c^2 four times, and once into the
+                    # product): with digits >= 150 its relative error stays
+                    # far below _REL for any n_terms summed
+                    p0, p1 = scale()
+                    re, im = re * p0 - im * p1, re * p1 + im * p0
+                return complex(float(re), float(im))
             # a sum not above its bound may be all rounding, and a floor read
             # off it would sink with it at every pass: aim at _TINY at once
             digits += (bound / (floor if bound < total else _TINY)).adjusted() + 1
 
 
-# the precision of pochhammer_product: its at most 3 n roundings per
-# parameter stay far below the one double rounding of the result
-_PRODUCT_CONTEXT = decimal.Context(prec=34)
-
-
-def pochhammer_product(params, n: int) -> complex:
-    """prod_j (b_j)_n over the params b_j, formed in decimal and rounded
-    once, with the sums' factors: an exact conjugate pair b +- ic gives the
-    real factors (b + k)^2 + c^2.  A NaN or infinite parameter gives complex
-    NaN."""
-    if n < 0:
-        raise DomainError(f"pochhammer order must be >= 0, got {n}")
-    if not all(cmath.isfinite(v) for v in params):
-        return complex(math.nan, math.nan)
-    with decimal.localcontext(_PRODUCT_CONTEXT):
-        real, cx = _split(params)
-        r, re, im = _ONE, _ONE, _ZERO
-        for k in range(n):
-            for a, b in real:
-                r *= a + k if b is None else _pair(a + k, b)
-            for a, b in cx:
-                re, im = re * (a + k) - im * b, re * b + im * (a + k)
-        return complex(float(r * re), float(r * im))
-
-
-def hypergeometric_F(num, den, z: complex, n_terms: int) -> complex:
+def hypergeometric_F(num, den, z: complex, n_terms: int, scaled: bool = False) -> complex:
     """Truncated hypergeometric sum pFq of the first n_terms+1 terms.
 
     The term ratio is prod (a + k) / (prod (b + k) (k + 1)), summed by
     _series; a conjugate pair of parameters gives one real factor (a + k)^2
     + b^2.  A vanishing denominator Pochhammer before termination raises
-    PoleError.
+    PoleError.  With scaled, the sum comes back multiplied by prod_j
+    (b_j)_{n_terms} over the den parameters, formed from the same factors
+    and rounded once with the sum.
     """
 
     def ratios():
@@ -411,7 +392,18 @@ def hypergeometric_F(num, den, z: complex, n_terms: int) -> complex:
                    [b + k if bi is None else _pair(b + k, bi) for b, bi in rb] + [k + 1],
                    [(b + k, bi) for b, bi in cb])
 
-    return _series(ratios, [*num, *den], z, n_terms, len(num) + len(den) + 1)
+    def scale():
+        rb, cb = _split(den)
+        r, c0, c1 = _ONE, _ONE, _ZERO
+        for k in range(n_terms):
+            for b, bi in rb:
+                r *= b + k if bi is None else _pair(b + k, bi)
+            for b, bi in cb:
+                c0, c1 = c0 * (b + k) - c1 * bi, c0 * bi + c1 * (b + k)
+        return r * c0, r * c1
+
+    return _series(ratios, [*num, *den], z, n_terms, len(num) + len(den) + 1,
+                   scale if scaled else None)
 
 
 def basic_hypergeometric_phi(num, den, q: float, z: complex, n_terms: int) -> complex:

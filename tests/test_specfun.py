@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import cmath
 import decimal
+import functools
 import math
 import os
 import subprocess
@@ -30,7 +31,6 @@ from dqm.specfun import (
     log_q_pochhammer_inf,
     pochhammer,
     pochhammer_levels,
-    pochhammer_product,
     q_gamma,
     q_pochhammer,
     q_pochhammer_inf,
@@ -421,19 +421,23 @@ def test_series_match_exact_gaussian_rational_sums(series, exact, args):
         assert abs(g - want) <= math.ulp(want), (g, want)
     assert (got.imag == 0.0) == (exact(*args)[1] == 0)
 
-@pytest.mark.parametrize("params,n", [
-    # the Wilson prefactor at a real a1: a conjugate pair beside a real one
-    ([1.8 + 0.4j, 1.8 - 0.4j, 2.2], 30),
-    # an unpaired complex parameter beside a pair
-    ([0.5 + 0.3j, 1.3 + 0.3j, 1.3 - 0.3j], 20),
-    ([0.7 - 1.1j], 12),
+@pytest.mark.parametrize("args", [
+    # the Wilson 4F3 at a real a1: its prefactor, a pair beside a real
+    # parameter, is real, and so is the product
+    _wilson_4f3(1.3),
+    # a pair beside an unpaired complex parameter above and below
+    ([-12, 0.4 + 0.7j, 1.1 + 0.2j, 0.4 - 0.7j], [0.6 + 0.3j, 2.5, 0.6 - 0.3j], 1.0, 12),
+    # continuous dual Hahn at a = (1e-300, 1e-300, 1e-143), x = 0.5, n = 2:
+    # the prefactor alone underflows a double and the sum alone overflows it
+    ([-2, 1e-300 + 0.5j, 1e-300 - 0.5j], [2e-300, 1e-143], 1.0, 2),
 ])
-def test_pochhammer_product_is_the_exact_product_rounded_once(params, n):
-    exact = (Fraction(1), Fraction(0))
-    for b, bi in map(_gauss, params):
+def test_scaled_sum_is_the_exact_product_rounded_once(args):
+    num, den, z, n = args
+    exact = _exact_F(*args)
+    for b, bi in map(_gauss, den):
         for k in range(n):
             exact = _gmul(exact, (b + k, bi))
-    got = pochhammer_product(params, n)
+    got = hypergeometric_F(*args, scaled=True)
     for g, e in zip((got.real, got.imag), exact):
         assert abs(g - float(e)) <= math.ulp(float(e)), (g, float(e))
     assert (got.imag == 0.0) == (exact[1] == 0)
@@ -453,7 +457,7 @@ def test_split_pairs_exact_conjugates_only():
     (basic_hypergeometric_phi, ([0.25, math.nan], [0.3], 0.5, 0.5, 2)),
     (basic_hypergeometric_phi, ([-math.inf, 0.3], [0.3], 0.5, 0.5, 2)),
     (basic_hypergeometric_phi, ([0.25, 0.3], [0.3], 0.5, math.nan, 2)),
-    (pochhammer_product, ([0.5, math.inf], 2)),
+    (functools.partial(hypergeometric_F, scaled=True), ([-2, 0.5], [math.inf], 0.5, 2)),
 ])
 def test_non_finite_input_sums_to_complex_nan(series, args):
     got = series(*args)
