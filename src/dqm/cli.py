@@ -45,7 +45,8 @@ def _fmt(v) -> str:
     if isinstance(v, complex):
         if v.imag == 0:
             return _FMT.format(v.real)
-        sign = "+" if v.imag >= 0 else "-"
+        # the sign bit, which a NaN carries too: v.imag >= 0 is false for it
+        sign = "-" if math.copysign(1.0, v.imag) < 0 else "+"
         return _FMT.format(v.real) + sign + _FMT.format(abs(v.imag)) + "i"
     return _FMT.format(float(v))
 

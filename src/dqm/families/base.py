@@ -32,6 +32,7 @@ __all__ = [
     "QuadraticSpectrum",
     "elementary_symmetric",
     "three_term",
+    "real_parts",
     "as_complex",
     "any_zero",
 ]
@@ -306,8 +307,11 @@ class Family:
     def recurrence(self, p: ParamSet, n: int) -> tuple:
         """(a, b, c): the monic recurrence data a_0 .. a_{n-1} and
         b_0 .. b_{n-1} and the scales c_0 .. c_n of P_0 .. P_n, as tuples of
-        complex, from one pass over the levels.  c_{k+1} = c_k r_k with the
-        closed-form ratio r_k, and c_1 taken closed, where r_0 may be 0/0."""
+        floats, from one pass over the levels.  c_{k+1} = c_k r_k with the
+        closed-form ratio r_k, and c_1 taken closed, where r_0 may be 0/0.
+        The data are real (Favard); a value formed in complex arithmetic
+        from conjugate-closed parameters passes through `real_parts`, which
+        raises ValidationError on an imaginary part beyond rounding noise."""
         raise NotImplementedError
 
     def f_shift(self, p: ParamSet, n: int) -> float:
@@ -389,14 +393,14 @@ class Family:
         return CoefficientBundle(
             n=n,
             E_n=self.energy(p, n),
-            c_n=_as_real(c[n]),
+            c_n=c[n],
             a_n_rec=B[n],
-            b_n_rec=_as_real(b[n]),
+            b_n_rec=b[n],
             A_n=A[n],
             B_n=B[n],
             C_n=C[n],
-            f_n=_as_real(self.f_shift(p, n)),
-            b_n_shift=_as_real(self.b_shift(p, n)),
+            f_n=self.f_shift(p, n),
+            b_n_shift=self.b_shift(p, n),
             h0=h0,
             h0_over_hn=h0_over_hn,
             N_n=math.sqrt(h0_over_hn),
@@ -429,6 +433,9 @@ class QuadraticSpectrum(Family):
         k + a1 + a_j per a_j in t1_with, and t2, with a factor k + a_j + a_k - 1
         per pair in t2_pairs.  b_k has one such factor per pair in b_pairs."""
         for k in range(n):
+            if k and b1.real < 1.0:
+                yield k, *_terms_below_one(k, b1, a1, t1_with, t2_pairs, b_pairs)
+                continue
             # `or 1.0` writes the limit where a factor reads 0/0, at k <= 1 when
             # b1 = 1 or 2: 1 for a ratio of two vanishing factors, 0 for t2
             t1 = complex(k + b1 - 1 or 1.0)
@@ -440,14 +447,36 @@ class QuadraticSpectrum(Family):
                 t2 *= k + aj + ak - 1
             t2 /= (2 * k + b1 - 2) * (2 * k + b1 - 1) or 1.0
             if k == 0:
-                yield k, t1, t2, 0j  # multiplies P_{-1}; avoids 0/0 when b1 = 3
+                yield k, t1, t2, 0.0  # multiplies P_{-1}; avoids 0/0 when b1 = 3
                 continue
-            prod = complex(1.0)
+            prod = 1.0
             for aj, ak in b_pairs:
                 prod *= k + aj + ak - 1
             yield k, t1, t2, (
                 k * (k + b1 - 2 or 1.0) * prod
                 / ((2 * k + b1 - 3 or 1.0) * (2 * k + b1 - 2) ** 2 * (2 * k + b1 - 1)))
+
+
+def _terms_below_one(k, b1, a1, t1_with, t2_pairs, b_pairs) -> tuple:
+    """(t1, t2, b_k) of `QuadraticSpectrum._terms` at a level k >= 1 when
+    b1 < 1.  There the general forms cancel at k = 1 and 2, where 2k + b1 - 2,
+    k + b1 - 1 and k + b1 - 2 are b1 and k + a_j + a_k - 1 is a_j + a_k: left
+    to right, 2 + b1 - 2 keeps only b1's leading digits and rounds to 0 once
+    b1 < 2^-52.  So each factor adds its integer part first, and each factor
+    2k - 2 + b1 of a denominator divides one of the smallest pair factors,
+    so that tiny pair sums do not underflow before their quotient."""
+    d = 2 * k - 2 + b1
+
+    def pairs_over_d(pairs, m):
+        # prod (k - 1 + a_j + a_k) / d^m
+        sums = sorted((k - 1 + aj + ak for aj, ak in pairs), key=abs)
+        return math.prod(v / d for v in sums[:m]) * math.prod(sums[m:])
+
+    t1 = ((k - 1 + b1) * math.prod(k + a1 + aj for aj in t1_with)
+          / ((2 * k - 1 + b1) * (2 * k + b1)))
+    t2 = k * pairs_over_d(t2_pairs, 1) / (2 * k - 1 + b1)
+    b_k = k * (k - 2 + b1) * pairs_over_d(b_pairs, 2) / ((2 * k - 3 + b1) * (2 * k - 1 + b1))
+    return t1, t2, b_k
 
 
 def log_2pi_gamma_pairs(sums, *over) -> float:
@@ -458,22 +487,24 @@ def log_2pi_gamma_pairs(sums, *over) -> float:
 
 
 def three_term(a, b, c) -> tuple:
-    """(A, B, C) of eta P_k = A_k P_{k+1} + B_k P_k + C_k P_{k-1}, real, for k
-    below len(a), from the monic recurrence data: A_k = c_k / c_{k+1},
+    """(A, B, C) of eta P_k = A_k P_{k+1} + B_k P_k + C_k P_{k-1} for k below
+    len(a), from the real monic recurrence data: A_k = c_k / c_{k+1},
     B_k = a_k, C_k = b_k c_k / c_{k-1} and C_0 = 0 (it multiplies P_{-1} = 0)."""
-    A = [_as_real(c[k] / c[k + 1]) for k in range(len(a))]
-    C = [_as_real(c[k] / c[k - 1] * b[k]) if k else 0.0 for k in range(len(a))]
-    return A, [_as_real(v) for v in a], C
+    A = [c[k] / c[k + 1] for k in range(len(a))]
+    C = [c[k] / c[k - 1] * b[k] if k else 0.0 for k in range(len(a))]
+    return A, list(a), C
 
 
-def _as_real(v) -> float:
-    v = complex(v)
-    scale = max(1.0, abs(v))
-    if abs(v.imag) > 1e-10 * scale:
-        raise ValidationError(
-            f"coefficient expected to be real, got {v} (imaginary part too large)"
-        )
-    return v.real
+def real_parts(values) -> tuple:
+    """The real parts of values, complex coefficients that are real but were
+    formed from conjugate-closed parameters, as floats: ValidationError where
+    an imaginary part exceeds 1e-10 max(1, |v|), more than rounding noise."""
+    for v in values:
+        # |Im v| > 1e-10 max(1, |v|) as two tests, the cheaper one first
+        if abs(v.imag) > 1e-10 and abs(v.imag) > 1e-10 * abs(v):
+            raise ValidationError(
+                f"coefficient expected to be real, got {v} (imaginary part too large)")
+    return tuple([v.real for v in values])
 
 
 def require(cond: bool, message: str) -> None:

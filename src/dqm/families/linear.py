@@ -22,6 +22,7 @@ from .base import (
     QuadraticSpectrum,
     as_complex,
     log_2pi_gamma_pairs,
+    real_parts,
     require,
 )
 
@@ -75,10 +76,11 @@ class ContinuousHahn(QuadraticSpectrum):
             a.append(1j * (a1 - t1 + t2))
             b.append(b_k)
             # c_k = (k + b1 - 1)_k / k!; its ratio reads 0/0 at k = 0 when
-            # b1 = 1, so c_1 = b1 is taken closed
-            c.append(c[k] * (2 * k + b1 - 1) * (2 * k + b1) / ((k + b1 - 1) * (k + 1))
-                     if k else b1)
-        return tuple(a), tuple(b), tuple(map(complex, c))
+            # b1 = 1, so c_1 = b1 is taken closed.  Below b1 = 1, k + b1 - 1
+            # adds its integer part first: it is b1 at k = 1 (_terms_below_one)
+            c.append(c[k] * (2 * k + b1 - 1) * (2 * k + b1)
+                     / ((k - 1 + b1 if b1 < 1.0 else k + b1 - 1) * (k + 1)) if k else b1)
+        return real_parts(a), real_parts(b), tuple(c)
 
     def f_shift(self, p: ParamSet, n: int):
         return n + self._b1(p) - 1.0
@@ -183,7 +185,7 @@ class MeixnerPollaczek(Family):
             a.append(-(k + lam) / tan)
             b.append(k * (k + 2 * lam - 1) / two_sin_sq)
             c.append(c[k] * two_sin / (k + 1))
-        return tuple(map(complex, a)), tuple(map(complex, b)), tuple(map(complex, c))
+        return tuple(a), tuple(b), tuple(c)
 
     def f_shift(self, p: ParamSet, n: int):
         return 2.0 * math.sin(p.phi)

@@ -25,6 +25,7 @@ from .base import (
     conjugate_closed,
     elementary_symmetric,
     log_2pi_gamma_pairs,
+    real_parts,
     require,
 )
 from .limits import aw_to_wilson_scaled
@@ -111,10 +112,12 @@ class Wilson(_GammaRatioFamily, QuadraticSpectrum):
             a.append(t1 + t2 - a1 * a1)
             b.append(b_k)
             # c_k = (-1)^k (k + b1 - 1)_k; its ratio reads 0/0 at k = 0 when
-            # b1 = 1, so c_1 = -b1 is taken closed
-            c.append(-c[k] * (2 * k + b1_real - 1) * (2 * k + b1_real) / (k + b1_real - 1)
+            # b1 = 1, so c_1 = -b1 is taken closed.  Below b1 = 1, k + b1 - 1
+            # adds its integer part first: it is b1 at k = 1 (_terms_below_one)
+            c.append(-c[k] * (2 * k + b1_real - 1) * (2 * k + b1_real)
+                     / (k - 1 + b1_real if b1_real < 1.0 else k + b1_real - 1)
                      if k else -b1_real)
-        return tuple(a), tuple(b), tuple(map(complex, c))
+        return real_parts(a), real_parts(b), tuple(c)
 
     def f_shift(self, p: ParamSet, n: int):
         return -n * (n + self._b1(p) - 1.0)
@@ -218,12 +221,12 @@ class ContinuousDualHahn(_GammaRatioFamily):
         a, b = [], []
         for k in range(n):
             a.append((k + a1 + a2) * (k + a1 + a3) + k * (k + a2 + a3 - 1) - a1 * a1)
-            prod = complex(k)
+            prod = float(k)
             for aj, ak in pairs:
                 prod *= k + aj + ak - 1
             b.append(prod)
         # c_k = (-1)^k
-        return tuple(a), tuple(b), tuple(complex((-1.0) ** k) for k in range(n + 1))
+        return real_parts(a), real_parts(b), tuple((-1.0) ** k for k in range(n + 1))
 
     def f_shift(self, p: ParamSet, n: int):
         return -float(n)

@@ -65,6 +65,7 @@ from .base import (
     as_complex,
     conjugate_closed,
     elementary_symmetric,
+    real_parts,
     require,
 )
 
@@ -220,12 +221,13 @@ class AskeyWilson(Family):
             prods = tuple(a1 * aj for aj in full[2:] if aj != 0)
             k = dict(k_a1=a1, k_pairs=prods,
                      k_den=math.prod(1.0 - ajk for ajk in prods))
+        e1, e3, e4 = real_parts([elementary_symmetric(nz, j) for j in (1, 3, 4)])
         return _AW(
             a=nz,
             pairs=tuple(aj * ak for aj, ak in combinations(nz, 2)),
-            e1=elementary_symmetric(nz, 1).real,
-            e3=elementary_symmetric(nz, 3).real,
-            e4=elementary_symmetric(nz, 4).real,
+            e1=e1,
+            e3=e3,
+            e4=e4,
             **k,
         )
 
@@ -325,7 +327,7 @@ class AskeyWilson(Family):
                     + qn * qn * (q * e1 * e4 + e3 * e4)
                 ) / ((1.0 - e4 * q ** (2 * k - 2)) * (1.0 - e4 * q ** (2 * k)))
                 a.append(0.5 * qn * num / (q * q))
-            prod = complex(1.0)
+            prod = 1.0
             for ajk in d.pairs:
                 prod *= 1.0 - ajk * q ** (k - 1)
             # c_k = 2^k (e4 q^{k-1}; q)_k, carried by its ratio r; that
@@ -340,7 +342,7 @@ class AskeyWilson(Family):
                 den = (4.0 * (1.0 - e4 * q ** (2 * k - 3) or 1.0)
                        * (1.0 - e4 * q ** (2 * k - 2)) ** 2 * (1.0 - e4 * q ** (2 * k - 1)))
                 b.append((1.0 - q**k) * (1.0 - e4 * q ** (k - 2) or 1.0) * prod / den
-                         if den else 0j)
+                         if den else 0.0)
                 r = 2.0 * (1.0 - e4) if k == 0 else (
                     2.0 * (1.0 - e4 * q ** (2 * k - 1)) * (1.0 - e4 * q ** (2 * k))
                     / (1.0 - e4 * q ** (k - 1)))
@@ -352,7 +354,7 @@ class AskeyWilson(Family):
                 r *= d.k_a1 / den
             c.append(c[k] * r)
             qk *= q
-        return tuple(map(complex, a)), tuple(b), tuple(map(complex, c))
+        return tuple(a), real_parts(b), tuple(c)
 
     def f_shift(self, p: ParamSet, n: int):
         d = self._aw(p)

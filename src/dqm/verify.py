@@ -388,7 +388,6 @@ def _ladder(fam, p: ParamSet, config: VerifyConfig):
     # [a-, a+] phi_n = (b_{n+1} - b_n) phi_n
     a_minus_a_plus = ladder_action(ctx, "-", lv + 1, up, lat)
     a_plus_a_minus = ladder_action(ctx, "+", prev, dn, lat)
-    b_rec = [b_n.real for b_n in rec_b]
     checks = [
         ("ladder.level_actions", (0, n_max), len(xs),
          _residual((up0, dn0), (per_level(A_n) * at_x[1:], per_level(C_n) * at_x[prev]))),
@@ -399,7 +398,7 @@ def _ladder(fam, p: ParamSet, config: VerifyConfig):
                                   per_level(ctx.energies(lv - 1)) * dn0))),
         ("ladder.pair_commutator", (0, n_max), len(xs),
          _residual(a_minus_a_plus - a_plus_a_minus,
-                   per_level([b_rec[n + 1] - b_rec[n] for n in lv]) * at_x[: n_max + 1])),
+                   per_level([rec_b[n + 1] - rec_b[n] for n in lv]) * at_x[: n_max + 1])),
     ]
     q = p.q
     # with fewer than 4 non-zero parameters e4 = 0 and E_n = q^{-n} - 1; at

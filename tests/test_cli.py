@@ -229,6 +229,35 @@ def test_eval_prints_the_record_past_the_double_range(argv, series, code, stderr
     assert math.isfinite(float(rows["P_n_recurrence"]))
 
 
+@pytest.mark.parametrize("argv,value", [
+    # b1 = 4e-300 in both: at k = 1 the terms divide by 2k + b1 - 2 = b1,
+    # which 2 + b1 - 2 rounds to 0, and b_1 = prod (a_j + a_k) / (b1^2 (1 + b1))
+    # underflows to 0
+    (("continuous-hahn", "--a", "1e-300", "--a", "1e-300"), "0.25"),
+    (("wilson", "--a", "1e-300", "--a", "1e-300", "--a", "1e-300", "--a", "1e-300"), "0.125"),
+])
+def test_eval_prints_the_record_where_b1_is_below_the_rounding_of_two(argv, value):
+    # in a fresh interpreter, as a shell runs it: both paths print P_2
+    proc = subprocess.run([sys.executable, "-m", "dqm.cli", "eval", *argv, "--n", "2",
+                           "--x", "0.5"],
+                          env=_env_with_src(), capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    rows = dict(line.split(None, 1) for line in proc.stdout.splitlines())
+    assert rows["P_n_recurrence"] == rows["P_n_hypergeometric"] == value
+
+
+@pytest.mark.parametrize("v,text", [
+    (complex(1.0, math.nan), "1+nani"),
+    (complex(1.0, -math.nan), "1-nani"),
+    (complex(math.inf, -math.inf), "inf-infi"),
+    (complex(0.5, 2.0), "0.5+2i"),
+    (complex(0.5, -0.0), "0.5"),
+])
+def test_fmt_takes_the_sign_of_the_imaginary_part_from_its_sign_bit(v, text):
+    # v.imag >= 0 is false for a NaN of either sign
+    assert cli._fmt(v) == text
+
+
 def test_table_norms_beyond_the_double_range(capsys):
     # h0 = 2 pi Gamma(2a) / (2 sin phi)^{2a} at a = 200, phi = 0.5;
     # mpmath at 30 digits gives the constant below

@@ -694,6 +694,84 @@ def test_recurrence_scales_match_their_direct_products(family, name):
         assert abs(c[n] - want) <= 4e-15 * abs(want), n
 
 
+def _complex_steps(poly, eta):
+    """P_n from the data of poly stepped in complex arithmetic, the reference
+    for the float steps of `EtaPolynomial.eval` at a real eta."""
+    eta, cur, prev = complex(eta), 1 + 0j, 0j
+    for a_k, b_k in zip(poly.a, poly.b):
+        prev, cur = cur, (eta - complex(a_k)) * cur - complex(b_k) * prev
+    return complex(poly.c[-1]) * cur
+
+
+@pytest.mark.parametrize("family,p", [(family, fixture_params(family, name))
+                                      for family, name in all_fixtures()]
+                         + ZERO_OVER_ZERO_SETS)
+def test_recurrence_data_are_floats_and_real_points_step_in_floats(family, p):
+    # the data are real (Favard), so P_n at a real eta has imaginary part
+    # exactly 0 and the real part of the same data stepped in complex numbers
+    fam = get_family(family)
+    data = fam.recurrence(p, 31)
+    assert all(type(v) is float for values in data for v in values)
+    etas = [fam.eta(float(x)) for x in sample_points(fam, p, 16)]
+    for n in range(31):
+        poly = eval_poly_recurrence(fam, p, n)
+        for eta in etas:
+            for at in (eta, eta.real):
+                got = poly.eval(at)
+                assert type(got) is complex and got.imag == 0.0
+                assert got.real == _complex_steps(poly, eta).real
+
+
+def _complex_b(b_k):
+    return b_k * (1 + 1e-3j)
+
+
+@pytest.mark.parametrize("family", ["continuous-hahn", "wilson", "askey-wilson"])
+def test_a_genuinely_complex_recurrence_value_raises(family, monkeypatch):
+    # b_k with Im = 1e-3 |b_k| is no rounding noise of a real value: the
+    # recurrence names it instead of dropping its imaginary part
+    fam = get_family(family)
+    if family == "askey-wilson":
+        derive = type(fam)._derive
+
+        def complex_pairs(self, p):
+            d = derive(self, p)
+            return dataclasses.replace(d, pairs=tuple(map(_complex_b, d.pairs)))
+
+        monkeypatch.setattr(type(fam), "_derive", complex_pairs)
+    else:
+        terms = type(fam)._terms
+        monkeypatch.setattr(type(fam), "_terms", staticmethod(
+            lambda *args: ((k, t1, t2, _complex_b(b_k)) for k, t1, t2, b_k in terms(*args))))
+    with pytest.raises(ValidationError, match="expected to be real"):
+        eval_poly_recurrence(family, fixture_params(family), 5)
+
+
+# b1 below 1, down to where 2 + b1 - 2 rounds to 0; continuous Hahn's and
+# Wilson's b1 here are 4e-10, 4e-14, 4e-13, 4e-300 and 1 - 4e-16
+SMALL_B1_SETS = [
+    ("continuous-hahn", ParamSet(a=(1e-10 + 1j, 1e-10 - 1j))),
+    ("continuous-hahn", ParamSet(a=(1e-14 + 0.5j, 1e-14 - 0.5j))),
+    ("wilson", ParamSet(a=(1e-13 + 1j, 1e-13 - 1j, 1e-13, 1e-13))),
+    ("wilson", ParamSet(a=(1e-300 + 1j, 1e-300 - 1j, 1e-300, 1e-300))),
+    ("continuous-hahn", ParamSet(a=(0.25, 0.2499999999999998))),
+]
+
+
+@pytest.mark.parametrize("family,p", SMALL_B1_SETS)
+def test_recurrence_matches_the_series_where_b1_is_small(family, p):
+    # below b1 = 1 the terms and the ratios of c_k add each factor's integer
+    # part first, so b1 keeps its digits; left to right, 2 + b1 - 2 lost them
+    fam = get_family(family)
+    fam.validate(p)
+    for n in range(9):
+        poly = eval_poly_recurrence(fam, p, n)
+        for x in (0.3, 1.1, 2.5):
+            eta = fam.eta(x)
+            rec, ser = poly.eval(eta), eval_poly_hypergeometric(fam, p, n, eta)
+            assert abs(rec - ser) <= 1e-13 * (1 + abs(ser)), (n, x)
+
+
 ORACLE_FILE = Path(__file__).resolve().parents[1] / "perfbench" / "oracle_data.json"
 
 

@@ -616,8 +616,8 @@ def _count_evaluations(monkeypatch):
     calls = []
     plain_steps = EtaPolynomial._monic_values
 
-    def counting_steps(self, eta):
-        for k, value in enumerate(plain_steps(self, eta)):
+    def counting_steps(self, eta, *rows):
+        for k, value in enumerate(plain_steps(self, eta, *rows)):
             level = (self.a[:k], self.b[:k], self.c[:k + 1])
             calls.extend((level, complex(e)) for e in np.ravel(eta))
             yield value
