@@ -17,7 +17,7 @@ from itertools import combinations
 
 import numpy as np
 
-from ..specfun import log_gamma
+from ..specfun import log_gamma, pochhammer_levels
 
 __all__ = [
     "FamilyId",
@@ -431,7 +431,10 @@ class QuadraticSpectrum(Family):
     def _terms(n, b1, a1, t1_with, t2_pairs, b_pairs):
         """(k, t1, t2, b_k) for k < n; a_k is assembled from t1, with a factor
         k + a1 + a_j per a_j in t1_with, and t2, with a factor k + a_j + a_k - 1
-        per pair in t2_pairs.  b_k has one such factor per pair in b_pairs."""
+        per pair in t2_pairs.  b_k is t1 at k - 1 times t2 at k, the
+        A_{k-1} C_k of the monic recurrence (KS 1.1.4, 1.4.4).  Below b1 = 1
+        `_terms_below_one` forms b_k from its own factors instead, one
+        k + a_j + a_k - 1 per pair in b_pairs."""
         for k in range(n):
             if k and b1.real < 1.0:
                 yield k, *_terms_below_one(k, b1, a1, t1_with, t2_pairs, b_pairs)
@@ -446,15 +449,33 @@ class QuadraticSpectrum(Family):
             for aj, ak in t2_pairs:
                 t2 *= k + aj + ak - 1
             t2 /= (2 * k + b1 - 2) * (2 * k + b1 - 1) or 1.0
-            if k == 0:
-                yield k, t1, t2, 0.0  # multiplies P_{-1}; avoids 0/0 when b1 = 3
-                continue
-            prod = 1.0
-            for aj, ak in b_pairs:
-                prod *= k + aj + ak - 1
-            yield k, t1, t2, (
-                k * (k + b1 - 2 or 1.0) * prod
-                / ((2 * k + b1 - 3 or 1.0) * (2 * k + b1 - 2) ** 2 * (2 * k + b1 - 1)))
+            # b_0 multiplies P_{-1}
+            yield k, t1, t2, t1_prev * t2 if k else 0.0
+            t1_prev = t1
+
+    @staticmethod
+    def _norm_ratios_below_one(b1, scales, pairs) -> tuple:
+        """h0/h_k = (2k - 1 + b1) (b1)_{k-1} s_k / prod (a_j + a_k)_k for
+        k = 0..n when b1 < 1, with the scales s_k (k! or 1/k!) and the pair
+        symbols (a_j + a_k)_0 .. (a_j + a_k)_n in `pairs`.  The general form
+        (b1 + 2k - 1)/(b1 + k - 1) (b1)_k keeps only b1's leading digits at
+        k = 1 and divides by 0 once b1 < 2^-53, and the product of the pair
+        symbols, each as small as a_j + a_k at k = 1, underflows.  So the
+        integer part is added first, (b1)_{k-1} is the previous level's
+        symbol, and the pair symbols divide one at a time: the largest left
+        while the value is at least 1, else the smallest, so that a small
+        pair sum meets the small (b1)_{k-1} before it is multiplied.  The
+        ratio is positive, so it is formed from the moduli, in floats: a
+        value past the double range reads inf, not a complex NaN."""
+        b1_levels = pochhammer_levels(b1, len(scales) - 1)
+        out = [1.0]
+        for k in range(1, len(scales)):
+            value = (2 * k - 1 + b1.real) * abs(b1_levels[k - 1]) * scales[k]
+            rest = sorted(abs(pochs[k]) for pochs in pairs)
+            while rest:
+                value /= rest.pop() if value >= 1.0 else rest.pop(0)
+            out.append(value)
+        return tuple(out)
 
 
 def _terms_below_one(k, b1, a1, t1_with, t2_pairs, b_pairs) -> tuple:

@@ -96,6 +96,8 @@ class ContinuousHahn(QuadraticSpectrum):
         a1, a2, a3, a4 = self._abcd(p)
         b1 = self._b1(p)
         pairs = [pochhammer_levels(aj + ak, n) for aj in (a1, a2) for ak in (a3, a4)]
+        if b1 < 1.0:
+            return self._norm_ratios_below_one(b1, factorials(n), pairs)
         return tuple(
             complex(
                 # h0/h0 = 1: at k = 0 the factor is 0/0 when b1 = 1

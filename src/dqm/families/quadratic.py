@@ -131,6 +131,9 @@ class Wilson(_GammaRatioFamily, QuadraticSpectrum):
     def h0_over_hn_levels(self, p: ParamSet, n: int) -> tuple:
         b1 = elementary_symmetric(p.a, 1)
         pairs = [pochhammer_levels(aj + ak, n) for aj, ak in combinations(p.a, 2)]
+        if b1.real < 1.0:
+            return self._norm_ratios_below_one(
+                b1, [1.0 / fact for fact in factorials(n)], pairs)
         return tuple(
             complex(
                 # h0/h0 = 1: at k = 0 the factor is 0/0 when b1 = 1
@@ -217,14 +220,15 @@ class ContinuousDualHahn(_GammaRatioFamily):
 
     def recurrence(self, p: ParamSet, n: int) -> tuple:
         a1, a2, a3 = p.a
-        pairs = tuple(combinations(p.a, 2))
         a, b = [], []
         for k in range(n):
-            a.append((k + a1 + a2) * (k + a1 + a3) + k * (k + a2 + a3 - 1) - a1 * a1)
-            prod = float(k)
-            for aj, ak in pairs:
-                prod *= k + aj + ak - 1
-            b.append(prod)
+            # a_k = A_k + C_k - a1^2 and b_k = A_{k-1} C_k (KS 1.3.5); b_0
+            # multiplies P_{-1}
+            A = (k + a1 + a2) * (k + a1 + a3)
+            C = k * (k + a2 + a3 - 1)
+            a.append(A + C - a1 * a1)
+            b.append(A_prev * C if k else 0.0)
+            A_prev = A
         # c_k = (-1)^k
         return real_parts(a), real_parts(b), tuple((-1.0) ** k for k in range(n + 1))
 

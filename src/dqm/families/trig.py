@@ -309,43 +309,50 @@ class AskeyWilson(Family):
         d = self._aw(p)
         e1, e3, e4 = d.e1, d.e3, d.e4
         a, b, c = [], [], [1.0]
+        # the q^j the levels form, q^lo .. q^(2n-2), each once: q^-3 only
+        # where e4 enters and q^-1 only where a pair product does, none at
+        # n = 0, so a tiny q overflows no power that the levels do not form
+        lo = -3 if e4 else -1 if d.pairs else 0
+        qp = [q**j for j in range(lo, 2 * n - 1)] if n else []
+        # the numerator of a_k is n0 - q^k n1 + q^2k n2
+        q2 = q * q
+        n0 = q2 * e1 + q * e3
+        n1 = q2 * e3 + q * e1 * e4 + q * e3 + e1 * e4
+        n2 = q * e1 * e4 + e3 * e4
         qk = 1.0  # q^k stepped as q_pochhammer steps it
         for k in range(n):
+            w, t = k - lo, 2 * k - lo  # q^(k+j) is qp[w + j], q^(2k+j) is qp[t + j]
             # (a1 + 1/a1 - A_k - C_k)/2 of KS 3.1.5 with the 1/a1 pivot
             # cancelled in closed form: the plain form loses up to 1e-6
             # relative as a_k -> 0.  At k = 0 the numerator is (q^2 - e4)
             # (e1 - e3) and cancels against 1 - e4 q^{-2}, which is rounding
             # noise near e4 = q^2 (q-Jacobi at alpha + beta = 0)
-            qn = q**k
+            qn = qp[w]
             if k == 0:
                 a.append((e1 - e3) / (2.0 * (1.0 - e4)))
             else:
-                num = (
-                    q * q * e1
-                    + q * e3
-                    - qn * (q * q * e3 + q * e1 * e4 + q * e3 + e1 * e4)
-                    + qn * qn * (q * e1 * e4 + e3 * e4)
-                ) / ((1.0 - e4 * q ** (2 * k - 2)) * (1.0 - e4 * q ** (2 * k)))
-                a.append(0.5 * qn * num / (q * q))
+                num = (n0 - qn * n1 + qn * qn * n2) / (
+                    (1.0 - e4 * qp[t - 2]) * (1.0 - e4 * qp[t]))
+                a.append(0.5 * qn * num / q2)
             prod = 1.0
             for ajk in d.pairs:
-                prod *= 1.0 - ajk * q ** (k - 1)
+                prod *= 1.0 - ajk * qp[w - 1]
             # c_k = 2^k (e4 q^{k-1}; q)_k, carried by its ratio r; that
             # reads 0/0 at k = 0 when e4 = q, so c_1 = 2 (1 - e4) is closed
             if not e4:
-                b.append((1.0 - q**k) * prod / 4.0)
+                b.append((1.0 - qn) * prod / 4.0)
                 r = 2.0
             else:
                 # `or 1.0` writes the limit 1 of (1 - e4 q^{k-2})/(1 - e4 q^{2k-3}),
                 # 0/0 at k = 1 when e4 = q; den reads 0 at k = 0 when e4 = q or
                 # q^2, where b_0 is 0 by its factor 1 - q^0
-                den = (4.0 * (1.0 - e4 * q ** (2 * k - 3) or 1.0)
-                       * (1.0 - e4 * q ** (2 * k - 2)) ** 2 * (1.0 - e4 * q ** (2 * k - 1)))
-                b.append((1.0 - q**k) * (1.0 - e4 * q ** (k - 2) or 1.0) * prod / den
+                den = (4.0 * (1.0 - e4 * qp[t - 3] or 1.0)
+                       * (1.0 - e4 * qp[t - 2]) ** 2 * (1.0 - e4 * qp[t - 1]))
+                b.append((1.0 - qn) * (1.0 - e4 * qp[w - 2] or 1.0) * prod / den
                          if den else 0.0)
                 r = 2.0 * (1.0 - e4) if k == 0 else (
-                    2.0 * (1.0 - e4 * q ** (2 * k - 1)) * (1.0 - e4 * q ** (2 * k))
-                    / (1.0 - e4 * q ** (k - 1)))
+                    2.0 * (1.0 - e4 * qp[t - 1]) * (1.0 - e4 * qp[t])
+                    / (1.0 - e4 * qp[w - 1]))
             if d.k_a1 is not None:
                 # times k_{k+1} / k_k = a1 / ((1 - q^{k+1}) prod (1 - a1 a_j q^k))
                 den = 1.0 - q * qk

@@ -11,14 +11,15 @@ any degree; expanding into powers of eta instead would cancel digits.  One
 pass yields every level P_0 .. P_n at once.
 
 eta is a Python scalar or an ndarray.  A scalar steps in its own type: a
-real eta (a float, or a complex with imaginary part 0, as `Family.eta` gives
-on the real axis) in float arithmetic, whose value has imaginary part exactly
-0, and a complex eta in complex arithmetic.  An ndarray steps in complex
-arithmetic with complex scalars: numpy dispatches a ufunc on a complex array
-and a Python float more slowly than on a complex array and a Python complex
-(1.4-1.5 against 1.2-1.3 us for a 40-point `subtract` or `multiply`, numpy
-2.4.6 on a 2-CPU x86-64 machine), and the lattices the operators act on
-are complex.
+real eta in float arithmetic, whose value has imaginary part exactly 0, and
+a complex eta in complex arithmetic.  A Python float goes straight to the
+loop; any other real scalar, such as the complex with imaginary part 0 that
+`Family.eta` gives on the real axis, steps as the float it converts to.  An
+ndarray steps in complex arithmetic with complex scalars: numpy dispatches a
+ufunc on a complex array and a Python float more slowly than on a complex
+array and a Python complex (1.4-1.5 against 1.2-1.3 us for a 40-point
+`subtract` or `multiply`, numpy 2.4.6 on a 2-CPU x86-64 machine), and the
+lattices the operators act on are complex.
 """
 
 from __future__ import annotations
@@ -93,8 +94,11 @@ class EtaPolynomial:
             for value in self._monic_values(eta):
                 pass
             return complex(self.c[-1]) * value
-        eta = complex(eta)
-        x = eta if eta.imag else eta.real
+        if type(eta) is float:
+            x = eta
+        else:
+            eta = complex(eta)
+            x = eta if eta.imag else eta.real
         cur, prev = 1.0, 0.0
         for a_k, b_k in zip(self.a, self.b):
             prev, cur = cur, (x - a_k) * cur - b_k * prev

@@ -227,7 +227,12 @@ def _matrix(fam, p: ParamSet, n_max: int, half: int, act) -> Terms:
     ctx = OperatorContext(fam, p)
     poly = eval_poly_recurrence(fam, p, n_max)
     # sqrt(h0/h_n): the weight is already over h0
-    unit = per_level(np.sqrt(fam.h0_over_hn_levels(p, n_max)))
+    ratios = fam.h0_over_hn_levels(p, n_max)
+    for n, ratio in enumerate(ratios):
+        if not math.isfinite(ratio):
+            raise ValueError(f"h0/h_{n} = {ratio} is not finite in doubles, "
+                             f"so the quadrature cannot normalise P_{n}")
+    unit = per_level(np.sqrt(ratios))
     value, l1 = np.zeros((n_max + 1,) * 2, dtype=complex), np.zeros((n_max + 1,) * 2)
     prev = None
     err = math.inf

@@ -246,6 +246,31 @@ def test_eval_prints_the_record_where_b1_is_below_the_rounding_of_two(argv, valu
     assert rows["P_n_recurrence"] == rows["P_n_hypergeometric"] == value
 
 
+
+@pytest.mark.parametrize("argv,code,last", [
+    # b1 = 4e-300: the norm ratios divided by b1 + k - 1, which 1 + b1 - 1
+    # rounds to 0 at k = 1.  h0/h_1 = (1 + b1) / prod (a_j + a_k) is past the
+    # double range, so the quadrature suites reject the set
+    (("verify", "continuous-hahn", "--a", "1e-300", "--a", "1e-300", "--n-max", "4"), 2,
+     "error: h0/h_1 = inf is not finite in doubles, so the quadrature cannot normalise P_1"),
+    (("table", "norms", "continuous-hahn", "--a", "1e-300", "--a", "1e-300",
+      "--n-max", "2"), 0, None),
+    (("table", "norms", "wilson", *["--a", "1e-300"] * 4, "--n-max", "2"), 0, None),
+])
+def test_norm_ratios_where_b1_is_below_the_rounding_of_one(argv, code, last):
+    # in a fresh interpreter, as a shell runs it: a README exit code, with
+    # no traceback; the rejection names its reason on the last stderr line
+    proc = subprocess.run([sys.executable, "-m", "dqm.cli", *argv],
+                          env=_env_with_src(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    if last is not None:
+        assert proc.stderr.splitlines()[-1] == last
+    else:
+        # h_n/h0 underflows and N_n overflows past level 0
+        rows = [line.split() for line in proc.stdout.splitlines()[1:]]
+        assert [row[2:] for row in rows] == [["1", "1"], ["0", "inf"], ["0", "inf"]]
+
 @pytest.mark.parametrize("v,text", [
     (complex(1.0, math.nan), "1+nani"),
     (complex(1.0, -math.nan), "1-nani"),

@@ -1,5 +1,6 @@
-"""Dump the quadrature matrices, the weights and every check's residual of
-the 22 bundled fixtures, and compare two dumps entry by entry.
+"""Dump the quadrature matrices, the weights, the recurrence data and every
+check's residual of the 22 bundled fixtures, and compare two dumps entry by
+entry.
 
     python3 tools/compare_quadrature.py dump OUT.npz [--n-max N]
     python3 tools/compare_quadrature.py compare A.npz B.npz
@@ -18,6 +19,8 @@ the 22 bundled fixtures, and compare two dumps entry by entry.
                 dqm.operators.sample_points and at those points minus i gamma/2
     weight_sq   weight_square at the shifted parameters and the points
                 minus i gamma/2, as the shape-invariance suite evaluates it
+    a, b, c     Family.recurrence at level 62: a_0 .. a_61, b_0 .. b_61
+                and c_0 .. c_62, whatever N is
     residuals   the max_residual of every check of the 11 suites at
                 VerifyConfig(n_max=N), in suite order; a suite that
                 raises stores NaN for one entry named after it
@@ -25,8 +28,9 @@ the 22 bundled fixtures, and compare two dumps entry by entry.
 `compare` prints one line per fixture.  Each part shows its bit-identical
 entries over its total and its largest difference: |delta| / (1 + l1) for
 G and K, |delta Re| for log_amp (the imaginary part of a logarithm is only
-defined modulo 2 pi), |delta| / (1 + |value|) for weight_sq and |delta| for
-the residuals.  NaNs at the same place count as equal.  G and K also show
+defined modulo 2 pi), |delta| / (1 + |value|) for weight_sq, |delta| /
+|value| for a, b and c (|delta| where the value is 0) and |delta| for the
+residuals.  NaNs at the same place count as equal.  G and K also show
 their accepted step and node count, and a step that differs between the
 dumps is flagged `step A -> B !`; the last line counts the flagged
 matrices.  A fixture or check in only one dump is reported as missing.  It
@@ -59,6 +63,7 @@ from dqm.quadrature import hermiticity_forms, orthogonality_matrix  # noqa: E402
 from dqm.verify import SUITES, VerifyConfig, run_suite  # noqa: E402
 
 POINTS = 33
+LEVELS = 62
 
 
 def _refined(matrix, fam, p, n_max: int):
@@ -117,6 +122,8 @@ def dump(path: str, n_max: int) -> None:
             w = x - 0.5j * fam.gamma(p)
             out[f"{key}/log_amp"] = fam.log_amplitude(p, np.concatenate([x, w]))
             out[f"{key}/weight_sq"] = fam.weight_square(fam.shifted(p), w)
+            for name, values in zip("abc", fam.recurrence(p, LEVELS)):
+                out[f"{key}/{name}"] = np.array(values)
             ids, residuals = [], []
             for suite in SUITES:
                 try:
@@ -161,7 +168,7 @@ def compare(path_a: str, path_b: str) -> int:
             bad = 1
             continue
         parts = []
-        for name in ("G", "K", "log_amp", "weight_sq", "residuals"):
+        for name in ("G", "K", "log_amp", "weight_sq", "a", "b", "c", "residuals"):
             va, vb = a[f"{key}/{name}"], b[f"{key}/{name}"]
             if va.shape != vb.shape:
                 parts.append(f"{name} shapes {va.shape} {vb.shape}")
@@ -174,6 +181,8 @@ def compare(path_a: str, path_b: str) -> int:
                 delta = np.abs(va.real - vb.real)
             elif name == "weight_sq":
                 delta = delta / (1.0 + np.abs(va))
+            elif name in ("a", "b", "c"):
+                delta = delta / np.where(va == 0, 1.0, np.abs(va))
             same = int(_same(va, vb).sum())
             parts.append(f"{name} {same}/{va.size} {_worst(delta):.2g}")
             if name in ("G", "K"):
