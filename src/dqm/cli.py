@@ -214,8 +214,9 @@ def cmd_table(args) -> int:
         log_h0 = fam.log_h0(p)
         for n in range(n_max + 1):
             c = fam.coefficients(p, n)
-            rows.append([n, _fmt_scaled(c.h0, log_h0), _fmt(1.0 / c.h0_over_hn),
-                         _fmt(c.N_n)])
+            # h0/h_n reads 0 where it underflows, and h_n/h0 is then past the range
+            hn_over_h0 = 1.0 / c.h0_over_hn if c.h0_over_hn else math.inf
+            rows.append([n, _fmt_scaled(c.h0, log_h0), _fmt(hn_over_h0), _fmt(c.N_n)])
     else:  # pragma: no cover - argparse restricts choices
         raise ValidationError(f"unknown table kind {args.kind}")
     if args.output == "json":

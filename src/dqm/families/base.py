@@ -11,13 +11,14 @@ import cmath
 import enum
 import math
 import operator
+import sys
 from collections import namedtuple
 from dataclasses import dataclass, replace
 from itertools import combinations
 
 import numpy as np
 
-from ..specfun import log_gamma, pochhammer_levels
+from ..specfun import log_gamma
 
 __all__ = [
     "FamilyId",
@@ -329,9 +330,35 @@ class Family:
         with np.errstate(over="ignore"):
             return float(np.exp(self.log_h0(p)))
 
-    def h0_over_hn_levels(self, p: ParamSet, n: int) -> tuple:
-        """h0/h_k for k = 0..n, from one running product over the levels."""
+    def _norm_factors(self, p: ParamSet, n: int):
+        """(L_k, num_k, den_k) for each level k = 1..n, the linear factors of
+        h0/h_k = |L_k| prod_{j<=k} (prod |num_j| / prod |den_j|); each factor
+        adds its integer part first, and none reads 0/0."""
         raise NotImplementedError
+
+    def h0_over_hn_levels(self, p: ParamSet, n: int) -> tuple:
+        """h0/h_k for k = 0..n, from one running product of the family's
+        `_norm_factors`.  The ratio is positive on the validated domain, so the
+        product runs over the moduli; it is kept as a mantissa and a power of
+        2, so no intermediate overflows or underflows, and a value past the
+        double range reads inf or 0."""
+        out = [1.0]
+        mant, exp = 1.0, 0
+        for level, num, den in self._norm_factors(p, n):
+            for v in num:
+                m, e = math.frexp(abs(v))
+                mant *= m
+                exp += e
+            for v in den:
+                m, e = math.frexp(abs(v))
+                mant /= m
+                exp -= e
+            mant, e = math.frexp(mant)
+            exp += e
+            m, e = math.frexp(abs(level) * mant)
+            out.append(math.ldexp(m, exp + e) if exp + e <= sys.float_info.max_exp
+                       else math.inf)
+        return tuple(out)
 
     def h0_over_hn(self, p: ParamSet, n: int) -> float:
         """h0/h_n, the last entry of `h0_over_hn_levels`."""
@@ -452,30 +479,6 @@ class QuadraticSpectrum(Family):
             # b_0 multiplies P_{-1}
             yield k, t1, t2, t1_prev * t2 if k else 0.0
             t1_prev = t1
-
-    @staticmethod
-    def _norm_ratios_below_one(b1, scales, pairs) -> tuple:
-        """h0/h_k = (2k - 1 + b1) (b1)_{k-1} s_k / prod (a_j + a_k)_k for
-        k = 0..n when b1 < 1, with the scales s_k (k! or 1/k!) and the pair
-        symbols (a_j + a_k)_0 .. (a_j + a_k)_n in `pairs`.  The general form
-        (b1 + 2k - 1)/(b1 + k - 1) (b1)_k keeps only b1's leading digits at
-        k = 1 and divides by 0 once b1 < 2^-53, and the product of the pair
-        symbols, each as small as a_j + a_k at k = 1, underflows.  So the
-        integer part is added first, (b1)_{k-1} is the previous level's
-        symbol, and the pair symbols divide one at a time: the largest left
-        while the value is at least 1, else the smallest, so that a small
-        pair sum meets the small (b1)_{k-1} before it is multiplied.  The
-        ratio is positive, so it is formed from the moduli, in floats: a
-        value past the double range reads inf, not a complex NaN."""
-        b1_levels = pochhammer_levels(b1, len(scales) - 1)
-        out = [1.0]
-        for k in range(1, len(scales)):
-            value = (2 * k - 1 + b1.real) * abs(b1_levels[k - 1]) * scales[k]
-            rest = sorted(abs(pochs[k]) for pochs in pairs)
-            while rest:
-                value /= rest.pop() if value >= 1.0 else rest.pop(0)
-            out.append(value)
-        return tuple(out)
 
 
 def _terms_below_one(k, b1, a1, t1_with, t2_pairs, b_pairs) -> tuple:

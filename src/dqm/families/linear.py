@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from ..specfun import factorials, hypergeometric_F, log_gamma, pochhammer, pochhammer_levels
+from ..specfun import hypergeometric_F, log_gamma, pochhammer
 from .base import (
     ClosurePolys,
     Family,
@@ -92,23 +92,14 @@ class ContinuousHahn(QuadraticSpectrum):
         a1, a2, a3, a4 = self._abcd(p)
         return log_2pi_gamma_pairs([aj + ak for aj in (a1, a2) for ak in (a3, a4)], self._b1(p))
 
-    def h0_over_hn_levels(self, p: ParamSet, n: int) -> tuple:
+    def _norm_factors(self, p: ParamSet, n: int):
+        # h0/h_k = (2k - 1 + b1) (b1)_{k-1} k! / prod (a_j + a_k)_k over the
+        # pairs of (a1, a2) and (a3, a4), KS 1.4.2
         a1, a2, a3, a4 = self._abcd(p)
         b1 = self._b1(p)
-        pairs = [pochhammer_levels(aj + ak, n) for aj in (a1, a2) for ak in (a3, a4)]
-        if b1 < 1.0:
-            return self._norm_ratios_below_one(b1, factorials(n), pairs)
-        return tuple(
-            complex(
-                # h0/h0 = 1: at k = 0 the factor is 0/0 when b1 = 1
-                ((b1 + 2 * k - 1) / (b1 + k - 1) if k else 1.0)
-                * fact
-                * poch_b1
-                / math.prod(pochs, start=complex(1.0))
-            ).real
-            for k, (fact, poch_b1, *pochs) in enumerate(
-                zip(factorials(n), pochhammer_levels(b1, n), *pairs))
-        )
+        sums = [aj + ak for aj in (a1, a2) for ak in (a3, a4)]
+        for j in range(1, n + 1):
+            yield 2 * j - 1 + b1, (j, j - 2 + b1) if j > 1 else (j,), [j - 1 + s for s in sums]
 
     def log_amplitude(self, p: ParamSet, w):
         iw = 1j * as_complex(w)
@@ -200,10 +191,11 @@ class MeixnerPollaczek(Family):
         return (math.log(2.0 * math.pi) + log_gamma(2 * a).real
                 - 2 * a * math.log(2.0 * math.sin(p.phi)))
 
-    def h0_over_hn_levels(self, p: ParamSet, n: int) -> tuple:
+    def _norm_factors(self, p: ParamSet, n: int):
+        # h0/h_k = k! / (2a)_k, KS 1.7.2
         a = p.a[0].real
-        return tuple(fact / poch.real
-                     for fact, poch in zip(factorials(n), pochhammer_levels(2 * a, n)))
+        for j in range(1, n + 1):
+            yield 1.0, (j,), (j - 1 + 2 * a,)
 
     def log_amplitude(self, p: ParamSet, w):
         w = as_complex(w)

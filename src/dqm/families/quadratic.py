@@ -5,12 +5,11 @@ R0 and recurrence terms from base.QuadraticSpectrum, as continuous Hahn does.
 
 from __future__ import annotations
 
-import math
 from itertools import combinations
 
 import numpy as np
 
-from ..specfun import factorials, hypergeometric_F, log_gamma, pochhammer_levels
+from ..specfun import hypergeometric_F, log_gamma
 from .base import (
     ClosurePolys,
     Family,
@@ -128,22 +127,12 @@ class Wilson(_GammaRatioFamily, QuadraticSpectrum):
     def log_h0(self, p: ParamSet) -> float:
         return log_2pi_gamma_pairs([aj + ak for aj, ak in combinations(p.a, 2)], self._b1(p))
 
-    def h0_over_hn_levels(self, p: ParamSet, n: int) -> tuple:
-        b1 = elementary_symmetric(p.a, 1)
-        pairs = [pochhammer_levels(aj + ak, n) for aj, ak in combinations(p.a, 2)]
-        if b1.real < 1.0:
-            return self._norm_ratios_below_one(
-                b1, [1.0 / fact for fact in factorials(n)], pairs)
-        return tuple(
-            complex(
-                # h0/h0 = 1: at k = 0 the factor is 0/0 when b1 = 1
-                ((b1 + 2 * k - 1) / (b1 + k - 1) if k else 1.0)
-                * poch_b1
-                / (fact * math.prod(pochs, start=complex(1.0)))
-            ).real
-            for k, (fact, poch_b1, *pochs) in enumerate(
-                zip(factorials(n), pochhammer_levels(b1, n), *pairs))
-        )
+    def _norm_factors(self, p: ParamSet, n: int):
+        # h0/h_k = (2k - 1 + b1) (b1)_{k-1} / (k! prod (a_j + a_k)_k), KS 1.1.2
+        b1 = self._b1(p)
+        sums = [aj + ak for aj, ak in combinations(p.a, 2)]
+        for j in range(1, n + 1):
+            yield 2 * j - 1 + b1, (j - 2 + b1,) if j > 1 else (), (j, *(j - 1 + s for s in sums))
 
     def series_eval_x(self, p: ParamSet, n: int, x) -> complex:
         a1, *rest = _real_first(p.a)
@@ -241,10 +230,11 @@ class ContinuousDualHahn(_GammaRatioFamily):
     def log_h0(self, p: ParamSet) -> float:
         return log_2pi_gamma_pairs([aj + ak for aj, ak in combinations(p.a, 2)])
 
-    def h0_over_hn_levels(self, p: ParamSet, n: int) -> tuple:
-        pairs = [pochhammer_levels(aj + ak, n) for aj, ak in combinations(p.a, 2)]
-        return tuple((1.0 / (fact * math.prod(pochs, start=complex(1.0)))).real
-                     for fact, *pochs in zip(factorials(n), *pairs))
+    def _norm_factors(self, p: ParamSet, n: int):
+        # h0/h_k = 1 / (k! prod (a_j + a_k)_k), KS 1.3.2
+        sums = [aj + ak for aj, ak in combinations(p.a, 2)]
+        for j in range(1, n + 1):
+            yield 1.0, (), (j, *(j - 1 + s for s in sums))
 
     def level_from_energy(self, p: ParamSet, energy: float) -> float:
         return energy

@@ -52,7 +52,6 @@ from ..specfun import (
     basic_hypergeometric_phi,
     log_q_pochhammer_inf,
     q_pochhammer,
-    q_pochhammer_levels,
 )
 from .base import (
     ClosurePolys,
@@ -235,17 +234,11 @@ class AskeyWilson(Family):
         return self._aw(p).a
 
     def _k_n(self, d: _AW, q: float, n: int) -> float:
-        """k_n = a1^n / (q, a1 a3, a1 a4; q)_n, the last entry of `_k_levels`."""
+        """k_n = a1^n / (q, a1 a3, a1 a4; q)_n."""
         den = q_pochhammer(q, q, n)
         for ajk in d.k_pairs:
             den *= q_pochhammer(ajk, q, n)
         return (d.k_a1**n / den).real
-
-    def _k_levels(self, d: _AW, q: float, n: int) -> list:
-        """k_0 .. k_n, k_k = a1^k / (q, a1 a3, a1 a4; q)_k."""
-        pairs = [q_pochhammer_levels(ajk, q, n) for ajk in d.k_pairs]
-        return [(d.k_a1**k / math.prod(pochs, start=den)).real
-                for k, (den, *pochs) in enumerate(zip(q_pochhammer_levels(q, q, n), *pairs))]
 
     # -- potential and ground state ------------------------------------------
     def V(self, p: ParamSet, w) -> complex:
@@ -384,24 +377,24 @@ class AskeyWilson(Family):
         logs = log_q_pochhammer_inf(np.array([d.e4, p.q, *d.pairs]), p.q)
         return math.log(2.0 * math.pi) + (logs[0] - logs[1:].sum()).real
 
-    def h0_over_hn_levels(self, p: ParamSet, n: int) -> tuple:
+    def _norm_factors(self, p: ParamSet, n: int):
+        # h0/h_k = (1 - e4 q^{2k-1}) (e4; q)_{k-1} / ((q; q)_k prod (a_j a_k; q)_k),
+        # KS 3.1.2, over the non-zero pair products; over k_k^2 on the rows
+        # that carry k_n, each level j times ((1 - q^j) prod (1 - a1 a_l
+        # q^{j-1}) / a1)^2
         q = p.q
         d = self._aw(p)
-        b4 = d.e4
-        pairs = [q_pochhammer_levels(ajk, q, n) for ajk in d.pairs]
-        vals = [
-            complex(
-                # h0/h0 = 1: at k = 0 the factor is 0/0 when e4 = q
-                ((1.0 - b4 * q ** (2 * k - 1)) / (1.0 - b4 * q ** (k - 1)) if k else 1.0)
-                * poch_b4
-                / math.prod(pochs, start=den)
-            ).real
-            for k, (den, poch_b4, *pochs) in enumerate(
-                zip(q_pochhammer_levels(q, q, n), q_pochhammer_levels(b4, q, n), *pairs))
-        ]
-        if d.k_a1 is None:
-            return tuple(vals)
-        return tuple(val / k_k**2 for val, k_k in zip(vals, self._k_levels(d, q, n)))
+        e4_num = []  # 1 - e4 q^{j-2}, from j = 2
+        qj = 1.0     # q^{j-1}, stepped as q_pochhammer steps it
+        for j in range(1, n + 1):
+            num = e4_num
+            den = [1.0 - q * qj, *(1.0 - ajk * qj for ajk in d.pairs)]
+            if d.k_a1 is not None:
+                num = num + [1.0 - q * qj, *(1.0 - ajk * qj for ajk in d.k_pairs)] * 2
+                den += [d.k_a1] * 2
+            yield 1.0 - d.e4 * q ** (2 * j - 1), num, den
+            e4_num = [1.0 - d.e4 * qj]
+            qj *= q
 
     def coherent_closed_form(self, p: ParamSet, alpha: complex, xs):
         # with at most two non-zero parameters, (a1, a2) zero-padded, the

@@ -60,6 +60,7 @@ there.
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 
 import numpy as np
@@ -229,8 +230,12 @@ def _matrix(fam, p: ParamSet, n_max: int, half: int, act) -> Terms:
     # sqrt(h0/h_n): the weight is already over h0
     ratios = fam.h0_over_hn_levels(p, n_max)
     for n, ratio in enumerate(ratios):
-        if not math.isfinite(ratio):
-            raise ValueError(f"h0/h_{n} = {ratio} is not finite in doubles, "
+        # a subnormal or 0 ratio is an underflow: it would scale P_n's rows
+        # of the matrix by a value with few digits, or zero them
+        if not sys.float_info.min <= ratio < math.inf:
+            fault = ("overflows the double range" if ratio > 1.0
+                     else "underflows the double range" if ratio < 1.0 else "is not a number")
+            raise ValueError(f"h0/h_{n} = {ratio} {fault}, "
                              f"so the quadrature cannot normalise P_{n}")
     unit = per_level(np.sqrt(ratios))
     value, l1 = np.zeros((n_max + 1,) * 2, dtype=complex), np.zeros((n_max + 1,) * 2)

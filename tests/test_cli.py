@@ -248,14 +248,17 @@ def test_eval_prints_the_record_where_b1_is_below_the_rounding_of_two(argv, valu
 
 
 @pytest.mark.parametrize("argv,code,last", [
-    # b1 = 4e-300: the norm ratios divided by b1 + k - 1, which 1 + b1 - 1
-    # rounds to 0 at k = 1.  h0/h_1 = (1 + b1) / prod (a_j + a_k) is past the
-    # double range, so the quadrature suites reject the set
+    # b1 = 4e-300: h0/h_1 = (1 + b1) / prod (a_j + a_k) is past the double
+    # range, so the quadrature suites reject the set
     (("verify", "continuous-hahn", "--a", "1e-300", "--a", "1e-300", "--n-max", "4"), 2,
-     "error: h0/h_1 = inf is not finite in doubles, so the quadrature cannot normalise P_1"),
+     "error: h0/h_1 = inf overflows the double range, so the quadrature cannot normalise P_1"),
     (("table", "norms", "continuous-hahn", "--a", "1e-300", "--a", "1e-300",
       "--n-max", "2"), 0, None),
     (("table", "norms", "wilson", *["--a", "1e-300"] * 4, "--n-max", "2"), 0, None),
+    # 1 / (k! prod (a_j + a_k)_k) with no b1: the pair symbols underflowed
+    # before the quotient and raised ZeroDivisionError
+    (("table", "norms", "continuous-dual-hahn", *["--a", "1e-300"] * 3, "--n-max", "2"),
+     0, None),
 ])
 def test_norm_ratios_where_b1_is_below_the_rounding_of_one(argv, code, last):
     # in a fresh interpreter, as a shell runs it: a README exit code, with
@@ -270,6 +273,22 @@ def test_norm_ratios_where_b1_is_below_the_rounding_of_one(argv, code, last):
         # h_n/h0 underflows and N_n overflows past level 0
         rows = [line.split() for line in proc.stdout.splitlines()[1:]]
         assert [row[2:] for row in rows] == [["1", "1"], ["0", "inf"], ["0", "inf"]]
+
+
+def test_table_norms_where_h0_over_hn_underflows():
+    # Wilson a = (100, 100, 100, 100): h0/h_n is a true underflow from level
+    # 25, subnormal there and 0 from level 27; h_n/h0 then reads inf and N_n
+    # 0, where 1 / h0_over_hn divided by zero
+    argv = ["table", "norms", "wilson", *["--a", "100"] * 4, "--n-max", "30"]
+    proc = subprocess.run([sys.executable, "-m", "dqm.cli", *argv],
+                          env=_env_with_src(), capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    rows = [line.split() for line in proc.stdout.splitlines()[1:]]
+    assert [row[0] for row in rows] == [str(n) for n in range(31)]
+    assert all(float(row[2]) < math.inf for row in rows[:25])
+    assert all(row[2] == "inf" for row in rows[25:])
+    assert all(float(row[3]) > 0 for row in rows[:27])
+    assert all(row[3] == "0" for row in rows[27:])
 
 @pytest.mark.parametrize("v,text", [
     (complex(1.0, math.nan), "1+nani"),

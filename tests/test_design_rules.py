@@ -128,3 +128,11 @@ def test_wilson_and_continuous_hahn_share_their_spectrum_forms(name):
     assert getattr(Wilson, name) is getattr(ContinuousHahn, name)
     assert getattr(Wilson, name) is getattr(QuadraticSpectrum, name)
     assert name not in vars(Wilson) and name not in vars(ContinuousHahn)
+
+
+@pytest.mark.parametrize("name", [fid.value for fid in FAMILIES])
+def test_norm_ratios_are_one_running_product_on_every_family(name):
+    # h0/h_n is formed once, in Family; a family states its factors only
+    fam = get_family(name)
+    assert type(fam).h0_over_hn_levels is Family.h0_over_hn_levels
+    assert type(fam)._norm_factors is not Family._norm_factors

@@ -857,34 +857,52 @@ def test_gamma_side_b_is_the_explicit_pair_product(family, p):
         assert abs(Fraction(b[k]) - want) <= Fraction(2e-15) * abs(want), k
 
 
-def _exact_norm_ratio(family, p, k) -> Fraction:
-    """h0/h_k = (2k - 1 + b1) (b1)_{k-1} s_k / prod (a_j + a_k)_k, s_k = k! on
-    continuous Hahn and 1/k! on Wilson, exactly."""
+def _exact_norm_ratios(family, p, n) -> list:
+    """h0/h_k for k = 0..n, exactly, from one running product: (2k - 1 + b1)
+    (b1)_{k-1} s_k / prod (a_j + a_k)_k with s_k = k! on continuous Hahn and
+    1/k! on Wilson, and 1 / (k! prod (a_j + a_k)_k) on continuous dual Hahn."""
     pairs = _ks_pairs(family, p)
+    dual = family == "continuous-dual-hahn"
     b1 = sum(_exact(v)[0] for v in p.a) * (2 if family == "continuous-hahn" else 1)
-    value = (2 * k - 1 + b1) * math.prod((b1 + j for j in range(k - 1)), start=Fraction(1))
-    value *= math.factorial(k) if family == "continuous-hahn" else Fraction(1, math.factorial(k))
-    for j in range(k):
-        value /= _exact_pair_product(pairs, j)
-    return value
+    out, run = [Fraction(1)], Fraction(1)
+    for k in range(1, n + 1):
+        if k > 1 and not dual:
+            run *= k - 2 + b1
+        run = run * k if family == "continuous-hahn" else run / k
+        run /= _exact_pair_product(pairs, k - 1)
+        out.append(run if dual else (2 * k - 1 + b1) * run)
+    return out
 
 
 @pytest.mark.parametrize("family,p", SMALL_B1_SETS
                          + [("continuous-hahn", ParamSet(a=(1e-300, 1e-300))),
                             ("wilson", ParamSet(a=(1e-300,) * 4)),
-                            ("wilson", ParamSet(a=(0.1 + 1j, 0.1 - 1j, 0.2, 0.3)))])
+                            ("wilson", ParamSet(a=(0.1 + 1j, 0.1 - 1j, 0.2, 0.3))),
+                            ("wilson", ParamSet(a=(30.0,) * 4)),
+                            ("continuous-dual-hahn", ParamSet(a=(1e-300,) * 3))])
 def test_norm_ratios_where_b1_is_small(family, p):
-    # below b1 = 1 the level factor adds its integer part first and the pair
-    # symbols divide one at a time, so b1 keeps its digits and a value past
-    # the double range reads inf; b1 + 1 - 1 lost them, and read 0 at b1 = 4e-300
+    # h0/h_k is one running product of the moduli of each level's factors,
+    # each factor adding its integer part first, so b1 keeps its digits, no
+    # intermediate overflows or underflows, and a value past the double range
+    # reads inf.  A ratio of products formed apart read 0 at b1 = 4e-300, and
+    # 0 or NaN where the denominator overflowed (Wilson a = 30, from level 26)
     got = get_family(family).h0_over_hn_levels(p, 30)
     assert got[0] == 1.0
-    for k in range(1, 31):
-        want = _exact_norm_ratio(family, p, k)
+    for k, want in enumerate(_exact_norm_ratios(family, p, 30)):
         if want > Fraction(sys.float_info.max):
             assert got[k] == math.inf, k
         elif want > Fraction(sys.float_info.min):
             assert abs(Fraction(got[k]) - want) <= Fraction(1e-14) * want, k
+
+
+def test_orthogonality_passes_where_the_norm_ratio_is_tiny():
+    # Wilson a = 30: h0/h_27 is about 8e-273; formed apart its denominator
+    # overflowed, h0/h_n read 0, and diagonal_norms read 1.0
+    results = run_suite("orthogonality", "wilson", ParamSet(a=(30.0,) * 4),
+                        VerifyConfig(n_max=27))
+    assert [r.check_id for r in results] == ["orthogonality.diagonal_norms",
+                                             "orthogonality.off_diagonal"]
+    assert all(r.passed for r in results)
 
 
 def test_recurrence_forms_no_power_of_q_that_its_levels_do_not():

@@ -149,6 +149,15 @@ def test_meixner_pollaczek_norm_ratios():
     assert norms[0] == pytest.approx(fam.h0(p), rel=1e-12)
 
 
+@pytest.mark.parametrize("matrix", [orthogonality_matrix, hermiticity_forms])
+def test_quadrature_rejects_an_underflowed_norm_ratio_by_level(matrix):
+    # Wilson `default`: h0/h_42 is about 5e-313, subnormal, and h0/h_n reads
+    # 0 from level 44; either would scale or zero P_n's rows of the matrix
+    with pytest.raises(ValueError, match=r"^h0/h_42 = 4\.9\d*e-313 underflows the "
+                       r"double range, so the quadrature cannot normalise P_42$"):
+        matrix("wilson", fixture_params("wilson", "default"), 45)
+
+
 @pytest.mark.parametrize("suite", ["orthogonality", "hermiticity"])
 def test_quadrature_suites_pass_at_n_max_30(suite):
     # the CLI's ceiling, on every bundled fixture

@@ -21,6 +21,8 @@ entry.
                 minus i gamma/2, as the shape-invariance suite evaluates it
     a, b, c     Family.recurrence at level 62: a_0 .. a_61, b_0 .. b_61
                 and c_0 .. c_62, whatever N is
+    h0_over_hn  Family.h0_over_hn_levels at level 62: h0/h_0 .. h0/h_62,
+                whatever N is
     residuals   the max_residual of every check of the 11 suites at
                 VerifyConfig(n_max=N), in suite order; a suite that
                 raises stores NaN for one entry named after it
@@ -29,8 +31,10 @@ entry.
 entries over its total and its largest difference: |delta| / (1 + l1) for
 G and K, |delta Re| for log_amp (the imaginary part of a logarithm is only
 defined modulo 2 pi), |delta| / (1 + |value|) for weight_sq, |delta| /
-|value| for a, b and c (|delta| where the value is 0) and |delta| for the
-residuals.  NaNs at the same place count as equal.  G and K also show
+|value| for a, b and c (|delta| where the value is 0), |delta| / |value|
+for h0_over_hn (inf where a 0 became non-zero) and |delta| for the
+residuals.  NaNs at the same place count as equal, and so do a 0 or an
+inf at the same place in h0_over_hn.  G and K also show
 their accepted step and node count, and a step that differs between the
 dumps is flagged `step A -> B !`; the last line counts the flagged
 matrices.  A fixture or check in only one dump is reported as missing.  It
@@ -124,6 +128,7 @@ def dump(path: str, n_max: int) -> None:
             out[f"{key}/weight_sq"] = fam.weight_square(fam.shifted(p), w)
             for name, values in zip("abc", fam.recurrence(p, LEVELS)):
                 out[f"{key}/{name}"] = np.array(values)
+            out[f"{key}/h0_over_hn"] = np.array(fam.h0_over_hn_levels(p, LEVELS))
             ids, residuals = [], []
             for suite in SUITES:
                 try:
@@ -168,7 +173,8 @@ def compare(path_a: str, path_b: str) -> int:
             bad = 1
             continue
         parts = []
-        for name in ("G", "K", "log_amp", "weight_sq", "a", "b", "c", "residuals"):
+        for name in ("G", "K", "log_amp", "weight_sq", "a", "b", "c", "h0_over_hn",
+                     "residuals"):
             va, vb = a[f"{key}/{name}"], b[f"{key}/{name}"]
             if va.shape != vb.shape:
                 parts.append(f"{name} shapes {va.shape} {vb.shape}")
@@ -183,6 +189,9 @@ def compare(path_a: str, path_b: str) -> int:
                 delta = delta / (1.0 + np.abs(va))
             elif name in ("a", "b", "c"):
                 delta = delta / np.where(va == 0, 1.0, np.abs(va))
+            elif name == "h0_over_hn":
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    delta = np.where(_same(va, vb), 0.0, delta / np.abs(va))
             same = int(_same(va, vb).sum())
             parts.append(f"{name} {same}/{va.size} {_worst(delta):.2g}")
             if name in ("G", "K"):
