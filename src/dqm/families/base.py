@@ -208,6 +208,12 @@ def any_zero(v) -> bool:
 
 # --------------------------------------------------------- parameter algebra
 
+def _ldexp(m: float, e: int) -> float:
+    """m 2^e for m in [0.5, 1): inf past the double range, subnormal or 0
+    below it."""
+    return math.ldexp(m, e) if e <= sys.float_info.max_exp else math.inf
+
+
 def elementary_symmetric(values, k):
     """Elementary symmetric polynomial of order k."""
     out = complex(0.0)
@@ -336,13 +342,13 @@ class Family:
         adds its integer part first, and none reads 0/0."""
         raise NotImplementedError
 
-    def h0_over_hn_levels(self, p: ParamSet, n: int) -> tuple:
-        """h0/h_k for k = 0..n, from one running product of the family's
-        `_norm_factors`.  The ratio is positive on the validated domain, so the
-        product runs over the moduli; it is kept as a mantissa and a power of
-        2, so no intermediate overflows or underflows, and a value past the
-        double range reads inf or 0."""
-        out = [1.0]
+    def _h0_over_hn_pairs(self, p: ParamSet, n: int):
+        """h0/h_k for k = 0..n as pairs (m, e), h0/h_k = m 2^e with m in
+        [0.5, 1), from one running product of the family's `_norm_factors`.
+        The ratio is positive on the validated domain, so the product runs
+        over the moduli; it is kept as a mantissa and a power of 2, so no
+        intermediate overflows or underflows."""
+        yield math.frexp(1.0)
         mant, exp = 1.0, 0
         for level, num, den in self._norm_factors(p, n):
             for v in num:
@@ -356,9 +362,12 @@ class Family:
             mant, e = math.frexp(mant)
             exp += e
             m, e = math.frexp(abs(level) * mant)
-            out.append(math.ldexp(m, exp + e) if exp + e <= sys.float_info.max_exp
-                       else math.inf)
-        return tuple(out)
+            yield m, exp + e
+
+    def h0_over_hn_levels(self, p: ParamSet, n: int) -> tuple:
+        """h0/h_k for k = 0..n (`_h0_over_hn_pairs`); a value past the double
+        range reads inf or 0."""
+        return tuple(_ldexp(m, e) for m, e in self._h0_over_hn_pairs(p, n))
 
     def h0_over_hn(self, p: ParamSet, n: int) -> float:
         """h0/h_n, the last entry of `h0_over_hn_levels`."""
@@ -416,7 +425,10 @@ class Family:
         a, b, c = self.recurrence(p, n + 1)
         A, B, C = three_term(a, b, c)
         h0 = self.h0(p)
-        h0_over_hn = self.h0_over_hn(p, n)
+        # N_n = sqrt(h0/h_n) from h0/h_n = m 2^e, so that it keeps its digits
+        # where h0/h_n is subnormal, 0 or inf but N_n is a normal double
+        *_, (m, e) = self._h0_over_hn_pairs(p, n)
+        root, r = math.frexp(math.sqrt(math.ldexp(m, e % 2)))
         return CoefficientBundle(
             n=n,
             E_n=self.energy(p, n),
@@ -429,8 +441,8 @@ class Family:
             f_n=self.f_shift(p, n),
             b_n_shift=self.b_shift(p, n),
             h0=h0,
-            h0_over_hn=h0_over_hn,
-            N_n=math.sqrt(h0_over_hn),
+            h0_over_hn=_ldexp(m, e),
+            N_n=_ldexp(root, e // 2 + r),
         )
 
 

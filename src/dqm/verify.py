@@ -9,8 +9,7 @@ as a (levels, lattice rows, points) array on the shift lattice of the
 sample points (`operators.Lattice`), and apply the operators to it as array
 expressions that carry the magnitude of the terms they sum
 (`operators.Terms`).  Each of their checks compares two sides by one rule,
-|lhs - rhs| / (1 + mag(lhs) + mag(rhs)), at its worst over levels and
-points, with a NaN failing the check.
+|lhs - rhs| / (1 + mag(lhs) + mag(rhs)), entry by entry.
 
 No suite tests a family's name: what holds on some families only is read
 off a family method that is None where it does not hold.  lambda_shift adds
@@ -20,8 +19,13 @@ chain a set lies in, adds ladder.q_deformed_commutator below 4 non-zero
 parameters, ladder.q_oscillator_pair at most 1 and the q-Hermite checks 0.
 
 Every suite is a function (family, params, config) that returns its checks
-as (check_id, level range, samples, residual) entries; `run_suite` alone
-turns them into CheckResults, each judged against its tolerance in
+as (check_id, level range, samples, residuals) entries.  The residuals are
+an array, or a tuple of arrays, with one row per level of the range and the
+sample point on the last axis; the rows of coherent.* (one, the levels
+summed), limit.* (L steps), shape_invariance.potential_identities (one for
+both levels) and shape_invariance.ground_state_shift (none, points only)
+are not levels.  `run_suite` alone folds them: a check's worst residual,
+NaN if any is, becomes a CheckResult judged against its tolerance in
 TOLERANCES.
 """
 
@@ -131,17 +135,14 @@ def _tol(config: VerifyConfig, check_id: str) -> float:
     return config.tol_override
 
 
-def _residual(lhs, rhs) -> float:
-    """max |lhs - rhs| / (1 + mag(lhs) + mag(rhs)) over the entries of two
-    Terms, or over each pair of two tuples of Terms; NaN if any entry is
-    (np.max keeps a NaN, where max() may drop it), 0 over no entries."""
-    if not isinstance(lhs, tuple):
-        lhs, rhs = (lhs,), (rhs,)
-    worst = []
-    for a, b in zip(lhs, rhs):
-        a, b = (t if isinstance(t, Terms) else Terms(t) for t in (a, b))
-        worst.append(np.max(np.abs(a.val - b.val) / (1.0 + a.mag + b.mag), initial=0.0))
-    return float(np.max(worst, initial=0.0))
+def _residual(lhs, rhs):
+    """The ratios |lhs - rhs| / (1 + mag(lhs) + mag(rhs)) of two Terms entry
+    by entry, level first and sample point last, or a tuple of them over
+    each pair of two tuples of Terms; `_fold` takes their worst."""
+    if isinstance(lhs, tuple):
+        return tuple(map(_residual, lhs, rhs))
+    a, b = (t if isinstance(t, Terms) else Terms(t) for t in (lhs, rhs))
+    return np.abs(a.val - b.val) / (1.0 + a.mag + b.mag)
 
 
 # ------------------------------------------------------------------- eigen
@@ -547,9 +548,8 @@ def _orthogonality(fam, p: ParamSet, config: VerifyConfig):
     dev = np.abs(orthogonality_matrix(fam, p, n_max).val - np.eye(n_max + 1))
     diag = np.diag(dev)
     return [
-        ("orthogonality.diagonal_norms", (0, n_max), (n_max + 1) ** 2, np.max(diag)),
-        ("orthogonality.off_diagonal", (0, n_max), (n_max + 1) ** 2,
-         np.max(dev - np.diag(diag))),
+        ("orthogonality.diagonal_norms", (0, n_max), (n_max + 1) ** 2, diag),
+        ("orthogonality.off_diagonal", (0, n_max), (n_max + 1) ** 2, dev - np.diag(diag)),
     ]
 
 
@@ -599,12 +599,11 @@ def _limit(fam, p: ParamSet, config: VerifyConfig):
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(dev[:-1] > 0, dev[1:] / dev[:-1], math.inf)
     l_prev, l_last = _L_SEQUENCE[-2:]
-    extrapolated = got[-1] + (got[-1] - got[-2]) * l_prev / (l_last - l_prev)
+    extrapolated = got[-1:] + (got[-1:] - got[-2:-1]) * l_prev / (l_last - l_prev)
     return [
-        ("limit.monotone_decrease", (1, 3), len(_L_SEQUENCE),
-         float(np.max(ratios, initial=0.0))),
+        ("limit.monotone_decrease", (1, 3), len(_L_SEQUENCE), ratios),
         ("limit.extrapolated_deviation", (1, 3), len(_L_SEQUENCE),
-         float(np.max(np.abs(extrapolated - target) / (1.0 + np.abs(target)), initial=0.0))),
+         np.abs(extrapolated - target) / (1.0 + np.abs(target))),
     ]
 
 
@@ -612,10 +611,9 @@ def _limit(fam, p: ParamSet, config: VerifyConfig):
 
 def _number_operator(fam, p: ParamSet, config: VerifyConfig):
     """The level recovered from its energy through the stated inversion."""
-    worst = np.max([abs(fam.level_from_energy(p, fam.energy(p, n)) - n) / (1.0 + n)
-                    for n in _LEVELS], initial=0.0)
-    return [("number_operator.inversion", (_LEVELS[0], _LEVELS[-1]), len(_LEVELS),
-             float(worst))]
+    dev = np.array([abs(fam.level_from_energy(p, fam.energy(p, n)) - n) / (1.0 + n)
+                    for n in _LEVELS])
+    return [("number_operator.inversion", (_LEVELS[0], _LEVELS[-1]), len(_LEVELS), dev)]
 
 
 # --------------------------------------------------------------- dispatch
@@ -636,12 +634,21 @@ _SUITE_RUNNERS = {
 SUITES = tuple(_SUITE_RUNNERS)
 
 
+def _fold(residuals) -> float:
+    """The worst of a check's residual array, or of each array of a tuple;
+    NaN if any entry is (np.max keeps a NaN, where max() may drop it), 0
+    over no entries."""
+    arrays = residuals if isinstance(residuals, tuple) else (residuals,)
+    return float(np.max([np.max(r, initial=0.0) for r in arrays], initial=0.0))
+
+
 def run_suite(suite_id: str, family, params: ParamSet,
               config: VerifyConfig = VerifyConfig()):
     """Run one named suite; deterministic for a fixed config.
 
-    Every entry (check_id, level range, samples, residual) that the suite
-    returns becomes a CheckResult, judged against the check's tolerance."""
+    Every entry (check_id, level range, samples, residuals) that the suite
+    returns becomes a CheckResult: its worst residual (`_fold`), judged
+    against the check's tolerance."""
     fam = get_family(family)
     fam.validate(params)
     runner = _SUITE_RUNNERS.get(suite_id)
@@ -649,14 +656,15 @@ def run_suite(suite_id: str, family, params: ParamSet,
         raise ValueError(f"unknown suite {suite_id!r}; known: {', '.join(SUITES)}")
     results = []
     as_dict = params.as_dict()
-    for check_id, levels, samples, residual in runner(fam, params, config):
+    for check_id, levels, samples, residuals in runner(fam, params, config):
+        residual = _fold(residuals)
         tol = _tol(config, check_id)
         results.append(CheckResult(
             check_id=check_id,
             family=fam.spec.name,
             params=as_dict,
             level_range=levels,
-            max_residual=float(residual),
+            max_residual=residual,
             tolerance=float(tol),
             passed=bool(residual <= tol),
             samples_used=int(samples),

@@ -12,7 +12,7 @@ import os
 import random
 import subprocess
 import sys
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from importlib import resources
 
 import jsonschema
@@ -21,6 +21,7 @@ import pytest
 import dqm
 from dqm import cli
 from dqm.cli import ReportSchemaError, main, validate_report
+from dqm.families import ParamSet
 from dqm.fixtures import load_fixtures
 
 
@@ -277,8 +278,12 @@ def test_norm_ratios_where_b1_is_below_the_rounding_of_one(argv, code, last):
 
 def test_table_norms_where_h0_over_hn_underflows():
     # Wilson a = (100, 100, 100, 100): h0/h_n is a true underflow from level
-    # 25, subnormal there and 0 from level 27; h_n/h0 then reads inf and N_n
-    # 0, where 1 / h0_over_hn divided by zero
+    # 25, subnormal there and 0 from level 27; h_n/h0 then reads inf, where
+    # 1 / h0_over_hn divided by zero.  N_n = sqrt(h0/h_n) is a normal double
+    # throughout: formed from the double h0/h_n it read N_26 to 3 digits and
+    # N_27 .. N_30 as 0
+    from test_families import _exact_norm_ratios
+
     argv = ["table", "norms", "wilson", *["--a", "100"] * 4, "--n-max", "30"]
     proc = subprocess.run([sys.executable, "-m", "dqm.cli", *argv],
                           env=_env_with_src(), capture_output=True, text=True, timeout=60)
@@ -287,8 +292,12 @@ def test_table_norms_where_h0_over_hn_underflows():
     assert [row[0] for row in rows] == [str(n) for n in range(31)]
     assert all(float(row[2]) < math.inf for row in rows[:25])
     assert all(row[2] == "inf" for row in rows[25:])
-    assert all(float(row[3]) > 0 for row in rows[:27])
-    assert all(row[3] == "0" for row in rows[27:])
+    exact = _exact_norm_ratios("wilson", ParamSet(a=(100.0,) * 4), 30)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        for row, ratio in zip(rows, exact):
+            want = (Decimal(ratio.numerator) / Decimal(ratio.denominator)).sqrt()
+            assert abs(Decimal(row[3]) / want - 1) <= Decimal("1e-14"), row
 
 @pytest.mark.parametrize("v,text", [
     (complex(1.0, math.nan), "1+nani"),

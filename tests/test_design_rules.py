@@ -4,7 +4,10 @@ never pick a family by its name, its FamilyId or its class.
 
 An OperatorContext is built where a parameter set enters the operator
 layer, a verify suite or the quadrature, and at a parameter shift; every
-other function takes its caller's context."""
+other function takes its caller's context.
+
+dqm.verify takes the worst of a check's residuals in one place, the `_fold`
+of run_suite."""
 
 from __future__ import annotations
 
@@ -76,9 +79,9 @@ def test_the_module_picks_no_family_by_name_id_or_class(module):
     assert _family_tests(tree) == []
 
 
-def _context_builders(tree: ast.AST) -> list:
-    """The dotted name of the function around each OperatorContext(...) call
-    in tree, "" at module level."""
+def _scopes(tree: ast.AST, match) -> list:
+    """The dotted name of the function around each node of tree that match
+    accepts, "" at module level."""
     found = []
 
     def visit(node, scope):
@@ -86,15 +89,28 @@ def _context_builders(tree: ast.AST) -> list:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, scope + (child.name,))
                 continue
-            if isinstance(child, ast.Call):
-                callee = child.func
-                name = getattr(callee, "id", None) or getattr(callee, "attr", None)
-                if name == "OperatorContext":
-                    found.append(".".join(scope))
+            if match(child):
+                found.append(".".join(scope))
             visit(child, scope)
 
     visit(tree, ())
     return found
+
+
+def _context_builders(tree: ast.AST) -> list:
+    """The scope of each OperatorContext(...) call in tree."""
+    def is_context_call(node):
+        callee = getattr(node, "func", None) if isinstance(node, ast.Call) else None
+        return (getattr(callee, "id", None) or getattr(callee, "attr", None)) == "OperatorContext"
+
+    return _scopes(tree, is_context_call)
+
+
+def _maxima(tree: ast.AST) -> list:
+    """The scope of each max, amax or nanmax attribute in tree: np.max and
+    the like, and an array's .max()."""
+    return _scopes(tree, lambda node: isinstance(node, ast.Attribute)
+                   and node.attr in ("max", "amax", "nanmax"))
 
 
 def test_the_context_rule_finds_every_call():
@@ -107,6 +123,25 @@ def test_the_context_rule_finds_every_call():
         "    return OperatorContext.H_tilde\n"
     )
     assert _context_builders(ast.parse(source)) == ["", "A.f"]
+
+
+def test_the_max_rule_finds_every_max():
+    source = (
+        "worst = np.max(r)\n"
+        "def f(r):\n"
+        "    return numpy.amax(r) + r.max() + np.maximum(r, 0)\n"
+        "class A:\n"
+        "    def g(self, r):\n"
+        "        return np.nanmax(r, initial=0.0)\n"
+    )
+    assert _maxima(ast.parse(source)) == ["", "f", "f", "A.g"]
+
+
+def test_residuals_are_folded_only_by_run_suite():
+    # every suite returns its residual arrays; run_suite's _fold alone takes
+    # their worst, so a check's levels and points reach run_suite intact
+    tree = ast.parse(Path(dqm.verify.__file__).read_text())
+    assert set(_maxima(tree)) == {"_fold"}
 
 
 def test_contexts_are_built_only_where_parameters_enter_or_shift():

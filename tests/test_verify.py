@@ -28,6 +28,8 @@ from dqm.specfun import (
     q_pochhammer_inf,
 )
 from dqm.verify import (
+    _L_SEQUENCE,
+    _SUITE_RUNNERS,
     SUITES,
     TOLERANCES,
     CheckResult,
@@ -36,6 +38,7 @@ from dqm.verify import (
     _coherent_closed_form,
     _coherent_series,
     _default_alpha,
+    _fold,
     _residual,
     _truncation,
 )
@@ -155,6 +158,41 @@ _EXTRA_IDS = {
 
 def _pinned_ids(suite: str, extra: list) -> list:
     return _COMMON_IDS[suite] + [c for c in extra if c.startswith(suite + ".")]
+
+
+# the checks whose residual rows are not the levels of their range: the
+# number of rows (None: no row axis) and why
+ROWS_NOT_LEVELS = {
+    "coherent.annihilation_eigenvector": (1, "the series sums its levels into one row"),
+    "coherent.closed_form": (1, "the series sums its levels into one row"),
+    "limit.monotone_decrease": (len(_L_SEQUENCE) - 1, "one row per step from one L to the next"),
+    "limit.extrapolated_deviation": (1, "one row, the extrapolant at the last L step"),
+    "shape_invariance.ground_state_shift": (None, "points only: phi0 at lambda and lambda+delta"),
+    "shape_invariance.potential_identities": (
+        1, "one row for the range (0, 1): V at lambda and lambda+delta, with E_1"),
+}
+
+
+def test_every_residual_row_is_a_level_of_its_range():
+    # a suite returns its residuals unfolded, one row per level of the
+    # check's range and the sample point last, so run_suite can say where a
+    # check reads its worst; ROWS_NOT_LEVELS names the checks that cannot
+    seen = set()
+    for family, fixture in ALL_FIXTURES:
+        fam = get_family(family)
+        p = fixture_params(family, fixture)
+        for runner in _SUITE_RUNNERS.values():
+            for check_id, (lo, hi), _, residuals in runner(fam, p, VerifyConfig(n_max=8)):
+                seen.add(check_id)
+                arrays = residuals if isinstance(residuals, tuple) else (residuals,)
+                rows, _ = ROWS_NOT_LEVELS.get(check_id, (hi - lo + 1, "levels"))
+                for a in arrays:
+                    if rows is None:
+                        assert np.ndim(a) == 1, (family, fixture, check_id)
+                    else:
+                        assert np.ndim(a) >= 1 and len(a) == rows, (family, fixture, check_id)
+    assert seen == set(TOLERANCES)
+    assert len(seen - set(ROWS_NOT_LEVELS)) == 25
 
 
 @pytest.mark.parametrize("family,fixture", ALL_FIXTURES)
@@ -304,8 +342,8 @@ def _coherent_by_all_levels(fam, p, seed):
     lowered = (coeffs[1: n + 1]
                * ladder_action(ctx, "-", range(1, n + 1), f[1: n + 1], lat)).sum(axis=0)
     closed = _coherent_closed_form(fam, p, alpha, xs)
-    return (n, tail, complex(sums.val[0, 0]), _residual(lowered, alpha * sums),
-            None if closed is None else _residual(sums, closed))
+    return (n, tail, complex(sums.val[0, 0]), _fold(_residual(lowered, alpha * sums)),
+            None if closed is None else _fold(_residual(sums, closed)))
 
 
 @pytest.mark.parametrize("family,fixture", ALL_FIXTURES)
